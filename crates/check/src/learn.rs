@@ -21,7 +21,9 @@
 //!    *mandatory assignments* — the excitation value at the fault site
 //!    plus, at every post-dominator on the way to an observable output,
 //!    the exact binary non-controlling value on each side input outside
-//!    the fault's fanout cone — and propagate. A contradiction in any
+//!    the fault's fanout cone — and propagate. The window has the depth
+//!    the graph was learned at, so its own operators already imply every
+//!    graph edge and none is applied on top. A contradiction in every
 //!    alignment of the bounded window is a proof that no input sequence
 //!    can both excite the fault and propagate its effect, so
 //!    [`prune_stuck_at_learned`] / [`prune_transition_learned`] drop the
@@ -53,11 +55,6 @@ use crate::diag::{Report, RuleCode};
 
 /// Default number of unrolled time frames for `--learn`.
 pub const DEFAULT_LEARN_FRAMES: usize = 2;
-
-/// Upper bound on constraint-propagation sweeps per window. Propagation
-/// is monotone (masks only shrink) so the cap never costs soundness —
-/// stopping early just proves fewer conflicts.
-const MAX_SWEEPS: usize = 64;
 
 /// Configuration of the implication-learning pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -223,6 +220,9 @@ impl ImplicationGraph {
     fn learn_indirect(&mut self, circuit: &Circuit, analysis: &CircuitAnalysis) {
         let n = circuit.num_nodes();
         let forward_pass = self.frames >= 2 && circuit.num_dffs() > 0;
+        let base = Window::full_history(circuit, &analysis.reach, self.frames).settled(circuit);
+        // `known` holds the direct closure of the literal being asserted.
+        let mut known = Marks::new(self.direct.len(), self.frames);
         for node in 0..n {
             let id = GateId::from_index(node);
             for value in [false, true] {
@@ -230,18 +230,15 @@ impl ImplicationGraph {
                 if analysis.reach[node] & bit == 0 {
                     continue; // the literal can never hold
                 }
-                let known = self.closure(id, value);
+                self.close_from(id, value, false, &mut known, |_| {});
                 for assert_at_start in [false, true] {
                     if assert_at_start && !forward_pass {
                         continue;
                     }
-                    let mut w = Window::full_history(circuit, &analysis.reach, self.frames);
+                    let mut w = base.clone();
                     let assert_frame = if assert_at_start { 0 } else { self.frames - 1 };
-                    if w.constrain(assert_frame, id, bit) {
+                    if w.constrain(assert_frame, id, bit) || w.propagate(circuit) {
                         continue; // contradiction: nothing to learn from
-                    }
-                    if w.propagate(circuit, None) {
-                        continue;
                     }
                     for r in 0..self.frames {
                         let delta = frame_i32(r) - frame_i32(assert_frame);
@@ -263,17 +260,14 @@ impl ImplicationGraph {
                             if analysis.reach[m] == fbit {
                                 continue; // already a proven constant
                             }
-                            let target = GateId::from_index(m);
-                            if known.iter().any(|imp| {
-                                imp.target == target && imp.value == u && imp.delta == delta
-                            }) {
+                            let to = lit(GateId::from_index(m), u);
+                            if known.contains(to, delta) {
                                 continue; // the direct closure knows it
                             }
-                            let (from, to) = (lit(id, value), lit(target, u));
-                            let delta = delta as i8;
-                            if !self.learned[from as usize].contains(&(to, delta)) {
-                                self.learned[from as usize].push((to, delta));
-                            }
+                            // Each (frame, net) slot yields one target, and
+                            // the two passes harvest disjoint deltas, so the
+                            // edge cannot already be in the list.
+                            self.learned[lit(id, value) as usize].push((to, delta as i8));
                         }
                     }
                 }
@@ -281,112 +275,110 @@ impl ImplicationGraph {
         }
     }
 
-    /// The transitive closure over direct edges only (used while
-    /// learning, to filter facts the graph already derives).
-    fn closure(&self, net: GateId, value: bool) -> Vec<Implication> {
-        self.close_from(net, value, false)
-    }
-
     /// All implications of `net = value`: the transitive closure over
     /// direct and learned edges, with cumulative frame offsets bounded
     /// by `frames − 1` in either direction.
     pub fn implications_of(&self, net: GateId, value: bool) -> Vec<Implication> {
-        self.close_from(net, value, true)
+        let mut out = Vec::new();
+        let mut seen = Marks::new(self.direct.len(), self.frames);
+        self.close_from(net, value, true, &mut seen, |imp| out.push(imp));
+        out.sort_by_key(|imp| (imp.target.index(), imp.delta, imp.value));
+        out
     }
 
-    fn close_from(&self, net: GateId, value: bool, use_learned: bool) -> Vec<Implication> {
-        let bound = frame_i32(self.frames) - 1;
-        let span = (2 * bound + 1) as usize;
-        let offset = |delta: i32| (delta + bound) as usize;
-        let mut seen = vec![false; self.direct.len() * span];
-        let mut out = Vec::new();
-        let mut queue = vec![(lit(net, value), 0i32, false)];
-        seen[lit(net, value) as usize * span + offset(0)] = true;
+    /// Depth-first closure from `net = value` over direct (and, with
+    /// `use_learned`, learned) edges. Leaves exactly the reached
+    /// `(literal, delta)` slots in `seen` and hands every one except the
+    /// source itself to `visit`.
+    fn close_from(
+        &self,
+        net: GateId,
+        value: bool,
+        use_learned: bool,
+        seen: &mut Marks,
+        mut visit: impl FnMut(Implication),
+    ) {
+        let source = lit(net, value);
+        seen.clear();
+        seen.insert(source, 0);
+        let mut queue = vec![(source, 0i32, false)];
         while let Some((l, delta, learned)) = queue.pop() {
-            if !(l == lit(net, value) && delta == 0) {
-                out.push(Implication {
+            if !(l == source && delta == 0) {
+                visit(Implication {
                     target: lit_net(l),
                     value: lit_value(l),
                     delta,
                     learned,
                 });
             }
-            let hops = if use_learned {
-                [
-                    (&self.direct[l as usize], false),
-                    (&self.learned[l as usize], true),
-                ]
+            let learned_edges: &[(u32, i8)] = if use_learned {
+                &self.learned[l as usize]
             } else {
-                [
-                    (&self.direct[l as usize], false),
-                    (&self.direct[l as usize], false),
-                ]
+                &[]
             };
-            for (edges, via_learned) in [&hops[0], &hops[1]] {
-                if *via_learned && !use_learned {
-                    continue;
-                }
-                for &(to, d) in edges.iter() {
-                    let nd = delta + i32::from(d);
-                    if nd.abs() > bound {
-                        continue;
-                    }
-                    let slot = to as usize * span + offset(nd);
-                    if !seen[slot] {
-                        seen[slot] = true;
-                        queue.push((to, nd, *via_learned));
-                    }
-                }
-                if !use_learned {
-                    break; // both rows alias the direct list
+            let hops = self.direct[l as usize]
+                .iter()
+                .map(|&e| (e, false))
+                .chain(learned_edges.iter().map(|&e| (e, true)));
+            for ((to, d), via_learned) in hops {
+                let nd = delta + i32::from(d);
+                if nd.abs() <= seen.bound && seen.insert(to, nd) {
+                    queue.push((to, nd, via_learned));
                 }
             }
         }
-        out.sort_by_key(|imp| (imp.target.index(), imp.delta, imp.value));
-        out
+    }
+}
+
+/// An epoch-stamped set of `(literal, frame offset)` slots with offsets
+/// in `−bound..=bound`: clearing is one increment, so one buffer serves
+/// every closure of a learning pass.
+struct Marks {
+    stamp: Vec<u32>,
+    epoch: u32,
+    bound: i32,
+}
+
+impl Marks {
+    fn new(literals: usize, frames: usize) -> Marks {
+        let bound = frame_i32(frames) - 1;
+        Marks {
+            stamp: vec![0; literals * (2 * bound as usize + 1)],
+            epoch: 0,
+            bound,
+        }
     }
 
-    /// Applies first-hop edges of every binary-singleton net at the last
-    /// frame of a full-history window. Sound there: the last frame is a
-    /// cycle `≥ frames−1`, the learning horizon.
-    fn apply_at_last_frame(&self, w: &mut Window) -> Result<bool, ()> {
-        let last = w.w - 1;
-        let mut changed = false;
-        for m in 0..w.n {
-            let mask = w.at(last, m);
-            let value = match mask {
-                x if x == B0 => false,
-                x if x == B1 => true,
-                _ => continue,
-            };
-            let l = lit(GateId::from_index(m), value) as usize;
-            for edges in [&self.direct[l], &self.learned[l]] {
-                for &(to, d) in edges.iter() {
-                    let Some(frame) = last.checked_add_signed(d as isize) else {
-                        continue;
-                    };
-                    if frame >= w.w {
-                        continue;
-                    }
-                    let bit = if lit_value(to) { B1 } else { B0 };
-                    let before = w.at(frame, lit_net(to).index());
-                    if w.constrain(frame, lit_net(to), bit) {
-                        return Err(());
-                    }
-                    changed |= w.at(frame, lit_net(to).index()) != before;
-                }
-            }
-        }
-        Ok(changed)
+    fn clear(&mut self) {
+        self.epoch += 1;
+    }
+
+    fn slot(&self, l: u32, delta: i32) -> usize {
+        l as usize * (2 * self.bound as usize + 1) + (delta + self.bound) as usize
+    }
+
+    fn contains(&self, l: u32, delta: i32) -> bool {
+        self.stamp[self.slot(l, delta)] == self.epoch
+    }
+
+    /// Adds a slot; `true` when it was not yet present.
+    fn insert(&mut self, l: u32, delta: i32) -> bool {
+        let slot = self.slot(l, delta);
+        let fresh = self.stamp[slot] != self.epoch;
+        self.stamp[slot] = self.epoch;
+        fresh
     }
 }
 
 /// A bounded time-frame constraint window: one `{0,1,X}` value-set mask
 /// per (frame, net), shrunk monotonically by propagation.
+#[derive(Clone)]
 struct Window {
     w: usize,
     n: usize,
     masks: Vec<u8>,
+    /// Slots (`frame·n + net`) narrowed since the last propagation.
+    dirty: Vec<u32>,
     conflict: bool,
 }
 
@@ -403,6 +395,7 @@ impl Window {
             w,
             n,
             masks,
+            dirty: Vec::new(),
             conflict: false,
         }
     }
@@ -421,104 +414,117 @@ impl Window {
         self.masks[frame * self.n + node]
     }
 
-    /// Intersects a mask in; returns `true` on conflict (empty set).
+    /// Intersects a mask in, queueing the slot if it narrowed; returns
+    /// `true` on conflict (empty set).
     fn constrain(&mut self, frame: usize, node: GateId, mask: u8) -> bool {
-        let slot = &mut self.masks[frame * self.n + node.index()];
-        *slot &= mask;
-        if *slot == 0 {
-            self.conflict = true;
+        let slot = frame * self.n + node.index();
+        let narrowed = self.masks[slot] & mask;
+        if narrowed != self.masks[slot] {
+            self.masks[slot] = narrowed;
+            if narrowed == 0 {
+                self.conflict = true;
+            } else {
+                self.dirty.push(slot as u32);
+            }
         }
         self.conflict
     }
 
-    /// Propagates to a fixpoint (or the sweep cap): forward gate
-    /// evaluation, exact per-input backward filtering, exact flip-flop
-    /// links between consecutive frames, and (full-history windows only)
-    /// the implication graph's edges at the last frame. Returns `true`
-    /// when the system is contradictory.
-    fn propagate(&mut self, circuit: &Circuit, graph: Option<&ImplicationGraph>) -> bool {
+    /// Propagates a window built from `reach` with every slot queued
+    /// once: the settled base that assertions clone.
+    fn settled(mut self, circuit: &Circuit) -> Window {
+        self.dirty
+            .extend((0..self.masks.len()).map(|slot| slot as u32));
+        self.propagate(circuit);
+        self
+    }
+
+    /// Propagates every queued slot to the greatest fixpoint of the
+    /// operators that read it: forward gate evaluation, exact per-input
+    /// backward filtering, and exact flip-flop links between consecutive
+    /// frames. Returns `true` when the system is contradictory.
+    fn propagate(&mut self, circuit: &Circuit) -> bool {
         let mut ins: Vec<u8> = Vec::new();
-        for _ in 0..MAX_SWEEPS {
-            if self.conflict {
+        while let Some(slot) = self.dirty.pop() {
+            if self.conflict || self.settle_slot(circuit, slot as usize, &mut ins) {
+                self.dirty.clear();
                 return true;
-            }
-            let mut changed = false;
-            // Forward: out &= f(ins), exact under input independence.
-            for r in 0..self.w {
-                for &g in circuit.topo_order() {
-                    let gate = circuit.gate(g);
-                    let GateKind::Comb(f) = gate.kind() else {
-                        unreachable!("topo order is combinational");
-                    };
-                    ins.clear();
-                    ins.extend(gate.fanin().iter().map(|s| self.at(r, s.index())));
-                    let before = self.at(r, g.index());
-                    if self.constrain(r, g, eval_mask(f, &ins)) {
-                        return true;
-                    }
-                    changed |= self.at(r, g.index()) != before;
-                }
-            }
-            // Backward: input value v survives iff the gate can still
-            // produce something in the output mask with input i := {v}.
-            for r in 0..self.w {
-                for &g in circuit.topo_order().iter().rev() {
-                    let gate = circuit.gate(g);
-                    let GateKind::Comb(f) = gate.kind() else {
-                        unreachable!("topo order is combinational");
-                    };
-                    let out = self.at(r, g.index());
-                    ins.clear();
-                    ins.extend(gate.fanin().iter().map(|s| self.at(r, s.index())));
-                    for i in 0..gate.fanin().len() {
-                        let mut allowed = 0u8;
-                        let original = ins[i];
-                        for bit in [B0, B1, BX] {
-                            if original & bit == 0 {
-                                continue;
-                            }
-                            ins[i] = bit;
-                            if eval_mask(f, &ins) & out != 0 {
-                                allowed |= bit;
-                            }
-                        }
-                        ins[i] = original;
-                        if allowed != original {
-                            if self.constrain(r, gate.fanin()[i], allowed) {
-                                return true;
-                            }
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            // Flip-flop links: Q at frame r+1 equals D at frame r,
-            // exactly in both directions (any frame ≥ 1 is an absolute
-            // cycle ≥ 1 under both window kinds, so the X-initial escape
-            // hatch is never needed here).
-            for &q in circuit.dffs() {
-                let d = circuit.gate(q).fanin()[0];
-                for r in 1..self.w {
-                    let (qm, dm) = (self.at(r, q.index()), self.at(r - 1, d.index()));
-                    if qm & dm != qm || qm & dm != dm {
-                        if self.constrain(r, q, dm) || self.constrain(r - 1, d, qm) {
-                            return true;
-                        }
-                        changed = true;
-                    }
-                }
-            }
-            if let Some(graph) = graph {
-                match graph.apply_at_last_frame(self) {
-                    Err(()) => return true,
-                    Ok(c) => changed |= c,
-                }
-            }
-            if !changed {
-                return self.conflict;
             }
         }
         self.conflict
+    }
+
+    /// Re-runs the operators that read one narrowed slot; `true` on
+    /// conflict.
+    fn settle_slot(&mut self, circuit: &Circuit, slot: usize, ins: &mut Vec<u8>) -> bool {
+        let (r, net) = (slot / self.n, GateId::from_index(slot % self.n));
+        let gate = circuit.gate(net);
+        let own = match gate.kind() {
+            GateKind::Input => false,
+            GateKind::Comb(f) => self.filter_gate(r, net, f, gate.fanin(), ins),
+            GateKind::Dff => r > 0 && self.link(r, net, gate.fanin()[0]),
+        };
+        if own {
+            return true;
+        }
+        for &c in gate.fanout() {
+            let reader = circuit.gate(c);
+            let conflict = match reader.kind() {
+                GateKind::Comb(f) => self.filter_gate(r, c, f, reader.fanin(), ins),
+                GateKind::Dff => r + 1 < self.w && self.link(r + 1, c, net),
+                GateKind::Input => false,
+            };
+            if conflict {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// One gate at one frame. Forward: `out &= f(ins)`, exact under
+    /// input independence. Backward: input value v survives iff the gate
+    /// can still produce something in the output mask with input i := {v}.
+    fn filter_gate(
+        &mut self,
+        r: usize,
+        g: GateId,
+        f: GateFn,
+        fanin: &[GateId],
+        ins: &mut Vec<u8>,
+    ) -> bool {
+        ins.clear();
+        ins.extend(fanin.iter().map(|s| self.at(r, s.index())));
+        if self.constrain(r, g, eval_mask(f, ins)) {
+            return true;
+        }
+        let out = self.at(r, g.index());
+        for (i, &src) in fanin.iter().enumerate() {
+            let original = ins[i];
+            let mut allowed = 0u8;
+            for bit in [B0, B1, BX] {
+                if original & bit == 0 {
+                    continue;
+                }
+                ins[i] = bit;
+                if eval_mask(f, ins) & out != 0 {
+                    allowed |= bit;
+                }
+            }
+            ins[i] = original;
+            if self.constrain(r, src, allowed) {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Flip-flop link: Q at frame r equals D at frame r−1, exactly in
+    /// both directions (any frame ≥ 1 is an absolute cycle ≥ 1 under
+    /// both window kinds, so the X-initial escape hatch is never needed
+    /// here).
+    fn link(&mut self, r: usize, q: GateId, d: GateId) -> bool {
+        let (qm, dm) = (self.at(r, q.index()), self.at(r - 1, d.index()));
+        self.constrain(r, q, dm) || self.constrain(r - 1, d, qm)
     }
 }
 
@@ -539,97 +545,6 @@ struct ConeInfo {
     live: bool,
 }
 
-fn build_cone(circuit: &Circuit, po_tapped: &[bool], origin: GateId) -> ConeInfo {
-    let n = circuit.num_nodes();
-    let mut in_cone = vec![false; n];
-    let mut nodes = vec![origin];
-    in_cone[origin.index()] = true;
-    let mut head = 0;
-    while head < nodes.len() {
-        let v = nodes[head];
-        head += 1;
-        for &c in circuit.gate(v).fanout() {
-            if circuit.gate(c).kind().is_comb() && !in_cone[c.index()] {
-                in_cone[c.index()] = true;
-                nodes.push(c);
-            }
-        }
-    }
-    nodes.sort_by_key(|&v| (circuit.level(v), v));
-    let is_exit = |v: GateId| {
-        po_tapped[v.index()]
-            || circuit
-                .gate(v)
-                .fanout()
-                .iter()
-                .any(|&c| circuit.gate(c).kind() == GateKind::Dff)
-    };
-    let exits: Vec<GateId> = nodes.iter().copied().filter(|&v| is_exit(v)).collect();
-    // Restrict to exit-reaching nodes (backward over cone edges).
-    let mut keep = vec![false; nodes.len()];
-    let local: std::collections::HashMap<GateId, usize> =
-        nodes.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-    for (i, &v) in nodes.iter().enumerate().rev() {
-        keep[i] = is_exit(v)
-            || circuit
-                .gate(v)
-                .fanout()
-                .iter()
-                .any(|c| local.get(c).is_some_and(|&j| keep[j]));
-    }
-    if !keep[0] {
-        return ConeInfo {
-            nodes,
-            exits,
-            dominators: Vec::new(),
-            live: false,
-        };
-    }
-    // Post-dominators over the kept subgraph, as cone-local bitsets
-    // intersected in reverse level order. Exits end their paths.
-    let words = nodes.len().div_ceil(64);
-    let mut pdom: Vec<Option<Vec<u64>>> = vec![None; nodes.len()];
-    for (i, &v) in nodes.iter().enumerate().rev() {
-        if !keep[i] {
-            continue;
-        }
-        let mut set: Option<Vec<u64>> = None;
-        if !is_exit(v) {
-            for c in circuit.gate(v).fanout() {
-                let Some(&j) = local.get(c) else { continue };
-                if !keep[j] {
-                    continue;
-                }
-                let succ = pdom[j].as_ref().expect("reverse order covers successors");
-                match &mut set {
-                    None => set = Some(succ.clone()),
-                    Some(s) => {
-                        for (w, x) in s.iter_mut().zip(succ) {
-                            *w &= x;
-                        }
-                    }
-                }
-            }
-        }
-        let mut set = set.unwrap_or_else(|| vec![0u64; words]);
-        set[i / 64] |= 1u64 << (i % 64);
-        pdom[i] = Some(set);
-    }
-    let origin_pdom = pdom[0].as_ref().expect("origin is kept");
-    let dominators = nodes
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| origin_pdom[i / 64] >> (i % 64) & 1 != 0)
-        .map(|(_, &v)| v)
-        .collect();
-    ConeInfo {
-        nodes,
-        exits,
-        dominators,
-        live: true,
-    }
-}
-
 /// The exact binary non-controlling side mask a strong divergence needs
 /// through a gate, or `None` when the gate has no side condition.
 fn side_mask(f: GateFn) -> Option<u8> {
@@ -644,11 +559,15 @@ fn side_mask(f: GateFn) -> Option<u8> {
 /// Shared state for per-fault conflict checks over one circuit.
 struct LearnContext<'a> {
     circuit: &'a Circuit,
-    analysis: &'a CircuitAnalysis,
-    graph: &'a ImplicationGraph,
+    /// The settled full-history window.
+    full_base: Window,
+    /// The settled reset-start windows of `1..frames` frames.
+    reset_bases: Vec<Window>,
     po_tapped: Vec<bool>,
     cones: Vec<Option<ConeInfo>>,
-    in_cone: Vec<u32>,
+    /// Per net: the epoch of the last cone marked through it, and its
+    /// position in that cone's `nodes`.
+    in_cone: Vec<(u32, u32)>,
     epoch: u32,
 }
 
@@ -664,46 +583,151 @@ struct Mandatory {
 }
 
 impl<'a> LearnContext<'a> {
-    fn new(
-        circuit: &'a Circuit,
-        analysis: &'a CircuitAnalysis,
-        graph: &'a ImplicationGraph,
-    ) -> Self {
+    fn new(circuit: &'a Circuit, analysis: &CircuitAnalysis, frames: usize) -> Self {
         let mut po_tapped = vec![false; circuit.num_nodes()];
         for &tap in circuit.outputs() {
             po_tapped[tap.index()] = true;
         }
+        let reach = &analysis.reach;
+        let reset_bases = (1..frames)
+            .map(|w| Window::reset_start(circuit, reach, w).settled(circuit))
+            .collect();
         LearnContext {
             circuit,
-            analysis,
-            graph,
+            full_base: Window::full_history(circuit, reach, frames).settled(circuit),
+            reset_bases,
             po_tapped,
             cones: (0..circuit.num_nodes()).map(|_| None).collect(),
-            in_cone: vec![0; circuit.num_nodes()],
+            in_cone: vec![(0, 0); circuit.num_nodes()],
             epoch: 0,
         }
     }
 
-    fn cone(&mut self, origin: GateId) -> &ConeInfo {
+    /// Builds the cone of `origin` on first use and marks it, so that
+    /// [`Self::local`] answers for its nodes until the next marking.
+    fn mark_cone(&mut self, origin: GateId) {
         if self.cones[origin.index()].is_none() {
-            self.cones[origin.index()] = Some(build_cone(self.circuit, &self.po_tapped, origin));
+            let cone = self.build_cone(origin);
+            self.cones[origin.index()] = Some(cone);
         }
-        self.cones[origin.index()].as_ref().unwrap()
+        self.epoch += 1;
+        let cone = self.cones[origin.index()].as_ref().expect("built above");
+        for (i, &v) in cone.nodes.iter().enumerate() {
+            self.in_cone[v.index()] = (self.epoch, i as u32);
+        }
     }
 
-    fn mark_cone(&mut self, origin: GateId) {
-        self.epoch += 1;
-        let epoch = self.epoch;
-        if self.cones[origin.index()].is_none() {
-            self.cone(origin);
-        }
-        for &v in &self.cones[origin.index()].as_ref().unwrap().nodes {
-            self.in_cone[v.index()] = epoch;
-        }
+    /// The cone of `origin`; [`Self::mark_cone`] must have built it.
+    fn cone(&self, origin: GateId) -> &ConeInfo {
+        self.cones[origin.index()]
+            .as_ref()
+            .expect("cone is marked before use")
+    }
+
+    /// Position of `v` in the marked cone's `nodes`, if it is a cone node.
+    fn local(&self, v: GateId) -> Option<usize> {
+        let (epoch, i) = self.in_cone[v.index()];
+        (epoch == self.epoch).then_some(i as usize)
     }
 
     fn is_in_cone(&self, v: GateId) -> bool {
-        self.in_cone[v.index()] == self.epoch
+        self.local(v).is_some()
+    }
+
+    /// Collects the cone of `origin`, its exits and its post-dominators.
+    /// Marks the cone while it works.
+    fn build_cone(&mut self, origin: GateId) -> ConeInfo {
+        let circuit = self.circuit;
+        self.epoch += 1;
+        let epoch = self.epoch;
+        let mut nodes = vec![origin];
+        self.in_cone[origin.index()] = (epoch, 0);
+        let mut head = 0;
+        while head < nodes.len() {
+            let v = nodes[head];
+            head += 1;
+            for &c in circuit.gate(v).fanout() {
+                if circuit.gate(c).kind().is_comb() && self.in_cone[c.index()].0 != epoch {
+                    self.in_cone[c.index()] = (epoch, 0);
+                    nodes.push(c);
+                }
+            }
+        }
+        nodes.sort_by_key(|&v| (circuit.level(v), v));
+        for (i, &v) in nodes.iter().enumerate() {
+            self.in_cone[v.index()].1 = i as u32;
+        }
+        let po_tapped = &self.po_tapped;
+        let is_exit = |v: GateId| {
+            po_tapped[v.index()]
+                || circuit
+                    .gate(v)
+                    .fanout()
+                    .iter()
+                    .any(|&c| circuit.gate(c).kind() == GateKind::Dff)
+        };
+        let exits: Vec<GateId> = nodes.iter().copied().filter(|&v| is_exit(v)).collect();
+        // Restrict to exit-reaching nodes (backward over cone edges).
+        let mut keep = vec![false; nodes.len()];
+        for (i, &v) in nodes.iter().enumerate().rev() {
+            keep[i] = is_exit(v)
+                || circuit
+                    .gate(v)
+                    .fanout()
+                    .iter()
+                    .any(|&c| self.local(c).is_some_and(|j| keep[j]));
+        }
+        if !keep[0] {
+            return ConeInfo {
+                nodes,
+                exits,
+                dominators: Vec::new(),
+                live: false,
+            };
+        }
+        // Post-dominators over the kept subgraph, as cone-local bitsets
+        // intersected in reverse level order. Exits end their paths.
+        let words = nodes.len().div_ceil(64);
+        let mut pdom: Vec<Option<Vec<u64>>> = vec![None; nodes.len()];
+        for (i, &v) in nodes.iter().enumerate().rev() {
+            if !keep[i] {
+                continue;
+            }
+            let mut set: Option<Vec<u64>> = None;
+            if !is_exit(v) {
+                for &c in circuit.gate(v).fanout() {
+                    let Some(j) = self.local(c) else { continue };
+                    if !keep[j] {
+                        continue;
+                    }
+                    let succ = pdom[j].as_ref().expect("reverse order covers successors");
+                    match &mut set {
+                        None => set = Some(succ.clone()),
+                        Some(s) => {
+                            for (w, x) in s.iter_mut().zip(succ) {
+                                *w &= x;
+                            }
+                        }
+                    }
+                }
+            }
+            let mut set = set.unwrap_or_else(|| vec![0u64; words]);
+            set[i / 64] |= 1u64 << (i % 64);
+            pdom[i] = Some(set);
+        }
+        let origin_pdom = pdom[0].as_ref().expect("origin is kept");
+        let dominators = nodes
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| origin_pdom[i / 64] >> (i % 64) & 1 != 0)
+            .map(|(_, &v)| v)
+            .collect();
+        ConeInfo {
+            nodes,
+            exits,
+            dominators,
+            live: true,
+        }
     }
 
     fn stuck_mandatory(&self, f: StuckAt) -> Mandatory {
@@ -744,7 +768,6 @@ impl<'a> LearnContext<'a> {
         &mut self,
         m: &Mandatory,
         mut w: Window,
-        full_history: bool,
         dominance: Option<&mut Vec<(GateId, bool)>>,
     ) -> bool {
         let last = w.w - 1;
@@ -765,16 +788,12 @@ impl<'a> LearnContext<'a> {
         // combinational propagation conditions.
         let dff_entry = self.circuit.gate(m.origin).kind() == GateKind::Dff;
         if !dff_entry {
-            if !self.cone(m.origin).live {
+            self.mark_cone(m.origin);
+            let cone = self.cone(m.origin);
+            if !cone.live {
                 return true; // no escape path exists at all
             }
-            self.mark_cone(m.origin);
-            let dominators: Vec<GateId> = self.cones[m.origin.index()]
-                .as_ref()
-                .unwrap()
-                .dominators
-                .clone();
-            for &dom in &dominators {
+            for &dom in &cone.dominators {
                 let gate = self.circuit.gate(dom);
                 let GateKind::Comb(f) = gate.kind() else {
                     continue; // the origin may be an input or flip-flop stem
@@ -800,15 +819,11 @@ impl<'a> LearnContext<'a> {
                 }
             }
         }
-        let graph = full_history.then_some(self.graph);
-        if w.propagate(self.circuit, graph) {
+        if w.propagate(self.circuit) {
             return true;
         }
-        if !dff_entry {
-            self.mark_cone(m.origin);
-            if !self.strong_escape_possible(m, &w) {
-                return true;
-            }
+        if !dff_entry && !self.strong_escape_possible(m, &w) {
+            return true;
         }
         if let Some(out) = dominance {
             let cone = self.cones[m.origin.index()].as_ref();
@@ -835,14 +850,8 @@ impl<'a> LearnContext<'a> {
     /// value. If no exit is strong-reachable, the effect cannot escape.
     fn strong_escape_possible(&self, m: &Mandatory, w: &Window) -> bool {
         let last = w.w - 1;
-        let cone = self.cones[m.origin.index()].as_ref().unwrap();
+        let cone = self.cone(m.origin);
         let mut strong = vec![false; cone.nodes.len()];
-        let local: std::collections::HashMap<GateId, usize> = cone
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, i))
-            .collect();
         for (i, &v) in cone.nodes.iter().enumerate() {
             let binary_ok = w.at(last, v.index()) & (B0 | B1) != 0;
             if !binary_ok {
@@ -866,7 +875,7 @@ impl<'a> LearnContext<'a> {
             let has_strong_feed = gate
                 .fanin()
                 .iter()
-                .any(|s| local.get(s).is_some_and(|&j| j < i && strong[j]));
+                .any(|&s| self.local(s).is_some_and(|j| j < i && strong[j]));
             if !has_strong_feed {
                 continue;
             }
@@ -874,7 +883,7 @@ impl<'a> LearnContext<'a> {
         }
         cone.exits
             .iter()
-            .any(|e| local.get(e).is_some_and(|&j| strong[j]))
+            .any(|&e| self.local(e).is_some_and(|j| strong[j]))
     }
 
     /// Whether a gate's output could strongly diverge given which pins
@@ -922,15 +931,11 @@ impl<'a> LearnContext<'a> {
     /// `true` when every window alignment is contradictory: no cycle
     /// can serve as the fault's escape cycle.
     fn untestable(&mut self, m: &Mandatory, dominance: Option<&mut Vec<(GateId, bool)>>) -> bool {
-        let frames = self.graph.frames;
-        let reach = &self.analysis.reach;
-        let full = Window::full_history(self.circuit, reach, frames);
-        if !self.alignment_untestable(m, full, true, dominance) {
+        if !self.alignment_untestable(m, self.full_base.clone(), dominance) {
             return false;
         }
-        for k in 0..frames.saturating_sub(1) {
-            let win = Window::reset_start(self.circuit, reach, k + 1);
-            if !self.alignment_untestable(m, win, false, None) {
+        for k in 0..self.reset_bases.len() {
+            if !self.alignment_untestable(m, self.reset_bases[k].clone(), None) {
                 return false;
             }
         }
@@ -965,16 +970,17 @@ pub struct LearnedStuck {
 
 /// Extends [`crate::prune_stuck_at`] with conflict-driven untestability:
 /// every class whose representative's mandatory assignments are
-/// contradictory under the implication closure is additionally pruned
-/// as [`PruneReason::ConflictUntestable`]. The expansion contract is
-/// unchanged — expanded reports stay byte-identical to full runs.
+/// contradictory in every window alignment of the graph's depth is
+/// additionally pruned as [`PruneReason::ConflictUntestable`]. The
+/// expansion contract is unchanged — expanded reports stay
+/// byte-identical to full runs.
 pub fn prune_stuck_at_learned(
     circuit: &Circuit,
     analysis: &CircuitAnalysis,
     graph: &ImplicationGraph,
 ) -> LearnedStuck {
     let base = crate::analyze::prune_stuck_at(circuit, analysis);
-    let mut ctx = LearnContext::new(circuit, analysis, graph);
+    let mut ctx = LearnContext::new(circuit, analysis, graph.frames);
     let mut dominance = Vec::new();
     let mut conflicted = vec![false; base.sim.len()];
     for (idx, &rep) in base.sim.iter().enumerate() {
@@ -1008,7 +1014,7 @@ pub fn prune_transition_learned(
     graph: &ImplicationGraph,
 ) -> PrunedUniverse<TransitionFault> {
     let base = crate::analyze::prune_transition(circuit, analysis);
-    let mut ctx = LearnContext::new(circuit, analysis, graph);
+    let mut ctx = LearnContext::new(circuit, analysis, graph.frames);
     let mut conflicted = vec![false; base.sim.len()];
     for (idx, &f) in base.sim.iter().enumerate() {
         let m = ctx.transition_mandatory(f);
@@ -1080,15 +1086,237 @@ fn rebuild_with_conflicts<F: Copy>(
 
 #[cfg(test)]
 mod tests {
+    use std::fmt::Write as _;
+
     use super::*;
     use crate::analyze::{analyze_circuit, prune_stuck_at, prune_transition};
+    use cfs_netlist::generate::{benchmark_spec, generate};
     use cfs_netlist::parse_bench;
+    use proptest::prelude::*;
 
     fn setup(src: &str) -> (Circuit, CircuitAnalysis, ImplicationGraph) {
         let c = parse_bench("t", src).unwrap();
         let a = analyze_circuit(&c);
         let g = ImplicationGraph::build(&c, &a, LearnOptions::default());
         (c, a, g)
+    }
+
+    /// The reference propagator: whole-window forward, backward,
+    /// flip-flop and last-frame graph sweeps, repeated with no cap until
+    /// a full round narrows nothing.
+    fn propagate_by_sweeps(
+        w: &mut Window,
+        circuit: &Circuit,
+        graph: Option<&ImplicationGraph>,
+    ) -> bool {
+        let mut ins: Vec<u8> = Vec::new();
+        loop {
+            if w.conflict {
+                return true;
+            }
+            let before = w.masks.clone();
+            for r in 0..w.w {
+                for &g in circuit.topo_order() {
+                    let gate = circuit.gate(g);
+                    let GateKind::Comb(f) = gate.kind() else {
+                        unreachable!("topo order is combinational");
+                    };
+                    ins.clear();
+                    ins.extend(gate.fanin().iter().map(|s| w.at(r, s.index())));
+                    if w.constrain(r, g, eval_mask(f, &ins)) {
+                        return true;
+                    }
+                }
+            }
+            for r in 0..w.w {
+                for &g in circuit.topo_order().iter().rev() {
+                    let gate = circuit.gate(g);
+                    let GateKind::Comb(f) = gate.kind() else {
+                        unreachable!("topo order is combinational");
+                    };
+                    let out = w.at(r, g.index());
+                    ins.clear();
+                    ins.extend(gate.fanin().iter().map(|s| w.at(r, s.index())));
+                    for i in 0..ins.len() {
+                        let original = ins[i];
+                        let mut allowed = 0u8;
+                        for bit in [B0, B1, BX] {
+                            ins[i] = bit;
+                            if original & bit != 0 && eval_mask(f, &ins) & out != 0 {
+                                allowed |= bit;
+                            }
+                        }
+                        ins[i] = original;
+                        if w.constrain(r, gate.fanin()[i], allowed) {
+                            return true;
+                        }
+                    }
+                }
+            }
+            for &q in circuit.dffs() {
+                let d = circuit.gate(q).fanin()[0];
+                for r in 1..w.w {
+                    let (qm, dm) = (w.at(r, q.index()), w.at(r - 1, d.index()));
+                    if w.constrain(r, q, dm) || w.constrain(r - 1, d, qm) {
+                        return true;
+                    }
+                }
+            }
+            if let Some(graph) = graph {
+                let last = w.w - 1;
+                for m in 0..w.n {
+                    let value = match w.at(last, m) {
+                        B0 => false,
+                        B1 => true,
+                        _ => continue,
+                    };
+                    let l = lit(GateId::from_index(m), value) as usize;
+                    for &(to, d) in graph.direct[l].iter().chain(&graph.learned[l]) {
+                        let Some(frame) = last.checked_add_signed(isize::from(d)) else {
+                            continue;
+                        };
+                        let bit = if lit_value(to) { B1 } else { B0 };
+                        if frame < w.w && w.constrain(frame, lit_net(to), bit) {
+                            return true;
+                        }
+                    }
+                }
+            }
+            w.dirty.clear();
+            if w.masks == before {
+                return false;
+            }
+        }
+    }
+
+    /// A random sequential netlist as `.bench` text: every gate function
+    /// including XOR/XNOR, fanins drawn with replacement (so duplicate
+    /// pins occur), and flip-flops that often latch the previous
+    /// flip-flop (chains) or themselves.
+    fn random_bench(seed: u64) -> String {
+        let mut state = seed;
+        let mut below = |bound: usize| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as usize % bound
+        };
+        let (inputs, dffs, gates) = (1 + below(3), below(5), 2 + below(24));
+        let mut nets: Vec<String> = (0..inputs).map(|i| format!("i{i}")).collect();
+        nets.extend((0..dffs).map(|q| format!("q{q}")));
+        let mut text = String::new();
+        for i in 0..inputs {
+            writeln!(text, "INPUT(i{i})").unwrap();
+        }
+        writeln!(text, "OUTPUT(g{})", gates - 1).unwrap();
+        for g in 0..gates {
+            let f = ["AND", "NAND", "OR", "NOR", "XOR", "XNOR", "NOT", "BUF"][below(8)];
+            let arity = if matches!(f, "NOT" | "BUF") {
+                1
+            } else {
+                2 + below(2)
+            };
+            let fanin: Vec<&str> = (0..arity)
+                .map(|_| nets[below(nets.len())].as_str())
+                .collect();
+            writeln!(text, "g{g} = {f}({})", fanin.join(", ")).unwrap();
+            nets.push(format!("g{g}"));
+        }
+        for q in 0..dffs {
+            let d = if q > 0 && below(2) == 0 {
+                format!("q{}", q - 1)
+            } else {
+                nets[below(nets.len())].clone()
+            };
+            writeln!(text, "q{q} = DFF({d})").unwrap();
+        }
+        text
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The worklist from a settled base and the reference sweeps from
+        /// the raw reach masks land on the same greatest fixpoint: equal
+        /// masks and the same conflict flag, for both window kinds. The
+        /// reference also runs with the implication graph's edges applied
+        /// at the last frame, and still agrees: the graph adds nothing to
+        /// a window of its own depth.
+        #[test]
+        fn worklist_matches_full_sweeps(
+            seed in any::<u64>(),
+            frames in 1usize..4,
+            asserts in prop::collection::vec((any::<usize>(), any::<usize>(), 1u8..8), 0..5),
+        ) {
+            let c = parse_bench("random", &random_bench(seed)).unwrap();
+            let a = analyze_circuit(&c);
+            let g = ImplicationGraph::build(&c, &a, LearnOptions { frames });
+            for reset in [false, true] {
+                let fresh = if reset {
+                    Window::reset_start(&c, &a.reach, frames)
+                } else {
+                    Window::full_history(&c, &a.reach, frames)
+                };
+                let base = fresh.clone().settled(&c);
+                for graph in [None, Some(&g)] {
+                    let mut fast = base.clone();
+                    let mut slow = fresh.clone();
+                    let (mut fast_conflict, mut slow_conflict) = (false, false);
+                    for &(r, net, mask) in &asserts {
+                        let (r, net) = (r % frames, GateId::from_index(net % c.num_nodes()));
+                        fast_conflict |= fast.constrain(r, net, mask);
+                        slow_conflict |= slow.constrain(r, net, mask);
+                    }
+                    let fast_conflict = fast_conflict || fast.propagate(&c);
+                    let slow_conflict = slow_conflict || propagate_by_sweeps(&mut slow, &c, graph);
+                    let case = format!(
+                        "seed {seed:#x}, frames {frames}, reset {reset}, graph {}",
+                        graph.is_some()
+                    );
+                    prop_assert_eq!(fast_conflict, slow_conflict, "{case}");
+                    if !fast_conflict {
+                        prop_assert_eq!(&fast.masks, &slow.masks, "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Learned outputs on generated Table 3 circuits: learned edges,
+    /// stuck-at survivors/conflicts, transition survivors/conflicts and
+    /// `F005` pairs. Any change to what propagation proves moves one.
+    #[test]
+    fn learned_outputs_are_pinned() {
+        let cases: [(&str, f64, usize, [usize; 6]); 6] = [
+            ("s298g", 1.0, 2, [1630, 282, 119, 333, 121, 175]),
+            ("s641g", 1.0, 2, [3780, 827, 359, 1022, 300, 672]),
+            ("s1238g", 1.0, 2, [46754, 1015, 1015, 1140, 818, 538]),
+            ("s1423g", 1.0, 2, [4976, 1734, 620, 2089, 531, 1022]),
+            ("s5378g", 0.25, 2, [27368, 1626, 1110, 1807, 891, 767]),
+            ("s1238g", 1.0, 3, [56965, 983, 1078, 1071, 887, 526]),
+        ];
+        for (name, ratio, frames, want) in cases {
+            let spec = benchmark_spec(name).unwrap();
+            let c = generate(&if ratio < 1.0 {
+                spec.scaled(ratio)
+            } else {
+                spec
+            });
+            let a = analyze_circuit(&c);
+            let g = ImplicationGraph::build(&c, &a, LearnOptions { frames });
+            let stuck = prune_stuck_at_learned(&c, &a, &g);
+            let trans = prune_transition_learned(&c, &a, &g);
+            let got = [
+                g.num_learned(),
+                stuck.universe.stats.sim,
+                stuck.universe.stats.conflict,
+                trans.stats.sim,
+                trans.stats.conflict,
+                stuck.dominance.len(),
+            ];
+            assert_eq!(got, want, "{name}@{ratio}, frames {frames}");
+        }
     }
 
     #[test]
