@@ -68,11 +68,11 @@ use std::time::Instant;
 use cfs_check::{
     analyze_circuit, classify_stuck_at, classify_transition, diff_netlists, impact_analysis,
     prune_stuck_at, prune_stuck_at_learned, prune_transition, prune_transition_learned,
-    ImplicationGraph, LearnOptions,
+    ImpactAnalysis, ImplicationGraph, LearnOptions,
 };
 use cfs_core::{
-    BatchOptions, Checkpoint, ConcurrentSim, CsimOptions, CsimVariant, NullProbe, ParallelSim,
-    ParallelTransitionSim, ShardPlan, TransitionSim,
+    BatchOptions, Checkpoint, ConcurrentSim, CsimOptions, CsimVariant, FaultMachine, NullProbe,
+    ShardPlan, ShardedSim, TransitionOptions, TransitionSim,
 };
 use cfs_faults::{
     collapse_stuck_at, enumerate_stuck_at, enumerate_transition, FaultStatus, ImpactUniverse,
@@ -234,85 +234,216 @@ fn phase_seconds(snap: &MetricsSnapshot) -> Vec<(&'static str, f64)> {
         .collect()
 }
 
-/// Runs one stuck-at configuration: timed uninstrumented repeats plus one
-/// instrumented repetition for the phase breakdown.
+/// What one timed configuration measured.
+struct Timed {
+    /// Minimum wall time over the repeats, in seconds.
+    wall: f64,
+    events: u64,
+    detected: usize,
+    peak_elements: usize,
+    memory_bytes: usize,
+    phases: Vec<(&'static str, f64)>,
+    /// The last repetition's per-fault statuses.
+    statuses: Vec<FaultStatus>,
+}
+
+impl Timed {
+    /// The BENCH cell for this measurement.
+    fn cell(
+        self,
+        circuit: &Circuit,
+        variant: String,
+        threads: usize,
+        patterns: usize,
+        faults: usize,
+        faults_full: usize,
+    ) -> PerfRun {
+        PerfRun {
+            circuit: circuit.name().to_owned(),
+            variant,
+            threads,
+            patterns,
+            faults,
+            faults_full,
+            wall_seconds: self.wall,
+            events: self.events,
+            events_per_pattern: self.events as f64 / patterns.max(1) as f64,
+            detected: self.detected,
+            peak_elements: self.peak_elements,
+            peak_arena_bytes: self.peak_elements * cfs_core::Arena::ELEMENT_BYTES,
+            memory_bytes: self.memory_bytes,
+            phase_seconds: self.phases,
+        }
+    }
+}
+
+/// Detected faults in a status vector.
+fn count_detected(statuses: &[FaultStatus]) -> usize {
+    statuses.iter().filter(|s| s.is_detected()).count()
+}
+
+/// The timing loop behind every cell but `-resume`: `repeats` uninstrumented runs
+/// of the sharded machine `M` (one shard on the serial path; with
+/// `batch`, the two-dimensional work-stealing schedule, 2× oversharded so
+/// stealing has slack), then one run of its instrumented twin `I` for the
+/// phase breakdown. `detected` turns the final statuses into the cell's
+/// detection count (full-universe counts for pruned and incremental
+/// cells).
+#[allow(clippy::too_many_arguments)]
+fn time_cell<M, I>(
+    circuit: &Circuit,
+    faults: &[M::Fault],
+    options: &M::Options,
+    threads: usize,
+    batch: Option<&BatchOptions>,
+    patterns: &[Vec<Logic>],
+    repeats: usize,
+    detected: impl Fn(&[FaultStatus]) -> usize,
+) -> Timed
+where
+    M: FaultMachine<Probe = NullProbe> + Send,
+    I: FaultMachine<Probe = SimMetrics, Fault = M::Fault, Options = M::Options> + Send,
+{
+    let shards = if batch.is_some() {
+        threads * 2
+    } else {
+        threads
+    };
+    let mut timed = Timed {
+        wall: f64::INFINITY,
+        events: 0,
+        detected: 0,
+        peak_elements: 0,
+        memory_bytes: 0,
+        phases: Vec::new(),
+        statuses: Vec::new(),
+    };
+    for _ in 0..repeats.max(1) {
+        let mut sim = ShardedSim::<M>::with_probes_sharded(
+            circuit,
+            faults,
+            options.clone(),
+            threads,
+            shards,
+            ShardPlan::RoundRobin,
+            None,
+            |_| NullProbe,
+        );
+        let start = Instant::now();
+        let report = match batch {
+            Some(b) => sim.run_batched(patterns, b),
+            None => sim.run(patterns),
+        };
+        timed.wall = timed.wall.min(start.elapsed().as_secs_f64());
+        timed.events = sim.events();
+        timed.detected = detected(&report.statuses);
+        // The per-shard maximum: shards partition the fault universe, so
+        // the widest shard bounds the widest per-engine arena a reader has
+        // to provision for.
+        timed.peak_elements = sim.peak_elements();
+        timed.memory_bytes = sim.memory_bytes();
+        timed.statuses = report.statuses;
+    }
+    let mut sim = ShardedSim::<I>::with_probes_sharded(
+        circuit,
+        faults,
+        options.clone(),
+        threads,
+        shards,
+        ShardPlan::RoundRobin,
+        None,
+        |_| SimMetrics::new(),
+    );
+    match batch {
+        Some(b) => sim.run_batched(patterns, b),
+        None => sim.run(patterns),
+    };
+    timed.phases = phase_seconds(&sim.snapshot());
+    timed
+}
+
+/// A stuck-at cell: collapsed representatives, or a pruned universe
+/// whose report expands to full-universe counts (the `-pruned` and
+/// `-learned` cells), serial, sharded, or batched.
 fn run_stuck(
     circuit: &Circuit,
     variant: CsimVariant,
     threads: usize,
+    batch: Option<&BatchOptions>,
+    pruned: Option<(&PrunedUniverse<StuckAt>, &str)>,
     patterns: &[Vec<Logic>],
     repeats: usize,
 ) -> PerfRun {
-    let faults = collapse_stuck_at(circuit).representatives;
-    let mut wall = f64::INFINITY;
-    let mut events = 0u64;
-    let mut detected = 0usize;
-    let mut peak_elements = 0usize;
-    let mut peak_arena_bytes = 0usize;
-    let mut memory_bytes = 0usize;
-    for _ in 0..repeats.max(1) {
-        if threads == 1 {
-            let mut sim = ConcurrentSim::new(circuit, &faults, variant.options());
-            let start = Instant::now();
-            sim.run(patterns);
-            wall = wall.min(start.elapsed().as_secs_f64());
-            events = sim.events();
-            detected = sim.detected();
-            peak_elements = sim.peak_elements();
-            peak_arena_bytes = peak_elements * cfs_core::Arena::ELEMENT_BYTES;
-            memory_bytes = sim.memory_bytes();
-        } else {
-            let mut sim = ParallelSim::new(
-                circuit,
-                &faults,
-                variant.options(),
-                threads,
-                ShardPlan::RoundRobin,
-            );
-            let start = Instant::now();
-            sim.run(patterns);
-            wall = wall.min(start.elapsed().as_secs_f64());
-            events = sim.events();
-            detected = sim.detected();
-            // The per-shard maximum: shards partition the fault universe,
-            // so the widest shard bounds the widest per-engine arena a
-            // reader has to provision for.
-            peak_elements = sim.peak_elements();
-            peak_arena_bytes = peak_elements * cfs_core::Arena::ELEMENT_BYTES;
-            memory_bytes = sim.memory_bytes();
+    let collapsed;
+    let (faults, faults_full, suffix) = match pruned {
+        Some((u, suffix)) => (&u.sim, u.stats.full, suffix),
+        None => {
+            collapsed = collapse_stuck_at(circuit).representatives;
+            (&collapsed, 0, if batch.is_some() { "-batched" } else { "" })
         }
-    }
-    let phases = if threads == 1 {
-        let mut sim = ConcurrentSim::instrumented(circuit, &faults, variant.options());
-        sim.run(patterns);
-        phase_seconds(&sim.snapshot())
-    } else {
-        let mut sim = ParallelSim::instrumented(
-            circuit,
-            &faults,
-            variant.options(),
-            threads,
-            ShardPlan::RoundRobin,
-        );
-        sim.run(patterns);
-        phase_seconds(&sim.snapshot())
     };
-    PerfRun {
-        circuit: circuit.name().to_owned(),
-        variant: variant.name().to_owned(),
+    let timed = time_cell::<ConcurrentSim, ConcurrentSim<SimMetrics>>(
+        circuit,
+        faults,
+        &variant.options(),
         threads,
-        patterns: patterns.len(),
-        faults: faults.len(),
-        faults_full: 0,
-        wall_seconds: wall,
-        events,
-        events_per_pattern: events as f64 / patterns.len().max(1) as f64,
-        detected,
-        peak_elements,
-        peak_arena_bytes,
-        memory_bytes,
-        phase_seconds: phases,
-    }
+        batch,
+        patterns,
+        repeats,
+        |s| match pruned {
+            Some((u, _)) => count_detected(&u.expand_statuses(s)),
+            None => count_detected(s),
+        },
+    );
+    timed.cell(
+        circuit,
+        format!("{}{suffix}", variant.name()),
+        threads,
+        patterns.len(),
+        faults.len(),
+        faults_full,
+    )
+}
+
+/// The transition mirror of [`run_stuck`] (`csim-T` and its `-pruned`,
+/// `-learned`, and `-batched` cells).
+fn run_transition(
+    circuit: &Circuit,
+    threads: usize,
+    batch: Option<&BatchOptions>,
+    pruned: Option<(&PrunedUniverse<TransitionFault>, &str)>,
+    patterns: &[Vec<Logic>],
+    repeats: usize,
+) -> PerfRun {
+    let full;
+    let (faults, faults_full, suffix) = match pruned {
+        Some((u, suffix)) => (&u.sim, u.stats.full, suffix),
+        None => {
+            full = enumerate_transition(circuit);
+            (&full, 0, if batch.is_some() { "-batched" } else { "" })
+        }
+    };
+    let timed = time_cell::<TransitionSim, TransitionSim<SimMetrics>>(
+        circuit,
+        faults,
+        &TransitionOptions::default(),
+        threads,
+        batch,
+        patterns,
+        repeats,
+        |s| match pruned {
+            Some((u, _)) => count_detected(&u.expand_statuses(s)),
+            None => count_detected(s),
+        },
+    );
+    timed.cell(
+        circuit,
+        format!("csim-T{suffix}"),
+        threads,
+        patterns.len(),
+        faults.len(),
+        faults_full,
+    )
 }
 
 /// Window size for the `-batched` twin cells (the CLI's
@@ -327,432 +458,58 @@ fn batch_options() -> BatchOptions {
     }
 }
 
-/// The `-batched` twin of a parallel [`run_stuck`] cell: the same fault
-/// universe under the two-dimensional (pattern-window × fault-shard)
-/// work-stealing schedule, 2× oversharded so stealing has slack.
-fn run_stuck_batched(
+/// An `-incremental` cell (`csim-MV-incremental` / `csim-T-incremental`):
+/// applies the scripted dead-logic edit, records baseline fates over the
+/// unedited circuit's full uncollapsed universe (untimed), then times
+/// re-simulation of only the change-impact affected cone on the edited
+/// circuit. `detected` is the full-universe count after fate transfer —
+/// the CLI's `--incremental` path.
+fn run_incremental<M, I>(
     circuit: &Circuit,
-    variant: CsimVariant,
-    threads: usize,
+    options: &M::Options,
+    classify: fn(&Circuit, &Circuit, &ImpactAnalysis) -> ImpactUniverse<M::Fault>,
+    enumerate: fn(&Circuit) -> Vec<M::Fault>,
+    variant: &str,
     patterns: &[Vec<Logic>],
     repeats: usize,
-) -> PerfRun {
-    let faults = collapse_stuck_at(circuit).representatives;
-    let batch = batch_options();
-    let mut wall = f64::INFINITY;
-    let mut events = 0u64;
-    let mut detected = 0usize;
-    let mut peak_elements = 0usize;
-    let mut memory_bytes = 0usize;
-    for _ in 0..repeats.max(1) {
-        let mut sim = ParallelSim::with_probes_sharded(
-            circuit,
-            &faults,
-            variant.options(),
-            threads,
-            threads * 2,
-            ShardPlan::RoundRobin,
-            None,
-            |_| NullProbe,
-        );
-        let start = Instant::now();
-        sim.run_batched(patterns, &batch);
-        wall = wall.min(start.elapsed().as_secs_f64());
-        events = sim.events();
-        detected = sim.detected();
-        peak_elements = sim.peak_elements();
-        memory_bytes = sim.memory_bytes();
-    }
-    let phases = {
-        let mut sim = ParallelSim::with_probes_sharded(
-            circuit,
-            &faults,
-            variant.options(),
-            threads,
-            threads * 2,
-            ShardPlan::RoundRobin,
-            None,
-            |_| SimMetrics::new(),
-        );
-        sim.run_batched(patterns, &batch);
-        phase_seconds(&sim.snapshot())
-    };
-    PerfRun {
-        circuit: circuit.name().to_owned(),
-        variant: format!("{}-batched", variant.name()),
-        threads,
-        patterns: patterns.len(),
-        faults: faults.len(),
-        faults_full: 0,
-        wall_seconds: wall,
-        events,
-        events_per_pattern: events as f64 / patterns.len().max(1) as f64,
-        detected,
-        peak_elements,
-        peak_arena_bytes: peak_elements * cfs_core::Arena::ELEMENT_BYTES,
-        memory_bytes,
-        phase_seconds: phases,
-    }
-}
-
-/// The `-batched` twin of [`run_transition`]: fault-sharded and
-/// pattern-windowed under the work-stealing schedule.
-fn run_transition_batched(
-    circuit: &Circuit,
-    threads: usize,
-    patterns: &[Vec<Logic>],
-    repeats: usize,
-) -> PerfRun {
-    let faults = enumerate_transition(circuit);
-    let batch = batch_options();
-    let mut wall = f64::INFINITY;
-    let mut events = 0u64;
-    let mut detected = 0usize;
-    let mut peak_elements = 0usize;
-    let mut memory_bytes = 0usize;
-    for _ in 0..repeats.max(1) {
-        let mut sim = ParallelTransitionSim::with_probes_sharded(
-            circuit,
-            &faults,
-            Default::default(),
-            threads,
-            threads * 2,
-            ShardPlan::RoundRobin,
-            None,
-            |_| NullProbe,
-        );
-        let start = Instant::now();
-        sim.run_batched(patterns, &batch);
-        wall = wall.min(start.elapsed().as_secs_f64());
-        events = sim.events();
-        detected = sim.detected();
-        peak_elements = sim.peak_elements();
-        memory_bytes = sim.memory_bytes();
-    }
-    let phases = {
-        let mut sim = ParallelTransitionSim::with_probes_sharded(
-            circuit,
-            &faults,
-            Default::default(),
-            threads,
-            threads * 2,
-            ShardPlan::RoundRobin,
-            None,
-            |_| SimMetrics::new(),
-        );
-        sim.run_batched(patterns, &batch);
-        phase_seconds(&sim.snapshot())
-    };
-    PerfRun {
-        circuit: circuit.name().to_owned(),
-        variant: "csim-T-batched".to_owned(),
-        threads,
-        patterns: patterns.len(),
-        faults: faults.len(),
-        faults_full: 0,
-        wall_seconds: wall,
-        events,
-        events_per_pattern: events as f64 / patterns.len().max(1) as f64,
-        detected,
-        peak_elements,
-        peak_arena_bytes: peak_elements * cfs_core::Arena::ELEMENT_BYTES,
-        memory_bytes,
-        phase_seconds: phases,
-    }
-}
-
-/// Detections in the full universe after expanding a pruned run's statuses.
-fn expanded_detected<F: Copy>(pruned: &PrunedUniverse<F>, statuses: &[FaultStatus]) -> usize {
-    pruned
-        .expand_statuses(statuses)
-        .iter()
-        .filter(|s| matches!(s, FaultStatus::Detected { .. }))
-        .count()
-}
-
-/// The `-pruned` twin of [`run_stuck`]: simulates only the statically
-/// surviving exact-class representatives and reports full-universe
-/// detection counts. The same machinery measures the `-learned` cells —
-/// only the universe (conflict-pruned) and the variant suffix differ.
-fn run_stuck_pruned(
-    circuit: &Circuit,
-    pruned: &PrunedUniverse<StuckAt>,
-    variant: CsimVariant,
-    threads: usize,
-    patterns: &[Vec<Logic>],
-    repeats: usize,
-    suffix: &str,
-) -> PerfRun {
-    let faults = &pruned.sim;
-    let mut wall = f64::INFINITY;
-    let mut events = 0u64;
-    let mut detected = 0usize;
-    let mut peak_elements = 0usize;
-    let mut peak_arena_bytes = 0usize;
-    let mut memory_bytes = 0usize;
-    for _ in 0..repeats.max(1) {
-        if threads == 1 {
-            let mut sim = ConcurrentSim::new(circuit, faults, variant.options());
-            let start = Instant::now();
-            let report = sim.run(patterns);
-            wall = wall.min(start.elapsed().as_secs_f64());
-            events = sim.events();
-            detected = expanded_detected(pruned, &report.statuses);
-            peak_elements = sim.peak_elements();
-            peak_arena_bytes = peak_elements * cfs_core::Arena::ELEMENT_BYTES;
-            memory_bytes = sim.memory_bytes();
-        } else {
-            let mut sim = ParallelSim::new(
-                circuit,
-                faults,
-                variant.options(),
-                threads,
-                ShardPlan::RoundRobin,
-            );
-            let start = Instant::now();
-            let report = sim.run(patterns);
-            wall = wall.min(start.elapsed().as_secs_f64());
-            events = sim.events();
-            detected = expanded_detected(pruned, &report.statuses);
-            peak_elements = sim.peak_elements();
-            peak_arena_bytes = peak_elements * cfs_core::Arena::ELEMENT_BYTES;
-            memory_bytes = sim.memory_bytes();
-        }
-    }
-    let phases = if threads == 1 {
-        let mut sim = ConcurrentSim::instrumented(circuit, faults, variant.options());
-        sim.run(patterns);
-        phase_seconds(&sim.snapshot())
-    } else {
-        let mut sim = ParallelSim::instrumented(
-            circuit,
-            faults,
-            variant.options(),
-            threads,
-            ShardPlan::RoundRobin,
-        );
-        sim.run(patterns);
-        phase_seconds(&sim.snapshot())
-    };
-    PerfRun {
-        circuit: circuit.name().to_owned(),
-        variant: format!("{}{suffix}", variant.name()),
-        threads,
-        patterns: patterns.len(),
-        faults: faults.len(),
-        faults_full: pruned.stats.full,
-        wall_seconds: wall,
-        events,
-        events_per_pattern: events as f64 / patterns.len().max(1) as f64,
-        detected,
-        peak_elements,
-        peak_arena_bytes,
-        memory_bytes,
-        phase_seconds: phases,
-    }
-}
-
-/// Runs the serial transition simulator on the same pattern set.
-fn run_transition(circuit: &Circuit, patterns: &[Vec<Logic>], repeats: usize) -> PerfRun {
-    let faults = enumerate_transition(circuit);
-    let mut wall = f64::INFINITY;
-    let mut events = 0u64;
-    let mut detected = 0usize;
-    let mut peak_elements = 0usize;
-    let mut memory_bytes = 0usize;
-    for _ in 0..repeats.max(1) {
-        let mut sim = TransitionSim::new(circuit, &faults, Default::default());
-        let start = Instant::now();
-        sim.run(patterns);
-        wall = wall.min(start.elapsed().as_secs_f64());
-        events = sim.events();
-        detected = sim.detected();
-        peak_elements = sim.peak_elements();
-        memory_bytes = sim.memory_bytes();
-    }
-    let mut sim = TransitionSim::instrumented(circuit, &faults, Default::default());
-    sim.run(patterns);
-    let phases = phase_seconds(&sim.snapshot());
-    PerfRun {
-        circuit: circuit.name().to_owned(),
-        variant: "csim-T".to_owned(),
-        threads: 1,
-        patterns: patterns.len(),
-        faults: faults.len(),
-        faults_full: 0,
-        wall_seconds: wall,
-        events,
-        events_per_pattern: events as f64 / patterns.len().max(1) as f64,
-        detected,
-        peak_elements,
-        peak_arena_bytes: peak_elements * cfs_core::Arena::ELEMENT_BYTES,
-        memory_bytes,
-        phase_seconds: phases,
-    }
-}
-
-/// The `-pruned` twin of [`run_transition`]; also measures the
-/// `-learned` cell via `suffix`.
-fn run_transition_pruned(
-    circuit: &Circuit,
-    pruned: &PrunedUniverse<TransitionFault>,
-    patterns: &[Vec<Logic>],
-    repeats: usize,
-    suffix: &str,
-) -> PerfRun {
-    let faults = &pruned.sim;
-    let mut wall = f64::INFINITY;
-    let mut events = 0u64;
-    let mut detected = 0usize;
-    let mut peak_elements = 0usize;
-    let mut memory_bytes = 0usize;
-    for _ in 0..repeats.max(1) {
-        let mut sim = TransitionSim::new(circuit, faults, Default::default());
-        let start = Instant::now();
-        let report = sim.run(patterns);
-        wall = wall.min(start.elapsed().as_secs_f64());
-        events = sim.events();
-        detected = expanded_detected(pruned, &report.statuses);
-        peak_elements = sim.peak_elements();
-        memory_bytes = sim.memory_bytes();
-    }
-    let mut sim = TransitionSim::instrumented(circuit, faults, Default::default());
-    sim.run(patterns);
-    let phases = phase_seconds(&sim.snapshot());
-    PerfRun {
-        circuit: circuit.name().to_owned(),
-        variant: format!("csim-T{suffix}"),
-        threads: 1,
-        patterns: patterns.len(),
-        faults: faults.len(),
-        faults_full: pruned.stats.full,
-        wall_seconds: wall,
-        events,
-        events_per_pattern: events as f64 / patterns.len().max(1) as f64,
-        detected,
-        peak_elements,
-        peak_arena_bytes: peak_elements * cfs_core::Arena::ELEMENT_BYTES,
-        memory_bytes,
-        phase_seconds: phases,
-    }
-}
-
-/// Detections in the full universe after fate transfer through an
-/// [`ImpactUniverse`] expansion.
-fn impact_detected<F: Copy>(
-    universe: &ImpactUniverse<F>,
-    resim: &[FaultStatus],
-    baseline: &[FaultStatus],
-) -> usize {
-    universe
-        .expand_statuses(resim, baseline)
-        .iter()
-        .filter(|s| matches!(s, FaultStatus::Detected { .. }))
-        .count()
-}
-
-/// The `csim-MV-incremental` cell: applies the scripted dead-logic edit,
-/// records baseline fates over the unedited circuit's full uncollapsed
-/// universe (untimed), then times re-simulation of only the change-impact
-/// affected cone on the edited circuit. `detected` is the full-universe
-/// count after fate transfer — the CLI's `--incremental` path.
-fn run_stuck_incremental(circuit: &Circuit, patterns: &[Vec<Logic>], repeats: usize) -> PerfRun {
+) -> PerfRun
+where
+    M: FaultMachine<Probe = NullProbe> + Send,
+    I: FaultMachine<Probe = SimMetrics, Fault = M::Fault, Options = M::Options> + Send,
+{
     let applied =
         apply_edit(circuit, BenchEdit::DeadLogic, 0).expect("dead logic applies to every fixture");
     let edited = &applied.circuit;
     let diff = diff_netlists(circuit, edited, None, None);
     let analysis = impact_analysis(circuit, edited, diff);
-    let universe = classify_stuck_at(circuit, edited, &analysis);
-    let variant = CsimVariant::Mv;
-    let baseline = ConcurrentSim::new(circuit, &enumerate_stuck_at(circuit), variant.options())
-        .run(patterns)
-        .statuses;
-    let mut wall = f64::INFINITY;
-    let mut events = 0u64;
-    let mut detected = 0usize;
-    let mut peak_elements = 0usize;
-    let mut memory_bytes = 0usize;
-    for _ in 0..repeats.max(1) {
-        let mut sim = ConcurrentSim::new(edited, &universe.affected, variant.options());
-        let start = Instant::now();
-        let report = sim.run(patterns);
-        wall = wall.min(start.elapsed().as_secs_f64());
-        events = sim.events();
-        detected = impact_detected(&universe, &report.statuses, &baseline);
-        peak_elements = sim.peak_elements();
-        memory_bytes = sim.memory_bytes();
-    }
-    let mut sim = ConcurrentSim::instrumented(edited, &universe.affected, variant.options());
-    sim.run(patterns);
-    let phases = phase_seconds(&sim.snapshot());
-    PerfRun {
-        circuit: circuit.name().to_owned(),
-        variant: format!("{}-incremental", variant.name()),
-        threads: 1,
-        patterns: patterns.len(),
-        faults: universe.affected.len(),
-        faults_full: universe.stats.full,
-        wall_seconds: wall,
-        events,
-        events_per_pattern: events as f64 / patterns.len().max(1) as f64,
-        detected,
-        peak_elements,
-        peak_arena_bytes: peak_elements * cfs_core::Arena::ELEMENT_BYTES,
-        memory_bytes,
-        phase_seconds: phases,
-    }
-}
-
-/// The transition-fault mirror of [`run_stuck_incremental`]
-/// (`csim-T-incremental`).
-fn run_transition_incremental(
-    circuit: &Circuit,
-    patterns: &[Vec<Logic>],
-    repeats: usize,
-) -> PerfRun {
-    let applied =
-        apply_edit(circuit, BenchEdit::DeadLogic, 0).expect("dead logic applies to every fixture");
-    let edited = &applied.circuit;
-    let diff = diff_netlists(circuit, edited, None, None);
-    let analysis = impact_analysis(circuit, edited, diff);
-    let universe = classify_transition(circuit, edited, &analysis);
-    let baseline = TransitionSim::new(circuit, &enumerate_transition(circuit), Default::default())
-        .run(patterns)
-        .statuses;
-    let mut wall = f64::INFINITY;
-    let mut events = 0u64;
-    let mut detected = 0usize;
-    let mut peak_elements = 0usize;
-    let mut memory_bytes = 0usize;
-    for _ in 0..repeats.max(1) {
-        let mut sim = TransitionSim::new(edited, &universe.affected, Default::default());
-        let start = Instant::now();
-        let report = sim.run(patterns);
-        wall = wall.min(start.elapsed().as_secs_f64());
-        events = sim.events();
-        detected = impact_detected(&universe, &report.statuses, &baseline);
-        peak_elements = sim.peak_elements();
-        memory_bytes = sim.memory_bytes();
-    }
-    let mut sim = TransitionSim::instrumented(edited, &universe.affected, Default::default());
-    sim.run(patterns);
-    let phases = phase_seconds(&sim.snapshot());
-    PerfRun {
-        circuit: circuit.name().to_owned(),
-        variant: "csim-T-incremental".to_owned(),
-        threads: 1,
-        patterns: patterns.len(),
-        faults: universe.affected.len(),
-        faults_full: universe.stats.full,
-        wall_seconds: wall,
-        events,
-        events_per_pattern: events as f64 / patterns.len().max(1) as f64,
-        detected,
-        peak_elements,
-        peak_arena_bytes: peak_elements * cfs_core::Arena::ELEMENT_BYTES,
-        memory_bytes,
-        phase_seconds: phases,
-    }
+    let universe = classify(circuit, edited, &analysis);
+    let baseline = ShardedSim::<M>::new(
+        circuit,
+        &enumerate(circuit),
+        options.clone(),
+        1,
+        ShardPlan::RoundRobin,
+    )
+    .run(patterns)
+    .statuses;
+    let timed = time_cell::<M, I>(
+        edited,
+        &universe.affected,
+        options,
+        1,
+        None,
+        patterns,
+        repeats,
+        |s| count_detected(&universe.expand_statuses(s, &baseline)),
+    );
+    timed.cell(
+        circuit,
+        format!("{variant}-incremental"),
+        1,
+        patterns.len(),
+        universe.affected.len(),
+        universe.stats.full,
+    )
 }
 
 /// `variant.options()` with the harness gating window applied.
@@ -783,132 +540,86 @@ fn run_quiesce_cells(circuit: &Circuit, count: usize, seed: u64, repeats: usize)
     let patterns = hold_patterns(circuit, count, seed);
     let faults = collapse_stuck_at(circuit).representatives;
     let variant = CsimVariant::Mv;
-    let cell = |suffix: &str,
-                wall: f64,
-                events: u64,
-                detected: usize,
-                peak_elements: usize,
-                memory_bytes: usize,
-                phases: Vec<(&'static str, f64)>| PerfRun {
-        circuit: circuit.name().to_owned(),
-        variant: format!("{}-{suffix}", variant.name()),
-        threads: 1,
-        patterns: patterns.len(),
-        faults: faults.len(),
-        faults_full: 0,
-        wall_seconds: wall,
-        events,
-        events_per_pattern: events as f64 / patterns.len().max(1) as f64,
-        detected,
-        peak_elements,
-        peak_arena_bytes: peak_elements * cfs_core::Arena::ELEMENT_BYTES,
-        memory_bytes,
-        phase_seconds: phases,
+    let cell = |timed: Timed, suffix: &str| {
+        timed.cell(
+            circuit,
+            format!("{}-{suffix}", variant.name()),
+            1,
+            patterns.len(),
+            faults.len(),
+            0,
+        )
     };
-
-    let mut hold_statuses = Vec::new();
-    let mut runs = Vec::with_capacity(3);
-    for (suffix, options) in [
-        ("hold", variant.options()),
-        ("quiesce", gated_options(variant)),
-    ] {
-        let mut wall = f64::INFINITY;
-        let mut events = 0u64;
-        let mut detected = 0usize;
-        let mut peak_elements = 0usize;
-        let mut memory_bytes = 0usize;
-        for _ in 0..repeats.max(1) {
-            let mut sim = ConcurrentSim::new(circuit, &faults, options.clone());
-            let start = Instant::now();
-            let report = sim.run(&patterns);
-            wall = wall.min(start.elapsed().as_secs_f64());
-            events = sim.events();
-            detected = sim.detected();
-            peak_elements = sim.peak_elements();
-            memory_bytes = sim.memory_bytes();
-            if suffix == "hold" {
-                hold_statuses = report.statuses;
-            } else {
-                assert_eq!(
-                    report.statuses,
-                    hold_statuses,
-                    "{}: the quiescence gate changed detections",
-                    circuit.name()
-                );
-            }
-        }
-        let mut sim = ConcurrentSim::instrumented(circuit, &faults, options);
-        sim.run(&patterns);
-        let phases = phase_seconds(&sim.snapshot());
-        runs.push(cell(
-            suffix,
-            wall,
-            events,
-            detected,
-            peak_elements,
-            memory_bytes,
-            phases,
-        ));
-    }
+    let time = |options: CsimOptions| {
+        time_cell::<ConcurrentSim, ConcurrentSim<SimMetrics>>(
+            circuit,
+            &faults,
+            &options,
+            1,
+            None,
+            &patterns,
+            repeats,
+            count_detected,
+        )
+    };
+    let hold = time(variant.options());
+    let quiesce = time(gated_options(variant));
+    assert_eq!(
+        quiesce.statuses,
+        hold.statuses,
+        "{}: the quiescence gate changed detections",
+        circuit.name()
+    );
 
     let cut = patterns.len() / 2;
-    let mut wall = f64::INFINITY;
-    let mut events = 0u64;
-    let mut detected = 0usize;
-    let mut peak_elements = 0usize;
-    let mut memory_bytes = 0usize;
-    for _ in 0..repeats.max(1) {
+    let first_half = || {
         let mut first = ConcurrentSim::new(circuit, &faults, gated_options(variant));
         for p in &patterns[..cut] {
             first.step(p);
         }
         let bytes = first.checkpoint().to_bytes();
-        drop(first);
-        let snap = Checkpoint::from_bytes(&bytes).expect("checkpoint round trip");
+        Checkpoint::from_bytes(&bytes).expect("checkpoint round trip")
+    };
+    let mut resume = Timed {
+        wall: f64::INFINITY,
+        events: 0,
+        detected: 0,
+        peak_elements: 0,
+        memory_bytes: 0,
+        phases: Vec::new(),
+        statuses: Vec::new(),
+    };
+    for _ in 0..repeats.max(1) {
+        let snap = first_half();
         let mut sim = ConcurrentSim::new(circuit, &faults, gated_options(variant));
         sim.restore(&snap).expect("checkpoint restore");
         let start = Instant::now();
         for p in &patterns[cut..] {
             sim.step(p);
         }
-        wall = wall.min(start.elapsed().as_secs_f64());
+        resume.wall = resume.wall.min(start.elapsed().as_secs_f64());
         assert_eq!(
             sim.statuses(),
-            hold_statuses,
+            hold.statuses,
             "{}: resume diverged from the cold run",
             circuit.name()
         );
-        events = sim.events();
-        detected = sim.detected();
-        peak_elements = sim.peak_elements();
-        memory_bytes = sim.memory_bytes();
+        resume.events = sim.events();
+        resume.detected = sim.detected();
+        resume.peak_elements = sim.peak_elements();
+        resume.memory_bytes = sim.memory_bytes();
     }
-    let phases = {
-        let first = {
-            let mut sim = ConcurrentSim::new(circuit, &faults, gated_options(variant));
-            for p in &patterns[..cut] {
-                sim.step(p);
-            }
-            sim.checkpoint().to_bytes()
-        };
-        let snap = Checkpoint::from_bytes(&first).expect("checkpoint round trip");
-        let mut sim = ConcurrentSim::instrumented(circuit, &faults, gated_options(variant));
-        sim.restore(&snap).expect("checkpoint restore");
-        for p in &patterns[cut..] {
-            sim.step(p);
-        }
-        phase_seconds(&sim.snapshot())
-    };
-    runs.push(cell(
-        "resume",
-        wall,
-        events,
-        detected,
-        peak_elements,
-        memory_bytes,
-        phases,
-    ));
-    runs
+    let mut sim = ConcurrentSim::instrumented(circuit, &faults, gated_options(variant));
+    sim.restore(&first_half()).expect("checkpoint restore");
+    for p in &patterns[cut..] {
+        sim.step(p);
+    }
+    resume.phases = phase_seconds(&sim.snapshot());
+    vec![
+        cell(hold, "hold"),
+        cell(quiesce, "quiesce"),
+        cell(resume, "resume"),
+    ]
 }
 
 /// Runs the whole harness: every circuit × the four stuck-at variants ×
@@ -929,70 +640,88 @@ pub fn run_perf(config: &PerfConfig) -> Vec<PerfRun> {
         let graph = ImplicationGraph::build(&circuit, &analysis, LearnOptions::default());
         let learned_stuck = prune_stuck_at_learned(&circuit, &analysis, &graph).universe;
         let learned_transition = prune_transition_learned(&circuit, &analysis, &graph);
+        let batch = batch_options();
         for variant in CsimVariant::ALL {
             for &threads in &config.threads {
                 runs.push(run_stuck(
                     &circuit,
                     variant,
                     threads,
+                    None,
+                    None,
                     &patterns,
                     config.repeats,
                 ));
-                runs.push(run_stuck_pruned(
+                runs.push(run_stuck(
                     &circuit,
-                    &stuck,
                     variant,
                     threads,
+                    None,
+                    Some((&stuck, "-pruned")),
                     &patterns,
                     config.repeats,
-                    "-pruned",
                 ));
                 if threads > 1 {
-                    runs.push(run_stuck_batched(
+                    runs.push(run_stuck(
                         &circuit,
                         variant,
                         threads,
+                        Some(&batch),
+                        None,
                         &patterns,
                         config.repeats,
                     ));
                 }
             }
         }
-        runs.push(run_stuck_pruned(
+        runs.push(run_stuck(
             &circuit,
-            &learned_stuck,
             CsimVariant::Mv,
             1,
+            None,
+            Some((&learned_stuck, "-learned")),
             &patterns,
             config.repeats,
-            "-learned",
         ));
-        runs.push(run_transition(&circuit, &patterns, config.repeats));
-        runs.push(run_transition_pruned(
-            &circuit,
-            &transition,
-            &patterns,
-            config.repeats,
-            "-pruned",
-        ));
-        runs.push(run_transition_pruned(
-            &circuit,
-            &learned_transition,
-            &patterns,
-            config.repeats,
-            "-learned",
-        ));
-        if let Some(&threads) = config.threads.iter().filter(|&&t| t > 1).max() {
-            runs.push(run_transition_batched(
+        for pruned in [
+            None,
+            Some((&transition, "-pruned")),
+            Some((&learned_transition, "-learned")),
+        ] {
+            runs.push(run_transition(
                 &circuit,
-                threads,
+                1,
+                None,
+                pruned,
                 &patterns,
                 config.repeats,
             ));
         }
-        runs.push(run_stuck_incremental(&circuit, &patterns, config.repeats));
-        runs.push(run_transition_incremental(
+        if let Some(&threads) = config.threads.iter().filter(|&&t| t > 1).max() {
+            runs.push(run_transition(
+                &circuit,
+                threads,
+                Some(&batch),
+                None,
+                &patterns,
+                config.repeats,
+            ));
+        }
+        runs.push(run_incremental::<ConcurrentSim, ConcurrentSim<SimMetrics>>(
             &circuit,
+            &CsimVariant::Mv.options(),
+            classify_stuck_at,
+            enumerate_stuck_at,
+            CsimVariant::Mv.name(),
+            &patterns,
+            config.repeats,
+        ));
+        runs.push(run_incremental::<TransitionSim, TransitionSim<SimMetrics>>(
+            &circuit,
+            &TransitionOptions::default(),
+            classify_transition,
+            enumerate_transition,
+            "csim-T",
             &patterns,
             config.repeats,
         ));

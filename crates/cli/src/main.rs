@@ -145,12 +145,12 @@ use cfs_check::{
     analysis_findings, analyze_circuit, classify_stuck_at, classify_transition, cross_check_fates,
     diff_netlists, impact_analysis, impact_findings, learn_findings, prune_stuck_at,
     prune_stuck_at_learned, prune_transition, prune_transition_learned, stuck_weights,
-    transition_weights, EditKind, ImpactAnalysis, ImplicationGraph, LearnOptions, RuleCode,
-    Severity,
+    transition_weights, CircuitAnalysis, EditKind, ImpactAnalysis, ImplicationGraph, LearnOptions,
+    RuleCode, Severity,
 };
 use cfs_core::{
-    detections_of, BatchOptions, Checkpoint, ConcurrentSim, CsimOptions, CsimVariant, NullProbe,
-    ParallelSim, ParallelTransitionSim, SchedStats, ShardPlan, TransitionOptions, TransitionSim,
+    detections_of, BatchOptions, Checkpoint, ConcurrentSim, CsimOptions, CsimVariant, FaultMachine,
+    NullProbe, Probe, SchedStats, ShardPlan, ShardedSim, TransitionOptions, TransitionSim,
 };
 use cfs_faults::{
     collapse_stuck_at, dominance_collapse, enumerate_stuck_at, enumerate_transition, FaultFate,
@@ -205,6 +205,7 @@ fn diag(msg: impl Into<String>) -> Box<dyn std::error::Error> {
 }
 
 fn main() -> ExitCode {
+    restore_default_sigpipe();
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
@@ -218,6 +219,27 @@ fn main() -> ExitCode {
         }
     }
 }
+
+/// Rust ignores `SIGPIPE`, so a closed stdout (`fsim … | head`) turns
+/// the next `println!` into a panic. A command-line filter should die
+/// quietly instead, as the default signal disposition does.
+#[cfg(unix)]
+fn restore_default_sigpipe() {
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    const SIGPIPE: i32 = 13;
+    const SIG_DFL: usize = 0;
+    // SAFETY: the declaration matches libc's `sighandler_t signal(int,
+    // sighandler_t)` (a handler is pointer-sized; `SIG_DFL` is 0), and
+    // installing the default disposition touches no memory of ours.
+    unsafe {
+        signal(SIGPIPE, SIG_DFL);
+    }
+}
+
+#[cfg(not(unix))]
+fn restore_default_sigpipe() {}
 
 fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let Some(command) = args.first() else {
@@ -337,6 +359,18 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
 
 fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
+}
+
+/// The value of a positive count flag (`--threads`, `--trace-every`, …):
+/// `None` when absent, an error on zero or a non-number.
+fn count_flag(args: &[String], flag: &str) -> Result<Option<usize>, Box<dyn std::error::Error>> {
+    flag_value(args, flag)
+        .map(|v| match v.parse::<usize>() {
+            Ok(0) => Err(err(format!("{flag} must be at least 1"))),
+            Ok(n) => Ok(n),
+            Err(_) => Err(err(format!("{flag} needs a number"))),
+        })
+        .transpose()
 }
 
 /// Per-command flag table: `(name, takes_value)`.
@@ -526,24 +560,10 @@ struct TelemetryOpts {
 
 impl TelemetryOpts {
     fn parse(args: &[String]) -> Result<Self, Box<dyn std::error::Error>> {
-        let trace_every = match flag_value(args, "--trace-every") {
-            Some(v) => {
-                let n: usize = v.parse().map_err(|_| err("--trace-every needs a number"))?;
-                if n == 0 {
-                    return Err(err("--trace-every must be at least 1"));
-                }
-                Some(n)
-            }
-            None => None,
-        };
+        let trace_every = count_flag(args, "--trace-every")?;
         let mut trace_cfg = TraceConfig::default();
-        if let Some(v) = flag_value(args, "--trace-capacity") {
-            trace_cfg.capacity = v
-                .parse()
-                .map_err(|_| err("--trace-capacity needs a number"))?;
-            if trace_cfg.capacity == 0 {
-                return Err(err("--trace-capacity must be at least 1"));
-            }
+        if let Some(n) = count_flag(args, "--trace-capacity")? {
+            trace_cfg.capacity = n;
         }
         // One quiescence-window source of truth: the engine gate
         // (`--quiesce-window`) and the trace recorder (`--trace-window`)
@@ -594,6 +614,11 @@ impl TelemetryOpts {
     }
 }
 
+/// Upper bound on `--threads`: every worker drives at least one shard,
+/// and every shard is a full engine, so the count must stay far below
+/// what the OS would refuse to spawn.
+const MAX_THREADS: usize = 256;
+
 /// Fault-sharding and engine options shared by `sim` and `transition`.
 struct ParallelOpts {
     threads: usize,
@@ -614,16 +639,10 @@ struct ParallelOpts {
 
 impl ParallelOpts {
     fn parse(args: &[String]) -> Result<Self, Box<dyn std::error::Error>> {
-        let threads = match flag_value(args, "--threads") {
-            Some(v) => {
-                let n: usize = v.parse().map_err(|_| err("--threads needs a number"))?;
-                if n == 0 {
-                    return Err(err("--threads must be at least 1"));
-                }
-                n
-            }
-            None => 1,
-        };
+        let threads = count_flag(args, "--threads")?.unwrap_or(1);
+        if threads > MAX_THREADS {
+            return Err(err(format!("--threads must be at most {MAX_THREADS}")));
+        }
         let plan = match flag_value(args, "--shard-plan") {
             Some(v) => ShardPlan::parse(v).ok_or_else(|| {
                 err(format!(
@@ -677,26 +696,10 @@ impl ParallelOpts {
     }
 }
 
-/// A concurrent-variant option set with the CLI's gating window applied.
-fn stuck_options(variant: CsimVariant, par: &ParallelOpts) -> CsimOptions {
-    CsimOptions {
-        quiesce_window: par.quiesce_window,
-        ..variant.options()
-    }
-}
-
-/// Transition options with the CLI's gating window applied.
-fn transition_options(par: &ParallelOpts) -> TransitionOptions {
-    TransitionOptions {
-        quiesce_window: par.quiesce_window,
-        ..TransitionOptions::default()
-    }
-}
-
 /// Pattern-granular checkpointing options (`--checkpoint-every`,
 /// `--checkpoint-out`, `--resume-from`). A checkpoint captures one
-/// serial engine at a pattern boundary, so the flags refuse the sharded,
-/// batched, and traced dispatches up front.
+/// serial engine at a pattern boundary, so [`refuse_unsupported`] refuses
+/// the sharded, batched, and traced dispatches up front.
 struct CheckpointOpts {
     /// Snapshot cadence in patterns.
     every: Option<usize>,
@@ -707,48 +710,19 @@ struct CheckpointOpts {
 }
 
 impl CheckpointOpts {
-    fn parse(
-        args: &[String],
-        par: &ParallelOpts,
-        tel: &TelemetryOpts,
-    ) -> Result<Self, Box<dyn std::error::Error>> {
-        let every = match flag_value(args, "--checkpoint-every") {
-            Some(v) => {
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| err("--checkpoint-every needs a number"))?;
-                if n == 0 {
-                    return Err(err("--checkpoint-every must be at least 1"));
-                }
-                Some(n)
-            }
-            None => None,
-        };
+    fn parse(args: &[String]) -> Result<Self, Box<dyn std::error::Error>> {
+        let every = count_flag(args, "--checkpoint-every")?;
         let out = flag_value(args, "--checkpoint-out").map(str::to_owned);
         if every.is_some() != out.is_some() {
             return Err(err(
                 "--checkpoint-every and --checkpoint-out go together (cadence and directory)",
             ));
         }
-        let ck = CheckpointOpts {
+        Ok(CheckpointOpts {
             every,
             out,
             resume: flag_value(args, "--resume-from").map(str::to_owned),
-        };
-        if ck.active() {
-            if par.threads > 1 {
-                return Err(err(
-                    "checkpointing captures one serial engine; it needs --threads 1",
-                ));
-            }
-            if par.batch.is_some() {
-                return Err(err("checkpointing cannot combine with --batch-windows"));
-            }
-            if tel.trace_out.is_some() {
-                return Err(err("checkpointing cannot combine with --trace-out"));
-            }
-        }
-        Ok(ck)
+        })
     }
 
     /// Whether the run writes or restores checkpoints at all.
@@ -1828,65 +1802,6 @@ fn emit_jsonl(
         .map_err(|e| err(format!("cannot write telemetry: {e}")))
 }
 
-fn trace_progress(metrics: &SimMetrics, pattern: usize, detected: usize, total: usize) {
-    let (avg, events) = metrics
-        .records()
-        .last()
-        .map(|r| (r.avg_list_len, r.counters.activations))
-        .unwrap_or((0.0, 0));
-    println!(
-        "  pattern {pattern:>6}: detected {detected}/{total}  avg |F| {avg:.1}  events {events}"
-    );
-}
-
-/// Cumulative state behind [`merged_trace_progress`]: how many patterns
-/// were already replayed and the running detection count.
-#[derive(Default)]
-struct ProgressState {
-    cursor: usize,
-    detected: u64,
-}
-
-/// `--trace-every` under `--threads N`: replays the per-shard per-pattern
-/// records up to `done` finished patterns and prints one merged line per
-/// multiple of `every`. The caller invokes this from the `run_with`
-/// after-block hook, when every shard has settled the block, so the merge
-/// reads only finished records — the output is deterministic and identical
-/// for every thread count (per-pattern counters sum across shards; the
-/// mean list length over nodes sums because the shards partition the
-/// fault universe over the same node array).
-fn merged_trace_progress(
-    shards: &[&SimMetrics],
-    state: &mut ProgressState,
-    every: usize,
-    done: usize,
-    total: usize,
-) {
-    while state.cursor < done {
-        let p = state.cursor;
-        let mut avg = 0.0;
-        let mut events = 0u64;
-        for m in shards {
-            if let Some(r) = m.records().get(p) {
-                state.detected += r.counters.detected;
-                avg += r.avg_list_len;
-                events += r.counters.activations;
-            }
-        }
-        state.cursor += 1;
-        if state.cursor.is_multiple_of(every) {
-            println!(
-                "  pattern {:>6}: detected {}/{total}  avg |F| {avg:.1}  events {events}",
-                state.cursor, state.detected
-            );
-        }
-    }
-}
-
-/// The probe attached by `--trace-out`: aggregate metrics and the event
-/// recorder, driven by one engine pass.
-type TraceProbe = PairProbe<SimMetrics, TraceRecorder>;
-
 /// Converts the scheduler's run record into the trace crate's worker
 /// tracks, shifting its task/steal timestamps (microseconds from
 /// scheduler start) onto the recorders' epoch by `offset_micros` so the
@@ -1929,12 +1844,12 @@ fn sched_track_of(stats: Option<&SchedStats>, offset_micros: u64) -> Option<Sche
 fn write_trace_file(
     path: &str,
     process_name: &str,
-    shards: &[(Vec<TraceEvent>, &[usize])],
-    sched: Option<&SchedTrack>,
+    doc: &TraceDoc,
     recorded: u64,
     dropped: u64,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let tracks: Vec<TrackTrace<'_>> = shards
+    let tracks: Vec<TrackTrace<'_>> = doc
+        .shards
         .iter()
         .enumerate()
         .map(|(k, (events, map))| TrackTrace {
@@ -1945,7 +1860,7 @@ fn write_trace_file(
         .collect();
     let file = fs::File::create(path).map_err(|e| err(format!("cannot write {path}: {e}")))?;
     let mut out = io::BufWriter::new(file);
-    write_chrome_trace_with_sched(&mut out, process_name, &tracks, sched)
+    write_chrome_trace_with_sched(&mut out, process_name, &tracks, doc.sched.as_ref())
         .and_then(|()| out.flush())
         .map_err(|e| err(format!("cannot write {path}: {e}")))?;
     if dropped > 0 {
@@ -1958,60 +1873,23 @@ fn write_trace_file(
     Ok(())
 }
 
-/// One `--stats` line for the quiescence gate. Gated runs only: ungated
-/// output stays byte-identical to what it always was.
-fn print_quiesce_line(snap: &MetricsSnapshot) {
-    if snap.quiesce_skips > 0 || snap.quiesce_wakes > 0 {
-        println!(
-            "  quiescence: {} sweep elements skipped, {} wakes",
-            snap.quiesce_skips, snap.quiesce_wakes
-        );
-    }
-}
-
 /// The per-run detail blocks behind `--stats`: phase times and the two
-/// engine histograms (only the concurrent simulators have these).
-fn print_stats_detail(snap: &MetricsSnapshot, metrics: &SimMetrics) {
-    print_quiesce_line(snap);
-    print!("{}", render_phase_table(&snap.phases));
-    print!(
-        "{}",
-        render_histogram("fault-list length per node", &metrics.list_len_hist)
-    );
-    print!(
-        "{}",
-        render_histogram("event-queue depth per level", &metrics.queue_depth_hist)
-    );
-}
-
-/// One `--stats` line summarizing the two-dimensional scheduler's run.
-/// Batched runs only: plain `--threads N` output stays byte-identical to
-/// what it always was.
-fn print_sched_line(par: &ParallelOpts, stats: Option<&SchedStats>, shards: usize) {
-    if par.batch.is_none() {
-        return;
-    }
-    if let Some(st) = stats {
-        println!(
-            "  scheduler: {} windows × {shards} shards = {} tasks on {} workers, {} steals",
-            st.windows, st.tasks, st.workers, st.steals
-        );
-    }
-}
-
-/// Like [`print_stats_detail`], with the histograms merged across all
-/// shard probes of a parallel run.
-fn print_stats_detail_sharded<'a>(
-    snap: &MetricsSnapshot,
-    shards: impl Iterator<Item = &'a SimMetrics>,
-) {
+/// engine histograms, merged across every shard's probe (one shard on
+/// the serial path).
+fn print_stats_detail<'a>(snap: &MetricsSnapshot, shards: impl Iterator<Item = &'a SimMetrics>) {
     let mut list_hist = Log2Histogram::default();
     let mut queue_hist = Log2Histogram::default();
     for m in shards {
         list_hist.merge(&m.list_len_hist);
         queue_hist.merge(&m.queue_depth_hist);
     }
-    print_quiesce_line(snap);
+    // Gated runs only: ungated output stays what it always was.
+    if snap.quiesce_skips > 0 || snap.quiesce_wakes > 0 {
+        println!(
+            "  quiescence: {} sweep elements skipped, {} wakes",
+            snap.quiesce_skips, snap.quiesce_wakes
+        );
+    }
     print!("{}", render_phase_table(&snap.phases));
     print!(
         "{}",
@@ -2023,167 +1901,243 @@ fn print_stats_detail_sharded<'a>(
     );
 }
 
-fn run_stuck_instrumented(
-    sim: &mut ConcurrentSim<SimMetrics>,
-    circuit: &str,
-    patterns: &[Vec<Logic>],
-    trace_every: Option<usize>,
-    total_faults: usize,
-) -> FaultSimReport {
-    let start = Instant::now();
-    for (i, p) in patterns.iter().enumerate() {
-        sim.step(p);
-        if trace_every.is_some_and(|n| (i + 1) % n == 0) {
-            trace_progress(sim.metrics(), i + 1, sim.detected(), total_faults);
+/// `--trace-every N` milestones: replays the per-shard per-pattern records
+/// up to `done` finished patterns and prints one line per multiple of
+/// `every`. The run driver calls [`Progress::advance`] from the run
+/// callback, when every shard has settled, so it reads only finished
+/// records — the output is deterministic and identical for every thread
+/// count (per-pattern counters sum across shards; the mean list length
+/// over nodes sums because the shards partition the fault universe over
+/// the same node array).
+struct Progress {
+    every: usize,
+    /// The first pattern the probes recorded: the resume point.
+    first: usize,
+    /// Patterns replayed so far.
+    cursor: usize,
+    /// Running detection count, starting from what a resumed run restored.
+    detected: u64,
+    total: usize,
+}
+
+impl Progress {
+    fn advance(&mut self, shards: &[&SimMetrics], done: usize) {
+        while self.cursor < done {
+            let record = self.cursor - self.first;
+            let mut avg = 0.0;
+            let mut events = 0u64;
+            for m in shards {
+                if let Some(r) = m.records().get(record) {
+                    self.detected += r.counters.detected;
+                    avg += r.avg_list_len;
+                    events += r.counters.activations;
+                }
+            }
+            self.cursor += 1;
+            if self.cursor.is_multiple_of(self.every) {
+                println!(
+                    "  pattern {:>6}: detected {}/{}  avg |F| {avg:.1}  events {events}",
+                    self.cursor, self.detected, self.total
+                );
+            }
         }
-    }
-    let cpu = start.elapsed();
-    FaultSimReport {
-        simulator: sim.name().to_owned(),
-        circuit: circuit.to_owned(),
-        patterns: patterns.len(),
-        statuses: sim.statuses(),
-        cpu,
-        memory_bytes: sim.memory_bytes(),
-        events: sim.events(),
-        evaluations: sim.fault_evaluations(),
     }
 }
 
-/// `sim --simulator csim`: one variant, or all four under `--variant all`.
-#[allow(clippy::too_many_arguments)]
-fn run_csim_stuck(
-    c: &Circuit,
-    faults: &[StuckAt],
-    patterns: &[Vec<Logic>],
-    variant_name: &str,
+/// The probe attached by `--trace-out`: aggregate metrics and the event
+/// recorder, driven by one engine pass.
+type TraceProbe = PairProbe<SimMetrics, TraceRecorder>;
+
+/// The probes a concurrent run can attach. Which one is picked once, at
+/// dispatch ([`Probes::pick`]); the run driver is generic over it.
+trait RunProbe: Probe + Send {
+    /// One shard's probe; `epoch` is the trace clock every shard shares,
+    /// so cross-track timestamps line up.
+    fn attach(epoch: Instant, cfg: TraceConfig) -> Self;
+
+    /// The metrics half, when the probe records.
+    fn metrics(&self) -> Option<&SimMetrics> {
+        None
+    }
+
+    /// The event recorder, when the probe traces.
+    fn recorder(&self) -> Option<&TraceRecorder> {
+        None
+    }
+}
+
+impl RunProbe for NullProbe {
+    fn attach(_: Instant, _: TraceConfig) -> Self {
+        NullProbe
+    }
+}
+
+impl RunProbe for SimMetrics {
+    fn attach(_: Instant, _: TraceConfig) -> Self {
+        SimMetrics::new()
+    }
+
+    fn metrics(&self) -> Option<&SimMetrics> {
+        Some(self)
+    }
+}
+
+impl RunProbe for TraceProbe {
+    fn attach(epoch: Instant, cfg: TraceConfig) -> Self {
+        PairProbe(SimMetrics::new(), TraceRecorder::new(epoch, cfg))
+    }
+
+    fn metrics(&self) -> Option<&SimMetrics> {
+        Some(&self.0)
+    }
+
+    fn recorder(&self) -> Option<&TraceRecorder> {
+        Some(&self.1)
+    }
+}
+
+/// The probe kind a run attaches.
+#[derive(Clone, Copy)]
+enum Probes {
+    /// No telemetry: zero instrumentation cost.
+    Null,
+    /// `--stats`, `--stats-json`, `--trace-every`, or a `--variant all`
+    /// comparison table.
+    Metrics,
+    /// `--trace-out`: metrics plus the event recorder.
+    Trace,
+}
+
+impl Probes {
+    fn pick(tel: &TelemetryOpts, variants: usize) -> Probes {
+        if tel.trace_out.is_some() {
+            Probes::Trace
+        } else if tel.enabled() || variants > 1 {
+            Probes::Metrics
+        } else {
+            Probes::Null
+        }
+    }
+}
+
+/// Flag combinations the run driver cannot serve, refused before
+/// dispatch. `variants` counts the concurrent variants the run simulates.
+fn refuse_unsupported(
+    variants: usize,
     tel: &TelemetryOpts,
     par: &ParallelOpts,
     ck: &CheckpointOpts,
-    exp: Expansion<'_, StuckAt>,
-    keys: Option<&[u32]>,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let variants: Vec<CsimVariant> = if variant_name == "all" {
-        vec![
-            CsimVariant::Base,
-            CsimVariant::V,
-            CsimVariant::M,
-            CsimVariant::Mv,
-        ]
-    } else {
-        vec![match variant_name {
-            "base" => CsimVariant::Base,
-            "v" => CsimVariant::V,
-            "m" => CsimVariant::M,
-            "mv" => CsimVariant::Mv,
-            other => return Err(err(format!("unknown variant {other:?}"))),
-        }]
-    };
-    if par.detections.is_some() && variants.len() > 1 {
-        return Err(err("--detections needs a single --variant"));
-    }
-    if par.baseline_out.is_some() && variants.len() > 1 {
-        return Err(err("--baseline-out needs a single --variant"));
-    }
     if ck.active() {
-        if variants.len() > 1 {
-            return Err(err("checkpointing needs a single --variant"));
+        if par.threads > 1 {
+            return Err(err(
+                "checkpointing captures one serial engine; it needs --threads 1",
+            ));
         }
-        return run_csim_stuck_checkpointed(c, faults, patterns, variants[0], tel, par, ck, exp);
+        if par.batch.is_some() {
+            return Err(err("checkpointing cannot combine with --batch-windows"));
+        }
+        if tel.trace_out.is_some() {
+            return Err(err("checkpointing cannot combine with --trace-out"));
+        }
     }
-    if tel.trace_out.is_some() {
-        if variants.len() > 1 {
-            return Err(err("--trace-out needs a single --variant"));
+    if variants > 1 {
+        for (on, what) in [
+            (par.detections.is_some(), "--detections"),
+            (par.baseline_out.is_some(), "--baseline-out"),
+            (ck.active(), "checkpointing"),
+            (tel.trace_out.is_some(), "--trace-out"),
+        ] {
+            if on {
+                return Err(err(format!("{what} needs a single --variant")));
+            }
         }
-        return run_csim_stuck_traced(c, faults, patterns, variants[0], tel, par, exp, keys);
     }
-    if par.threads > 1 || par.batch.is_some() {
-        return run_csim_stuck_sharded(c, faults, patterns, &variants, tel, par, exp, keys);
-    }
-    if !tel.enabled() && variants.len() == 1 {
-        // Fast path: no probe attached, zero instrumentation cost.
-        let mut sim = ConcurrentSim::new(c, faults, stuck_options(variants[0], par));
-        if par.paranoid {
-            sim.set_paranoid(true);
-        }
-        let mut report = sim.run(patterns);
-        exp.expand(&mut report);
-        print_report(&report);
-        // Cold cross-check re-runs stay ungated on purpose: a gating bug
-        // cannot mask itself from the paranoid comparison.
-        verify_incremental(c.name(), exp, par.paranoid, &report.statuses, |full| {
-            ConcurrentSim::new(c, full, variants[0].options())
-                .run(patterns)
-                .statuses
-        })?;
-        if let Some(path) = &par.detections {
-            write_detections(path, &report.statuses)?;
-        }
-        if let Some(path) = &par.baseline_out {
-            write_baseline(path, "stuck", "uncollapsed", c, patterns, &report.statuses)?;
-        }
-        return Ok(());
-    }
-    let mut jsonl = open_jsonl(&tel.stats_json)?;
-    let mut snaps = Vec::new();
-    for &variant in &variants {
-        let mut sim = ConcurrentSim::instrumented(c, faults, stuck_options(variant, par));
-        if par.paranoid {
-            sim.set_paranoid(true);
-        }
-        let mut report =
-            run_stuck_instrumented(&mut sim, c.name(), patterns, tel.trace_every, faults.len());
-        exp.expand(&mut report);
-        print_report(&report);
-        verify_incremental(c.name(), exp, par.paranoid, &report.statuses, |full| {
-            ConcurrentSim::new(c, full, variant.options())
-                .run(patterns)
-                .statuses
-        })?;
-        let mut snap = sim.snapshot();
-        // Phase spans nest, so the wall clock is the honest total.
-        snap.cpu_seconds = report.cpu.as_secs_f64();
-        snap.phases.add(Phase::Check, tel.check_time);
-        exp.stamp(&mut snap);
-        if tel.stats {
-            print_stats_detail(&snap, sim.metrics());
-        }
-        if let Some(w) = jsonl.as_mut() {
-            emit_jsonl(w, sim.metrics(), &snap)?;
-        }
-        if let Some(path) = &par.detections {
-            write_detections(path, &report.statuses)?;
-        }
-        if let Some(path) = &par.baseline_out {
-            write_baseline(path, "stuck", "uncollapsed", c, patterns, &report.statuses)?;
-        }
-        snaps.push(snap);
-    }
-    if tel.stats || variants.len() > 1 {
-        println!();
-        print!("{}", render_summary_table(&snaps));
-    }
-    close_jsonl(jsonl, &tel.stats_json)
+    Ok(())
 }
 
-/// The `--checkpoint-every` / `--resume-from` path: one serial
-/// instrumented engine stepped pattern by pattern, snapshotting the
-/// complete engine state at checkpoint boundaries. A resumed run
-/// restores its snapshot before the first pattern and replays only the
-/// remainder; the report (statuses, detections, peak memory) is
-/// bit-identical to the uninterrupted run.
-#[allow(clippy::too_many_arguments)]
-fn run_csim_stuck_checkpointed(
-    c: &Circuit,
-    faults: &[StuckAt],
-    patterns: &[Vec<Logic>],
-    variant: CsimVariant,
-    tel: &TelemetryOpts,
-    par: &ParallelOpts,
-    ck: &CheckpointOpts,
-    exp: Expansion<'_, StuckAt>,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let mut sim = ConcurrentSim::instrumented(c, faults, stuck_options(variant, par));
+/// One `sim`/`transition` run's inputs, shared by every machine it drives.
+struct Run<'a, F> {
+    c: &'a Circuit,
+    patterns: &'a [Vec<Logic>],
+    universe: &'a Universe<F>,
+    tel: &'a TelemetryOpts,
+    par: &'a ParallelOpts,
+    ck: &'a CheckpointOpts,
+}
+
+/// A finished traced run's Chrome Trace content: each shard's events
+/// with its local→global fault map, plus the scheduler's worker tracks.
+struct TraceDoc {
+    shards: Vec<(Vec<TraceEvent>, Vec<usize>)>,
+    sched: Option<SchedTrack>,
+}
+
+/// What one machine's run leaves for the shared output stage.
+struct Outcome {
+    report: FaultSimReport,
+    snap: Option<MetricsSnapshot>,
+    trace: Option<TraceDoc>,
+}
+
+/// `--checkpoint-every` bookkeeping, driven from the run callback.
+struct Checkpointing<'a> {
+    ck: &'a CheckpointOpts,
+    total: usize,
+    time: Duration,
+    written: u32,
+    failed: Option<Box<dyn std::error::Error>>,
+}
+
+impl Checkpointing<'_> {
+    /// Snapshots at every cadence boundary but the last (the final
+    /// boundary is the finished report). A write failure stops further
+    /// snapshots and is returned once the run ends.
+    fn after<M: FaultMachine>(&mut self, sim: &ShardedSim<M>, done: usize) {
+        let (Some(every), Some(dir)) = (self.ck.every, self.ck.out.as_deref()) else {
+            return;
+        };
+        if !done.is_multiple_of(every) || done >= self.total || self.failed.is_some() {
+            return;
+        }
+        let t = Instant::now();
+        match write_checkpoint_file(dir, &sim.checkpoint()) {
+            Ok(_) => self.written += 1,
+            Err(e) => self.failed = Some(e),
+        }
+        self.time += t.elapsed();
+    }
+}
+
+/// The one run driver: builds the sharded machine `M` (one shard on the
+/// serial path) with the probe picked at dispatch, resumes and
+/// checkpoints it, runs it serially, sharded, or batched, and prints the
+/// report, the scheduler line, and the `--stats` detail. Files and the
+/// summary table come after every variant has run ([`finish_run`]).
+fn simulate<M>(
+    run: &Run<'_, M::Fault>,
+    options: M::Options,
+    jsonl: &mut Option<JsonlFile>,
+    cold: impl FnOnce(&[M::Fault]) -> Vec<FaultStatus>,
+) -> Result<Outcome, Box<dyn std::error::Error>>
+where
+    M: FaultMachine + Send,
+    M::Probe: RunProbe,
+{
+    let (c, patterns, universe) = (run.c, run.patterns, run.universe);
+    let (tel, par, ck) = (run.tel, run.par, run.ck);
+    let exp = universe.expansion();
+    let epoch = Instant::now();
+    let mut sim = ShardedSim::<M>::with_probes_sharded(
+        c,
+        &universe.faults,
+        options,
+        par.threads,
+        par.shards(),
+        par.plan,
+        universe.keys.as_deref(),
+        |_| M::Probe::attach(epoch, tel.trace_cfg),
+    );
     if par.paranoid {
         sim.set_paranoid(true);
     }
@@ -2204,338 +2158,157 @@ fn run_csim_stuck_checkpointed(
         }
         None => 0,
     };
-    let mut ckpt_time = Duration::ZERO;
-    let mut written = 0u32;
-    let start = Instant::now();
-    for (i, p) in patterns.iter().enumerate().skip(start_at) {
-        sim.step(p);
-        if tel.trace_every.is_some_and(|n| (i + 1) % n == 0) {
-            trace_progress(sim.metrics(), i + 1, sim.detected(), faults.len());
-        }
-        if let (Some(every), Some(dir)) = (ck.every, ck.out.as_deref()) {
-            // The final boundary is the finished report; no snapshot there.
-            if (i + 1) % every == 0 && i + 1 < patterns.len() {
-                let t = Instant::now();
-                let snapshot = sim.checkpoint();
-                write_checkpoint_file(dir, &snapshot)?;
-                ckpt_time += t.elapsed();
-                written += 1;
-            }
-        }
-    }
-    let cpu = start.elapsed();
-    let mut report = FaultSimReport {
-        simulator: sim.name().to_owned(),
-        circuit: c.name().to_owned(),
-        patterns: patterns.len(),
-        statuses: sim.statuses(),
-        cpu,
-        memory_bytes: sim.memory_bytes(),
-        events: sim.events(),
-        evaluations: sim.fault_evaluations(),
+    let mut progress = tel.trace_every.map(|every| Progress {
+        every,
+        first: start_at,
+        cursor: start_at,
+        detected: sim.detected() as u64,
+        total: universe.faults.len(),
+    });
+    let mut ckpt = Checkpointing {
+        ck,
+        total: patterns.len(),
+        time: Duration::ZERO,
+        written: 0,
+        failed: None,
     };
-    if let Some(dir) = ck.out.as_deref() {
-        if written > 0 {
-            println!(
-                "wrote {written} checkpoint(s) to {dir} ({:.1} ms)",
-                ckpt_time.as_secs_f64() * 1e3
-            );
+    let after = |s: &ShardedSim<M>, done: usize| {
+        if let Some(progress) = progress.as_mut() {
+            let shards: Vec<&SimMetrics> =
+                s.shard_probes().filter_map(|(p, _)| p.metrics()).collect();
+            progress.advance(&shards, start_at + done);
         }
-    }
-    exp.expand(&mut report);
-    print_report(&report);
-    verify_incremental(c.name(), exp, par.paranoid, &report.statuses, |full| {
-        ConcurrentSim::new(c, full, variant.options())
-            .run(patterns)
-            .statuses
-    })?;
-    if tel.enabled() {
-        let mut snap = sim.snapshot();
-        snap.cpu_seconds = report.cpu.as_secs_f64();
-        snap.phases.add(Phase::Check, tel.check_time);
-        snap.phases.add(Phase::Checkpoint, ckpt_time);
-        exp.stamp(&mut snap);
-        if tel.stats {
-            print_stats_detail(&snap, sim.metrics());
-            println!();
-            print!("{}", render_summary_table(std::slice::from_ref(&snap)));
-        }
-        let mut jsonl = open_jsonl(&tel.stats_json)?;
-        if let Some(w) = jsonl.as_mut() {
-            emit_jsonl(w, sim.metrics(), &snap)?;
-        }
-        close_jsonl(jsonl, &tel.stats_json)?;
-    }
-    if let Some(path) = &par.detections {
-        write_detections(path, &report.statuses)?;
-    }
-    if let Some(path) = &par.baseline_out {
-        write_baseline(path, "stuck", "uncollapsed", c, patterns, &report.statuses)?;
-    }
-    Ok(())
-}
-
-/// The `--threads N > 1` / `--batch-windows` path: fault-sharded engines
-/// over a shared good machine, optionally under the two-dimensional
-/// scheduler. `--trace-every` milestones merge the per-shard records into
-/// one deterministic line per milestone (see [`merged_trace_progress`]);
-/// per-pattern JSON records stay a serial concept, so `--stats-json`
-/// carries only the merged summary record.
-#[allow(clippy::too_many_arguments)]
-fn run_csim_stuck_sharded(
-    c: &Circuit,
-    faults: &[StuckAt],
-    patterns: &[Vec<Logic>],
-    variants: &[CsimVariant],
-    tel: &TelemetryOpts,
-    par: &ParallelOpts,
-    exp: Expansion<'_, StuckAt>,
-    keys: Option<&[u32]>,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let mut jsonl = open_jsonl(&tel.stats_json)?;
-    let mut snaps = Vec::new();
-    for &variant in variants {
-        let mut report = if tel.enabled() {
-            let mut sim = ParallelSim::with_probes_sharded(
-                c,
-                faults,
-                stuck_options(variant, par),
-                par.threads,
-                par.shards(),
-                par.plan,
-                keys,
-                |_| SimMetrics::new(),
-            );
-            if par.paranoid {
-                sim.set_paranoid(true);
-            }
-            let mut progress = ProgressState::default();
-            let after = |s: &ParallelSim<SimMetrics>, done: usize| {
-                if let Some(every) = tel.trace_every {
-                    let shards: Vec<&SimMetrics> = s.shard_metrics().collect();
-                    merged_trace_progress(&shards, &mut progress, every, done, faults.len());
-                }
-            };
-            let report = match &par.batch {
-                Some(b) => sim.run_batched_with(patterns, b, after),
-                None => sim.run_with(patterns, after),
-            };
-            let mut snap = sim.snapshot();
-            snap.cpu_seconds = report.cpu.as_secs_f64();
-            snap.phases.add(Phase::Check, tel.check_time);
-            exp.stamp(&mut snap);
-            if tel.stats {
-                print_sched_line(par, sim.sched_stats(), sim.num_shards());
-                print_stats_detail_sharded(&snap, sim.shard_metrics());
-            }
-            if let Some(w) = jsonl.as_mut() {
-                w.write_summary(&snap)
-                    .map_err(|e| err(format!("cannot write telemetry: {e}")))?;
-            }
-            snaps.push(snap);
-            report
-        } else {
-            let mut sim = ParallelSim::with_probes_sharded(
-                c,
-                faults,
-                stuck_options(variant, par),
-                par.threads,
-                par.shards(),
-                par.plan,
-                keys,
-                |_| NullProbe,
-            );
-            if par.paranoid {
-                sim.set_paranoid(true);
-            }
-            match &par.batch {
-                Some(b) => sim.run_batched(patterns, b),
-                None => sim.run(patterns),
-            }
-        };
-        exp.expand(&mut report);
-        print_report(&report);
-        verify_incremental(c.name(), exp, par.paranoid, &report.statuses, |full| {
-            ConcurrentSim::new(c, full, variant.options())
-                .run(patterns)
-                .statuses
-        })?;
-        if let Some(path) = &par.detections {
-            write_detections(path, &report.statuses)?;
-        }
-        if let Some(path) = &par.baseline_out {
-            write_baseline(path, "stuck", "uncollapsed", c, patterns, &report.statuses)?;
-        }
-    }
-    if tel.stats || snaps.len() > 1 {
-        println!();
-        print!("{}", render_summary_table(&snaps));
-    }
-    close_jsonl(jsonl, &tel.stats_json)
-}
-
-/// The `--trace-out` path: every shard carries a metrics probe *and* an
-/// event recorder ([`TraceProbe`]), for any thread count — one shard runs
-/// the exact serial schedule, so the serial and sharded traced paths are
-/// the same code. After the run the shard event streams become one Chrome
-/// Trace / Perfetto JSON document (fault ids remapped to the global
-/// universe through each shard's map).
-#[allow(clippy::too_many_arguments)]
-fn run_csim_stuck_traced(
-    c: &Circuit,
-    faults: &[StuckAt],
-    patterns: &[Vec<Logic>],
-    variant: CsimVariant,
-    tel: &TelemetryOpts,
-    par: &ParallelOpts,
-    exp: Expansion<'_, StuckAt>,
-    keys: Option<&[u32]>,
-) -> Result<(), Box<dyn std::error::Error>> {
-    // One epoch for every shard, so cross-track timestamps line up.
-    let epoch = Instant::now();
-    let mut sim = ParallelSim::with_probes_sharded(
-        c,
-        faults,
-        stuck_options(variant, par),
-        par.threads,
-        par.shards(),
-        par.plan,
-        keys,
-        |_| -> TraceProbe {
-            PairProbe(SimMetrics::new(), TraceRecorder::new(epoch, tel.trace_cfg))
-        },
-    );
-    if par.paranoid {
-        sim.set_paranoid(true);
-    }
-    let mut progress = ProgressState::default();
-    let after = |s: &ParallelSim<TraceProbe>, done: usize| {
-        if let Some(every) = tel.trace_every {
-            let shards: Vec<&SimMetrics> = s.shard_probes().map(|(p, _)| &p.0).collect();
-            merged_trace_progress(&shards, &mut progress, every, done, faults.len());
-        }
+        ckpt.after(s, start_at + done);
     };
     // Scheduler timestamps count from run start; measure that start on
     // the recorders' epoch so the worker tracks line up with the shards.
     let sched_offset = epoch.elapsed().as_micros() as u64;
     let mut report = match &par.batch {
         Some(b) => sim.run_batched_with(patterns, b, after),
-        None => sim.run_with(patterns, after),
+        None => sim.run_with(&patterns[start_at..], after),
     };
+    report.patterns = patterns.len();
+    if let Some(e) = ckpt.failed {
+        return Err(e);
+    }
+    if let Some(dir) = ck.out.as_deref() {
+        if ckpt.written > 0 {
+            println!(
+                "wrote {} checkpoint(s) to {dir} ({:.1} ms)",
+                ckpt.written,
+                ckpt.time.as_secs_f64() * 1e3
+            );
+        }
+    }
     exp.expand(&mut report);
     print_report(&report);
-    verify_incremental(c.name(), exp, par.paranoid, &report.statuses, |full| {
-        ConcurrentSim::new(c, full, variant.options())
-            .run(patterns)
-            .statuses
-    })?;
-    // Merge the metrics halves into one snapshot, exactly as
-    // `ParallelSim::snapshot` does for plain instrumented shards.
-    let mut merged: Option<MetricsSnapshot> = None;
-    for (p, _) in sim.shard_probes() {
-        let shard_snap = p.0.snapshot("", c.name());
-        match merged.as_mut() {
-            None => merged = Some(shard_snap),
-            Some(m) => m.merge_shard(&shard_snap),
+    verify_incremental(c.name(), exp, par.paranoid, &report.statuses, cold)?;
+    let shard_metrics = || sim.shard_probes().filter_map(|(p, _)| p.metrics());
+    let recorders = || sim.shard_probes().filter_map(|(p, _)| p.recorder());
+    let snap = if shard_metrics().next().is_some() {
+        let mut snap = sim.snapshot_by(|p| p.metrics().expect("every shard records"));
+        // Phase spans nest, so the wall clock is the honest total.
+        snap.cpu_seconds = report.cpu.as_secs_f64();
+        snap.phases.add(Phase::Check, tel.check_time);
+        if ck.active() {
+            snap.phases.add(Phase::Checkpoint, ckpt.time);
         }
-    }
-    let mut snap = merged.unwrap_or_default();
-    snap.simulator = report.simulator.clone();
-    snap.circuit = c.name().to_owned();
-    let (good_events, good_evals) = sim.good_engine_work();
-    snap.events += good_events;
-    snap.good_evals += good_evals;
-    snap.cpu_seconds = report.cpu.as_secs_f64();
-    snap.phases.add(Phase::Check, tel.check_time);
-    exp.stamp(&mut snap);
-    snap.trace_events = sim.shard_probes().map(|(p, _)| p.1.recorded_events()).sum();
-    snap.trace_dropped = sim.shard_probes().map(|(p, _)| p.1.dropped_events()).sum();
-    if let Some(st) = sim.sched_stats() {
-        snap.windows = st.windows as u64;
-        snap.steals = st.steals;
-    }
-    if tel.stats {
-        print_sched_line(par, sim.sched_stats(), sim.num_shards());
-        print_stats_detail_sharded(&snap, sim.shard_probes().map(|(p, _)| &p.0));
-        println!();
-        print!("{}", render_summary_table(std::slice::from_ref(&snap)));
-    }
-    let mut jsonl = open_jsonl(&tel.stats_json)?;
-    if let Some(w) = jsonl.as_mut() {
-        if par.threads == 1 && par.batch.is_none() {
-            // The single shard ran the serial schedule, so its per-pattern
-            // records are the serial records.
-            let (p, _) = sim.shard_probes().next().expect("one shard");
-            emit_jsonl(w, &p.0, &snap)?;
-        } else {
-            w.write_summary(&snap)
-                .map_err(|e| err(format!("cannot write telemetry: {e}")))?;
+        exp.stamp(&mut snap);
+        snap.trace_events = recorders().map(TraceRecorder::recorded_events).sum();
+        snap.trace_dropped = recorders().map(TraceRecorder::dropped_events).sum();
+        if tel.stats {
+            // Batched runs only: plain `--threads N` output stays what it
+            // always was.
+            if let (Some(_), Some(st)) = (&par.batch, sim.sched_stats()) {
+                println!(
+                    "  scheduler: {} windows × {} shards = {} tasks on {} workers, {} steals",
+                    st.windows,
+                    sim.num_shards(),
+                    st.tasks,
+                    st.workers,
+                    st.steals
+                );
+            }
+            print_stats_detail(&snap, shard_metrics());
         }
-    }
-    close_jsonl(jsonl, &tel.stats_json)?;
-    if let Some(path) = &par.detections {
-        write_detections(path, &report.statuses)?;
-    }
-    if let Some(path) = &par.baseline_out {
-        write_baseline(path, "stuck", "uncollapsed", c, patterns, &report.statuses)?;
-    }
-    let shard_data: Vec<(Vec<TraceEvent>, &[usize])> = sim
-        .shard_probes()
-        .map(|(p, map)| (p.1.events().copied().collect(), map))
-        .collect();
-    // Worker tracks only for batched runs: the plain sharded document
-    // keeps its historical one-track-per-shard shape.
-    let sched = par
-        .batch
-        .as_ref()
-        .and_then(|_| sched_track_of(sim.sched_stats(), sched_offset));
-    let path = tel
-        .trace_out
-        .as_deref()
-        .expect("routed here by --trace-out");
-    write_trace_file(
-        path,
-        &format!("{} · {}", c.name(), report.simulator),
-        &shard_data,
-        sched.as_ref(),
-        snap.trace_events,
-        snap.trace_dropped,
-    )
+        if let Some(w) = jsonl.as_mut() {
+            match shard_metrics().next() {
+                // A serial run's single shard recorded the serial
+                // per-pattern records; sharded runs carry only the merged
+                // summary.
+                Some(m) if par.threads == 1 && par.batch.is_none() => emit_jsonl(w, m, &snap)?,
+                _ => w
+                    .write_summary(&snap)
+                    .map_err(|e| err(format!("cannot write telemetry: {e}")))?,
+            }
+        }
+        Some(snap)
+    } else {
+        None
+    };
+    let trace = tel.trace_out.as_ref().map(|_| TraceDoc {
+        shards: sim
+            .shard_probes()
+            .filter_map(|(p, map)| Some((p.recorder()?.events().copied().collect(), map.to_vec())))
+            .collect(),
+        // Worker tracks only for batched runs: the plain sharded document
+        // keeps its one-track-per-shard shape.
+        sched: par
+            .batch
+            .as_ref()
+            .and_then(|_| sched_track_of(sim.sched_stats(), sched_offset)),
+    });
+    Ok(Outcome {
+        report,
+        snap,
+        trace,
+    })
 }
 
-/// Telemetry output for the baseline simulators, which report only run
-/// totals: a headline-only snapshot through the same table and JSON path.
-fn emit_basic_telemetry(
-    tel: &TelemetryOpts,
-    report: &FaultSimReport,
+/// The shared tail of a concurrent run, in one order for every mode: the
+/// summary table (under `--stats`, or comparing `--variant all`), then
+/// the files — telemetry, detections, baseline, trace. Only the telemetry
+/// stream may span several variants; the other files need a single one.
+fn finish_run<F>(
+    run: &Run<'_, F>,
+    outcomes: &[Outcome],
+    jsonl: Option<JsonlFile>,
+    (model, universe): (&str, &str),
 ) -> Result<(), Box<dyn std::error::Error>> {
-    if !tel.enabled() {
-        return Ok(());
-    }
-    if tel.trace_every.is_some() {
-        eprintln!("fsim: note: --trace-every needs a concurrent simulator; ignored");
-    }
-    let snap = MetricsSnapshot::from_basic(
-        &report.simulator,
-        &report.circuit,
-        report.patterns as u64,
-        report.detected() as u64,
-        report.events,
-        report.evaluations,
-        report.memory_bytes as u64,
-        report.cpu.as_secs_f64(),
-    );
-    if tel.stats {
+    let snaps: Vec<MetricsSnapshot> = outcomes.iter().filter_map(|o| o.snap.clone()).collect();
+    if run.tel.stats || outcomes.len() > 1 {
         println!();
-        print!("{}", render_summary_table(std::slice::from_ref(&snap)));
+        print!("{}", render_summary_table(&snaps));
     }
-    if let Some(path) = &tel.stats_json {
-        let mut jsonl = open_jsonl(&tel.stats_json)?;
-        if let Some(w) = jsonl.as_mut() {
-            w.write_summary(&snap)
-                .map_err(|e| err(format!("cannot write {path}: {e}")))?;
-        }
-        close_jsonl(jsonl, &tel.stats_json)?;
+    close_jsonl(jsonl, &run.tel.stats_json)?;
+    let Some(last) = outcomes.last() else {
+        return Ok(());
+    };
+    if let Some(path) = &run.par.detections {
+        write_detections(path, &last.report.statuses)?;
+    }
+    if let Some(path) = &run.par.baseline_out {
+        write_baseline(
+            path,
+            model,
+            universe,
+            run.c,
+            run.patterns,
+            &last.report.statuses,
+        )?;
+    }
+    if let (Some(path), Some(doc)) = (&run.tel.trace_out, &last.trace) {
+        let (recorded, dropped) = last
+            .snap
+            .as_ref()
+            .map_or((0, 0), |s| (s.trace_events, s.trace_dropped));
+        write_trace_file(
+            path,
+            &format!("{} · {}", run.c.name(), last.report.simulator),
+            doc,
+            recorded,
+            dropped,
+        )?;
     }
     Ok(())
 }
@@ -2558,41 +2331,76 @@ fn print_prune_banner(model: &str, stats: &cfs_faults::PruneStats) {
     );
 }
 
-fn cmd_sim(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    validate_flags("sim", args, SIM_FLAGS)?;
-    let spec = args.first().ok_or_else(|| err("sim: missing circuit"))?;
-    let simulator = flag_value(args, "--simulator").unwrap_or("csim");
+/// The simulated universe of a `sim`/`transition` run: the faults handed
+/// to the machine, how its report expands back to the full universe, and
+/// the weight-aware plan's balance keys.
+struct Universe<F> {
+    faults: Vec<F>,
+    pruned: Option<PrunedUniverse<F>>,
+    incr: Option<(ImpactUniverse<F>, Vec<FaultStatus>)>,
+    keys: Option<Vec<u32>>,
+}
+
+impl<F: Copy> Universe<F> {
+    fn expansion(&self) -> Expansion<'_, F> {
+        match (&self.pruned, &self.incr) {
+            (Some(u), _) => Expansion::Pruned(u),
+            (None, Some((u, baseline))) => Expansion::Incremental {
+                universe: u,
+                baseline,
+            },
+            _ => Expansion::Verbatim,
+        }
+    }
+}
+
+/// One fault model's hooks into [`prepare_universe`].
+struct ModelHooks<F> {
+    /// The model in banners (`stuck-at`, `transition`).
+    label: &'static str,
+    /// The baseline report's model and reported-universe labels.
+    baseline: (&'static str, &'static str),
+    prune: fn(&Circuit, &CircuitAnalysis) -> PrunedUniverse<F>,
+    prune_learned: fn(&Circuit, &CircuitAnalysis, &ImplicationGraph) -> PrunedUniverse<F>,
+    classify: fn(&Circuit, &Circuit, &ImpactAnalysis) -> ImpactUniverse<F>,
+    weights: fn(&Circuit, &CircuitAnalysis, &[F]) -> Vec<u32>,
+}
+
+const STUCK: ModelHooks<StuckAt> = ModelHooks {
+    label: "stuck-at",
+    baseline: ("stuck", "uncollapsed"),
+    prune: prune_stuck_at,
+    prune_learned: |c, a, g| prune_stuck_at_learned(c, a, g).universe,
+    classify: classify_stuck_at,
+    weights: stuck_weights,
+};
+
+const TRANSITION: ModelHooks<TransitionFault> = ModelHooks {
+    label: "transition",
+    baseline: ("transition", "full"),
+    prune: prune_transition,
+    prune_learned: prune_transition_learned,
+    classify: classify_transition,
+    weights: transition_weights,
+};
+
+/// Checks the universe-rewriting flags `sim` and `transition` share:
+/// `--learn` extends `--prune`, and `--incremental` pairs with
+/// `--baseline-report` but not with `--prune`.
+fn universe_flags(
+    cmd: &str,
+    args: &[String],
+) -> Result<(bool, Option<LearnOptions>), Box<dyn std::error::Error>> {
     let prune = has_flag(args, "--prune");
-    let learn = learn_opts("sim", args)?;
+    let learn = learn_opts(cmd, args)?;
     if learn.is_some() && !prune {
         return Err(err("--learn extends --prune; add --prune"));
     }
     let incremental = has_flag(args, "--incremental");
-    if prune && has_flag(args, "--uncollapsed") {
-        return Err(err(
-            "--prune already reports the full uncollapsed universe (pruned faults \
-             as untestable); drop --uncollapsed",
-        ));
-    }
-    if prune && simulator != "csim" {
-        return Err(err(format!(
-            "--prune needs the concurrent simulator, not {simulator:?}"
-        )));
-    }
     if incremental && prune {
         return Err(err(
             "--incremental and --prune both rewrite the simulated universe; pick one",
         ));
-    }
-    if incremental && has_flag(args, "--uncollapsed") {
-        return Err(err(
-            "--incremental already reports the full uncollapsed universe; drop --uncollapsed",
-        ));
-    }
-    if incremental && simulator != "csim" {
-        return Err(err(format!(
-            "--incremental needs the concurrent simulator, not {simulator:?}"
-        )));
     }
     if incremental && flag_value(args, "--baseline-report").is_none() {
         return Err(err("--incremental needs --baseline-report FILE"));
@@ -2600,167 +2408,209 @@ fn cmd_sim(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     if !incremental && flag_value(args, "--baseline-report").is_some() {
         return Err(err("--baseline-report needs --incremental"));
     }
-    if flag_value(args, "--baseline-out").is_some()
-        && !(prune || incremental || has_flag(args, "--uncollapsed"))
-    {
+    Ok((prune, learn))
+}
+
+/// The shared `sim`/`transition` preparation: `--prune` (with `--learn`),
+/// `--incremental`, and the weight-aware plan's keys, over the model's
+/// `full` default universe.
+#[allow(clippy::too_many_arguments)]
+fn prepare_universe<F: Copy>(
+    c: &Circuit,
+    args: &[String],
+    patterns: &[Vec<Logic>],
+    par: &ParallelOpts,
+    prune: bool,
+    learn: Option<LearnOptions>,
+    hooks: &ModelHooks<F>,
+    full: impl FnOnce(&Circuit) -> Vec<F>,
+) -> Result<Universe<F>, Box<dyn std::error::Error>> {
+    let weighted = par.plan == ShardPlan::WeightAware && par.threads > 1;
+    // The weight-aware plan and --prune share one static analysis pass.
+    let analysis = (prune || weighted).then(|| analyze_circuit(c));
+    let pruned = match &analysis {
+        Some(a) if prune => Some(match learn {
+            Some(options) => (hooks.prune_learned)(c, a, &ImplicationGraph::build(c, a, options)),
+            None => (hooks.prune)(c, a),
+        }),
+        _ => None,
+    };
+    let incr = match flag_value(args, "--baseline-report") {
+        Some(path) if has_flag(args, "--incremental") => {
+            let (model, universe) = hooks.baseline;
+            let baseline = load_baseline(path, model, universe)?;
+            Some(prepare_incremental(c, baseline, patterns, hooks.classify)?)
+        }
+        _ => None,
+    };
+    let faults = match (&pruned, &incr) {
+        (Some(u), _) => {
+            print_prune_banner(hooks.label, &u.stats);
+            u.sim.clone()
+        }
+        (None, Some((u, _))) => {
+            print_impact_banner(hooks.label, &u.stats);
+            u.affected.clone()
+        }
+        (None, None) => full(c),
+    };
+    let keys = match &analysis {
+        Some(a) if weighted => Some((hooks.weights)(c, a, &faults)),
+        _ => None,
+    };
+    Ok(Universe {
+        faults,
+        pruned,
+        incr,
+        keys,
+    })
+}
+
+/// Parses `--variant` for the concurrent simulator.
+fn parse_variants(name: &str) -> Result<Vec<CsimVariant>, Box<dyn std::error::Error>> {
+    Ok(match name {
+        "all" => CsimVariant::ALL.to_vec(),
+        "base" => vec![CsimVariant::Base],
+        "v" => vec![CsimVariant::V],
+        "m" => vec![CsimVariant::M],
+        "mv" => vec![CsimVariant::Mv],
+        other => return Err(err(format!("unknown variant {other:?}"))),
+    })
+}
+
+fn cmd_sim(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    validate_flags("sim", args, SIM_FLAGS)?;
+    let spec = args.first().ok_or_else(|| err("sim: missing circuit"))?;
+    let simulator = flag_value(args, "--simulator").unwrap_or("csim");
+    let uncollapsed = has_flag(args, "--uncollapsed");
+    let (prune, learn) = universe_flags("sim", args)?;
+    let incremental = has_flag(args, "--incremental");
+    if prune && uncollapsed {
+        return Err(err(
+            "--prune already reports the full uncollapsed universe (pruned faults \
+             as untestable); drop --uncollapsed",
+        ));
+    }
+    if incremental && uncollapsed {
+        return Err(err(
+            "--incremental already reports the full uncollapsed universe; drop --uncollapsed",
+        ));
+    }
+    if flag_value(args, "--baseline-out").is_some() && !(prune || incremental || uncollapsed) {
         return Err(err(
             "--baseline-out records fates over the full uncollapsed universe; add \
              --uncollapsed (or --prune / --incremental, which already report it)",
         ));
     }
-    let (c, check_time) = load_circuit_checked(spec, args)?;
     let mut tel = TelemetryOpts::parse(args)?;
-    tel.check_time = check_time;
     let par = ParallelOpts::parse(args)?;
-    let ck = CheckpointOpts::parse(args, &par, &tel)?;
-    if ck.active() && simulator != "csim" {
-        return Err(err(format!(
-            "checkpointing needs the concurrent simulator, not {simulator:?}"
-        )));
-    }
+    let ck = CheckpointOpts::parse(args)?;
+    let variants = if simulator == "csim" {
+        parse_variants(flag_value(args, "--variant").unwrap_or("mv"))?
+    } else {
+        for (on, flag) in [
+            (prune, "--prune"),
+            (incremental, "--incremental"),
+            (ck.active(), "checkpointing"),
+            (tel.trace_out.is_some(), "--trace-out"),
+            (par.threads > 1, "--threads"),
+            (par.batch.is_some(), "--batch-windows"),
+            (par.paranoid, "--paranoid"),
+            (par.quiesce_window > 0, "--quiesce-window"),
+        ] {
+            if on {
+                return Err(err(format!(
+                    "{flag} needs the concurrent simulator, not {simulator:?}"
+                )));
+            }
+        }
+        Vec::new()
+    };
+    refuse_unsupported(variants.len(), &tel, &par, &ck)?;
+    let (c, check_time) = load_circuit_checked(spec, args)?;
+    tel.check_time = check_time;
     let patterns = load_patterns(&c, args, 256)?;
-    // The weight-aware plan and --prune share one static analysis pass.
-    let needs_analysis = prune || (par.plan == ShardPlan::WeightAware && par.threads > 1);
-    let analysis = needs_analysis.then(|| analyze_circuit(&c));
-    let pruned: Option<PrunedUniverse<StuckAt>> = match &analysis {
-        Some(a) if prune => Some(match learn {
-            Some(options) => {
-                let graph = ImplicationGraph::build(&c, a, options);
-                prune_stuck_at_learned(&c, a, &graph).universe
-            }
-            None => prune_stuck_at(&c, a),
-        }),
-        _ => None,
-    };
-    let incr: Option<(ImpactUniverse<StuckAt>, Vec<FaultStatus>)> =
-        match flag_value(args, "--baseline-report") {
-            Some(path) if incremental => {
-                let baseline = load_baseline(path, "stuck", "uncollapsed")?;
-                Some(prepare_incremental(
-                    &c,
-                    baseline,
-                    &patterns,
-                    classify_stuck_at,
-                )?)
-            }
-            _ => None,
-        };
-    let faults = match (&pruned, &incr) {
-        (Some(u), _) => {
-            print_prune_banner("stuck-at", &u.stats);
-            u.sim.clone()
+    let universe = prepare_universe(&c, args, &patterns, &par, prune, learn, &STUCK, |c| {
+        if uncollapsed {
+            enumerate_stuck_at(c)
+        } else {
+            collapse_stuck_at(c).representatives
         }
-        (None, Some((u, _))) => {
-            print_impact_banner("stuck-at", &u.stats);
-            u.affected.clone()
+    })?;
+    let run = Run {
+        c: &c,
+        patterns: &patterns,
+        universe: &universe,
+        tel: &tel,
+        par: &par,
+        ck: &ck,
+    };
+    let mut jsonl = open_jsonl(&tel.stats_json)?;
+    if simulator == "csim" {
+        let probes = Probes::pick(&tel, variants.len());
+        let mut outcomes = Vec::with_capacity(variants.len());
+        for variant in variants {
+            let options = CsimOptions {
+                quiesce_window: par.quiesce_window,
+                ..variant.options()
+            };
+            // Cold cross-check re-runs stay ungated on purpose: a gating
+            // bug cannot mask itself from the paranoid comparison.
+            let cold = |full: &[StuckAt]| {
+                ConcurrentSim::new(&c, full, variant.options())
+                    .run(&patterns)
+                    .statuses
+            };
+            outcomes.push(match probes {
+                Probes::Null => simulate::<ConcurrentSim>(&run, options, &mut jsonl, cold)?,
+                Probes::Metrics => {
+                    simulate::<ConcurrentSim<SimMetrics>>(&run, options, &mut jsonl, cold)?
+                }
+                Probes::Trace => {
+                    simulate::<ConcurrentSim<TraceProbe>>(&run, options, &mut jsonl, cold)?
+                }
+            });
         }
-        (None, None) if has_flag(args, "--uncollapsed") => enumerate_stuck_at(&c),
-        (None, None) => collapse_stuck_at(&c).representatives,
-    };
-    let keys: Option<Vec<u32>> = match &analysis {
-        Some(a) if par.plan == ShardPlan::WeightAware && par.threads > 1 => {
-            Some(stuck_weights(&c, a, &faults))
-        }
-        _ => None,
-    };
-    let exp: Expansion<'_, StuckAt> = match (&pruned, &incr) {
-        (Some(u), _) => Expansion::Pruned(u),
-        (None, Some((u, baseline))) => Expansion::Incremental {
-            universe: u,
-            baseline,
-        },
-        _ => Expansion::Verbatim,
-    };
-    let variant_name = flag_value(args, "--variant").unwrap_or("mv");
+        return finish_run(&run, &outcomes, jsonl, STUCK.baseline);
+    }
+    let faults = &universe.faults;
     let report = match simulator {
-        "csim" => {
-            return run_csim_stuck(
-                &c,
-                &faults,
-                &patterns,
-                variant_name,
-                &tel,
-                &par,
-                &ck,
-                exp,
-                keys.as_deref(),
-            )
-        }
-        other if tel.trace_out.is_some() => {
-            return Err(err(format!(
-                "--trace-out needs the concurrent simulator, not {other:?}"
-            )))
-        }
-        other if par.threads > 1 => {
-            return Err(err(format!(
-                "--threads needs the concurrent simulator, not {other:?}"
-            )))
-        }
-        other if par.batch.is_some() => {
-            return Err(err(format!(
-                "--batch-windows needs the concurrent simulator, not {other:?}"
-            )))
-        }
-        other if par.paranoid => {
-            return Err(err(format!(
-                "--paranoid needs the concurrent simulator, not {other:?}"
-            )))
-        }
-        other if par.quiesce_window > 0 => {
-            return Err(err(format!(
-                "--quiesce-window needs the concurrent simulator, not {other:?}"
-            )))
-        }
-        "proofs" => ProofsSim::new(&c, &faults).run(&patterns),
-        "serial" => SerialSim::new(&c, &faults).run(&patterns),
+        "proofs" => ProofsSim::new(&c, faults).run(&patterns),
+        "serial" => SerialSim::new(&c, faults).run(&patterns),
         "deductive" => {
             let reset = vec![Logic::Zero; c.num_dffs()];
-            DeductiveSim::new(&c, &faults, reset).run(&patterns)?
+            DeductiveSim::new(&c, faults, reset).run(&patterns)?
         }
         other => return Err(err(format!("unknown simulator {other:?}"))),
     };
     print_report(&report);
-    if let Some(path) = &par.detections {
-        write_detections(path, &report.statuses)?;
-    }
-    if let Some(path) = &par.baseline_out {
-        write_baseline(
-            path,
-            "stuck",
-            "uncollapsed",
-            &c,
-            &patterns,
-            &report.statuses,
-        )?;
-    }
-    emit_basic_telemetry(&tel, &report)
-}
-
-fn run_transition_instrumented(
-    sim: &mut TransitionSim<SimMetrics>,
-    circuit: &str,
-    patterns: &[Vec<Logic>],
-    trace_every: Option<usize>,
-    total_faults: usize,
-) -> FaultSimReport {
-    let start = Instant::now();
-    for (i, p) in patterns.iter().enumerate() {
-        sim.step(p);
-        if trace_every.is_some_and(|n| (i + 1) % n == 0) {
-            trace_progress(sim.metrics(), i + 1, sim.detected(), total_faults);
+    // The baseline simulators report only run totals: a headline-only
+    // snapshot through the same table and JSON path.
+    let snap = tel.enabled().then(|| {
+        if tel.trace_every.is_some() {
+            eprintln!("fsim: note: --trace-every needs a concurrent simulator; ignored");
         }
+        MetricsSnapshot::from_basic(
+            &report.simulator,
+            &report.circuit,
+            report.patterns as u64,
+            report.detected() as u64,
+            report.events,
+            report.evaluations,
+            report.memory_bytes as u64,
+            report.cpu.as_secs_f64(),
+        )
+    });
+    if let (Some(w), Some(snap)) = (jsonl.as_mut(), &snap) {
+        w.write_summary(snap)
+            .map_err(|e| err(format!("cannot write telemetry: {e}")))?;
     }
-    let cpu = start.elapsed();
-    FaultSimReport {
-        simulator: "csim-T".to_owned(),
-        circuit: circuit.to_owned(),
-        patterns: patterns.len(),
-        statuses: sim.statuses(),
-        cpu,
-        memory_bytes: sim.memory_bytes(),
-        events: sim.events(),
-        evaluations: sim.fault_evaluations(),
-    }
+    let outcome = Outcome {
+        report,
+        snap,
+        trace: None,
+    };
+    finish_run(&run, &[outcome], jsonl, STUCK.baseline)
 }
 
 fn cmd_transition(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
@@ -2768,446 +2618,48 @@ fn cmd_transition(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let spec = args
         .first()
         .ok_or_else(|| err("transition: missing circuit"))?;
-    let (c, check_time) = load_circuit_checked(spec, args)?;
     let mut tel = TelemetryOpts::parse(args)?;
-    tel.check_time = check_time;
     let par = ParallelOpts::parse(args)?;
-    let ck = CheckpointOpts::parse(args, &par, &tel)?;
-    let prune = has_flag(args, "--prune");
-    let learn = learn_opts("transition", args)?;
-    if learn.is_some() && !prune {
-        return Err(err("--learn extends --prune; add --prune"));
-    }
-    let incremental = has_flag(args, "--incremental");
-    if incremental && prune {
-        return Err(err(
-            "--incremental and --prune both rewrite the simulated universe; pick one",
-        ));
-    }
-    if incremental && flag_value(args, "--baseline-report").is_none() {
-        return Err(err("--incremental needs --baseline-report FILE"));
-    }
-    if !incremental && flag_value(args, "--baseline-report").is_some() {
-        return Err(err("--baseline-report needs --incremental"));
-    }
+    let ck = CheckpointOpts::parse(args)?;
+    refuse_unsupported(1, &tel, &par, &ck)?;
+    let (prune, learn) = universe_flags("transition", args)?;
+    let (c, check_time) = load_circuit_checked(spec, args)?;
+    tel.check_time = check_time;
     let patterns = load_patterns(&c, args, 256)?;
-    let needs_analysis = prune || (par.plan == ShardPlan::WeightAware && par.threads > 1);
-    let analysis = needs_analysis.then(|| analyze_circuit(&c));
-    let pruned: Option<PrunedUniverse<TransitionFault>> = match &analysis {
-        Some(a) if prune => Some(match learn {
-            Some(options) => {
-                let graph = ImplicationGraph::build(&c, a, options);
-                prune_transition_learned(&c, a, &graph)
-            }
-            None => prune_transition(&c, a),
-        }),
-        _ => None,
+    let universe = prepare_universe(
+        &c,
+        args,
+        &patterns,
+        &par,
+        prune,
+        learn,
+        &TRANSITION,
+        enumerate_transition,
+    )?;
+    let run = Run {
+        c: &c,
+        patterns: &patterns,
+        universe: &universe,
+        tel: &tel,
+        par: &par,
+        ck: &ck,
     };
-    let incr: Option<(ImpactUniverse<TransitionFault>, Vec<FaultStatus>)> =
-        match flag_value(args, "--baseline-report") {
-            Some(path) if incremental => {
-                let baseline = load_baseline(path, "transition", "full")?;
-                Some(prepare_incremental(
-                    &c,
-                    baseline,
-                    &patterns,
-                    classify_transition,
-                )?)
-            }
-            _ => None,
-        };
-    let faults = match (&pruned, &incr) {
-        (Some(u), _) => {
-            print_prune_banner("transition", &u.stats);
-            u.sim.clone()
-        }
-        (None, Some((u, _))) => {
-            print_impact_banner("transition", &u.stats);
-            u.affected.clone()
-        }
-        (None, None) => enumerate_transition(&c),
+    let options = TransitionOptions {
+        quiesce_window: par.quiesce_window,
+        ..TransitionOptions::default()
     };
-    let keys: Option<Vec<u32>> = match &analysis {
-        Some(a) if par.plan == ShardPlan::WeightAware && par.threads > 1 => {
-            Some(transition_weights(&c, a, &faults))
-        }
-        _ => None,
-    };
-    let exp: Expansion<'_, TransitionFault> = match (&pruned, &incr) {
-        (Some(u), _) => Expansion::Pruned(u),
-        (None, Some((u, baseline))) => Expansion::Incremental {
-            universe: u,
-            baseline,
-        },
-        _ => Expansion::Verbatim,
-    };
-    if ck.active() {
-        return run_transition_checkpointed(&c, &faults, &patterns, &tel, &par, &ck, exp);
-    }
-    if tel.trace_out.is_some() {
-        return run_transition_traced(&c, &faults, &patterns, &tel, &par, exp, keys.as_deref());
-    }
-    if par.threads > 1 || par.batch.is_some() {
-        return run_transition_sharded(&c, &faults, &patterns, &tel, &par, exp, keys.as_deref());
-    }
-    if !tel.enabled() {
-        let mut sim = TransitionSim::new(&c, &faults, transition_options(&par));
-        if par.paranoid {
-            sim.set_paranoid(true);
-        }
-        let mut report = sim.run(&patterns);
-        exp.expand(&mut report);
-        print_report(&report);
-        verify_incremental(c.name(), exp, par.paranoid, &report.statuses, |full| {
-            TransitionSim::new(&c, full, TransitionOptions::default())
-                .run(&patterns)
-                .statuses
-        })?;
-        if let Some(path) = &par.detections {
-            write_detections(path, &report.statuses)?;
-        }
-        if let Some(path) = &par.baseline_out {
-            write_baseline(path, "transition", "full", &c, &patterns, &report.statuses)?;
-        }
-        return Ok(());
-    }
-    let mut jsonl = open_jsonl(&tel.stats_json)?;
-    let mut sim = TransitionSim::instrumented(&c, &faults, transition_options(&par));
-    if par.paranoid {
-        sim.set_paranoid(true);
-    }
-    let mut report =
-        run_transition_instrumented(&mut sim, c.name(), &patterns, tel.trace_every, faults.len());
-    exp.expand(&mut report);
-    print_report(&report);
-    verify_incremental(c.name(), exp, par.paranoid, &report.statuses, |full| {
+    let cold = |full: &[TransitionFault]| {
         TransitionSim::new(&c, full, TransitionOptions::default())
             .run(&patterns)
             .statuses
-    })?;
-    let mut snap = sim.snapshot();
-    snap.cpu_seconds = report.cpu.as_secs_f64();
-    snap.phases.add(Phase::Check, tel.check_time);
-    exp.stamp(&mut snap);
-    if tel.stats {
-        print_stats_detail(&snap, sim.metrics());
-        println!();
-        print!("{}", render_summary_table(std::slice::from_ref(&snap)));
-    }
-    if let Some(w) = jsonl.as_mut() {
-        emit_jsonl(w, sim.metrics(), &snap)?;
-    }
-    if let Some(path) = &par.detections {
-        write_detections(path, &report.statuses)?;
-    }
-    if let Some(path) = &par.baseline_out {
-        write_baseline(path, "transition", "full", &c, &patterns, &report.statuses)?;
-    }
-    close_jsonl(jsonl, &tel.stats_json)
-}
-
-/// The `transition --checkpoint-every` / `--resume-from` path; mirrors
-/// [`run_csim_stuck_checkpointed`].
-fn run_transition_checkpointed(
-    c: &Circuit,
-    faults: &[TransitionFault],
-    patterns: &[Vec<Logic>],
-    tel: &TelemetryOpts,
-    par: &ParallelOpts,
-    ck: &CheckpointOpts,
-    exp: Expansion<'_, TransitionFault>,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let mut sim = TransitionSim::instrumented(c, faults, transition_options(par));
-    if par.paranoid {
-        sim.set_paranoid(true);
-    }
-    let start_at = match &ck.resume {
-        Some(path) => {
-            let snap = load_checkpoint_file(path)?;
-            sim.restore(&snap)
-                .map_err(|e| diag(format!("error: K002 [checkpoint-mismatch] {path}: {e}")))?;
-            let done = snap.pattern_index() as usize;
-            if done > patterns.len() {
-                return Err(err(format!(
-                    "{path} already covers {done} pattern(s) but this run replays only {}",
-                    patterns.len()
-                )));
-            }
-            println!("resumed from {path} at pattern {done}");
-            done
-        }
-        None => 0,
     };
-    let mut ckpt_time = Duration::ZERO;
-    let mut written = 0u32;
-    let start = Instant::now();
-    for (i, p) in patterns.iter().enumerate().skip(start_at) {
-        sim.step(p);
-        if tel.trace_every.is_some_and(|n| (i + 1) % n == 0) {
-            trace_progress(sim.metrics(), i + 1, sim.detected(), faults.len());
-        }
-        if let (Some(every), Some(dir)) = (ck.every, ck.out.as_deref()) {
-            if (i + 1) % every == 0 && i + 1 < patterns.len() {
-                let t = Instant::now();
-                let snapshot = sim.checkpoint();
-                write_checkpoint_file(dir, &snapshot)?;
-                ckpt_time += t.elapsed();
-                written += 1;
-            }
-        }
-    }
-    let cpu = start.elapsed();
-    let mut report = FaultSimReport {
-        simulator: "csim-T".to_owned(),
-        circuit: c.name().to_owned(),
-        patterns: patterns.len(),
-        statuses: sim.statuses(),
-        cpu,
-        memory_bytes: sim.memory_bytes(),
-        events: sim.events(),
-        evaluations: sim.fault_evaluations(),
-    };
-    if let Some(dir) = ck.out.as_deref() {
-        if written > 0 {
-            println!(
-                "wrote {written} checkpoint(s) to {dir} ({:.1} ms)",
-                ckpt_time.as_secs_f64() * 1e3
-            );
-        }
-    }
-    exp.expand(&mut report);
-    print_report(&report);
-    verify_incremental(c.name(), exp, par.paranoid, &report.statuses, |full| {
-        TransitionSim::new(c, full, TransitionOptions::default())
-            .run(patterns)
-            .statuses
-    })?;
-    if tel.enabled() {
-        let mut snap = sim.snapshot();
-        snap.cpu_seconds = report.cpu.as_secs_f64();
-        snap.phases.add(Phase::Check, tel.check_time);
-        snap.phases.add(Phase::Checkpoint, ckpt_time);
-        exp.stamp(&mut snap);
-        if tel.stats {
-            print_stats_detail(&snap, sim.metrics());
-            println!();
-            print!("{}", render_summary_table(std::slice::from_ref(&snap)));
-        }
-        let mut jsonl = open_jsonl(&tel.stats_json)?;
-        if let Some(w) = jsonl.as_mut() {
-            emit_jsonl(w, sim.metrics(), &snap)?;
-        }
-        close_jsonl(jsonl, &tel.stats_json)?;
-    }
-    if let Some(path) = &par.detections {
-        write_detections(path, &report.statuses)?;
-    }
-    if let Some(path) = &par.baseline_out {
-        write_baseline(path, "transition", "full", c, patterns, &report.statuses)?;
-    }
-    Ok(())
-}
-
-/// The `transition --threads N > 1` path; mirrors
-/// [`run_csim_stuck_sharded`].
-#[allow(clippy::too_many_arguments)]
-fn run_transition_sharded(
-    c: &Circuit,
-    faults: &[TransitionFault],
-    patterns: &[Vec<Logic>],
-    tel: &TelemetryOpts,
-    par: &ParallelOpts,
-    exp: Expansion<'_, TransitionFault>,
-    keys: Option<&[u32]>,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let mut report = if tel.enabled() {
-        let mut jsonl = open_jsonl(&tel.stats_json)?;
-        let mut sim = ParallelTransitionSim::with_probes_sharded(
-            c,
-            faults,
-            transition_options(par),
-            par.threads,
-            par.shards(),
-            par.plan,
-            keys,
-            |_| SimMetrics::new(),
-        );
-        if par.paranoid {
-            sim.set_paranoid(true);
-        }
-        let mut progress = ProgressState::default();
-        let after = |s: &ParallelTransitionSim<SimMetrics>, done: usize| {
-            if let Some(every) = tel.trace_every {
-                let shards: Vec<&SimMetrics> = s.shard_metrics().collect();
-                merged_trace_progress(&shards, &mut progress, every, done, faults.len());
-            }
-        };
-        let report = match &par.batch {
-            Some(b) => sim.run_batched_with(patterns, b, after),
-            None => sim.run_with(patterns, after),
-        };
-        let mut snap = sim.snapshot();
-        snap.cpu_seconds = report.cpu.as_secs_f64();
-        snap.phases.add(Phase::Check, tel.check_time);
-        exp.stamp(&mut snap);
-        if tel.stats {
-            print_sched_line(par, sim.sched_stats(), sim.num_shards());
-            print_stats_detail_sharded(&snap, sim.shard_metrics());
-            println!();
-            print!("{}", render_summary_table(std::slice::from_ref(&snap)));
-        }
-        if let Some(w) = jsonl.as_mut() {
-            w.write_summary(&snap)
-                .map_err(|e| err(format!("cannot write telemetry: {e}")))?;
-        }
-        close_jsonl(jsonl, &tel.stats_json)?;
-        report
-    } else {
-        let mut sim = ParallelTransitionSim::with_probes_sharded(
-            c,
-            faults,
-            transition_options(par),
-            par.threads,
-            par.shards(),
-            par.plan,
-            keys,
-            |_| NullProbe,
-        );
-        if par.paranoid {
-            sim.set_paranoid(true);
-        }
-        match &par.batch {
-            Some(b) => sim.run_batched(patterns, b),
-            None => sim.run(patterns),
-        }
-    };
-    exp.expand(&mut report);
-    print_report(&report);
-    verify_incremental(c.name(), exp, par.paranoid, &report.statuses, |full| {
-        TransitionSim::new(c, full, TransitionOptions::default())
-            .run(patterns)
-            .statuses
-    })?;
-    if let Some(path) = &par.detections {
-        write_detections(path, &report.statuses)?;
-    }
-    if let Some(path) = &par.baseline_out {
-        write_baseline(path, "transition", "full", c, patterns, &report.statuses)?;
-    }
-    Ok(())
-}
-
-/// The `transition --trace-out` path; mirrors [`run_csim_stuck_traced`].
-fn run_transition_traced(
-    c: &Circuit,
-    faults: &[TransitionFault],
-    patterns: &[Vec<Logic>],
-    tel: &TelemetryOpts,
-    par: &ParallelOpts,
-    exp: Expansion<'_, TransitionFault>,
-    keys: Option<&[u32]>,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let epoch = Instant::now();
-    let mut sim = ParallelTransitionSim::with_probes_sharded(
-        c,
-        faults,
-        transition_options(par),
-        par.threads,
-        par.shards(),
-        par.plan,
-        keys,
-        |_| -> TraceProbe {
-            PairProbe(SimMetrics::new(), TraceRecorder::new(epoch, tel.trace_cfg))
-        },
-    );
-    if par.paranoid {
-        sim.set_paranoid(true);
-    }
-    let mut progress = ProgressState::default();
-    let after = |s: &ParallelTransitionSim<TraceProbe>, done: usize| {
-        if let Some(every) = tel.trace_every {
-            let shards: Vec<&SimMetrics> = s.shard_probes().map(|(p, _)| &p.0).collect();
-            merged_trace_progress(&shards, &mut progress, every, done, faults.len());
-        }
-    };
-    let sched_offset = epoch.elapsed().as_micros() as u64;
-    let mut report = match &par.batch {
-        Some(b) => sim.run_batched_with(patterns, b, after),
-        None => sim.run_with(patterns, after),
-    };
-    exp.expand(&mut report);
-    print_report(&report);
-    verify_incremental(c.name(), exp, par.paranoid, &report.statuses, |full| {
-        TransitionSim::new(c, full, TransitionOptions::default())
-            .run(patterns)
-            .statuses
-    })?;
-    let mut merged: Option<MetricsSnapshot> = None;
-    for (p, _) in sim.shard_probes() {
-        let shard_snap = p.0.snapshot("", c.name());
-        match merged.as_mut() {
-            None => merged = Some(shard_snap),
-            Some(m) => m.merge_shard(&shard_snap),
-        }
-    }
-    let mut snap = merged.unwrap_or_default();
-    snap.simulator = report.simulator.clone();
-    snap.circuit = c.name().to_owned();
-    let (good_events, good_evals) = sim.good_engine_work();
-    snap.events += good_events;
-    snap.good_evals += good_evals;
-    snap.cpu_seconds = report.cpu.as_secs_f64();
-    snap.phases.add(Phase::Check, tel.check_time);
-    exp.stamp(&mut snap);
-    snap.trace_events = sim.shard_probes().map(|(p, _)| p.1.recorded_events()).sum();
-    snap.trace_dropped = sim.shard_probes().map(|(p, _)| p.1.dropped_events()).sum();
-    if let Some(st) = sim.sched_stats() {
-        snap.windows = st.windows as u64;
-        snap.steals = st.steals;
-    }
-    if tel.stats {
-        print_sched_line(par, sim.sched_stats(), sim.num_shards());
-        print_stats_detail_sharded(&snap, sim.shard_probes().map(|(p, _)| &p.0));
-        println!();
-        print!("{}", render_summary_table(std::slice::from_ref(&snap)));
-    }
     let mut jsonl = open_jsonl(&tel.stats_json)?;
-    if let Some(w) = jsonl.as_mut() {
-        if par.threads == 1 && par.batch.is_none() {
-            let (p, _) = sim.shard_probes().next().expect("one shard");
-            emit_jsonl(w, &p.0, &snap)?;
-        } else {
-            w.write_summary(&snap)
-                .map_err(|e| err(format!("cannot write telemetry: {e}")))?;
-        }
-    }
-    close_jsonl(jsonl, &tel.stats_json)?;
-    if let Some(path) = &par.detections {
-        write_detections(path, &report.statuses)?;
-    }
-    if let Some(path) = &par.baseline_out {
-        write_baseline(path, "transition", "full", c, patterns, &report.statuses)?;
-    }
-    let shard_data: Vec<(Vec<TraceEvent>, &[usize])> = sim
-        .shard_probes()
-        .map(|(p, map)| (p.1.events().copied().collect(), map))
-        .collect();
-    let sched = par
-        .batch
-        .as_ref()
-        .and_then(|_| sched_track_of(sim.sched_stats(), sched_offset));
-    let path = tel
-        .trace_out
-        .as_deref()
-        .expect("routed here by --trace-out");
-    write_trace_file(
-        path,
-        &format!("{} · {}", c.name(), report.simulator),
-        &shard_data,
-        sched.as_ref(),
-        snap.trace_events,
-        snap.trace_dropped,
-    )
+    let outcome = match Probes::pick(&tel, 1) {
+        Probes::Null => simulate::<TransitionSim>(&run, options, &mut jsonl, cold)?,
+        Probes::Metrics => simulate::<TransitionSim<SimMetrics>>(&run, options, &mut jsonl, cold)?,
+        Probes::Trace => simulate::<TransitionSim<TraceProbe>>(&run, options, &mut jsonl, cold)?,
+    };
+    finish_run(&run, &[outcome], jsonl, TRANSITION.baseline)
 }
 
 /// Display name of a gate-level node. Gate-level networks keep node id ==
@@ -3404,16 +2856,7 @@ fn cmd_heatmap(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     if !matches!(format, "text" | "json") {
         return Err(err(format!("unknown format {format:?} (text, json)")));
     }
-    let top = match flag_value(args, "--top") {
-        Some(v) => {
-            let n: usize = v.parse().map_err(|_| err("--top needs a number"))?;
-            if n == 0 {
-                return Err(err("--top must be at least 1"));
-            }
-            n
-        }
-        None => 20,
-    };
+    let top = count_flag(args, "--top")?.unwrap_or(20);
     let (c, _check_time) = load_circuit_checked(spec, args)?;
     let faults = if has_flag(args, "--uncollapsed") {
         enumerate_stuck_at(&c)

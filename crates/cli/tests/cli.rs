@@ -371,6 +371,115 @@ fn transition_threads_detections_are_byte_identical() {
     );
 }
 
+/// Every branch of the run driver — telemetry, progress, sharded,
+/// batched, traced, gated, checkpointed, resumed — must leave the plain
+/// serial run's detection dump byte-identical, for both fault models.
+#[test]
+fn every_driver_branch_matches_the_serial_detections() {
+    let dir = std::env::temp_dir().join("fsim-cli-branches");
+    std::fs::create_dir_all(&dir).unwrap();
+    let p = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    for cmd in ["sim", "transition"] {
+        let run = |tag: &str, extra: &[&str]| -> String {
+            let det = p(&format!("{cmd}-{tag}.txt"));
+            let mut args = vec![cmd, "@s298g", "--random", "64", "--detections", &det];
+            args.extend_from_slice(extra);
+            let (ok, out, err) = fsim(&args);
+            assert!(ok, "{cmd} {extra:?}: {err}");
+            assert!(out.contains("detections to"), "{cmd} {extra:?}: {out}");
+            std::fs::read_to_string(&det).unwrap()
+        };
+        let serial = run("serial", &[]);
+        assert!(!serial.trim().is_empty(), "{cmd}: some faults detected");
+        let jsonl = p(&format!("{cmd}.jsonl"));
+        let trace = p(&format!("{cmd}.trace.json"));
+        let ckpts = p(&format!("{cmd}-ckpts"));
+        let _ = std::fs::remove_dir_all(&ckpts);
+        let rows: [(&str, Vec<&str>); 10] = [
+            ("stats", vec!["--stats"]),
+            ("stats-json", vec!["--stats-json", &jsonl]),
+            ("trace-every", vec!["--trace-every", "16"]),
+            ("threads", vec!["--threads", "2"]),
+            (
+                "batched",
+                vec!["--threads", "2", "--batch-windows", "8", "--steal"],
+            ),
+            ("trace-out", vec!["--trace-out", &trace]),
+            (
+                "trace-out-threads",
+                vec!["--trace-out", &trace, "--threads", "2"],
+            ),
+            ("quiesce", vec!["--quiesce-window", "2"]),
+            (
+                "checkpoint",
+                vec!["--checkpoint-every", "16", "--checkpoint-out", &ckpts],
+            ),
+            ("resume", vec![]),
+        ];
+        let resume_from = format!("{ckpts}/ckpt-000032.bin");
+        for (tag, extra) in rows {
+            let extra = if tag == "resume" {
+                vec!["--resume-from", resume_from.as_str()]
+            } else {
+                extra
+            };
+            assert_eq!(run(tag, &extra), serial, "{cmd} {tag} diverged from serial");
+        }
+    }
+}
+
+/// One stdout layout for every mode: the report, then the scheduler line
+/// (batched runs), then the `--stats` detail, then the summary table.
+#[test]
+fn stats_sections_print_in_one_order_in_every_mode() {
+    for cmd in ["sim", "transition"] {
+        for extra in [
+            &[][..],
+            &["--threads", "2"][..],
+            &["--threads", "2", "--batch-windows", "8"][..],
+        ] {
+            let mut args = vec![cmd, "@s27", "--random", "16", "--stats"];
+            args.extend_from_slice(extra);
+            let (ok, out, err) = fsim(&args);
+            assert!(ok, "{cmd} {extra:?}: {err}");
+            let at = |needle: &str| {
+                out.find(needle)
+                    .unwrap_or_else(|| panic!("{cmd} {extra:?}: no {needle:?} in:\n{out}"))
+            };
+            let report = at(" on s27: ");
+            let detail = at("phase ");
+            let histograms = at("fault-list length per node");
+            let summary = at("events/pat");
+            assert!(
+                report < detail && detail < histograms && histograms < summary,
+                "{cmd} {extra:?}: sections out of order:\n{out}"
+            );
+            if extra.contains(&"--batch-windows") {
+                let sched = at("  scheduler: ");
+                assert!(report < sched && sched < detail, "{cmd} {extra:?}:\n{out}");
+            }
+        }
+    }
+}
+
+/// A closed stdout (`fsim … | head`) ends the run quietly instead of in a
+/// `failed printing to stdout` panic.
+#[cfg(unix)]
+#[test]
+fn closed_stdout_exits_without_a_panic() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_fsim"))
+        .args(["sim", "@s298g", "--random", "64", "--stats"])
+        .stdout(writer)
+        .stderr(std::process::Stdio::piped())
+        .output()
+        .expect("fsim runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "{err}");
+    assert_ne!(out.status.code(), Some(101), "{err}");
+}
+
 #[test]
 fn sim_threads_stats_renders_merged_table() {
     let (ok, out, err) = fsim(&["sim", "@s27", "--random", "16", "--threads", "2", "--stats"]);
@@ -385,6 +494,9 @@ fn threads_flag_rejects_bad_values() {
     let (ok, _, err) = fsim(&["sim", "@s27", "--threads", "0"]);
     assert!(!ok);
     assert!(err.contains("--threads must be at least 1"), "{err}");
+    let (ok, _, err) = fsim(&["sim", "@s27", "--random", "4", "--threads", "50000"]);
+    assert!(!ok);
+    assert!(err.contains("--threads must be at most 256"), "{err}");
     let (ok, _, err) = fsim(&["sim", "@s27", "--shard-plan", "mystery"]);
     assert!(!ok);
     assert!(err.contains("unknown shard plan"), "{err}");

@@ -16,7 +16,14 @@
 //!
 //! [`ConcurrentSim`] is the stuck-at simulator ([`CsimVariant`] names the
 //! four configurations of Table 3); [`TransitionSim`] is the transition
-//! fault simulator of Table 6.
+//! fault simulator of Table 6. Both implement [`FaultMachine`] — the
+//! models share the engine and differ only in their clock cycle — and
+//! everything above one machine is written once over that trait:
+//! [`ShardedSim`] splits the fault list across shards that share one good
+//! machine, runs them serially, sharded, or under the pattern-window ×
+//! fault-shard work-stealing scheduler, and merges the results
+//! deterministically. [`ParallelSim`] and [`ParallelTransitionSim`] are its
+//! stuck-at and transition instantiations.
 //!
 //! # Examples
 //!
@@ -42,6 +49,7 @@ mod checkpoint;
 mod delay_mode;
 mod engine;
 mod list;
+mod machine;
 mod network;
 mod parallel;
 mod pargood;
@@ -55,9 +63,10 @@ pub use batch::{
 pub use checkpoint::{Checkpoint, CheckpointError, Model as CheckpointModel};
 pub use delay_mode::DelayCsim;
 pub use list::{Arena, FaultElement, ListBuilder, ListIter, NIL, TERMINAL_FAULT};
+pub use machine::FaultMachine;
 pub use parallel::{
     detections_of, stuck_levels, transition_levels, GlobalDetection, ParallelSim,
-    ParallelTransitionSim, ShardPlan,
+    ParallelTransitionSim, ShardPlan, ShardedSim,
 };
 pub use stuck::{ConcurrentSim, CsimOptions, CsimVariant, StepResult};
 pub use transition::{TransitionOptions, TransitionSim};

@@ -179,6 +179,38 @@ impl Network {
     pub fn levels(&self) -> impl Iterator<Item = u32> + '_ {
         self.nodes.iter().map(|n| n.level)
     }
+
+    /// The same network with every fault removed — what the builders
+    /// return for an empty fault list, since node numbering never depends
+    /// on the faults. The good LUTs are interned before any faulty one, so
+    /// they are a prefix of the pool.
+    pub fn fault_free(&self) -> Network {
+        let good_luts = self
+            .nodes
+            .iter()
+            .filter_map(|n| match n.eval {
+                NodeEval::Lut(idx) => Some(idx as usize + 1),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0);
+        let mut net = Network {
+            nodes: self.nodes.clone(),
+            src_offsets: self.src_offsets.clone(),
+            src_edges: self.src_edges.clone(),
+            fan_offsets: self.fan_offsets.clone(),
+            fan_edges: self.fan_edges.clone(),
+            pi_nodes: self.pi_nodes.clone(),
+            dff_nodes: self.dff_nodes.clone(),
+            po_taps: self.po_taps.clone(),
+            lut_pool: self.lut_pool[..good_luts].to_vec(),
+            descriptors: Vec::new(),
+            locals: Vec::new(),
+            lut_bytes: 0,
+        };
+        attach_resolved(&mut net, &[]);
+        net
+    }
 }
 
 /// Flattens per-node adjacency vectors into a CSR (offsets, edges) pair.
@@ -535,5 +567,44 @@ pub(crate) fn gate_lut(f: GateFn, arity: usize) -> Option<Lut3> {
         Some(Lut3::from_table(&TruthTable::from_gate_fn(f, arity)))
     } else {
         None
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::stuck::CsimVariant;
+
+    #[test]
+    fn fault_free_network_matches_a_fresh_fault_free_build() {
+        let c = cfs_netlist::generate::benchmark("s298g").unwrap();
+        let specs: Vec<FaultSpec> = cfs_faults::enumerate_stuck_at(&c)
+            .into_iter()
+            .map(FaultSpec::Stuck)
+            .collect();
+        for macros in [false, true] {
+            let options = if macros {
+                CsimVariant::Mv.options()
+            } else {
+                CsimVariant::V.options()
+            };
+            let net = if macros {
+                build_macro_network(&c, &specs, options.macro_max_inputs)
+            } else {
+                build_gate_network(&c, &specs)
+            };
+            let twin = net.fault_free();
+            let fresh = if macros {
+                build_macro_network(&c, &[], options.macro_max_inputs)
+            } else {
+                build_gate_network(&c, &[])
+            };
+            assert_eq!(twin.memory_bytes(), fresh.memory_bytes(), "macros={macros}");
+            assert_eq!(twin.lut_pool, fresh.lut_pool, "macros={macros}");
+            assert_eq!(twin.src_edges, fresh.src_edges, "macros={macros}");
+            assert_eq!(twin.fan_edges, fresh.fan_edges, "macros={macros}");
+            assert!(twin.descriptors.is_empty() && twin.locals.is_empty());
+            assert!(twin.nodes.iter().all(|n| n.locals.is_empty()));
+        }
     }
 }

@@ -4,33 +4,35 @@
 //! partitionable: every faulty machine lives on its own list elements and
 //! never interacts with another fault, so splitting the fault list across
 //! `P` independent engines changes nothing about per-fault semantics.
-//! [`ParallelSim`] (stuck-at) and [`ParallelTransitionSim`] (the §3
-//! transition model) exploit exactly that:
+//! [`ShardedSim`] exploits exactly that, once, for any [`FaultMachine`]
+//! — [`ParallelSim`] (stuck-at) and [`ParallelTransitionSim`] (the §3
+//! transition model) are its two instantiations:
 //!
 //! * the fault list is partitioned by a pluggable [`ShardPlan`] into `P`
-//!   exact-cover shards, one engine per shard,
+//!   exact-cover shards, one machine per shard,
 //! * the **good machine is evaluated once per pattern** by a fault-free
 //!   engine and its settled node values are shared read-only with every
-//!   shard (`Engine::propagate_with`), eliminating the per-shard
+//!   shard ([`FaultMachine::step_with`]), eliminating the per-shard
 //!   redundancy of re-simulating the identical good machine,
 //! * the pattern sequence is split into **windows**
 //!   ([`BatchOptions::window`]), and (shard × window) tasks run on a
 //!   work-stealing scheduler ([`crate::batch`]): per-worker deques,
 //!   idle workers stealing runnable shards, the caller's thread
-//!   producing good traces with bounded lookahead — so a long-pole
-//!   shard no longer bounds wall time the way the old per-block barrier
-//!   did,
+//!   producing good traces with bounded lookahead — one scheduler scope
+//!   per run, so a long-pole shard does not bound wall time the way a
+//!   per-block barrier would,
 //! * sequential DFF/arena state hands off at window boundaries by
 //!   construction: each shard's engine carries its own state, and the
 //!   scheduler runs a shard's windows strictly in order,
-//! * [`ParallelSim::run_batched`] additionally swaps the scalar good
+//! * [`ShardedSim::run_batched`] additionally swaps the scalar good
 //!   machine for the 64-lane pattern-parallel [`crate::pargood`] good
 //!   machine (PPSFP's DFFs-as-pseudo-inputs trick),
 //! * results merge deterministically — statuses by global fault index,
 //!   detections sorted by `(pattern, fault id)` — so the output is
 //!   bit-identical for any (window size, thread count, steal schedule),
 //!   including `P = 1`, which skips the good-trace machinery entirely
-//!   and runs today's serial path.
+//!   (the good engine is only built when a run schedules) and runs the
+//!   serial machine's own path.
 //!
 //! Determinism needs no locks because fault detection is a per-fault fact:
 //! whether (and at which pattern) fault `f` is detected depends only on
@@ -48,20 +50,15 @@ use std::time::{Duration, Instant};
 use cfs_faults::{FaultSimReport, FaultStatus, StuckAt, TransitionFault};
 use cfs_logic::Logic;
 use cfs_netlist::Circuit;
-use cfs_telemetry::{MetricsSnapshot, NullProbe, Probe, SimMetrics};
+use cfs_telemetry::{MetricsSnapshot, NullProbe, SimMetrics};
 
 use crate::batch::{run_windows, seeded_schedule, window_bounds, BatchOptions, SchedStats};
+use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::engine::Engine;
-use crate::network::{build_gate_network, build_macro_network};
+use crate::machine::FaultMachine;
 use crate::pargood::PackedGood;
-use crate::stuck::{ConcurrentSim, CsimOptions};
-use crate::transition::{TransitionOptions, TransitionSim};
-
-/// Patterns per good-trace window on the default `run` path (also the
-/// serial path's progress-callback granularity). Equal to
-/// [`crate::batch::DEFAULT_WINDOW`]: bounds live trace memory while
-/// keeping scheduling overhead rare.
-const BLOCK: usize = crate::batch::DEFAULT_WINDOW;
+use crate::stuck::ConcurrentSim;
+use crate::transition::TransitionSim;
 
 /// How the fault list is split across shards.
 ///
@@ -86,7 +83,7 @@ pub enum ShardPlan {
     /// shard's total weight stays close. With plain levels as keys this
     /// degenerates to a level-spread plan; its intended keys are the SCOAP
     /// detection-difficulty weights from `cfs-check` (see
-    /// [`ParallelSim::new_with_keys`]), which track how long a fault stays
+    /// [`ShardedSim::with_probes`]), which track how long a fault stays
     /// undetected — and therefore how much list work it causes.
     WeightAware,
 }
@@ -213,23 +210,6 @@ pub fn transition_levels(circuit: &Circuit, faults: &[TransitionFault]) -> Vec<u
 /// A detection in global fault-index terms: `(fault index, pattern)`.
 pub type GlobalDetection = (u32, u32);
 
-/// Merges per-fault statuses from shards back into the global order and
-/// derives the deterministic detection list: sorted by pattern, then by
-/// fault index. Shared by both parallel simulators.
-fn merge_statuses(
-    num_faults: usize,
-    shards: impl Iterator<Item = (Vec<usize>, Vec<FaultStatus>)>,
-) -> Vec<FaultStatus> {
-    let mut statuses = vec![FaultStatus::Undetected; num_faults];
-    for (global, local) in shards {
-        debug_assert_eq!(global.len(), local.len());
-        for (&g, &s) in global.iter().zip(&local) {
-            statuses[g] = s;
-        }
-    }
-    statuses
-}
-
 /// The deterministic detection list of a status vector: every detected
 /// fault as `(fault index, pattern)`, sorted by pattern then fault index —
 /// the merge order the differential harness pins.
@@ -269,102 +249,24 @@ fn assert_exact_cover(parts: &[Vec<usize>], n: usize) {
     );
 }
 
-/// Runs every `(shard × window)` task on the work-stealing scheduler.
-///
-/// `good` produces traces on the caller's thread — scalar
-/// [`Engine::good_cycle`] per pattern by default, or the 64-lane
-/// [`PackedGood`] machine when `packed` — while `threads` workers drain
-/// shard deques, calling `step(shard, pattern, trace)` once per pattern of
-/// the task's window. Shards are handed to workers through uncontended
-/// `Mutex` slots: the scheduler runs a shard's windows strictly in order,
-/// so no two workers ever hold the same shard (each lock is a formality
-/// the type system demands, never a wait).
-///
-/// Determinism: per-shard work is identical to a serial walk of that
-/// shard over the full pattern sequence (same engine, same pattern order,
-/// same good traces), so merged results cannot depend on worker count or
-/// steal schedule.
-#[allow(clippy::too_many_arguments)]
-fn schedule_windows<S, F>(
-    threads: usize,
-    good: &mut Engine,
-    shards: &mut [S],
-    patterns: &[Vec<Logic>],
-    bounds: &[(usize, usize)],
-    batch: &BatchOptions,
-    packed: bool,
-    step: F,
-) -> SchedStats
-where
-    S: Send,
-    F: Fn(&mut S, &[Logic], &[Logic]) + Sync,
-{
-    let sizes: Vec<usize> = bounds.iter().map(|&(lo, hi)| hi - lo).collect();
-    let slots: Vec<Mutex<&mut S>> = shards.iter_mut().map(Mutex::new).collect();
-    let run = |s: usize, w: usize, trace: &Vec<Vec<Logic>>| {
-        let mut shard = slots[s].lock().expect("uncontended shard slot");
-        let (lo, hi) = bounds[w];
-        for (p, t) in patterns[lo..hi].iter().zip(trace.iter()) {
-            step(&mut shard, p, t);
-        }
-    };
-    if packed {
-        let state: Vec<Logic> = good
-            .net
-            .dff_nodes
-            .iter()
-            .map(|&q| good.good[q as usize])
-            .collect();
-        let mut pg = PackedGood::new(&good.net, state);
-        let net = &good.net;
-        let stats = run_windows(
-            threads,
-            slots.len(),
-            &sizes,
-            batch.steal,
-            batch.steal_seed,
-            |w| {
-                let (lo, hi) = bounds[w];
-                pg.window_traces(net, &patterns[lo..hi])
-            },
-            run,
-        );
-        // Fold the pattern-parallel good work into the engine's counters
-        // and commit the post-run state so consecutive runs stay
-        // sequentially consistent with the scalar good machine.
-        good.good_evals += pg.scalar_evals + pg.packed_evals;
-        good.set_dff_state(&pg.state);
-        stats
-    } else {
-        run_windows(
-            threads,
-            slots.len(),
-            &sizes,
-            batch.steal,
-            batch.steal_seed,
-            |w| {
-                let (lo, hi) = bounds[w];
-                patterns[lo..hi]
-                    .iter()
-                    .map(|p| good.good_cycle(p))
-                    .collect()
-            },
-            run,
-        )
-    }
-}
-
-struct StuckShard<P: Probe> {
-    sim: ConcurrentSim<P>,
+struct Shard<M> {
+    machine: M,
     /// Global fault index per local fault id (ascending).
     global: Vec<usize>,
 }
 
-/// Fault-sharded parallel stuck-at simulator: `P` concurrent engines over
-/// disjoint fault shards, one shared good machine.
+/// Fault-sharded parallel simulator over any [`FaultMachine`]: `P`
+/// machines over disjoint fault shards, one shared good machine.
 ///
-/// With `threads == 1` the single shard holds every fault and runs the
-/// exact serial code path (no good trace, no worker threads).
+/// [`ParallelSim`] (stuck-at) and [`ParallelTransitionSim`] (the §3
+/// transition model) are its two instantiations. The per-fault
+/// previous-pin state and the transition latch stash live inside each
+/// shard's own engine, so sharding changes nothing about either model's
+/// semantics.
+///
+/// With one thread and one shard, the shard holds every fault and runs
+/// the exact serial code path: no good machine is built, no trace is
+/// produced, no worker thread starts.
 ///
 /// # Examples
 ///
@@ -389,11 +291,11 @@ struct StuckShard<P: Probe> {
 /// assert_eq!(rp.statuses, rs.statuses);
 /// # Ok::<(), cfs_logic::ParseLogicError>(())
 /// ```
-pub struct ParallelSim<P: Probe = NullProbe> {
-    shards: Vec<StuckShard<P>>,
-    /// Fault-free engine advancing the shared good machine.
-    good: Engine,
-    options: CsimOptions,
+pub struct ShardedSim<M> {
+    shards: Vec<Shard<M>>,
+    /// Fault-free engine advancing the shared good machine. Built on the
+    /// first scheduled run, so serial runs never pay for it.
+    good: Option<Engine>,
     plan: ShardPlan,
     circuit_name: String,
     num_faults: usize,
@@ -404,21 +306,27 @@ pub struct ParallelSim<P: Probe = NullProbe> {
     sched: Option<SchedStats>,
 }
 
-impl<P: Probe> fmt::Debug for ParallelSim<P> {
+/// Fault-sharded stuck-at simulator (all four `csim` variants).
+pub type ParallelSim<P = NullProbe> = ShardedSim<ConcurrentSim<P>>;
+
+/// Fault-sharded transition simulator (§3 model, two passes per cycle).
+pub type ParallelTransitionSim<P = NullProbe> = ShardedSim<TransitionSim<P>>;
+
+impl<M: FaultMachine> fmt::Debug for ShardedSim<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ParallelSim")
+        f.debug_struct("ShardedSim")
+            .field("simulator", &self.name_str())
             .field("circuit", &self.circuit_name)
             .field("faults", &self.num_faults)
             .field("threads", &self.threads)
             .field("shards", &self.shards.len())
             .field("plan", &self.plan)
-            .field("options", &self.options)
             .finish()
     }
 }
 
-impl ParallelSim {
-    /// Shards `faults` into `threads` engines per `plan`. Each shard
+impl<M: FaultMachine<Probe = NullProbe>> ShardedSim<M> {
+    /// Shards `faults` into `threads` machines per `plan`. Each shard
     /// carries no probe and pays no instrumentation cost.
     ///
     /// # Panics
@@ -426,44 +334,22 @@ impl ParallelSim {
     /// Panics if `threads == 0`.
     pub fn new(
         circuit: &Circuit,
-        faults: &[StuckAt],
-        options: CsimOptions,
+        faults: &[M::Fault],
+        options: M::Options,
         threads: usize,
         plan: ShardPlan,
     ) -> Self {
         Self::with_probes(circuit, faults, options, threads, plan, None, |_| NullProbe)
     }
-
-    /// Like [`ParallelSim::new`], but partitions on caller-supplied balance
-    /// keys (one per fault) instead of site logic levels — the hook for the
-    /// SCOAP detection-difficulty weights computed by `cfs-check`. Only
-    /// key-sensitive plans ([`ShardPlan::LevelAware`],
-    /// [`ShardPlan::WeightAware`]) behave differently.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or `keys.len() != faults.len()`.
-    pub fn new_with_keys(
-        circuit: &Circuit,
-        faults: &[StuckAt],
-        options: CsimOptions,
-        threads: usize,
-        plan: ShardPlan,
-        keys: &[u32],
-    ) -> Self {
-        Self::with_probes(circuit, faults, options, threads, plan, Some(keys), |_| {
-            NullProbe
-        })
-    }
 }
 
-impl ParallelSim<SimMetrics> {
-    /// Like [`ParallelSim::new`], but every shard records a [`SimMetrics`]
-    /// probe; [`ParallelSim::snapshot`] merges them.
+impl<M: FaultMachine<Probe = SimMetrics>> ShardedSim<M> {
+    /// Like [`ShardedSim::new`], but every shard records a [`SimMetrics`]
+    /// probe; [`ShardedSim::snapshot`] merges them.
     pub fn instrumented(
         circuit: &Circuit,
-        faults: &[StuckAt],
-        options: CsimOptions,
+        faults: &[M::Fault],
+        options: M::Options,
         threads: usize,
         plan: ShardPlan,
     ) -> Self {
@@ -472,79 +358,43 @@ impl ParallelSim<SimMetrics> {
         })
     }
 
-    /// [`ParallelSim::new_with_keys`] with recording probes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or `keys.len() != faults.len()`.
-    pub fn instrumented_with_keys(
-        circuit: &Circuit,
-        faults: &[StuckAt],
-        options: CsimOptions,
-        threads: usize,
-        plan: ShardPlan,
-        keys: &[u32],
-    ) -> Self {
-        Self::with_probes(circuit, faults, options, threads, plan, Some(keys), |_| {
-            SimMetrics::new()
-        })
-    }
-
-    /// Telemetry merged across all shards: counters summed, peaks maxed,
-    /// rates recomputed (see [`MetricsSnapshot::merge_shard`]). The good
-    /// engine's once-per-pattern work is folded into the event and
-    /// good-evaluation totals so the sum stays comparable to a serial run.
+    /// Telemetry merged across all shards (see [`ShardedSim::snapshot_by`]).
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut merged: Option<MetricsSnapshot> = None;
-        for shard in &self.shards {
-            let snap = shard.sim.engine.probe.snapshot("", &self.circuit_name);
-            match merged.as_mut() {
-                None => merged = Some(snap),
-                Some(m) => m.merge_shard(&snap),
-            }
-        }
-        let mut snap = merged.unwrap_or_default();
-        snap.simulator = self.name_str();
-        snap.circuit = self.circuit_name.clone();
-        snap.events += self.good.events;
-        snap.good_evals += self.good.good_evals;
-        if let Some(st) = &self.sched {
-            snap.windows = st.windows as u64;
-            snap.steals = st.steals;
-        }
-        snap
+        self.snapshot_by(|m| m)
     }
 
     /// Per-shard metric recorders, in shard order.
     pub fn shard_metrics(&self) -> impl Iterator<Item = &SimMetrics> {
-        self.shards.iter().map(|s| &s.sim.engine.probe)
+        self.shards.iter().map(|s| s.machine.probe())
     }
 }
 
-impl<P: Probe> ParallelSim<P> {
+impl<M: FaultMachine> ShardedSim<M> {
     /// The fully general constructor: shards `faults` into `threads`
-    /// engines per `plan` (partitioning on `keys` when given, site logic
-    /// levels otherwise), attaching `probe(shard_index)` to each shard —
-    /// the hook for per-shard trace recorders and other custom probes.
+    /// machines per `plan` (partitioning on `keys` when given — e.g. the
+    /// SCOAP detection-difficulty weights from `cfs-check` — and on site
+    /// logic levels otherwise), attaching `probe(shard_index)` to each
+    /// shard: the hook for per-shard trace recorders and other custom
+    /// probes.
     ///
     /// # Panics
     ///
     /// Panics if `threads == 0` or a key slice has the wrong length.
     pub fn with_probes(
         circuit: &Circuit,
-        faults: &[StuckAt],
-        options: CsimOptions,
+        faults: &[M::Fault],
+        options: M::Options,
         threads: usize,
         plan: ShardPlan,
         keys: Option<&[u32]>,
-        probe: impl FnMut(usize) -> P,
+        probe: impl FnMut(usize) -> M::Probe,
     ) -> Self {
         Self::with_probes_sharded(
             circuit, faults, options, threads, threads, plan, keys, probe,
         )
     }
 
-    /// [`ParallelSim::with_probes`] with the two parallelism axes
+    /// [`ShardedSim::with_probes`] with the two parallelism axes
     /// decoupled: `shards` fault partitions driven by `threads` workers.
     /// Oversharding (`shards > threads`) gives the work-stealing
     /// scheduler spare tasks to migrate, so a long-pole shard no longer
@@ -557,21 +407,23 @@ impl<P: Probe> ParallelSim<P> {
     #[allow(clippy::too_many_arguments)]
     pub fn with_probes_sharded(
         circuit: &Circuit,
-        faults: &[StuckAt],
-        options: CsimOptions,
+        faults: &[M::Fault],
+        options: M::Options,
         threads: usize,
         shards: usize,
         plan: ShardPlan,
         keys: Option<&[u32]>,
-        probe: impl FnMut(usize) -> P,
+        probe: impl FnMut(usize) -> M::Probe,
     ) -> Self {
         assert!(shards > 0, "at least one shard");
+        if let Some(keys) = keys {
+            assert_eq!(keys.len(), faults.len(), "one balance key per fault");
+        }
         let parts = match keys {
-            Some(keys) => {
-                assert_eq!(keys.len(), faults.len(), "one balance key per fault");
-                plan.partition(keys, shards)
-            }
-            None => plan.partition(&stuck_levels(circuit, faults), shards),
+            // Every plan deals a single shard the whole universe.
+            _ if shards == 1 => vec![(0..faults.len()).collect()],
+            Some(keys) => plan.partition(keys, shards),
+            None => plan.partition(&M::site_levels(circuit, faults), shards),
         };
         Self::from_parts(circuit, faults, options, threads, plan, parts, probe)
     }
@@ -579,7 +431,7 @@ impl<P: Probe> ParallelSim<P> {
     /// Builds the simulator from an explicit fault partition — the hook
     /// for adversarial load shapes (one giant shard plus empties) that no
     /// [`ShardPlan`] would produce. `parts[k]` lists shard `k`'s global
-    /// fault indices; [`ParallelSim::plan`] reports the default plan.
+    /// fault indices; [`ShardedSim::plan`] reports the default plan.
     ///
     /// # Panics
     ///
@@ -588,11 +440,11 @@ impl<P: Probe> ParallelSim<P> {
     /// `0..faults.len()` (every index in exactly one part).
     pub fn with_partition(
         circuit: &Circuit,
-        faults: &[StuckAt],
-        options: CsimOptions,
+        faults: &[M::Fault],
+        options: M::Options,
         threads: usize,
         parts: Vec<Vec<usize>>,
-        probe: impl FnMut(usize) -> P,
+        probe: impl FnMut(usize) -> M::Probe,
     ) -> Self {
         assert!(!parts.is_empty(), "at least one shard");
         Self::from_parts(
@@ -608,12 +460,12 @@ impl<P: Probe> ParallelSim<P> {
 
     fn from_parts(
         circuit: &Circuit,
-        faults: &[StuckAt],
-        options: CsimOptions,
+        faults: &[M::Fault],
+        options: M::Options,
         threads: usize,
         plan: ShardPlan,
         parts: Vec<Vec<usize>>,
-        mut probe: impl FnMut(usize) -> P,
+        mut probe: impl FnMut(usize) -> M::Probe,
     ) -> Self {
         assert!(threads > 0, "at least one thread");
         assert_exact_cover(&parts, faults.len());
@@ -621,30 +473,21 @@ impl<P: Probe> ParallelSim<P> {
             .into_iter()
             .enumerate()
             .map(|(k, global)| {
-                let subset: Vec<StuckAt> = global.iter().map(|&i| faults[i]).collect();
-                StuckShard {
-                    sim: ConcurrentSim::with_probe(circuit, &subset, options.clone(), probe(k)),
-                    global,
-                }
+                // A part as large as the universe is the identity (exact
+                // cover, sorted): build it on the caller's list, exactly
+                // as the serial machine is built.
+                let machine = if global.len() == faults.len() {
+                    M::build(circuit, faults, options.clone(), probe(k))
+                } else {
+                    let subset: Vec<M::Fault> = global.iter().map(|&i| faults[i]).collect();
+                    M::build(circuit, &subset, options.clone(), probe(k))
+                };
+                Shard { machine, global }
             })
             .collect();
-        // The good engine must live on the same compiled network shape as
-        // the shards (macro collapsing renumbers nodes).
-        let net = if options.use_macros {
-            build_macro_network(circuit, &[], options.macro_max_inputs)
-        } else {
-            build_gate_network(circuit, &[])
-        };
-        let good = Engine::with_probe(
-            net,
-            options.split_invisible,
-            options.drop_detected,
-            NullProbe,
-        );
-        ParallelSim {
+        ShardedSim {
             shards,
-            good,
-            options,
+            good: None,
             plan,
             circuit_name: circuit.name().to_owned(),
             num_faults: faults.len(),
@@ -658,7 +501,7 @@ impl<P: Probe> ParallelSim<P> {
         self.threads
     }
 
-    /// Fault-shard count (equals [`ParallelSim::threads`] unless
+    /// Fault-shard count (equals [`ShardedSim::threads`] unless
     /// constructed oversharded).
     pub fn num_shards(&self) -> usize {
         self.shards.len()
@@ -675,13 +518,13 @@ impl<P: Probe> ParallelSim<P> {
         self.plan
     }
 
+    /// One thread over one shard: runs take the serial path.
+    fn is_serial(&self) -> bool {
+        self.threads == 1 && self.shards.len() == 1
+    }
+
     fn name_str(&self) -> String {
-        let base = match (self.options.split_invisible, self.options.use_macros) {
-            (false, false) => "csim",
-            (true, false) => "csim-V",
-            (false, true) => "csim-M",
-            (true, true) => "csim-MV",
-        };
+        let base = self.shards[0].machine.name();
         if self.threads == 1 {
             base.to_owned()
         } else {
@@ -689,100 +532,242 @@ impl<P: Probe> ParallelSim<P> {
         }
     }
 
-    /// Forces the good-machine flip-flop state on every shard and the
-    /// shared good engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state.len()` differs from the flip-flop count.
-    pub fn set_state(&mut self, state: &[Logic]) {
-        self.good.set_dff_state(state);
-        for shard in &mut self.shards {
-            shard.sim.set_state(state);
-        }
-    }
-
     /// Forces every shard's per-pattern invariant verifier on (or off)
     /// regardless of the build profile — the CLI's `--paranoid`.
     pub fn set_paranoid(&mut self, on: bool) {
         for shard in &mut self.shards {
-            shard.sim.set_paranoid(on);
+            shard.machine.set_paranoid(on);
         }
     }
 
     /// Per-shard probes paired with their global fault maps
     /// (`map[local id] = global index`), in shard order — what a trace
     /// exporter needs to merge shard streams onto global fault ids.
-    pub fn shard_probes(&self) -> impl Iterator<Item = (&P, &[usize])> {
+    pub fn shard_probes(&self) -> impl Iterator<Item = (&M::Probe, &[usize])> {
         self.shards
             .iter()
-            .map(|s| (s.sim.probe(), s.global.as_slice()))
+            .map(|s| (s.machine.probe(), s.global.as_slice()))
     }
 
-    /// `(events, good_evals)` of the shared good engine — the
-    /// once-per-pattern work a merged snapshot must fold back in. Zero on
-    /// the single-shard serial path, which never touches the good engine.
-    pub fn good_engine_work(&self) -> (u64, u64) {
-        (self.good.events, self.good.good_evals)
+    /// Telemetry merged across all shards, reading each shard's
+    /// [`SimMetrics`] through `metrics` (e.g. the metrics half of a paired
+    /// probe): counters summed, peaks maxed, rates recomputed (see
+    /// [`MetricsSnapshot::merge_shard`]). The good engine's once-per-pattern
+    /// work is folded into the event and good-evaluation totals so the sum
+    /// stays comparable to a serial run.
+    pub fn snapshot_by(&self, metrics: impl Fn(&M::Probe) -> &SimMetrics) -> MetricsSnapshot {
+        let mut merged: Option<MetricsSnapshot> = None;
+        for shard in &self.shards {
+            let snap = metrics(shard.machine.probe()).snapshot("", &self.circuit_name);
+            match merged.as_mut() {
+                None => merged = Some(snap),
+                Some(m) => m.merge_shard(&snap),
+            }
+        }
+        let mut snap = merged.unwrap_or_default();
+        snap.simulator = self.name_str();
+        snap.circuit = self.circuit_name.clone();
+        if let Some(good) = &self.good {
+            snap.events += good.events;
+            snap.good_evals += good.good_evals;
+        }
+        if let Some(st) = &self.sched {
+            snap.windows = st.windows as u64;
+            snap.steals = st.steals;
+        }
+        snap
+    }
+
+    /// Captures a pattern-boundary checkpoint of an unsharded simulator.
+    /// Call only between runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the simulator has exactly one shard: a checkpoint
+    /// captures one engine.
+    pub fn checkpoint(&self) -> Checkpoint {
+        assert_eq!(self.shards.len(), 1, "a checkpoint captures one engine");
+        self.shards[0].machine.checkpoint()
+    }
+
+    /// Restores a checkpoint into an unsharded simulator built like the
+    /// one that captured it.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CheckpointError`] when the checkpoint does not match the
+    /// simulator's configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the simulator has exactly one shard.
+    pub fn restore(&mut self, ck: &Checkpoint) -> Result<(), CheckpointError> {
+        assert_eq!(self.shards.len(), 1, "a checkpoint restores one engine");
+        self.shards[0].machine.restore(ck)
+    }
+
+    fn report(&self, patterns: usize, cpu: Duration) -> FaultSimReport {
+        FaultSimReport {
+            simulator: self.name_str(),
+            circuit: self.circuit_name.clone(),
+            patterns,
+            statuses: self.statuses(),
+            cpu,
+            memory_bytes: self.memory_bytes(),
+            events: self.events(),
+            evaluations: self.fault_evaluations(),
+        }
+    }
+
+    /// Per-fault statuses in the global fault order given to the
+    /// constructor — bit-identical for any thread count.
+    pub fn statuses(&self) -> Vec<FaultStatus> {
+        let mut statuses = vec![FaultStatus::Undetected; self.num_faults];
+        for shard in &self.shards {
+            for (&g, s) in shard.global.iter().zip(shard.machine.statuses()) {
+                statuses[g] = s;
+            }
+        }
+        statuses
+    }
+
+    /// The deterministic merged detection list: `(global fault index,
+    /// pattern)` sorted by pattern, then fault index.
+    pub fn detections(&self) -> Vec<GlobalDetection> {
+        detections_of(&self.statuses())
+    }
+
+    /// Faults detected so far.
+    pub fn detected(&self) -> usize {
+        self.shards.iter().map(|s| s.machine.detected()).sum()
+    }
+
+    /// Node activations across all shards plus the shared good engine.
+    pub fn events(&self) -> u64 {
+        self.good.as_ref().map_or(0, |g| g.events)
+            + self.shards.iter().map(|s| s.machine.events()).sum::<u64>()
+    }
+
+    /// Faulty-machine evaluations across all shards.
+    pub fn fault_evaluations(&self) -> u64 {
+        self.shards
+            .iter()
+            .map(|s| s.machine.fault_evaluations())
+            .sum()
+    }
+
+    /// Paper-comparable memory model summed over shards and the good
+    /// engine.
+    pub fn memory_bytes(&self) -> usize {
+        let good = match &self.good {
+            Some(g) if !self.is_serial() => g.memory_bytes(),
+            _ => 0,
+        };
+        good + self
+            .shards
+            .iter()
+            .map(|s| s.machine.memory_bytes())
+            .sum::<usize>()
+    }
+
+    /// Peak live fault elements: the maximum over shards. Shards run the
+    /// same pattern sequence concurrently, so the run's high-water mark is
+    /// the largest single arena, not the sum of per-shard peaks (which
+    /// need not coincide in time).
+    pub fn peak_elements(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.machine.peak_elements())
+            .max()
+            .unwrap_or(0)
     }
 }
 
-impl<P: Probe + Send> ParallelSim<P> {
+/// A fault-free engine on `machine`'s compiled network: the good machine
+/// every shard of a scheduled run reads its traces from.
+fn good_engine<M: FaultMachine>(machine: &M) -> Engine {
+    let engine = machine.engine();
+    Engine::with_probe(
+        engine.net.fault_free(),
+        engine.split,
+        engine.drop_detected,
+        NullProbe,
+    )
+}
+
+/// The 64-lane pattern-parallel good machine, starting from `good`'s
+/// committed flip-flop state.
+fn packed_good(good: &Engine) -> PackedGood {
+    let state = good
+        .net
+        .dff_nodes
+        .iter()
+        .map(|&q| good.good[q as usize])
+        .collect();
+    PackedGood::new(&good.net, state)
+}
+
+/// Folds the pattern-parallel good work into the engine's counters and
+/// commits the post-run state, so consecutive runs stay sequentially
+/// consistent with the scalar good machine.
+fn commit_packed(good: &mut Engine, pg: &PackedGood) {
+    good.good_evals += pg.scalar_evals + pg.packed_evals;
+    good.set_dff_state(&pg.state);
+}
+
+impl<M: FaultMachine + Send> ShardedSim<M> {
     /// Simulates a pattern sequence and assembles the merged report.
     pub fn run(&mut self, patterns: &[Vec<Logic>]) -> FaultSimReport {
         self.run_with(patterns, |_, _| {})
     }
 
-    /// Like [`ParallelSim::run`], but calls `after_block(self, done)` on
-    /// the coordinating thread after each window of patterns settles on
-    /// every shard (`done` = patterns completed so far). The callback sees
-    /// quiescent shards, so it may read per-shard probes and merge them —
-    /// the deterministic hook behind `--trace-every` progress under
-    /// `--threads N`. On scheduled runs the callbacks replay after the
-    /// workers finish; because probes record per-pattern, the merged view
-    /// at each boundary is identical to a barriered run's.
+    /// Like [`ShardedSim::run`], but calls `after(self, done)` on the
+    /// coordinating thread as patterns settle on every shard (`done` =
+    /// patterns completed so far): after every pattern on the serial path,
+    /// after every window on scheduled runs. The callback sees quiescent
+    /// shards, so it may read per-shard probes and merge them — the
+    /// deterministic hook behind `--trace-every` progress. On scheduled
+    /// runs the callbacks replay after the workers finish; because probes
+    /// record per-pattern, the merged view at each boundary is identical
+    /// to a barriered run's.
     pub fn run_with(
         &mut self,
         patterns: &[Vec<Logic>],
-        mut after_block: impl FnMut(&Self, usize),
+        mut after: impl FnMut(&Self, usize),
     ) -> FaultSimReport {
-        if self.threads == 1 && self.shards.len() == 1 {
-            // Serial path: identical to ConcurrentSim::run.
+        if self.is_serial() {
             let start = Instant::now();
-            let mut done = 0usize;
-            for block in patterns.chunks(BLOCK) {
-                for p in block {
-                    self.shards[0].sim.engine.step_stuck(p);
-                }
-                done += block.len();
-                after_block(self, done);
+            for (i, p) in patterns.iter().enumerate() {
+                self.shards[0].machine.step_with(p, None);
+                after(self, i + 1);
             }
             self.report(patterns.len(), start.elapsed())
         } else {
             // Scalar good traces in pattern order keep the good engine's
             // counters bit-identical to the historical barriered path.
-            self.run_scheduled(patterns, &BatchOptions::default(), false, &mut after_block)
+            self.run_scheduled(patterns, &BatchOptions::default(), false, &mut after)
         }
     }
 
     /// Runs under explicit [`BatchOptions`] with the 64-lane
     /// pattern-parallel good machine producing window traces — the
-    /// two-dimensional (pattern-batch × fault-shard) mode. Detections are
-    /// bit-identical to [`ParallelSim::run`] and to the serial simulator
-    /// for any window size, thread count, and steal schedule.
+    /// two-dimensional (pattern-batch × fault-shard) mode. Both passes of
+    /// a transition cycle consume the same settled good trace. Detections
+    /// are bit-identical to [`ShardedSim::run`] and to the serial
+    /// simulator for any window size, thread count, and steal schedule.
     pub fn run_batched(&mut self, patterns: &[Vec<Logic>], batch: &BatchOptions) -> FaultSimReport {
         self.run_batched_with(patterns, batch, |_, _| {})
     }
 
-    /// [`ParallelSim::run_batched`] with the per-window callback of
-    /// [`ParallelSim::run_with`].
+    /// [`ShardedSim::run_batched`] with the per-window callback of
+    /// [`ShardedSim::run_with`].
     pub fn run_batched_with(
         &mut self,
         patterns: &[Vec<Logic>],
         batch: &BatchOptions,
-        mut after_window: impl FnMut(&Self, usize),
+        mut after: impl FnMut(&Self, usize),
     ) -> FaultSimReport {
-        self.run_scheduled(patterns, batch, true, &mut after_window)
+        self.run_scheduled(patterns, batch, true, &mut after)
     }
 
     /// Single-threaded replay of the deterministic steal interleaving
@@ -801,13 +786,8 @@ impl<P: Probe + Send> ParallelSim<P> {
         let bounds = window_bounds(patterns.len(), batch.window);
         {
             let Self { shards, good, .. } = self;
-            let state: Vec<Logic> = good
-                .net
-                .dff_nodes
-                .iter()
-                .map(|&q| good.good[q as usize])
-                .collect();
-            let mut pg = PackedGood::new(&good.net, state);
+            let good = good.get_or_insert_with(|| good_engine(&shards[0].machine));
+            let mut pg = packed_good(good);
             let order = seeded_schedule(shards.len(), bounds.len(), schedule_seed);
             let mut traces: Vec<Option<Vec<Vec<Logic>>>> = Vec::new();
             traces.resize_with(bounds.len(), || None);
@@ -822,26 +802,40 @@ impl<P: Probe + Send> ParallelSim<P> {
                 let (lo, hi) = bounds[w];
                 let trace = traces[w].as_ref().expect("windows produce in order");
                 for (p, t) in patterns[lo..hi].iter().zip(trace.iter()) {
-                    shards[s].sim.engine.step_stuck_with(p, Some(t));
+                    shards[s].machine.step_with(p, Some(t));
                 }
                 remaining[w] -= 1;
                 if remaining[w] == 0 {
                     traces[w] = None; // same retirement rule as the scheduler
                 }
             }
-            good.good_evals += pg.scalar_evals + pg.packed_evals;
-            good.set_dff_state(&pg.state);
+            commit_packed(good, &pg);
         }
         self.sched = None;
         self.report(patterns.len(), start.elapsed())
     }
 
+    /// Runs every `(shard × window)` task on the work-stealing scheduler.
+    ///
+    /// The good machine produces traces on the caller's thread — scalar
+    /// [`Engine::good_cycle`] per pattern by default, or the 64-lane
+    /// [`PackedGood`] machine when `packed` — while `threads` workers
+    /// drain shard deques, stepping each pattern of the task's window
+    /// against its trace. Shards are handed to workers through
+    /// uncontended `Mutex` slots: the scheduler runs a shard's windows
+    /// strictly in order, so no two workers ever hold the same shard (each
+    /// lock is a formality the type system demands, never a wait).
+    ///
+    /// Determinism: per-shard work is identical to a serial walk of that
+    /// shard over the full pattern sequence (same engine, same pattern
+    /// order, same good traces), so merged results cannot depend on worker
+    /// count or steal schedule.
     fn run_scheduled(
         &mut self,
         patterns: &[Vec<Logic>],
         batch: &BatchOptions,
         packed: bool,
-        after_window: &mut dyn FnMut(&Self, usize),
+        after: &mut dyn FnMut(&Self, usize),
     ) -> FaultSimReport {
         let start = Instant::now();
         let bounds = window_bounds(patterns.len(), batch.window);
@@ -852,564 +846,58 @@ impl<P: Probe + Send> ParallelSim<P> {
                 threads,
                 ..
             } = self;
-            schedule_windows(
-                *threads,
-                good,
-                shards,
-                patterns,
-                &bounds,
-                batch,
-                packed,
-                |shard: &mut StuckShard<P>, p, t| {
-                    shard.sim.engine.step_stuck_with(p, Some(t));
-                },
-            )
-        };
-        self.sched = Some(stats);
-        let mut done = 0usize;
-        for &(lo, hi) in &bounds {
-            done += hi - lo;
-            after_window(self, done);
-        }
-        self.report(patterns.len(), start.elapsed())
-    }
-
-    fn report(&self, patterns: usize, cpu: Duration) -> FaultSimReport {
-        FaultSimReport {
-            simulator: self.name_str(),
-            circuit: self.circuit_name.clone(),
-            patterns,
-            statuses: self.statuses(),
-            cpu,
-            memory_bytes: self.memory_bytes(),
-            events: self.events(),
-            evaluations: self.fault_evaluations(),
-        }
-    }
-
-    /// Per-fault statuses in the global fault order given to
-    /// [`ParallelSim::new`] — bit-identical for any thread count.
-    pub fn statuses(&self) -> Vec<FaultStatus> {
-        merge_statuses(
-            self.num_faults,
-            self.shards
-                .iter()
-                .map(|s| (s.global.clone(), s.sim.statuses())),
-        )
-    }
-
-    /// The deterministic merged detection list: `(global fault index,
-    /// pattern)` sorted by pattern, then fault index.
-    pub fn detections(&self) -> Vec<GlobalDetection> {
-        detections_of(&self.statuses())
-    }
-
-    /// Faults detected so far.
-    pub fn detected(&self) -> usize {
-        self.shards.iter().map(|s| s.sim.detected()).sum()
-    }
-
-    /// Node activations across all shards plus the shared good engine.
-    pub fn events(&self) -> u64 {
-        self.good.events + self.shards.iter().map(|s| s.sim.events()).sum::<u64>()
-    }
-
-    /// Faulty-machine evaluations across all shards.
-    pub fn fault_evaluations(&self) -> u64 {
-        self.shards.iter().map(|s| s.sim.fault_evaluations()).sum()
-    }
-
-    /// Paper-comparable memory model summed over shards and the good
-    /// engine.
-    pub fn memory_bytes(&self) -> usize {
-        let good = if self.threads == 1 && self.shards.len() == 1 {
-            0 // serial path never touches the good engine
-        } else {
-            self.good.memory_bytes()
-        };
-        good + self
-            .shards
-            .iter()
-            .map(|s| s.sim.memory_bytes())
-            .sum::<usize>()
-    }
-
-    /// Peak live fault elements: the maximum over shards. Shards run the
-    /// same pattern sequence concurrently, so the run's high-water mark is
-    /// the largest single arena, not the sum of per-shard peaks (which
-    /// need not coincide in time).
-    pub fn peak_elements(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.sim.peak_elements())
-            .max()
-            .unwrap_or(0)
-    }
-}
-
-struct TransitionShard<P: Probe> {
-    sim: TransitionSim<P>,
-    global: Vec<usize>,
-}
-
-/// Fault-sharded parallel transition simulator (§3 model): like
-/// [`ParallelSim`], with the two-pass hold/release cycle per shard. The
-/// per-fault previous-pin state and the latch stash live inside each
-/// shard's own engine, so sharding changes nothing about the two-pass
-/// semantics.
-pub struct ParallelTransitionSim<P: Probe = NullProbe> {
-    shards: Vec<TransitionShard<P>>,
-    good: Engine,
-    plan: ShardPlan,
-    circuit_name: String,
-    num_faults: usize,
-    /// Worker threads driving the scheduler (see [`ParallelSim`]).
-    threads: usize,
-    /// Scheduler statistics of the most recent scheduled run.
-    sched: Option<SchedStats>,
-}
-
-impl<P: Probe> fmt::Debug for ParallelTransitionSim<P> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ParallelTransitionSim")
-            .field("circuit", &self.circuit_name)
-            .field("faults", &self.num_faults)
-            .field("threads", &self.threads)
-            .field("shards", &self.shards.len())
-            .field("plan", &self.plan)
-            .finish()
-    }
-}
-
-impl ParallelTransitionSim {
-    /// Shards the transition fault list into `threads` engines per `plan`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn new(
-        circuit: &Circuit,
-        faults: &[TransitionFault],
-        options: TransitionOptions,
-        threads: usize,
-        plan: ShardPlan,
-    ) -> Self {
-        Self::with_probes(circuit, faults, options, threads, plan, None, |_| NullProbe)
-    }
-
-    /// Like [`ParallelTransitionSim::new`] with caller-supplied balance
-    /// keys (see [`ParallelSim::new_with_keys`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or `keys.len() != faults.len()`.
-    pub fn new_with_keys(
-        circuit: &Circuit,
-        faults: &[TransitionFault],
-        options: TransitionOptions,
-        threads: usize,
-        plan: ShardPlan,
-        keys: &[u32],
-    ) -> Self {
-        Self::with_probes(circuit, faults, options, threads, plan, Some(keys), |_| {
-            NullProbe
-        })
-    }
-}
-
-impl ParallelTransitionSim<SimMetrics> {
-    /// Like [`ParallelTransitionSim::new`] with recording probes.
-    pub fn instrumented(
-        circuit: &Circuit,
-        faults: &[TransitionFault],
-        options: TransitionOptions,
-        threads: usize,
-        plan: ShardPlan,
-    ) -> Self {
-        Self::with_probes(circuit, faults, options, threads, plan, None, |_| {
-            SimMetrics::new()
-        })
-    }
-
-    /// [`ParallelTransitionSim::new_with_keys`] with recording probes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or `keys.len() != faults.len()`.
-    pub fn instrumented_with_keys(
-        circuit: &Circuit,
-        faults: &[TransitionFault],
-        options: TransitionOptions,
-        threads: usize,
-        plan: ShardPlan,
-        keys: &[u32],
-    ) -> Self {
-        Self::with_probes(circuit, faults, options, threads, plan, Some(keys), |_| {
-            SimMetrics::new()
-        })
-    }
-
-    /// Telemetry merged across all shards plus the good engine's work.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut merged: Option<MetricsSnapshot> = None;
-        for shard in &self.shards {
-            let snap = shard
-                .sim
-                .engine
-                .probe
-                .snapshot("csim-T", &self.circuit_name);
-            match merged.as_mut() {
-                None => merged = Some(snap),
-                Some(m) => m.merge_shard(&snap),
-            }
-        }
-        let mut snap = merged.unwrap_or_default();
-        snap.simulator = self.name_str();
-        snap.circuit = self.circuit_name.clone();
-        snap.events += self.good.events;
-        snap.good_evals += self.good.good_evals;
-        if let Some(st) = &self.sched {
-            snap.windows = st.windows as u64;
-            snap.steals = st.steals;
-        }
-        snap
-    }
-
-    /// Per-shard metric recorders, in shard order.
-    pub fn shard_metrics(&self) -> impl Iterator<Item = &SimMetrics> {
-        self.shards.iter().map(|s| &s.sim.engine.probe)
-    }
-}
-
-impl<P: Probe> ParallelTransitionSim<P> {
-    /// The fully general constructor with a per-shard probe factory (see
-    /// [`ParallelSim::with_probes`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or a key slice has the wrong length.
-    pub fn with_probes(
-        circuit: &Circuit,
-        faults: &[TransitionFault],
-        options: TransitionOptions,
-        threads: usize,
-        plan: ShardPlan,
-        keys: Option<&[u32]>,
-        probe: impl FnMut(usize) -> P,
-    ) -> Self {
-        Self::with_probes_sharded(
-            circuit, faults, options, threads, threads, plan, keys, probe,
-        )
-    }
-
-    /// [`ParallelTransitionSim::with_probes`] with decoupled axes (see
-    /// [`ParallelSim::with_probes_sharded`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`, `shards == 0`, or a key slice has the
-    /// wrong length.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_probes_sharded(
-        circuit: &Circuit,
-        faults: &[TransitionFault],
-        options: TransitionOptions,
-        threads: usize,
-        shards: usize,
-        plan: ShardPlan,
-        keys: Option<&[u32]>,
-        mut probe: impl FnMut(usize) -> P,
-    ) -> Self {
-        assert!(threads > 0, "at least one thread");
-        assert!(shards > 0, "at least one shard");
-        let parts = match keys {
-            Some(keys) => {
-                assert_eq!(keys.len(), faults.len(), "one balance key per fault");
-                plan.partition(keys, shards)
-            }
-            None => plan.partition(&transition_levels(circuit, faults), shards),
-        };
-        assert_exact_cover(&parts, faults.len());
-        let shards = parts
-            .into_iter()
-            .enumerate()
-            .map(|(k, global)| {
-                let subset: Vec<TransitionFault> = global.iter().map(|&i| faults[i]).collect();
-                TransitionShard {
-                    sim: TransitionSim::with_probe(circuit, &subset, options.clone(), probe(k)),
-                    global,
-                }
-            })
-            .collect();
-        let net = build_gate_network(circuit, &[]);
-        let good = Engine::with_probe(
-            net,
-            options.split_invisible,
-            options.drop_detected,
-            NullProbe,
-        );
-        ParallelTransitionSim {
-            shards,
-            good,
-            plan,
-            circuit_name: circuit.name().to_owned(),
-            num_faults: faults.len(),
-            threads,
-            sched: None,
-        }
-    }
-
-    /// Worker thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Fault-shard count (see [`ParallelSim::num_shards`]).
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Scheduler statistics of the most recent scheduled run (see
-    /// [`ParallelSim::sched_stats`]).
-    pub fn sched_stats(&self) -> Option<&SchedStats> {
-        self.sched.as_ref()
-    }
-
-    /// The sharding plan in use.
-    pub fn plan(&self) -> ShardPlan {
-        self.plan
-    }
-
-    fn name_str(&self) -> String {
-        if self.threads == 1 {
-            "csim-T".to_owned()
-        } else {
-            format!("csim-T-p{}", self.threads)
-        }
-    }
-
-    /// Forces every shard's per-pattern invariant verifier on (or off)
-    /// regardless of the build profile — the CLI's `--paranoid`.
-    pub fn set_paranoid(&mut self, on: bool) {
-        for shard in &mut self.shards {
-            shard.sim.set_paranoid(on);
-        }
-    }
-
-    /// Per-shard probes paired with their global fault maps, in shard
-    /// order (see [`ParallelSim::shard_probes`]).
-    pub fn shard_probes(&self) -> impl Iterator<Item = (&P, &[usize])> {
-        self.shards
-            .iter()
-            .map(|s| (s.sim.probe(), s.global.as_slice()))
-    }
-
-    /// `(events, good_evals)` of the shared good engine (see
-    /// [`ParallelSim::good_engine_work`]).
-    pub fn good_engine_work(&self) -> (u64, u64) {
-        (self.good.events, self.good.good_evals)
-    }
-}
-
-impl<P: Probe + Send> ParallelTransitionSim<P> {
-    /// Simulates a pattern sequence and assembles the merged report.
-    pub fn run(&mut self, patterns: &[Vec<Logic>]) -> FaultSimReport {
-        self.run_with(patterns, |_, _| {})
-    }
-
-    /// Like [`ParallelTransitionSim::run`], with a per-window callback on
-    /// the coordinating thread (see [`ParallelSim::run_with`]).
-    pub fn run_with(
-        &mut self,
-        patterns: &[Vec<Logic>],
-        mut after_block: impl FnMut(&Self, usize),
-    ) -> FaultSimReport {
-        if self.threads == 1 && self.shards.len() == 1 {
-            let start = Instant::now();
-            let mut done = 0usize;
-            for block in patterns.chunks(BLOCK) {
-                for p in block {
-                    self.shards[0].sim.step(p);
-                }
-                done += block.len();
-                after_block(self, done);
-            }
-            self.report(patterns.len(), start.elapsed())
-        } else {
-            self.run_scheduled(patterns, &BatchOptions::default(), false, &mut after_block)
-        }
-    }
-
-    /// Two-dimensional (pattern-batch × fault-shard) run (see
-    /// [`ParallelSim::run_batched`]). The transition model's two passes
-    /// consume the same settled good trace, so the pattern-parallel good
-    /// machine serves both.
-    pub fn run_batched(&mut self, patterns: &[Vec<Logic>], batch: &BatchOptions) -> FaultSimReport {
-        self.run_batched_with(patterns, batch, |_, _| {})
-    }
-
-    /// [`ParallelTransitionSim::run_batched`] with the per-window
-    /// callback of [`ParallelTransitionSim::run_with`].
-    pub fn run_batched_with(
-        &mut self,
-        patterns: &[Vec<Logic>],
-        batch: &BatchOptions,
-        mut after_window: impl FnMut(&Self, usize),
-    ) -> FaultSimReport {
-        self.run_scheduled(patterns, batch, true, &mut after_window)
-    }
-
-    /// Deterministic single-threaded replay of a seeded steal
-    /// interleaving (see [`ParallelSim::run_seeded`]).
-    pub fn run_seeded(
-        &mut self,
-        patterns: &[Vec<Logic>],
-        batch: &BatchOptions,
-        schedule_seed: u64,
-    ) -> FaultSimReport {
-        let start = Instant::now();
-        let bounds = window_bounds(patterns.len(), batch.window);
-        {
-            let Self { shards, good, .. } = self;
-            let state: Vec<Logic> = good
-                .net
-                .dff_nodes
-                .iter()
-                .map(|&q| good.good[q as usize])
-                .collect();
-            let mut pg = PackedGood::new(&good.net, state);
-            let order = seeded_schedule(shards.len(), bounds.len(), schedule_seed);
-            let mut traces: Vec<Option<Vec<Vec<Logic>>>> = Vec::new();
-            traces.resize_with(bounds.len(), || None);
-            let mut remaining = vec![shards.len(); bounds.len()];
-            let mut produced = 0usize;
-            for (s, w) in order {
-                while produced <= w {
-                    let (lo, hi) = bounds[produced];
-                    traces[produced] = Some(pg.window_traces(&good.net, &patterns[lo..hi]));
-                    produced += 1;
-                }
+            let good = good.get_or_insert_with(|| good_engine(&shards[0].machine));
+            let sizes: Vec<usize> = bounds.iter().map(|&(lo, hi)| hi - lo).collect();
+            let slots: Vec<Mutex<&mut Shard<M>>> = shards.iter_mut().map(Mutex::new).collect();
+            let run = |s: usize, w: usize, trace: &Vec<Vec<Logic>>| {
+                let mut shard = slots[s].lock().expect("uncontended shard slot");
                 let (lo, hi) = bounds[w];
-                let trace = traces[w].as_ref().expect("windows produce in order");
                 for (p, t) in patterns[lo..hi].iter().zip(trace.iter()) {
-                    shards[s].sim.step_with(p, Some(t));
+                    shard.machine.step_with(p, Some(t));
                 }
-                remaining[w] -= 1;
-                if remaining[w] == 0 {
-                    traces[w] = None;
-                }
+            };
+            if packed {
+                let mut pg = packed_good(good);
+                let net = &good.net;
+                let stats = run_windows(
+                    *threads,
+                    slots.len(),
+                    &sizes,
+                    batch.steal,
+                    batch.steal_seed,
+                    |w| {
+                        let (lo, hi) = bounds[w];
+                        pg.window_traces(net, &patterns[lo..hi])
+                    },
+                    run,
+                );
+                commit_packed(good, &pg);
+                stats
+            } else {
+                run_windows(
+                    *threads,
+                    slots.len(),
+                    &sizes,
+                    batch.steal,
+                    batch.steal_seed,
+                    |w| {
+                        let (lo, hi) = bounds[w];
+                        patterns[lo..hi]
+                            .iter()
+                            .map(|p| good.good_cycle(p))
+                            .collect()
+                    },
+                    run,
+                )
             }
-            good.good_evals += pg.scalar_evals + pg.packed_evals;
-            good.set_dff_state(&pg.state);
-        }
-        self.sched = None;
-        self.report(patterns.len(), start.elapsed())
-    }
-
-    fn run_scheduled(
-        &mut self,
-        patterns: &[Vec<Logic>],
-        batch: &BatchOptions,
-        packed: bool,
-        after_window: &mut dyn FnMut(&Self, usize),
-    ) -> FaultSimReport {
-        let start = Instant::now();
-        let bounds = window_bounds(patterns.len(), batch.window);
-        let stats = {
-            let Self {
-                shards,
-                good,
-                threads,
-                ..
-            } = self;
-            schedule_windows(
-                *threads,
-                good,
-                shards,
-                patterns,
-                &bounds,
-                batch,
-                packed,
-                |shard: &mut TransitionShard<P>, p, t| {
-                    shard.sim.step_with(p, Some(t));
-                },
-            )
         };
         self.sched = Some(stats);
         let mut done = 0usize;
         for &(lo, hi) in &bounds {
             done += hi - lo;
-            after_window(self, done);
+            after(self, done);
         }
         self.report(patterns.len(), start.elapsed())
-    }
-
-    fn report(&self, patterns: usize, cpu: Duration) -> FaultSimReport {
-        FaultSimReport {
-            simulator: self.name_str(),
-            circuit: self.circuit_name.clone(),
-            patterns,
-            statuses: self.statuses(),
-            cpu,
-            memory_bytes: self.memory_bytes(),
-            events: self.events(),
-            evaluations: self.fault_evaluations(),
-        }
-    }
-
-    /// Per-fault statuses in the global fault order.
-    pub fn statuses(&self) -> Vec<FaultStatus> {
-        merge_statuses(
-            self.num_faults,
-            self.shards
-                .iter()
-                .map(|s| (s.global.clone(), s.sim.statuses())),
-        )
-    }
-
-    /// The deterministic merged detection list.
-    pub fn detections(&self) -> Vec<GlobalDetection> {
-        detections_of(&self.statuses())
-    }
-
-    /// Faults detected so far.
-    pub fn detected(&self) -> usize {
-        self.shards.iter().map(|s| s.sim.detected()).sum()
-    }
-
-    /// Node activations across all shards plus the shared good engine.
-    pub fn events(&self) -> u64 {
-        self.good.events + self.shards.iter().map(|s| s.sim.events()).sum::<u64>()
-    }
-
-    /// Faulty-machine evaluations across all shards.
-    pub fn fault_evaluations(&self) -> u64 {
-        self.shards.iter().map(|s| s.sim.fault_evaluations()).sum()
-    }
-
-    /// Paper-comparable memory model summed over shards and the good
-    /// engine.
-    pub fn memory_bytes(&self) -> usize {
-        let good = if self.threads == 1 && self.shards.len() == 1 {
-            0
-        } else {
-            self.good.memory_bytes()
-        };
-        good + self
-            .shards
-            .iter()
-            .map(|s| s.sim.memory_bytes())
-            .sum::<usize>()
-    }
-
-    /// Peak live fault elements: the maximum over shards (see
-    /// [`ParallelSim::peak_elements`]).
-    pub fn peak_elements(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.sim.peak_elements())
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -1417,6 +905,7 @@ impl<P: Probe + Send> ParallelTransitionSim<P> {
 mod tests {
     use super::*;
     use crate::stuck::CsimVariant;
+    use crate::transition::TransitionOptions;
     use cfs_faults::{enumerate_stuck_at, enumerate_transition};
     use cfs_logic::parse_pattern;
     use cfs_netlist::data::s27;
@@ -1486,21 +975,29 @@ mod tests {
         // Arbitrary keys: results must not depend on the partition.
         let keys: Vec<u32> = (0..faults.len() as u32).map(|i| (i * 37) % 13).collect();
         for plan in [ShardPlan::WeightAware, ShardPlan::LevelAware] {
-            let mut par =
-                ParallelSim::new_with_keys(&c, &faults, CsimVariant::Mv.options(), 3, plan, &keys);
+            let mut par = ParallelSim::with_probes(
+                &c,
+                &faults,
+                CsimVariant::Mv.options(),
+                3,
+                plan,
+                Some(&keys),
+                |_| NullProbe,
+            );
             assert_eq!(par.run(&patterns()).statuses, reference.statuses, "{plan}");
         }
         let tfaults = enumerate_transition(&c);
         let mut tserial = TransitionSim::new(&c, &tfaults, TransitionOptions::default());
         let treference = tserial.run(&patterns());
         let tkeys: Vec<u32> = (0..tfaults.len() as u32).map(|i| (i * 31) % 7).collect();
-        let mut tpar = ParallelTransitionSim::new_with_keys(
+        let mut tpar = ParallelTransitionSim::with_probes(
             &c,
             &tfaults,
             TransitionOptions::default(),
             3,
             ShardPlan::WeightAware,
-            &tkeys,
+            Some(&tkeys),
+            |_| NullProbe,
         );
         assert_eq!(tpar.run(&patterns()).statuses, treference.statuses);
     }
@@ -1520,6 +1017,8 @@ mod tests {
                     report.statuses, reference.statuses,
                     "threads={threads} plan={plan}"
                 );
+                // P = 1 skips the good-trace machinery entirely.
+                assert_eq!(par.good.is_some(), threads > 1, "threads={threads}");
             }
         }
     }

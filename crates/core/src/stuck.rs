@@ -10,6 +10,7 @@ use cfs_netlist::{Circuit, DEFAULT_MACRO_MAX_INPUTS};
 use cfs_telemetry::{MetricsSnapshot, NullProbe, Probe, SimMetrics};
 
 use crate::engine::Engine;
+use crate::machine::FaultMachine;
 use crate::network::{build_gate_network, build_macro_network, FaultSpec};
 
 /// Configuration of the concurrent simulator.
@@ -264,33 +265,12 @@ impl<P: Probe> ConcurrentSim<P> {
     /// Per-fault statuses, aligned with the fault list given to
     /// [`ConcurrentSim::new`].
     pub fn statuses(&self) -> Vec<FaultStatus> {
-        self.engine
-            .net
-            .descriptors
-            .iter()
-            .map(|d| {
-                if d.untestable {
-                    FaultStatus::Untestable
-                } else {
-                    match d.detected_at {
-                        Some(p) => FaultStatus::Detected {
-                            pattern: p as usize,
-                        },
-                        None => FaultStatus::Undetected,
-                    }
-                }
-            })
-            .collect()
+        FaultMachine::statuses(self)
     }
 
     /// Number of faults detected so far.
     pub fn detected(&self) -> usize {
-        self.engine
-            .net
-            .descriptors
-            .iter()
-            .filter(|d| d.is_detected())
-            .count()
+        FaultMachine::detected(self)
     }
 
     /// Live fault elements right now.
@@ -357,7 +337,7 @@ impl<P: Probe> ConcurrentSim<P> {
     ///
     /// Call only between [`step`](Self::step)/[`run`](Self::run) calls.
     pub fn checkpoint(&self) -> crate::checkpoint::Checkpoint {
-        crate::checkpoint::Checkpoint::capture(&self.engine, crate::checkpoint::Model::Stuck)
+        FaultMachine::checkpoint(self)
     }
 
     /// Restores a checkpoint captured from an identically configured
@@ -371,6 +351,6 @@ impl<P: Probe> ConcurrentSim<P> {
         &mut self,
         ck: &crate::checkpoint::Checkpoint,
     ) -> Result<(), crate::checkpoint::CheckpointError> {
-        ck.restore_into(&mut self.engine, crate::checkpoint::Model::Stuck)
+        FaultMachine::restore(self, ck)
     }
 }

@@ -21,7 +21,8 @@ use cfs_logic::Logic;
 use cfs_netlist::Circuit;
 use cfs_telemetry::{MetricsSnapshot, NullProbe, Phase, Probe, SimMetrics};
 
-use crate::engine::Engine;
+use crate::engine::{Detection, Engine};
+use crate::machine::FaultMachine;
 use crate::network::{build_gate_network, FaultSpec};
 
 /// Configuration of the transition fault simulator.
@@ -142,14 +143,17 @@ impl<P: Probe> TransitionSim<P> {
     ///
     /// Panics if `inputs.len()` differs from the primary-input count.
     pub fn step(&mut self, inputs: &[Logic]) -> Vec<usize> {
-        self.step_with(inputs, None)
+        self.cycle(inputs, None)
+            .into_iter()
+            .map(|(f, _)| f as usize)
+            .collect()
     }
 
     /// One clock cycle against an optional shared good-machine trace (the
     /// settled good values for this cycle, computed once by a fault-free
     /// engine). The good machine is untouched by the hold/release passes,
     /// so the same trace serves both.
-    pub(crate) fn step_with(&mut self, inputs: &[Logic], shared: Option<&[Logic]>) -> Vec<usize> {
+    pub(crate) fn cycle(&mut self, inputs: &[Logic], shared: Option<&[Logic]>) -> Vec<Detection> {
         self.engine.pattern_begin();
         // Pass 1: transitions held; sample and latch masters.
         self.engine.probe.phase_start(Phase::TransitionFirst);
@@ -171,7 +175,7 @@ impl<P: Probe> TransitionSim<P> {
         self.engine.pattern_index += 1;
         self.engine.pattern_end();
         self.engine.verify_after_pattern();
-        detections.into_iter().map(|(f, _)| f as usize).collect()
+        detections
     }
 
     /// Forces the per-pattern invariant verifier on (or off) regardless of
@@ -212,27 +216,12 @@ impl<P: Probe> TransitionSim<P> {
     /// Per-fault statuses, aligned with the fault list given to
     /// [`TransitionSim::new`].
     pub fn statuses(&self) -> Vec<FaultStatus> {
-        self.engine
-            .net
-            .descriptors
-            .iter()
-            .map(|d| match d.detected_at {
-                Some(p) => FaultStatus::Detected {
-                    pattern: p as usize,
-                },
-                None => FaultStatus::Undetected,
-            })
-            .collect()
+        FaultMachine::statuses(self)
     }
 
     /// Number of faults detected so far.
     pub fn detected(&self) -> usize {
-        self.engine
-            .net
-            .descriptors
-            .iter()
-            .filter(|d| d.is_detected())
-            .count()
+        FaultMachine::detected(self)
     }
 
     /// Peak live fault elements so far.
@@ -269,7 +258,7 @@ impl<P: Probe> TransitionSim<P> {
     ///
     /// Call only between [`step`](Self::step)/[`run`](Self::run) calls.
     pub fn checkpoint(&self) -> crate::checkpoint::Checkpoint {
-        crate::checkpoint::Checkpoint::capture(&self.engine, crate::checkpoint::Model::Transition)
+        FaultMachine::checkpoint(self)
     }
 
     /// Restores a checkpoint captured from an identically configured
@@ -283,6 +272,6 @@ impl<P: Probe> TransitionSim<P> {
         &mut self,
         ck: &crate::checkpoint::Checkpoint,
     ) -> Result<(), crate::checkpoint::CheckpointError> {
-        ck.restore_into(&mut self.engine, crate::checkpoint::Model::Transition)
+        FaultMachine::restore(self, ck)
     }
 }

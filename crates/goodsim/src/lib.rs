@@ -1,15 +1,16 @@
 //! Fault-free ("good machine") simulators for synchronous sequential
 //! circuits.
 //!
-//! Part of the workspace reproducing *Lee & Reddy, DAC 1992*. Three
+//! Part of the workspace reproducing *Lee & Reddy, DAC 1992*. Two
 //! simulators share the netlist substrate:
 //!
 //! * [`ZeroDelaySim`] — the paper's zero-delay levelized event-driven model
 //!   (one step = one clock cycle), plus the oracle-grade [`FullSim`];
 //! * [`DelaySim`] — arbitrary-delay two-phase event-driven simulation with a
-//!   timing wheel, the general mode concurrent simulation is prized for;
-//! * [`ParallelSim`] — 64-lane bit-parallel simulation used by the
-//!   PROOFS-style baseline and for pattern-parallel sweeps.
+//!   timing wheel, the general mode concurrent simulation is prized for.
+//!
+//! The 64-lane pattern-parallel good machine of the sharded fault
+//! simulator lives next to its engine in `cfs-core`.
 //!
 //! # Examples
 //!
@@ -31,11 +32,9 @@
 #![forbid(unsafe_code)]
 
 mod delay;
-mod parallel;
 mod vcd;
 mod zero_delay;
 
 pub use delay::{DelayModel, DelaySim};
-pub use parallel::{pack_patterns, ParallelSim};
 pub use vcd::VcdRecorder;
 pub use zero_delay::{is_source, FullSim, Pattern, ZeroDelaySim};
