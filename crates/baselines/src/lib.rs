@@ -30,7 +30,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod cpt;
 mod deductive;
 mod dictionary;
 mod ppsfp;
@@ -38,7 +37,6 @@ mod proofs;
 mod serial;
 mod transition_ref;
 
-pub use cpt::{CptSim, NonBinaryPatternError};
 pub use deductive::{deductive_supported, zero_state, DeductiveError, DeductiveSim};
 pub use dictionary::{Failure, FaultDictionary, PassFailDictionary};
 pub use ppsfp::PpsfpSim;

@@ -1,36 +1,10 @@
 //! `fsim` — command-line concurrent fault simulation for synchronous
 //! sequential circuits (Lee & Reddy, DAC 1992).
 //!
-//! ```text
-//! fsim check <circuit> [--format text|json]
-//! fsim analyze <circuit> [--format text|json]
-//! fsim impact <base> <edited> [--format text|json]
-//! fsim stats <circuit>
-//! fsim sim <circuit> [--random N | --patterns FILE] [--variant base|v|m|mv|all]
-//!                    [--simulator csim|proofs|serial|deductive] [--uncollapsed]
-//!                    [--prune] [--threads N] [--shard-plan PLAN]
-//!                    [--batch-windows W] [--steal] [--quiesce-window W]
-//!                    [--checkpoint-every K --checkpoint-out DIR] [--resume-from FILE]
-//!                    [--incremental --baseline-report FILE] [--baseline-out FILE]
-//!                    [--detections FILE] [--stats] [--stats-json FILE]
-//!                    [--trace-every N] [--trace-out FILE] [--trace-capacity N]
-//!                    [--trace-window W] [--no-check] [--paranoid]
-//! fsim transition <circuit> [--random N | --patterns FILE]
-//!                    [--prune] [--threads N] [--shard-plan PLAN]
-//!                    [--batch-windows W] [--steal] [--quiesce-window W]
-//!                    [--checkpoint-every K --checkpoint-out DIR] [--resume-from FILE]
-//!                    [--incremental --baseline-report FILE] [--baseline-out FILE]
-//!                    [--detections FILE] [--stats] [--stats-json FILE]
-//!                    [--trace-every N] [--trace-out FILE] [--trace-capacity N]
-//!                    [--trace-window W] [--no-check] [--paranoid]
-//! fsim explain <circuit> <fault-id> [--random N | --patterns FILE]
-//!                    [--uncollapsed] [--trace-window W] [--no-check]
-//! fsim heatmap <circuit> [--random N | --patterns FILE] [--uncollapsed]
-//!                    [--top K] [--format text|json] [--no-check]
-//! fsim atpg <circuit> [--max-frames K] [--random N] [--out FILE]
-//! fsim generate <name> [--out FILE]
-//! fsim mutate <circuit> --edit retype|rewire|dead-logic [--choice N] [--out FILE]
-//! ```
+//! `fsim --help` lists every command with the flags it accepts. It is
+//! rendered from the `FLAGS` table the parser reads, so it cannot drift
+//! from what the parser accepts; `FLAG_RULES` lists the flag combinations
+//! every command refuses before any work starts.
 //!
 //! `<circuit>` is a `.bench` file path, or `@name` for a built-in circuit
 //! (`@s27` or a generated benchmark such as `@s298g`). Flags accept both
@@ -242,376 +216,418 @@ fn restore_default_sigpipe() {
 fn restore_default_sigpipe() {}
 
 fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let Some(command) = args.first() else {
+    let Some(name) = args.first() else {
         print_usage();
         return Ok(());
     };
-    let rest = &args[1..];
-    match command.as_str() {
-        "check" => cmd_check(rest),
-        "analyze" => cmd_analyze(rest),
-        "rules" => cmd_rules(rest),
-        "implications" => cmd_implications(rest),
-        "impact" => cmd_impact(rest),
-        "stats" => cmd_stats(rest),
-        "mutate" => cmd_mutate(rest),
-        "sim" => cmd_sim(rest),
-        "transition" => cmd_transition(rest),
-        "explain" => cmd_explain(rest),
-        "heatmap" => cmd_heatmap(rest),
-        "atpg" => cmd_atpg(rest),
-        "generate" => cmd_generate(rest),
-        "--help" | "-h" | "help" => {
-            print_usage();
-            Ok(())
-        }
-        other => Err(err(format!("unknown command {other:?} (try --help)"))),
+    if matches!(name.as_str(), "--help" | "-h" | "help") {
+        print_usage();
+        return Ok(());
     }
-}
-
-fn print_usage() {
-    eprintln!(
-        "fsim — concurrent fault simulation for synchronous sequential circuits\n\
-         \n\
-         usage:\n\
-         \u{20}  fsim check <circuit> [--format text|json]\n\
-         \u{20}  fsim analyze <circuit> [--format text|json] [--learn] [--learn-frames K]\n\
-         \u{20}  fsim rules [CODE] [--format text|json]\n\
-         \u{20}  fsim implications <circuit> <net> [--format text|json] [--learn-frames K]\n\
-         \u{20}  fsim impact <base> <edited> [--format text|json]\n\
-         \u{20}  fsim stats <circuit>\n\
-         \u{20}  fsim sim <circuit> [--random N | --patterns FILE] [--variant base|v|m|mv|all]\n\
-         \u{20}                     [--simulator csim|proofs|serial|deductive] [--uncollapsed]\n\
-         \u{20}                     [--prune] [--threads N] [--shard-plan PLAN]\n\
-         \u{20}                     [--batch-windows W] [--steal] [--quiesce-window W]\n\
-         \u{20}                     [--checkpoint-every K --checkpoint-out DIR] [--resume-from FILE]\n\
-         \u{20}                     [--incremental --baseline-report FILE] [--baseline-out FILE]\n\
-         \u{20}                     [--detections FILE] [--stats] [--stats-json FILE]\n\
-         \u{20}                     [--trace-every N] [--trace-out FILE] [--trace-capacity N]\n\
-         \u{20}                     [--trace-window W] [--no-check] [--paranoid]\n\
-         \u{20}  fsim transition <circuit> [--random N | --patterns FILE]\n\
-         \u{20}                     [--prune] [--threads N] [--shard-plan PLAN]\n\
-         \u{20}                     [--batch-windows W] [--steal] [--quiesce-window W]\n\
-         \u{20}                     [--checkpoint-every K --checkpoint-out DIR] [--resume-from FILE]\n\
-         \u{20}                     [--incremental --baseline-report FILE] [--baseline-out FILE]\n\
-         \u{20}                     [--detections FILE] [--stats] [--stats-json FILE]\n\
-         \u{20}                     [--trace-every N] [--trace-out FILE] [--trace-capacity N]\n\
-         \u{20}                     [--trace-window W] [--no-check] [--paranoid]\n\
-         \u{20}  fsim explain <circuit> <fault-id> [--random N | --patterns FILE]\n\
-         \u{20}                     [--uncollapsed] [--trace-window W] [--no-check]\n\
-         \u{20}  fsim heatmap <circuit> [--random N | --patterns FILE] [--uncollapsed]\n\
-         \u{20}                     [--top K] [--format text|json] [--no-check]\n\
-         \u{20}  fsim atpg <circuit> [--max-frames K] [--random N] [--out FILE]\n\
-         \u{20}  fsim generate <name> [--out FILE]\n\
-         \u{20}  fsim mutate <circuit> --edit retype|rewire|dead-logic [--choice N] [--out FILE]\n\
-         \n\
-         <circuit>: a .bench file, or @name for a built-in (@s27, @s298g, …)\n\
-         flags take either `--flag value` or `--flag=value`\n\
-         --prune       simulate only faults the static analyses cannot prove\n\
-         \u{20}             undetectable; reports expand to the full universe\n\
-         --learn       add implication learning to --prune (and to analyze):\n\
-         \u{20}             conflict-untestable faults (F004) are pruned too\n\
-         --learn-frames  unrolled time frames for --learn (default 2)\n\
-         --baseline-out    record the run's full-universe fates for later\n\
-         \u{20}             --incremental runs (needs --uncollapsed on sim)\n\
-         --incremental     re-simulate only the faults a netlist edit could\n\
-         \u{20}             affect; the rest transfer from --baseline-report\n\
-         --threads     fault-shard the concurrent simulator across N workers\n\
-         --shard-plan  round-robin (default) | contiguous | level-aware | weight-aware\n\
-         --batch-windows  pattern-batch axis: windows of W patterns under the\n\
-         \u{20}             work-stealing scheduler (0 = one whole-run window)\n\
-         --steal       let idle workers steal runnable shards (overshards 2×;\n\
-         \u{20}             needs --batch-windows)\n\
-         --quiesce-window  fence nodes untouched for more than W patterns out of\n\
-         \u{20}             the per-pattern sweeps (0 = off; detections unchanged)\n\
-         --checkpoint-every  snapshot engine state every K patterns (serial runs;\n\
-         \u{20}             needs --checkpoint-out DIR, writes DIR/ckpt-NNNNNN.bin)\n\
-         --resume-from restore a checkpoint file and replay only the rest\n\
-         --detections  write the sorted `pattern fault` detection list\n\
-         --stats       print the metric table (plus phase times and histograms)\n\
-         --stats-json  write one JSON line per pattern plus a summary record\n\
-         --trace-every print a progress line every N patterns (concurrent sims)\n\
-         --trace-out   write a Chrome Trace / Perfetto JSON event trace\n\
-         --trace-capacity  per-shard trace ring capacity in events (default 1M)\n\
-         --trace-window    quiescence window in patterns, 0 disables (default 32)\n\
-         --variant all run all four concurrent variants into one comparison table\n\
-         --no-check    skip the cfs-check preflight (sim/transition refuse on errors)\n\
-         --paranoid    verify engine invariants after every pattern, even in release\n\
-         --format      check output: text (default) | json"
-    );
-}
-
-/// Simple flag scanner: returns the value of `flag`, given either as
-/// `--flag value` or `--flag=value`.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    for (i, a) in args.iter().enumerate() {
-        if a == flag {
-            return args.get(i + 1).map(String::as_str);
-        }
-        if let Some(rest) = a.strip_prefix(flag) {
-            if let Some(value) = rest.strip_prefix('=') {
-                return Some(value);
-            }
-        }
+    let &(cmd, synopsis, handler) = COMMANDS
+        .iter()
+        .find(|(cmd, ..)| cmd == name)
+        .ok_or_else(|| err(format!("unknown command {name:?} (try --help)")))?;
+    let flags = Flags::parse(cmd, synopsis, &args[1..])?;
+    if let Some(refusal) = flags.refusals().next() {
+        return Err(err(refusal));
     }
-    None
+    handler(&flags)
 }
 
-fn has_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
+type Handler = fn(&Flags<'_>) -> Result<(), Box<dyn std::error::Error>>;
 
-/// The value of a positive count flag (`--threads`, `--trace-every`, …):
-/// `None` when absent, an error on zero or a non-number.
-fn count_flag(args: &[String], flag: &str) -> Result<Option<usize>, Box<dyn std::error::Error>> {
-    flag_value(args, flag)
-        .map(|v| match v.parse::<usize>() {
-            Ok(0) => Err(err(format!("{flag} must be at least 1"))),
-            Ok(n) => Ok(n),
-            Err(_) => Err(err(format!("{flag} needs a number"))),
-        })
-        .transpose()
-}
-
-/// Per-command flag table: `(name, takes_value)`.
-type FlagSpec = &'static [(&'static str, bool)];
-
-const STATS_FLAGS: FlagSpec = &[];
-const CHECK_FLAGS: FlagSpec = &[("--format", true)];
-const ANALYZE_FLAGS: FlagSpec = &[
-    ("--format", true),
-    ("--learn", false),
-    ("--learn-frames", true),
+/// Every command: its name, its positionals (which must come first), and
+/// its handler.
+const COMMANDS: &[(&str, &str, Handler)] = &[
+    ("check", "<circuit>", cmd_check),
+    ("analyze", "<circuit>", cmd_analyze),
+    ("rules", "[CODE]", cmd_rules),
+    ("implications", "<circuit> <net>", cmd_implications),
+    ("impact", "<base> <edited>", cmd_impact),
+    ("stats", "<circuit>", cmd_stats),
+    ("sim", "<circuit>", cmd_sim),
+    ("transition", "<circuit>", cmd_transition),
+    ("explain", "<circuit> <fault-id>", cmd_explain),
+    ("heatmap", "<circuit>", cmd_heatmap),
+    ("atpg", "<circuit>", cmd_atpg),
+    ("generate", "<name>", cmd_generate),
+    ("mutate", "<circuit>", cmd_mutate),
 ];
-const RULES_FLAGS: FlagSpec = &[("--format", true)];
-const IMPLICATIONS_FLAGS: FlagSpec = &[("--format", true), ("--learn-frames", true)];
-const SIM_FLAGS: FlagSpec = &[
-    ("--patterns", true),
-    ("--random", true),
-    ("--seed", true),
-    ("--variant", true),
-    ("--simulator", true),
-    ("--uncollapsed", false),
-    ("--prune", false),
-    ("--learn", false),
-    ("--learn-frames", true),
-    ("--incremental", false),
-    ("--baseline-report", true),
-    ("--baseline-out", true),
-    ("--threads", true),
-    ("--shard-plan", true),
-    ("--batch-windows", true),
-    ("--steal", false),
-    ("--quiesce-window", true),
-    ("--checkpoint-every", true),
-    ("--checkpoint-out", true),
-    ("--resume-from", true),
-    ("--detections", true),
-    ("--stats", false),
-    ("--stats-json", true),
-    ("--trace-every", true),
-    ("--trace-out", true),
-    ("--trace-capacity", true),
-    ("--trace-window", true),
-    ("--no-check", false),
-    ("--paranoid", false),
-];
-const TRANSITION_FLAGS: FlagSpec = &[
-    ("--patterns", true),
-    ("--random", true),
-    ("--seed", true),
-    ("--prune", false),
-    ("--learn", false),
-    ("--learn-frames", true),
-    ("--incremental", false),
-    ("--baseline-report", true),
-    ("--baseline-out", true),
-    ("--threads", true),
-    ("--shard-plan", true),
-    ("--batch-windows", true),
-    ("--steal", false),
-    ("--quiesce-window", true),
-    ("--checkpoint-every", true),
-    ("--checkpoint-out", true),
-    ("--resume-from", true),
-    ("--detections", true),
-    ("--stats", false),
-    ("--stats-json", true),
-    ("--trace-every", true),
-    ("--trace-out", true),
-    ("--trace-capacity", true),
-    ("--trace-window", true),
-    ("--no-check", false),
-    ("--paranoid", false),
-];
-const EXPLAIN_FLAGS: FlagSpec = &[
-    ("--patterns", true),
-    ("--random", true),
-    ("--seed", true),
-    ("--uncollapsed", false),
-    ("--trace-window", true),
-    ("--no-check", false),
-];
-const HEATMAP_FLAGS: FlagSpec = &[
-    ("--patterns", true),
-    ("--random", true),
-    ("--seed", true),
-    ("--uncollapsed", false),
-    ("--top", true),
-    ("--format", true),
-    ("--no-check", false),
-];
-const ATPG_FLAGS: FlagSpec = &[("--max-frames", true), ("--random", true), ("--out", true)];
-const GENERATE_FLAGS: FlagSpec = &[("--out", true)];
-const IMPACT_FLAGS: FlagSpec = &[("--format", true)];
-const MUTATE_FLAGS: FlagSpec = &[("--edit", true), ("--choice", true), ("--out", true)];
 
-/// Rejects unknown flags, missing values, values on boolean flags, and
-/// stray positionals. The single positional (circuit or benchmark name)
-/// must come first.
-fn validate_flags(
-    cmd: &str,
-    args: &[String],
-    spec: FlagSpec,
-) -> Result<(), Box<dyn std::error::Error>> {
-    validate_flags_n(cmd, args, spec, 1)
+/// What a flag's value must be. The parse checks it, so no command
+/// re-validates a value.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// Present or absent; takes no value.
+    Switch,
+    /// A count of at least 1.
+    Count,
+    /// Any non-negative number; the hint ends the "needs a number" error.
+    Number(&'static str),
+    /// A quiescence window in patterns (0 disables): the engines hold it
+    /// in a `u32`.
+    Window,
+    /// A file or directory, shown as the given placeholder in `--help`.
+    Path(&'static str),
+    /// One of a fixed list, named by the noun in the error.
+    OneOf(&'static str, &'static [&'static str]),
 }
 
-/// [`validate_flags`] generalized to commands taking up to `max_pos`
-/// leading positionals (`fsim implications <circuit> <net>`).
-fn validate_flags_n(
-    cmd: &str,
-    args: &[String],
-    spec: FlagSpec,
-    max_pos: usize,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if a.starts_with("--") {
-            let (name, inline_value) = match a.split_once('=') {
-                Some((n, v)) => (n, Some(v)),
-                None => (a.as_str(), None),
-            };
-            let Some(&(_, takes_value)) = spec.iter().find(|(n, _)| *n == name) else {
-                return Err(err(format!("{cmd}: unknown flag {name} (try --help)")));
-            };
-            if takes_value {
-                if inline_value.is_none() {
-                    match args.get(i + 1) {
-                        Some(v) if !v.starts_with("--") => i += 1,
-                        _ => return Err(err(format!("{cmd}: flag {name} needs a value"))),
-                    }
-                }
-            } else if inline_value.is_some() {
-                return Err(err(format!("{cmd}: flag {name} does not take a value")));
-            }
-        } else if i >= max_pos {
-            return Err(err(format!(
-                "{cmd}: unexpected argument {a:?} (positionals must come first)"
-            )));
-        }
-        i += 1;
-    }
-    Ok(())
-}
+use Kind::{Count, Number, OneOf, Path, Switch, Window};
 
-/// Parses `--learn` / `--learn-frames` into [`LearnOptions`]. `None` when
-/// learning is off; `--learn-frames` without `--learn` is rejected.
-fn learn_opts(
-    cmd: &str,
-    args: &[String],
-) -> Result<Option<LearnOptions>, Box<dyn std::error::Error>> {
-    let frames = flag_value(args, "--learn-frames");
-    if !has_flag(args, "--learn") {
-        if frames.is_some() {
-            return Err(err(format!("{cmd}: --learn-frames needs --learn")));
-        }
-        return Ok(None);
-    }
-    let frames = match frames {
-        None => cfs_check::DEFAULT_LEARN_FRAMES,
-        Some(s) => match s.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                return Err(err(format!(
-                    "{cmd}: --learn-frames wants a positive frame count, got {s:?}"
-                )))
-            }
-        },
-    };
-    Ok(Some(LearnOptions { frames }))
-}
-
-/// Telemetry-related options shared by `sim` and `transition`.
-struct TelemetryOpts {
-    stats: bool,
-    stats_json: Option<String>,
-    trace_every: Option<usize>,
-    /// Chrome Trace / Perfetto JSON output path (`--trace-out`).
-    trace_out: Option<String>,
-    /// Per-shard event-recorder tuning (`--trace-capacity`,
-    /// `--trace-window`).
-    trace_cfg: TraceConfig,
-    /// Wall time the `cfs-check` preflight took, folded into the phase
-    /// table of every snapshot the run emits.
-    check_time: Duration,
-}
-
-impl TelemetryOpts {
-    fn parse(args: &[String]) -> Result<Self, Box<dyn std::error::Error>> {
-        let trace_every = count_flag(args, "--trace-every")?;
-        let mut trace_cfg = TraceConfig::default();
-        if let Some(n) = count_flag(args, "--trace-capacity")? {
-            trace_cfg.capacity = n;
-        }
-        // One quiescence-window source of truth: the engine gate
-        // (`--quiesce-window`) and the trace recorder (`--trace-window`)
-        // must agree. With only the gate flag set (and nonzero), the
-        // recorder follows it; giving both with different values is an
-        // error rather than a silent disagreement.
-        let gate_window: Option<u32> = match flag_value(args, "--quiesce-window") {
-            Some(v) => Some(
-                v.parse()
-                    .map_err(|_| err("--quiesce-window needs a number (0 disables)"))?,
-            ),
-            None => None,
-        };
-        if let Some(v) = flag_value(args, "--trace-window") {
-            let w: u32 = v
+impl Kind {
+    fn parse<'a>(self, name: &str, v: &'a str) -> Result<Value<'a>, Box<dyn std::error::Error>> {
+        match self {
+            Switch => unreachable!("switches take no value"),
+            Count => match v.parse::<usize>() {
+                Ok(0) => Err(err(format!("{name} must be at least 1"))),
+                Ok(n) => Ok(Value::Num(n as u64)),
+                Err(_) => Err(err(format!("{name} needs a number"))),
+            },
+            Number(hint) => v
                 .parse()
-                .map_err(|_| err("--trace-window needs a number (0 disables)"))?;
-            if let Some(g) = gate_window {
-                if g != w {
+                .map(Value::Num)
+                .map_err(|_| err(format!("{name} needs a number{hint}"))),
+            Window => v
+                .parse::<u32>()
+                .map(|w| Value::Num(w.into()))
+                .map_err(|_| err(format!("{name} needs a number (0 disables)"))),
+            Path(_) => Ok(Value::Text(v)),
+            OneOf(_, choices) if choices.contains(&v) => Ok(Value::Text(v)),
+            OneOf(noun, choices) => Err(err(format!(
+                "unknown {noun} {v:?} ({})",
+                choices.join(", ")
+            ))),
+        }
+    }
+
+    /// The value placeholder `--help` shows after the flag name.
+    fn metavar(self) -> String {
+        match self {
+            Switch => String::new(),
+            Count | Number(_) => "N".to_owned(),
+            Window => "W".to_owned(),
+            Path(m) => m.to_owned(),
+            OneOf(_, choices) => choices.join("|"),
+        }
+    }
+}
+
+/// Whether a space-separated command list names `cmd`.
+fn listed(cmds: &str, cmd: &str) -> bool {
+    cmds.split(' ').any(|c| c == cmd)
+}
+
+// Command lists several FLAGS and FLAG_RULES rows share.
+const RUN: &str = "sim transition";
+const REPLAY: &str = "sim transition explain heatmap";
+const LEARN: &str = "sim transition analyze";
+const SHARD_PLANS: &[&str] = &["round-robin", "contiguous", "level-aware", "weight-aware"];
+
+/// Every flag of every command, one row each: name, value kind, the
+/// commands that accept it (space-separated), and its `--help` line. The
+/// parser, `fsim --help` and the unknown-flag check all read this table.
+#[rustfmt::skip]
+const FLAGS: &[(&str, Kind, &str, &str)] = &[
+    ("--patterns", Path("FILE"), REPLAY, "read the patterns from FILE, one vector per line"),
+    ("--random", Number(""), "sim transition explain heatmap atpg", "simulate N random patterns (default 256)"),
+    ("--seed", Number(""), REPLAY, "seed of the --random patterns (default 1)"),
+    ("--variant", OneOf("variant", &["base", "v", "m", "mv", "all"]), "sim",
+     "concurrent variant (default mv; all compares the four in one table)"),
+    ("--simulator", OneOf("simulator", &["csim", "proofs", "serial", "deductive"]), "sim",
+     "fault simulator (default csim, the concurrent one)"),
+    ("--uncollapsed", Switch, "sim explain heatmap", "simulate every stuck-at fault, not one per class"),
+    ("--prune", Switch, RUN, "simulate only faults static analysis cannot prove undetectable"),
+    ("--learn", Switch, LEARN, "learn implications: prune conflict-untestable faults (F004) too"),
+    ("--learn-frames", Count, "sim transition analyze implications", "time frames to learn over (default 2)"),
+    ("--incremental", Switch, RUN, "re-simulate only the faults a netlist edit could affect"),
+    ("--baseline-report", Path("FILE"), RUN, "the --baseline-out file --incremental transfers fates from"),
+    ("--baseline-out", Path("FILE"), RUN, "record full-universe fates for later --incremental runs"),
+    ("--threads", Count, RUN, "fault-shard the concurrent simulator across N workers"),
+    ("--shard-plan", OneOf("shard plan", SHARD_PLANS), RUN, "fault partition (default round-robin)"),
+    ("--batch-windows", Number(" (0 = one whole-run window)"), RUN,
+     "schedule (shard x N-pattern window) tasks on the workers (0 = one whole-run window)"),
+    ("--steal", Switch, RUN, "let idle workers steal runnable shards (overshards 2x)"),
+    ("--quiesce-window", Window, RUN, "fence nodes idle for more than W patterns out of the sweeps (0 = off)"),
+    ("--checkpoint-every", Count, RUN, "snapshot engine state every N patterns (serial runs)"),
+    ("--checkpoint-out", Path("DIR"), RUN, "where --checkpoint-every writes ckpt-NNNNNN.bin"),
+    ("--resume-from", Path("FILE"), RUN, "restore a checkpoint file and replay only the rest"),
+    ("--detections", Path("FILE"), RUN, "write the sorted `pattern fault` detection list"),
+    ("--stats", Switch, RUN, "print the metric table (plus phase times and histograms)"),
+    ("--stats-json", Path("FILE"), RUN, "write one JSON line per pattern plus a summary record"),
+    ("--trace-every", Count, RUN, "print a progress line every N patterns"),
+    ("--trace-out", Path("FILE"), RUN, "write a Chrome Trace / Perfetto JSON event trace"),
+    ("--trace-capacity", Count, RUN, "per-shard trace ring capacity in events (default 1M)"),
+    ("--trace-window", Window, "sim transition explain", "trace quiescence window (default 32; 0 = off)"),
+    ("--no-check", Switch, REPLAY, "skip the cfs-check preflight (runs refuse netlists with errors)"),
+    ("--paranoid", Switch, RUN, "verify engine invariants after every pattern, even in release"),
+    ("--format", OneOf("format", &["text", "json"]), "check analyze rules implications impact heatmap",
+     "output format (default text)"),
+    ("--top", Count, "heatmap", "show the N most active nodes (default 20)"),
+    ("--max-frames", Number(""), "atpg", "time frames to unroll (default 8)"),
+    ("--out", Path("FILE"), "atpg generate mutate", "write the result to FILE instead of stdout"),
+    ("--edit", OneOf("edit", &["retype", "rewire", "dead-logic"]), "mutate", "the scripted edit to apply"),
+    ("--choice", Number(""), "mutate", "which candidate site the edit takes (default 0)"),
+];
+
+/// A parsed flag value; the variant follows the flag's [`Kind`].
+#[derive(Clone, Copy)]
+enum Value<'a> {
+    On,
+    Num(u64),
+    Text(&'a str),
+}
+
+/// One command's arguments, parsed once: its positionals and the value
+/// of every flag it was given, indexed like [`FLAGS`].
+struct Flags<'a> {
+    cmd: &'static str,
+    positionals: Vec<&'a str>,
+    values: Vec<Option<Value<'a>>>,
+}
+
+impl<'a> Flags<'a> {
+    /// The one pass over a command's arguments. Rejects unknown flags,
+    /// missing values, values on switches, values of the wrong kind, and
+    /// positionals after the first flag or beyond the synopsis. A flag
+    /// given twice keeps its first value.
+    fn parse(
+        cmd: &'static str,
+        synopsis: &str,
+        args: &'a [String],
+    ) -> Result<Self, Box<dyn std::error::Error>> {
+        let max_positionals = synopsis.split_whitespace().count();
+        let mut flags = Flags {
+            cmd,
+            positionals: Vec::new(),
+            values: vec![None; FLAGS.len()],
+        };
+        let mut i = 0;
+        while i < args.len() {
+            let arg = args[i].as_str();
+            i += 1;
+            if !arg.starts_with("--") {
+                if i > max_positionals {
                     return Err(err(format!(
-                        "--trace-window {w} disagrees with --quiesce-window {g}; \
-                         give one flag, or the same value to both"
+                        "{cmd}: unexpected argument {arg:?} (positionals must come first)"
                     )));
                 }
+                flags.positionals.push(arg);
+                continue;
             }
-            trace_cfg.quiescence_window = w;
-        } else if let Some(g) = gate_window {
-            if g > 0 {
-                trace_cfg.quiescence_window = g;
-            }
+            let (name, inline) = match arg.split_once('=') {
+                Some((n, v)) => (n, Some(v)),
+                None => (arg, None),
+            };
+            let Some(k) = FLAGS
+                .iter()
+                .position(|&(n, _, cmds, _)| n == name && listed(cmds, cmd))
+            else {
+                return Err(err(format!("{cmd}: unknown flag {name} (try --help)")));
+            };
+            let kind = FLAGS[k].1;
+            let value = match (kind, inline) {
+                (Switch, None) => Value::On,
+                (Switch, Some(_)) => {
+                    return Err(err(format!("{cmd}: flag {name} does not take a value")))
+                }
+                (_, Some(v)) => kind.parse(name, v)?,
+                (_, None) => match args.get(i) {
+                    Some(v) if !v.starts_with("--") => {
+                        i += 1;
+                        kind.parse(name, v)?
+                    }
+                    _ => return Err(err(format!("{cmd}: flag {name} needs a value"))),
+                },
+            };
+            flags.values[k].get_or_insert(value);
         }
-        Ok(TelemetryOpts {
-            stats: has_flag(args, "--stats"),
-            stats_json: flag_value(args, "--stats-json").map(str::to_owned),
-            trace_every,
-            trace_out: flag_value(args, "--trace-out").map(str::to_owned),
-            trace_cfg,
-            check_time: Duration::ZERO,
+        Ok(flags)
+    }
+
+    /// The `i`-th positional, or `{cmd}: missing {what}`.
+    fn arg(&self, i: usize, what: &str) -> Result<&'a str, Box<dyn std::error::Error>> {
+        self.positionals
+            .get(i)
+            .copied()
+            .ok_or_else(|| err(format!("{}: missing {what}", self.cmd)))
+    }
+
+    fn get(&self, name: &str) -> Option<Value<'a>> {
+        let k = FLAGS
+            .iter()
+            .position(|f| f.0 == name)
+            .unwrap_or_else(|| panic!("{name} is not in FLAGS"));
+        self.values[k]
+    }
+
+    fn on(&self, name: &str) -> bool {
+        self.get(name).is_some()
+    }
+
+    fn num(&self, name: &str) -> Option<u64> {
+        self.get(name).map(|v| match v {
+            Value::Num(n) => n,
+            _ => panic!("{name} takes no number"),
         })
     }
 
-    /// Whether the run needs the recording probe attached at all.
-    fn enabled(&self) -> bool {
-        self.stats
-            || self.stats_json.is_some()
-            || self.trace_every.is_some()
-            || self.trace_out.is_some()
+    /// A numeric flag's value as a size, or `default` when absent.
+    fn num_or(&self, name: &str, default: usize) -> usize {
+        self.num(name).map_or(default, |n| n as usize)
     }
+
+    fn text(&self, name: &str) -> Option<&'a str> {
+        self.get(name).map(|v| match v {
+            Value::Text(s) => s,
+            _ => panic!("{name} takes no text"),
+        })
+    }
+
+    fn simulator(&self) -> &'a str {
+        self.text("--simulator").unwrap_or("csim")
+    }
+
+    /// A baseline simulator (PROOFS, serial, deductive) was picked.
+    fn baseline(&self) -> bool {
+        self.simulator() != "csim"
+    }
+
+    /// The run writes or restores checkpoints.
+    fn checkpointing(&self) -> bool {
+        self.on("--checkpoint-every") || self.on("--resume-from")
+    }
+
+    /// `--variant all` on the concurrent simulator: one run per variant.
+    fn all_variants(&self) -> bool {
+        !self.baseline() && self.text("--variant") == Some("all")
+    }
+
+    /// `--learn`'s options; `None` when learning is off.
+    fn learn(&self) -> Option<LearnOptions> {
+        self.on("--learn").then(|| LearnOptions {
+            frames: self.num_or("--learn-frames", cfs_check::DEFAULT_LEARN_FRAMES),
+        })
+    }
+
+    /// `--patterns FILE`, else `--random N --seed S`.
+    fn stimulus(&self) -> Stimulus<'a> {
+        match self.text("--patterns") {
+            Some(file) => Stimulus::File(file),
+            None => Stimulus::Random {
+                count: self.num_or("--random", 256),
+                seed: self.num("--seed").unwrap_or(1),
+            },
+        }
+    }
+
+    /// The message of every [`FLAG_RULES`] row that fires, in table
+    /// order; `run` refuses the first before any work starts.
+    fn refusals(&self) -> impl Iterator<Item = String> + '_ {
+        FLAG_RULES
+            .iter()
+            .filter(|&&(cmds, fires, _)| listed(cmds, self.cmd) && fires(self))
+            .map(|&(_, _, message)| {
+                message
+                    .replace("{cmd}", self.cmd)
+                    .replace("{sim}", &format!("{:?}", self.simulator()))
+            })
+    }
+}
+
+/// A [`FLAG_RULES`] row: the commands it applies to (space-separated),
+/// when it fires, and its message (`{cmd}` and `{sim}` expand to the
+/// command and the quoted simulator).
+type Rule = (&'static str, fn(&Flags<'_>) -> bool, &'static str);
+
+/// Every refused flag combination, one row each. A refusal exits with
+/// status 1.
+#[rustfmt::skip]
+const FLAG_RULES: &[Rule] = &[
+    (LEARN, |f| f.on("--learn-frames") && !f.on("--learn"), "{cmd}: --learn-frames needs --learn"),
+    (RUN, |f| f.on("--learn") && !f.on("--prune"), "--learn extends --prune; add --prune"),
+    (RUN, |f| f.on("--incremental") && f.on("--prune"),
+     "--incremental and --prune both rewrite the simulated universe; pick one"),
+    (RUN, |f| f.on("--incremental") && !f.on("--baseline-report"), "--incremental needs --baseline-report FILE"),
+    (RUN, |f| f.on("--baseline-report") && !f.on("--incremental"), "--baseline-report needs --incremental"),
+    ("sim", |f| f.on("--prune") && f.on("--uncollapsed"),
+     "--prune already reports the full uncollapsed universe (pruned faults as untestable); drop --uncollapsed"),
+    ("sim", |f| f.on("--incremental") && f.on("--uncollapsed"),
+     "--incremental already reports the full uncollapsed universe; drop --uncollapsed"),
+    ("sim", |f| f.on("--baseline-out") && !(f.on("--prune") || f.on("--incremental") || f.on("--uncollapsed")),
+     "--baseline-out records fates over the full uncollapsed universe; add --uncollapsed \
+      (or --prune / --incremental, which already report it)"),
+    (REPLAY, |f| f.on("--patterns") && (f.on("--random") || f.on("--seed")),
+     "--patterns FILE cannot combine with --random/--seed, which generate the patterns"),
+    (RUN, |f| f.on("--trace-capacity") && !f.on("--trace-out"), "--trace-capacity needs --trace-out"),
+    (RUN, |f| f.on("--steal") && !f.on("--batch-windows"), "--steal needs --batch-windows"),
+    (RUN, |f| f.on("--checkpoint-every") != f.on("--checkpoint-out"),
+     "--checkpoint-every and --checkpoint-out go together (cadence and directory)"),
+    ("sim", |f| f.baseline() && f.on("--prune"), "--prune needs the concurrent simulator, not {sim}"),
+    ("sim", |f| f.baseline() && f.on("--incremental"), "--incremental needs the concurrent simulator, not {sim}"),
+    ("sim", |f| f.baseline() && f.checkpointing(), "checkpointing needs the concurrent simulator, not {sim}"),
+    ("sim", |f| f.baseline() && f.on("--trace-out"), "--trace-out needs the concurrent simulator, not {sim}"),
+    ("sim", |f| f.baseline() && f.num_or("--threads", 1) > 1, "--threads needs the concurrent simulator, not {sim}"),
+    ("sim", |f| f.baseline() && f.on("--batch-windows"), "--batch-windows needs the concurrent simulator, not {sim}"),
+    ("sim", |f| f.baseline() && f.on("--paranoid"), "--paranoid needs the concurrent simulator, not {sim}"),
+    ("sim", |f| f.baseline() && f.num_or("--quiesce-window", 0) > 0,
+     "--quiesce-window needs the concurrent simulator, not {sim}"),
+    ("sim", |f| f.baseline() && f.on("--trace-every"), "--trace-every needs the concurrent simulator, not {sim}"),
+    ("sim", |f| f.baseline() && f.on("--shard-plan"), "--shard-plan needs the concurrent simulator, not {sim}"),
+    (RUN, |f| f.checkpointing() && f.num_or("--threads", 1) > 1,
+     "checkpointing captures one serial engine; it needs --threads 1"),
+    (RUN, |f| f.checkpointing() && f.on("--batch-windows"), "checkpointing cannot combine with --batch-windows"),
+    (RUN, |f| f.checkpointing() && f.on("--trace-out"), "checkpointing cannot combine with --trace-out"),
+    ("sim", |f| f.all_variants() && f.on("--detections"), "--detections needs a single --variant"),
+    ("sim", |f| f.all_variants() && f.on("--baseline-out"), "--baseline-out needs a single --variant"),
+    ("sim", |f| f.all_variants() && f.checkpointing(), "checkpointing needs a single --variant"),
+    ("sim", |f| f.all_variants() && f.on("--trace-out"), "--trace-out needs a single --variant"),
+];
+
+/// Prints every command with the flags it accepts, then one line per
+/// flag, all rendered from [`COMMANDS`] and [`FLAGS`].
+fn print_usage() {
+    const WIDTH: usize = 96;
+    let mut out = String::from(
+        "fsim — concurrent fault simulation for synchronous sequential circuits\n\nusage:\n",
+    );
+    for &(cmd, synopsis, _) in COMMANDS {
+        let mut line = format!("  fsim {cmd} {synopsis}");
+        let indent = line.len();
+        for &(name, kind, _, _) in FLAGS.iter().filter(|f| listed(f.2, cmd)) {
+            let item = match kind.metavar() {
+                m if m.is_empty() => format!(" [{name}]"),
+                m => format!(" [{name} {m}]"),
+            };
+            if line.len() + item.len() > WIDTH {
+                out.push_str(&line);
+                out.push('\n');
+                line = " ".repeat(indent);
+            }
+            line.push_str(&item);
+        }
+        out.push_str(&line);
+        out.push('\n');
+    }
+    out.push_str(
+        "\n<circuit>: a .bench file, or @name for a built-in (@s27, @s298g, …)\n\
+         flags take either `--flag value` or `--flag=value`; combinations that\n\
+         cannot work (such as --steal without --batch-windows) are refused\n\n",
+    );
+    for (name, _, _, help) in FLAGS {
+        out.push_str(&format!("  {name:<18} {help}\n"));
+    }
+    eprint!("{out}");
+}
+
+/// Where a run's patterns come from.
+#[derive(Clone, Copy)]
+enum Stimulus<'a> {
+    /// `--patterns FILE`.
+    File(&'a str),
+    /// `--random N --seed S`.
+    Random { count: usize, seed: u64 },
 }
 
 /// Upper bound on `--threads`: every worker drives at least one shard,
@@ -619,71 +635,116 @@ impl TelemetryOpts {
 /// what the OS would refuse to spawn.
 const MAX_THREADS: usize = 256;
 
-/// Fault-sharding and engine options shared by `sim` and `transition`.
-struct ParallelOpts {
+/// Everything a `sim`/`transition` run reads from its flags, built once
+/// after [`FLAG_RULES`] passed.
+struct RunPlan<'a> {
+    stimulus: Stimulus<'a>,
+    uncollapsed: bool,
+    prune: bool,
+    learn: Option<LearnOptions>,
+    /// `--incremental`: the `--baseline-report` whose fates transfer.
+    incremental: Option<&'a str>,
+    simulator: &'a str,
+    /// The concurrent variants the run simulates (none on a baseline
+    /// simulator).
+    variants: Vec<CsimVariant>,
     threads: usize,
     plan: ShardPlan,
     /// `--batch-windows` turns on the two-dimensional scheduler; `None`
-    /// keeps the historical fault-shard-only dispatch.
+    /// keeps the fault-shard-only dispatch.
     batch: Option<BatchOptions>,
-    detections: Option<String>,
-    /// `--baseline-out`: write a fate-baseline report for later
-    /// `--incremental` runs once the run finishes.
-    baseline_out: Option<String>,
-    paranoid: bool,
     /// `--quiesce-window`: the engine's quiescence-gating window in
     /// patterns (0 = gating off). Applied to every engine the run
     /// builds; detections are bit-identical for every window.
     quiesce_window: u32,
+    stats: bool,
+    stats_json: Option<&'a str>,
+    trace_every: Option<usize>,
+    trace_out: Option<&'a str>,
+    /// Per-shard event-recorder tuning (`--trace-capacity`,
+    /// `--trace-window`).
+    trace_cfg: TraceConfig,
+    checkpoint_every: Option<usize>,
+    checkpoint_out: Option<&'a str>,
+    resume_from: Option<&'a str>,
+    detections: Option<&'a str>,
+    baseline_out: Option<&'a str>,
+    no_check: bool,
+    paranoid: bool,
 }
 
-impl ParallelOpts {
-    fn parse(args: &[String]) -> Result<Self, Box<dyn std::error::Error>> {
-        let threads = count_flag(args, "--threads")?.unwrap_or(1);
+impl<'a> RunPlan<'a> {
+    fn new(f: &Flags<'a>) -> Result<Self, Box<dyn std::error::Error>> {
+        let threads = f.num_or("--threads", 1);
         if threads > MAX_THREADS {
             return Err(err(format!("--threads must be at most {MAX_THREADS}")));
         }
-        let plan = match flag_value(args, "--shard-plan") {
-            Some(v) => ShardPlan::parse(v).ok_or_else(|| {
-                err(format!(
-                    "unknown shard plan {v:?} (round-robin, contiguous, level-aware, weight-aware)"
-                ))
-            })?,
-            None => ShardPlan::RoundRobin,
-        };
-        let batch = match flag_value(args, "--batch-windows") {
-            Some(v) => {
-                let window: usize = v.parse().map_err(|_| {
-                    err("--batch-windows needs a number (0 = one whole-run window)")
-                })?;
-                Some(BatchOptions {
-                    window,
-                    steal: has_flag(args, "--steal"),
-                    ..BatchOptions::default()
-                })
+        // One quiescence-window source of truth: the engine gate
+        // (`--quiesce-window`) and the trace recorder (`--trace-window`)
+        // must agree. With only the gate flag set (and nonzero), the
+        // recorder follows it; giving both with different values is an
+        // error rather than a silent disagreement.
+        let gate = f.num("--quiesce-window");
+        let mut trace_cfg = TraceConfig::default();
+        match (f.num("--trace-window"), gate) {
+            (Some(w), Some(g)) if w != g => {
+                return Err(err(format!(
+                    "--trace-window {w} disagrees with --quiesce-window {g}; \
+                     give one flag, or the same value to both"
+                )))
             }
-            None => {
-                if has_flag(args, "--steal") {
-                    return Err(err("--steal needs --batch-windows"));
-                }
-                None
-            }
+            (Some(w), _) => trace_cfg.quiescence_window = w as u32,
+            (None, Some(g)) if g > 0 => trace_cfg.quiescence_window = g as u32,
+            _ => {}
+        }
+        trace_cfg.capacity = f.num_or("--trace-capacity", trace_cfg.capacity);
+        let variants = match f.text("--variant") {
+            _ if f.baseline() => Vec::new(),
+            Some("all") => CsimVariant::ALL.to_vec(),
+            Some("base") => vec![CsimVariant::Base],
+            Some("v") => vec![CsimVariant::V],
+            Some("m") => vec![CsimVariant::M],
+            _ => vec![CsimVariant::Mv],
         };
-        let quiesce_window = match flag_value(args, "--quiesce-window") {
-            Some(v) => v
-                .parse()
-                .map_err(|_| err("--quiesce-window needs a number (0 disables)"))?,
-            None => 0,
-        };
-        Ok(ParallelOpts {
+        Ok(RunPlan {
+            stimulus: f.stimulus(),
+            uncollapsed: f.on("--uncollapsed"),
+            prune: f.on("--prune"),
+            learn: f.learn(),
+            incremental: f.text("--baseline-report"),
+            simulator: f.simulator(),
+            variants,
             threads,
-            plan,
-            batch,
-            detections: flag_value(args, "--detections").map(str::to_owned),
-            baseline_out: flag_value(args, "--baseline-out").map(str::to_owned),
-            paranoid: has_flag(args, "--paranoid"),
-            quiesce_window,
+            plan: f.text("--shard-plan").map_or(ShardPlan::RoundRobin, |p| {
+                ShardPlan::parse(p).expect("FLAGS lists only shard plans")
+            }),
+            batch: f.num("--batch-windows").map(|w| BatchOptions {
+                window: w as usize,
+                steal: f.on("--steal"),
+                ..BatchOptions::default()
+            }),
+            quiesce_window: gate.unwrap_or(0) as u32,
+            stats: f.on("--stats"),
+            stats_json: f.text("--stats-json"),
+            trace_every: f.num("--trace-every").map(|n| n as usize),
+            trace_out: f.text("--trace-out"),
+            trace_cfg,
+            checkpoint_every: f.num("--checkpoint-every").map(|n| n as usize),
+            checkpoint_out: f.text("--checkpoint-out"),
+            resume_from: f.text("--resume-from"),
+            detections: f.text("--detections"),
+            baseline_out: f.text("--baseline-out"),
+            no_check: f.on("--no-check"),
+            paranoid: f.on("--paranoid"),
         })
+    }
+
+    /// Whether the run needs the recording probe attached at all.
+    fn telemetry(&self) -> bool {
+        self.stats
+            || self.stats_json.is_some()
+            || self.trace_every.is_some()
+            || self.trace_out.is_some()
     }
 
     /// Fault-shard count: `--steal` overshards 2× so idle workers have
@@ -694,40 +755,10 @@ impl ParallelOpts {
             _ => self.threads,
         }
     }
-}
-
-/// Pattern-granular checkpointing options (`--checkpoint-every`,
-/// `--checkpoint-out`, `--resume-from`). A checkpoint captures one
-/// serial engine at a pattern boundary, so [`refuse_unsupported`] refuses
-/// the sharded, batched, and traced dispatches up front.
-struct CheckpointOpts {
-    /// Snapshot cadence in patterns.
-    every: Option<usize>,
-    /// Directory receiving `ckpt-NNNNNN.bin` snapshots.
-    out: Option<String>,
-    /// Checkpoint file to restore before the first pattern.
-    resume: Option<String>,
-}
-
-impl CheckpointOpts {
-    fn parse(args: &[String]) -> Result<Self, Box<dyn std::error::Error>> {
-        let every = count_flag(args, "--checkpoint-every")?;
-        let out = flag_value(args, "--checkpoint-out").map(str::to_owned);
-        if every.is_some() != out.is_some() {
-            return Err(err(
-                "--checkpoint-every and --checkpoint-out go together (cadence and directory)",
-            ));
-        }
-        Ok(CheckpointOpts {
-            every,
-            out,
-            resume: flag_value(args, "--resume-from").map(str::to_owned),
-        })
-    }
 
     /// Whether the run writes or restores checkpoints at all.
-    fn active(&self) -> bool {
-        self.every.is_some() || self.resume.is_some()
+    fn checkpointing(&self) -> bool {
+        self.checkpoint_every.is_some() || self.resume_from.is_some()
     }
 }
 
@@ -1123,9 +1154,9 @@ fn check_spec(spec: &str) -> Result<cfs_check::Report, Box<dyn std::error::Error
 /// circuit and the preflight's wall time for the phase table.
 fn load_circuit_checked(
     spec: &str,
-    args: &[String],
+    no_check: bool,
 ) -> Result<(Circuit, Duration), Box<dyn std::error::Error>> {
-    if has_flag(args, "--no-check") {
+    if no_check {
         return Ok((load_circuit(spec)?, Duration::ZERO));
     }
     let started = Instant::now();
@@ -1140,15 +1171,13 @@ fn load_circuit_checked(
     Ok((load_circuit(spec)?, elapsed))
 }
 
-fn cmd_check(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    validate_flags("check", args, CHECK_FLAGS)?;
-    let spec = args.first().ok_or_else(|| err("check: missing circuit"))?;
-    let format = flag_value(args, "--format").unwrap_or("text");
+fn cmd_check(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
+    let spec = f.arg(0, "circuit")?;
     let report = check_spec(spec)?;
-    match format {
-        "text" => print!("{}", report.render_text()),
-        "json" => println!("{}", report.render_json()),
-        other => return Err(err(format!("unknown format {other:?} (text, json)"))),
+    if f.text("--format") == Some("json") {
+        println!("{}", report.render_json());
+    } else {
+        print!("{}", report.render_text());
     }
     if report.has_errors() {
         return Err(err(format!(
@@ -1161,31 +1190,15 @@ fn cmd_check(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 
 /// `fsim analyze`: run the fault-universe analyses and report how far they
 /// shrink the stuck-at and transition universes, plus the per-net findings.
-fn cmd_analyze(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    validate_flags("analyze", args, ANALYZE_FLAGS)?;
-    let spec = args
-        .first()
-        .ok_or_else(|| err("analyze: missing circuit"))?;
-    let format = flag_value(args, "--format").unwrap_or("text");
-    if !matches!(format, "text" | "json") {
-        return Err(err(format!("unknown format {format:?} (text, json)")));
-    }
-    // Files are analyzed with provenance so findings carry .bench spans;
-    // built-ins have no source file to point at.
-    let (c, prov) = if spec.starts_with('@') {
-        (load_circuit(spec)?, None)
-    } else {
-        let text = fs::read_to_string(spec).map_err(|e| err(format!("cannot read {spec}: {e}")))?;
-        let (c, p) = parse_bench_with_provenance(circuit_name_of(spec), &text)?;
-        (c, Some(p))
-    };
-    let learn = learn_opts("analyze", args)?;
+fn cmd_analyze(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
+    // Files are analyzed with provenance so findings carry .bench spans.
+    let (c, prov) = load_circuit_with_provenance(f.arg(0, "circuit")?)?;
     let analysis = analyze_circuit(&c);
     let mut stuck = prune_stuck_at(&c, &analysis);
     let mut transition = prune_transition(&c, &analysis);
     // With --learn the reported universes are the learned ones: the F004
     // fates flow into the findings below exactly as the base prunes do.
-    let learned = learn.map(|options| {
+    let learned = f.learn().map(|options| {
         let graph = ImplicationGraph::build(&c, &analysis, options);
         let ls = prune_stuck_at_learned(&c, &analysis, &graph);
         stuck = ls.universe.clone();
@@ -1213,7 +1226,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         .count();
     let s = &stuck.stats;
     let t = &transition.stats;
-    if format == "json" {
+    if f.text("--format") == Some("json") {
         let mut out = String::new();
         out.push_str(&format!(
             "{{\"nodes\":{},\"constant_nets\":{constant_nets},\"observable_nodes\":{observable},",
@@ -1343,13 +1356,7 @@ const CLI_CODES: &[(&str, &str, Severity, &str)] = &[
 /// `fsim rules`: the diagnostic-code registry, straight from
 /// [`RuleCode::ALL`] plus the CLI-layer codes — the single source the
 /// docs table is checked against.
-fn cmd_rules(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    validate_flags("rules", args, RULES_FLAGS)?;
-    let format = flag_value(args, "--format").unwrap_or("text");
-    if !matches!(format, "text" | "json") {
-        return Err(err(format!("unknown format {format:?} (text, json)")));
-    }
-    let filter = args.first().filter(|a| !a.starts_with("--"));
+fn cmd_rules(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
     let rows: Vec<(String, &str, Severity, &str)> = RuleCode::ALL
         .iter()
         .map(|&code| {
@@ -1366,12 +1373,12 @@ fn cmd_rules(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 .map(|&(code, slug, sev, desc)| (code.to_owned(), slug, sev, desc)),
         )
         .collect();
-    let rows: Vec<_> = match filter {
+    let rows: Vec<_> = match f.positionals.first() {
         None => rows,
         Some(wanted) => {
             let hits: Vec<_> = rows
                 .into_iter()
-                .filter(|(code, slug, ..)| code == wanted || *slug == wanted.as_str())
+                .filter(|(code, slug, ..)| code == wanted || slug == wanted)
                 .collect();
             if hits.is_empty() {
                 return Err(diag(format!(
@@ -1382,7 +1389,7 @@ fn cmd_rules(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             hits
         }
     };
-    if format == "json" {
+    if f.text("--format") == Some("json") {
         let mut out = String::from("[");
         for (i, (code, slug, sev, desc)) in rows.iter().enumerate() {
             if i > 0 {
@@ -1405,30 +1412,10 @@ fn cmd_rules(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 
 /// `fsim implications <circuit> <net>`: query the implication graph for
 /// everything a net's binary values force, across time frames.
-fn cmd_implications(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    validate_flags_n("implications", args, IMPLICATIONS_FLAGS, 2)?;
-    let spec = args
-        .first()
-        .ok_or_else(|| err("implications: missing circuit"))?;
-    let net_name = args
-        .get(1)
-        .filter(|a| !a.starts_with("--"))
-        .ok_or_else(|| err("implications: missing net name (fsim implications <circuit> <net>)"))?;
-    let format = flag_value(args, "--format").unwrap_or("text");
-    if !matches!(format, "text" | "json") {
-        return Err(err(format!("unknown format {format:?} (text, json)")));
-    }
-    let frames = match flag_value(args, "--learn-frames") {
-        None => cfs_check::DEFAULT_LEARN_FRAMES,
-        Some(s) => match s.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                return Err(err(format!(
-                    "implications: --learn-frames wants a positive frame count, got {s:?}"
-                )))
-            }
-        },
-    };
+fn cmd_implications(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
+    let spec = f.arg(0, "circuit")?;
+    let net_name = f.arg(1, "net name (fsim implications <circuit> <net>)")?;
+    let frames = f.num_or("--learn-frames", cfs_check::DEFAULT_LEARN_FRAMES);
     let c = load_circuit(spec)?;
     let Some(net) = c.find(net_name) else {
         return Err(diag(format!(
@@ -1439,7 +1426,7 @@ fn cmd_implications(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let analysis = analyze_circuit(&c);
     let graph = ImplicationGraph::build(&c, &analysis, LearnOptions { frames });
     let horizon = 2 * (frames - 1);
-    if format == "json" {
+    if f.text("--format") == Some("json") {
         let mut out = format!(
             "{{\"circuit\":\"{}\",\"net\":\"{net_name}\",\"frames\":{frames},\
              \"valid_from_cycle\":{horizon},\"implications\":[",
@@ -1534,25 +1521,9 @@ fn render_edit(e: &cfs_check::NetlistEdit) -> String {
 /// `fsim impact <base> <edited>`: structural diff, affected-cone sizes,
 /// and the stuck-at/transition transfer split — the static half of an
 /// incremental re-simulation, without running any patterns.
-fn cmd_impact(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let base_spec = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .ok_or_else(|| err("impact: missing circuits (fsim impact <base> <edited>)"))?;
-    let edited_spec = args
-        .get(1)
-        .filter(|a| !a.starts_with("--"))
-        .ok_or_else(|| err("impact: missing edited circuit (fsim impact <base> <edited>)"))?;
-    if let Some(stray) = args.get(2).filter(|a| !a.starts_with("--")) {
-        return Err(err(format!(
-            "impact: unexpected argument {stray:?} (the two circuits come first)"
-        )));
-    }
-    validate_flags("impact", &args[2..], IMPACT_FLAGS)?;
-    let format = flag_value(args, "--format").unwrap_or("text");
-    if !matches!(format, "text" | "json") {
-        return Err(err(format!("unknown format {format:?} (text, json)")));
-    }
+fn cmd_impact(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
+    let base_spec = f.arg(0, "circuits (fsim impact <base> <edited>)")?;
+    let edited_spec = f.arg(1, "edited circuit (fsim impact <base> <edited>)")?;
     let (base, base_prov) = load_circuit_with_provenance(base_spec)?;
     let (edited, edited_prov) = load_circuit_with_provenance(edited_spec)?;
     let diff = diff_netlists(&base, &edited, base_prov.as_ref(), edited_prov.as_ref());
@@ -1561,7 +1532,7 @@ fn cmd_impact(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let transition = classify_transition(&base, &edited, &analysis);
     let mut report = cfs_check::Report::new(edited.name());
     impact_findings(&analysis, &mut report);
-    if format == "json" {
+    if f.text("--format") == Some("json") {
         let mut out = String::new();
         out.push_str("{\"base\":");
         write_json_string(&mut out, base.name());
@@ -1660,24 +1631,17 @@ fn cmd_impact(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 /// `fsim mutate <circuit> --edit KIND`: apply one deterministic scripted
 /// edit and emit the mutated `.bench` text, for building incremental test
 /// workloads without hand-editing netlists.
-fn cmd_mutate(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    validate_flags("mutate", args, MUTATE_FLAGS)?;
-    let spec = args.first().ok_or_else(|| err("mutate: missing circuit"))?;
-    let edit_name = flag_value(args, "--edit")
+fn cmd_mutate(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
+    let spec = f.arg(0, "circuit")?;
+    let edit = f
+        .text("--edit")
         .ok_or_else(|| err("mutate: missing --edit (retype, rewire, dead-logic)"))?;
-    let edit = BenchEdit::parse(edit_name).ok_or_else(|| {
-        err(format!(
-            "unknown edit {edit_name:?} (retype, rewire, dead-logic)"
-        ))
-    })?;
-    let choice: usize = match flag_value(args, "--choice") {
-        Some(v) => v.parse().map_err(|_| err("--choice needs a number"))?,
-        None => 0,
-    };
+    let edit = BenchEdit::parse(edit).expect("FLAGS lists only edits");
+    let choice = f.num_or("--choice", 0);
     let c = load_circuit(spec)?;
     let candidates = edit_candidates(&c, edit);
     let applied = apply_edit(&c, edit, choice)?;
-    if let Some(path) = flag_value(args, "--out") {
+    if let Some(path) = f.text("--out") {
         fs::write(path, &applied.text).map_err(|e| err(format!("cannot write {path}: {e}")))?;
         println!(
             "{} (choice {} of {candidates}); wrote {path}",
@@ -1697,44 +1661,35 @@ fn cmd_mutate(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 
 fn load_patterns(
     circuit: &Circuit,
-    args: &[String],
-    default_random: usize,
+    stimulus: Stimulus<'_>,
 ) -> Result<Vec<Vec<Logic>>, Box<dyn std::error::Error>> {
-    if let Some(file) = flag_value(args, "--patterns") {
-        let text = fs::read_to_string(file).map_err(|e| err(format!("cannot read {file}: {e}")))?;
-        let mut patterns = Vec::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let p = parse_pattern(line).map_err(|e| err(format!("{file}:{}: {e}", lineno + 1)))?;
-            if p.len() != circuit.num_inputs() {
-                return Err(err(format!(
-                    "{file}:{}: pattern has {} bits, circuit has {} inputs",
-                    lineno + 1,
-                    p.len(),
-                    circuit.num_inputs()
-                )));
-            }
-            patterns.push(p);
+    let file = match stimulus {
+        Stimulus::Random { count, seed } => return Ok(random_patterns(circuit, count, seed)),
+        Stimulus::File(file) => file,
+    };
+    let text = fs::read_to_string(file).map_err(|e| err(format!("cannot read {file}: {e}")))?;
+    let mut patterns = Vec::new();
+    for (lineno, line) in text.lines().enumerate() {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
         }
-        return Ok(patterns);
+        let p = parse_pattern(line).map_err(|e| err(format!("{file}:{}: {e}", lineno + 1)))?;
+        if p.len() != circuit.num_inputs() {
+            return Err(err(format!(
+                "{file}:{}: pattern has {} bits, circuit has {} inputs",
+                lineno + 1,
+                p.len(),
+                circuit.num_inputs()
+            )));
+        }
+        patterns.push(p);
     }
-    let n = match flag_value(args, "--random") {
-        Some(v) => v.parse().map_err(|_| err("--random needs a number"))?,
-        None => default_random,
-    };
-    let seed = match flag_value(args, "--seed") {
-        Some(v) => v.parse().map_err(|_| err("--seed needs a number"))?,
-        None => 1,
-    };
-    Ok(random_patterns(circuit, n, seed))
+    Ok(patterns)
 }
 
-fn cmd_stats(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    validate_flags("stats", args, STATS_FLAGS)?;
-    let spec = args.first().ok_or_else(|| err("stats: missing circuit"))?;
+fn cmd_stats(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
+    let spec = f.arg(0, "circuit")?;
     let c = load_circuit(spec)?;
     println!("{c}");
     let all = enumerate_stuck_at(&c);
@@ -1766,7 +1721,7 @@ fn print_report(report: &FaultSimReport) {
 
 type JsonlFile = JsonlWriter<io::BufWriter<fs::File>>;
 
-fn open_jsonl(path: &Option<String>) -> Result<Option<JsonlFile>, Box<dyn std::error::Error>> {
+fn open_jsonl(path: Option<&str>) -> Result<Option<JsonlFile>, Box<dyn std::error::Error>> {
     match path {
         Some(p) => {
             let file = fs::File::create(p).map_err(|e| err(format!("cannot write {p}: {e}")))?;
@@ -1778,9 +1733,9 @@ fn open_jsonl(path: &Option<String>) -> Result<Option<JsonlFile>, Box<dyn std::e
 
 fn close_jsonl(
     jsonl: Option<JsonlFile>,
-    path: &Option<String>,
+    path: Option<&str>,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    if let (Some(mut w), Some(p)) = (jsonl, path.as_ref()) {
+    if let (Some(mut w), Some(p)) = (jsonl, path) {
         w.flush()
             .map_err(|e| err(format!("cannot write {p}: {e}")))?;
         println!("wrote telemetry to {p}");
@@ -2009,10 +1964,10 @@ enum Probes {
 }
 
 impl Probes {
-    fn pick(tel: &TelemetryOpts, variants: usize) -> Probes {
-        if tel.trace_out.is_some() {
+    fn pick(plan: &RunPlan<'_>, variants: usize) -> Probes {
+        if plan.trace_out.is_some() {
             Probes::Trace
-        } else if tel.enabled() || variants > 1 {
+        } else if plan.telemetry() || variants > 1 {
             Probes::Metrics
         } else {
             Probes::Null
@@ -2020,50 +1975,15 @@ impl Probes {
     }
 }
 
-/// Flag combinations the run driver cannot serve, refused before
-/// dispatch. `variants` counts the concurrent variants the run simulates.
-fn refuse_unsupported(
-    variants: usize,
-    tel: &TelemetryOpts,
-    par: &ParallelOpts,
-    ck: &CheckpointOpts,
-) -> Result<(), Box<dyn std::error::Error>> {
-    if ck.active() {
-        if par.threads > 1 {
-            return Err(err(
-                "checkpointing captures one serial engine; it needs --threads 1",
-            ));
-        }
-        if par.batch.is_some() {
-            return Err(err("checkpointing cannot combine with --batch-windows"));
-        }
-        if tel.trace_out.is_some() {
-            return Err(err("checkpointing cannot combine with --trace-out"));
-        }
-    }
-    if variants > 1 {
-        for (on, what) in [
-            (par.detections.is_some(), "--detections"),
-            (par.baseline_out.is_some(), "--baseline-out"),
-            (ck.active(), "checkpointing"),
-            (tel.trace_out.is_some(), "--trace-out"),
-        ] {
-            if on {
-                return Err(err(format!("{what} needs a single --variant")));
-            }
-        }
-    }
-    Ok(())
-}
-
 /// One `sim`/`transition` run's inputs, shared by every machine it drives.
 struct Run<'a, F> {
     c: &'a Circuit,
     patterns: &'a [Vec<Logic>],
     universe: &'a Universe<F>,
-    tel: &'a TelemetryOpts,
-    par: &'a ParallelOpts,
-    ck: &'a CheckpointOpts,
+    plan: &'a RunPlan<'a>,
+    /// Wall time the `cfs-check` preflight took, folded into the phase
+    /// table of every snapshot the run emits.
+    check_time: Duration,
 }
 
 /// A finished traced run's Chrome Trace content: each shard's events
@@ -2082,7 +2002,7 @@ struct Outcome {
 
 /// `--checkpoint-every` bookkeeping, driven from the run callback.
 struct Checkpointing<'a> {
-    ck: &'a CheckpointOpts,
+    plan: &'a RunPlan<'a>,
     total: usize,
     time: Duration,
     written: u32,
@@ -2094,7 +2014,8 @@ impl Checkpointing<'_> {
     /// boundary is the finished report). A write failure stops further
     /// snapshots and is returned once the run ends.
     fn after<M: FaultMachine>(&mut self, sim: &ShardedSim<M>, done: usize) {
-        let (Some(every), Some(dir)) = (self.ck.every, self.ck.out.as_deref()) else {
+        let (Some(every), Some(dir)) = (self.plan.checkpoint_every, self.plan.checkpoint_out)
+        else {
             return;
         };
         if !done.is_multiple_of(every) || done >= self.total || self.failed.is_some() {
@@ -2124,24 +2045,23 @@ where
     M: FaultMachine + Send,
     M::Probe: RunProbe,
 {
-    let (c, patterns, universe) = (run.c, run.patterns, run.universe);
-    let (tel, par, ck) = (run.tel, run.par, run.ck);
+    let (c, patterns, universe, plan) = (run.c, run.patterns, run.universe, run.plan);
     let exp = universe.expansion();
     let epoch = Instant::now();
     let mut sim = ShardedSim::<M>::with_probes_sharded(
         c,
         &universe.faults,
         options,
-        par.threads,
-        par.shards(),
-        par.plan,
+        plan.threads,
+        plan.shards(),
+        plan.plan,
         universe.keys.as_deref(),
-        |_| M::Probe::attach(epoch, tel.trace_cfg),
+        |_| M::Probe::attach(epoch, plan.trace_cfg),
     );
-    if par.paranoid {
+    if plan.paranoid {
         sim.set_paranoid(true);
     }
-    let start_at = match &ck.resume {
+    let start_at = match plan.resume_from {
         Some(path) => {
             let snap = load_checkpoint_file(path)?;
             sim.restore(&snap)
@@ -2158,7 +2078,7 @@ where
         }
         None => 0,
     };
-    let mut progress = tel.trace_every.map(|every| Progress {
+    let mut progress = plan.trace_every.map(|every| Progress {
         every,
         first: start_at,
         cursor: start_at,
@@ -2166,7 +2086,7 @@ where
         total: universe.faults.len(),
     });
     let mut ckpt = Checkpointing {
-        ck,
+        plan,
         total: patterns.len(),
         time: Duration::ZERO,
         written: 0,
@@ -2183,7 +2103,7 @@ where
     // Scheduler timestamps count from run start; measure that start on
     // the recorders' epoch so the worker tracks line up with the shards.
     let sched_offset = epoch.elapsed().as_micros() as u64;
-    let mut report = match &par.batch {
+    let mut report = match &plan.batch {
         Some(b) => sim.run_batched_with(patterns, b, after),
         None => sim.run_with(&patterns[start_at..], after),
     };
@@ -2191,7 +2111,7 @@ where
     if let Some(e) = ckpt.failed {
         return Err(e);
     }
-    if let Some(dir) = ck.out.as_deref() {
+    if let Some(dir) = plan.checkpoint_out {
         if ckpt.written > 0 {
             println!(
                 "wrote {} checkpoint(s) to {dir} ({:.1} ms)",
@@ -2202,24 +2122,24 @@ where
     }
     exp.expand(&mut report);
     print_report(&report);
-    verify_incremental(c.name(), exp, par.paranoid, &report.statuses, cold)?;
+    verify_incremental(c.name(), exp, plan.paranoid, &report.statuses, cold)?;
     let shard_metrics = || sim.shard_probes().filter_map(|(p, _)| p.metrics());
     let recorders = || sim.shard_probes().filter_map(|(p, _)| p.recorder());
     let snap = if shard_metrics().next().is_some() {
         let mut snap = sim.snapshot_by(|p| p.metrics().expect("every shard records"));
         // Phase spans nest, so the wall clock is the honest total.
         snap.cpu_seconds = report.cpu.as_secs_f64();
-        snap.phases.add(Phase::Check, tel.check_time);
-        if ck.active() {
+        snap.phases.add(Phase::Check, run.check_time);
+        if plan.checkpointing() {
             snap.phases.add(Phase::Checkpoint, ckpt.time);
         }
         exp.stamp(&mut snap);
         snap.trace_events = recorders().map(TraceRecorder::recorded_events).sum();
         snap.trace_dropped = recorders().map(TraceRecorder::dropped_events).sum();
-        if tel.stats {
+        if plan.stats {
             // Batched runs only: plain `--threads N` output stays what it
             // always was.
-            if let (Some(_), Some(st)) = (&par.batch, sim.sched_stats()) {
+            if let (Some(_), Some(st)) = (&plan.batch, sim.sched_stats()) {
                 println!(
                     "  scheduler: {} windows × {} shards = {} tasks on {} workers, {} steals",
                     st.windows,
@@ -2236,7 +2156,7 @@ where
                 // A serial run's single shard recorded the serial
                 // per-pattern records; sharded runs carry only the merged
                 // summary.
-                Some(m) if par.threads == 1 && par.batch.is_none() => emit_jsonl(w, m, &snap)?,
+                Some(m) if plan.threads == 1 && plan.batch.is_none() => emit_jsonl(w, m, &snap)?,
                 _ => w
                     .write_summary(&snap)
                     .map_err(|e| err(format!("cannot write telemetry: {e}")))?,
@@ -2246,14 +2166,14 @@ where
     } else {
         None
     };
-    let trace = tel.trace_out.as_ref().map(|_| TraceDoc {
+    let trace = plan.trace_out.map(|_| TraceDoc {
         shards: sim
             .shard_probes()
             .filter_map(|(p, map)| Some((p.recorder()?.events().copied().collect(), map.to_vec())))
             .collect(),
         // Worker tracks only for batched runs: the plain sharded document
         // keeps its one-track-per-shard shape.
-        sched: par
+        sched: plan
             .batch
             .as_ref()
             .and_then(|_| sched_track_of(sim.sched_stats(), sched_offset)),
@@ -2276,18 +2196,18 @@ fn finish_run<F>(
     (model, universe): (&str, &str),
 ) -> Result<(), Box<dyn std::error::Error>> {
     let snaps: Vec<MetricsSnapshot> = outcomes.iter().filter_map(|o| o.snap.clone()).collect();
-    if run.tel.stats || outcomes.len() > 1 {
+    if run.plan.stats || outcomes.len() > 1 {
         println!();
         print!("{}", render_summary_table(&snaps));
     }
-    close_jsonl(jsonl, &run.tel.stats_json)?;
+    close_jsonl(jsonl, run.plan.stats_json)?;
     let Some(last) = outcomes.last() else {
         return Ok(());
     };
-    if let Some(path) = &run.par.detections {
+    if let Some(path) = run.plan.detections {
         write_detections(path, &last.report.statuses)?;
     }
-    if let Some(path) = &run.par.baseline_out {
+    if let Some(path) = run.plan.baseline_out {
         write_baseline(
             path,
             model,
@@ -2297,7 +2217,7 @@ fn finish_run<F>(
             &last.report.statuses,
         )?;
     }
-    if let (Some(path), Some(doc)) = (&run.tel.trace_out, &last.trace) {
+    if let (Some(path), Some(doc)) = (run.plan.trace_out, &last.trace) {
         let (recorded, dropped) = last
             .snap
             .as_ref()
@@ -2384,64 +2304,33 @@ const TRANSITION: ModelHooks<TransitionFault> = ModelHooks {
     weights: transition_weights,
 };
 
-/// Checks the universe-rewriting flags `sim` and `transition` share:
-/// `--learn` extends `--prune`, and `--incremental` pairs with
-/// `--baseline-report` but not with `--prune`.
-fn universe_flags(
-    cmd: &str,
-    args: &[String],
-) -> Result<(bool, Option<LearnOptions>), Box<dyn std::error::Error>> {
-    let prune = has_flag(args, "--prune");
-    let learn = learn_opts(cmd, args)?;
-    if learn.is_some() && !prune {
-        return Err(err("--learn extends --prune; add --prune"));
-    }
-    let incremental = has_flag(args, "--incremental");
-    if incremental && prune {
-        return Err(err(
-            "--incremental and --prune both rewrite the simulated universe; pick one",
-        ));
-    }
-    if incremental && flag_value(args, "--baseline-report").is_none() {
-        return Err(err("--incremental needs --baseline-report FILE"));
-    }
-    if !incremental && flag_value(args, "--baseline-report").is_some() {
-        return Err(err("--baseline-report needs --incremental"));
-    }
-    Ok((prune, learn))
-}
-
 /// The shared `sim`/`transition` preparation: `--prune` (with `--learn`),
 /// `--incremental`, and the weight-aware plan's keys, over the model's
 /// `full` default universe.
-#[allow(clippy::too_many_arguments)]
 fn prepare_universe<F: Copy>(
     c: &Circuit,
-    args: &[String],
+    plan: &RunPlan<'_>,
     patterns: &[Vec<Logic>],
-    par: &ParallelOpts,
-    prune: bool,
-    learn: Option<LearnOptions>,
     hooks: &ModelHooks<F>,
     full: impl FnOnce(&Circuit) -> Vec<F>,
 ) -> Result<Universe<F>, Box<dyn std::error::Error>> {
-    let weighted = par.plan == ShardPlan::WeightAware && par.threads > 1;
+    let weighted = plan.plan == ShardPlan::WeightAware && plan.threads > 1;
     // The weight-aware plan and --prune share one static analysis pass.
-    let analysis = (prune || weighted).then(|| analyze_circuit(c));
+    let analysis = (plan.prune || weighted).then(|| analyze_circuit(c));
     let pruned = match &analysis {
-        Some(a) if prune => Some(match learn {
+        Some(a) if plan.prune => Some(match plan.learn {
             Some(options) => (hooks.prune_learned)(c, a, &ImplicationGraph::build(c, a, options)),
             None => (hooks.prune)(c, a),
         }),
         _ => None,
     };
-    let incr = match flag_value(args, "--baseline-report") {
-        Some(path) if has_flag(args, "--incremental") => {
+    let incr = match plan.incremental {
+        Some(path) => {
             let (model, universe) = hooks.baseline;
             let baseline = load_baseline(path, model, universe)?;
             Some(prepare_incremental(c, baseline, patterns, hooks.classify)?)
         }
-        _ => None,
+        None => None,
     };
     let faults = match (&pruned, &incr) {
         (Some(u), _) => {
@@ -2466,72 +2355,13 @@ fn prepare_universe<F: Copy>(
     })
 }
 
-/// Parses `--variant` for the concurrent simulator.
-fn parse_variants(name: &str) -> Result<Vec<CsimVariant>, Box<dyn std::error::Error>> {
-    Ok(match name {
-        "all" => CsimVariant::ALL.to_vec(),
-        "base" => vec![CsimVariant::Base],
-        "v" => vec![CsimVariant::V],
-        "m" => vec![CsimVariant::M],
-        "mv" => vec![CsimVariant::Mv],
-        other => return Err(err(format!("unknown variant {other:?}"))),
-    })
-}
-
-fn cmd_sim(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    validate_flags("sim", args, SIM_FLAGS)?;
-    let spec = args.first().ok_or_else(|| err("sim: missing circuit"))?;
-    let simulator = flag_value(args, "--simulator").unwrap_or("csim");
-    let uncollapsed = has_flag(args, "--uncollapsed");
-    let (prune, learn) = universe_flags("sim", args)?;
-    let incremental = has_flag(args, "--incremental");
-    if prune && uncollapsed {
-        return Err(err(
-            "--prune already reports the full uncollapsed universe (pruned faults \
-             as untestable); drop --uncollapsed",
-        ));
-    }
-    if incremental && uncollapsed {
-        return Err(err(
-            "--incremental already reports the full uncollapsed universe; drop --uncollapsed",
-        ));
-    }
-    if flag_value(args, "--baseline-out").is_some() && !(prune || incremental || uncollapsed) {
-        return Err(err(
-            "--baseline-out records fates over the full uncollapsed universe; add \
-             --uncollapsed (or --prune / --incremental, which already report it)",
-        ));
-    }
-    let mut tel = TelemetryOpts::parse(args)?;
-    let par = ParallelOpts::parse(args)?;
-    let ck = CheckpointOpts::parse(args)?;
-    let variants = if simulator == "csim" {
-        parse_variants(flag_value(args, "--variant").unwrap_or("mv"))?
-    } else {
-        for (on, flag) in [
-            (prune, "--prune"),
-            (incremental, "--incremental"),
-            (ck.active(), "checkpointing"),
-            (tel.trace_out.is_some(), "--trace-out"),
-            (par.threads > 1, "--threads"),
-            (par.batch.is_some(), "--batch-windows"),
-            (par.paranoid, "--paranoid"),
-            (par.quiesce_window > 0, "--quiesce-window"),
-        ] {
-            if on {
-                return Err(err(format!(
-                    "{flag} needs the concurrent simulator, not {simulator:?}"
-                )));
-            }
-        }
-        Vec::new()
-    };
-    refuse_unsupported(variants.len(), &tel, &par, &ck)?;
-    let (c, check_time) = load_circuit_checked(spec, args)?;
-    tel.check_time = check_time;
-    let patterns = load_patterns(&c, args, 256)?;
-    let universe = prepare_universe(&c, args, &patterns, &par, prune, learn, &STUCK, |c| {
-        if uncollapsed {
+fn cmd_sim(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
+    let spec = f.arg(0, "circuit")?;
+    let plan = RunPlan::new(f)?;
+    let (c, check_time) = load_circuit_checked(spec, plan.no_check)?;
+    let patterns = load_patterns(&c, plan.stimulus)?;
+    let universe = prepare_universe(&c, &plan, &patterns, &STUCK, |c| {
+        if plan.uncollapsed {
             enumerate_stuck_at(c)
         } else {
             collapse_stuck_at(c).representatives
@@ -2541,17 +2371,16 @@ fn cmd_sim(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         c: &c,
         patterns: &patterns,
         universe: &universe,
-        tel: &tel,
-        par: &par,
-        ck: &ck,
+        plan: &plan,
+        check_time,
     };
-    let mut jsonl = open_jsonl(&tel.stats_json)?;
-    if simulator == "csim" {
-        let probes = Probes::pick(&tel, variants.len());
-        let mut outcomes = Vec::with_capacity(variants.len());
-        for variant in variants {
+    let mut jsonl = open_jsonl(plan.stats_json)?;
+    if plan.simulator == "csim" {
+        let probes = Probes::pick(&plan, plan.variants.len());
+        let mut outcomes = Vec::with_capacity(plan.variants.len());
+        for &variant in &plan.variants {
             let options = CsimOptions {
-                quiesce_window: par.quiesce_window,
+                quiesce_window: plan.quiesce_window,
                 ..variant.options()
             };
             // Cold cross-check re-runs stay ungated on purpose: a gating
@@ -2574,22 +2403,19 @@ fn cmd_sim(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         return finish_run(&run, &outcomes, jsonl, STUCK.baseline);
     }
     let faults = &universe.faults;
-    let report = match simulator {
+    let report = match plan.simulator {
         "proofs" => ProofsSim::new(&c, faults).run(&patterns),
         "serial" => SerialSim::new(&c, faults).run(&patterns),
         "deductive" => {
             let reset = vec![Logic::Zero; c.num_dffs()];
             DeductiveSim::new(&c, faults, reset).run(&patterns)?
         }
-        other => return Err(err(format!("unknown simulator {other:?}"))),
+        other => unreachable!("FLAGS lists no simulator {other:?}"),
     };
     print_report(&report);
     // The baseline simulators report only run totals: a headline-only
     // snapshot through the same table and JSON path.
-    let snap = tel.enabled().then(|| {
-        if tel.trace_every.is_some() {
-            eprintln!("fsim: note: --trace-every needs a concurrent simulator; ignored");
-        }
+    let snap = plan.telemetry().then(|| {
         MetricsSnapshot::from_basic(
             &report.simulator,
             &report.circuit,
@@ -2613,39 +2439,21 @@ fn cmd_sim(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     finish_run(&run, &[outcome], jsonl, STUCK.baseline)
 }
 
-fn cmd_transition(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    validate_flags("transition", args, TRANSITION_FLAGS)?;
-    let spec = args
-        .first()
-        .ok_or_else(|| err("transition: missing circuit"))?;
-    let mut tel = TelemetryOpts::parse(args)?;
-    let par = ParallelOpts::parse(args)?;
-    let ck = CheckpointOpts::parse(args)?;
-    refuse_unsupported(1, &tel, &par, &ck)?;
-    let (prune, learn) = universe_flags("transition", args)?;
-    let (c, check_time) = load_circuit_checked(spec, args)?;
-    tel.check_time = check_time;
-    let patterns = load_patterns(&c, args, 256)?;
-    let universe = prepare_universe(
-        &c,
-        args,
-        &patterns,
-        &par,
-        prune,
-        learn,
-        &TRANSITION,
-        enumerate_transition,
-    )?;
+fn cmd_transition(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
+    let spec = f.arg(0, "circuit")?;
+    let plan = RunPlan::new(f)?;
+    let (c, check_time) = load_circuit_checked(spec, plan.no_check)?;
+    let patterns = load_patterns(&c, plan.stimulus)?;
+    let universe = prepare_universe(&c, &plan, &patterns, &TRANSITION, enumerate_transition)?;
     let run = Run {
         c: &c,
         patterns: &patterns,
         universe: &universe,
-        tel: &tel,
-        par: &par,
-        ck: &ck,
+        plan: &plan,
+        check_time,
     };
     let options = TransitionOptions {
-        quiesce_window: par.quiesce_window,
+        quiesce_window: plan.quiesce_window,
         ..TransitionOptions::default()
     };
     let cold = |full: &[TransitionFault]| {
@@ -2653,8 +2461,8 @@ fn cmd_transition(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             .run(&patterns)
             .statuses
     };
-    let mut jsonl = open_jsonl(&tel.stats_json)?;
-    let outcome = match Probes::pick(&tel, 1) {
+    let mut jsonl = open_jsonl(plan.stats_json)?;
+    let outcome = match Probes::pick(&plan, 1) {
         Probes::Null => simulate::<TransitionSim>(&run, options, &mut jsonl, cold)?,
         Probes::Metrics => simulate::<TransitionSim<SimMetrics>>(&run, options, &mut jsonl, cold)?,
         Probes::Trace => simulate::<TransitionSim<TraceProbe>>(&run, options, &mut jsonl, cold)?,
@@ -2674,27 +2482,16 @@ fn node_name(c: &Circuit, node: u32) -> &str {
 /// a serial gate-level traced run and print the one fault's recorded
 /// lifecycle. Unknown and statically-untestable ids exit with status 2
 /// and a `cfs-check`-style diagnostic instead of a timeline.
-fn cmd_explain(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let spec = args
-        .first()
-        .ok_or_else(|| err("explain: missing circuit"))?;
-    let id_arg = args
-        .get(1)
-        .filter(|a| !a.starts_with("--"))
-        .ok_or_else(|| err("explain: missing fault id (fsim explain <circuit> <fault-id>)"))?;
-    if let Some(stray) = args.get(2).filter(|a| !a.starts_with("--")) {
-        return Err(err(format!(
-            "explain: unexpected argument {stray:?} (the circuit and fault id come first)"
-        )));
-    }
-    validate_flags("explain", &args[2..], EXPLAIN_FLAGS)?;
+fn cmd_explain(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
+    let spec = f.arg(0, "circuit")?;
+    let id_arg = f.arg(1, "fault id (fsim explain <circuit> <fault-id>)")?;
     let id: usize = id_arg.parse().map_err(|_| {
         err(format!(
             "explain: fault id must be a number, got {id_arg:?}"
         ))
     })?;
-    let (c, _check_time) = load_circuit_checked(spec, args)?;
-    let uncollapsed = has_flag(args, "--uncollapsed");
+    let (c, _check_time) = load_circuit_checked(spec, f.on("--no-check"))?;
+    let uncollapsed = f.on("--uncollapsed");
     let universe = if uncollapsed {
         enumerate_stuck_at(&c)
     } else {
@@ -2741,12 +2538,10 @@ fn cmd_explain(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     let mut cfg = TraceConfig::default();
-    if let Some(v) = flag_value(args, "--trace-window") {
-        cfg.quiescence_window = v
-            .parse()
-            .map_err(|_| err("--trace-window needs a number (0 disables)"))?;
+    if let Some(w) = f.num("--trace-window") {
+        cfg.quiescence_window = w as u32;
     }
-    let patterns = load_patterns(&c, args, 256)?;
+    let patterns = load_patterns(&c, f.stimulus())?;
     let mut sim = ConcurrentSim::with_probe(
         &c,
         &universe,
@@ -2847,23 +2642,16 @@ fn cmd_explain(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 /// `fsim heatmap <circuit>`: rank nodes by recorded fault-list activity
 /// from a serial gate-level traced run — the measured counterpart of the
 /// static SCOAP observability weights `--shard-plan weight-aware` uses.
-fn cmd_heatmap(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    validate_flags("heatmap", args, HEATMAP_FLAGS)?;
-    let spec = args
-        .first()
-        .ok_or_else(|| err("heatmap: missing circuit"))?;
-    let format = flag_value(args, "--format").unwrap_or("text");
-    if !matches!(format, "text" | "json") {
-        return Err(err(format!("unknown format {format:?} (text, json)")));
-    }
-    let top = count_flag(args, "--top")?.unwrap_or(20);
-    let (c, _check_time) = load_circuit_checked(spec, args)?;
-    let faults = if has_flag(args, "--uncollapsed") {
+fn cmd_heatmap(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
+    let spec = f.arg(0, "circuit")?;
+    let top = f.num_or("--top", 20);
+    let (c, _check_time) = load_circuit_checked(spec, f.on("--no-check"))?;
+    let faults = if f.on("--uncollapsed") {
         enumerate_stuck_at(&c)
     } else {
         collapse_stuck_at(&c).representatives
     };
-    let patterns = load_patterns(&c, args, 256)?;
+    let patterns = load_patterns(&c, f.stimulus())?;
     // The per-node totals come from the recorder's exact counters, which
     // ring overflow cannot touch, so the ring itself can be minimal.
     let cfg = TraceConfig {
@@ -2883,7 +2671,7 @@ fn cmd_heatmap(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     heat.add_recorder(sim.probe());
     let ranked = heat.ranked();
     let shown = ranked.len().min(top);
-    if format == "json" {
+    if f.text("--format") == Some("json") {
         let mut out = String::new();
         out.push_str("{\"circuit\":");
         write_json_string(&mut out, c.name());
@@ -2945,25 +2733,18 @@ fn cmd_heatmap(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn cmd_atpg(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    validate_flags("atpg", args, ATPG_FLAGS)?;
-    let spec = args.first().ok_or_else(|| err("atpg: missing circuit"))?;
+fn cmd_atpg(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
+    let spec = f.arg(0, "circuit")?;
     let c = load_circuit(spec)?;
     let faults = collapse_stuck_at(&c).representatives;
     let options = AtpgOptions {
-        max_frames: match flag_value(args, "--max-frames") {
-            Some(v) => v.parse().map_err(|_| err("--max-frames needs a number"))?,
-            None => 8,
-        },
-        random_patterns: match flag_value(args, "--random") {
-            Some(v) => v.parse().map_err(|_| err("--random needs a number"))?,
-            None => 128,
-        },
+        max_frames: f.num_or("--max-frames", 8),
+        random_patterns: f.num_or("--random", 128),
         ..Default::default()
     };
     let outcome = generate_tests(&c, &faults, options);
     println!("{outcome}");
-    if let Some(path) = flag_value(args, "--out") {
+    if let Some(path) = f.text("--out") {
         let mut text = String::new();
         for p in &outcome.patterns {
             text.push_str(&format_pattern(p));
@@ -2975,13 +2756,12 @@ fn cmd_atpg(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn cmd_generate(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    validate_flags("generate", args, GENERATE_FLAGS)?;
-    let name = args.first().ok_or_else(|| err("generate: missing name"))?;
+fn cmd_generate(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
+    let name = f.arg(0, "name")?;
     let c = cfs_netlist::generate::benchmark(name)
         .ok_or_else(|| err(format!("unknown benchmark {name:?}")))?;
     let text = write_bench(&c);
-    match flag_value(args, "--out") {
+    match f.text("--out") {
         Some(path) => {
             fs::write(path, text).map_err(|e| err(format!("cannot write {path}: {e}")))?;
             println!("wrote {c} to {path}");
@@ -2989,4 +2769,148 @@ fn cmd_generate(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         None => print!("{text}"),
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse<'a>(cmd: &'static str, args: &'a [String]) -> Flags<'a> {
+        let &(_, synopsis, _) = COMMANDS.iter().find(|c| c.0 == cmd).expect("a command");
+        Flags::parse(cmd, synopsis, args).unwrap_or_else(|e| panic!("{cmd} {args:?}: {e}"))
+    }
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_owned).collect()
+    }
+
+    /// The smallest argv that makes each [`FLAG_RULES`] row fire, in table
+    /// order. Rows that name `{sim}` pick `--simulator proofs`.
+    const TRIGGERS: &[&str] = &[
+        "--learn-frames 3",
+        "--learn",
+        "--incremental --prune --baseline-report b.json",
+        "--incremental",
+        "--baseline-report b.json",
+        "--prune --uncollapsed",
+        "--incremental --baseline-report b.json --uncollapsed",
+        "--baseline-out b.json",
+        "--patterns p.txt --random 4",
+        "--trace-capacity 64",
+        "--steal",
+        "--checkpoint-every 4",
+        "--simulator proofs --prune",
+        "--simulator proofs --incremental --baseline-report b.json",
+        "--simulator proofs --resume-from c.bin",
+        "--simulator proofs --trace-out t.json",
+        "--simulator proofs --threads 2",
+        "--simulator proofs --batch-windows 8",
+        "--simulator proofs --paranoid",
+        "--simulator proofs --quiesce-window 2",
+        "--simulator proofs --trace-every 4",
+        "--simulator proofs --shard-plan contiguous",
+        "--threads 2 --resume-from c.bin",
+        "--batch-windows 8 --resume-from c.bin",
+        "--trace-out t.json --resume-from c.bin",
+        "--variant all --detections d.txt",
+        "--variant all --uncollapsed --baseline-out b.json",
+        "--variant all --resume-from c.bin",
+        "--variant all --trace-out t.json",
+    ];
+
+    #[test]
+    fn every_flag_rule_fires_alone_on_its_trigger() {
+        assert_eq!(TRIGGERS.len(), FLAG_RULES.len(), "one trigger per row");
+        for (&(cmds, _, message), trigger) in FLAG_RULES.iter().zip(TRIGGERS) {
+            for cmd in cmds.split(' ') {
+                let args = argv(trigger);
+                let expected = message.replace("{cmd}", cmd).replace("{sim}", "\"proofs\"");
+                let fired: Vec<String> = parse(cmd, &args).refusals().collect();
+                assert_eq!(fired, [expected], "{cmd} {trigger}");
+            }
+        }
+    }
+
+    #[test]
+    fn plain_runs_trip_no_rule() {
+        for &(cmd, ..) in COMMANDS {
+            assert_eq!(parse(cmd, &[]).refusals().count(), 0, "{cmd}");
+        }
+        let args = argv("--prune --learn --learn-frames 3 --threads 2 --batch-windows 8 --steal");
+        assert_eq!(parse("transition", &args).refusals().count(), 0);
+    }
+
+    #[test]
+    fn tables_name_real_commands_and_parseable_choices() {
+        let commands = FLAGS
+            .iter()
+            .map(|f| f.2)
+            .chain(FLAG_RULES.iter().map(|r| r.0));
+        for cmds in commands {
+            for cmd in cmds.split(' ') {
+                assert!(COMMANDS.iter().any(|c| c.0 == cmd), "no command {cmd:?}");
+            }
+        }
+        for (i, f) in FLAGS.iter().enumerate() {
+            assert!(FLAGS[..i].iter().all(|g| g.0 != f.0), "{} twice", f.0);
+        }
+        for plan in SHARD_PLANS {
+            assert!(ShardPlan::parse(plan).is_some(), "{plan}");
+        }
+        let Some((_, OneOf(_, edits), ..)) = FLAGS.iter().find(|f| f.0 == "--edit") else {
+            panic!("--edit lists its edits");
+        };
+        for edit in *edits {
+            assert!(BenchEdit::parse(edit).is_some(), "{edit}");
+        }
+    }
+
+    #[test]
+    fn parse_rejects_malformed_arguments() {
+        let reject = |cmd: &'static str, line: &str| -> String {
+            let &(_, synopsis, _) = COMMANDS.iter().find(|c| c.0 == cmd).expect("a command");
+            match Flags::parse(cmd, synopsis, &argv(line)) {
+                Ok(_) => panic!("{cmd} {line} parsed"),
+                Err(e) => e.to_string(),
+            }
+        };
+        let cases = [
+            ("impact", "a b c", "unexpected argument \"c\""),
+            ("sim", "--stats @s27", "unexpected argument \"@s27\""),
+            ("transition", "@s27 --variant mv", "unknown flag --variant"),
+            ("sim", "@s27 --random", "flag --random needs a value"),
+            (
+                "sim",
+                "@s27 --random --stats",
+                "flag --random needs a value",
+            ),
+            (
+                "sim",
+                "@s27 --stats=1",
+                "flag --stats does not take a value",
+            ),
+            ("sim", "@s27 --threads 0", "--threads must be at least 1"),
+            ("sim", "@s27 --seed=x", "--seed needs a number"),
+            (
+                "sim",
+                "@s27 --quiesce-window 5000000000",
+                "needs a number (0 disables)",
+            ),
+            ("sim", "@s27 --shard-plan rr", "unknown shard plan \"rr\""),
+            (
+                "heatmap",
+                "@s27 --format xml",
+                "unknown format \"xml\" (text, json)",
+            ),
+        ];
+        for (cmd, line, needle) in cases {
+            let e = reject(cmd, line);
+            assert!(e.contains(needle), "{cmd} {line}: {e}");
+        }
+        let args = argv("@s27 --random=5 --random 9 --patterns=a=b.txt");
+        let flags = parse("sim", &args);
+        assert_eq!(flags.positionals, ["@s27"]);
+        assert_eq!(flags.num("--random"), Some(5), "the first value wins");
+        assert_eq!(flags.text("--patterns"), Some("a=b.txt"));
+    }
 }

@@ -1143,3 +1143,226 @@ fn incremental_rejects_stale_baseline_with_i002() {
     assert_eq!(code, Some(2), "diagnostic exit: {err}");
     assert!(err.contains("I002 [baseline-invalidated]"), "{err}");
 }
+
+/// `fsim --help` is rendered from the flag table, so every flag `sim` and
+/// `transition` accept appears in their usage block.
+#[test]
+fn help_lists_every_run_flag() {
+    let (ok, _, err) = fsim(&["--help"]);
+    assert!(ok);
+    for cmd in ["sim", "transition"] {
+        let start = err
+            .find(&format!("  fsim {cmd} "))
+            .unwrap_or_else(|| panic!("no {cmd} usage in:\n{err}"));
+        let block = &err[start..];
+        let block = &block[..block[1..].find("\n  fsim ").map_or(block.len(), |e| e + 1)];
+        for flag in [
+            "[--seed N]",
+            "[--learn]",
+            "[--learn-frames N]",
+            "[--patterns FILE]",
+            "[--shard-plan round-robin|contiguous|level-aware|weight-aware]",
+            "[--paranoid]",
+        ] {
+            assert!(block.contains(flag), "{cmd} usage lacks {flag}:\n{block}");
+        }
+    }
+}
+
+/// An unknown `--simulator` is a bad value, rejected by the parse before
+/// any preflight, pattern load, or output file — and before any rule can
+/// blame another flag for it.
+#[test]
+fn unknown_simulator_is_rejected_before_any_work() {
+    let dir = std::env::temp_dir().join("fsim-cli-parse");
+    std::fs::create_dir_all(&dir).unwrap();
+    let json = dir.join("never.jsonl");
+    let _ = std::fs::remove_file(&json);
+    for extra in [&[][..], &["--prune"][..]] {
+        let mut args = vec!["sim", "@s27", "--random", "4", "--simulator", "bogus"];
+        args.extend_from_slice(&["--stats-json", json.to_str().unwrap()]);
+        args.extend_from_slice(extra);
+        let (code, out, err) = fsim_code(&args);
+        assert_eq!(code, Some(1), "{extra:?}: {err}");
+        assert!(err.contains("unknown simulator \"bogus\""), "{err}");
+        assert!(!err.contains("--prune"), "{err}");
+        assert!(out.is_empty(), "{out}");
+        assert!(
+            !json.exists(),
+            "{extra:?}: the run created its telemetry file"
+        );
+    }
+}
+
+/// Combinations whose second flag used to be silently dropped are refused
+/// up front, with exit status 1 and nothing run.
+#[test]
+fn silently_ignored_combinations_are_refused() {
+    let dir = std::env::temp_dir().join("fsim-cli-parse");
+    std::fs::create_dir_all(&dir).unwrap();
+    let pats = dir.join("s27.pat");
+    std::fs::write(&pats, "0101\n1010\n").unwrap();
+    let pats = pats.to_str().unwrap();
+    let cases: [(&[&str], &str); 6] = [
+        (
+            &["sim", "@s27", "--patterns", pats, "--random", "50"],
+            "--patterns FILE cannot combine with --random/--seed",
+        ),
+        (
+            &["transition", "@s27", "--patterns", pats, "--seed", "3"],
+            "--patterns FILE cannot combine with --random/--seed",
+        ),
+        (
+            &["heatmap", "@s27", "--patterns", pats, "--random", "8"],
+            "--patterns FILE cannot combine with --random/--seed",
+        ),
+        (
+            &["sim", "@s27", "--trace-capacity", "64"],
+            "--trace-capacity needs --trace-out",
+        ),
+        (
+            &["sim", "@s27", "--simulator", "proofs", "--trace-every", "4"],
+            "--trace-every needs the concurrent simulator, not \"proofs\"",
+        ),
+        (
+            &[
+                "sim",
+                "@s27",
+                "--simulator",
+                "serial",
+                "--shard-plan",
+                "contiguous",
+            ],
+            "--shard-plan needs the concurrent simulator, not \"serial\"",
+        ),
+    ];
+    for (args, needle) in cases {
+        let (code, out, err) = fsim_code(args);
+        assert_eq!(code, Some(1), "{args:?}: {err}");
+        assert!(
+            err.starts_with(&format!("fsim: {needle}")),
+            "{args:?}: {err}"
+        );
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+        assert!(out.is_empty(), "{args:?}: {out}");
+    }
+}
+
+/// The pairwise smoke matrix over the feature flags, for both fault
+/// models on @s298g with 64 patterns: every pair either runs — and then
+/// writes the detections of the plain serial run that reports the same
+/// universe — or is refused up front with one message and exit status 1.
+/// `--simulator` stays out (PROOFS may legitimately differ from csim on
+/// X-state flip-flop faults), as does `--incremental` (covered by
+/// `incremental_detections_match_cold_full_run`).
+#[test]
+fn feature_flag_pairs_match_serial_or_are_refused() {
+    let dir = std::env::temp_dir().join("fsim-cli-matrix");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let p = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    let (ckpts, trace, baseline) = (p("ckpts"), p("run.trace.json"), p("base.json"));
+    let features: [(&str, Vec<&str>); 13] = [
+        ("prune", vec!["--prune"]),
+        ("learn", vec!["--prune", "--learn"]),
+        ("uncollapsed", vec!["--uncollapsed"]),
+        ("variant-all", vec!["--variant", "all"]),
+        ("threads", vec!["--threads", "2"]),
+        ("batched", vec!["--threads", "2", "--batch-windows", "8"]),
+        (
+            "steal",
+            vec!["--threads", "2", "--batch-windows", "8", "--steal"],
+        ),
+        ("quiesce", vec!["--quiesce-window", "2"]),
+        (
+            "checkpoint",
+            vec!["--checkpoint-every", "16", "--checkpoint-out", &ckpts],
+        ),
+        ("trace-out", vec!["--trace-out", &trace]),
+        ("stats", vec!["--stats"]),
+        ("baseline-out", vec!["--baseline-out", &baseline]),
+        ("paranoid", vec!["--paranoid"]),
+    ];
+    let expected_refusals = |cmd: &str| -> Vec<&str> {
+        if cmd == "transition" {
+            return vec![
+                "threads+checkpoint",
+                "batched+checkpoint",
+                "steal+checkpoint",
+                "checkpoint+trace-out",
+            ];
+        }
+        vec![
+            "prune+uncollapsed",
+            "learn+uncollapsed",
+            "variant-all+checkpoint",
+            "variant-all+trace-out",
+            "variant-all+baseline-out",
+            "threads+checkpoint",
+            "threads+baseline-out",
+            "batched+checkpoint",
+            "batched+baseline-out",
+            "steal+checkpoint",
+            "steal+baseline-out",
+            "quiesce+baseline-out",
+            "checkpoint+trace-out",
+            "checkpoint+baseline-out",
+            "trace-out+baseline-out",
+            "stats+baseline-out",
+            "baseline-out+paranoid",
+        ]
+    };
+    for cmd in ["sim", "transition"] {
+        let detections = |tag: &str, extra: &[&str]| -> Result<Option<String>, String> {
+            let det = p(&format!("{cmd}-{tag}.txt"));
+            let mut args = vec![cmd, "@s298g", "--random", "64"];
+            args.extend_from_slice(extra);
+            // `--variant all` runs four machines and writes no detections.
+            let writes = !extra.contains(&"all");
+            if writes {
+                args.extend_from_slice(&["--detections", &det]);
+            }
+            match fsim_code(&args) {
+                (Some(0), ..) if writes => Ok(Some(std::fs::read_to_string(&det).unwrap())),
+                (Some(0), ..) => Ok(None),
+                (Some(1), out, err) => {
+                    assert!(out.is_empty(), "{args:?} ran before refusing: {out}");
+                    assert!(
+                        err.starts_with("fsim: ") && err.lines().count() == 1,
+                        "{args:?}: not one refusal: {err}"
+                    );
+                    Err(err)
+                }
+                (code, _, err) => panic!("{args:?}: exit {code:?}: {err}"),
+            }
+        };
+        let collapsed = detections("plain", &[]).unwrap().unwrap();
+        let full = match cmd {
+            "sim" => detections("full", &["--uncollapsed"]).unwrap().unwrap(),
+            _ => collapsed.clone(),
+        };
+        let feats: Vec<_> = features
+            .iter()
+            .filter(|(tag, _)| cmd == "sim" || !matches!(*tag, "uncollapsed" | "variant-all"))
+            .collect();
+        let mut refused = Vec::new();
+        for (i, (a, flags_a)) in feats.iter().enumerate() {
+            for (b, flags_b) in &feats[i + 1..] {
+                let pair = format!("{a}+{b}");
+                let extra = [&flags_a[..], &flags_b[..]].concat();
+                match detections(&pair, &extra) {
+                    Ok(Some(det)) => {
+                        let reports_full = cmd == "transition"
+                            || extra.contains(&"--prune")
+                            || extra.contains(&"--uncollapsed");
+                        let reference = if reports_full { &full } else { &collapsed };
+                        assert_eq!(&det, reference, "{cmd} {pair} diverged from serial");
+                    }
+                    Ok(None) => {}
+                    Err(_) => refused.push(pair),
+                }
+            }
+        }
+        assert_eq!(refused, expected_refusals(cmd), "{cmd}: refused pairs");
+    }
+}

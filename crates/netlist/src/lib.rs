@@ -26,7 +26,6 @@ mod circuit;
 pub mod data;
 mod edit;
 pub mod generate;
-mod hierarchy;
 mod macros;
 mod scan;
 
@@ -39,7 +38,6 @@ pub use edit::{
     EditError,
 };
 pub use generate::{benchmark, benchmark_spec, CircuitSpec, ISCAS89_SPECS};
-pub use hierarchy::{FlattenError, Hierarchy, Module};
 pub use macros::{
     extract_macros, MacroCell, MacroCircuit, MacroFaultSite, DEFAULT_MACRO_MAX_INPUTS,
 };
