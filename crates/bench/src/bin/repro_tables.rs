@@ -1,11 +1,12 @@
 //! Regenerates every table of Lee & Reddy (DAC 1992) and prints them in
-//! the paper's layout.
+//! the paper's layout, followed by the parallel speedup table (Table P)
+//! and the §2.2 ablations (Table A).
 //!
 //! ```text
 //! repro-tables            # default: full circuit list, large ones scaled
 //! repro-tables --quick    # smoke run (small budgets, heavy scaling)
 //! repro-tables --full     # paper-scale circuits (slow)
-//! repro-tables --table 3  # a single table (7 = the parallel speedup table)
+//! repro-tables --table 3  # a single table (7 = Table P, 8 = Table A)
 //! repro-tables --no-check # skip the cfs-check preflight
 //! ```
 //!
@@ -16,44 +17,63 @@
 //! repro-tables --bench-json BENCH.json \
 //!     --bench-circuits s27,s298g --bench-patterns 64 --bench-repeats 1 \
 //!     --bench-check benchmarks/bench_smoke_baseline.json   # CI drift gate
-//! repro-tables --bench-json BENCH.json \
-//!     --bench-baseline benchmarks/bench_baseline_aos.json  # embed + speedups
 //! ```
+//!
+//! Every BENCH cell and every Table A row is timed by the same loop; timing
+//! whole `fsim` invocations, and comparing them across commits, is
+//! `fsim-bench`'s job.
 
-use cfs_bench::perf::{
-    check_against, parse_bench_json, render_bench_json, run_perf, speedups_against, PerfConfig,
-};
+use cfs_bench::perf::{check_against, parse_bench_json, render_bench_json, run_perf, PerfConfig};
 use cfs_bench::tables::{
     format_table2, format_table3, format_table4, format_table5, format_table6,
-    format_table_parallel, headline, table2, table3, table4, table5, table6, table_parallel,
+    format_table_ablations, format_table_parallel, headline, table2, table3, table4, table5,
+    table6, table_ablations, table_parallel, TABLE_A_CAPS,
 };
 use cfs_bench::workloads::{
-    circuit, WorkloadConfig, TABLE3_CIRCUITS, TABLE4_CIRCUITS, TABLE6_CIRCUITS,
+    circuit, WorkloadConfig, TABLE3_CIRCUITS, TABLE4_CIRCUITS, TABLE6_CIRCUITS, TABLE_A_CIRCUITS,
 };
+
+/// The circuit of Tables 5 and P.
+const LARGEST: &[&str] = &["s35932g"];
+
+/// A printable table: its `--table` number, the circuits it simulates
+/// (what the preflight checks), and how it is regenerated and formatted.
+type Table = (u32, &'static [&'static str], fn(&WorkloadConfig) -> String);
+
+/// Every table, in the order the default run prints them.
+const TABLES: &[Table] = &[
+    (2, TABLE3_CIRCUITS, |c| {
+        format_table2(&table2(TABLE3_CIRCUITS, c))
+    }),
+    (3, TABLE3_CIRCUITS, |c| {
+        let rows = table3(TABLE3_CIRCUITS, c);
+        format!("{}  {}\n", format_table3(&rows), headline(&rows))
+    }),
+    (4, TABLE4_CIRCUITS, |c| {
+        format_table4(&table4(TABLE4_CIRCUITS, c))
+    }),
+    (5, LARGEST, |c| format_table5(&table5(c))),
+    (6, TABLE6_CIRCUITS, |c| {
+        format_table6(&table6(TABLE6_CIRCUITS, c))
+    }),
+    (7, LARGEST, |c| {
+        format_table_parallel(LARGEST[0], &table_parallel(LARGEST[0], c))
+    }),
+    (8, &TABLE_A_CIRCUITS, |c| {
+        format_table_ablations(&table_ablations(TABLE_A_CIRCUITS, TABLE_A_CAPS, c))
+    }),
+];
 
 /// Runs the `cfs-check` static analyses over every circuit the selected
 /// tables will simulate; exits nonzero if any carries an error-severity
 /// finding, so a broken generator cannot silently skew the tables.
-fn preflight(only: Option<u32>, config: &WorkloadConfig) {
-    let names: Vec<&str> = match only {
-        Some(2) | Some(3) => TABLE3_CIRCUITS.to_vec(),
-        Some(4) => TABLE4_CIRCUITS.to_vec(),
-        Some(5) | Some(7) => vec!["s35932g"],
-        Some(6) => TABLE6_CIRCUITS.to_vec(),
-        _ => {
-            let mut all = TABLE3_CIRCUITS.to_vec();
-            for n in TABLE4_CIRCUITS
-                .iter()
-                .chain(TABLE6_CIRCUITS)
-                .chain(["s35932g"].iter())
-            {
-                if !all.contains(n) {
-                    all.push(n);
-                }
-            }
-            all
+fn preflight(tables: &[&Table], config: &WorkloadConfig) {
+    let mut names: Vec<&str> = Vec::new();
+    for name in tables.iter().flat_map(|t| t.1) {
+        if !names.contains(name) {
+            names.push(name);
         }
-    };
+    }
     let mut bad = 0usize;
     for name in names {
         let report = cfs_check::check_circuit(&circuit(name, config));
@@ -70,14 +90,9 @@ fn preflight(only: Option<u32>, config: &WorkloadConfig) {
     }
 }
 
-/// Runs the `BENCH.json` harness and handles the baseline/check flags;
-/// returns the process exit code.
-fn run_bench_json(
-    path: &str,
-    config: &PerfConfig,
-    baseline_path: Option<&str>,
-    check_path: Option<&str>,
-) -> i32 {
+/// Runs the `BENCH.json` harness and handles `--bench-check`; returns the
+/// process exit code.
+fn run_bench_json(path: &str, config: &PerfConfig, check_path: Option<&str>) -> i32 {
     eprintln!(
         "# bench: {} circuit(s), {} patterns, threads {:?}, {} repeat(s)",
         config.circuits.len(),
@@ -86,25 +101,9 @@ fn run_bench_json(
         config.repeats
     );
     let runs = run_perf(config);
-    let baseline = baseline_path.map(|p| {
-        let text =
-            std::fs::read_to_string(p).unwrap_or_else(|e| panic!("--bench-baseline {p:?}: {e}"));
-        let parsed =
-            parse_bench_json(&text).unwrap_or_else(|e| panic!("--bench-baseline {p:?}: {e}"));
-        (p.to_owned(), parsed)
-    });
-    let json = render_bench_json(
-        config,
-        &runs,
-        baseline.as_ref().map(|(p, b)| (p.as_str(), b.as_slice())),
-    );
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path:?}: {e}"));
+    std::fs::write(path, render_bench_json(config, &runs))
+        .unwrap_or_else(|e| panic!("write {path:?}: {e}"));
     eprintln!("# bench: wrote {path}");
-    if let Some((_, base)) = &baseline {
-        for (key, base_wall, wall, ratio) in speedups_against(&runs, base) {
-            eprintln!("# speedup {key}: {base_wall:.4}s -> {wall:.4}s ({ratio:.2}x)");
-        }
-    }
     if let Some(p) = check_path {
         let text =
             std::fs::read_to_string(p).unwrap_or_else(|e| panic!("--bench-check {p:?}: {e}"));
@@ -132,7 +131,6 @@ fn main() {
     let mut no_check = false;
     let mut bench_json: Option<String> = None;
     let mut bench_config = PerfConfig::default();
-    let mut bench_baseline: Option<String> = None;
     let mut bench_check: Option<String> = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -147,7 +145,6 @@ fn main() {
             "--full" => config = WorkloadConfig::full_scale(),
             "--no-check" => no_check = true,
             "--bench-json" => bench_json = Some(take("--bench-json")),
-            "--bench-baseline" => bench_baseline = Some(take("--bench-baseline")),
             "--bench-check" => bench_check = Some(take("--bench-check")),
             "--bench-circuits" => {
                 bench_config.circuits = take("--bench-circuits")
@@ -183,7 +180,7 @@ fn main() {
                 only = match iter.next().and_then(|v| v.parse().ok()) {
                     Some(n) => Some(n),
                     None => {
-                        eprintln!("--table needs a number 2..=7");
+                        eprintln!("--table needs a number 2..=8");
                         std::process::exit(2);
                     }
                 };
@@ -192,8 +189,7 @@ fn main() {
                 eprintln!(
                     "usage: repro-tables [--quick|--full] [--table N] [--no-check]\n       \
                      repro-tables --bench-json PATH [--bench-circuits a,b] [--bench-patterns N]\n                    \
-                     [--bench-threads 1,2] [--bench-repeats N]\n                    \
-                     [--bench-baseline FILE] [--bench-check FILE]"
+                     [--bench-threads 1,2] [--bench-repeats N] [--bench-check FILE]"
                 );
                 return;
             }
@@ -204,53 +200,31 @@ fn main() {
         }
     }
     if let Some(path) = bench_json {
-        std::process::exit(run_bench_json(
-            &path,
-            &bench_config,
-            bench_baseline.as_deref(),
-            bench_check.as_deref(),
-        ));
+        std::process::exit(run_bench_json(&path, &bench_config, bench_check.as_deref()));
+    }
+    let tables: Vec<&Table> = TABLES
+        .iter()
+        .filter(|t| only.is_none_or(|n| n == t.0))
+        .collect();
+    if tables.is_empty() {
+        eprintln!(
+            "no table {}; tables 2..=6 reproduce the paper, 7 is the parallel speedup table, \
+             8 the ablations",
+            only.unwrap_or_default()
+        );
+        std::process::exit(2);
     }
     if !no_check {
-        preflight(only, &config);
+        preflight(&tables, &config);
     }
     eprintln!(
         "# workload: large-circuit scale {:.2}, deterministic budget {}, random {}",
         config.large_circuit_scale, config.deterministic_budget, config.random_patterns
     );
-    match only {
-        None => {
-            print!("{}", format_table2(&table2(TABLE3_CIRCUITS, &config)));
+    for (i, (_, _, render)) in tables.iter().enumerate() {
+        if i > 0 {
             println!();
-            let rows3 = table3(TABLE3_CIRCUITS, &config);
-            print!("{}", format_table3(&rows3));
-            println!("  {}", headline(&rows3));
-            println!();
-            print!("{}", format_table4(&table4(TABLE4_CIRCUITS, &config)));
-            println!();
-            print!("{}", format_table5(&table5(&config)));
-            println!();
-            print!("{}", format_table6(&table6(TABLE6_CIRCUITS, &config)));
-            println!();
-            print!(
-                "{}",
-                format_table_parallel("s35932g", &table_parallel("s35932g", &config))
-            );
         }
-        Some(2) => print!("{}", format_table2(&table2(TABLE3_CIRCUITS, &config))),
-        Some(3) => print!("{}", format_table3(&table3(TABLE3_CIRCUITS, &config))),
-        Some(4) => print!("{}", format_table4(&table4(TABLE4_CIRCUITS, &config))),
-        Some(5) => print!("{}", format_table5(&table5(&config))),
-        Some(6) => print!("{}", format_table6(&table6(TABLE6_CIRCUITS, &config))),
-        Some(7) => print!(
-            "{}",
-            format_table_parallel("s35932g", &table_parallel("s35932g", &config))
-        ),
-        Some(n) => {
-            eprintln!(
-                "no table {n}; tables 2..=6 reproduce the paper, 7 is the parallel speedup table"
-            );
-            std::process::exit(2);
-        }
+        print!("{}", render(&config));
     }
 }

@@ -11,10 +11,10 @@
 //!
 //! The JSON is stable and diffable: work counters (`events_per_pattern`,
 //! `detected`) are deterministic for a given circuit/seed and act as a
-//! drift gate in CI (`--bench-check`), while timings are advisory. Passing
-//! `--bench-baseline FILE` embeds a previously recorded run and computes
-//! wall-time speedups against it, which is how a perf PR records a real
-//! before/after trajectory.
+//! drift gate in CI (`--bench-check`), while timings are advisory.
+//!
+//! One timing loop, `time_cell`, times every cell here and every row of
+//! the ablation table ([`crate::tables::table_ablations`]).
 //!
 //! Every stuck-at and transition cell has a `-pruned` twin that runs the
 //! statically pruned universe (`cfs_check::prune_stuck_at` /
@@ -235,13 +235,17 @@ fn phase_seconds(snap: &MetricsSnapshot) -> Vec<(&'static str, f64)> {
 }
 
 /// What one timed configuration measured.
-struct Timed {
-    /// Minimum wall time over the repeats, in seconds.
-    wall: f64,
-    events: u64,
-    detected: usize,
-    peak_elements: usize,
-    memory_bytes: usize,
+pub(crate) struct Timed {
+    /// Minimum construction time over the repeats (including the
+    /// checkpoint restore of a resumed run), in seconds.
+    pub(crate) build: f64,
+    /// Minimum wall time of the simulated patterns over the repeats, in
+    /// seconds.
+    pub(crate) wall: f64,
+    pub(crate) events: u64,
+    pub(crate) detected: usize,
+    pub(crate) peak_elements: usize,
+    pub(crate) memory_bytes: usize,
     phases: Vec<(&'static str, f64)>,
     /// The last repetition's per-fault statuses.
     statuses: Vec<FaultStatus>,
@@ -278,30 +282,35 @@ impl Timed {
 }
 
 /// Detected faults in a status vector.
-fn count_detected(statuses: &[FaultStatus]) -> usize {
+pub(crate) fn count_detected(statuses: &[FaultStatus]) -> usize {
     statuses.iter().filter(|s| s.is_detected()).count()
 }
 
-/// The timing loop behind every cell but `-resume`: `repeats` uninstrumented runs
-/// of the sharded machine `M` (one shard on the serial path; with
-/// `batch`, the two-dimensional work-stealing schedule, 2× oversharded so
-/// stealing has slack), then one run of its instrumented twin `I` for the
-/// phase breakdown. `detected` turns the final statuses into the cell's
+/// The one timing loop, behind every BENCH cell and every ablation row:
+/// `repeats` runs of the sharded machine `M` with `probe(shard)` attached
+/// (one shard on the serial path; with `batch`, the two-dimensional
+/// work-stealing schedule, 2× oversharded so stealing has slack), then one
+/// run of its instrumented twin `I` for the phase breakdown. Construction
+/// is timed apart from the run. With `resume`, both machines restore that
+/// checkpoint into their one shard first, and `patterns` are the ones
+/// after it. `detected` turns the final statuses into the cell's
 /// detection count (full-universe counts for pruned and incremental
 /// cells).
 #[allow(clippy::too_many_arguments)]
-fn time_cell<M, I>(
+pub(crate) fn time_cell<M, I>(
     circuit: &Circuit,
     faults: &[M::Fault],
     options: &M::Options,
     threads: usize,
     batch: Option<&BatchOptions>,
+    resume: Option<&Checkpoint>,
     patterns: &[Vec<Logic>],
     repeats: usize,
+    probe: impl Fn(usize) -> M::Probe,
     detected: impl Fn(&[FaultStatus]) -> usize,
 ) -> Timed
 where
-    M: FaultMachine<Probe = NullProbe> + Send,
+    M: FaultMachine + Send,
     I: FaultMachine<Probe = SimMetrics, Fault = M::Fault, Options = M::Options> + Send,
 {
     let shards = if batch.is_some() {
@@ -310,6 +319,7 @@ where
         threads
     };
     let mut timed = Timed {
+        build: f64::INFINITY,
         wall: f64::INFINITY,
         events: 0,
         detected: 0,
@@ -319,6 +329,7 @@ where
         statuses: Vec::new(),
     };
     for _ in 0..repeats.max(1) {
+        let start = Instant::now();
         let mut sim = ShardedSim::<M>::with_probes_sharded(
             circuit,
             faults,
@@ -327,8 +338,12 @@ where
             shards,
             ShardPlan::RoundRobin,
             None,
-            |_| NullProbe,
+            &probe,
         );
+        if let Some(ck) = resume {
+            sim.restore(ck).expect("checkpoint restore");
+        }
+        timed.build = timed.build.min(start.elapsed().as_secs_f64());
         let start = Instant::now();
         let report = match batch {
             Some(b) => sim.run_batched(patterns, b),
@@ -354,6 +369,9 @@ where
         None,
         |_| SimMetrics::new(),
     );
+    if let Some(ck) = resume {
+        sim.restore(ck).expect("checkpoint restore");
+    }
     match batch {
         Some(b) => sim.run_batched(patterns, b),
         None => sim.run(patterns),
@@ -388,8 +406,10 @@ fn run_stuck(
         &variant.options(),
         threads,
         batch,
+        None,
         patterns,
         repeats,
+        |_| NullProbe,
         |s| match pruned {
             Some((u, _)) => count_detected(&u.expand_statuses(s)),
             None => count_detected(s),
@@ -429,8 +449,10 @@ fn run_transition(
         &TransitionOptions::default(),
         threads,
         batch,
+        None,
         patterns,
         repeats,
+        |_| NullProbe,
         |s| match pruned {
             Some((u, _)) => count_detected(&u.expand_statuses(s)),
             None => count_detected(s),
@@ -498,8 +520,10 @@ where
         options,
         1,
         None,
+        None,
         patterns,
         repeats,
+        |_| NullProbe,
         |s| count_detected(&universe.expand_statuses(s, &baseline)),
     );
     timed.cell(
@@ -527,7 +551,7 @@ fn gated_options(variant: CsimVariant) -> CsimOptions {
 ///   the stimulus goes quiet but every sweep still walks the whole
 ///   circuit.
 /// * `csim-MV-quiesce` — the same run under the engine's quiescence gate
-///   (`--quiesce-window 4`); the wall-time gap against `-hold` is the
+///   (`--quiesce-window 2`); the wall-time gap against `-hold` is the
 ///   headline win of the gate, and the harness asserts its detections are
 ///   bit-identical to the ungated reference before recording the cell.
 /// * `csim-MV-resume` — the gated run checkpointed at the halfway
@@ -550,20 +574,22 @@ fn run_quiesce_cells(circuit: &Circuit, count: usize, seed: u64, repeats: usize)
             0,
         )
     };
-    let time = |options: CsimOptions| {
+    let time = |options: CsimOptions, resume: Option<&Checkpoint>, from: usize| {
         time_cell::<ConcurrentSim, ConcurrentSim<SimMetrics>>(
             circuit,
             &faults,
             &options,
             1,
             None,
-            &patterns,
+            resume,
+            &patterns[from..],
             repeats,
+            |_| NullProbe,
             count_detected,
         )
     };
-    let hold = time(variant.options());
-    let quiesce = time(gated_options(variant));
+    let hold = time(variant.options(), None, 0);
+    let quiesce = time(gated_options(variant), None, 0);
     assert_eq!(
         quiesce.statuses,
         hold.statuses,
@@ -572,49 +598,19 @@ fn run_quiesce_cells(circuit: &Circuit, count: usize, seed: u64, repeats: usize)
     );
 
     let cut = patterns.len() / 2;
-    let first_half = || {
-        let mut first = ConcurrentSim::new(circuit, &faults, gated_options(variant));
-        for p in &patterns[..cut] {
-            first.step(p);
-        }
-        let bytes = first.checkpoint().to_bytes();
-        Checkpoint::from_bytes(&bytes).expect("checkpoint round trip")
-    };
-    let mut resume = Timed {
-        wall: f64::INFINITY,
-        events: 0,
-        detected: 0,
-        peak_elements: 0,
-        memory_bytes: 0,
-        phases: Vec::new(),
-        statuses: Vec::new(),
-    };
-    for _ in 0..repeats.max(1) {
-        let snap = first_half();
-        let mut sim = ConcurrentSim::new(circuit, &faults, gated_options(variant));
-        sim.restore(&snap).expect("checkpoint restore");
-        let start = Instant::now();
-        for p in &patterns[cut..] {
-            sim.step(p);
-        }
-        resume.wall = resume.wall.min(start.elapsed().as_secs_f64());
-        assert_eq!(
-            sim.statuses(),
-            hold.statuses,
-            "{}: resume diverged from the cold run",
-            circuit.name()
-        );
-        resume.events = sim.events();
-        resume.detected = sim.detected();
-        resume.peak_elements = sim.peak_elements();
-        resume.memory_bytes = sim.memory_bytes();
+    let mut first = ConcurrentSim::new(circuit, &faults, gated_options(variant));
+    for p in &patterns[..cut] {
+        first.step(p);
     }
-    let mut sim = ConcurrentSim::instrumented(circuit, &faults, gated_options(variant));
-    sim.restore(&first_half()).expect("checkpoint restore");
-    for p in &patterns[cut..] {
-        sim.step(p);
-    }
-    resume.phases = phase_seconds(&sim.snapshot());
+    let checkpoint =
+        Checkpoint::from_bytes(&first.checkpoint().to_bytes()).expect("checkpoint round trip");
+    let resume = time(gated_options(variant), Some(&checkpoint), cut);
+    assert_eq!(
+        resume.statuses,
+        hold.statuses,
+        "{}: resume diverged from the cold run",
+        circuit.name()
+    );
     vec![
         cell(hold, "hold"),
         cell(quiesce, "quiesce"),
@@ -767,13 +763,8 @@ fn write_run(out: &mut String, run: &PerfRun) {
     out.push_str("}}");
 }
 
-/// Renders a harness result (and an optional embedded baseline) as the
-/// `BENCH.json` document.
-pub fn render_bench_json(
-    config: &PerfConfig,
-    runs: &[PerfRun],
-    baseline: Option<(&str, &[PerfRun])>,
-) -> String {
+/// Renders a harness result as the `BENCH.json` document.
+pub fn render_bench_json(config: &PerfConfig, runs: &[PerfRun]) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"schema\": \"cfs-bench/1\",\n");
     out.push_str(&format!(
@@ -803,62 +794,13 @@ pub fn render_bench_json(
         }
         out.push('\n');
     }
-    out.push_str("  ]");
-    if let Some((source, base_runs)) = baseline {
-        out.push_str(",\n  \"baseline\": {\"source\": ");
-        write_json_string(&mut out, source);
-        out.push_str(", \"runs\": [\n");
-        for (i, run) in base_runs.iter().enumerate() {
-            write_run(&mut out, run);
-            if i + 1 < base_runs.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]},\n  \"speedups\": [\n");
-        let speedups = speedups_against(runs, base_runs);
-        for (i, (key, base_wall, wall, ratio)) in speedups.iter().enumerate() {
-            out.push_str("    {\"run\": ");
-            write_json_string(&mut out, key);
-            out.push_str(", \"baseline_wall_seconds\": ");
-            write_json_f64(&mut out, *base_wall);
-            out.push_str(", \"wall_seconds\": ");
-            write_json_f64(&mut out, *wall);
-            out.push_str(", \"speedup\": ");
-            write_json_f64(&mut out, *ratio);
-            out.push('}');
-            if i + 1 < speedups.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]");
-    }
-    out.push_str("\n}\n");
+    out.push_str("  ]\n}\n");
     out
 }
 
-/// Pairs current runs with baseline runs by key and computes wall-time
-/// speedups (`baseline / current`; above 1.0 means the current engine is
-/// faster).
-pub fn speedups_against(runs: &[PerfRun], baseline: &[PerfRun]) -> Vec<(String, f64, f64, f64)> {
-    runs.iter()
-        .filter_map(|run| {
-            let key = run.key();
-            let base = baseline.iter().find(|b| b.key() == key)?;
-            let ratio = if run.wall_seconds > 0.0 {
-                base.wall_seconds / run.wall_seconds
-            } else {
-                0.0
-            };
-            Some((key, base.wall_seconds, run.wall_seconds, ratio))
-        })
-        .collect()
-}
-
-/// Reads the `runs` array of a previously written `BENCH.json` (top-level
-/// runs, not the embedded baseline). Wall times load as recorded; phase
-/// breakdowns are not needed for comparisons and load empty.
+/// Reads the `runs` array of a previously written `BENCH.json`. Wall
+/// times load as recorded; phase breakdowns are not needed for
+/// comparisons and load empty.
 ///
 /// # Errors
 ///
@@ -888,11 +830,7 @@ pub fn parse_bench_json(input: &str) -> Result<Vec<PerfRun>, String> {
                 threads: num_field(v, "threads")? as usize,
                 patterns: num_field(v, "patterns")? as usize,
                 faults: num_field(v, "faults")? as usize,
-                // Absent in documents written before static pruning.
-                faults_full: v
-                    .get("faults_full")
-                    .and_then(JsonValue::as_f64)
-                    .unwrap_or(0.0) as usize,
+                faults_full: num_field(v, "faults_full")? as usize,
                 wall_seconds: num_field(v, "wall_seconds")?,
                 events: num_field(v, "events")? as u64,
                 events_per_pattern: num_field(v, "events_per_pattern")?,
@@ -971,7 +909,7 @@ mod tests {
         // plus the two -learned cells, the two -incremental cells, and the
         // quiescence trio.
         assert_eq!(runs.len(), 17);
-        let json = render_bench_json(&config, &runs, None);
+        let json = render_bench_json(&config, &runs);
         let parsed = parse_bench_json(&json).expect("own output parses");
         assert_eq!(parsed.len(), runs.len());
         for (a, b) in runs.iter().zip(&parsed) {
@@ -1213,19 +1151,6 @@ mod tests {
     }
 
     #[test]
-    fn documents_without_faults_full_still_parse() {
-        let json = r#"{"schema": "cfs-bench/1", "runs": [
-            {"circuit": "s27", "variant": "csim", "threads": 1, "patterns": 8,
-             "faults": 32, "wall_seconds": 0.1, "events": 100,
-             "events_per_pattern": 12.5, "detected": 20, "peak_elements": 5,
-             "peak_arena_bytes": 80, "memory_bytes": 1000,
-             "phase_seconds": {}}]}"#;
-        let runs = parse_bench_json(json).expect("legacy document parses");
-        assert_eq!(runs.len(), 1);
-        assert_eq!(runs[0].faults_full, 0);
-    }
-
-    #[test]
     fn drift_is_reported() {
         let config = tiny_config();
         let runs = run_perf(&config);
@@ -1234,20 +1159,6 @@ mod tests {
         tampered[1].detected += 1;
         let drifts = check_against(&tampered, &runs);
         assert_eq!(drifts.len(), 2, "{drifts:?}");
-    }
-
-    #[test]
-    fn speedups_pair_by_key() {
-        let config = tiny_config();
-        let runs = run_perf(&config);
-        let mut slower = runs.clone();
-        for r in &mut slower {
-            r.wall_seconds *= 2.0;
-        }
-        for (_, base, wall, ratio) in speedups_against(&runs, &slower) {
-            assert!((base - 2.0 * wall).abs() < 1e-12);
-            assert!((ratio - 2.0).abs() < 1e-9);
-        }
     }
 
     #[test]

@@ -1,25 +1,30 @@
-//! Reproduction of the paper's Tables 2–6.
+//! Reproduction of the paper's Tables 2–6, plus the parallel speedup
+//! table (Table P) and the §2.2 ablations (Table A).
 //!
 //! Every function regenerates one table: same rows, same quantities (CPU
 //! seconds, memory megabytes, pattern counts, fault coverages). Absolute
 //! numbers differ from a 1992 SPARC 2; the claims under test are the
 //! *relative* ones (macro extraction and list splitting help, csim-MV is
 //! competitive with or beats PROOFS on the larger circuits, stuck-at test
-//! sets are poor transition tests).
+//! sets are poor transition tests). Tables 2–6 and P keep the single
+//! simulation run of each measurement (`report.cpu`); Table A's rows come
+//! from the BENCH harness's timing loop ([`crate::perf`]).
 
 use std::fmt::Write as _;
+use std::time::Instant;
 
 use cfs_baselines::ProofsSim;
 use cfs_core::{
-    ConcurrentSim, CsimVariant, MetricsSnapshot, ParallelSim, ShardPlan, TransitionOptions,
-    TransitionSim,
+    ConcurrentSim, CsimOptions, CsimVariant, FaultMachine, MetricsSnapshot, NullProbe, ParallelSim,
+    ShardPlan, SimMetrics, TransitionOptions, TransitionSim,
 };
-use cfs_faults::{enumerate_transition, FaultSimReport};
+use cfs_faults::{enumerate_transition, FaultSimReport, StuckAt};
+use cfs_logic::Logic;
+use cfs_netlist::Circuit;
+use cfs_trace::{TraceConfig, TraceRecorder};
 
-use crate::workloads::{
-    atpg_tests, circuit, deterministic_tests, fault_universe, WorkloadConfig, TABLE3_CIRCUITS,
-    TABLE4_CIRCUITS, TABLE6_CIRCUITS,
-};
+use crate::perf::{count_detected, time_cell};
+use crate::workloads::{atpg_tests, circuit, deterministic_tests, fault_universe, WorkloadConfig};
 
 /// One simulator measurement: CPU seconds and modeled memory in MB.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -462,24 +467,178 @@ pub fn format_table_parallel(name: &str, rows: &[TableParallelRow]) -> String {
     out
 }
 
-/// Convenience: regenerates and formats every table with the same circuit
-/// selections as the paper.
-pub fn all_tables(config: &WorkloadConfig) -> String {
+/// The macro input caps Table A sweeps.
+pub const TABLE_A_CAPS: &[usize] = &[2, 4, 7, 10];
+
+/// Timed runs behind each Table A row; its build and step columns are
+/// the minimum over them.
+const TABLE_A_REPEATS: usize = 5;
+
+/// Table A: one timed setting of a §2.2 design choice (macro input cap,
+/// list splitting, fault dropping), or one probe attached to csim-MV.
+#[derive(Debug, Clone)]
+pub struct AblationRow {
+    /// The choice the row's group varies: `macro-cap`, `split`, `drop` or
+    /// `probe`.
+    pub group: &'static str,
+    /// This row's setting of it.
+    pub setting: String,
+    /// Circuit name.
+    pub circuit: String,
+    /// Construction seconds: network compilation and macro LUTs.
+    pub build_s: f64,
+    /// Simulation seconds.
+    pub step_s: f64,
+    /// Paper-comparable memory model, megabytes.
+    pub mem_mb: f64,
+    /// Node activations.
+    pub events: u64,
+    /// Faults detected.
+    pub detected: usize,
+    /// `step_s` over the step seconds of the group's first row.
+    pub step_ratio: f64,
+}
+
+/// One circuit's Table A workload: the circuit, its collapsed faults and
+/// its deterministic test set.
+struct Workload {
+    circuit: Circuit,
+    faults: Vec<StuckAt>,
+    tests: Vec<Vec<Logic>>,
+}
+
+impl Workload {
+    fn new(name: &str, config: &WorkloadConfig) -> Self {
+        let circuit = circuit(name, config);
+        let faults = fault_universe(&circuit);
+        let tests = deterministic_tests(&circuit, &faults, config);
+        Workload {
+            circuit,
+            faults,
+            tests,
+        }
+    }
+
+    /// Times the serial machine `M` with `probe` attached (see
+    /// [`time_cell`]); the ratio is filled in by [`table_ablations`].
+    fn row<M>(
+        &self,
+        group: &'static str,
+        setting: impl ToString,
+        options: &CsimOptions,
+        probe: impl Fn(usize) -> M::Probe,
+    ) -> AblationRow
+    where
+        M: FaultMachine<Fault = StuckAt, Options = CsimOptions> + Send,
+    {
+        let timed = time_cell::<M, ConcurrentSim<SimMetrics>>(
+            &self.circuit,
+            &self.faults,
+            options,
+            1,
+            None,
+            None,
+            &self.tests,
+            TABLE_A_REPEATS,
+            probe,
+            count_detected,
+        );
+        AblationRow {
+            group,
+            setting: setting.to_string(),
+            circuit: self.circuit.name().to_owned(),
+            build_s: timed.build,
+            step_s: timed.wall,
+            mem_mb: timed.memory_bytes as f64 / 1.0e6,
+            events: timed.events,
+            detected: timed.detected,
+            step_ratio: 1.0,
+        }
+    }
+}
+
+/// Regenerates Table A on each circuit's deterministic test set: csim-MV
+/// at each macro input cap in `caps`, csim with list splitting off and on,
+/// and csim-MV under the three probes (none, [`SimMetrics`],
+/// [`TraceRecorder`]) on `circuits[0]`; csim-MV with fault dropping on
+/// and off on `circuits[1]`.
+pub fn table_ablations(
+    circuits: [&str; 2],
+    caps: &[usize],
+    config: &WorkloadConfig,
+) -> Vec<AblationRow> {
+    let main = Workload::new(circuits[0], config);
+    let dropping = Workload::new(circuits[1], config);
+    let mv = CsimVariant::Mv.options();
+    let mut rows = Vec::new();
+    for &cap in caps {
+        let options = CsimOptions {
+            macro_max_inputs: cap,
+            ..mv.clone()
+        };
+        rows.push(main.row::<ConcurrentSim>("macro-cap", cap, &options, |_| NullProbe));
+    }
+    for (setting, split) in [("off", false), ("on", true)] {
+        let options = CsimOptions {
+            split_invisible: split,
+            ..CsimVariant::Base.options()
+        };
+        rows.push(main.row::<ConcurrentSim>("split", setting, &options, |_| NullProbe));
+    }
+    for (setting, drop) in [("on", true), ("off", false)] {
+        let options = CsimOptions {
+            drop_detected: drop,
+            ..mv.clone()
+        };
+        rows.push(dropping.row::<ConcurrentSim>("drop", setting, &options, |_| NullProbe));
+    }
+    rows.push(main.row::<ConcurrentSim>("probe", "null", &mv, |_| NullProbe));
+    rows.push(
+        main.row::<ConcurrentSim<SimMetrics>>("probe", "metrics", &mv, |_| SimMetrics::new()),
+    );
+    rows.push(
+        main.row::<ConcurrentSim<TraceRecorder>>("probe", "trace", &mv, |_| {
+            TraceRecorder::new(Instant::now(), TraceConfig::default())
+        }),
+    );
+    // Each group's rows are contiguous, led by its reference setting.
+    let mut first = ("", 0.0);
+    for r in &mut rows {
+        if r.group != first.0 {
+            first = (r.group, r.step_s);
+        }
+        r.step_ratio = r.step_s / first.1;
+    }
+    rows
+}
+
+/// Formats Table A.
+pub fn format_table_ablations(rows: &[AblationRow]) -> String {
     let mut out = String::new();
-    out.push_str(&format_table2(&table2(TABLE3_CIRCUITS, config)));
-    out.push('\n');
-    out.push_str(&format_table3(&table3(TABLE3_CIRCUITS, config)));
-    out.push('\n');
-    out.push_str(&format_table4(&table4(TABLE4_CIRCUITS, config)));
-    out.push('\n');
-    out.push_str(&format_table5(&table5(config)));
-    out.push('\n');
-    out.push_str(&format_table6(&table6(TABLE6_CIRCUITS, config)));
-    out.push('\n');
-    out.push_str(&format_table_parallel(
-        "s35932g",
-        &table_parallel("s35932g", config),
-    ));
+    let _ = writeln!(
+        out,
+        "Table A. Ablations (build, step: min of {TABLE_A_REPEATS} runs; step/1st: step over the group's first row)"
+    );
+    let _ = writeln!(
+        out,
+        "{:<10} {:>7} {:<8} {:>8} {:>8} {:>7} {:>10} {:>8} {:>8}",
+        "group", "setting", "ckt", "build s", "step s", "MB", "events", "detected", "step/1st"
+    );
+    for r in rows {
+        let _ = writeln!(
+            out,
+            "{:<10} {:>7} {:<8} {:>8.4} {:>8.4} {:>7.2} {:>10} {:>8} {:>8.2}",
+            r.group,
+            r.setting,
+            r.circuit,
+            r.build_s,
+            r.step_s,
+            r.mem_mb,
+            r.events,
+            r.detected,
+            r.step_ratio
+        );
+    }
     out
 }
 
@@ -546,6 +705,27 @@ mod tests {
         let s = format_table_parallel("s1423g", &rows);
         assert!(s.contains("speedup"), "{s}");
         assert!(s.contains("s1423g"), "{s}");
+    }
+
+    #[test]
+    fn ablation_groups_agree_on_detections() {
+        let rows = table_ablations(["s298g", "s386g"], &[2, 4], &WorkloadConfig::quick());
+        for group in ["macro-cap", "split", "drop", "probe"] {
+            let members: Vec<_> = rows.iter().filter(|r| r.group == group).collect();
+            assert!(members.len() >= 2, "{group}: {} rows", members.len());
+            assert!((members[0].step_ratio - 1.0).abs() < 1e-12, "{group}");
+            for r in &members {
+                assert_eq!(r.detected, members[0].detected, "{group} {}", r.setting);
+                // Splitting and probes change how the lists are walked or
+                // watched, never which nodes activate.
+                if matches!(group, "split" | "probe") {
+                    assert_eq!(r.events, members[0].events, "{group} {}", r.setting);
+                }
+            }
+        }
+        let s = format_table_ablations(&rows);
+        assert!(s.starts_with("Table A. Ablations"), "{s}");
+        assert!(s.contains("metrics"), "{s}");
     }
 
     #[test]

@@ -22,6 +22,11 @@ pub const TABLE6_CIRCUITS: &[&str] = &[
     "s298g", "s344g", "s386g", "s400g", "s444g", "s526g", "s641g", "s820g", "s1196g", "s1494g",
 ];
 
+/// The circuits of Table A (the §2.2 ablations): the macro-cap,
+/// list-splitting and probe groups run on the first, fault dropping on the
+/// second.
+pub const TABLE_A_CIRCUITS: [&str; 2] = ["s1196g", "s526g"];
+
 /// Global workload configuration.
 #[derive(Debug, Clone)]
 pub struct WorkloadConfig {
@@ -57,7 +62,7 @@ impl WorkloadConfig {
         }
     }
 
-    /// A fast configuration for smoke tests and Criterion benches.
+    /// A fast configuration for smoke tests.
     pub fn quick() -> Self {
         WorkloadConfig {
             large_circuit_scale: 0.05,

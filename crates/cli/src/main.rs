@@ -575,6 +575,9 @@ const FLAG_RULES: &[Rule] = &[
      "--quiesce-window needs the concurrent simulator, not {sim}"),
     ("sim", |f| f.baseline() && f.on("--trace-every"), "--trace-every needs the concurrent simulator, not {sim}"),
     ("sim", |f| f.baseline() && f.on("--shard-plan"), "--shard-plan needs the concurrent simulator, not {sim}"),
+    ("sim", |f| f.baseline() && f.on("--variant"), "--variant needs the concurrent simulator, not {sim}"),
+    (RUN, |f| f.on("--shard-plan") && !f.baseline() && f.num_or("--threads", 1) == 1 && !f.on("--steal"),
+     "--shard-plan needs more than one shard: --threads 2 or more, or --batch-windows W --steal"),
     (RUN, |f| f.checkpointing() && f.num_or("--threads", 1) > 1,
      "checkpointing captures one serial engine; it needs --threads 1"),
     (RUN, |f| f.checkpointing() && f.on("--batch-windows"), "checkpointing cannot combine with --batch-windows"),
@@ -2314,7 +2317,7 @@ fn prepare_universe<F: Copy>(
     hooks: &ModelHooks<F>,
     full: impl FnOnce(&Circuit) -> Vec<F>,
 ) -> Result<Universe<F>, Box<dyn std::error::Error>> {
-    let weighted = plan.plan == ShardPlan::WeightAware && plan.threads > 1;
+    let weighted = plan.plan == ShardPlan::WeightAware && plan.shards() > 1;
     // The weight-aware plan and --prune share one static analysis pass.
     let analysis = (plan.prune || weighted).then(|| analyze_circuit(c));
     let pruned = match &analysis {
@@ -2809,6 +2812,8 @@ mod tests {
         "--simulator proofs --quiesce-window 2",
         "--simulator proofs --trace-every 4",
         "--simulator proofs --shard-plan contiguous",
+        "--simulator proofs --variant m",
+        "--shard-plan contiguous",
         "--threads 2 --resume-from c.bin",
         "--batch-windows 8 --resume-from c.bin",
         "--trace-out t.json --resume-from c.bin",
@@ -2838,6 +2843,22 @@ mod tests {
         }
         let args = argv("--prune --learn --learn-frames 3 --threads 2 --batch-windows 8 --steal");
         assert_eq!(parse("transition", &args).refusals().count(), 0);
+    }
+
+    #[test]
+    fn one_thread_stealing_runs_get_weight_keys() {
+        let args = argv("@s27 --threads 1 --batch-windows 8 --steal --shard-plan weight-aware");
+        let flags = parse("sim", &args);
+        assert_eq!(flags.refusals().count(), 0);
+        let plan = RunPlan::new(&flags).expect("a valid plan");
+        assert_eq!(plan.shards(), 2);
+        let c = cfs_netlist::data::s27();
+        let universe = prepare_universe(&c, &plan, &[], &STUCK, |c| {
+            collapse_stuck_at(c).representatives
+        })
+        .expect("no universe flags to fail");
+        let keys = universe.keys.expect("weight-aware keys for two shards");
+        assert_eq!(keys.len(), universe.faults.len());
     }
 
     #[test]

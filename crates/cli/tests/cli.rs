@@ -1203,7 +1203,7 @@ fn silently_ignored_combinations_are_refused() {
     let pats = dir.join("s27.pat");
     std::fs::write(&pats, "0101\n1010\n").unwrap();
     let pats = pats.to_str().unwrap();
-    let cases: [(&[&str], &str); 6] = [
+    let cases: [(&[&str], &str); 8] = [
         (
             &["sim", "@s27", "--patterns", pats, "--random", "50"],
             "--patterns FILE cannot combine with --random/--seed",
@@ -1234,6 +1234,21 @@ fn silently_ignored_combinations_are_refused() {
                 "contiguous",
             ],
             "--shard-plan needs the concurrent simulator, not \"serial\"",
+        ),
+        (
+            &["sim", "@s27", "--simulator", "proofs", "--variant", "m"],
+            "--variant needs the concurrent simulator, not \"proofs\"",
+        ),
+        (
+            &[
+                "transition",
+                "@s27",
+                "--threads",
+                "1",
+                "--shard-plan",
+                "level-aware",
+            ],
+            "--shard-plan needs more than one shard",
         ),
     ];
     for (args, needle) in cases {

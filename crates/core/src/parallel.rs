@@ -107,15 +107,9 @@ impl ShardPlan {
         }
     }
 
-    /// Parses a CLI spelling.
+    /// Parses a plan's [`ShardPlan::name`].
     pub fn parse(s: &str) -> Option<ShardPlan> {
-        match s {
-            "round-robin" | "rr" => Some(ShardPlan::RoundRobin),
-            "contiguous" | "chunk" => Some(ShardPlan::Contiguous),
-            "level-aware" | "level" => Some(ShardPlan::LevelAware),
-            "weight-aware" | "weighted" | "scoap" => Some(ShardPlan::WeightAware),
-            _ => None,
-        }
+        ShardPlan::ALL.into_iter().find(|p| p.name() == s)
     }
 
     /// Partitions fault indices `0..levels.len()` into `shards` lists,

@@ -54,7 +54,7 @@ impl CircuitSpec {
 
     /// Returns a copy scaled to `ratio` of the original size (interface
     /// width preserved, at least one gate/DFF kept). Useful for keeping
-    /// `cargo bench` wall-clock reasonable on the largest circuits.
+    /// table and benchmark runs short on the largest circuits.
     pub fn scaled(&self, ratio: f64) -> CircuitSpec {
         let scale = |n: usize| ((n as f64 * ratio).round() as usize).max(1);
         CircuitSpec {
