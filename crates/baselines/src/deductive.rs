@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use cfs_faults::{FaultSimReport, FaultSite, FaultStatus, StuckAt};
 use cfs_logic::{GateFn, Logic};
-use cfs_netlist::{Circuit, GateKind};
+use cfs_netlist::Circuit;
 
 /// Error returned when the deductive simulator's binary-domain requirement
 /// is violated.
@@ -403,15 +403,6 @@ fn set_membership(set: &mut Vec<u32>, fid: u32, member: bool) {
 /// Returns a circuit's all-zero reset state (helper for deductive runs).
 pub fn zero_state(circuit: &Circuit) -> Vec<Logic> {
     vec![Logic::Zero; circuit.num_dffs()]
-}
-
-/// Returns `true` if the circuit contains only gate kinds the deductive
-/// set-algebra supports (always true for this workspace's netlists).
-pub fn deductive_supported(circuit: &Circuit) -> bool {
-    circuit
-        .gates()
-        .iter()
-        .all(|g| !matches!(g.kind(), GateKind::Comb(_)) || g.kind().gate_fn().is_some())
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@ mod proofs;
 mod serial;
 mod transition_ref;
 
-pub use deductive::{deductive_supported, zero_state, DeductiveError, DeductiveSim};
+pub use deductive::{zero_state, DeductiveError, DeductiveSim};
 pub use dictionary::{Failure, FaultDictionary, PassFailDictionary};
 pub use proofs::ProofsSim;
 pub use serial::{FaultySim, SerialSim};

@@ -19,9 +19,10 @@
 //!     --bench-check benchmarks/bench_smoke_baseline.json   # CI drift gate
 //! ```
 //!
-//! Every BENCH cell and every Table A row is timed by the same loop; timing
-//! whole `fsim` invocations, and comparing them across commits, is
-//! `fsim-bench`'s job.
+//! Every BENCH cell and every Table A row runs through the `fsim sim` /
+//! `fsim transition` run driver (the `cfs-cli` library) and is timed by
+//! the same loop; timing whole `fsim` invocations, and comparing them
+//! across commits, is `fsim-bench`'s job.
 
 use cfs_bench::perf::{check_against, parse_bench_json, render_bench_json, run_perf, PerfConfig};
 use cfs_bench::tables::{

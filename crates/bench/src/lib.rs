@@ -4,8 +4,9 @@
 //! same rows the paper reports, plus the parallel speedup table (P) and the
 //! ablations of §2.2's design choices (A: macro input cap, list splitting,
 //! fault dropping, and the cost of each probe); [`workloads`] defines the
-//! circuits and test sets; [`perf`] is the `BENCH.json` harness, whose
-//! timing loop also times Table A. The `repro-tables` binary drives a run:
+//! circuits and test sets; [`perf`] is the `BENCH.json` harness, which
+//! like Table A runs the `fsim` driver and whose timing loop also times
+//! Table A. The `repro-tables` binary drives a run:
 //!
 //! ```text
 //! cargo run --release -p cfs-bench --bin repro-tables              # default

@@ -9,12 +9,15 @@
 //! cargo run --release -p cfs-bench --bin repro-tables -- --bench-json BENCH.json
 //! ```
 //!
-//! The JSON is stable and diffable: work counters (`events_per_pattern`,
-//! `detected`) are deterministic for a given circuit/seed and act as a
-//! drift gate in CI (`--bench-check`), while timings are advisory.
+//! The JSON is stable and diffable: work counters (`events`,
+//! `detected`, `peak_elements`, `memory_bytes`) are deterministic for a
+//! given circuit/seed and act as a drift gate in CI (`--bench-check`),
+//! while timings are advisory.
 //!
-//! One timing loop, `time_cell`, times every cell here and every row of
-//! the ablation table ([`crate::tables::table_ablations`]).
+//! Every cell runs through the `cfs-cli` run driver, the code `fsim sim`
+//! and `fsim transition` run, with its output lines discarded. One
+//! timing loop times every cell here and every row of the ablation table
+//! ([`crate::tables::table_ablations`]).
 //!
 //! Every stuck-at and transition cell has a `-pruned` twin that runs the
 //! statically pruned universe (`cfs_check::prune_stuck_at` /
@@ -58,33 +61,28 @@
 //! functional bursts). `-hold` is the ungated reference, `-quiesce` the
 //! same run under the engine's quiescence gate (`--quiesce-window 2`;
 //! the harness asserts detections stay bit-identical), and `-resume`
-//! times the second half of the gated run after restoring a
-//! byte-round-tripped mid-run checkpoint into a fresh simulator, with
-//! the full run's counters (the checkpoint restores them) so the drift
-//! gate pins restart determinism too.
+//! times the second half of the gated run after the driver restores a
+//! byte-round-tripped mid-run checkpoint (`--resume-from`), with the
+//! full run's counters (the checkpoint restores them) so the drift gate
+//! pins restart determinism too.
 
-use std::time::Instant;
+use std::io;
+use std::time::Duration;
 
-use cfs_check::{
-    analyze_circuit, classify_stuck_at, classify_transition, diff_netlists, impact_analysis,
-    prune_stuck_at, prune_stuck_at_learned, prune_transition, prune_transition_learned,
-    ImpactAnalysis, ImplicationGraph, LearnOptions,
+use cfs_check::LearnOptions;
+use cfs_cli::{
+    prepare_universe, simulate_stuck, simulate_transition, Baseline, ModelHooks, Outcome, Probes,
+    Run, RunPlan, Universe, STUCK, TRANSITION,
 };
-use cfs_core::{
-    BatchOptions, Checkpoint, ConcurrentSim, CsimOptions, CsimVariant, FaultMachine, NullProbe,
-    ShardPlan, ShardedSim, TransitionOptions, TransitionSim,
-};
-use cfs_faults::{
-    collapse_stuck_at, enumerate_stuck_at, enumerate_transition, FaultStatus, ImpactUniverse,
-    PrunedUniverse, StuckAt, TransitionFault,
-};
+use cfs_core::{BatchOptions, Checkpoint, ConcurrentSim, CsimOptions, CsimVariant};
+use cfs_faults::{enumerate_stuck_at, enumerate_transition, FaultStatus, StuckAt, TransitionFault};
 use cfs_logic::Logic;
 use cfs_netlist::{apply_edit, BenchEdit, Circuit};
-use cfs_telemetry::{
-    write_json_f64, write_json_string, JsonValue, MetricsSnapshot, Phase, SimMetrics,
-};
+use cfs_telemetry::{write_json_f64, write_json_string, JsonValue, Phase};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use crate::workloads::fault_universe;
 
 /// Default circuit list: the bundled `examples/bench` netlists, smallest to
 /// largest (the last one is the headline speedup circuit).
@@ -177,17 +175,6 @@ pub fn perf_circuit(name: &str) -> Circuit {
     }
 }
 
-fn random_patterns(circuit: &Circuit, count: usize, seed: u64) -> Vec<Vec<Logic>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..count)
-        .map(|_| {
-            (0..circuit.num_inputs())
-                .map(|_| Logic::from_bool(rng.gen_bool(0.5)))
-                .collect()
-        })
-        .collect()
-}
-
 /// Shape of the quiescence cells' stimulus: fresh random vectors every
 /// cycle never let the circuit go quiet, so each burst drives
 /// [`QUIESCE_ACTIVE`] cycles of a held random vector (excitation plus
@@ -200,6 +187,10 @@ const QUIESCE_QUIET: usize = 12;
 /// Gating window for the `-quiesce` and `-resume` cells (the CLI's
 /// `--quiesce-window`).
 const QUIESCE_WINDOW: u32 = 2;
+
+/// Window size for the `-batched` twin cells (the CLI's
+/// `--batch-windows 32 --steal`).
+const BATCH_WINDOW: usize = 32;
 
 /// Burst-idle stimulus for the quiescence cells (see [`QUIESCE_ACTIVE`]),
 /// truncated to exactly `count` patterns so the cells stay comparable to
@@ -226,322 +217,151 @@ fn hold_patterns(circuit: &Circuit, count: usize, seed: u64) -> Vec<Vec<Logic>> 
     out
 }
 
-fn phase_seconds(snap: &MetricsSnapshot) -> Vec<(&'static str, f64)> {
-    Phase::ALL
-        .iter()
-        .map(|&p| (p.name(), snap.phases.get(p).as_secs_f64()))
-        .filter(|&(_, s)| s > 0.0)
-        .collect()
+/// One circuit's harness workload, run through the `fsim` driver: the
+/// patterns its cells replay and the timed repeats per cell.
+pub(crate) struct Bench<'a> {
+    pub(crate) circuit: &'a Circuit,
+    pub(crate) patterns: &'a [Vec<Logic>],
+    pub(crate) repeats: usize,
 }
 
-/// What one timed configuration measured.
-pub(crate) struct Timed {
-    /// Minimum construction time over the repeats (including the
-    /// checkpoint restore of a resumed run), in seconds.
-    pub(crate) build: f64,
-    /// Minimum wall time of the simulated patterns over the repeats, in
-    /// seconds.
-    pub(crate) wall: f64,
-    pub(crate) events: u64,
-    pub(crate) detected: usize,
-    pub(crate) peak_elements: usize,
-    pub(crate) memory_bytes: usize,
-    phases: Vec<(&'static str, f64)>,
-    /// The last repetition's per-fault statuses.
-    statuses: Vec<FaultStatus>,
-}
+impl Bench<'_> {
+    /// The driver's universe for `plan` (`baseline` makes it
+    /// incremental), with the banners it prints discarded.
+    pub(crate) fn universe<F: Copy>(
+        &self,
+        plan: &RunPlan<'_>,
+        hooks: &ModelHooks<F>,
+        baseline: Option<Baseline>,
+        full: fn(&Circuit) -> Vec<F>,
+    ) -> Universe<F> {
+        let sink = &mut io::sink();
+        prepare_universe(
+            self.circuit,
+            plan,
+            self.patterns,
+            hooks,
+            baseline,
+            sink,
+            full,
+        )
+        .expect("every harness universe prepares")
+    }
 
-impl Timed {
-    /// The BENCH cell for this measurement.
-    fn cell(
-        self,
-        circuit: &Circuit,
+    /// A driver run over `universe`, with no preflight and no resume.
+    pub(crate) fn run<'r, F>(&'r self, universe: &'r Universe<F>, plan: &'r RunPlan) -> Run<'r, F> {
+        Run {
+            circuit: self.circuit,
+            patterns: self.patterns,
+            universe,
+            plan,
+            check_time: Duration::ZERO,
+            resume: None,
+        }
+    }
+
+    /// The one timing loop, behind every BENCH cell and every Table A
+    /// row: `repeats` runs of the driver through `simulate`. Returns the
+    /// last run's outcome with its build and step (`report.cpu`) times
+    /// replaced by their minimum over the runs.
+    pub(crate) fn fastest(&self, mut simulate: impl FnMut() -> Outcome) -> Outcome {
+        let mut best = simulate();
+        for _ in 1..self.repeats {
+            let mut next = simulate();
+            next.build = next.build.min(best.build);
+            next.report.cpu = next.report.cpu.min(best.report.cpu);
+            best = next;
+        }
+        best
+    }
+
+    /// One BENCH cell: [`Bench::fastest`] of the probe-free runs, then
+    /// one more with metrics attached for the phase breakdown. Also
+    /// returns the last timed run's statuses.
+    fn cell<F>(
+        &self,
+        run: &Run<'_, F>,
         variant: String,
-        threads: usize,
-        patterns: usize,
-        faults: usize,
-        faults_full: usize,
-    ) -> PerfRun {
-        PerfRun {
-            circuit: circuit.name().to_owned(),
+        simulate: impl Fn(&Run<'_, F>, Probes) -> Outcome,
+    ) -> (PerfRun, Vec<FaultStatus>) {
+        let timed = self.fastest(|| simulate(run, Probes::Null));
+        let snap = simulate(run, Probes::Metrics)
+            .snap
+            .expect("the metrics probe records");
+        let patterns = run.patterns.len();
+        let cell = PerfRun {
+            circuit: self.circuit.name().to_owned(),
             variant,
-            threads,
+            threads: run.plan.threads,
             patterns,
-            faults,
-            faults_full,
-            wall_seconds: self.wall,
-            events: self.events,
-            events_per_pattern: self.events as f64 / patterns.max(1) as f64,
-            detected: self.detected,
-            peak_elements: self.peak_elements,
-            peak_arena_bytes: self.peak_elements * cfs_core::Arena::ELEMENT_BYTES,
-            memory_bytes: self.memory_bytes,
-            phase_seconds: self.phases,
-        }
-    }
-}
-
-/// Detected faults in a status vector.
-pub(crate) fn count_detected(statuses: &[FaultStatus]) -> usize {
-    statuses.iter().filter(|s| s.is_detected()).count()
-}
-
-/// The one timing loop, behind every BENCH cell and every ablation row:
-/// `repeats` runs of the sharded machine `M` with `probe(shard)` attached
-/// (one shard on the serial path; with `batch`, the two-dimensional
-/// work-stealing schedule, 2× oversharded so stealing has slack), then one
-/// run of its instrumented twin `I` for the phase breakdown. Construction
-/// is timed apart from the run. With `resume`, both machines restore that
-/// checkpoint into their one shard first, and `patterns` are the ones
-/// after it. `detected` turns the final statuses into the cell's
-/// detection count (full-universe counts for pruned and incremental
-/// cells).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn time_cell<M, I>(
-    circuit: &Circuit,
-    faults: &[M::Fault],
-    options: &M::Options,
-    threads: usize,
-    batch: Option<&BatchOptions>,
-    resume: Option<&Checkpoint>,
-    patterns: &[Vec<Logic>],
-    repeats: usize,
-    probe: impl Fn(usize) -> M::Probe,
-    detected: impl Fn(&[FaultStatus]) -> usize,
-) -> Timed
-where
-    M: FaultMachine + Send,
-    I: FaultMachine<Probe = SimMetrics, Fault = M::Fault, Options = M::Options> + Send,
-{
-    let shards = if batch.is_some() {
-        threads * 2
-    } else {
-        threads
-    };
-    let mut timed = Timed {
-        build: f64::INFINITY,
-        wall: f64::INFINITY,
-        events: 0,
-        detected: 0,
-        peak_elements: 0,
-        memory_bytes: 0,
-        phases: Vec::new(),
-        statuses: Vec::new(),
-    };
-    for _ in 0..repeats.max(1) {
-        let start = Instant::now();
-        let mut sim = ShardedSim::<M>::with_probes_sharded(
-            circuit,
-            faults,
-            options.clone(),
-            threads,
-            shards,
-            ShardPlan::RoundRobin,
-            None,
-            &probe,
-        );
-        if let Some(ck) = resume {
-            sim.restore(ck).expect("checkpoint restore");
-        }
-        timed.build = timed.build.min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        let report = match batch {
-            Some(b) => sim.run_batched(patterns, b),
-            None => sim.run(patterns),
+            faults: run.universe.faults.len(),
+            faults_full: snap.faults_full as usize,
+            wall_seconds: timed.report.cpu.as_secs_f64(),
+            events: timed.report.events,
+            events_per_pattern: timed.report.events as f64 / patterns.max(1) as f64,
+            detected: timed.report.detected(),
+            peak_elements: timed.peak_elements,
+            peak_arena_bytes: timed.peak_elements * cfs_core::Arena::ELEMENT_BYTES,
+            memory_bytes: timed.report.memory_bytes,
+            phase_seconds: Phase::ALL
+                .iter()
+                .map(|&p| (p.name(), snap.phases.get(p).as_secs_f64()))
+                .filter(|&(_, s)| s > 0.0)
+                .collect(),
         };
-        timed.wall = timed.wall.min(start.elapsed().as_secs_f64());
-        timed.events = sim.events();
-        timed.detected = detected(&report.statuses);
-        // The per-shard maximum: shards partition the fault universe, so
-        // the widest shard bounds the widest per-engine arena a reader has
-        // to provision for.
-        timed.peak_elements = sim.peak_elements();
-        timed.memory_bytes = sim.memory_bytes();
-        timed.statuses = report.statuses;
+        (cell, timed.report.statuses)
     }
-    let mut sim = ShardedSim::<I>::with_probes_sharded(
-        circuit,
-        faults,
-        options.clone(),
-        threads,
-        shards,
-        ShardPlan::RoundRobin,
-        None,
-        |_| SimMetrics::new(),
-    );
-    if let Some(ck) = resume {
-        sim.restore(ck).expect("checkpoint restore");
-    }
-    match batch {
-        Some(b) => sim.run_batched(patterns, b),
-        None => sim.run(patterns),
-    };
-    timed.phases = phase_seconds(&sim.snapshot());
-    timed
-}
 
-/// A stuck-at cell: collapsed representatives, or a pruned universe
-/// whose report expands to full-universe counts (the `-pruned` and
-/// `-learned` cells), serial, sharded, or batched.
-fn run_stuck(
-    circuit: &Circuit,
-    variant: CsimVariant,
-    threads: usize,
-    batch: Option<&BatchOptions>,
-    pruned: Option<(&PrunedUniverse<StuckAt>, &str)>,
-    patterns: &[Vec<Logic>],
-    repeats: usize,
-) -> PerfRun {
-    let collapsed;
-    let (faults, faults_full, suffix) = match pruned {
-        Some((u, suffix)) => (&u.sim, u.stats.full, suffix),
-        None => {
-            collapsed = collapse_stuck_at(circuit).representatives;
-            (&collapsed, 0, if batch.is_some() { "-batched" } else { "" })
-        }
-    };
-    let timed = time_cell::<ConcurrentSim, ConcurrentSim<SimMetrics>>(
-        circuit,
-        faults,
-        &variant.options(),
-        threads,
-        batch,
-        None,
-        patterns,
-        repeats,
-        |_| NullProbe,
-        |s| match pruned {
-            Some((u, _)) => count_detected(&u.expand_statuses(s)),
-            None => count_detected(s),
-        },
-    );
-    timed.cell(
-        circuit,
-        format!("{}{suffix}", variant.name()),
-        threads,
-        patterns.len(),
-        faults.len(),
-        faults_full,
-    )
-}
-
-/// The transition mirror of [`run_stuck`] (`csim-T` and its `-pruned`,
-/// `-learned`, and `-batched` cells).
-fn run_transition(
-    circuit: &Circuit,
-    threads: usize,
-    batch: Option<&BatchOptions>,
-    pruned: Option<(&PrunedUniverse<TransitionFault>, &str)>,
-    patterns: &[Vec<Logic>],
-    repeats: usize,
-) -> PerfRun {
-    let full;
-    let (faults, faults_full, suffix) = match pruned {
-        Some((u, suffix)) => (&u.sim, u.stats.full, suffix),
-        None => {
-            full = enumerate_transition(circuit);
-            (&full, 0, if batch.is_some() { "-batched" } else { "" })
-        }
-    };
-    let timed = time_cell::<TransitionSim, TransitionSim<SimMetrics>>(
-        circuit,
-        faults,
-        &TransitionOptions::default(),
-        threads,
-        batch,
-        None,
-        patterns,
-        repeats,
-        |_| NullProbe,
-        |s| match pruned {
-            Some((u, _)) => count_detected(&u.expand_statuses(s)),
-            None => count_detected(s),
-        },
-    );
-    timed.cell(
-        circuit,
-        format!("csim-T{suffix}"),
-        threads,
-        patterns.len(),
-        faults.len(),
-        faults_full,
-    )
-}
-
-/// Window size for the `-batched` twin cells (the CLI's
-/// `--batch-windows 32 --steal`).
-const BATCH_WINDOW: usize = 32;
-
-fn batch_options() -> BatchOptions {
-    BatchOptions {
-        window: BATCH_WINDOW,
-        steal: true,
-        ..BatchOptions::default()
+    /// An `-incremental` cell (`csim-MV-incremental` /
+    /// `csim-T-incremental`): the driver records the unedited circuit's
+    /// full-universe fates (untimed; `--uncollapsed --baseline-out`), then
+    /// re-simulates only the change-impact affected cone of the scripted
+    /// dead-logic edit (`--incremental --baseline-report`). `detected` is
+    /// the full-universe count after fate transfer.
+    fn incremental<F: Copy>(
+        &self,
+        hooks: &ModelHooks<F>,
+        full: fn(&Circuit) -> Vec<F>,
+        variant: &str,
+        simulate: impl Fn(&Run<'_, F>, Probes) -> Outcome,
+    ) -> PerfRun {
+        let plan = RunPlan::default();
+        let cold = self.universe(&plan, hooks, None, full);
+        let statuses = simulate(&self.run(&cold, &plan), Probes::Null)
+            .report
+            .statuses;
+        let baseline = Baseline::new(self.circuit.clone(), self.patterns, statuses);
+        let edited = apply_edit(self.circuit, BenchEdit::DeadLogic, 0)
+            .expect("dead logic applies to every fixture")
+            .circuit;
+        let edited = Bench {
+            circuit: &edited,
+            ..*self
+        };
+        let universe = edited.universe(&plan, hooks, Some(baseline), full);
+        let run = edited.run(&universe, &plan);
+        let mut cell = edited
+            .cell(&run, format!("{variant}-incremental"), simulate)
+            .0;
+        cell.circuit = self.circuit.name().to_owned();
+        cell
     }
 }
 
-/// An `-incremental` cell (`csim-MV-incremental` / `csim-T-incremental`):
-/// applies the scripted dead-logic edit, records baseline fates over the
-/// unedited circuit's full uncollapsed universe (untimed), then times
-/// re-simulation of only the change-impact affected cone on the edited
-/// circuit. `detected` is the full-universe count after fate transfer —
-/// the CLI's `--incremental` path.
-fn run_incremental<M, I>(
-    circuit: &Circuit,
-    options: &M::Options,
-    classify: fn(&Circuit, &Circuit, &ImpactAnalysis) -> ImpactUniverse<M::Fault>,
-    enumerate: fn(&Circuit) -> Vec<M::Fault>,
-    variant: &str,
-    patterns: &[Vec<Logic>],
-    repeats: usize,
-) -> PerfRun
-where
-    M: FaultMachine<Probe = NullProbe> + Send,
-    I: FaultMachine<Probe = SimMetrics, Fault = M::Fault, Options = M::Options> + Send,
-{
-    let applied =
-        apply_edit(circuit, BenchEdit::DeadLogic, 0).expect("dead logic applies to every fixture");
-    let edited = &applied.circuit;
-    let diff = diff_netlists(circuit, edited, None, None);
-    let analysis = impact_analysis(circuit, edited, diff);
-    let universe = classify(circuit, edited, &analysis);
-    let baseline = ShardedSim::<M>::new(
-        circuit,
-        &enumerate(circuit),
-        options.clone(),
-        1,
-        ShardPlan::RoundRobin,
-    )
-    .run(patterns)
-    .statuses;
-    let timed = time_cell::<M, I>(
-        edited,
-        &universe.affected,
-        options,
-        1,
-        None,
-        None,
-        patterns,
-        repeats,
-        |_| NullProbe,
-        |s| count_detected(&universe.expand_statuses(s, &baseline)),
-    );
-    timed.cell(
-        circuit,
-        format!("{variant}-incremental"),
-        1,
-        patterns.len(),
-        universe.affected.len(),
-        universe.stats.full,
-    )
+/// `fsim sim --variant V`'s machine over `run`, with `probes` attached
+/// and every output line discarded.
+fn stuck(run: &Run<'_, StuckAt>, variant: CsimVariant, probes: Probes) -> Outcome {
+    simulate_stuck(run, variant.options(), probes, &mut None, &mut io::sink())
+        .expect("stuck-at cells run")
 }
 
-/// `variant.options()` with the harness gating window applied.
-fn gated_options(variant: CsimVariant) -> CsimOptions {
-    CsimOptions {
-        quiesce_window: QUIESCE_WINDOW,
-        ..variant.options()
-    }
+fn mv(run: &Run<'_, StuckAt>, probes: Probes) -> Outcome {
+    stuck(run, CsimVariant::Mv, probes)
+}
+
+/// `fsim transition`'s machine over `run` (see [`stuck`]).
+fn transition(run: &Run<'_, TransitionFault>, probes: Probes) -> Outcome {
+    simulate_transition(run, probes, &mut None, &mut io::sink()).expect("transition cells run")
 }
 
 /// The quiescence trio: three serial `csim-MV` cells on the burst-hold
@@ -556,66 +376,68 @@ fn gated_options(variant: CsimVariant) -> CsimOptions {
 ///   bit-identical to the ungated reference before recording the cell.
 /// * `csim-MV-resume` — the gated run checkpointed at the halfway
 ///   boundary, round-tripped through the checkpoint's byte serialization,
-///   and restored into a fresh simulator; the recorded wall time covers
-///   only the resumed second half, while the work counters are the full
-///   run's (the checkpoint restores them), so the drift gate pins
+///   and restored by the driver (`--resume-from`); the recorded wall time
+///   covers only the resumed second half, while the work counters are the
+///   full run's (the checkpoint restores them), so the drift gate pins
 ///   restart determinism pattern for pattern.
 fn run_quiesce_cells(circuit: &Circuit, count: usize, seed: u64, repeats: usize) -> Vec<PerfRun> {
     let patterns = hold_patterns(circuit, count, seed);
-    let faults = collapse_stuck_at(circuit).representatives;
-    let variant = CsimVariant::Mv;
-    let cell = |timed: Timed, suffix: &str| {
-        timed.cell(
-            circuit,
-            format!("{}-{suffix}", variant.name()),
-            1,
-            patterns.len(),
-            faults.len(),
-            0,
-        )
+    let bench = Bench {
+        circuit,
+        patterns: &patterns,
+        repeats,
     };
-    let time = |options: CsimOptions, resume: Option<&Checkpoint>, from: usize| {
-        time_cell::<ConcurrentSim, ConcurrentSim<SimMetrics>>(
-            circuit,
-            &faults,
-            &options,
-            1,
-            None,
-            resume,
-            &patterns[from..],
-            repeats,
-            |_| NullProbe,
-            count_detected,
-        )
+    let plain = RunPlan::default();
+    let gated = RunPlan {
+        quiesce_window: QUIESCE_WINDOW,
+        ..RunPlan::default()
     };
-    let hold = time(variant.options(), None, 0);
-    let quiesce = time(gated_options(variant), None, 0);
+    let universe = bench.universe(&plain, &STUCK, None, fault_universe);
+    let (hold, cold) = bench.cell(&bench.run(&universe, &plain), "csim-MV-hold".into(), mv);
+    let run = bench.run(&universe, &gated);
+    let (quiesce, statuses) = bench.cell(&run, "csim-MV-quiesce".into(), mv);
     assert_eq!(
-        quiesce.statuses,
-        hold.statuses,
+        statuses,
+        cold,
         "{}: the quiescence gate changed detections",
         circuit.name()
     );
 
-    let cut = patterns.len() / 2;
-    let mut first = ConcurrentSim::new(circuit, &faults, gated_options(variant));
-    for p in &patterns[..cut] {
+    let options = CsimOptions {
+        quiesce_window: QUIESCE_WINDOW,
+        ..CsimVariant::Mv.options()
+    };
+    let mut first = ConcurrentSim::new(circuit, &universe.faults, options);
+    for p in &patterns[..patterns.len() / 2] {
         first.step(p);
     }
     let checkpoint =
         Checkpoint::from_bytes(&first.checkpoint().to_bytes()).expect("checkpoint round trip");
-    let resume = time(gated_options(variant), Some(&checkpoint), cut);
+    let resumed = Run {
+        resume: Some(("checkpoint", &checkpoint)),
+        ..run
+    };
+    let (resume, statuses) = bench.cell(&resumed, "csim-MV-resume".into(), mv);
     assert_eq!(
-        resume.statuses,
-        hold.statuses,
+        statuses,
+        cold,
         "{}: resume diverged from the cold run",
         circuit.name()
     );
-    vec![
-        cell(hold, "hold"),
-        cell(quiesce, "quiesce"),
-        cell(resume, "resume"),
-    ]
+    vec![hold, quiesce, resume]
+}
+
+/// `--threads N --batch-windows 32 --steal`: the `-batched` cells' plan.
+fn batched(threads: usize) -> RunPlan<'static> {
+    RunPlan {
+        threads,
+        batch: Some(BatchOptions {
+            window: BATCH_WINDOW,
+            steal: true,
+            ..BatchOptions::default()
+        }),
+        ..RunPlan::default()
+    }
 }
 
 /// Runs the whole harness: every circuit × the four stuck-at variants ×
@@ -624,105 +446,79 @@ fn run_quiesce_cells(circuit: &Circuit, count: usize, seed: u64, repeats: usize)
 /// twin, one batched transition cell, the serial `csim-MV-learned` /
 /// `csim-T-learned` cells, the two `-incremental` cells, and the
 /// quiescence trio (`csim-MV-hold` / `-quiesce` / `-resume`) per
-/// circuit.
+/// circuit. Each cell runs the plan its `fsim` command line builds.
 pub fn run_perf(config: &PerfConfig) -> Vec<PerfRun> {
     let mut runs = Vec::new();
     for name in &config.circuits {
-        let circuit = perf_circuit(name);
-        let patterns = random_patterns(&circuit, config.patterns, config.seed);
-        let analysis = analyze_circuit(&circuit);
-        let stuck = prune_stuck_at(&circuit, &analysis);
-        let transition = prune_transition(&circuit, &analysis);
-        let graph = ImplicationGraph::build(&circuit, &analysis, LearnOptions::default());
-        let learned_stuck = prune_stuck_at_learned(&circuit, &analysis, &graph).universe;
-        let learned_transition = prune_transition_learned(&circuit, &analysis, &graph);
-        let batch = batch_options();
+        let circuit = &perf_circuit(name);
+        let patterns = &cfs_atpg::random_patterns(circuit, config.patterns, config.seed);
+        let bench = Bench {
+            circuit,
+            patterns,
+            repeats: config.repeats,
+        };
+        let plain = RunPlan::default();
+        let pruned = RunPlan {
+            prune: true,
+            ..RunPlan::default()
+        };
+        let learned = RunPlan {
+            learn: Some(LearnOptions::default()),
+            ..pruned.clone()
+        };
+        let plans = [(&plain, ""), (&pruned, "-pruned"), (&learned, "-learned")];
+        let stuck_universes = plans.map(|(plan, suffix)| {
+            (
+                plan,
+                bench.universe(plan, &STUCK, None, fault_universe),
+                suffix,
+            )
+        });
+        let transition_universes = plans.map(|(plan, suffix)| {
+            let universe = bench.universe(plan, &TRANSITION, None, enumerate_transition);
+            (plan, universe, suffix)
+        });
         for variant in CsimVariant::ALL {
+            let sim = |run: &Run<'_, StuckAt>, probes| stuck(run, variant, probes);
             for &threads in &config.threads {
-                runs.push(run_stuck(
-                    &circuit,
-                    variant,
-                    threads,
-                    None,
-                    None,
-                    &patterns,
-                    config.repeats,
-                ));
-                runs.push(run_stuck(
-                    &circuit,
-                    variant,
-                    threads,
-                    None,
-                    Some((&stuck, "-pruned")),
-                    &patterns,
-                    config.repeats,
-                ));
-                if threads > 1 {
-                    runs.push(run_stuck(
-                        &circuit,
-                        variant,
+                for (plan, universe, suffix) in &stuck_universes[..2] {
+                    let plan = RunPlan {
                         threads,
-                        Some(&batch),
-                        None,
-                        &patterns,
-                        config.repeats,
-                    ));
+                        ..(*plan).clone()
+                    };
+                    let cell = format!("{}{suffix}", variant.name());
+                    runs.push(bench.cell(&bench.run(universe, &plan), cell, sim).0);
+                }
+                if threads > 1 {
+                    let plan = batched(threads);
+                    let cell = format!("{}-batched", variant.name());
+                    runs.push(
+                        bench
+                            .cell(&bench.run(&stuck_universes[0].1, &plan), cell, sim)
+                            .0,
+                    );
                 }
             }
         }
-        runs.push(run_stuck(
-            &circuit,
-            CsimVariant::Mv,
-            1,
-            None,
-            Some((&learned_stuck, "-learned")),
-            &patterns,
-            config.repeats,
-        ));
-        for pruned in [
-            None,
-            Some((&transition, "-pruned")),
-            Some((&learned_transition, "-learned")),
-        ] {
-            runs.push(run_transition(
-                &circuit,
-                1,
-                None,
-                pruned,
-                &patterns,
-                config.repeats,
-            ));
+        let (plan, universe, _) = &stuck_universes[2];
+        runs.push(
+            bench
+                .cell(&bench.run(universe, plan), "csim-MV-learned".into(), mv)
+                .0,
+        );
+        for (plan, universe, suffix) in &transition_universes {
+            let cell = format!("csim-T{suffix}");
+            runs.push(bench.cell(&bench.run(universe, plan), cell, transition).0);
         }
         if let Some(&threads) = config.threads.iter().filter(|&&t| t > 1).max() {
-            runs.push(run_transition(
-                &circuit,
-                threads,
-                Some(&batch),
-                None,
-                &patterns,
-                config.repeats,
-            ));
+            let plan = batched(threads);
+            let run = bench.run(&transition_universes[0].1, &plan);
+            runs.push(bench.cell(&run, "csim-T-batched".into(), transition).0);
         }
-        runs.push(run_incremental::<ConcurrentSim, ConcurrentSim<SimMetrics>>(
-            &circuit,
-            &CsimVariant::Mv.options(),
-            classify_stuck_at,
-            enumerate_stuck_at,
-            CsimVariant::Mv.name(),
-            &patterns,
-            config.repeats,
-        ));
-        runs.push(run_incremental::<TransitionSim, TransitionSim<SimMetrics>>(
-            &circuit,
-            &TransitionOptions::default(),
-            classify_transition,
-            enumerate_transition,
-            "csim-T",
-            &patterns,
-            config.repeats,
-        ));
+        runs.push(bench.incremental(&STUCK, enumerate_stuck_at, "csim-MV", mv));
+        runs.push(bench.incremental(&TRANSITION, enumerate_transition, "csim-T", transition));
         runs.extend(run_quiesce_cells(
-            &circuit,
+            circuit,
             config.patterns,
             config.seed,
             config.repeats,
@@ -845,10 +641,10 @@ pub fn parse_bench_json(input: &str) -> Result<Vec<PerfRun>, String> {
 }
 
 /// Compares a fresh harness result against a checked-in baseline file's
-/// runs: the deterministic work counters (`events_per_pattern`, `events`)
-/// and detection counts must match exactly for every configuration present
-/// in both; timing differences are advisory. Returns human-readable drift
-/// descriptions (empty = pass).
+/// runs: the deterministic counters (`events`, detections, the workload
+/// sizes, `peak_elements` and `memory_bytes`) must match exactly for
+/// every configuration present in both; timing differences are advisory.
+/// Returns human-readable drift descriptions (empty = pass).
 pub fn check_against(runs: &[PerfRun], baseline: &[PerfRun]) -> Vec<String> {
     let mut drifts = Vec::new();
     for base in baseline {
@@ -867,6 +663,18 @@ pub fn check_against(runs: &[PerfRun], baseline: &[PerfRun]) -> Vec<String> {
             drifts.push(format!(
                 "{key}: detections drifted {} -> {}",
                 base.detected, run.detected
+            ));
+        }
+        if run.peak_elements != base.peak_elements {
+            drifts.push(format!(
+                "{key}: peak elements drifted {} -> {}",
+                base.peak_elements, run.peak_elements
+            ));
+        }
+        if run.memory_bytes != base.memory_bytes {
+            drifts.push(format!(
+                "{key}: memory bytes drifted {} -> {}",
+                base.memory_bytes, run.memory_bytes
             ));
         }
         if run.patterns != base.patterns
@@ -890,6 +698,7 @@ pub fn check_against(runs: &[PerfRun], baseline: &[PerfRun]) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cfs_core::TransitionSim;
 
     fn tiny_config() -> PerfConfig {
         PerfConfig {
@@ -1008,39 +817,30 @@ mod tests {
         let config = tiny_config();
         let runs = run_perf(&config);
         let circuit = perf_circuit("s27");
-        let patterns = random_patterns(&circuit, config.patterns, config.seed);
-        let applied = apply_edit(&circuit, BenchEdit::DeadLogic, 0).unwrap();
-        let diff = diff_netlists(&circuit, &applied.circuit, None, None);
-        let analysis = impact_analysis(&circuit, &applied.circuit, diff);
-        let stuck = classify_stuck_at(&circuit, &applied.circuit, &analysis);
-        let transition = classify_transition(&circuit, &applied.circuit, &analysis);
-        let cold_stuck =
-            ConcurrentSim::new(&applied.circuit, &stuck.full, CsimVariant::Mv.options())
-                .run(&patterns)
-                .statuses
-                .iter()
-                .filter(|s| matches!(s, FaultStatus::Detected { .. }))
-                .count();
-        let cold_transition =
-            TransitionSim::new(&applied.circuit, &transition.full, Default::default())
-                .run(&patterns)
-                .statuses
-                .iter()
-                .filter(|s| matches!(s, FaultStatus::Detected { .. }))
-                .count();
-        for (variant, stats, cold) in [
-            ("csim-MV-incremental", &stuck.stats, cold_stuck),
-            ("csim-T-incremental", &transition.stats, cold_transition),
+        let patterns = cfs_atpg::random_patterns(&circuit, config.patterns, config.seed);
+        let edited = apply_edit(&circuit, BenchEdit::DeadLogic, 0)
+            .unwrap()
+            .circuit;
+        let stuck = enumerate_stuck_at(&edited);
+        let transition = enumerate_transition(&edited);
+        let cold_stuck = ConcurrentSim::new(&edited, &stuck, CsimVariant::Mv.options())
+            .run(&patterns)
+            .detected();
+        let cold_transition = TransitionSim::new(&edited, &transition, Default::default())
+            .run(&patterns)
+            .detected();
+        for (variant, full, cold) in [
+            ("csim-MV-incremental", stuck.len(), cold_stuck),
+            ("csim-T-incremental", transition.len(), cold_transition),
         ] {
             let cell = runs
                 .iter()
                 .find(|r| r.variant == variant)
                 .unwrap_or_else(|| panic!("{variant}: cell missing"));
-            assert_eq!(cell.faults, stats.affected, "{variant}: simulated count");
-            assert_eq!(cell.faults_full, stats.full, "{variant}: full universe");
+            assert_eq!(cell.faults_full, full, "{variant}: full universe");
             assert!(
-                cell.faults <= cell.faults_full,
-                "{variant}: sim beyond full"
+                cell.faults < cell.faults_full,
+                "{variant}: re-simulates only the affected cone"
             );
             assert_eq!(
                 cell.detected, cold,
@@ -1157,8 +957,10 @@ mod tests {
         let mut tampered = runs.clone();
         tampered[0].events += 1;
         tampered[1].detected += 1;
+        tampered[2].peak_elements += 1;
+        tampered[3].memory_bytes += 1;
         let drifts = check_against(&tampered, &runs);
-        assert_eq!(drifts.len(), 2, "{drifts:?}");
+        assert_eq!(drifts.len(), 4, "{drifts:?}");
     }
 
     #[test]

@@ -7,23 +7,24 @@
 //! *relative* ones (macro extraction and list splitting help, csim-MV is
 //! competitive with or beats PROOFS on the larger circuits, stuck-at test
 //! sets are poor transition tests). Tables 2–6 and P keep the single
-//! simulation run of each measurement (`report.cpu`); Table A's rows come
-//! from the BENCH harness's timing loop ([`crate::perf`]).
+//! simulation run of each measurement (`report.cpu`); Table A's rows run
+//! through the `fsim sim` driver and the BENCH harness's timing loop
+//! ([`crate::perf`]).
 
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::io;
 
 use cfs_baselines::ProofsSim;
+use cfs_cli::{simulate_stuck, Probes, RunPlan, STUCK};
 use cfs_core::{
-    ConcurrentSim, CsimOptions, CsimVariant, FaultMachine, MetricsSnapshot, NullProbe, ParallelSim,
-    ShardPlan, SimMetrics, TransitionOptions, TransitionSim,
+    ConcurrentSim, CsimOptions, CsimVariant, MetricsSnapshot, ParallelSim, ShardPlan,
+    TransitionOptions, TransitionSim,
 };
-use cfs_faults::{enumerate_transition, FaultSimReport, StuckAt};
+use cfs_faults::{enumerate_transition, FaultSimReport};
 use cfs_logic::Logic;
 use cfs_netlist::Circuit;
-use cfs_trace::{TraceConfig, TraceRecorder};
 
-use crate::perf::{count_detected, time_cell};
+use crate::perf::Bench;
 use crate::workloads::{atpg_tests, circuit, deterministic_tests, fault_universe, WorkloadConfig};
 
 /// One simulator measurement: CPU seconds and modeled memory in MB.
@@ -503,55 +504,47 @@ pub struct AblationRow {
 /// its deterministic test set.
 struct Workload {
     circuit: Circuit,
-    faults: Vec<StuckAt>,
     tests: Vec<Vec<Logic>>,
 }
 
 impl Workload {
     fn new(name: &str, config: &WorkloadConfig) -> Self {
         let circuit = circuit(name, config);
-        let faults = fault_universe(&circuit);
-        let tests = deterministic_tests(&circuit, &faults, config);
-        Workload {
-            circuit,
-            faults,
-            tests,
-        }
+        let tests = deterministic_tests(&circuit, &fault_universe(&circuit), config);
+        Workload { circuit, tests }
     }
 
-    /// Times the serial machine `M` with `probe` attached (see
-    /// [`time_cell`]); the ratio is filled in by [`table_ablations`].
-    fn row<M>(
+    /// Times the serial `fsim sim` driver with `options` and `probes`
+    /// (see [`Bench::fastest`]); the ratio is filled in by
+    /// [`table_ablations`].
+    fn row(
         &self,
         group: &'static str,
         setting: impl ToString,
         options: &CsimOptions,
-        probe: impl Fn(usize) -> M::Probe,
-    ) -> AblationRow
-    where
-        M: FaultMachine<Fault = StuckAt, Options = CsimOptions> + Send,
-    {
-        let timed = time_cell::<M, ConcurrentSim<SimMetrics>>(
-            &self.circuit,
-            &self.faults,
-            options,
-            1,
-            None,
-            None,
-            &self.tests,
-            TABLE_A_REPEATS,
-            probe,
-            count_detected,
-        );
+        probes: Probes,
+    ) -> AblationRow {
+        let bench = Bench {
+            circuit: &self.circuit,
+            patterns: &self.tests,
+            repeats: TABLE_A_REPEATS,
+        };
+        let plan = RunPlan::default();
+        let universe = bench.universe(&plan, &STUCK, None, fault_universe);
+        let run = bench.run(&universe, &plan);
+        let timed = bench.fastest(|| {
+            simulate_stuck(&run, options.clone(), probes, &mut None, &mut io::sink())
+                .expect("Table A rows run")
+        });
         AblationRow {
             group,
             setting: setting.to_string(),
             circuit: self.circuit.name().to_owned(),
-            build_s: timed.build,
-            step_s: timed.wall,
-            mem_mb: timed.memory_bytes as f64 / 1.0e6,
-            events: timed.events,
-            detected: timed.detected,
+            build_s: timed.build.as_secs_f64(),
+            step_s: timed.report.cpu.as_secs_f64(),
+            mem_mb: timed.report.memory_bytes as f64 / 1.0e6,
+            events: timed.report.events,
+            detected: timed.report.detected(),
             step_ratio: 1.0,
         }
     }
@@ -559,9 +552,10 @@ impl Workload {
 
 /// Regenerates Table A on each circuit's deterministic test set: csim-MV
 /// at each macro input cap in `caps`, csim with list splitting off and on,
-/// and csim-MV under the three probes (none, [`SimMetrics`],
-/// [`TraceRecorder`]) on `circuits[0]`; csim-MV with fault dropping on
-/// and off on `circuits[1]`.
+/// and csim-MV under the three probes `fsim` attaches (none, the metrics
+/// of `--stats`, and the metrics plus event recorder of `--trace-out`) on
+/// `circuits[0]`; csim-MV with fault dropping on and off on
+/// `circuits[1]`.
 pub fn table_ablations(
     circuits: [&str; 2],
     caps: &[usize],
@@ -576,31 +570,29 @@ pub fn table_ablations(
             macro_max_inputs: cap,
             ..mv.clone()
         };
-        rows.push(main.row::<ConcurrentSim>("macro-cap", cap, &options, |_| NullProbe));
+        rows.push(main.row("macro-cap", cap, &options, Probes::Null));
     }
     for (setting, split) in [("off", false), ("on", true)] {
         let options = CsimOptions {
             split_invisible: split,
             ..CsimVariant::Base.options()
         };
-        rows.push(main.row::<ConcurrentSim>("split", setting, &options, |_| NullProbe));
+        rows.push(main.row("split", setting, &options, Probes::Null));
     }
     for (setting, drop) in [("on", true), ("off", false)] {
         let options = CsimOptions {
             drop_detected: drop,
             ..mv.clone()
         };
-        rows.push(dropping.row::<ConcurrentSim>("drop", setting, &options, |_| NullProbe));
+        rows.push(dropping.row("drop", setting, &options, Probes::Null));
     }
-    rows.push(main.row::<ConcurrentSim>("probe", "null", &mv, |_| NullProbe));
-    rows.push(
-        main.row::<ConcurrentSim<SimMetrics>>("probe", "metrics", &mv, |_| SimMetrics::new()),
-    );
-    rows.push(
-        main.row::<ConcurrentSim<TraceRecorder>>("probe", "trace", &mv, |_| {
-            TraceRecorder::new(Instant::now(), TraceConfig::default())
-        }),
-    );
+    for (setting, probes) in [
+        ("null", Probes::Null),
+        ("metrics", Probes::Metrics),
+        ("trace", Probes::Trace),
+    ] {
+        rows.push(main.row("probe", setting, &mv, probes));
+    }
     // Each group's rows are contiguous, led by its reference setting.
     let mut first = ("", 0.0);
     for r in &mut rows {

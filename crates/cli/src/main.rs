@@ -106,77 +106,35 @@
 //! ranks nodes by fault-list activity (divergences + convergences +
 //! drops), the measured counterpart of the static SCOAP weights.
 
-use std::fmt;
 use std::fs;
 use std::io;
-use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use cfs_atpg::{generate_tests, random_patterns, AtpgOptions};
-use cfs_baselines::{DeductiveSim, ProofsSim, SerialSim};
 use cfs_check::{
-    analysis_findings, analyze_circuit, classify_stuck_at, classify_transition, cross_check_fates,
-    diff_netlists, impact_analysis, impact_findings, learn_findings, prune_stuck_at,
-    prune_stuck_at_learned, prune_transition, prune_transition_learned, stuck_weights,
-    transition_weights, CircuitAnalysis, EditKind, ImpactAnalysis, ImplicationGraph, LearnOptions,
-    RuleCode, Severity,
+    analysis_findings, analyze_circuit, classify_stuck_at, classify_transition, diff_netlists,
+    impact_analysis, impact_findings, learn_findings, prune_stuck_at, prune_stuck_at_learned,
+    prune_transition, prune_transition_learned, EditKind, ImplicationGraph, LearnOptions, RuleCode,
+    Severity,
 };
-use cfs_core::{
-    detections_of, BatchOptions, Checkpoint, ConcurrentSim, CsimOptions, CsimVariant, FaultMachine,
-    NullProbe, Probe, SchedStats, ShardPlan, ShardedSim, TransitionOptions, TransitionSim,
+use cfs_cli::{
+    diag, err, finish_run, open_jsonl, prepare_universe, simulate_baseline, simulate_stuck,
+    simulate_transition, Baseline, DiagnosticError, JsonlFile, ModelHooks, Outcome, Probes, Run,
+    RunPlan, STUCK, TRANSITION,
 };
+use cfs_core::{BatchOptions, Checkpoint, ConcurrentSim, CsimVariant, ShardPlan};
 use cfs_faults::{
     collapse_stuck_at, dominance_collapse, enumerate_stuck_at, enumerate_transition, FaultFate,
-    FaultSimReport, FaultStatus, ImpactStats, ImpactUniverse, PruneReason, PrunedUniverse, StuckAt,
-    TransitionFault,
+    PruneReason,
 };
 use cfs_logic::{format_pattern, parse_pattern, Logic};
 use cfs_netlist::{
     apply_edit, edit_candidates, extract_macros, parse_bench, parse_bench_with_provenance,
     write_bench, BenchEdit, BenchProvenance, Circuit, GateId,
 };
-use cfs_telemetry::{
-    render_histogram, render_phase_table, render_summary_table, write_json_string, JsonValue,
-    JsonlWriter, Log2Histogram, MetricsSnapshot, PairProbe, Phase, SimMetrics,
-};
-use cfs_trace::{
-    write_chrome_trace_with_sched, FaultTimeline, Heatmap, SchedSpan, SchedSteal, SchedTrack,
-    TraceConfig, TraceEvent, TraceRecorder, TrackTrace,
-};
-
-#[derive(Debug)]
-struct CliError(String);
-
-impl fmt::Display for CliError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for CliError {}
-
-fn err(msg: impl Into<String>) -> Box<dyn std::error::Error> {
-    Box::new(CliError(msg.into()))
-}
-
-/// An already-rendered `cfs-check`-style diagnostic (`severity: CODE
-/// [slug] message`): printed verbatim, exits with status 2 so scripts can
-/// tell a diagnosed input (2) from an operational failure (1).
-#[derive(Debug)]
-struct DiagnosticError(String);
-
-impl fmt::Display for DiagnosticError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for DiagnosticError {}
-
-fn diag(msg: impl Into<String>) -> Box<dyn std::error::Error> {
-    Box::new(DiagnosticError(msg.into()))
-}
+use cfs_telemetry::write_json_string;
+use cfs_trace::{FaultTimeline, Heatmap, TraceConfig, TraceEvent, TraceRecorder};
 
 fn main() -> ExitCode {
     restore_default_sigpipe();
@@ -504,6 +462,17 @@ impl<'a> Flags<'a> {
         !self.baseline() && self.text("--variant") == Some("all")
     }
 
+    /// The concurrent variants `--variant` picks (default mv).
+    fn variants(&self) -> Vec<CsimVariant> {
+        match self.text("--variant") {
+            Some("all") => CsimVariant::ALL.to_vec(),
+            Some("base") => vec![CsimVariant::Base],
+            Some("v") => vec![CsimVariant::V],
+            Some("m") => vec![CsimVariant::M],
+            _ => vec![CsimVariant::Mv],
+        }
+    }
+
     /// `--learn`'s options; `None` when learning is off.
     fn learn(&self) -> Option<LearnOptions> {
         self.on("--learn").then(|| LearnOptions {
@@ -638,131 +607,56 @@ enum Stimulus<'a> {
 /// what the OS would refuse to spawn.
 const MAX_THREADS: usize = 256;
 
-/// Everything a `sim`/`transition` run reads from its flags, built once
-/// after [`FLAG_RULES`] passed.
-struct RunPlan<'a> {
-    stimulus: Stimulus<'a>,
-    uncollapsed: bool,
-    prune: bool,
-    learn: Option<LearnOptions>,
-    /// `--incremental`: the `--baseline-report` whose fates transfer.
-    incremental: Option<&'a str>,
-    simulator: &'a str,
-    /// The concurrent variants the run simulates (none on a baseline
-    /// simulator).
-    variants: Vec<CsimVariant>,
-    threads: usize,
-    plan: ShardPlan,
-    /// `--batch-windows` turns on the two-dimensional scheduler; `None`
-    /// keeps the fault-shard-only dispatch.
-    batch: Option<BatchOptions>,
-    /// `--quiesce-window`: the engine's quiescence-gating window in
-    /// patterns (0 = gating off). Applied to every engine the run
-    /// builds; detections are bit-identical for every window.
-    quiesce_window: u32,
-    stats: bool,
-    stats_json: Option<&'a str>,
-    trace_every: Option<usize>,
-    trace_out: Option<&'a str>,
-    /// Per-shard event-recorder tuning (`--trace-capacity`,
-    /// `--trace-window`).
-    trace_cfg: TraceConfig,
-    checkpoint_every: Option<usize>,
-    checkpoint_out: Option<&'a str>,
-    resume_from: Option<&'a str>,
-    detections: Option<&'a str>,
-    baseline_out: Option<&'a str>,
-    no_check: bool,
-    paranoid: bool,
-}
-
-impl<'a> RunPlan<'a> {
-    fn new(f: &Flags<'a>) -> Result<Self, Box<dyn std::error::Error>> {
-        let threads = f.num_or("--threads", 1);
-        if threads > MAX_THREADS {
-            return Err(err(format!("--threads must be at most {MAX_THREADS}")));
+/// The run driver's [`RunPlan`] from a `sim`/`transition` command line,
+/// built once after [`FLAG_RULES`] passed.
+fn run_plan<'a>(f: &Flags<'a>) -> Result<RunPlan<'a>, Box<dyn std::error::Error>> {
+    let threads = f.num_or("--threads", 1);
+    if threads > MAX_THREADS {
+        return Err(err(format!("--threads must be at most {MAX_THREADS}")));
+    }
+    // One quiescence-window source of truth: the engine gate
+    // (`--quiesce-window`) and the trace recorder (`--trace-window`)
+    // must agree. With only the gate flag set (and nonzero), the
+    // recorder follows it; giving both with different values is an
+    // error rather than a silent disagreement.
+    let gate = f.num("--quiesce-window");
+    let mut trace_cfg = TraceConfig::default();
+    match (f.num("--trace-window"), gate) {
+        (Some(w), Some(g)) if w != g => {
+            return Err(err(format!(
+                "--trace-window {w} disagrees with --quiesce-window {g}; \
+                 give one flag, or the same value to both"
+            )))
         }
-        // One quiescence-window source of truth: the engine gate
-        // (`--quiesce-window`) and the trace recorder (`--trace-window`)
-        // must agree. With only the gate flag set (and nonzero), the
-        // recorder follows it; giving both with different values is an
-        // error rather than a silent disagreement.
-        let gate = f.num("--quiesce-window");
-        let mut trace_cfg = TraceConfig::default();
-        match (f.num("--trace-window"), gate) {
-            (Some(w), Some(g)) if w != g => {
-                return Err(err(format!(
-                    "--trace-window {w} disagrees with --quiesce-window {g}; \
-                     give one flag, or the same value to both"
-                )))
-            }
-            (Some(w), _) => trace_cfg.quiescence_window = w as u32,
-            (None, Some(g)) if g > 0 => trace_cfg.quiescence_window = g as u32,
-            _ => {}
-        }
-        trace_cfg.capacity = f.num_or("--trace-capacity", trace_cfg.capacity);
-        let variants = match f.text("--variant") {
-            _ if f.baseline() => Vec::new(),
-            Some("all") => CsimVariant::ALL.to_vec(),
-            Some("base") => vec![CsimVariant::Base],
-            Some("v") => vec![CsimVariant::V],
-            Some("m") => vec![CsimVariant::M],
-            _ => vec![CsimVariant::Mv],
-        };
-        Ok(RunPlan {
-            stimulus: f.stimulus(),
-            uncollapsed: f.on("--uncollapsed"),
-            prune: f.on("--prune"),
-            learn: f.learn(),
-            incremental: f.text("--baseline-report"),
-            simulator: f.simulator(),
-            variants,
-            threads,
-            plan: f.text("--shard-plan").map_or(ShardPlan::RoundRobin, |p| {
-                ShardPlan::parse(p).expect("FLAGS lists only shard plans")
-            }),
-            batch: f.num("--batch-windows").map(|w| BatchOptions {
-                window: w as usize,
-                steal: f.on("--steal"),
-                ..BatchOptions::default()
-            }),
-            quiesce_window: gate.unwrap_or(0) as u32,
-            stats: f.on("--stats"),
-            stats_json: f.text("--stats-json"),
-            trace_every: f.num("--trace-every").map(|n| n as usize),
-            trace_out: f.text("--trace-out"),
-            trace_cfg,
-            checkpoint_every: f.num("--checkpoint-every").map(|n| n as usize),
-            checkpoint_out: f.text("--checkpoint-out"),
-            resume_from: f.text("--resume-from"),
-            detections: f.text("--detections"),
-            baseline_out: f.text("--baseline-out"),
-            no_check: f.on("--no-check"),
-            paranoid: f.on("--paranoid"),
-        })
+        (Some(w), _) => trace_cfg.quiescence_window = w as u32,
+        (None, Some(g)) if g > 0 => trace_cfg.quiescence_window = g as u32,
+        _ => {}
     }
-
-    /// Whether the run needs the recording probe attached at all.
-    fn telemetry(&self) -> bool {
-        self.stats
-            || self.stats_json.is_some()
-            || self.trace_every.is_some()
-            || self.trace_out.is_some()
-    }
-
-    /// Fault-shard count: `--steal` overshards 2× so idle workers have
-    /// spare runnable shards to take; otherwise one shard per worker.
-    fn shards(&self) -> usize {
-        match &self.batch {
-            Some(b) if b.steal => self.threads * 2,
-            _ => self.threads,
-        }
-    }
-
-    /// Whether the run writes or restores checkpoints at all.
-    fn checkpointing(&self) -> bool {
-        self.checkpoint_every.is_some() || self.resume_from.is_some()
-    }
+    trace_cfg.capacity = f.num_or("--trace-capacity", trace_cfg.capacity);
+    Ok(RunPlan {
+        prune: f.on("--prune"),
+        learn: f.learn(),
+        threads,
+        plan: f.text("--shard-plan").map_or(ShardPlan::RoundRobin, |p| {
+            ShardPlan::parse(p).expect("FLAGS lists only shard plans")
+        }),
+        batch: f.num("--batch-windows").map(|w| BatchOptions {
+            window: w as usize,
+            steal: f.on("--steal"),
+            ..BatchOptions::default()
+        }),
+        quiesce_window: gate.unwrap_or(0) as u32,
+        stats: f.on("--stats"),
+        stats_json: f.text("--stats-json"),
+        trace_every: f.num("--trace-every").map(|n| n as usize),
+        trace_out: f.text("--trace-out"),
+        trace_cfg,
+        checkpoint_every: f.num("--checkpoint-every").map(|n| n as usize),
+        checkpoint_out: f.text("--checkpoint-out"),
+        detections: f.text("--detections"),
+        baseline_out: f.text("--baseline-out"),
+        paranoid: f.on("--paranoid"),
+    })
 }
 
 /// Loads and deserializes a `--resume-from` checkpoint file. Corrupt or
@@ -772,350 +666,6 @@ fn load_checkpoint_file(path: &str) -> Result<Checkpoint, Box<dyn std::error::Er
     let bytes = fs::read(path).map_err(|e| err(format!("cannot read {path}: {e}")))?;
     Checkpoint::from_bytes(&bytes)
         .map_err(|e| diag(format!("error: K001 [checkpoint-invalid] {path}: {e}")))
-}
-
-/// Serializes one checkpoint into `dir/ckpt-NNNNNN.bin` (the number is
-/// the pattern index the snapshot covers), creating `dir` on first use.
-fn write_checkpoint_file(
-    dir: &str,
-    ckpt: &Checkpoint,
-) -> Result<String, Box<dyn std::error::Error>> {
-    fs::create_dir_all(dir).map_err(|e| err(format!("cannot create {dir}: {e}")))?;
-    let path = format!("{dir}/ckpt-{:06}.bin", ckpt.pattern_index());
-    fs::write(&path, ckpt.to_bytes()).map_err(|e| err(format!("cannot write {path}: {e}")))?;
-    Ok(path)
-}
-
-/// Writes the deterministic detection list: one `pattern fault` line per
-/// detected fault, sorted by pattern then fault index. Byte-identical for
-/// every thread count and shard plan.
-fn write_detections(
-    path: &str,
-    statuses: &[FaultStatus],
-) -> Result<(), Box<dyn std::error::Error>> {
-    let dets = detections_of(statuses);
-    let mut text = String::with_capacity(dets.len() * 12);
-    for (fault, pattern) in &dets {
-        text.push_str(&format!("{pattern} {fault}\n"));
-    }
-    fs::write(path, text).map_err(|e| err(format!("cannot write {path}: {e}")))?;
-    println!("wrote {} detections to {path}", dets.len());
-    Ok(())
-}
-
-/// How a run's per-simulated-fault statuses map back onto the full
-/// enumeration universe — and which universe-reduction counters the
-/// driver stamps onto the telemetry snapshot. Both rewrites happen
-/// before the first pattern, so the probes never see them.
-#[derive(Clone, Copy)]
-enum Expansion<'a, F> {
-    /// The simulated fault list is the reported universe as-is.
-    Verbatim,
-    /// `--prune`: class representatives expand to the full uncollapsed
-    /// universe; statically-pruned faults report untestable.
-    Pruned(&'a PrunedUniverse<F>),
-    /// `--incremental`: the affected cone expands to the full uncollapsed
-    /// universe; unaffected faults copy their baseline fate verbatim.
-    Incremental {
-        universe: &'a ImpactUniverse<F>,
-        baseline: &'a [FaultStatus],
-    },
-}
-
-impl<F: Copy> Expansion<'_, F> {
-    /// Expands the report's statuses to full-universe indices, so every
-    /// report and detection list downstream speaks one index language.
-    fn expand(&self, report: &mut FaultSimReport) {
-        match self {
-            Expansion::Verbatim => {}
-            Expansion::Pruned(u) => report.statuses = u.expand_statuses(&report.statuses),
-            Expansion::Incremental { universe, baseline } => {
-                report.statuses = universe.expand_statuses(&report.statuses, baseline);
-            }
-        }
-    }
-
-    /// Stamps the universe-reduction counters onto a telemetry snapshot.
-    fn stamp(&self, snap: &mut MetricsSnapshot) {
-        match self {
-            Expansion::Verbatim => {}
-            Expansion::Pruned(u) => {
-                snap.faults_full = u.stats.full as u64;
-                snap.faults_sim = u.stats.sim as u64;
-                snap.pruned_unexcitable = u.stats.unexcitable as u64;
-                snap.pruned_unobservable = u.stats.unobservable as u64;
-                snap.pruned_conflict = u.stats.conflict as u64;
-            }
-            Expansion::Incremental { universe, .. } => {
-                snap.faults_full = universe.stats.full as u64;
-                snap.faults_sim = universe.stats.affected as u64;
-                snap.faults_affected = universe.stats.affected as u64;
-                snap.faults_transferred = universe.stats.transferred as u64;
-            }
-        }
-    }
-}
-
-/// `--paranoid` on an `--incremental` run: cold-re-simulates the full
-/// edited universe through `cold_run` and cross-checks every transferred
-/// fate against it. A mismatch means the cone-transfer argument was
-/// violated (`I003`) — diagnostics print and the run exits with status 2.
-fn verify_incremental<F: Copy>(
-    circuit: &str,
-    exp: Expansion<'_, F>,
-    paranoid: bool,
-    incremental: &[FaultStatus],
-    cold_run: impl FnOnce(&[F]) -> Vec<FaultStatus>,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let Expansion::Incremental { universe, .. } = exp else {
-        return Ok(());
-    };
-    if !paranoid {
-        return Ok(());
-    }
-    let cold = cold_run(&universe.full);
-    let mut report = cfs_check::Report::new(circuit);
-    let mismatches = cross_check_fates(universe, incremental, &cold, &mut report);
-    if mismatches > 0 {
-        return Err(diag(format!(
-            "{}fsim: {mismatches} transferred fate(s) disagree with the cold full re-run",
-            report.render_text()
-        )));
-    }
-    println!(
-        "paranoid: all {} transferred fate(s) agree with a cold full re-run",
-        universe.stats.transferred
-    );
-    Ok(())
-}
-
-/// FNV-1a over the formatted pattern lines, masked to 53 bits so the
-/// fingerprint survives a round trip through JSON's doubles. Guards an
-/// `--incremental` run against replaying a different stimulus than the
-/// baseline recorded — transferred first-detection patterns would be
-/// meaningless.
-fn pattern_fingerprint(patterns: &[Vec<Logic>]) -> u64 {
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for p in patterns {
-        for b in format_pattern(p).bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-        }
-        h = (h ^ u64::from(b'\n')).wrapping_mul(PRIME);
-    }
-    h & ((1 << 53) - 1)
-}
-
-/// Baseline status text: one token per full-universe fault — `u`
-/// undetected, `x` untestable, or the 0-based first-detection pattern.
-fn statuses_to_text(statuses: &[FaultStatus]) -> String {
-    let tokens: Vec<String> = statuses
-        .iter()
-        .map(|s| match s {
-            FaultStatus::Undetected => "u".to_owned(),
-            FaultStatus::Untestable => "x".to_owned(),
-            FaultStatus::Detected { pattern } => pattern.to_string(),
-        })
-        .collect();
-    tokens.join(" ")
-}
-
-fn statuses_from_text(text: &str) -> Result<Vec<FaultStatus>, String> {
-    text.split_whitespace()
-        .map(|tok| match tok {
-            "u" => Ok(FaultStatus::Undetected),
-            "x" => Ok(FaultStatus::Untestable),
-            n => n
-                .parse::<usize>()
-                .map(|pattern| FaultStatus::Detected { pattern })
-                .map_err(|_| format!("bad status token {tok:?} (u, x, or a pattern number)")),
-        })
-        .collect()
-}
-
-/// Writes a fate-baseline report (`--baseline-out`): the canonical
-/// `.bench` text, a stimulus fingerprint, and one status per
-/// full-universe fault — everything a later `--incremental` run needs.
-fn write_baseline(
-    path: &str,
-    model: &str,
-    universe: &str,
-    c: &Circuit,
-    patterns: &[Vec<Logic>],
-    statuses: &[FaultStatus],
-) -> Result<(), Box<dyn std::error::Error>> {
-    let mut out = String::from("{\"type\":\"fsim-baseline\",\"model\":");
-    write_json_string(&mut out, model);
-    out.push_str(",\"universe\":");
-    write_json_string(&mut out, universe);
-    out.push_str(",\"circuit\":");
-    write_json_string(&mut out, c.name());
-    out.push_str(&format!(
-        ",\"patterns\":{},\"pattern_hash\":{}",
-        patterns.len(),
-        pattern_fingerprint(patterns)
-    ));
-    out.push_str(",\"inputs\":[");
-    for (i, &id) in c.inputs().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_json_string(&mut out, c.gate(id).name());
-    }
-    out.push_str(&format!("],\"faults\":{}", statuses.len()));
-    out.push_str(",\"bench\":");
-    write_json_string(&mut out, &write_bench(c));
-    out.push_str(",\"statuses\":");
-    write_json_string(&mut out, &statuses_to_text(statuses));
-    out.push_str("}\n");
-    fs::write(path, out).map_err(|e| err(format!("cannot write {path}: {e}")))?;
-    println!(
-        "wrote {model} baseline ({} faults) to {path}",
-        statuses.len()
-    );
-    Ok(())
-}
-
-/// A parsed `--baseline-report` file: the pre-edit circuit (rebuilt from
-/// its recorded canonical text, with provenance for diff spans) and its
-/// full-universe fates.
-struct Baseline {
-    circuit: Circuit,
-    provenance: BenchProvenance,
-    statuses: Vec<FaultStatus>,
-    patterns: usize,
-    pattern_hash: u64,
-}
-
-/// Loads and structurally validates a baseline report. Model or universe
-/// mismatches are `I002` diagnostics (exit 2), not operational errors:
-/// the file is a valid baseline, just not for this run.
-fn load_baseline(
-    path: &str,
-    model: &str,
-    universe: &str,
-) -> Result<Baseline, Box<dyn std::error::Error>> {
-    let text = fs::read_to_string(path).map_err(|e| err(format!("cannot read {path}: {e}")))?;
-    let v = JsonValue::parse(text.trim())
-        .map_err(|e| err(format!("{path}: not a baseline report: {e}")))?;
-    let field = |key: &str| -> Result<&str, Box<dyn std::error::Error>> {
-        v.get(key)
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| err(format!("{path}: not a baseline report (missing {key:?})")))
-    };
-    if field("type")? != "fsim-baseline" {
-        return Err(err(format!("{path}: not a baseline report")));
-    }
-    let got_model = field("model")?;
-    if got_model != model {
-        return Err(diag(format!(
-            "error: I002 [baseline-invalidated] {path} records {got_model} fates, \
-             but this is a {model} run"
-        )));
-    }
-    let got_universe = field("universe")?;
-    if got_universe != universe {
-        return Err(diag(format!(
-            "error: I002 [baseline-invalidated] {path} records the {got_universe} \
-             universe, but this run reports the {universe} universe"
-        )));
-    }
-    let name = field("circuit")?.to_owned();
-    let bench = field("bench")?;
-    let (circuit, provenance) = parse_bench_with_provenance(&name, bench)
-        .map_err(|e| err(format!("{path}: embedded bench text does not parse: {e}")))?;
-    let statuses =
-        statuses_from_text(field("statuses")?).map_err(|e| err(format!("{path}: {e}")))?;
-    let faults = v.get("faults").and_then(JsonValue::as_u64).ok_or_else(|| {
-        err(format!(
-            "{path}: not a baseline report (missing \"faults\")"
-        ))
-    })?;
-    if statuses.len() as u64 != faults {
-        return Err(err(format!(
-            "{path}: records {faults} faults but {} statuses",
-            statuses.len()
-        )));
-    }
-    let patterns = v
-        .get("patterns")
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| {
-            err(format!(
-                "{path}: not a baseline report (missing \"patterns\")"
-            ))
-        })?;
-    let pattern_hash = v
-        .get("pattern_hash")
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| {
-            err(format!(
-                "{path}: not a baseline report (missing \"pattern_hash\")"
-            ))
-        })?;
-    Ok(Baseline {
-        circuit,
-        provenance,
-        statuses,
-        patterns: patterns as usize,
-        pattern_hash,
-    })
-}
-
-/// Diffs the baseline circuit against the edited one, validates that the
-/// baseline's stimulus replays here, prints the impact findings, and
-/// classifies the edited universe. `I002` (changed inputs, different
-/// stimulus) refuses with exit 2 — transferred fates would be unsound.
-fn prepare_incremental<F: Copy>(
-    edited: &Circuit,
-    baseline: Baseline,
-    patterns: &[Vec<Logic>],
-    classify: fn(&Circuit, &Circuit, &ImpactAnalysis) -> ImpactUniverse<F>,
-) -> Result<(ImpactUniverse<F>, Vec<FaultStatus>), Box<dyn std::error::Error>> {
-    if patterns.len() != baseline.patterns || pattern_fingerprint(patterns) != baseline.pattern_hash
-    {
-        return Err(diag(format!(
-            "error: I002 [baseline-invalidated] this run replays {} pattern(s) but the \
-             baseline recorded {} (fingerprint mismatch): first-detection patterns would \
-             not transfer; re-run with the baseline's --patterns/--random/--seed, or \
-             record a new baseline with --baseline-out",
-            patterns.len(),
-            baseline.patterns
-        )));
-    }
-    let diff = diff_netlists(&baseline.circuit, edited, Some(&baseline.provenance), None);
-    let analysis = impact_analysis(&baseline.circuit, edited, diff);
-    let mut report = cfs_check::Report::new(edited.name());
-    impact_findings(&analysis, &mut report);
-    if !report.diagnostics.is_empty() {
-        print!("{}", report.render_text());
-    }
-    if report.has_errors() {
-        return Err(diag(
-            "fsim: the baseline does not apply to this netlist (see I002 above)".to_owned(),
-        ));
-    }
-    let universe = classify(&baseline.circuit, edited, &analysis);
-    if baseline.statuses.len() != universe.stats.baseline_full {
-        return Err(err(format!(
-            "baseline records {} statuses but its bench text enumerates {} faults",
-            baseline.statuses.len(),
-            universe.stats.baseline_full
-        )));
-    }
-    Ok((universe, baseline.statuses))
-}
-
-/// Prints what an `--incremental` run is about to simulate.
-fn print_impact_banner(model: &str, stats: &ImpactStats) {
-    println!(
-        "incremental: {} of {} {model} faults affected, {} fates transfer from the \
-         baseline; re-simulating {:.1}% of the universe",
-        stats.affected,
-        stats.full,
-        stats.transferred,
-        100.0 * stats.ratio()
-    );
 }
 
 fn load_circuit(spec: &str) -> Result<Circuit, Box<dyn std::error::Error>> {
@@ -1353,6 +903,12 @@ const CLI_CODES: &[(&str, &str, Severity, &str)] = &[
         "unknown-net",
         Severity::Error,
         "an implications query names a net the circuit does not contain",
+    ),
+    (
+        "V001",
+        "pattern-invalid",
+        Severity::Error,
+        "a --patterns line is not a 0/1/X vector as wide as the circuit's inputs",
     ),
 ];
 
@@ -1677,11 +1233,16 @@ fn load_patterns(
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let p = parse_pattern(line).map_err(|e| err(format!("{file}:{}: {e}", lineno + 1)))?;
+        let invalid = |e: &dyn std::fmt::Display| {
+            diag(format!(
+                "error: V001 [pattern-invalid] {file}:{}: {e}",
+                lineno + 1
+            ))
+        };
+        let p = parse_pattern(line).map_err(|e| invalid(&e))?;
         if p.len() != circuit.num_inputs() {
-            return Err(err(format!(
-                "{file}:{}: pattern has {} bits, circuit has {} inputs",
-                lineno + 1,
+            return Err(invalid(&format!(
+                "pattern has {} bits, circuit has {} inputs",
                 p.len(),
                 circuit.num_inputs()
             )));
@@ -1714,763 +1275,80 @@ fn cmd_stats(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn print_report(report: &FaultSimReport) {
-    println!("{report}");
-    println!(
-        "  events: {}, faulty-machine evaluations: {}",
-        report.events, report.evaluations
-    );
-}
-
-type JsonlFile = JsonlWriter<io::BufWriter<fs::File>>;
-
-fn open_jsonl(path: Option<&str>) -> Result<Option<JsonlFile>, Box<dyn std::error::Error>> {
-    match path {
-        Some(p) => {
-            let file = fs::File::create(p).map_err(|e| err(format!("cannot write {p}: {e}")))?;
-            Ok(Some(JsonlWriter::new(io::BufWriter::new(file))))
-        }
-        None => Ok(None),
-    }
-}
-
-fn close_jsonl(
-    jsonl: Option<JsonlFile>,
-    path: Option<&str>,
-) -> Result<(), Box<dyn std::error::Error>> {
-    if let (Some(mut w), Some(p)) = (jsonl, path) {
-        w.flush()
-            .map_err(|e| err(format!("cannot write {p}: {e}")))?;
-        println!("wrote telemetry to {p}");
-    }
-    Ok(())
-}
-
-/// Streams every per-pattern record plus the run summary as JSON lines.
-fn emit_jsonl(
-    w: &mut JsonlFile,
-    metrics: &SimMetrics,
-    snap: &MetricsSnapshot,
-) -> Result<(), Box<dyn std::error::Error>> {
-    for record in metrics.records() {
-        w.write_pattern(record)
-            .map_err(|e| err(format!("cannot write telemetry: {e}")))?;
-    }
-    w.write_summary(snap)
-        .map_err(|e| err(format!("cannot write telemetry: {e}")))
-}
-
-/// Converts the scheduler's run record into the trace crate's worker
-/// tracks, shifting its task/steal timestamps (microseconds from
-/// scheduler start) onto the recorders' epoch by `offset_micros` so the
-/// tracks line up with the shard events.
-fn sched_track_of(stats: Option<&SchedStats>, offset_micros: u64) -> Option<SchedTrack> {
-    let st = stats?;
-    Some(SchedTrack {
-        workers: st.workers as u32,
-        spans: st
-            .spans
-            .iter()
-            .map(|s| SchedSpan {
-                worker: s.worker,
-                shard: s.shard,
-                window: s.window,
-                patterns: s.patterns,
-                start: s.start_micros + offset_micros,
-                end: s.end_micros + offset_micros,
-            })
-            .collect(),
-        steals: st
-            .steal_events
-            .iter()
-            .map(|e| SchedSteal {
-                worker: e.worker,
-                victim: e.victim,
-                shard: e.shard,
-                window: e.window,
-                ts: e.ts_micros + offset_micros,
-            })
-            .collect(),
-    })
-}
-
-/// Writes the Chrome Trace / Perfetto JSON document for a finished traced
-/// run: one track per shard (fault ids remapped local→global through each
-/// shard's map) plus the merged counter track, and — for batched runs —
-/// one worker track per scheduler thread with task spans and steal
-/// instants.
-fn write_trace_file(
-    path: &str,
-    process_name: &str,
-    doc: &TraceDoc,
-    recorded: u64,
-    dropped: u64,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let tracks: Vec<TrackTrace<'_>> = doc
-        .shards
-        .iter()
-        .enumerate()
-        .map(|(k, (events, map))| TrackTrace {
-            label: format!("shard {k}"),
-            events,
-            fault_map: Some(map),
-        })
-        .collect();
-    let file = fs::File::create(path).map_err(|e| err(format!("cannot write {path}: {e}")))?;
-    let mut out = io::BufWriter::new(file);
-    write_chrome_trace_with_sched(&mut out, process_name, &tracks, doc.sched.as_ref())
-        .and_then(|()| out.flush())
-        .map_err(|e| err(format!("cannot write {path}: {e}")))?;
-    if dropped > 0 {
-        eprintln!(
-            "fsim: note: trace ring overflowed; {dropped} oldest events were \
-             discarded (raise --trace-capacity)"
-        );
-    }
-    println!("wrote trace to {path} ({recorded} events recorded, {dropped} dropped)");
-    Ok(())
-}
-
-/// The per-run detail blocks behind `--stats`: phase times and the two
-/// engine histograms, merged across every shard's probe (one shard on
-/// the serial path).
-fn print_stats_detail<'a>(snap: &MetricsSnapshot, shards: impl Iterator<Item = &'a SimMetrics>) {
-    let mut list_hist = Log2Histogram::default();
-    let mut queue_hist = Log2Histogram::default();
-    for m in shards {
-        list_hist.merge(&m.list_len_hist);
-        queue_hist.merge(&m.queue_depth_hist);
-    }
-    // Gated runs only: ungated output stays what it always was.
-    if snap.quiesce_skips > 0 || snap.quiesce_wakes > 0 {
-        println!(
-            "  quiescence: {} sweep elements skipped, {} wakes",
-            snap.quiesce_skips, snap.quiesce_wakes
-        );
-    }
-    print!("{}", render_phase_table(&snap.phases));
-    print!(
-        "{}",
-        render_histogram("fault-list length per node", &list_hist)
-    );
-    print!(
-        "{}",
-        render_histogram("event-queue depth per level", &queue_hist)
-    );
-}
-
-/// `--trace-every N` milestones: replays the per-shard per-pattern records
-/// up to `done` finished patterns and prints one line per multiple of
-/// `every`. The run driver calls [`Progress::advance`] from the run
-/// callback, when every shard has settled, so it reads only finished
-/// records — the output is deterministic and identical for every thread
-/// count (per-pattern counters sum across shards; the mean list length
-/// over nodes sums because the shards partition the fault universe over
-/// the same node array).
-struct Progress {
-    every: usize,
-    /// The first pattern the probes recorded: the resume point.
-    first: usize,
-    /// Patterns replayed so far.
-    cursor: usize,
-    /// Running detection count, starting from what a resumed run restored.
-    detected: u64,
-    total: usize,
-}
-
-impl Progress {
-    fn advance(&mut self, shards: &[&SimMetrics], done: usize) {
-        while self.cursor < done {
-            let record = self.cursor - self.first;
-            let mut avg = 0.0;
-            let mut events = 0u64;
-            for m in shards {
-                if let Some(r) = m.records().get(record) {
-                    self.detected += r.counters.detected;
-                    avg += r.avg_list_len;
-                    events += r.counters.activations;
-                }
-            }
-            self.cursor += 1;
-            if self.cursor.is_multiple_of(self.every) {
-                println!(
-                    "  pattern {:>6}: detected {}/{}  avg |F| {avg:.1}  events {events}",
-                    self.cursor, self.detected, self.total
-                );
-            }
-        }
-    }
-}
-
-/// The probe attached by `--trace-out`: aggregate metrics and the event
-/// recorder, driven by one engine pass.
-type TraceProbe = PairProbe<SimMetrics, TraceRecorder>;
-
-/// The probes a concurrent run can attach. Which one is picked once, at
-/// dispatch ([`Probes::pick`]); the run driver is generic over it.
-trait RunProbe: Probe + Send {
-    /// One shard's probe; `epoch` is the trace clock every shard shares,
-    /// so cross-track timestamps line up.
-    fn attach(epoch: Instant, cfg: TraceConfig) -> Self;
-
-    /// The metrics half, when the probe records.
-    fn metrics(&self) -> Option<&SimMetrics> {
-        None
-    }
-
-    /// The event recorder, when the probe traces.
-    fn recorder(&self) -> Option<&TraceRecorder> {
-        None
-    }
-}
-
-impl RunProbe for NullProbe {
-    fn attach(_: Instant, _: TraceConfig) -> Self {
-        NullProbe
-    }
-}
-
-impl RunProbe for SimMetrics {
-    fn attach(_: Instant, _: TraceConfig) -> Self {
-        SimMetrics::new()
-    }
-
-    fn metrics(&self) -> Option<&SimMetrics> {
-        Some(self)
-    }
-}
-
-impl RunProbe for TraceProbe {
-    fn attach(epoch: Instant, cfg: TraceConfig) -> Self {
-        PairProbe(SimMetrics::new(), TraceRecorder::new(epoch, cfg))
-    }
-
-    fn metrics(&self) -> Option<&SimMetrics> {
-        Some(&self.0)
-    }
-
-    fn recorder(&self) -> Option<&TraceRecorder> {
-        Some(&self.1)
-    }
-}
-
-/// The probe kind a run attaches.
-#[derive(Clone, Copy)]
-enum Probes {
-    /// No telemetry: zero instrumentation cost.
-    Null,
-    /// `--stats`, `--stats-json`, `--trace-every`, or a `--variant all`
-    /// comparison table.
-    Metrics,
-    /// `--trace-out`: metrics plus the event recorder.
-    Trace,
-}
-
-impl Probes {
-    fn pick(plan: &RunPlan<'_>, variants: usize) -> Probes {
-        if plan.trace_out.is_some() {
-            Probes::Trace
-        } else if plan.telemetry() || variants > 1 {
-            Probes::Metrics
-        } else {
-            Probes::Null
-        }
-    }
-}
-
-/// One `sim`/`transition` run's inputs, shared by every machine it drives.
-struct Run<'a, F> {
-    c: &'a Circuit,
-    patterns: &'a [Vec<Logic>],
-    universe: &'a Universe<F>,
-    plan: &'a RunPlan<'a>,
-    /// Wall time the `cfs-check` preflight took, folded into the phase
-    /// table of every snapshot the run emits.
-    check_time: Duration,
-}
-
-/// A finished traced run's Chrome Trace content: each shard's events
-/// with its local→global fault map, plus the scheduler's worker tracks.
-struct TraceDoc {
-    shards: Vec<(Vec<TraceEvent>, Vec<usize>)>,
-    sched: Option<SchedTrack>,
-}
-
-/// What one machine's run leaves for the shared output stage.
-struct Outcome {
-    report: FaultSimReport,
-    snap: Option<MetricsSnapshot>,
-    trace: Option<TraceDoc>,
-}
-
-/// `--checkpoint-every` bookkeeping, driven from the run callback.
-struct Checkpointing<'a> {
-    plan: &'a RunPlan<'a>,
-    total: usize,
-    time: Duration,
-    written: u32,
-    failed: Option<Box<dyn std::error::Error>>,
-}
-
-impl Checkpointing<'_> {
-    /// Snapshots at every cadence boundary but the last (the final
-    /// boundary is the finished report). A write failure stops further
-    /// snapshots and is returned once the run ends.
-    fn after<M: FaultMachine>(&mut self, sim: &ShardedSim<M>, done: usize) {
-        let (Some(every), Some(dir)) = (self.plan.checkpoint_every, self.plan.checkpoint_out)
-        else {
-            return;
-        };
-        if !done.is_multiple_of(every) || done >= self.total || self.failed.is_some() {
-            return;
-        }
-        let t = Instant::now();
-        match write_checkpoint_file(dir, &sim.checkpoint()) {
-            Ok(_) => self.written += 1,
-            Err(e) => self.failed = Some(e),
-        }
-        self.time += t.elapsed();
-    }
-}
-
-/// The one run driver: builds the sharded machine `M` (one shard on the
-/// serial path) with the probe picked at dispatch, resumes and
-/// checkpoints it, runs it serially, sharded, or batched, and prints the
-/// report, the scheduler line, and the `--stats` detail. Files and the
-/// summary table come after every variant has run ([`finish_run`]).
-fn simulate<M>(
-    run: &Run<'_, M::Fault>,
-    options: M::Options,
-    jsonl: &mut Option<JsonlFile>,
-    cold: impl FnOnce(&[M::Fault]) -> Vec<FaultStatus>,
-) -> Result<Outcome, Box<dyn std::error::Error>>
-where
-    M: FaultMachine + Send,
-    M::Probe: RunProbe,
-{
-    let (c, patterns, universe, plan) = (run.c, run.patterns, run.universe, run.plan);
-    let exp = universe.expansion();
-    let epoch = Instant::now();
-    let mut sim = ShardedSim::<M>::with_probes_sharded(
-        c,
-        &universe.faults,
-        options,
-        plan.threads,
-        plan.shards(),
-        plan.plan,
-        universe.keys.as_deref(),
-        |_| M::Probe::attach(epoch, plan.trace_cfg),
-    );
-    if plan.paranoid {
-        sim.set_paranoid(true);
-    }
-    let start_at = match plan.resume_from {
-        Some(path) => {
-            let snap = load_checkpoint_file(path)?;
-            sim.restore(&snap)
-                .map_err(|e| diag(format!("error: K002 [checkpoint-mismatch] {path}: {e}")))?;
-            let done = snap.pattern_index() as usize;
-            if done > patterns.len() {
-                return Err(err(format!(
-                    "{path} already covers {done} pattern(s) but this run replays only {}",
-                    patterns.len()
-                )));
-            }
-            println!("resumed from {path} at pattern {done}");
-            done
-        }
-        None => 0,
-    };
-    let mut progress = plan.trace_every.map(|every| Progress {
-        every,
-        first: start_at,
-        cursor: start_at,
-        detected: sim.detected() as u64,
-        total: universe.faults.len(),
-    });
-    let mut ckpt = Checkpointing {
-        plan,
-        total: patterns.len(),
-        time: Duration::ZERO,
-        written: 0,
-        failed: None,
-    };
-    let after = |s: &ShardedSim<M>, done: usize| {
-        if let Some(progress) = progress.as_mut() {
-            let shards: Vec<&SimMetrics> =
-                s.shard_probes().filter_map(|(p, _)| p.metrics()).collect();
-            progress.advance(&shards, start_at + done);
-        }
-        ckpt.after(s, start_at + done);
-    };
-    // Scheduler timestamps count from run start; measure that start on
-    // the recorders' epoch so the worker tracks line up with the shards.
-    let sched_offset = epoch.elapsed().as_micros() as u64;
-    let mut report = match &plan.batch {
-        Some(b) => sim.run_batched_with(patterns, b, after),
-        None => sim.run_with(&patterns[start_at..], after),
-    };
-    report.patterns = patterns.len();
-    if let Some(e) = ckpt.failed {
-        return Err(e);
-    }
-    if let Some(dir) = plan.checkpoint_out {
-        if ckpt.written > 0 {
-            println!(
-                "wrote {} checkpoint(s) to {dir} ({:.1} ms)",
-                ckpt.written,
-                ckpt.time.as_secs_f64() * 1e3
-            );
-        }
-    }
-    exp.expand(&mut report);
-    print_report(&report);
-    verify_incremental(c.name(), exp, plan.paranoid, &report.statuses, cold)?;
-    let shard_metrics = || sim.shard_probes().filter_map(|(p, _)| p.metrics());
-    let recorders = || sim.shard_probes().filter_map(|(p, _)| p.recorder());
-    let snap = if shard_metrics().next().is_some() {
-        let mut snap = sim.snapshot_by(|p| p.metrics().expect("every shard records"));
-        // Phase spans nest, so the wall clock is the honest total.
-        snap.cpu_seconds = report.cpu.as_secs_f64();
-        snap.phases.add(Phase::Check, run.check_time);
-        if plan.checkpointing() {
-            snap.phases.add(Phase::Checkpoint, ckpt.time);
-        }
-        exp.stamp(&mut snap);
-        snap.trace_events = recorders().map(TraceRecorder::recorded_events).sum();
-        snap.trace_dropped = recorders().map(TraceRecorder::dropped_events).sum();
-        if plan.stats {
-            // Batched runs only: plain `--threads N` output stays what it
-            // always was.
-            if let (Some(_), Some(st)) = (&plan.batch, sim.sched_stats()) {
-                println!(
-                    "  scheduler: {} windows × {} shards = {} tasks on {} workers, {} steals",
-                    st.windows,
-                    sim.num_shards(),
-                    st.tasks,
-                    st.workers,
-                    st.steals
-                );
-            }
-            print_stats_detail(&snap, shard_metrics());
-        }
-        if let Some(w) = jsonl.as_mut() {
-            match shard_metrics().next() {
-                // A serial run's single shard recorded the serial
-                // per-pattern records; sharded runs carry only the merged
-                // summary.
-                Some(m) if plan.threads == 1 && plan.batch.is_none() => emit_jsonl(w, m, &snap)?,
-                _ => w
-                    .write_summary(&snap)
-                    .map_err(|e| err(format!("cannot write telemetry: {e}")))?,
-            }
-        }
-        Some(snap)
-    } else {
-        None
-    };
-    let trace = plan.trace_out.map(|_| TraceDoc {
-        shards: sim
-            .shard_probes()
-            .filter_map(|(p, map)| Some((p.recorder()?.events().copied().collect(), map.to_vec())))
-            .collect(),
-        // Worker tracks only for batched runs: the plain sharded document
-        // keeps its one-track-per-shard shape.
-        sched: plan
-            .batch
-            .as_ref()
-            .and_then(|_| sched_track_of(sim.sched_stats(), sched_offset)),
-    });
-    Ok(Outcome {
-        report,
-        snap,
-        trace,
-    })
-}
-
-/// The shared tail of a concurrent run, in one order for every mode: the
-/// summary table (under `--stats`, or comparing `--variant all`), then
-/// the files — telemetry, detections, baseline, trace. Only the telemetry
-/// stream may span several variants; the other files need a single one.
-fn finish_run<F>(
-    run: &Run<'_, F>,
-    outcomes: &[Outcome],
-    jsonl: Option<JsonlFile>,
-    (model, universe): (&str, &str),
-) -> Result<(), Box<dyn std::error::Error>> {
-    let snaps: Vec<MetricsSnapshot> = outcomes.iter().filter_map(|o| o.snap.clone()).collect();
-    if run.plan.stats || outcomes.len() > 1 {
-        println!();
-        print!("{}", render_summary_table(&snaps));
-    }
-    close_jsonl(jsonl, run.plan.stats_json)?;
-    let Some(last) = outcomes.last() else {
-        return Ok(());
-    };
-    if let Some(path) = run.plan.detections {
-        write_detections(path, &last.report.statuses)?;
-    }
-    if let Some(path) = run.plan.baseline_out {
-        write_baseline(
-            path,
-            model,
-            universe,
-            run.c,
-            run.patterns,
-            &last.report.statuses,
-        )?;
-    }
-    if let (Some(path), Some(doc)) = (run.plan.trace_out, &last.trace) {
-        let (recorded, dropped) = last
-            .snap
-            .as_ref()
-            .map_or((0, 0), |s| (s.trace_events, s.trace_dropped));
-        write_trace_file(
-            path,
-            &format!("{} · {}", run.c.name(), last.report.simulator),
-            doc,
-            recorded,
-            dropped,
-        )?;
-    }
-    Ok(())
-}
-
-/// Prints what a `--prune` run is about to simulate.
-fn print_prune_banner(model: &str, stats: &cfs_faults::PruneStats) {
-    let conflict = if stats.conflict > 0 {
-        format!(", {} conflict-untestable", stats.conflict)
-    } else {
-        String::new()
-    };
-    println!(
-        "pruned {} of {} {model} faults ({} unexcitable, {} unobservable{conflict}); \
-         simulating {} class representatives",
-        stats.pruned(),
-        stats.full,
-        stats.unexcitable,
-        stats.unobservable,
-        stats.sim
-    );
-}
-
-/// The simulated universe of a `sim`/`transition` run: the faults handed
-/// to the machine, how its report expands back to the full universe, and
-/// the weight-aware plan's balance keys.
-struct Universe<F> {
-    faults: Vec<F>,
-    pruned: Option<PrunedUniverse<F>>,
-    incr: Option<(ImpactUniverse<F>, Vec<FaultStatus>)>,
-    keys: Option<Vec<u32>>,
-}
-
-impl<F: Copy> Universe<F> {
-    fn expansion(&self) -> Expansion<'_, F> {
-        match (&self.pruned, &self.incr) {
-            (Some(u), _) => Expansion::Pruned(u),
-            (None, Some((u, baseline))) => Expansion::Incremental {
-                universe: u,
-                baseline,
-            },
-            _ => Expansion::Verbatim,
-        }
-    }
-}
-
-/// One fault model's hooks into [`prepare_universe`].
-struct ModelHooks<F> {
-    /// The model in banners (`stuck-at`, `transition`).
-    label: &'static str,
-    /// The baseline report's model and reported-universe labels.
-    baseline: (&'static str, &'static str),
-    prune: fn(&Circuit, &CircuitAnalysis) -> PrunedUniverse<F>,
-    prune_learned: fn(&Circuit, &CircuitAnalysis, &ImplicationGraph) -> PrunedUniverse<F>,
-    classify: fn(&Circuit, &Circuit, &ImpactAnalysis) -> ImpactUniverse<F>,
-    weights: fn(&Circuit, &CircuitAnalysis, &[F]) -> Vec<u32>,
-}
-
-const STUCK: ModelHooks<StuckAt> = ModelHooks {
-    label: "stuck-at",
-    baseline: ("stuck", "uncollapsed"),
-    prune: prune_stuck_at,
-    prune_learned: |c, a, g| prune_stuck_at_learned(c, a, g).universe,
-    classify: classify_stuck_at,
-    weights: stuck_weights,
-};
-
-const TRANSITION: ModelHooks<TransitionFault> = ModelHooks {
-    label: "transition",
-    baseline: ("transition", "full"),
-    prune: prune_transition,
-    prune_learned: prune_transition_learned,
-    classify: classify_transition,
-    weights: transition_weights,
-};
-
-/// The shared `sim`/`transition` preparation: `--prune` (with `--learn`),
-/// `--incremental`, and the weight-aware plan's keys, over the model's
-/// `full` default universe.
-fn prepare_universe<F: Copy>(
-    c: &Circuit,
-    plan: &RunPlan<'_>,
-    patterns: &[Vec<Logic>],
+/// The shared `sim`/`transition` front end: loads the circuit (after the
+/// preflight), its patterns, a `--baseline-report` and a `--resume-from`
+/// checkpoint, prepares the model's universe over its `full` default,
+/// has `drive` run the machines, and finishes the run.
+fn run_model<F: Copy>(
+    f: &Flags<'_>,
     hooks: &ModelHooks<F>,
     full: impl FnOnce(&Circuit) -> Vec<F>,
-) -> Result<Universe<F>, Box<dyn std::error::Error>> {
-    let weighted = plan.plan == ShardPlan::WeightAware && plan.shards() > 1;
-    // The weight-aware plan and --prune share one static analysis pass.
-    let analysis = (plan.prune || weighted).then(|| analyze_circuit(c));
-    let pruned = match &analysis {
-        Some(a) if plan.prune => Some(match plan.learn {
-            Some(options) => (hooks.prune_learned)(c, a, &ImplicationGraph::build(c, a, options)),
-            None => (hooks.prune)(c, a),
-        }),
-        _ => None,
-    };
-    let incr = match plan.incremental {
+    drive: impl FnOnce(
+        &Run<'_, F>,
+        &mut Option<JsonlFile>,
+        &mut dyn io::Write,
+    ) -> Result<Vec<Outcome>, Box<dyn std::error::Error>>,
+) -> Result<(), Box<dyn std::error::Error>> {
+    let spec = f.arg(0, "circuit")?;
+    let plan = run_plan(f)?;
+    let (c, check_time) = load_circuit_checked(spec, f.on("--no-check"))?;
+    let patterns = load_patterns(&c, f.stimulus())?;
+    let baseline = match f.text("--baseline-report") {
         Some(path) => {
-            let (model, universe) = hooks.baseline;
-            let baseline = load_baseline(path, model, universe)?;
-            Some(prepare_incremental(c, baseline, patterns, hooks.classify)?)
+            let text =
+                fs::read_to_string(path).map_err(|e| err(format!("cannot read {path}: {e}")))?;
+            Some(Baseline::parse(path, &text, hooks.baseline)?)
         }
         None => None,
     };
-    let faults = match (&pruned, &incr) {
-        (Some(u), _) => {
-            print_prune_banner(hooks.label, &u.stats);
-            u.sim.clone()
-        }
-        (None, Some((u, _))) => {
-            print_impact_banner(hooks.label, &u.stats);
-            u.affected.clone()
-        }
-        (None, None) => full(c),
+    let out = &mut io::stdout();
+    let universe = prepare_universe(&c, &plan, &patterns, hooks, baseline, out, full)?;
+    let mut jsonl = open_jsonl(plan.stats_json)?;
+    // Loaded after the banner and the --stats-json file, so a refused
+    // checkpoint reports at the point it always has.
+    let resume = f
+        .text("--resume-from")
+        .map(|path| load_checkpoint_file(path).map(|ckpt| (path, ckpt)))
+        .transpose()?;
+    let run = Run {
+        circuit: &c,
+        patterns: &patterns,
+        universe: &universe,
+        plan: &plan,
+        check_time,
+        resume: resume.as_ref().map(|(path, ckpt)| (*path, ckpt)),
     };
-    let keys = match &analysis {
-        Some(a) if weighted => Some((hooks.weights)(c, a, &faults)),
-        _ => None,
-    };
-    Ok(Universe {
-        faults,
-        pruned,
-        incr,
-        keys,
-    })
+    let outcomes = drive(&run, &mut jsonl, out)?;
+    finish_run(&run, hooks, &outcomes, jsonl, out)
 }
 
 fn cmd_sim(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
-    let spec = f.arg(0, "circuit")?;
-    let plan = RunPlan::new(f)?;
-    let (c, check_time) = load_circuit_checked(spec, plan.no_check)?;
-    let patterns = load_patterns(&c, plan.stimulus)?;
-    let universe = prepare_universe(&c, &plan, &patterns, &STUCK, |c| {
-        if plan.uncollapsed {
+    let uncollapsed = f.on("--uncollapsed");
+    let full = |c: &Circuit| {
+        if uncollapsed {
             enumerate_stuck_at(c)
         } else {
             collapse_stuck_at(c).representatives
         }
-    })?;
-    let run = Run {
-        c: &c,
-        patterns: &patterns,
-        universe: &universe,
-        plan: &plan,
-        check_time,
     };
-    let mut jsonl = open_jsonl(plan.stats_json)?;
-    if plan.simulator == "csim" {
-        let probes = Probes::pick(&plan, plan.variants.len());
-        let mut outcomes = Vec::with_capacity(plan.variants.len());
-        for &variant in &plan.variants {
-            let options = CsimOptions {
-                quiesce_window: plan.quiesce_window,
-                ..variant.options()
-            };
-            // Cold cross-check re-runs stay ungated on purpose: a gating
-            // bug cannot mask itself from the paranoid comparison.
-            let cold = |full: &[StuckAt]| {
-                ConcurrentSim::new(&c, full, variant.options())
-                    .run(&patterns)
-                    .statuses
-            };
-            outcomes.push(match probes {
-                Probes::Null => simulate::<ConcurrentSim>(&run, options, &mut jsonl, cold)?,
-                Probes::Metrics => {
-                    simulate::<ConcurrentSim<SimMetrics>>(&run, options, &mut jsonl, cold)?
-                }
-                Probes::Trace => {
-                    simulate::<ConcurrentSim<TraceProbe>>(&run, options, &mut jsonl, cold)?
-                }
-            });
+    run_model(f, &STUCK, full, |run, jsonl, out| {
+        if f.baseline() {
+            return Ok(vec![simulate_baseline(run, f.simulator(), jsonl, out)?]);
         }
-        return finish_run(&run, &outcomes, jsonl, STUCK.baseline);
-    }
-    let faults = &universe.faults;
-    let report = match plan.simulator {
-        "proofs" => ProofsSim::new(&c, faults).run(&patterns),
-        "serial" => SerialSim::new(&c, faults).run(&patterns),
-        "deductive" => {
-            let reset = vec![Logic::Zero; c.num_dffs()];
-            DeductiveSim::new(&c, faults, reset).run(&patterns)?
-        }
-        other => unreachable!("FLAGS lists no simulator {other:?}"),
-    };
-    print_report(&report);
-    // The baseline simulators report only run totals: a headline-only
-    // snapshot through the same table and JSON path.
-    let snap = plan.telemetry().then(|| {
-        MetricsSnapshot::from_basic(
-            &report.simulator,
-            &report.circuit,
-            report.patterns as u64,
-            report.detected() as u64,
-            report.events,
-            report.evaluations,
-            report.memory_bytes as u64,
-            report.cpu.as_secs_f64(),
-        )
-    });
-    if let (Some(w), Some(snap)) = (jsonl.as_mut(), &snap) {
-        w.write_summary(snap)
-            .map_err(|e| err(format!("cannot write telemetry: {e}")))?;
-    }
-    let outcome = Outcome {
-        report,
-        snap,
-        trace: None,
-    };
-    finish_run(&run, &[outcome], jsonl, STUCK.baseline)
+        let variants = f.variants();
+        let probes = Probes::pick(run.plan, variants.len());
+        variants
+            .into_iter()
+            .map(|variant| simulate_stuck(run, variant.options(), probes, jsonl, out))
+            .collect()
+    })
 }
 
 fn cmd_transition(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
-    let spec = f.arg(0, "circuit")?;
-    let plan = RunPlan::new(f)?;
-    let (c, check_time) = load_circuit_checked(spec, plan.no_check)?;
-    let patterns = load_patterns(&c, plan.stimulus)?;
-    let universe = prepare_universe(&c, &plan, &patterns, &TRANSITION, enumerate_transition)?;
-    let run = Run {
-        c: &c,
-        patterns: &patterns,
-        universe: &universe,
-        plan: &plan,
-        check_time,
-    };
-    let options = TransitionOptions {
-        quiesce_window: plan.quiesce_window,
-        ..TransitionOptions::default()
-    };
-    let cold = |full: &[TransitionFault]| {
-        TransitionSim::new(&c, full, TransitionOptions::default())
-            .run(&patterns)
-            .statuses
-    };
-    let mut jsonl = open_jsonl(plan.stats_json)?;
-    let outcome = match Probes::pick(&plan, 1) {
-        Probes::Null => simulate::<TransitionSim>(&run, options, &mut jsonl, cold)?,
-        Probes::Metrics => simulate::<TransitionSim<SimMetrics>>(&run, options, &mut jsonl, cold)?,
-        Probes::Trace => simulate::<TransitionSim<TraceProbe>>(&run, options, &mut jsonl, cold)?,
-    };
-    finish_run(&run, &[outcome], jsonl, TRANSITION.baseline)
+    run_model(f, &TRANSITION, enumerate_transition, |run, jsonl, out| {
+        let probes = Probes::pick(run.plan, 1);
+        Ok(vec![simulate_transition(run, probes, jsonl, out)?])
+    })
 }
 
 /// Display name of a gate-level node. Gate-level networks keep node id ==
@@ -2850,10 +1728,10 @@ mod tests {
         let args = argv("@s27 --threads 1 --batch-windows 8 --steal --shard-plan weight-aware");
         let flags = parse("sim", &args);
         assert_eq!(flags.refusals().count(), 0);
-        let plan = RunPlan::new(&flags).expect("a valid plan");
+        let plan = run_plan(&flags).expect("a valid plan");
         assert_eq!(plan.shards(), 2);
         let c = cfs_netlist::data::s27();
-        let universe = prepare_universe(&c, &plan, &[], &STUCK, |c| {
+        let universe = prepare_universe(&c, &plan, &[], &STUCK, None, &mut io::sink(), |c| {
             collapse_stuck_at(c).representatives
         })
         .expect("no universe flags to fail");

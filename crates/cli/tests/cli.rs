@@ -116,6 +116,65 @@ fn pattern_width_mismatch_is_reported() {
     let (ok, _, err) = fsim(&["sim", "@s27", "--patterns", pats.to_str().unwrap()]);
     assert!(!ok);
     assert!(err.contains("bits"), "{err}");
+    // A malformed pattern file is a diagnosed input: coded, exit 2.
+    let (code, _, err) = fsim_code(&["sim", "@s27", "--patterns", pats.to_str().unwrap()]);
+    assert_eq!(code, Some(2), "{err}");
+    assert!(
+        err.starts_with("error: V001 [pattern-invalid] ") && err.contains("bad.pat:1:"),
+        "{err}"
+    );
+    let bad_char = dir.join("bad-char.pat");
+    std::fs::write(&bad_char, "0101\n01z1\n").unwrap();
+    let (code, _, err) = fsim_code(&["sim", "@s27", "--patterns", bad_char.to_str().unwrap()]);
+    assert_eq!(code, Some(2), "{err}");
+    assert!(
+        err.starts_with("error: V001 [pattern-invalid] ") && err.contains("bad-char.pat:2:"),
+        "{err}"
+    );
+    // A file that cannot be read is an operational failure: exit 1.
+    let missing = dir.join("missing.pat");
+    let (code, _, err) = fsim_code(&["sim", "@s27", "--patterns", missing.to_str().unwrap()]);
+    assert_eq!(code, Some(1), "{err}");
+    assert!(err.starts_with("fsim: cannot read "), "{err}");
+}
+
+/// A fanout-free region longer than a macro cell's 64-gate plan splits
+/// into several cells instead of panicking, and csim-MV still detects
+/// exactly what gate-level csim-V and the serial oracle detect.
+#[test]
+fn long_inverter_chains_check_clean_and_simulate_like_serial() {
+    let dir = std::env::temp_dir().join("fsim-cli-chains");
+    std::fs::create_dir_all(&dir).unwrap();
+    for n in [65, 1200] {
+        let path = dir.join(format!("chain{n}.bench"));
+        let mut text = format!("INPUT(a)\nOUTPUT(g{n})\ng1 = NOT(a)\n");
+        for i in 2..=n {
+            text.push_str(&format!("g{i} = NOT(g{})\n", i - 1));
+        }
+        std::fs::write(&path, text).unwrap();
+        let bench = path.to_str().unwrap();
+        let (code, _, err) = fsim_code(&["check", bench]);
+        assert_eq!(code, Some(0), "chain {n}: {err}");
+        let detections = |tag: &str, extra: &[&str]| {
+            let det = dir.join(format!("chain{n}-{tag}.txt"));
+            let det = det.to_str().unwrap();
+            let mut args = vec!["sim", bench, "--random", "16", "--uncollapsed"];
+            args.extend_from_slice(extra);
+            args.extend_from_slice(&["--detections", det]);
+            let (ok, _, err) = fsim(&args);
+            assert!(ok, "{args:?}: {err}");
+            std::fs::read_to_string(det).unwrap()
+        };
+        let mv = detections("mv", &[]);
+        assert!(!mv.is_empty(), "chain {n}: nothing detected");
+        assert_eq!(
+            mv,
+            detections("v", &["--variant", "v"]),
+            "chain {n}: csim-V"
+        );
+        let serial = detections("serial", &["--simulator", "serial"]);
+        assert_eq!(mv, serial, "chain {n}: serial");
+    }
 }
 
 #[test]
@@ -832,7 +891,9 @@ fn rules_lists_the_registry_and_filters_by_code_or_slug() {
         "F005",
         "K002",
         "E003",
+        "V001",
         "conflict-untestable-fault",
+        "pattern-invalid",
     ] {
         assert!(out.contains(needle), "{needle} missing from:\n{out}");
     }

@@ -158,8 +158,7 @@ impl MacroCell {
         inputs: &[Logic],
         fault: Option<(usize, Option<usize>, bool)>,
     ) -> Logic {
-        let mut values = [Logic::X; 64];
-        debug_assert!(self.plan.len() <= 64, "macro cells are small by cap");
+        let mut values = [Logic::X; MAX_CELL_GATES];
         let mut args: Vec<Logic> = Vec::with_capacity(8);
         for (i, step) in self.plan.iter().enumerate() {
             args.clear();
@@ -189,8 +188,7 @@ impl MacroCell {
     /// Evaluates the internal program on binary support values with an
     /// optional fault injection `(step, pin, stuck_value)`.
     fn eval_plan_bits(&self, bits: usize, fault: Option<(usize, Option<usize>, bool)>) -> bool {
-        let mut values = [false; 64];
-        debug_assert!(self.plan.len() <= 64, "macro cells are small by cap");
+        let mut values = [false; MAX_CELL_GATES];
         for (i, step) in self.plan.iter().enumerate() {
             let mut arg_bits = 0usize;
             for (k, arg) in step.args.iter().enumerate() {
@@ -287,6 +285,11 @@ impl MacroCircuit {
     }
 }
 
+/// Most gates one cell absorbs: its evaluation plans keep one slot per
+/// gate in a fixed array. A longer fanout-free region splits into
+/// several cells.
+const MAX_CELL_GATES: usize = 64;
+
 /// Extracts macro cells from a circuit's combinational logic.
 ///
 /// `max_inputs` caps each cell's support (1..=[`cfs_logic::MAX_LUT_INPUTS`]);
@@ -344,8 +347,8 @@ pub fn extract_macros(circuit: &Circuit, max_inputs: usize) -> MacroCircuit {
         let mut queue: Vec<GateId> = vec![root];
         while let Some(g) = queue.pop() {
             for &src in circuit.gate(g).fanin() {
-                if cell_of[src.index()].is_some() {
-                    continue; // already a member here or elsewhere
+                if cell_of[src.index()].is_some() || members.len() == MAX_CELL_GATES {
+                    continue; // already a member here or elsewhere, or the cell is full
                 }
                 let absorbable = circuit.gate(src).kind().is_comb() && consumers[src.index()] == 1;
                 if !absorbable {
@@ -436,6 +439,10 @@ fn finish_cell(
     support: Vec<GateId>,
     plan: Vec<PlanStep>,
 ) -> MacroCell {
+    assert!(
+        plan.len() <= MAX_CELL_GATES,
+        "a macro cell evaluates at most {MAX_CELL_GATES} gates"
+    );
     let n = support.len();
     let shell = MacroCell {
         root,
@@ -491,21 +498,32 @@ mod tests {
 
     #[test]
     fn every_comb_gate_is_covered_exactly_once() {
-        let c = s27();
-        let m = extract_macros(&c, 7);
-        let mut seen = vec![0usize; c.num_nodes()];
-        for cell in m.cells() {
-            for &g in cell.members() {
-                seen[g.index()] += 1;
+        // Inverter chains longer than one cell's gate limit split into
+        // several cells.
+        let chain = |n: usize| {
+            let mut text = format!("INPUT(a)\nOUTPUT(g{n})\ng1 = NOT(a)\n");
+            for i in 2..=n {
+                text.push_str(&format!("g{i} = NOT(g{})\n", i - 1));
             }
+            parse_bench("chain", &text).unwrap()
+        };
+        for c in [s27(), chain(65), chain(1200)] {
+            let m = extract_macros(&c, 7);
+            let mut seen = vec![0usize; c.num_nodes()];
+            for cell in m.cells() {
+                assert!(cell.members().len() <= MAX_CELL_GATES, "{cell}");
+                for &g in cell.members() {
+                    seen[g.index()] += 1;
+                }
+            }
+            for &g in c.topo_order() {
+                assert_eq!(seen[g.index()], 1, "{}", c.gate(g).name());
+            }
+            assert!(
+                m.num_cells() < c.num_comb_gates(),
+                "some collapsing happened"
+            );
         }
-        for &g in c.topo_order() {
-            assert_eq!(seen[g.index()], 1, "{}", c.gate(g).name());
-        }
-        assert!(
-            m.num_cells() < c.num_comb_gates(),
-            "some collapsing happened"
-        );
     }
 
     #[test]

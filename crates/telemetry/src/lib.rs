@@ -39,4 +39,4 @@ pub use metrics::{PatternCounters, PatternRecord, SimMetrics};
 pub use probe::{NullProbe, PairProbe, Probe};
 pub use sink::{render_histogram, render_phase_table, render_summary_table, JsonlWriter};
 pub use snapshot::MetricsSnapshot;
-pub use timing::{Phase, PhaseTimes, Timer};
+pub use timing::{Phase, PhaseTimes};

@@ -1,6 +1,6 @@
 //! Phase identification and span timing.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The timed phases of one simulation step.
 ///
@@ -141,36 +141,6 @@ impl PhaseTimes {
     }
 }
 
-/// A guard that adds its lifetime's wall time to one phase on drop.
-///
-/// For call sites that own a [`PhaseTimes`] directly (drivers, the CLI);
-/// inside the generic engine the equivalent is the probe's
-/// `phase_start`/`phase_end` pair, which [`crate::SimMetrics`] backs with
-/// the same clock.
-#[derive(Debug)]
-pub struct Timer<'a> {
-    times: &'a mut PhaseTimes,
-    phase: Phase,
-    started: Instant,
-}
-
-impl<'a> Timer<'a> {
-    /// Starts timing `phase`.
-    pub fn new(times: &'a mut PhaseTimes, phase: Phase) -> Self {
-        Timer {
-            times,
-            phase,
-            started: Instant::now(),
-        }
-    }
-}
-
-impl Drop for Timer<'_> {
-    fn drop(&mut self) {
-        self.times.add(self.phase, self.started.elapsed());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,16 +175,5 @@ mod tests {
         assert_eq!(a.count(Phase::Check), 0);
         let nc: Vec<_> = a.nonzero_counts().collect();
         assert_eq!(nc, vec![(Phase::Propagate, 2), (Phase::Detect, 2)]);
-    }
-
-    #[test]
-    fn timer_guard_records_on_drop() {
-        let mut times = PhaseTimes::new();
-        {
-            let _t = Timer::new(&mut times, Phase::LatchCollect);
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert!(times.get(Phase::LatchCollect) >= Duration::from_millis(1));
-        assert_eq!(times.get(Phase::Propagate), Duration::ZERO);
     }
 }
