@@ -54,17 +54,14 @@
 //! comparable to an `--uncollapsed` run and the drift gate pins the
 //! transfer split itself.
 //!
-//! Finally each circuit carries the quiescence trio — `csim-MV-hold`,
-//! `csim-MV-quiesce`, and `csim-MV-resume` — serial cells on burst-idle
-//! stimulus (a random vector held 4 cycles, then 12 cycles of the
-//! all-zero idle vector, so the circuit actually goes quiet between
-//! functional bursts). `-hold` is the ungated reference, `-quiesce` the
-//! same run under the engine's quiescence gate (`--quiesce-window 2`;
-//! the harness asserts detections stay bit-identical), and `-resume`
-//! times the second half of the gated run after the driver restores a
-//! byte-round-tripped mid-run checkpoint (`--resume-from`), with the
-//! full run's counters (the checkpoint restores them) so the drift gate
-//! pins restart determinism too.
+//! Finally each circuit carries the burst-hold pair — `csim-MV-hold` and
+//! `csim-MV-resume` — serial cells on burst-idle stimulus (a random
+//! vector held 4 cycles, then 12 cycles of the all-zero idle vector, so
+//! the circuit actually goes quiet between functional bursts). `-hold`
+//! times the whole run, and `-resume` times its second half after the
+//! driver restores a byte-round-tripped mid-run checkpoint
+//! (`--resume-from`), with the full run's counters (the checkpoint
+//! restores them) so the drift gate pins restart determinism too.
 
 use std::io;
 use std::time::Duration;
@@ -74,7 +71,7 @@ use cfs_cli::{
     prepare_universe, simulate_stuck, simulate_transition, Baseline, ModelHooks, Outcome, Probes,
     Run, RunPlan, Universe, STUCK, TRANSITION,
 };
-use cfs_core::{BatchOptions, Checkpoint, ConcurrentSim, CsimOptions, CsimVariant};
+use cfs_core::{BatchOptions, Checkpoint, ConcurrentSim, CsimVariant};
 use cfs_faults::{enumerate_stuck_at, enumerate_transition, FaultStatus, StuckAt, TransitionFault};
 use cfs_logic::Logic;
 use cfs_netlist::{apply_edit, BenchEdit, Circuit};
@@ -175,24 +172,19 @@ pub fn perf_circuit(name: &str) -> Circuit {
     }
 }
 
-/// Shape of the quiescence cells' stimulus: fresh random vectors every
+/// Shape of the burst-hold cells' stimulus: fresh random vectors every
 /// cycle never let the circuit go quiet, so each burst drives
-/// [`QUIESCE_ACTIVE`] cycles of a held random vector (excitation plus
-/// settling) followed by [`QUIESCE_QUIET`] cycles of the all-zero idle
-/// vector — a functional burst separated by the idle spans the gate
-/// targets.
-const QUIESCE_ACTIVE: usize = 4;
-const QUIESCE_QUIET: usize = 12;
-
-/// Gating window for the `-quiesce` and `-resume` cells (the CLI's
-/// `--quiesce-window`).
-const QUIESCE_WINDOW: u32 = 2;
+/// [`HOLD_ACTIVE`] cycles of a held random vector (excitation plus
+/// settling) followed by [`HOLD_QUIET`] cycles of the all-zero idle
+/// vector — a functional burst separated by idle spans.
+const HOLD_ACTIVE: usize = 4;
+const HOLD_QUIET: usize = 12;
 
 /// Window size for the `-batched` twin cells (the CLI's
 /// `--batch-windows 32 --steal`).
 const BATCH_WINDOW: usize = 32;
 
-/// Burst-idle stimulus for the quiescence cells (see [`QUIESCE_ACTIVE`]),
+/// Burst-idle stimulus for the burst-hold cells (see [`HOLD_ACTIVE`]),
 /// truncated to exactly `count` patterns so the cells stay comparable to
 /// the harness's plain cells.
 fn hold_patterns(circuit: &Circuit, count: usize, seed: u64) -> Vec<Vec<Logic>> {
@@ -203,11 +195,11 @@ fn hold_patterns(circuit: &Circuit, count: usize, seed: u64) -> Vec<Vec<Logic>> 
         let p: Vec<Logic> = (0..circuit.num_inputs())
             .map(|_| Logic::from_bool(rng.gen_bool(0.5)))
             .collect();
-        for i in 0..QUIESCE_ACTIVE + QUIESCE_QUIET {
+        for i in 0..HOLD_ACTIVE + HOLD_QUIET {
             if out.len() == count {
                 break;
             }
-            out.push(if i < QUIESCE_ACTIVE {
+            out.push(if i < HOLD_ACTIVE {
                 p.clone()
             } else {
                 idle.clone()
@@ -364,50 +356,30 @@ fn transition(run: &Run<'_, TransitionFault>, probes: Probes) -> Outcome {
     simulate_transition(run, probes, &mut None, &mut io::sink()).expect("transition cells run")
 }
 
-/// The quiescence trio: three serial `csim-MV` cells on the burst-hold
+/// The burst-hold pair: two serial `csim-MV` cells on the burst-hold
 /// stimulus ([`hold_patterns`]).
 ///
-/// * `csim-MV-hold` — the ungated reference; what the engine costs when
-///   the stimulus goes quiet but every sweep still walks the whole
-///   circuit.
-/// * `csim-MV-quiesce` — the same run under the engine's quiescence gate
-///   (`--quiesce-window 2`); the wall-time gap against `-hold` is the
-///   headline win of the gate, and the harness asserts its detections are
-///   bit-identical to the ungated reference before recording the cell.
-/// * `csim-MV-resume` — the gated run checkpointed at the halfway
+/// * `csim-MV-hold` — the whole run; what the engine costs when the
+///   stimulus goes quiet between bursts.
+/// * `csim-MV-resume` — the same run checkpointed at the halfway
 ///   boundary, round-tripped through the checkpoint's byte serialization,
 ///   and restored by the driver (`--resume-from`); the recorded wall time
 ///   covers only the resumed second half, while the work counters are the
 ///   full run's (the checkpoint restores them), so the drift gate pins
 ///   restart determinism pattern for pattern.
-fn run_quiesce_cells(circuit: &Circuit, count: usize, seed: u64, repeats: usize) -> Vec<PerfRun> {
+fn run_hold_cells(circuit: &Circuit, count: usize, seed: u64, repeats: usize) -> Vec<PerfRun> {
     let patterns = hold_patterns(circuit, count, seed);
     let bench = Bench {
         circuit,
         patterns: &patterns,
         repeats,
     };
-    let plain = RunPlan::default();
-    let gated = RunPlan {
-        quiesce_window: QUIESCE_WINDOW,
-        ..RunPlan::default()
-    };
-    let universe = bench.universe(&plain, &STUCK, None, fault_universe);
-    let (hold, cold) = bench.cell(&bench.run(&universe, &plain), "csim-MV-hold".into(), mv);
-    let run = bench.run(&universe, &gated);
-    let (quiesce, statuses) = bench.cell(&run, "csim-MV-quiesce".into(), mv);
-    assert_eq!(
-        statuses,
-        cold,
-        "{}: the quiescence gate changed detections",
-        circuit.name()
-    );
+    let plan = RunPlan::default();
+    let universe = bench.universe(&plan, &STUCK, None, fault_universe);
+    let run = bench.run(&universe, &plan);
+    let (hold, cold) = bench.cell(&run, "csim-MV-hold".into(), mv);
 
-    let options = CsimOptions {
-        quiesce_window: QUIESCE_WINDOW,
-        ..CsimVariant::Mv.options()
-    };
-    let mut first = ConcurrentSim::new(circuit, &universe.faults, options);
+    let mut first = ConcurrentSim::new(circuit, &universe.faults, CsimVariant::Mv.options());
     for p in &patterns[..patterns.len() / 2] {
         first.step(p);
     }
@@ -424,7 +396,7 @@ fn run_quiesce_cells(circuit: &Circuit, count: usize, seed: u64, repeats: usize)
         "{}: resume diverged from the cold run",
         circuit.name()
     );
-    vec![hold, quiesce, resume]
+    vec![hold, resume]
 }
 
 /// `--threads N --batch-windows 32 --steal`: the `-batched` cells' plan.
@@ -445,8 +417,7 @@ fn batched(threads: usize) -> RunPlan<'static> {
 /// twin for parallel cells), plus one serial `csim-T` row, its `-pruned`
 /// twin, one batched transition cell, the serial `csim-MV-learned` /
 /// `csim-T-learned` cells, the two `-incremental` cells, and the
-/// quiescence trio (`csim-MV-hold` / `-quiesce` / `-resume`) per
-/// circuit. Each cell runs the plan its `fsim` command line builds.
+/// burst-hold pair (`csim-MV-hold` / `-resume`) per circuit. Each cell runs the plan its `fsim` command line builds.
 pub fn run_perf(config: &PerfConfig) -> Vec<PerfRun> {
     let mut runs = Vec::new();
     for name in &config.circuits {
@@ -517,7 +488,7 @@ pub fn run_perf(config: &PerfConfig) -> Vec<PerfRun> {
         }
         runs.push(bench.incremental(&STUCK, enumerate_stuck_at, "csim-MV", mv));
         runs.push(bench.incremental(&TRANSITION, enumerate_transition, "csim-T", transition));
-        runs.extend(run_quiesce_cells(
+        runs.extend(run_hold_cells(
             circuit,
             config.patterns,
             config.seed,
@@ -716,8 +687,8 @@ mod tests {
         let runs = run_perf(&config);
         // (4 stuck-at variants × 1 thread count + csim-T) × {plain, pruned}
         // plus the two -learned cells, the two -incremental cells, and the
-        // quiescence trio.
-        assert_eq!(runs.len(), 17);
+        // burst-hold pair.
+        assert_eq!(runs.len(), 16);
         let json = render_bench_json(&config, &runs);
         let parsed = parse_bench_json(&json).expect("own output parses");
         assert_eq!(parsed.len(), runs.len());
@@ -896,24 +867,18 @@ mod tests {
     }
 
     #[test]
-    fn quiesce_trio_agrees_on_detections_and_full_run_counters() {
+    fn hold_pair_agrees_on_detections_and_full_run_counters() {
         let runs = run_perf(&tiny_config());
         let hold = runs.iter().find(|r| r.variant == "csim-MV-hold").unwrap();
-        let quiesce = runs
-            .iter()
-            .find(|r| r.variant == "csim-MV-quiesce")
-            .unwrap();
         let resume = runs.iter().find(|r| r.variant == "csim-MV-resume").unwrap();
-        // The gate must never change what is detected (the harness also
-        // asserts full status equality while recording the cells)...
-        assert_eq!(quiesce.detected, hold.detected);
-        // ...and a resumed run carries the full run's deterministic
-        // counters, not just the second half's.
-        assert_eq!(resume.detected, quiesce.detected);
-        assert_eq!(resume.events, quiesce.events);
-        assert_eq!(resume.peak_elements, quiesce.peak_elements);
-        for r in [hold, quiesce, resume] {
-            assert_eq!(r.threads, 1, "{}: trio cells are serial", r.key());
+        // A resumed run carries the full run's deterministic counters, not
+        // just the second half's (the harness also asserts full status
+        // equality while recording the cells).
+        assert_eq!(resume.detected, hold.detected);
+        assert_eq!(resume.events, hold.events);
+        assert_eq!(resume.peak_elements, hold.peak_elements);
+        for r in [hold, resume] {
+            assert_eq!(r.threads, 1, "{}: burst-hold cells are serial", r.key());
             assert!(r.peak_elements > 0, "{}: peak recorded", r.key());
         }
     }

@@ -101,10 +101,6 @@ pub struct RunPlan<'a> {
     /// `--batch-windows` turns on the two-dimensional scheduler; `None`
     /// keeps the fault-shard-only dispatch.
     pub batch: Option<BatchOptions>,
-    /// `--quiesce-window`: the engine's quiescence-gating window in
-    /// patterns (0 = gating off). Applied to every engine the run
-    /// builds; detections are bit-identical for every window.
-    pub quiesce_window: u32,
     /// `--stats`.
     pub stats: bool,
     /// `--stats-json FILE`.
@@ -136,7 +132,6 @@ impl Default for RunPlan<'_> {
             threads: 1,
             plan: ShardPlan::RoundRobin,
             batch: None,
-            quiesce_window: 0,
             stats: false,
             stats_json: None,
             trace_every: None,
@@ -644,14 +639,6 @@ fn print_stats_detail<'a>(
         list_hist.merge(&m.list_len_hist);
         queue_hist.merge(&m.queue_depth_hist);
     }
-    // Gated runs only: ungated output stays what it always was.
-    if snap.quiesce_skips > 0 || snap.quiesce_wakes > 0 {
-        writeln!(
-            out,
-            "  quiescence: {} sweep elements skipped, {} wakes",
-            snap.quiesce_skips, snap.quiesce_wakes
-        )?;
-    }
     write!(
         out,
         "{}{}{}",
@@ -1028,10 +1015,8 @@ where
 }
 
 /// Runs one concurrent stuck-at machine (`csim` and its variants) over
-/// the run's universe with the `probes` kind: `options` with the plan's
-/// quiescence window applied. An `--incremental --paranoid` run
-/// cross-checks against a cold run of `options` as given, ungated, so a
-/// gating bug cannot mask itself.
+/// the run's universe with the `probes` kind. An `--incremental
+/// --paranoid` run cross-checks against a cold run of the same `options`.
 pub fn simulate_stuck(
     run: &Run<'_, StuckAt>,
     options: CsimOptions,
@@ -1039,19 +1024,16 @@ pub fn simulate_stuck(
     jsonl: &mut Option<JsonlFile>,
     out: &mut dyn Write,
 ) -> Result<Outcome, Box<dyn std::error::Error>> {
-    let gated = CsimOptions {
-        quiesce_window: run.plan.quiesce_window,
-        ..options.clone()
-    };
-    let cold = |full: &[StuckAt]| {
-        ConcurrentSim::new(run.circuit, full, options)
+    let cold_options = options.clone();
+    let cold = move |full: &[StuckAt]| {
+        ConcurrentSim::new(run.circuit, full, cold_options)
             .run(run.patterns)
             .statuses
     };
     match probes {
-        Probes::Null => simulate::<ConcurrentSim>(run, gated, jsonl, cold, out),
-        Probes::Metrics => simulate::<ConcurrentSim<SimMetrics>>(run, gated, jsonl, cold, out),
-        Probes::Trace => simulate::<ConcurrentSim<TraceProbe>>(run, gated, jsonl, cold, out),
+        Probes::Null => simulate::<ConcurrentSim>(run, options, jsonl, cold, out),
+        Probes::Metrics => simulate::<ConcurrentSim<SimMetrics>>(run, options, jsonl, cold, out),
+        Probes::Trace => simulate::<ConcurrentSim<TraceProbe>>(run, options, jsonl, cold, out),
     }
 }
 
@@ -1063,19 +1045,16 @@ pub fn simulate_transition(
     jsonl: &mut Option<JsonlFile>,
     out: &mut dyn Write,
 ) -> Result<Outcome, Box<dyn std::error::Error>> {
-    let gated = TransitionOptions {
-        quiesce_window: run.plan.quiesce_window,
-        ..TransitionOptions::default()
-    };
+    let options = TransitionOptions::default();
     let cold = |full: &[TransitionFault]| {
         TransitionSim::new(run.circuit, full, TransitionOptions::default())
             .run(run.patterns)
             .statuses
     };
     match probes {
-        Probes::Null => simulate::<TransitionSim>(run, gated, jsonl, cold, out),
-        Probes::Metrics => simulate::<TransitionSim<SimMetrics>>(run, gated, jsonl, cold, out),
-        Probes::Trace => simulate::<TransitionSim<TraceProbe>>(run, gated, jsonl, cold, out),
+        Probes::Null => simulate::<TransitionSim>(run, options, jsonl, cold, out),
+        Probes::Metrics => simulate::<TransitionSim<SimMetrics>>(run, options, jsonl, cold, out),
+        Probes::Trace => simulate::<TransitionSim<TraceProbe>>(run, options, jsonl, cold, out),
     }
 }
 

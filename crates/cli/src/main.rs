@@ -61,20 +61,9 @@
 //! (oldest events drop beyond it); `--trace-window W` sets the quiescence
 //! window in patterns (0 disables).
 //!
-//! `--quiesce-window W` turns on the engine's quiescence gate: a node
-//! whose good value and fault list have not changed for more than `W`
-//! consecutive patterns is *dormant*, and the per-pattern sweeps
-//! (primary-input refresh, output detection taps, flip-flop collection,
-//! transition prev-pin recording) fence dormant nodes out instead of
-//! re-walking their lists. Any state change re-activates the node on the
-//! spot, so gated detections are bit-identical to ungated for every
-//! window. When both `--quiesce-window` and `--trace-window` are given
-//! they must agree; with only `--quiesce-window W` (W > 0), the trace
-//! recorder's quiescence window follows it.
-//!
 //! `--checkpoint-every K --checkpoint-out DIR` snapshots the complete
 //! engine state (flip-flop values, fault lists, statuses, scheduler
-//! frontier, gating clocks) every `K` patterns into
+//! frontier, counters) every `K` patterns into
 //! `DIR/ckpt-NNNNNN.bin`; `--resume-from FILE` restores one such
 //! snapshot and replays only the remaining patterns, producing the same
 //! report as the uninterrupted run. Checkpointing captures one serial
@@ -221,10 +210,13 @@ enum Kind {
     Switch,
     /// A count of at least 1.
     Count,
+    /// A count from 1 to the bound: the flag sizes a run's time or
+    /// memory, so a value the run could not finish is refused up front.
+    CountTo(usize),
     /// Any non-negative number; the hint ends the "needs a number" error.
     Number(&'static str),
-    /// A quiescence window in patterns (0 disables): the engines hold it
-    /// in a `u32`.
+    /// The trace recorder's quiescence window in patterns (0 disables):
+    /// the recorder holds it in a `u32`.
     Window,
     /// A file or directory, shown as the given placeholder in `--help`.
     Path(&'static str),
@@ -232,14 +224,16 @@ enum Kind {
     OneOf(&'static str, &'static [&'static str]),
 }
 
-use Kind::{Count, Number, OneOf, Path, Switch, Window};
+use Kind::{Count, CountTo, Number, OneOf, Path, Switch, Window};
 
 impl Kind {
     fn parse<'a>(self, name: &str, v: &'a str) -> Result<Value<'a>, Box<dyn std::error::Error>> {
         match self {
             Switch => unreachable!("switches take no value"),
-            Count => match v.parse::<usize>() {
+            Count => CountTo(usize::MAX).parse(name, v),
+            CountTo(max) => match v.parse::<usize>() {
                 Ok(0) => Err(err(format!("{name} must be at least 1"))),
+                Ok(n) if n > max => Err(err(format!("{name} must be at most {max}"))),
                 Ok(n) => Ok(Value::Num(n as u64)),
                 Err(_) => Err(err(format!("{name} needs a number"))),
             },
@@ -264,7 +258,7 @@ impl Kind {
     fn metavar(self) -> String {
         match self {
             Switch => String::new(),
-            Count | Number(_) => "N".to_owned(),
+            Count | CountTo(_) | Number(_) => "N".to_owned(),
             Window => "W".to_owned(),
             Path(m) => m.to_owned(),
             OneOf(_, choices) => choices.join("|"),
@@ -283,6 +277,44 @@ const REPLAY: &str = "sim transition explain heatmap";
 const LEARN: &str = "sim transition analyze";
 const SHARD_PLANS: &[&str] = &["round-robin", "contiguous", "level-aware", "weight-aware"];
 
+/// Upper bound on `--threads`: every worker drives at least one shard,
+/// and every shard is a full engine, so the count must stay far below
+/// what the OS would refuse to spawn.
+const MAX_THREADS: usize = 256;
+
+/// Upper bound on `--learn-frames`. Learning time grows with the window
+/// depth; `fsim analyze <circuit> --learn --learn-frames N` on a 2-CPU
+/// x86-64 host, release build:
+///
+/// | frames | s298g  | s1238g | s5378g |
+/// |-------:|-------:|-------:|-------:|
+/// |      2 | 0.02 s | 0.26 s | 1.4 s  |
+/// |     16 | 0.06 s | 1.3 s  | 6.7 s  |
+/// |     32 | 0.11 s | 2.9 s  | 13.3 s |
+/// |     64 | 0.28 s | 6.2 s  | 30.9 s |
+/// |    128 | 0.67 s | 14.1 s |        |
+/// |    256 | 2.2 s  |        |        |
+///
+/// 64 is 32× the default, and keeps every benchmark up to s5378g within
+/// a minute.
+const MAX_LEARN_FRAMES: usize = 64;
+
+/// Upper bound on `fsim atpg --max-frames`. Every fault the random phase
+/// leaves is targeted over windows of up to this many frames, so time
+/// grows faster than the depth; `fsim atpg <circuit> --max-frames N`,
+/// same host (over 90 s: stopped):
+///
+/// | frames | s298g  | s344g  | s386g  |
+/// |-------:|-------:|-------:|-------:|
+/// |      8 | 2.1 s  | 9.1 s  | 6.1 s  |
+/// |     16 | 6.3 s  |        |        |
+/// |     32 | 18.7 s | 59.1 s | 43.9 s |
+/// |     64 | 72.8 s | > 90 s | > 90 s |
+/// |    128 | > 90 s |        |        |
+///
+/// 32 is 4× the default, and keeps all three within about a minute.
+const MAX_ATPG_FRAMES: usize = 32;
+
 /// Every flag of every command, one row each: name, value kind, the
 /// commands that accept it (space-separated), and its `--help` line. The
 /// parser, `fsim --help` and the unknown-flag check all read this table.
@@ -298,16 +330,16 @@ const FLAGS: &[(&str, Kind, &str, &str)] = &[
     ("--uncollapsed", Switch, "sim explain heatmap", "simulate every stuck-at fault, not one per class"),
     ("--prune", Switch, RUN, "simulate only faults static analysis cannot prove undetectable"),
     ("--learn", Switch, LEARN, "learn implications: prune conflict-untestable faults (F004) too"),
-    ("--learn-frames", Count, "sim transition analyze implications", "time frames to learn over (default 2)"),
+    ("--learn-frames", CountTo(MAX_LEARN_FRAMES), "sim transition analyze implications",
+     "time frames to learn over (default 2)"),
     ("--incremental", Switch, RUN, "re-simulate only the faults a netlist edit could affect"),
     ("--baseline-report", Path("FILE"), RUN, "the --baseline-out file --incremental transfers fates from"),
     ("--baseline-out", Path("FILE"), RUN, "record full-universe fates for later --incremental runs"),
-    ("--threads", Count, RUN, "fault-shard the concurrent simulator across N workers"),
+    ("--threads", CountTo(MAX_THREADS), RUN, "fault-shard the concurrent simulator across N workers"),
     ("--shard-plan", OneOf("shard plan", SHARD_PLANS), RUN, "fault partition (default round-robin)"),
     ("--batch-windows", Number(" (0 = one whole-run window)"), RUN,
      "schedule (shard x N-pattern window) tasks on the workers (0 = one whole-run window)"),
     ("--steal", Switch, RUN, "let idle workers steal runnable shards (overshards 2x)"),
-    ("--quiesce-window", Window, RUN, "fence nodes idle for more than W patterns out of the sweeps (0 = off)"),
     ("--checkpoint-every", Count, RUN, "snapshot engine state every N patterns (serial runs)"),
     ("--checkpoint-out", Path("DIR"), RUN, "where --checkpoint-every writes ckpt-NNNNNN.bin"),
     ("--resume-from", Path("FILE"), RUN, "restore a checkpoint file and replay only the rest"),
@@ -323,7 +355,7 @@ const FLAGS: &[(&str, Kind, &str, &str)] = &[
     ("--format", OneOf("format", &["text", "json"]), "check analyze rules implications impact heatmap",
      "output format (default text)"),
     ("--top", Count, "heatmap", "show the N most active nodes (default 20)"),
-    ("--max-frames", Number(""), "atpg", "time frames to unroll (default 8)"),
+    ("--max-frames", CountTo(MAX_ATPG_FRAMES), "atpg", "time frames to unroll (default 8)"),
     ("--out", Path("FILE"), "atpg generate mutate", "write the result to FILE instead of stdout"),
     ("--edit", OneOf("edit", &["retype", "rewire", "dead-logic"]), "mutate", "the scripted edit to apply"),
     ("--choice", Number(""), "mutate", "which candidate site the edit takes (default 0)"),
@@ -540,8 +572,6 @@ const FLAG_RULES: &[Rule] = &[
     ("sim", |f| f.baseline() && f.num_or("--threads", 1) > 1, "--threads needs the concurrent simulator, not {sim}"),
     ("sim", |f| f.baseline() && f.on("--batch-windows"), "--batch-windows needs the concurrent simulator, not {sim}"),
     ("sim", |f| f.baseline() && f.on("--paranoid"), "--paranoid needs the concurrent simulator, not {sim}"),
-    ("sim", |f| f.baseline() && f.num_or("--quiesce-window", 0) > 0,
-     "--quiesce-window needs the concurrent simulator, not {sim}"),
     ("sim", |f| f.baseline() && f.on("--trace-every"), "--trace-every needs the concurrent simulator, not {sim}"),
     ("sim", |f| f.baseline() && f.on("--shard-plan"), "--shard-plan needs the concurrent simulator, not {sim}"),
     ("sim", |f| f.baseline() && f.on("--variant"), "--variant needs the concurrent simulator, not {sim}"),
@@ -602,41 +632,18 @@ enum Stimulus<'a> {
     Random { count: usize, seed: u64 },
 }
 
-/// Upper bound on `--threads`: every worker drives at least one shard,
-/// and every shard is a full engine, so the count must stay far below
-/// what the OS would refuse to spawn.
-const MAX_THREADS: usize = 256;
-
 /// The run driver's [`RunPlan`] from a `sim`/`transition` command line,
 /// built once after [`FLAG_RULES`] passed.
-fn run_plan<'a>(f: &Flags<'a>) -> Result<RunPlan<'a>, Box<dyn std::error::Error>> {
-    let threads = f.num_or("--threads", 1);
-    if threads > MAX_THREADS {
-        return Err(err(format!("--threads must be at most {MAX_THREADS}")));
-    }
-    // One quiescence-window source of truth: the engine gate
-    // (`--quiesce-window`) and the trace recorder (`--trace-window`)
-    // must agree. With only the gate flag set (and nonzero), the
-    // recorder follows it; giving both with different values is an
-    // error rather than a silent disagreement.
-    let gate = f.num("--quiesce-window");
+fn run_plan<'a>(f: &Flags<'a>) -> RunPlan<'a> {
     let mut trace_cfg = TraceConfig::default();
-    match (f.num("--trace-window"), gate) {
-        (Some(w), Some(g)) if w != g => {
-            return Err(err(format!(
-                "--trace-window {w} disagrees with --quiesce-window {g}; \
-                 give one flag, or the same value to both"
-            )))
-        }
-        (Some(w), _) => trace_cfg.quiescence_window = w as u32,
-        (None, Some(g)) if g > 0 => trace_cfg.quiescence_window = g as u32,
-        _ => {}
+    if let Some(w) = f.num("--trace-window") {
+        trace_cfg.quiescence_window = w as u32;
     }
     trace_cfg.capacity = f.num_or("--trace-capacity", trace_cfg.capacity);
-    Ok(RunPlan {
+    RunPlan {
         prune: f.on("--prune"),
         learn: f.learn(),
-        threads,
+        threads: f.num_or("--threads", 1),
         plan: f.text("--shard-plan").map_or(ShardPlan::RoundRobin, |p| {
             ShardPlan::parse(p).expect("FLAGS lists only shard plans")
         }),
@@ -645,7 +652,6 @@ fn run_plan<'a>(f: &Flags<'a>) -> Result<RunPlan<'a>, Box<dyn std::error::Error>
             steal: f.on("--steal"),
             ..BatchOptions::default()
         }),
-        quiesce_window: gate.unwrap_or(0) as u32,
         stats: f.on("--stats"),
         stats_json: f.text("--stats-json"),
         trace_every: f.num("--trace-every").map(|n| n as usize),
@@ -656,7 +662,7 @@ fn run_plan<'a>(f: &Flags<'a>) -> Result<RunPlan<'a>, Box<dyn std::error::Error>
         detections: f.text("--detections"),
         baseline_out: f.text("--baseline-out"),
         paranoid: f.on("--paranoid"),
-    })
+    }
 }
 
 /// Loads and deserializes a `--resume-from` checkpoint file. Corrupt or
@@ -1290,7 +1296,7 @@ fn run_model<F: Copy>(
     ) -> Result<Vec<Outcome>, Box<dyn std::error::Error>>,
 ) -> Result<(), Box<dyn std::error::Error>> {
     let spec = f.arg(0, "circuit")?;
-    let plan = run_plan(f)?;
+    let plan = run_plan(f);
     let (c, check_time) = load_circuit_checked(spec, f.on("--no-check"))?;
     let patterns = load_patterns(&c, f.stimulus())?;
     let baseline = match f.text("--baseline-report") {
@@ -1687,7 +1693,6 @@ mod tests {
         "--simulator proofs --threads 2",
         "--simulator proofs --batch-windows 8",
         "--simulator proofs --paranoid",
-        "--simulator proofs --quiesce-window 2",
         "--simulator proofs --trace-every 4",
         "--simulator proofs --shard-plan contiguous",
         "--simulator proofs --variant m",
@@ -1728,7 +1733,7 @@ mod tests {
         let args = argv("@s27 --threads 1 --batch-windows 8 --steal --shard-plan weight-aware");
         let flags = parse("sim", &args);
         assert_eq!(flags.refusals().count(), 0);
-        let plan = run_plan(&flags).expect("a valid plan");
+        let plan = run_plan(&flags);
         assert_eq!(plan.shards(), 2);
         let c = cfs_netlist::data::s27();
         let universe = prepare_universe(&c, &plan, &[], &STUCK, None, &mut io::sink(), |c| {
@@ -1792,8 +1797,24 @@ mod tests {
             ("sim", "@s27 --seed=x", "--seed needs a number"),
             (
                 "sim",
-                "@s27 --quiesce-window 5000000000",
+                "@s27 --trace-window 5000000000",
                 "needs a number (0 disables)",
+            ),
+            ("sim", "@s27 --threads 257", "--threads must be at most 256"),
+            (
+                "analyze",
+                "@s298g --learn --learn-frames 100000",
+                "--learn-frames must be at most 64",
+            ),
+            (
+                "atpg",
+                "@s298g --max-frames 1000000",
+                "--max-frames must be at most 32",
+            ),
+            (
+                "atpg",
+                "@s298g --max-frames 0",
+                "--max-frames must be at least 1",
             ),
             ("sim", "@s27 --shard-plan rr", "unknown shard plan \"rr\""),
             (

@@ -431,7 +431,7 @@ fn transition_threads_detections_are_byte_identical() {
 }
 
 /// Every branch of the run driver — telemetry, progress, sharded,
-/// batched, traced, gated, checkpointed, resumed — must leave the plain
+/// batched, traced, checkpointed, resumed — must leave the plain
 /// serial run's detection dump byte-identical, for both fault models.
 #[test]
 fn every_driver_branch_matches_the_serial_detections() {
@@ -454,7 +454,7 @@ fn every_driver_branch_matches_the_serial_detections() {
         let trace = p(&format!("{cmd}.trace.json"));
         let ckpts = p(&format!("{cmd}-ckpts"));
         let _ = std::fs::remove_dir_all(&ckpts);
-        let rows: [(&str, Vec<&str>); 10] = [
+        let rows: [(&str, Vec<&str>); 9] = [
             ("stats", vec!["--stats"]),
             ("stats-json", vec!["--stats-json", &jsonl]),
             ("trace-every", vec!["--trace-every", "16"]),
@@ -468,7 +468,6 @@ fn every_driver_branch_matches_the_serial_detections() {
                 "trace-out-threads",
                 vec!["--trace-out", &trace, "--threads", "2"],
             ),
-            ("quiesce", vec!["--quiesce-window", "2"]),
             (
                 "checkpoint",
                 vec!["--checkpoint-every", "16", "--checkpoint-out", &ckpts],
@@ -485,6 +484,44 @@ fn every_driver_branch_matches_the_serial_detections() {
             assert_eq!(run(tag, &extra), serial, "{cmd} {tag} diverged from serial");
         }
     }
+}
+
+/// A checkpoint in the retired version-1 format is refused as `K001` with
+/// exit status 2 before any simulation.
+#[test]
+fn version_1_checkpoint_is_refused_with_k001() {
+    let dir = std::env::temp_dir().join("fsim-cli-ckpt-v1");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let ckpts = dir.to_str().unwrap();
+    let (ok, _, err) = fsim(&[
+        "sim",
+        "@s27",
+        "--random",
+        "16",
+        "--checkpoint-every",
+        "8",
+        "--checkpoint-out",
+        ckpts,
+    ]);
+    assert!(ok, "{err}");
+    let mut bytes = std::fs::read(dir.join("ckpt-000008.bin")).unwrap();
+    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+    let v1 = dir.join("v1.bin");
+    std::fs::write(&v1, bytes).unwrap();
+    let (code, out, err) = fsim_code(&[
+        "sim",
+        "@s27",
+        "--random",
+        "16",
+        "--resume-from",
+        v1.to_str().unwrap(),
+    ]);
+    assert_eq!(code, Some(2), "{out}{err}");
+    assert!(
+        err.contains("K001") && err.contains("unsupported version 1"),
+        "{err}"
+    );
 }
 
 /// One stdout layout for every mode: the report, then the scheduler line
@@ -1338,7 +1375,7 @@ fn feature_flag_pairs_match_serial_or_are_refused() {
     std::fs::create_dir_all(&dir).unwrap();
     let p = |name: &str| dir.join(name).to_str().unwrap().to_owned();
     let (ckpts, trace, baseline) = (p("ckpts"), p("run.trace.json"), p("base.json"));
-    let features: [(&str, Vec<&str>); 13] = [
+    let features: [(&str, Vec<&str>); 12] = [
         ("prune", vec!["--prune"]),
         ("learn", vec!["--prune", "--learn"]),
         ("uncollapsed", vec!["--uncollapsed"]),
@@ -1349,7 +1386,6 @@ fn feature_flag_pairs_match_serial_or_are_refused() {
             "steal",
             vec!["--threads", "2", "--batch-windows", "8", "--steal"],
         ),
-        ("quiesce", vec!["--quiesce-window", "2"]),
         (
             "checkpoint",
             vec!["--checkpoint-every", "16", "--checkpoint-out", &ckpts],
@@ -1380,7 +1416,6 @@ fn feature_flag_pairs_match_serial_or_are_refused() {
             "batched+baseline-out",
             "steal+checkpoint",
             "steal+baseline-out",
-            "quiesce+baseline-out",
             "checkpoint+trace-out",
             "checkpoint+baseline-out",
             "trace-out+baseline-out",

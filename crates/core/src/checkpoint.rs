@@ -5,11 +5,16 @@
 //! lists, per-fault detection state, the transition model's previous pin
 //! values, the scheduler's pending set (non-empty at boundaries — the
 //! latch commit schedules the new state's fanout cone for the next
-//! pattern), the quiescence stamps, and the headline counters. Restoring
-//! into a freshly built, identically configured simulator reproduces the
-//! cold run bit-for-bit from that pattern on: the live-element trajectory
-//! after the boundary is a pure function of the restored state, so
-//! detections, events, and evaluation counts all match.
+//! pattern), and the headline counters. Restoring into a freshly built,
+//! identically configured simulator reproduces the cold run bit-for-bit
+//! from that pattern on: the live-element trajectory after the boundary
+//! is a pure function of the restored state, so detections, events, and
+//! evaluation counts all match.
+//!
+//! The per-node evaluation stamps that drive the transition release pass
+//! are not stored: the release pass only compares a stamp with the
+//! current pattern index, and every stamp left at a boundary is from an
+//! earlier pattern, so a zeroed stamp vector makes the same decisions.
 //!
 //! Serialization is a hand-rolled versioned little-endian binary format
 //! (the workspace builds without crates.io access, so no serde): magic
@@ -106,7 +111,7 @@ impl std::error::Error for CheckpointError {}
 const UNDETECTED: u32 = u32::MAX;
 
 const MAGIC: [u8; 4] = *b"CFSK";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// A complete pattern-boundary snapshot of one engine's simulation state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,14 +121,11 @@ pub struct Checkpoint {
     num_faults: u32,
     split: bool,
     drop_detected: bool,
-    quiesce_window: u32,
 
     pattern_index: u32,
     events: u64,
     good_evals: u64,
     fault_evals: u64,
-    quiesce_skips: u64,
-    quiesce_wakes: u64,
     peak_elements: u64,
 
     /// Good-machine value per node, as [`Logic::code`] bytes.
@@ -136,10 +138,6 @@ pub struct Checkpoint {
     vis: Vec<Vec<(u32, u8)>>,
     /// Invisible fault list per node (split mode only).
     inv: Vec<Vec<(u32, u8)>>,
-    /// Quiescence stamp: pattern of each node's last state change.
-    last_touch: Vec<u32>,
-    /// Quiescence stamp: pattern of each node's last evaluation.
-    last_eval: Vec<u32>,
     /// Scheduler worklist: node ids pending for the next pattern.
     pending: Vec<NodeId>,
 }
@@ -173,13 +171,10 @@ impl Checkpoint {
             num_faults: engine.net.descriptors.len() as u32,
             split: engine.split,
             drop_detected: engine.drop_detected,
-            quiesce_window: engine.quiesce_window,
             pattern_index: engine.pattern_index,
             events: engine.events,
             good_evals: engine.good_evals,
             fault_evals: engine.fault_evals,
-            quiesce_skips: engine.quiesce_skips,
-            quiesce_wakes: engine.quiesce_wakes,
             peak_elements: engine.arena.peak() as u64,
             good: engine.good.iter().map(|v| v.code()).collect(),
             prev_pin: engine.prev_pin.iter().map(|v| v.code()).collect(),
@@ -191,8 +186,6 @@ impl Checkpoint {
                 .collect(),
             vis: (0..n).map(|ni| dump(engine.vis_head[ni])).collect(),
             inv: (0..n).map(|ni| dump(engine.inv_head[ni])).collect(),
-            last_touch: engine.last_touch.clone(),
-            last_eval: engine.last_eval.clone(),
             pending: engine.sched.pending_nodes(),
         }
     }
@@ -235,11 +228,6 @@ impl Checkpoint {
             "fault dropping",
             engine.drop_detected.to_string(),
             self.drop_detected.to_string(),
-        )?;
-        check(
-            "quiescence window",
-            engine.quiesce_window.to_string(),
-            self.quiesce_window.to_string(),
         )?;
         let n = self.num_nodes as usize;
         for (ni, list) in self.inv.iter().enumerate() {
@@ -285,10 +273,7 @@ impl Checkpoint {
         engine.events = self.events;
         engine.good_evals = self.good_evals;
         engine.fault_evals = self.fault_evals;
-        engine.quiesce_skips = self.quiesce_skips;
-        engine.quiesce_wakes = self.quiesce_wakes;
-        engine.last_touch.copy_from_slice(&self.last_touch);
-        engine.last_eval.copy_from_slice(&self.last_eval);
+        engine.last_eval.fill(0);
         engine.transition_hold = false;
         engine.sched.clear();
         for &node in &self.pending {
@@ -313,24 +298,15 @@ impl Checkpoint {
         out.push(0); // reserved
         put_u32(&mut out, self.num_nodes);
         put_u32(&mut out, self.num_faults);
-        put_u32(&mut out, self.quiesce_window);
         put_u32(&mut out, self.pattern_index);
         put_u64(&mut out, self.events);
         put_u64(&mut out, self.good_evals);
         put_u64(&mut out, self.fault_evals);
-        put_u64(&mut out, self.quiesce_skips);
-        put_u64(&mut out, self.quiesce_wakes);
         put_u64(&mut out, self.peak_elements);
         out.extend_from_slice(&self.good);
         out.extend_from_slice(&self.prev_pin);
         for &at in &self.detected_at {
             put_u32(&mut out, at);
-        }
-        for &t in &self.last_touch {
-            put_u32(&mut out, t);
-        }
-        for &t in &self.last_eval {
-            put_u32(&mut out, t);
         }
         for ni in 0..self.num_nodes as usize {
             for list in [&self.vis[ni], &self.inv[ni]] {
@@ -371,21 +347,16 @@ impl Checkpoint {
         let _reserved = r.u8()?;
         let num_nodes = r.u32()?;
         let num_faults = r.u32()?;
-        let quiesce_window = r.u32()?;
         let pattern_index = r.u32()?;
         let events = r.u64()?;
         let good_evals = r.u64()?;
         let fault_evals = r.u64()?;
-        let quiesce_skips = r.u64()?;
-        let quiesce_wakes = r.u64()?;
         let peak_elements = r.u64()?;
         let n = num_nodes as usize;
         let nf = num_faults as usize;
         let good = r.logic_bytes(n)?;
         let prev_pin = r.logic_bytes(nf)?;
         let detected_at = r.u32_vec(nf)?;
-        let last_touch = r.u32_vec(n)?;
-        let last_eval = r.u32_vec(n)?;
         let mut vis = Vec::with_capacity(n);
         let mut inv = Vec::with_capacity(n);
         for _ in 0..n {
@@ -415,21 +386,16 @@ impl Checkpoint {
             num_faults,
             split,
             drop_detected,
-            quiesce_window,
             pattern_index,
             events,
             good_evals,
             fault_evals,
-            quiesce_skips,
-            quiesce_wakes,
             peak_elements,
             good,
             prev_pin,
             detected_at,
             vis,
             inv,
-            last_touch,
-            last_eval,
             pending,
         })
     }
@@ -538,10 +504,18 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::FaultMachine;
     use crate::stuck::{ConcurrentSim, CsimVariant};
-    use cfs_faults::collapse_stuck_at;
+    use crate::transition::{TransitionOptions, TransitionSim};
+    use cfs_faults::{collapse_stuck_at, enumerate_transition};
     use cfs_logic::Logic;
     use cfs_netlist::data::s27;
+    use cfs_netlist::Circuit;
+    use cfs_telemetry::NullProbe;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn patterns(n: usize) -> Vec<Vec<Logic>> {
         // Deterministic 4-bit stimulus for s27.
@@ -552,6 +526,53 @@ mod tests {
                     .collect()
             })
             .collect()
+    }
+
+    /// Random s27 vectors, each held for `hold` consecutive cycles, so the
+    /// circuit settles between bursts and a cut often lands mid-hold.
+    fn hold_patterns(bursts: usize, hold: usize, seed: u64) -> Vec<Vec<Logic>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut out = Vec::with_capacity(bursts * hold);
+        for _ in 0..bursts {
+            let p: Vec<Logic> = (0..4)
+                .map(|_| Logic::from_bool(rng.gen_bool(0.5)))
+                .collect();
+            out.extend(std::iter::repeat_n(p, hold));
+        }
+        out
+    }
+
+    /// Runs `patterns` cold, and again killed at `cut`: the checkpoint is
+    /// round-tripped through its bytes and restored into a fresh machine,
+    /// which replays the rest. Both runs must agree on the statuses and
+    /// every deterministic counter.
+    fn resume_matches_cold<M: FaultMachine<Probe = NullProbe>>(
+        circuit: &Circuit,
+        faults: &[M::Fault],
+        options: &M::Options,
+        patterns: &[Vec<Logic>],
+        cut: usize,
+    ) -> Result<(), TestCaseError> {
+        let build = || M::build(circuit, faults, options.clone(), NullProbe);
+        let run = |m: &mut M, patterns: &[Vec<Logic>]| {
+            for p in patterns {
+                m.step_with(p, None);
+            }
+        };
+        let mut cold = build();
+        run(&mut cold, patterns);
+        let mut first = build();
+        run(&mut first, &patterns[..cut]);
+        let ck = Checkpoint::from_bytes(&first.checkpoint().to_bytes()).expect("round trip");
+        drop(first);
+        let mut resumed = build();
+        resumed.restore(&ck).expect("restore");
+        run(&mut resumed, &patterns[cut..]);
+        prop_assert_eq!(resumed.statuses(), cold.statuses());
+        prop_assert_eq!(resumed.events(), cold.events());
+        prop_assert_eq!(resumed.fault_evaluations(), cold.fault_evaluations());
+        prop_assert_eq!(resumed.peak_elements(), cold.peak_elements());
+        Ok(())
     }
 
     #[test]
@@ -573,26 +594,36 @@ mod tests {
     fn resume_matches_cold_run() {
         let c = s27();
         let faults = collapse_stuck_at(&c).representatives;
-        let pats = patterns(24);
-        let mut cold = ConcurrentSim::new(&c, &faults, CsimVariant::Mv.options());
-        let cold_report = cold.run(&pats);
+        let options = CsimVariant::Mv.options();
+        resume_matches_cold::<ConcurrentSim>(&c, &faults, &options, &patterns(24), 10).unwrap();
+    }
 
-        let mut first = ConcurrentSim::new(&c, &faults, CsimVariant::Mv.options());
-        for p in &pats[..10] {
-            first.step(p);
+    proptest! {
+        /// A stuck-at run killed at a random pattern boundary and resumed
+        /// from its serialized checkpoint reproduces the cold run.
+        #[test]
+        fn stuck_resume_at_random_checkpoint_matches_cold(seed in 0u64..500, cut in 1usize..63) {
+            let c = s27();
+            let faults = collapse_stuck_at(&c).representatives;
+            let options = CsimVariant::Mv.options();
+            let patterns = hold_patterns(16, 4, seed);
+            resume_matches_cold::<ConcurrentSim>(&c, &faults, &options, &patterns, cut)?;
         }
-        let ck = Checkpoint::from_bytes(&first.checkpoint().to_bytes()).unwrap();
-        drop(first);
 
-        let mut resumed = ConcurrentSim::new(&c, &faults, CsimVariant::Mv.options());
-        resumed.restore(&ck).unwrap();
-        for p in &pats[10..] {
-            resumed.step(p);
+        /// The same property for the transition engine, whose checkpoint
+        /// also carries the previous-pattern pin values, and whose release
+        /// pass starts from zeroed evaluation stamps after a restore.
+        #[test]
+        fn transition_resume_at_random_checkpoint_matches_cold(
+            seed in 0u64..500,
+            cut in 1usize..47,
+        ) {
+            let c = s27();
+            let faults = enumerate_transition(&c);
+            let options = TransitionOptions::default();
+            let patterns = hold_patterns(12, 4, seed ^ 0xD5);
+            resume_matches_cold::<TransitionSim>(&c, &faults, &options, &patterns, cut)?;
         }
-        assert_eq!(resumed.statuses(), cold_report.statuses);
-        assert_eq!(resumed.events(), cold.events());
-        assert_eq!(resumed.fault_evaluations(), cold.fault_evaluations());
-        assert_eq!(resumed.peak_elements(), cold.peak_elements());
     }
 
     #[test]
@@ -633,6 +664,14 @@ mod tests {
         let mut bad_version = bytes.clone();
         bad_version[4] = 99;
         assert!(Checkpoint::from_bytes(&bad_version).is_err());
+        // Version 1 carried the retired quiescence-gate state.
+        let mut version1 = bytes.clone();
+        version1[4] = 1;
+        let err = Checkpoint::from_bytes(&version1).unwrap_err();
+        assert_eq!(
+            err,
+            CheckpointError::Corrupt("unsupported version 1 (expected 2)".into())
+        );
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(Checkpoint::from_bytes(&trailing).is_err());

@@ -77,35 +77,11 @@ pub(crate) struct Engine<P: Probe = NullProbe> {
     /// Reusable drain buffer for one level's events.
     drain_buf: Vec<NodeId>,
 
-    /// Quiescence gating window `W` in patterns: a node whose state has not
-    /// changed for strictly more than `W` consecutive patterns is *dormant*
-    /// and fenced out of the per-pattern sweeps (primary-input list refresh,
-    /// primary-output detection scans, flip-flop latch collection, and the
-    /// transition model's prev-pin recording). `0` disables gating. The
-    /// strict `> W` comparison with `W >= 1` is load-bearing: a list
-    /// rewritten by `latch_commit` at pattern `k` is first scanned by
-    /// `detect` at pattern `k + 1`, so a sound detection skip needs at least
-    /// two untouched patterns.
-    pub quiesce_window: u32,
-    /// Pattern index of each node's last state change (good value or
-    /// undetected fault-list content). Purge-only rebuilds (removal of
-    /// detected elements) do not count as changes: every consumer already
-    /// skips detected faults.
-    pub(crate) last_touch: Vec<u32>,
-    /// Pattern index of each node's last evaluation (maintained only while
-    /// gating is on). Drives the transition release pass: a site evaluated
-    /// under hold this pattern may carry held values and must be
-    /// re-released; a site never evaluated this pattern already holds its
-    /// release-consistent state.
+    /// Pattern index of each node's last evaluation. Drives the transition
+    /// release pass: a site evaluated under hold this pattern may carry
+    /// held values and must be re-released; a site the hold pass did not
+    /// evaluate already holds its release-consistent state.
     pub(crate) last_eval: Vec<u32>,
-    /// Per-flip-flop (indexed like `net.dff_nodes`): `false` when the
-    /// flip-flop hosts a local transition fault, whose latched value depends
-    /// on per-pattern hold state — such flip-flops are never gated.
-    latch_gate_ok: Vec<bool>,
-    /// Work units skipped by quiescence gating.
-    pub quiesce_skips: u64,
-    /// Dormant nodes re-activated by a state change.
-    pub quiesce_wakes: u64,
 
     /// Node activations processed.
     pub events: u64,
@@ -159,12 +135,7 @@ impl<P: Probe> Engine<P> {
             prev_pin: vec![Logic::X; num_faults],
             sched: Scheduler::new(&levels),
             drain_buf: Vec::new(),
-            quiesce_window: 0,
-            last_touch: vec![0; n],
             last_eval: vec![0; n],
-            latch_gate_ok: Vec::new(),
-            quiesce_skips: 0,
-            quiesce_wakes: 0,
             events: 0,
             good_evals: 0,
             fault_evals: 0,
@@ -179,21 +150,6 @@ impl<P: Probe> Engine<P> {
             probe,
             net,
         };
-        // A flip-flop hosting a local transition fault latches a value that
-        // depends on the per-pattern hold state — never gate it.
-        eng.latch_gate_ok = eng
-            .net
-            .dff_nodes
-            .iter()
-            .map(|&q| {
-                eng.net.locals_of(q).iter().all(|&fid| {
-                    !matches!(
-                        eng.net.descriptors[fid as usize].effect,
-                        LocalEffect::TransitionPin { .. }
-                    )
-                })
-            })
-            .collect();
         // Permanent local elements: every fault starts invisible (value X ==
         // good X) at its site.
         for ni in 0..n as NodeId {
@@ -226,29 +182,6 @@ impl<P: Probe> Engine<P> {
         self.sched.schedule(n);
     }
 
-    /// Stamps a node's activity: its good value or undetected fault-list
-    /// content changed this pattern. This is the whole wake protocol —
-    /// dormancy is re-qualified against the stamp on every use, so a stamped
-    /// node is awake for at least the next `W` patterns.
-    #[inline]
-    fn touch(&mut self, n: NodeId) {
-        if self.quiesce_window > 0 {
-            if self.pattern_index - self.last_touch[n as usize] > self.quiesce_window {
-                self.quiesce_wakes += 1;
-                self.probe.quiesce_wake(n);
-            }
-            self.last_touch[n as usize] = self.pattern_index;
-        }
-    }
-
-    /// A node is dormant when gating is on and its state has been untouched
-    /// for strictly more than `W` consecutive patterns.
-    #[inline]
-    fn dormant(&self, n: NodeId) -> bool {
-        self.quiesce_window > 0
-            && self.pattern_index - self.last_touch[n as usize] > self.quiesce_window
-    }
-
     #[inline]
     fn schedule_fanouts(&mut self, n: NodeId) {
         let sched = &mut self.sched;
@@ -268,9 +201,6 @@ impl<P: Probe> Engine<P> {
         assert_eq!(state.len(), self.net.dff_nodes.len(), "state width");
         for (k, &v) in state.iter().enumerate() {
             let q = self.net.dff_nodes[k];
-            // A forced reset rebuilds the state lists regardless of the good
-            // value, so it always counts as activity.
-            self.touch(q);
             if self.verify {
                 self.touched[q as usize] = true;
             }
@@ -328,18 +258,7 @@ impl<P: Probe> Engine<P> {
         for (k, &v) in pattern.iter().enumerate() {
             let n = self.net.pi_nodes[k];
             let changed = self.good[n as usize] != v;
-            // A dormant input held at its old value rebuilds an identical
-            // list (modulo the lazy purge of detected elements, which every
-            // consumer performs anyway) — skip the refresh entirely.
-            if !changed && self.dormant(n) {
-                self.quiesce_skips += 1;
-                self.probe.quiesce_skips(1);
-                continue;
-            }
             self.good[n as usize] = v;
-            if changed {
-                self.touch(n);
-            }
             self.refresh_source_locals(n);
             if changed {
                 self.schedule_fanouts(n);
@@ -433,9 +352,7 @@ impl<P: Probe> Engine<P> {
     fn eval_node(&mut self, n: NodeId, shared: Option<&[Logic]>) {
         self.events += 1;
         self.probe.node_activated();
-        if self.quiesce_window > 0 {
-            self.last_eval[n as usize] = self.pattern_index;
-        }
+        self.last_eval[n as usize] = self.pattern_index;
         if self.verify {
             self.touched[n as usize] = true;
         }
@@ -661,7 +578,6 @@ impl<P: Probe> Engine<P> {
         self.inv_buf = inv_buf;
         self.good[n as usize] = new_good;
         if new_good != old_good || fault_event {
-            self.touch(n);
             self.schedule_fanouts(n);
         }
     }
@@ -703,15 +619,6 @@ impl<P: Probe> Engine<P> {
         let mut found = Vec::new();
         for t in 0..self.net.po_taps.len() {
             let p = self.net.po_taps[t];
-            // A dormant tap's list and good value were already scanned (the
-            // last change at pattern `t` was scanned at `t` or `t + 1`, both
-            // inside the window), so no undetected fault can be newly
-            // detectable here.
-            if self.dormant(p) {
-                self.quiesce_skips += 1;
-                self.probe.quiesce_skips(1);
-                continue;
-            }
             let good = self.good[p as usize];
             let mut cur = self.vis_head[p as usize];
             loop {
@@ -739,18 +646,8 @@ impl<P: Probe> Engine<P> {
     pub fn latch_collect(&mut self) -> LatchStash {
         self.probe.phase_start(Phase::LatchCollect);
         let mut updates = Vec::with_capacity(self.net.dff_nodes.len());
-        for di in 0..self.net.dff_nodes.len() {
-            let q = self.net.dff_nodes[di];
+        for &q in &self.net.dff_nodes {
             let d = self.net.sources_of(q)[0];
-            // Dormant driver and dormant flip-flop: the last executed
-            // collect saw exactly this state and committed without change,
-            // so re-collecting would reproduce the committed state — skip
-            // both the collect and the commit-side rebuild.
-            if self.latch_gate_ok[di] && self.dormant(q) && self.dormant(d) {
-                self.quiesce_skips += 1;
-                self.probe.quiesce_skips(1);
-                continue;
-            }
             let old_good_q = self.good[q as usize];
             let good_d = self.good[d as usize];
             let new_good = good_d;
@@ -860,7 +757,6 @@ impl<P: Probe> Engine<P> {
             self.inv_head[q as usize] = inv.finish(&mut self.arena);
             self.good[q as usize] = up.new_good;
             if up.changed {
-                self.touch(q);
                 self.schedule_fanouts(q);
             }
         }
@@ -948,8 +844,9 @@ impl<P: Probe> Engine<P> {
         settled
     }
 
-    /// Schedules the site nodes of all live transition faults (used by the
-    /// transition engine's release pass).
+    /// Schedules the site nodes of the live transition faults that the
+    /// hold pass evaluated this pattern (used by the transition engine's
+    /// release pass).
     pub fn schedule_transition_sites(&mut self) {
         for fid in 0..self.net.descriptors.len() {
             let d = &self.net.descriptors[fid];
@@ -958,20 +855,15 @@ impl<P: Probe> Engine<P> {
             }
             if matches!(d.effect, LocalEffect::TransitionPin { .. }) {
                 let site = d.site;
-                if matches!(self.net.nodes[site as usize].kind, NodeKind::Eval) {
-                    // Release gating: only a site evaluated during this
-                    // pattern's hold pass can carry held values that the
-                    // release evaluation must replace. A site untouched by
-                    // the hold pass saw no fanin change this pattern (any
-                    // fanin change schedules it), so its lists already hold
-                    // the release-consistent state of the previous pattern.
-                    if self.quiesce_window > 0
-                        && self.last_eval[site as usize] != self.pattern_index
-                    {
-                        self.quiesce_skips += 1;
-                        self.probe.quiesce_skips(1);
-                        continue;
-                    }
+                // Only a site evaluated during this pattern's hold pass can
+                // carry held values that the release evaluation must
+                // replace. A site the hold pass did not evaluate saw no
+                // fanin change this pattern (any fanin change schedules
+                // it), so its lists already hold the release-consistent
+                // state of the previous pattern.
+                if matches!(self.net.nodes[site as usize].kind, NodeKind::Eval)
+                    && self.last_eval[site as usize] == self.pattern_index
+                {
                     self.schedule(site);
                 }
             }
@@ -991,15 +883,6 @@ impl<P: Probe> Engine<P> {
                 continue;
             }
             let driver = self.net.sources_of(d.site)[pin as usize];
-            // A dormant driver has not changed since the previous recording
-            // point (strictly `> W >= 1` untouched patterns cover both the
-            // intervening latch commit and this pattern's passes), so the
-            // stored prev-pin value is already the settled one.
-            if self.dormant(driver) {
-                self.quiesce_skips += 1;
-                self.probe.quiesce_skips(1);
-                continue;
-            }
             let mut v = self.good[driver as usize];
             let mut cur = self.vis_head[driver as usize];
             loop {
@@ -1117,7 +1000,7 @@ impl<P: Probe> Engine<P> {
         // Purge law: nodes whose lists were actually rebuilt this pattern
         // (evaluated gates, refreshed primary inputs, committed flip-flops)
         // hold no element of a fault detected on an *earlier* pattern.
-        // Quiescence gating may legitimately leave a dormant node's list
+        // Event-driven evaluation leaves an unscheduled node's list
         // untouched, so only traversed nodes are checked; faults detected
         // this pattern are purged lazily on later traversals.
         if self.drop_detected && self.pattern_index > 0 {

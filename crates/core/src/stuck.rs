@@ -27,11 +27,6 @@ pub struct CsimOptions {
     /// Purge elements of detected faults during list traversal
     /// (event-driven fault dropping).
     pub drop_detected: bool,
-    /// Quiescence gating window in patterns (`0` disables): nodes whose
-    /// state is unchanged for strictly more than this many consecutive
-    /// patterns are fenced out of the per-pattern sweeps. Detections are
-    /// bit-identical to the ungated engine for every window.
-    pub quiesce_window: u32,
 }
 
 impl Default for CsimOptions {
@@ -80,7 +75,6 @@ impl CsimVariant {
             use_macros: matches!(self, CsimVariant::M | CsimVariant::Mv),
             macro_max_inputs: DEFAULT_MACRO_MAX_INPUTS,
             drop_detected: true,
-            quiesce_window: 0,
         }
     }
 }
@@ -182,9 +176,7 @@ impl<P: Probe> ConcurrentSim<P> {
         } else {
             build_gate_network(circuit, &specs)
         };
-        let mut engine =
-            Engine::with_probe(net, options.split_invisible, options.drop_detected, probe);
-        engine.quiesce_window = options.quiesce_window;
+        let engine = Engine::with_probe(net, options.split_invisible, options.drop_detected, probe);
         ConcurrentSim {
             engine,
             options,
@@ -316,16 +308,6 @@ impl<P: Probe> ConcurrentSim<P> {
     /// Faulty-machine evaluations performed so far.
     pub fn fault_evaluations(&self) -> u64 {
         self.engine.fault_evals
-    }
-
-    /// Work units skipped by quiescence gating so far.
-    pub fn quiesce_skips(&self) -> u64 {
-        self.engine.quiesce_skips
-    }
-
-    /// Dormant-node wakes observed so far.
-    pub fn quiesce_wakes(&self) -> u64 {
-        self.engine.quiesce_wakes
     }
 
     /// The configured options (for checkpoint validation).

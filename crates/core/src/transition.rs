@@ -11,7 +11,9 @@
 //!    smaller than a clock cycle, so the logic settles correctly) with the
 //!    *old* flip-flop state still visible; the settled pin values become the
 //!    previous values for the next cycle. Only then do the flip-flop slaves
-//!    take the stashed state.
+//!    take the stashed state. The pass re-schedules only the fault sites the
+//!    sampling pass evaluated: a site it did not evaluate saw no fanin
+//!    change, so it already holds the previous cycle's settled state.
 
 use std::fmt;
 use std::time::Instant;
@@ -32,9 +34,6 @@ pub struct TransitionOptions {
     pub split_invisible: bool,
     /// Purge elements of detected faults during traversal.
     pub drop_detected: bool,
-    /// Quiescence gating window in patterns (`0` disables); see
-    /// [`crate::CsimOptions::quiesce_window`].
-    pub quiesce_window: u32,
 }
 
 impl Default for TransitionOptions {
@@ -42,7 +41,6 @@ impl Default for TransitionOptions {
         TransitionOptions {
             split_invisible: true,
             drop_detected: true,
-            quiesce_window: 0,
         }
     }
 }
@@ -126,9 +124,7 @@ impl<P: Probe> TransitionSim<P> {
     ) -> Self {
         let specs: Vec<FaultSpec> = faults.iter().map(|&f| FaultSpec::Transition(f)).collect();
         let net = build_gate_network(circuit, &specs);
-        let mut engine =
-            Engine::with_probe(net, options.split_invisible, options.drop_detected, probe);
-        engine.quiesce_window = options.quiesce_window;
+        let engine = Engine::with_probe(net, options.split_invisible, options.drop_detected, probe);
         TransitionSim {
             engine,
             circuit_name: circuit.name().to_owned(),
@@ -242,16 +238,6 @@ impl<P: Probe> TransitionSim<P> {
     /// Paper-comparable memory model in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.engine.memory_bytes()
-    }
-
-    /// Work units skipped by quiescence gating so far.
-    pub fn quiesce_skips(&self) -> u64 {
-        self.engine.quiesce_skips
-    }
-
-    /// Dormant-node wakes observed so far.
-    pub fn quiesce_wakes(&self) -> u64 {
-        self.engine.quiesce_wakes
     }
 
     /// Captures a pattern-boundary checkpoint of the full simulation state.

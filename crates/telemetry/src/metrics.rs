@@ -89,8 +89,6 @@ pub struct SimMetrics {
     patterns_done: u64,
     compactions: u64,
     compacted_elements: u64,
-    quiesce_skips: u64,
-    quiesce_wakes: u64,
 }
 
 impl Default for SimMetrics {
@@ -109,8 +107,6 @@ impl Default for SimMetrics {
             patterns_done: 0,
             compactions: 0,
             compacted_elements: 0,
-            quiesce_skips: 0,
-            quiesce_wakes: 0,
         }
     }
 }
@@ -146,16 +142,6 @@ impl SimMetrics {
         self.compactions
     }
 
-    /// Work units skipped by quiescence gating over the whole run.
-    pub fn quiesce_skips(&self) -> u64 {
-        self.quiesce_skips
-    }
-
-    /// Dormant-node wakes observed over the whole run.
-    pub fn quiesce_wakes(&self) -> u64 {
-        self.quiesce_wakes
-    }
-
     /// Collapses everything recorded so far into aggregate headline metrics.
     pub fn snapshot(&self, simulator: &str, circuit: &str) -> MetricsSnapshot {
         let t = &self.totals;
@@ -184,8 +170,6 @@ impl SimMetrics {
             queue_depth_peak: t.queue_peak,
             compactions: self.compactions,
             compacted_elements: self.compacted_elements,
-            quiesce_skips: self.quiesce_skips,
-            quiesce_wakes: self.quiesce_wakes,
             peak_memory_bytes: self.peak_memory,
             cpu_seconds: self.phases.total().as_secs_f64(),
             // Universe-level facts: stamped by the driver after pruning,
@@ -286,14 +270,6 @@ impl Probe for SimMetrics {
     fn compaction(&mut self, elements_moved: u64) {
         self.compactions += 1;
         self.compacted_elements += elements_moved;
-    }
-
-    fn quiesce_skips(&mut self, n: u64) {
-        self.quiesce_skips += n;
-    }
-
-    fn quiesce_wake(&mut self, _node: u32) {
-        self.quiesce_wakes += 1;
     }
 
     fn phase_start(&mut self, phase: Phase) {

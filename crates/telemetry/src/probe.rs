@@ -96,15 +96,6 @@ pub trait Probe {
     #[inline]
     fn compaction(&mut self, _elements_moved: u64) {}
 
-    /// `n` work units were skipped by quiescence gating (dormant-node
-    /// fences in the per-pattern sweeps).
-    #[inline]
-    fn quiesce_skips(&mut self, _n: u64) {}
-
-    /// Dormant node `node` was re-activated by a state change.
-    #[inline]
-    fn quiesce_wake(&mut self, _node: u32) {}
-
     /// A timed phase begins.
     #[inline]
     fn phase_start(&mut self, _phase: Phase) {}
@@ -235,18 +226,6 @@ impl<A: Probe, B: Probe> Probe for PairProbe<A, B> {
     fn compaction(&mut self, elements_moved: u64) {
         self.0.compaction(elements_moved);
         self.1.compaction(elements_moved);
-    }
-
-    #[inline]
-    fn quiesce_skips(&mut self, n: u64) {
-        self.0.quiesce_skips(n);
-        self.1.quiesce_skips(n);
-    }
-
-    #[inline]
-    fn quiesce_wake(&mut self, node: u32) {
-        self.0.quiesce_wake(node);
-        self.1.quiesce_wake(node);
     }
 
     #[inline]

@@ -103,12 +103,6 @@ impl<W: Write> JsonlWriter<W> {
             push_u64(&mut line, "windows", s.windows);
             push_u64(&mut line, "steals", s.steals);
         }
-        if s.quiesce_skips > 0 || s.quiesce_wakes > 0 {
-            // Quiescence-gating counters, present only for gated runs so
-            // ungated summaries keep their historical shape.
-            push_u64(&mut line, "quiesce_skips", s.quiesce_skips);
-            push_u64(&mut line, "quiesce_wakes", s.quiesce_wakes);
-        }
         line.push_str(",\"phases\":{");
         for (i, (phase, d)) in s.phases.nonzero().enumerate() {
             if i > 0 {

@@ -51,11 +51,6 @@ pub struct MetricsSnapshot {
     pub compactions: u64,
     /// Live elements relocated by compaction passes.
     pub compacted_elements: u64,
-    /// Work units skipped by quiescence gating (`0` when gating was off).
-    pub quiesce_skips: u64,
-    /// Dormant nodes re-activated by a state change (`0` when gating was
-    /// off).
-    pub quiesce_wakes: u64,
     /// Peak engine memory in bytes.
     pub peak_memory_bytes: u64,
     /// Total measured CPU seconds (phase sum, or the caller's wall time).
@@ -190,8 +185,6 @@ impl MetricsSnapshot {
         self.queue_depth_peak = self.queue_depth_peak.max(other.queue_depth_peak);
         self.compactions += other.compactions;
         self.compacted_elements += other.compacted_elements;
-        self.quiesce_skips += other.quiesce_skips;
-        self.quiesce_wakes += other.quiesce_wakes;
         self.peak_memory_bytes += other.peak_memory_bytes;
         self.cpu_seconds = self.cpu_seconds.max(other.cpu_seconds);
         // Universe-level facts, identical on every shard of a run: max

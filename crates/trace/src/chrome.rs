@@ -304,11 +304,6 @@ fn event_line(tid: u32, e: &TraceEvent) -> Option<String> {
              \"args\":{{\"fault\":{fault},\"since_pattern\":{since_pattern},\
              \"at_pattern\":{at_pattern}}}}}"
         )),
-        TraceEvent::Woken { pattern, node, ts } => Some(format!(
-            "{{\"ph\":\"i\",\"pid\":{PID},\"tid\":{tid},\"ts\":{ts},\"s\":\"t\",\
-             \"name\":\"{name}\",\"cat\":\"gating\",\
-             \"args\":{{\"node\":{node},\"pattern\":{pattern}}}}}"
-        )),
         TraceEvent::Compaction { pattern, moved, ts } => Some(format!(
             "{{\"ph\":\"i\",\"pid\":{PID},\"tid\":{tid},\"ts\":{ts},\"s\":\"t\",\
              \"name\":\"{name}\",\"cat\":\"arena\",\

@@ -97,18 +97,6 @@ pub enum TraceEvent {
         /// When.
         ts: Micros,
     },
-    /// The engine's quiescence gate re-activated a dormant node: its state
-    /// changed after sitting untouched past the gating window. The node id
-    /// is engine-local (shard-local in a parallel run) and has no global
-    /// remap — node spaces are per-compiled-network.
-    Woken {
-        /// Pattern during which the node woke.
-        pattern: u32,
-        /// The re-activated node.
-        node: u32,
-        /// When.
-        ts: Micros,
-    },
     /// An arena compaction pass relocated `moved` live elements.
     Compaction {
         /// Pattern after which the pass ran.
@@ -142,7 +130,6 @@ impl TraceEvent {
             | TraceEvent::Dropped { ts, .. }
             | TraceEvent::Detected { ts, .. }
             | TraceEvent::Quiescent { ts, .. }
-            | TraceEvent::Woken { ts, .. }
             | TraceEvent::Compaction { ts, .. }
             | TraceEvent::CounterSample { ts, .. } => ts,
         }
@@ -168,7 +155,6 @@ impl TraceEvent {
             | TraceEvent::Convergence { pattern, .. }
             | TraceEvent::Dropped { pattern, .. }
             | TraceEvent::Detected { pattern, .. }
-            | TraceEvent::Woken { pattern, .. }
             | TraceEvent::Compaction { pattern, .. }
             | TraceEvent::CounterSample { pattern, .. } => Some(pattern),
             TraceEvent::Quiescent { at_pattern, .. } => Some(at_pattern),
@@ -186,7 +172,6 @@ impl TraceEvent {
             TraceEvent::Dropped { .. } => "drop",
             TraceEvent::Detected { .. } => "detection",
             TraceEvent::Quiescent { .. } => "quiescent",
-            TraceEvent::Woken { .. } => "woken",
             TraceEvent::Compaction { .. } => "compaction",
             TraceEvent::CounterSample { .. } => "counters",
         }

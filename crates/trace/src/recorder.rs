@@ -312,12 +312,6 @@ impl Probe for TraceRecorder {
         });
     }
 
-    fn quiesce_wake(&mut self, node: u32) {
-        let ts = self.now();
-        let pattern = self.pattern;
-        self.push(TraceEvent::Woken { pattern, node, ts });
-    }
-
     fn phase_start(&mut self, phase: Phase) {
         self.phase_start[phase.index()] = Some(self.now());
     }
@@ -444,25 +438,6 @@ mod tests {
             .filter(|e| matches!(e, TraceEvent::Quiescent { .. }))
             .count();
         assert_eq!(n, 2, "second episode reported");
-    }
-
-    #[test]
-    fn wake_events_land_in_the_ring() {
-        let mut r = recorder(16, 0);
-        r.begin_pattern(40);
-        r.quiesce_wake(7);
-        let events: Vec<_> = r.events().copied().collect();
-        assert_eq!(events.len(), 1);
-        assert!(matches!(
-            events[0],
-            TraceEvent::Woken {
-                pattern: 40,
-                node: 7,
-                ..
-            }
-        ));
-        assert_eq!(events[0].kind_name(), "woken");
-        assert_eq!(events[0].fault(), None);
     }
 
     #[test]

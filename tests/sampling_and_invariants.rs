@@ -65,7 +65,6 @@ fn engine_invariants_hold_under_stress() {
                             use_macros,
                             macro_max_inputs: 4,
                             drop_detected: drop,
-                            quiesce_window: 0,
                         },
                     );
                     for _ in 0..15 {
