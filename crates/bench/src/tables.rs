@@ -471,16 +471,20 @@ pub fn format_table_parallel(name: &str, rows: &[TableParallelRow]) -> String {
 /// The macro input caps Table A sweeps.
 pub const TABLE_A_CAPS: &[usize] = &[2, 4, 7, 10];
 
+/// The hot-fault lane caps Table A sweeps (0: purely concurrent).
+pub const TABLE_A_LANES: &[usize] = &[0, 256, 1024, 4096];
+
 /// Timed runs behind each Table A row; its build and step columns are
 /// the minimum over them.
 const TABLE_A_REPEATS: usize = 5;
 
 /// Table A: one timed setting of a §2.2 design choice (macro input cap,
-/// list splitting, fault dropping), or one probe attached to csim-MV.
+/// list splitting, fault dropping), one probe attached to csim-MV, or one
+/// hot-fault lane cap.
 #[derive(Debug, Clone)]
 pub struct AblationRow {
-    /// The choice the row's group varies: `macro-cap`, `split`, `drop` or
-    /// `probe`.
+    /// The choice the row's group varies: `macro-cap`, `split`, `drop`,
+    /// `probe` or `lanes`.
     pub group: &'static str,
     /// This row's setting of it.
     pub setting: String,
@@ -555,7 +559,9 @@ impl Workload {
 /// and csim-MV under the three probes `fsim` attaches (none, the metrics
 /// of `--stats`, and the metrics plus event recorder of `--trace-out`) on
 /// `circuits[0]`; csim-MV with fault dropping on and off on
-/// `circuits[1]`.
+/// `circuits[1]`. These groups run purely concurrent (lane cap 0), so
+/// each isolates its own choice. The `lanes` group runs csim-MV at each
+/// hot-fault lane cap of [`TABLE_A_LANES`] on `circuits[0]`.
 pub fn table_ablations(
     circuits: [&str; 2],
     caps: &[usize],
@@ -563,7 +569,10 @@ pub fn table_ablations(
 ) -> Vec<AblationRow> {
     let main = Workload::new(circuits[0], config);
     let dropping = Workload::new(circuits[1], config);
-    let mv = CsimVariant::Mv.options();
+    let mv = CsimOptions {
+        hot_lanes: 0,
+        ..CsimVariant::Mv.options()
+    };
     let mut rows = Vec::new();
     for &cap in caps {
         let options = CsimOptions {
@@ -575,6 +584,7 @@ pub fn table_ablations(
     for (setting, split) in [("off", false), ("on", true)] {
         let options = CsimOptions {
             split_invisible: split,
+            hot_lanes: 0,
             ..CsimVariant::Base.options()
         };
         rows.push(main.row("split", setting, &options, Probes::Null));
@@ -592,6 +602,13 @@ pub fn table_ablations(
         ("trace", Probes::Trace),
     ] {
         rows.push(main.row("probe", setting, &mv, probes));
+    }
+    for &lanes in TABLE_A_LANES {
+        let options = CsimOptions {
+            hot_lanes: lanes,
+            ..mv.clone()
+        };
+        rows.push(main.row("lanes", lanes, &options, Probes::Null));
     }
     // Each group's rows are contiguous, led by its reference setting.
     let mut first = ("", 0.0);

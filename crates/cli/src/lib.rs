@@ -974,6 +974,17 @@ where
                     st.steals
                 )?;
             }
+            if snap.promoted > 0 {
+                writeln!(
+                    out,
+                    "  hot faults: {} promoted into {} packed words, {} packed word-node \
+                     evaluations, {:.3}s",
+                    snap.promoted,
+                    snap.packed_words,
+                    snap.packed_evals,
+                    snap.phases.get(Phase::Packed).as_secs_f64()
+                )?;
+            }
             print_stats_detail(&snap, shard_metrics(), out)?;
         }
         if let Some(w) = jsonl.as_mut() {

@@ -112,7 +112,7 @@ use cfs_cli::{
     simulate_transition, Baseline, DiagnosticError, JsonlFile, ModelHooks, Outcome, Probes, Run,
     RunPlan, STUCK, TRANSITION,
 };
-use cfs_core::{BatchOptions, Checkpoint, ConcurrentSim, CsimVariant, ShardPlan};
+use cfs_core::{BatchOptions, Checkpoint, ConcurrentSim, CsimOptions, CsimVariant, ShardPlan};
 use cfs_faults::{
     collapse_stuck_at, dominance_collapse, enumerate_stuck_at, enumerate_transition, FaultFate,
     PruneReason,
@@ -1429,10 +1429,14 @@ fn cmd_explain(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
         cfg.quiescence_window = w as u32;
     }
     let patterns = load_patterns(&c, f.stimulus())?;
+    // Lane cap 0: every fault stays on the lists, where its life story is.
     let mut sim = ConcurrentSim::with_probe(
         &c,
         &universe,
-        CsimVariant::V.options(),
+        CsimOptions {
+            hot_lanes: 0,
+            ..CsimVariant::V.options()
+        },
         TraceRecorder::new(Instant::now(), cfg),
     );
     for p in &patterns {
@@ -1545,10 +1549,14 @@ fn cmd_heatmap(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
         capacity: 1,
         quiescence_window: 0,
     };
+    // Lane cap 0: the heat is list activity, so no fault leaves the lists.
     let mut sim = ConcurrentSim::with_probe(
         &c,
         &faults,
-        CsimVariant::V.options(),
+        CsimOptions {
+            hot_lanes: 0,
+            ..CsimVariant::V.options()
+        },
         TraceRecorder::new(Instant::now(), cfg),
     );
     for p in &patterns {

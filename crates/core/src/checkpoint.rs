@@ -11,6 +11,11 @@
 //! is a pure function of the restored state, so detections, events, and
 //! evaluation counts all match.
 //!
+//! A stuck-at checkpoint also carries the hot-fault words (see
+//! [`crate::hot`]): the lane cap, each word's lane faults and flip-flop
+//! state, and the packed-machine counters. Promotion sweeps run at fixed
+//! pattern indices, so a resumed run promotes exactly as the cold one.
+//!
 //! The per-node evaluation stamps that drive the transition release pass
 //! are not stored: the release pass only compares a stamp with the
 //! current pattern index, and every stamp left at a boundary is from an
@@ -26,6 +31,7 @@ use cfs_logic::Logic;
 use cfs_telemetry::Probe;
 
 use crate::engine::Engine;
+use crate::hot::HotState;
 use crate::list::{Arena, ListBuilder};
 use crate::network::NodeId;
 
@@ -111,7 +117,7 @@ impl std::error::Error for CheckpointError {}
 const UNDETECTED: u32 = u32::MAX;
 
 const MAGIC: [u8; 4] = *b"CFSK";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 /// A complete pattern-boundary snapshot of one engine's simulation state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -140,6 +146,10 @@ pub struct Checkpoint {
     inv: Vec<Vec<(u32, u8)>>,
     /// Scheduler worklist: node ids pending for the next pattern.
     pending: Vec<NodeId>,
+    /// Flip-flop count (sizes the hot-fault words' state).
+    num_dffs: u32,
+    /// The hot-fault words (none for a lane cap of 0).
+    hot: HotState,
 }
 
 impl Checkpoint {
@@ -187,6 +197,8 @@ impl Checkpoint {
             vis: (0..n).map(|ni| dump(engine.vis_head[ni])).collect(),
             inv: (0..n).map(|ni| dump(engine.inv_head[ni])).collect(),
             pending: engine.sched.pending_nodes(),
+            num_dffs: engine.net.dff_nodes.len() as u32,
+            hot: engine.hot.capture(),
         }
     }
 
@@ -229,6 +241,30 @@ impl Checkpoint {
             engine.drop_detected.to_string(),
             self.drop_detected.to_string(),
         )?;
+        check(
+            "flip-flop count",
+            engine.net.dff_nodes.len().to_string(),
+            self.num_dffs.to_string(),
+        )?;
+        check(
+            "hot-fault lane cap",
+            engine.hot.cap.to_string(),
+            self.hot.cap.to_string(),
+        )?;
+        let mut laned = vec![false; self.num_faults as usize];
+        for (faults, _) in &self.hot.words {
+            for &fid in faults.iter().filter(|&&f| f != u32::MAX) {
+                let d = &engine.net.descriptors[fid as usize];
+                if std::mem::replace(&mut laned[fid as usize], true)
+                    || self.detected_at[fid as usize] != UNDETECTED
+                    || d.untestable
+                {
+                    return Err(CheckpointError::corrupt(format!(
+                        "fault {fid} cannot hold a hot-fault lane"
+                    )));
+                }
+            }
+        }
         let n = self.num_nodes as usize;
         for (ni, list) in self.inv.iter().enumerate() {
             if !self.split && !list.is_empty() {
@@ -284,6 +320,9 @@ impl Checkpoint {
             }
             engine.sched.schedule(node);
         }
+        let mut hot = std::mem::take(&mut engine.hot);
+        hot.restore(engine, &self.hot);
+        engine.hot = hot;
         Ok(())
     }
 
@@ -320,6 +359,20 @@ impl Checkpoint {
         put_u32(&mut out, self.pending.len() as u32);
         for &node in &self.pending {
             put_u32(&mut out, node);
+        }
+        put_u32(&mut out, self.num_dffs);
+        put_u64(&mut out, self.hot.cap);
+        put_u64(&mut out, self.hot.promoted);
+        put_u64(&mut out, self.hot.evals);
+        put_u32(&mut out, self.hot.words.len() as u32);
+        for (faults, state) in &self.hot.words {
+            for &fid in faults {
+                put_u32(&mut out, fid);
+            }
+            for &(zero, one) in state {
+                put_u64(&mut out, zero);
+                put_u64(&mut out, one);
+            }
         }
         out
     }
@@ -374,6 +427,44 @@ impl Checkpoint {
             }
             pending.push(node);
         }
+        let num_dffs = r.u32()?;
+        if num_dffs > num_nodes {
+            return Err(CheckpointError::corrupt(format!(
+                "{num_dffs} flip-flops in {num_nodes} nodes"
+            )));
+        }
+        let cap = r.u64()?;
+        let promoted = r.u64()?;
+        let evals = r.u64()?;
+        let num_words = r.u32()? as usize;
+        if num_words > nf || num_words as u64 > cap.div_ceil(64) {
+            return Err(CheckpointError::corrupt(format!(
+                "{num_words} hot-fault words for {nf} faults and a cap of {cap} lanes"
+            )));
+        }
+        let mut words = Vec::with_capacity(num_words);
+        for _ in 0..num_words {
+            let mut faults = [0u32; cfs_logic::LANES];
+            for f in &mut faults {
+                *f = r.u32()?;
+                if *f != u32::MAX && *f as usize >= nf {
+                    return Err(CheckpointError::corrupt(format!(
+                        "hot-fault lane holds fault {f} (< {nf})"
+                    )));
+                }
+            }
+            let mut state = Vec::with_capacity(num_dffs as usize);
+            for _ in 0..num_dffs {
+                let (zero, one) = (r.u64()?, r.u64()?);
+                if zero | one != u64::MAX {
+                    return Err(CheckpointError::corrupt(
+                        "hot-fault state lane holds no value",
+                    ));
+                }
+                state.push((zero, one));
+            }
+            words.push((faults, state));
+        }
         if r.pos != bytes.len() {
             return Err(CheckpointError::corrupt(format!(
                 "{} trailing bytes",
@@ -397,6 +488,13 @@ impl Checkpoint {
             vis,
             inv,
             pending,
+            num_dffs,
+            hot: HotState {
+                cap,
+                promoted,
+                evals,
+                words,
+            },
         })
     }
 }
@@ -664,14 +762,17 @@ mod tests {
         let mut bad_version = bytes.clone();
         bad_version[4] = 99;
         assert!(Checkpoint::from_bytes(&bad_version).is_err());
-        // Version 1 carried the retired quiescence-gate state.
-        let mut version1 = bytes.clone();
-        version1[4] = 1;
-        let err = Checkpoint::from_bytes(&version1).unwrap_err();
-        assert_eq!(
-            err,
-            CheckpointError::Corrupt("unsupported version 1 (expected 2)".into())
-        );
+        // Version 1 carried the retired quiescence-gate state; version 2
+        // lacks the hot-fault lanes.
+        for old in [1, 2] {
+            let mut stale = bytes.clone();
+            stale[4] = old;
+            let err = Checkpoint::from_bytes(&stale).unwrap_err();
+            assert_eq!(
+                err,
+                CheckpointError::Corrupt(format!("unsupported version {old} (expected 3)"))
+            );
+        }
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(Checkpoint::from_bytes(&trailing).is_err());

@@ -48,6 +48,7 @@ mod batch;
 mod checkpoint;
 mod delay_mode;
 mod engine;
+mod hot;
 mod list;
 mod machine;
 mod network;
@@ -62,6 +63,7 @@ pub use batch::{
 };
 pub use checkpoint::{Checkpoint, CheckpointError, Model as CheckpointModel};
 pub use delay_mode::DelayCsim;
+pub use hot::DEFAULT_HOT_LANES;
 pub use list::{Arena, FaultElement, ListBuilder, ListIter, NIL, TERMINAL_FAULT};
 pub use machine::FaultMachine;
 pub use parallel::{

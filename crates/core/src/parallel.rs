@@ -50,7 +50,7 @@ use std::time::{Duration, Instant};
 use cfs_faults::{FaultSimReport, FaultStatus, StuckAt, TransitionFault};
 use cfs_logic::Logic;
 use cfs_netlist::Circuit;
-use cfs_telemetry::{MetricsSnapshot, NullProbe, SimMetrics};
+use cfs_telemetry::{MetricsSnapshot, NullProbe, Probe, SimMetrics};
 
 use crate::batch::{run_windows, seeded_schedule, window_bounds, BatchOptions, SchedStats};
 use crate::checkpoint::{Checkpoint, CheckpointError};
@@ -360,6 +360,16 @@ impl<M: FaultMachine<Probe = SimMetrics>> ShardedSim<M> {
     /// Per-shard metric recorders, in shard order.
     pub fn shard_metrics(&self) -> impl Iterator<Item = &SimMetrics> {
         self.shards.iter().map(|s| s.machine.probe())
+    }
+}
+
+impl<P: Probe> ShardedSim<ConcurrentSim<P>> {
+    /// [`ConcurrentSim::set_hot_threshold`] on every shard.
+    #[doc(hidden)]
+    pub fn set_hot_threshold(&mut self, min_visible: u32) {
+        for shard in &mut self.shards {
+            shard.machine.set_hot_threshold(min_visible);
+        }
     }
 }
 

@@ -10,6 +10,7 @@ use cfs_netlist::{Circuit, DEFAULT_MACRO_MAX_INPUTS};
 use cfs_telemetry::{MetricsSnapshot, NullProbe, Probe, SimMetrics};
 
 use crate::engine::Engine;
+use crate::hot::{HotFaults, DEFAULT_HOT_LANES};
 use crate::machine::FaultMachine;
 use crate::network::{build_gate_network, build_macro_network, FaultSpec};
 
@@ -27,6 +28,11 @@ pub struct CsimOptions {
     /// Purge elements of detected faults during list traversal
     /// (event-driven fault dropping).
     pub drop_detected: bool,
+    /// Most hot faults simulated 64 to a machine word at once (see
+    /// [`DEFAULT_HOT_LANES`]); 0 keeps every fault on the concurrent
+    /// lists. The hybrid needs fault dropping and is off without it.
+    /// Detections are identical for every cap.
+    pub hot_lanes: usize,
 }
 
 impl Default for CsimOptions {
@@ -75,6 +81,7 @@ impl CsimVariant {
             use_macros: matches!(self, CsimVariant::M | CsimVariant::Mv),
             macro_max_inputs: DEFAULT_MACRO_MAX_INPUTS,
             drop_detected: true,
+            hot_lanes: DEFAULT_HOT_LANES,
         }
     }
 }
@@ -176,7 +183,9 @@ impl<P: Probe> ConcurrentSim<P> {
         } else {
             build_gate_network(circuit, &specs)
         };
-        let engine = Engine::with_probe(net, options.split_invisible, options.drop_detected, probe);
+        let mut engine =
+            Engine::with_probe(net, options.split_invisible, options.drop_detected, probe);
+        engine.hot = HotFaults::new(options.hot_lanes, faults.len());
         ConcurrentSim {
             engine,
             options,
@@ -298,6 +307,25 @@ impl<P: Probe> ConcurrentSim<P> {
     /// detected-fault purge) after each simulated pattern.
     pub fn set_paranoid(&mut self, on: bool) {
         self.engine.verify = on;
+    }
+
+    /// Faults moved into hot-fault lanes so far.
+    pub fn promoted(&self) -> u64 {
+        self.engine.hot.promoted
+    }
+
+    /// Packed word-node evaluations of the hot-fault words so far.
+    pub fn packed_evaluations(&self) -> u64 {
+        self.engine.hot.evals
+    }
+
+    /// Sets how many visible elements at a promotion sweep make a fault
+    /// hot (32 by default). A threshold of 0 promotes every live fault at
+    /// the first sweep, up to the lane cap: the differential tests use it
+    /// to run whole universes through the packed words.
+    #[doc(hidden)]
+    pub fn set_hot_threshold(&mut self, min_visible: u32) {
+        self.engine.hot.min_visible = min_visible;
     }
 
     /// Node activations processed so far.

@@ -157,7 +157,7 @@ impl<P: Probe> TransitionSim<P> {
         self.engine.apply_inputs(inputs);
         self.engine.propagate_with(shared);
         let detections = self.engine.detect();
-        let stash = self.engine.latch_collect();
+        self.engine.latch_collect();
         self.engine.probe.phase_end(Phase::TransitionFirst);
         // Pass 2: transitions released, old flip-flop state still visible.
         self.engine.probe.phase_start(Phase::TransitionSecond);
@@ -166,7 +166,7 @@ impl<P: Probe> TransitionSim<P> {
         self.engine.propagate_with(shared);
         self.engine.record_prev_pins();
         // Slaves take the stashed state only now.
-        self.engine.latch_commit(stash);
+        self.engine.latch_commit();
         self.engine.probe.phase_end(Phase::TransitionSecond);
         self.engine.pattern_index += 1;
         self.engine.pattern_end();

@@ -208,24 +208,24 @@ impl PackedLogic {
     /// Panics if `inputs` is empty.
     pub fn eval_gate(f: GateFn, inputs: &[PackedLogic]) -> PackedLogic {
         assert!(!inputs.is_empty(), "gate evaluated with no inputs");
+        Self::fold_gate(f, inputs.iter().copied())
+    }
+
+    /// Evaluates a primitive gate function lane-wise over the operands an
+    /// iterator yields: the same Kleene fold as [`GateFn::eval`], so each
+    /// lane computes exactly the scalar value. `Buf` and `Not` read only
+    /// the first operand.
+    #[inline]
+    pub fn fold_gate(f: GateFn, mut inputs: impl Iterator<Item = PackedLogic>) -> PackedLogic {
         match f {
-            GateFn::Buf => inputs[0],
-            GateFn::Not => inputs[0].not(),
-            GateFn::And => inputs[1..].iter().fold(inputs[0], |acc, &v| acc.and(v)),
-            GateFn::Nand => inputs[1..]
-                .iter()
-                .fold(inputs[0], |acc, &v| acc.and(v))
-                .not(),
-            GateFn::Or => inputs[1..].iter().fold(inputs[0], |acc, &v| acc.or(v)),
-            GateFn::Nor => inputs[1..]
-                .iter()
-                .fold(inputs[0], |acc, &v| acc.or(v))
-                .not(),
-            GateFn::Xor => inputs[1..].iter().fold(inputs[0], |acc, &v| acc.xor(v)),
-            GateFn::Xnor => inputs[1..]
-                .iter()
-                .fold(inputs[0], |acc, &v| acc.xor(v))
-                .not(),
+            GateFn::Buf => inputs.next().unwrap_or(Self::ALL_X),
+            GateFn::Not => inputs.next().unwrap_or(Self::ALL_X).not(),
+            GateFn::And => inputs.fold(Self::ALL_ONE, Self::and),
+            GateFn::Nand => inputs.fold(Self::ALL_ONE, Self::and).not(),
+            GateFn::Or => inputs.fold(Self::ALL_ZERO, Self::or),
+            GateFn::Nor => inputs.fold(Self::ALL_ZERO, Self::or).not(),
+            GateFn::Xor => inputs.fold(Self::ALL_ZERO, Self::xor),
+            GateFn::Xnor => inputs.fold(Self::ALL_ZERO, Self::xor).not(),
         }
     }
 }

@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use crate::{GateFn, Logic};
+use crate::{GateFn, Logic, PackedLogic, LANES};
 
 /// Maximum number of inputs for which a [`Lut3`] may be built.
 ///
@@ -225,8 +225,10 @@ impl Lut3 {
         Lut3::from_table(&TruthTable::from_gate_fn(f, arity))
     }
 
-    /// Builds a LUT by evaluating an arbitrary three-valued function on
-    /// every assignment.
+    /// Builds a LUT from a lane-parallel three-valued function, evaluated
+    /// on [`LANES`] assignments per call: lane `l` of input word `j` holds
+    /// digit `j` of entry `base + l`, and lane `l` of the result is that
+    /// entry (lanes past the last entry read `X` and are ignored).
     ///
     /// Unlike [`Lut3::from_table`], which computes the *exact* three-valued
     /// extension of a binary function (merging all `X` completions), this
@@ -238,24 +240,53 @@ impl Lut3 {
     /// # Panics
     ///
     /// Panics if `inputs` is zero or exceeds [`MAX_LUT_INPUTS`].
-    pub fn from_fn3(inputs: usize, mut f: impl FnMut(&[Logic]) -> Logic) -> Self {
+    pub fn from_packed_fn(inputs: usize, mut f: impl FnMut(&[PackedLogic]) -> PackedLogic) -> Self {
         assert!(
             (1..=MAX_LUT_INPUTS).contains(&inputs),
             "3-valued LUT supports 1..={MAX_LUT_INPUTS} inputs, got {inputs}"
         );
         let entries = POW3[inputs];
         let mut packed = vec![0u8; entries.div_ceil(4)];
-        let mut assignment = vec![Logic::Zero; inputs];
-        for idx in 0..entries {
-            let mut rem = idx;
-            for slot in assignment.iter_mut() {
-                *slot = Logic::from_code((rem % 3) as u8);
-                rem /= 3;
+        let mut words = [PackedLogic::ALL_X; MAX_LUT_INPUTS];
+        for base in (0..entries).step_by(LANES) {
+            let lanes = (entries - base).min(LANES);
+            for (j, w) in words[..inputs].iter_mut().enumerate() {
+                let (mut zero, mut one) = (0u64, 0u64);
+                for l in 0..LANES {
+                    let bit = 1u64 << l;
+                    match if l < lanes {
+                        (base + l) / POW3[j] % 3
+                    } else {
+                        2
+                    } {
+                        0 => zero |= bit,
+                        1 => one |= bit,
+                        _ => {
+                            zero |= bit;
+                            one |= bit;
+                        }
+                    }
+                }
+                *w = PackedLogic::from_planes(zero, one);
             }
-            let v = f(&assignment);
-            packed[idx / 4] |= v.code() << ((idx % 4) * 2);
+            let out = f(&words[..inputs]);
+            for l in 0..lanes {
+                let idx = base + l;
+                packed[idx / 4] |= out.lane(l).code() << ((idx % 4) * 2);
+            }
         }
         Lut3 { inputs, packed }
+    }
+
+    /// The binary function the LUT's fully binary entries spell out.
+    pub fn binary_table(&self) -> TruthTable {
+        TruthTable::from_fn(self.inputs, |bits| {
+            let idx = (0..self.inputs)
+                .filter(|&i| bits >> i & 1 != 0)
+                .map(|i| POW3[i])
+                .sum();
+            self.eval_index(idx) == Logic::One
+        })
     }
 
     /// Number of inputs.
@@ -337,6 +368,26 @@ mod tests {
                     f.eval(&assignment),
                     "{f} {assignment:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn packed_builder_matches_scalar_gate_eval() {
+        // Kleene gates are their own exact extension, so the lane-parallel
+        // fold must reproduce the scalar LUT for every arity (including
+        // 3^5 = 243 entries, which spans four 64-lane calls).
+        for f in GateFn::ALL {
+            let arities: &[usize] = if f.is_unary() { &[1] } else { &[2, 3, 5] };
+            for &arity in arities {
+                let lut = Lut3::from_packed_fn(arity, |w| PackedLogic::eval_gate(f, w));
+                for assignment in all_assignments(arity) {
+                    assert_eq!(
+                        lut.eval(&assignment),
+                        f.eval(&assignment),
+                        "{f} {assignment:?}"
+                    );
+                }
             }
         }
     }

@@ -38,5 +38,6 @@ pub use edit::{
 };
 pub use generate::{benchmark, benchmark_spec, CircuitSpec, ISCAS89_SPECS};
 pub use macros::{
-    extract_macros, MacroCell, MacroCircuit, MacroFaultSite, DEFAULT_MACRO_MAX_INPUTS,
+    extract_macros, CellPlan, MacroCell, MacroCircuit, MacroFaultSite, PlanFault, PlanStep,
+    DEFAULT_MACRO_MAX_INPUTS,
 };

@@ -14,8 +14,9 @@
 //! simulator.
 
 use std::fmt;
+use std::sync::OnceLock;
 
-use cfs_logic::{Logic, Lut3, TruthTable};
+use cfs_logic::{GateFn, Logic, Lut3, PackedLogic, TruthTable};
 
 use crate::{Circuit, GateId, GateKind};
 
@@ -24,21 +25,199 @@ use crate::{Circuit, GateId, GateKind};
 /// both time and memory on the large benchmarks — see `EXPERIMENTS.md`).
 pub const DEFAULT_MACRO_MAX_INPUTS: usize = 5;
 
-/// Reference to an operand of an internal evaluation step.
+/// One gate evaluation inside a cell's evaluation plan. Its operands are
+/// the next `arity` slots of the plan's operand list (see [`CellPlan`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PlanRef {
-    /// The i-th (deduplicated) support input of the cell.
-    Support(u16),
-    /// The output of an earlier step.
-    Step(u16),
+pub struct PlanStep {
+    /// The member gate this step evaluates.
+    pub gate: GateId,
+    /// The gate's function.
+    pub f: GateFn,
+    /// The gate's operand count.
+    pub arity: u16,
 }
 
-/// One gate evaluation inside a cell's evaluation program.
-#[derive(Debug, Clone)]
-struct PlanStep {
-    gate: GateId,
-    f: cfs_logic::GateFn,
-    args: Vec<PlanRef>,
+/// A stuck-at fault forced into a [`CellPlan`] evaluation on the lanes in
+/// `lanes` of word `word`: the operand `pin` of step `step`, or the step's
+/// output when `pin` is [`PlanFault::OUTPUT`], reads `value` instead.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlanFault {
+    /// Which of the words evaluated together the fault belongs to.
+    pub word: u16,
+    /// The plan step hosting the fault.
+    pub step: u16,
+    /// The stuck operand, or [`PlanFault::OUTPUT`].
+    pub pin: u16,
+    /// The stuck value.
+    pub value: bool,
+    /// The lanes the fault applies to.
+    pub lanes: u64,
+}
+
+impl PlanFault {
+    /// The `pin` of a fault on the step's output.
+    pub const OUTPUT: u16 = u16::MAX;
+}
+
+/// A cell's gate-by-gate evaluation program, and the packed cell kernel
+/// that runs it 64 machines at a time.
+///
+/// Operand slot `s < support` reads support input `s`; slot `support + k`
+/// reads the output of step `k`. Steps are in evaluation order, root last.
+/// A gate-network node is the one-step plan over its own fanin.
+#[derive(Debug, Clone, Copy)]
+pub struct CellPlan<'a> {
+    /// The number of support inputs.
+    pub support: usize,
+    /// The gate evaluations, root last.
+    pub steps: &'a [PlanStep],
+    /// Every step's operand slots, concatenated in step order.
+    pub operands: &'a [u16],
+}
+
+impl CellPlan<'_> {
+    /// Evaluates the plan lane-wise on `width` packed words at once, with
+    /// each fault in `faults` forced on its word's lanes. On entry
+    /// `values` holds the support inputs slot-major (`values[s * width +
+    /// w]` is support input `s` of word `w`); the kernel appends each
+    /// step's row of `width` outputs, so the root's row ends `values`.
+    /// Every lane computes the pessimistic gate-by-gate Kleene value — the
+    /// semantics of gate-level simulation, which the good and faulty LUTs
+    /// record entry by entry.
+    pub fn eval_packed(&self, values: &mut Vec<PackedLogic>, width: usize, faults: &[PlanFault]) {
+        debug_assert_eq!(values.len(), self.support * width, "support rows");
+        let mut operands = self.operands;
+        for (i, step) in self.steps.iter().enumerate() {
+            let (args, rest) = operands.split_at(step.arity as usize);
+            operands = rest;
+            let base = values.len();
+            values.resize(base + width, PackedLogic::ALL_X);
+            let (prev, row) = values.split_at_mut(base);
+            let rows = |k: usize| {
+                let a = args[k] as usize * width;
+                &prev[a..a + width]
+            };
+            match step.f {
+                GateFn::Buf => row.copy_from_slice(rows(0)),
+                GateFn::Not => {
+                    for (r, &v) in row.iter_mut().zip(rows(0)) {
+                        *r = v.not();
+                    }
+                }
+                GateFn::And | GateFn::Nand => {
+                    fill_rows(
+                        row,
+                        (0..args.len()).map(rows),
+                        PackedLogic::ALL_ONE,
+                        PackedLogic::and,
+                    );
+                }
+                GateFn::Or | GateFn::Nor => {
+                    fill_rows(
+                        row,
+                        (0..args.len()).map(rows),
+                        PackedLogic::ALL_ZERO,
+                        PackedLogic::or,
+                    );
+                }
+                GateFn::Xor | GateFn::Xnor => {
+                    fill_rows(
+                        row,
+                        (0..args.len()).map(rows),
+                        PackedLogic::ALL_ZERO,
+                        PackedLogic::xor,
+                    );
+                }
+            }
+            if matches!(step.f, GateFn::Nand | GateFn::Nor | GateFn::Xnor) {
+                row.iter_mut().for_each(|v| *v = v.not());
+            }
+            for f in faults.iter().filter(|f| usize::from(f.step) == i) {
+                let w = usize::from(f.word);
+                if f.pin == PlanFault::OUTPUT {
+                    continue;
+                }
+                // Re-fold this word with every pin fault of the step forced.
+                let arg = |(k, &a): (usize, &u16)| {
+                    faults
+                        .iter()
+                        .filter(|g| {
+                            usize::from(g.step) == i
+                                && usize::from(g.word) == w
+                                && usize::from(g.pin) == k
+                        })
+                        .fold(prev[a as usize * width + w], |v, g| g.force(v))
+                };
+                row[w] = PackedLogic::fold_gate(step.f, args.iter().enumerate().map(arg));
+            }
+            for f in faults.iter() {
+                if usize::from(f.step) == i && f.pin == PlanFault::OUTPUT {
+                    let w = usize::from(f.word);
+                    row[w] = f.force(row[w]);
+                }
+            }
+        }
+    }
+
+    /// The injection of a stuck-at fault at `site` on every lane, or
+    /// `None` if the site is not a gate or pin of this plan.
+    pub fn fault_at(&self, site: MacroFaultSite) -> Option<PlanFault> {
+        let (gate, pin, value) = match site {
+            MacroFaultSite::Output { gate, value } => (gate, None, value),
+            MacroFaultSite::Pin { gate, pin, value } => (gate, Some(pin), value),
+        };
+        let step = self.steps.iter().position(|s| s.gate == gate)?;
+        let pin = match pin {
+            None => PlanFault::OUTPUT,
+            Some(p) if p < usize::from(self.steps[step].arity) => p as u16,
+            Some(_) => return None,
+        };
+        Some(PlanFault {
+            word: 0,
+            step: step as u16,
+            pin,
+            value,
+            lanes: !0,
+        })
+    }
+
+    /// The plan's three-valued LUT with `fault` forced on every entry:
+    /// all `3^support` assignments, 64 per kernel call.
+    pub fn lut(&self, fault: Option<PlanFault>) -> Lut3 {
+        let faults: &[PlanFault] = fault.as_slice();
+        let mut values = Vec::with_capacity(self.support.max(1) + self.steps.len());
+        Lut3::from_packed_fn(self.support.max(1), |words| {
+            values.clear();
+            values.extend_from_slice(&words[..self.support]);
+            self.eval_packed(&mut values, 1, faults);
+            values[values.len() - 1]
+        })
+    }
+}
+
+/// Sets `row` to the lane-wise `op` fold of the rows `srcs` from `init`:
+/// one gate step for every word, a plain loop over the words.
+#[inline]
+fn fill_rows<'a>(
+    row: &mut [PackedLogic],
+    srcs: impl Iterator<Item = &'a [PackedLogic]>,
+    init: PackedLogic,
+    op: impl Fn(PackedLogic, PackedLogic) -> PackedLogic,
+) {
+    row.fill(init);
+    for src in srcs {
+        for (r, &v) in row.iter_mut().zip(src) {
+            *r = op(*r, v);
+        }
+    }
+}
+
+impl PlanFault {
+    /// `v` with this fault's lanes forced to its stuck value.
+    #[inline]
+    fn force(&self, v: PackedLogic) -> PackedLogic {
+        v.select(PackedLogic::splat(Logic::from_bool(self.value)), self.lanes)
+    }
 }
 
 /// A stuck-at fault site inside a macro cell, used to derive the fault's
@@ -65,14 +244,18 @@ pub enum MacroFaultSite {
 }
 
 /// A fanout-free region collapsed into a single look-up-table cell.
+///
+/// Extraction records the cell's structure and evaluation plan only; the
+/// good-machine table and LUT are built on first use, so a structural
+/// check of the cells builds no LUT at all.
 #[derive(Debug, Clone)]
 pub struct MacroCell {
     root: GateId,
     members: Vec<GateId>,
     support: Vec<GateId>,
-    plan: Vec<PlanStep>,
-    table: TruthTable,
-    lut: Lut3,
+    steps: Vec<PlanStep>,
+    operands: Vec<u16>,
+    good: OnceLock<(TruthTable, Lut3)>,
 }
 
 impl MacroCell {
@@ -92,19 +275,38 @@ impl MacroCell {
         &self.support
     }
 
+    /// The cell's gate-by-gate evaluation plan.
+    pub fn plan(&self) -> CellPlan<'_> {
+        CellPlan {
+            support: self.support.len(),
+            steps: &self.steps,
+            operands: &self.operands,
+        }
+    }
+
+    fn good(&self) -> &(TruthTable, Lut3) {
+        self.good.get_or_init(|| {
+            // The simulation LUT uses gate-by-gate Kleene evaluation (not
+            // the exact X-completion merge) so macro and gate simulation
+            // agree bit-for-bit.
+            let lut = self.plan().lut(None);
+            (lut.binary_table(), lut)
+        })
+    }
+
     /// The good-machine binary function.
     pub fn table(&self) -> &TruthTable {
-        &self.table
+        &self.good().0
     }
 
     /// The good-machine three-valued LUT.
     pub fn lut(&self) -> &Lut3 {
-        &self.lut
+        &self.good().1
     }
 
     /// Evaluates the cell over three-valued support values.
     pub fn eval(&self, inputs: &[Logic]) -> Logic {
-        self.lut.eval(inputs)
+        self.lut().eval(inputs)
     }
 
     /// Computes the binary function of the cell with a stuck-at fault
@@ -112,20 +314,7 @@ impl MacroCell {
     ///
     /// Returns `None` if the site does not belong to this cell.
     pub fn faulty_table(&self, site: MacroFaultSite) -> Option<TruthTable> {
-        let (gate, pin, value) = match site {
-            MacroFaultSite::Output { gate, value } => (gate, None, value),
-            MacroFaultSite::Pin { gate, pin, value } => (gate, Some(pin), value),
-        };
-        let step_idx = self.plan.iter().position(|s| s.gate == gate)?;
-        if let Some(p) = pin {
-            if p >= self.plan[step_idx].args.len() {
-                return None;
-            }
-        }
-        let n = self.support.len();
-        Some(TruthTable::from_fn(n, |bits| {
-            self.eval_plan_bits(bits, Some((step_idx, pin, value)))
-        }))
+        self.faulty_lut(site).map(|lut| lut.binary_table())
     }
 
     /// Computes the three-valued LUT of the cell with a stuck-at fault
@@ -134,99 +323,18 @@ impl MacroCell {
     ///
     /// Returns `None` if the site does not belong to this cell.
     pub fn faulty_lut(&self, site: MacroFaultSite) -> Option<Lut3> {
-        let (gate, pin, value) = match site {
-            MacroFaultSite::Output { gate, value } => (gate, None, value),
-            MacroFaultSite::Pin { gate, pin, value } => (gate, Some(pin), value),
-        };
-        let step_idx = self.plan.iter().position(|s| s.gate == gate)?;
-        if let Some(p) = pin {
-            if p >= self.plan[step_idx].args.len() {
-                return None;
-            }
-        }
-        Some(Lut3::from_fn3(self.support.len(), |vals| {
-            self.eval_plan_logic(vals, Some((step_idx, pin, value)))
-        }))
-    }
-
-    /// Gate-by-gate three-valued (Kleene) evaluation of the internal
-    /// program, with an optional fault injection `(step, pin, stuck_value)`.
-    /// This is deliberately as pessimistic about `X` as evaluating the
-    /// region gate by gate, so macro simulation matches gate simulation.
-    fn eval_plan_logic(
-        &self,
-        inputs: &[Logic],
-        fault: Option<(usize, Option<usize>, bool)>,
-    ) -> Logic {
-        let mut values = [Logic::X; MAX_CELL_GATES];
-        let mut args: Vec<Logic> = Vec::with_capacity(8);
-        for (i, step) in self.plan.iter().enumerate() {
-            args.clear();
-            for (k, arg) in step.args.iter().enumerate() {
-                let mut v = match arg {
-                    PlanRef::Support(s) => inputs[*s as usize],
-                    PlanRef::Step(s) => values[*s as usize],
-                };
-                if let Some((fi, Some(fp), fv)) = fault {
-                    if fi == i && fp == k {
-                        v = Logic::from_bool(fv);
-                    }
-                }
-                args.push(v);
-            }
-            let mut out = step.f.eval(&args);
-            if let Some((fi, None, fv)) = fault {
-                if fi == i {
-                    out = Logic::from_bool(fv);
-                }
-            }
-            values[i] = out;
-        }
-        values[self.plan.len() - 1]
-    }
-
-    /// Evaluates the internal program on binary support values with an
-    /// optional fault injection `(step, pin, stuck_value)`.
-    fn eval_plan_bits(&self, bits: usize, fault: Option<(usize, Option<usize>, bool)>) -> bool {
-        let mut values = [false; MAX_CELL_GATES];
-        for (i, step) in self.plan.iter().enumerate() {
-            let mut arg_bits = 0usize;
-            for (k, arg) in step.args.iter().enumerate() {
-                let mut v = match arg {
-                    PlanRef::Support(s) => bits >> *s as usize & 1 != 0,
-                    PlanRef::Step(s) => values[*s as usize],
-                };
-                if let Some((fi, Some(fp), fv)) = fault {
-                    if fi == i && fp == k {
-                        v = fv;
-                    }
-                }
-                if v {
-                    arg_bits |= 1 << k;
-                }
-            }
-            let mut out = step.f.eval_bits(arg_bits, step.args.len());
-            if let Some((fi, None, fv)) = fault {
-                if fi == i {
-                    out = fv;
-                }
-            }
-            values[i] = out;
-        }
-        values[self.plan.len() - 1]
+        let plan = self.plan();
+        plan.fault_at(site).map(|f| plan.lut(Some(f)))
     }
 
     /// Approximate memory footprint in bytes (LUT + bookkeeping), for the
     /// paper-comparable MEM columns.
     pub fn memory_bytes(&self) -> usize {
-        self.lut.memory_bytes()
+        self.lut().memory_bytes()
             + self.members.len() * std::mem::size_of::<GateId>()
             + self.support.len() * std::mem::size_of::<GateId>()
-            + self
-                .plan
-                .iter()
-                .map(|s| 16 + 4 * s.args.len())
-                .sum::<usize>()
+            + self.steps.len() * 16
+            + self.operands.len() * 4
     }
 }
 
@@ -285,9 +393,8 @@ impl MacroCircuit {
     }
 }
 
-/// Most gates one cell absorbs: its evaluation plans keep one slot per
-/// gate in a fixed array. A longer fanout-free region splits into
-/// several cells.
+/// Most gates one cell absorbs, which bounds a plan's length and its
+/// operand slots. A longer fanout-free region splits into several cells.
 const MAX_CELL_GATES: usize = 64;
 
 /// Extracts macro cells from a circuit's combinational logic.
@@ -369,11 +476,16 @@ pub fn extract_macros(circuit: &Circuit, max_inputs: usize) -> MacroCircuit {
         // (ascending circuit level does exactly that).
         members.sort_by_key(|&g| (circuit.level(g), g));
         let support = region_support(circuit, &members, None);
-        let plan = build_plan(circuit, &members, &support);
-        let root_step = plan.len() - 1;
-        debug_assert_eq!(plan[root_step].gate, root);
-        let cell = finish_cell(root, members, support, plan);
-        cells.push(cell);
+        let (steps, operands) = build_plan(circuit, &members, &support);
+        debug_assert_eq!(steps.last().map(|s| s.gate), Some(root));
+        cells.push(MacroCell {
+            root,
+            members,
+            support,
+            steps,
+            operands,
+            good: OnceLock::new(),
+        });
     }
 
     // Evaluation order: ascending root level (supports are transitive
@@ -404,70 +516,130 @@ fn region_support(circuit: &Circuit, members: &[GateId], extra: Option<GateId>) 
     support
 }
 
-fn build_plan(circuit: &Circuit, members: &[GateId], support: &[GateId]) -> Vec<PlanStep> {
-    let step_of = |g: GateId| members.iter().position(|&m| m == g);
-    members
-        .iter()
-        .map(|&g| {
-            let gate = circuit.gate(g);
-            let f = match gate.kind() {
-                GateKind::Comb(f) => f,
-                _ => unreachable!("members are combinational"),
+/// The evaluation plan of a region: one step per member (members are in
+/// evaluation order), each reading support inputs and earlier steps.
+fn build_plan(
+    circuit: &Circuit,
+    members: &[GateId],
+    support: &[GateId],
+) -> (Vec<PlanStep>, Vec<u16>) {
+    let mut steps = Vec::with_capacity(members.len());
+    let mut operands = Vec::new();
+    for &g in members {
+        let gate = circuit.gate(g);
+        let GateKind::Comb(f) = gate.kind() else {
+            unreachable!("members are combinational")
+        };
+        for &src in gate.fanin() {
+            let slot = match members.iter().position(|&m| m == src) {
+                Some(step) => support.len() + step,
+                None => support
+                    .iter()
+                    .position(|&x| x == src)
+                    .expect("external driver is in the support"),
             };
-            let args = gate
-                .fanin()
-                .iter()
-                .map(|&src| match step_of(src) {
-                    Some(s) => PlanRef::Step(s as u16),
-                    None => {
-                        let s = support
-                            .iter()
-                            .position(|&x| x == src)
-                            .expect("external driver is in the support");
-                        PlanRef::Support(s as u16)
-                    }
-                })
-                .collect();
-            PlanStep { gate: g, f, args }
-        })
-        .collect()
-}
-
-fn finish_cell(
-    root: GateId,
-    members: Vec<GateId>,
-    support: Vec<GateId>,
-    plan: Vec<PlanStep>,
-) -> MacroCell {
-    assert!(
-        plan.len() <= MAX_CELL_GATES,
-        "a macro cell evaluates at most {MAX_CELL_GATES} gates"
-    );
-    let n = support.len();
-    let shell = MacroCell {
-        root,
-        members,
-        support,
-        plan,
-        // Placeholder table; replaced below (needs `eval_plan_bits`).
-        table: TruthTable::from_fn(n.max(1), |_| false),
-        lut: Lut3::from_table(&TruthTable::from_fn(n.max(1), |_| false)),
-    };
-    let table = TruthTable::from_fn(n.max(1), |bits| shell.eval_plan_bits(bits, None));
-    // The simulation LUT uses gate-by-gate Kleene evaluation (not the exact
-    // X-completion merge) so macro and gate simulation agree bit-for-bit.
-    let lut = Lut3::from_fn3(n.max(1), |vals| shell.eval_plan_logic(vals, None));
-    MacroCell {
-        table,
-        lut,
-        ..shell
+            operands.push(slot as u16);
+        }
+        steps.push(PlanStep {
+            gate: g,
+            f,
+            arity: gate.fanin().len() as u16,
+        });
     }
+    (steps, operands)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{data::s27, parse_bench};
+    use cfs_logic::POW3;
+
+    /// The scalar oracle for the packed kernel: gate-by-gate Kleene
+    /// evaluation of one assignment, with an optional `fault` forced.
+    fn eval_plan_logic(plan: CellPlan<'_>, inputs: &[Logic], fault: Option<PlanFault>) -> Logic {
+        let mut values: Vec<Logic> = inputs.to_vec();
+        let mut operands = plan.operands;
+        for (i, step) in plan.steps.iter().enumerate() {
+            let (args, rest) = operands.split_at(step.arity as usize);
+            operands = rest;
+            let forced = |pin: u16| {
+                fault
+                    .filter(|f| usize::from(f.step) == i && f.pin == pin)
+                    .map(|f| Logic::from_bool(f.value))
+            };
+            let ins: Vec<Logic> = args
+                .iter()
+                .enumerate()
+                .map(|(k, &s)| forced(k as u16).unwrap_or(values[s as usize]))
+                .collect();
+            let out = forced(PlanFault::OUTPUT).unwrap_or_else(|| step.f.eval(&ins));
+            values.push(out);
+        }
+        *values.last().expect("a plan has a root step")
+    }
+
+    /// Every entry of `lut` against the scalar oracle.
+    fn assert_lut_matches_oracle(cell: &MacroCell, lut: &Lut3, fault: Option<PlanFault>) {
+        let n = cell.support().len();
+        for idx in 0..POW3[n.max(1)] {
+            let inputs: Vec<Logic> = (0..n)
+                .map(|j| Logic::from_code((idx / POW3[j] % 3) as u8))
+                .collect();
+            assert_eq!(
+                lut.eval_index(idx),
+                eval_plan_logic(cell.plan(), &inputs, fault),
+                "cell {cell} entry {idx} fault {fault:?}"
+            );
+        }
+    }
+
+    /// The good LUT and the faulty LUT of every output and pin stuck-at
+    /// site of every cell of the 18 Table 3 circuits, built 64 entries per
+    /// kernel call, equal the scalar gate-by-gate evaluation entry by
+    /// entry — so the interned LUT pool is byte-identical to one built a
+    /// scalar entry at a time.
+    #[test]
+    fn packed_luts_match_the_scalar_plan_evaluator() {
+        const TABLE3: [&str; 18] = [
+            "s298g", "s344g", "s349g", "s386g", "s400g", "s444g", "s526g", "s641g", "s713g",
+            "s820g", "s832g", "s1196g", "s1238g", "s1423g", "s1488g", "s1494g", "s5378g",
+            "s35932g",
+        ];
+        for name in TABLE3 {
+            let c = crate::generate::benchmark(name).unwrap();
+            let m = extract_macros(&c, DEFAULT_MACRO_MAX_INPUTS);
+            for cell in m.cells() {
+                assert_lut_matches_oracle(cell, cell.lut(), None);
+                for step in cell.plan().steps {
+                    for value in [false, true] {
+                        let mut sites = vec![MacroFaultSite::Output {
+                            gate: step.gate,
+                            value,
+                        }];
+                        sites.extend((0..usize::from(step.arity)).map(|pin| MacroFaultSite::Pin {
+                            gate: step.gate,
+                            pin,
+                            value,
+                        }));
+                        for site in sites {
+                            let fault = cell.plan().fault_at(site);
+                            let lut = cell.faulty_lut(site).expect("member site");
+                            assert_lut_matches_oracle(cell, &lut, fault);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn structural_extraction_builds_no_lut() {
+        let m = extract_macros(&s27(), DEFAULT_MACRO_MAX_INPUTS);
+        assert!(m.cells().iter().all(|c| c.good.get().is_none()));
+        let _ = m.cells()[0].lut();
+        assert!(m.cells()[0].good.get().is_some());
+    }
 
     fn figure3_circuit() -> Circuit {
         // The Figure 3 shape: a 3-gate fanout-free region collapsible into

@@ -32,6 +32,12 @@ pub struct PatternCounters {
     pub queue_peak: u64,
     /// DFF update-stash entries collected at the clock edge.
     pub dff_stash: u64,
+    /// Faults moved into hot-fault lanes (at a promotion sweep).
+    pub promoted: u64,
+    /// Packed word-node evaluations of the hot-fault words.
+    pub packed_evals: u64,
+    /// Most packed words holding live faults at once.
+    pub packed_words: u64,
 }
 
 impl PatternCounters {
@@ -48,6 +54,9 @@ impl PatternCounters {
         self.detected += other.detected;
         self.queue_peak = self.queue_peak.max(other.queue_peak);
         self.dff_stash += other.dff_stash;
+        self.promoted += other.promoted;
+        self.packed_evals += other.packed_evals;
+        self.packed_words = self.packed_words.max(other.packed_words);
     }
 }
 
@@ -170,6 +179,9 @@ impl SimMetrics {
             queue_depth_peak: t.queue_peak,
             compactions: self.compactions,
             compacted_elements: self.compacted_elements,
+            promoted: t.promoted,
+            packed_words: t.packed_words,
+            packed_evals: t.packed_evals,
             peak_memory_bytes: self.peak_memory,
             cpu_seconds: self.phases.total().as_secs_f64(),
             // Universe-level facts: stamped by the driver after pruning,
@@ -265,6 +277,12 @@ impl Probe for SimMetrics {
 
     fn memory_bytes(&mut self, bytes: u64) {
         self.peak_memory = self.peak_memory.max(bytes);
+    }
+
+    fn packed(&mut self, promoted: u64, words: u64, evals: u64) {
+        self.current.promoted += promoted;
+        self.current.packed_evals += evals;
+        self.current.packed_words = self.current.packed_words.max(words);
     }
 
     fn compaction(&mut self, elements_moved: u64) {

@@ -96,6 +96,12 @@ pub trait Probe {
     #[inline]
     fn compaction(&mut self, _elements_moved: u64) {}
 
+    /// The hot-fault machine's work: `promoted` faults moved into lanes,
+    /// `words` packed words holding live faults, `evals` packed word-node
+    /// evaluations (a pattern's step, or a promotion sweep).
+    #[inline]
+    fn packed(&mut self, _promoted: u64, _words: u64, _evals: u64) {}
+
     /// A timed phase begins.
     #[inline]
     fn phase_start(&mut self, _phase: Phase) {}
@@ -226,6 +232,12 @@ impl<A: Probe, B: Probe> Probe for PairProbe<A, B> {
     fn compaction(&mut self, elements_moved: u64) {
         self.0.compaction(elements_moved);
         self.1.compaction(elements_moved);
+    }
+
+    #[inline]
+    fn packed(&mut self, promoted: u64, words: u64, evals: u64) {
+        self.0.packed(promoted, words, evals);
+        self.1.packed(promoted, words, evals);
     }
 
     #[inline]

@@ -103,6 +103,13 @@ impl<W: Write> JsonlWriter<W> {
             push_u64(&mut line, "windows", s.windows);
             push_u64(&mut line, "steals", s.steals);
         }
+        if s.promoted > 0 {
+            // Hot-fault counters, present only when a fault was promoted
+            // so purely concurrent summaries keep their historical shape.
+            push_u64(&mut line, "promoted", s.promoted);
+            push_u64(&mut line, "packed_words", s.packed_words);
+            push_u64(&mut line, "packed_evals", s.packed_evals);
+        }
         line.push_str(",\"phases\":{");
         for (i, (phase, d)) in s.phases.nonzero().enumerate() {
             if i > 0 {
@@ -316,6 +323,7 @@ mod tests {
                 detected: 4,
                 queue_peak: 6,
                 dff_stash: 3,
+                ..PatternCounters::default()
             },
             avg_list_len: 2.5,
             max_list_len: 9,

@@ -51,6 +51,13 @@ pub struct MetricsSnapshot {
     pub compactions: u64,
     /// Live elements relocated by compaction passes.
     pub compacted_elements: u64,
+    /// Faults moved off the concurrent lists into hot-fault lanes.
+    pub promoted: u64,
+    /// Most packed hot-fault words holding live faults at once.
+    pub packed_words: u64,
+    /// Packed word-node evaluations of the hot-fault words (one
+    /// evaluation covers 64 lanes; not part of `fault_evals`).
+    pub packed_evals: u64,
     /// Peak engine memory in bytes.
     pub peak_memory_bytes: u64,
     /// Total measured CPU seconds (phase sum, or the caller's wall time).
@@ -185,6 +192,11 @@ impl MetricsSnapshot {
         self.queue_depth_peak = self.queue_depth_peak.max(other.queue_depth_peak);
         self.compactions += other.compactions;
         self.compacted_elements += other.compacted_elements;
+        // Each shard packs its own faults: promotions, words and packed
+        // work all sum.
+        self.promoted += other.promoted;
+        self.packed_words += other.packed_words;
+        self.packed_evals += other.packed_evals;
         self.peak_memory_bytes += other.peak_memory_bytes;
         self.cpu_seconds = self.cpu_seconds.max(other.cpu_seconds);
         // Universe-level facts, identical on every shard of a run: max

@@ -26,11 +26,14 @@ pub enum Phase {
     Check,
     /// Capturing or serializing a pattern-boundary checkpoint.
     Checkpoint,
+    /// The hot-fault words of a stuck-at step and the promotion sweeps
+    /// that fill them.
+    Packed,
 }
 
 impl Phase {
     /// Every phase, in display order.
-    pub const ALL: [Phase; 8] = [
+    pub const ALL: [Phase; 9] = [
         Phase::Propagate,
         Phase::Detect,
         Phase::LatchCollect,
@@ -39,6 +42,7 @@ impl Phase {
         Phase::TransitionSecond,
         Phase::Check,
         Phase::Checkpoint,
+        Phase::Packed,
     ];
 
     /// Number of phases.
@@ -55,6 +59,7 @@ impl Phase {
             Phase::TransitionSecond => 5,
             Phase::Check => 6,
             Phase::Checkpoint => 7,
+            Phase::Packed => 8,
         }
     }
 
@@ -69,6 +74,7 @@ impl Phase {
             Phase::TransitionSecond => "transition_second",
             Phase::Check => "check",
             Phase::Checkpoint => "checkpoint",
+            Phase::Packed => "packed",
         }
     }
 }

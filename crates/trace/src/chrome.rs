@@ -309,6 +309,18 @@ fn event_line(tid: u32, e: &TraceEvent) -> Option<String> {
              \"name\":\"{name}\",\"cat\":\"arena\",\
              \"args\":{{\"moved\":{moved},\"pattern\":{pattern}}}}}"
         )),
+        TraceEvent::Packed {
+            pattern,
+            promoted,
+            words,
+            evals,
+            ts,
+        } => Some(format!(
+            "{{\"ph\":\"i\",\"pid\":{PID},\"tid\":{tid},\"ts\":{ts},\"s\":\"t\",\
+             \"name\":\"{name}\",\"cat\":\"packed\",\
+             \"args\":{{\"promoted\":{promoted},\"words\":{words},\"evals\":{evals},\
+             \"pattern\":{pattern}}}}}"
+        )),
         TraceEvent::CounterSample { .. } => None,
     }
 }

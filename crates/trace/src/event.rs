@@ -106,6 +106,20 @@ pub enum TraceEvent {
         /// When.
         ts: Micros,
     },
+    /// The hot-fault machine's work: a promotion sweep (`promoted > 0`)
+    /// or one pattern's packed step.
+    Packed {
+        /// The pattern the work belongs to.
+        pattern: u32,
+        /// Faults moved into hot-fault lanes.
+        promoted: u64,
+        /// Packed words holding live faults.
+        words: u64,
+        /// Packed word-node evaluations.
+        evals: u64,
+        /// When.
+        ts: Micros,
+    },
     /// End-of-pattern counter sample: total live fault-list elements and
     /// the peak event-queue depth seen during the pattern.
     CounterSample {
@@ -131,6 +145,7 @@ impl TraceEvent {
             | TraceEvent::Detected { ts, .. }
             | TraceEvent::Quiescent { ts, .. }
             | TraceEvent::Compaction { ts, .. }
+            | TraceEvent::Packed { ts, .. }
             | TraceEvent::CounterSample { ts, .. } => ts,
         }
     }
@@ -156,6 +171,7 @@ impl TraceEvent {
             | TraceEvent::Dropped { pattern, .. }
             | TraceEvent::Detected { pattern, .. }
             | TraceEvent::Compaction { pattern, .. }
+            | TraceEvent::Packed { pattern, .. }
             | TraceEvent::CounterSample { pattern, .. } => Some(pattern),
             TraceEvent::Quiescent { at_pattern, .. } => Some(at_pattern),
             TraceEvent::PhaseSpan { .. } => None,
@@ -173,6 +189,7 @@ impl TraceEvent {
             TraceEvent::Detected { .. } => "detection",
             TraceEvent::Quiescent { .. } => "quiescent",
             TraceEvent::Compaction { .. } => "compaction",
+            TraceEvent::Packed { .. } => "packed",
             TraceEvent::CounterSample { .. } => "counters",
         }
     }

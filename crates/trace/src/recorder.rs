@@ -312,6 +312,18 @@ impl Probe for TraceRecorder {
         });
     }
 
+    fn packed(&mut self, promoted: u64, words: u64, evals: u64) {
+        let ts = self.now();
+        let pattern = self.pattern;
+        self.push(TraceEvent::Packed {
+            pattern,
+            promoted,
+            words,
+            evals,
+            ts,
+        });
+    }
+
     fn phase_start(&mut self, phase: Phase) {
         self.phase_start[phase.index()] = Some(self.now());
     }

@@ -65,6 +65,7 @@ fn engine_invariants_hold_under_stress() {
                             use_macros,
                             macro_max_inputs: 4,
                             drop_detected: drop,
+                            hot_lanes: cfs_core::DEFAULT_HOT_LANES,
                         },
                     );
                     for _ in 0..15 {
