@@ -117,7 +117,9 @@ pub struct DelayCsim<'c> {
 
 impl<'c> DelayCsim<'c> {
     /// Builds the simulator; every value starts at `X`, every fault gets a
-    /// permanent local element, and every gate is evaluated at time 0.
+    /// permanent local element (at `X`, or at its stuck value for a stuck
+    /// primary-input or flip-flop output), and every gate is evaluated at
+    /// time 0.
     pub fn new(circuit: &'c Circuit, delays: DelayModel, faults: &[StuckAt]) -> Self {
         let n = circuit.num_nodes();
         let mut locals: Vec<Vec<u32>> = vec![Vec::new(); n];
@@ -144,10 +146,17 @@ impl<'c> DelayCsim<'c> {
         let mut heads = vec![NIL; n];
         let mut proj_lists = vec![Vec::new(); n];
         for (ni, fids) in locals.iter().enumerate() {
+            // A stuck primary-input or flip-flop output holds its stuck
+            // value from the start; every other fault starts at X.
+            let source = !circuit.gate(GateId::from_index(ni)).kind().is_comb();
             let mut b = ListBuilder::new();
             for &fid in fids {
-                b.push(&mut arena, fid, Logic::X);
-                proj_lists[ni].push((fid, Logic::X));
+                let v = match descriptors[fid as usize].effect {
+                    Effect::OutputStuck(v) if source => v,
+                    _ => Logic::X,
+                };
+                b.push(&mut arena, fid, v);
+                proj_lists[ni].push((fid, v));
             }
             heads[ni] = b.finish(&mut arena);
         }
