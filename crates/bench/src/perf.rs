@@ -412,11 +412,11 @@ fn run_hold_cells(circuit: &Circuit, count: usize, seed: u64, repeats: usize) ->
 fn batched(threads: usize) -> RunPlan<'static> {
     RunPlan {
         threads,
-        batch: Some(BatchOptions {
+        batch: BatchOptions {
             window: BATCH_WINDOW,
             steal: true,
             ..BatchOptions::default()
-        }),
+        },
         ..RunPlan::default()
     }
 }

@@ -9,10 +9,10 @@
 //! weight-aware plan's balance keys). [`simulate_stuck`],
 //! [`simulate_transition`] and [`simulate_baseline`] build one machine
 //! with the probe the run needs ([`Probes`]), resume and checkpoint it,
-//! and run it serially, sharded or batched. [`finish_run`] prints the
-//! summary table and writes the output files. Every line goes to a
-//! caller-supplied [`io::Write`]: `fsim` passes stdout, `repro-tables`
-//! passes [`io::sink`].
+//! and run it: serially with one shard, on the work-stealing scheduler
+//! with more. [`finish_run`] prints the summary table and writes the
+//! output files. Every line goes to a caller-supplied [`io::Write`]:
+//! `fsim` passes stdout, `repro-tables` passes [`io::sink`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -98,9 +98,10 @@ pub struct RunPlan<'a> {
     pub threads: usize,
     /// `--shard-plan`: the fault partition.
     pub plan: ShardPlan,
-    /// `--batch-windows` turns on the two-dimensional scheduler; `None`
-    /// keeps the fault-shard-only dispatch.
-    pub batch: Option<BatchOptions>,
+    /// A multi-shard run's schedule: `--batch-windows` sets the window
+    /// ([`cfs_core::DEFAULT_WINDOW`] when absent) and `--steal` turns
+    /// stealing on. One-shard runs ignore it.
+    pub batch: BatchOptions,
     /// `--stats`.
     pub stats: bool,
     /// `--stats-json FILE`.
@@ -131,7 +132,10 @@ impl Default for RunPlan<'_> {
             learn: None,
             threads: 1,
             plan: ShardPlan::RoundRobin,
-            batch: None,
+            batch: BatchOptions {
+                steal: false,
+                ..BatchOptions::default()
+            },
             stats: false,
             stats_json: None,
             trace_every: None,
@@ -158,9 +162,10 @@ impl RunPlan<'_> {
     /// Fault-shard count: `--steal` overshards 2× so idle workers have
     /// spare runnable shards to take; otherwise one shard per worker.
     pub fn shards(&self) -> usize {
-        match &self.batch {
-            Some(b) if b.steal => self.threads * 2,
-            _ => self.threads,
+        if self.batch.steal {
+            self.threads * 2
+        } else {
+            self.threads
         }
     }
 }
@@ -587,8 +592,8 @@ fn sched_track_of(stats: Option<&SchedStats>, offset_micros: u64) -> Option<Sche
 
 /// Writes the Chrome Trace / Perfetto JSON document for a finished traced
 /// run: one track per shard (fault ids remapped local→global through each
-/// shard's map) plus the merged counter track, and — for batched runs —
-/// one worker track per scheduler thread with task spans and steal
+/// shard's map) plus the merged counter track, and — for multi-shard runs
+/// — one worker track per scheduler thread with task spans and steal
 /// instants.
 fn write_trace_file(
     path: &str,
@@ -849,9 +854,10 @@ impl Checkpointing<'_> {
 
 /// The one run driver: builds the sharded machine `M` (one shard on the
 /// serial path) with the probe picked at dispatch, resumes and
-/// checkpoints it, runs it serially, sharded, or batched, and prints the
-/// report, the scheduler line, and the `--stats` detail. Files and the
-/// summary table come after every variant has run ([`finish_run`]).
+/// checkpoints it, runs it — serially with one shard, on the scheduler
+/// with more — and prints the report, the scheduler line, and the
+/// `--stats` detail. Files and the summary table come after every variant
+/// has run ([`finish_run`]).
 fn simulate<M>(
     run: &Run<'_, M::Fault>,
     options: M::Options,
@@ -923,10 +929,7 @@ where
     // Scheduler timestamps count from run start; measure that start on
     // the recorders' epoch so the worker tracks line up with the shards.
     let sched_offset = epoch.elapsed().as_micros() as u64;
-    let mut report = match &plan.batch {
-        Some(b) => sim.run_batched_with(patterns, b, after),
-        None => sim.run_with(&patterns[start_at..], after),
-    };
+    let mut report = sim.run_batched_with(&patterns[start_at..], &plan.batch, after);
     report.patterns = patterns.len();
     if let Some(e) = ckpt.failed {
         return Err(e);
@@ -961,9 +964,7 @@ where
         snap.trace_events = recorders().map(TraceRecorder::recorded_events).sum();
         snap.trace_dropped = recorders().map(TraceRecorder::dropped_events).sum();
         if plan.stats {
-            // Batched runs only: plain `--threads N` output stays what it
-            // always was.
-            if let (Some(_), Some(st)) = (&plan.batch, sim.sched_stats()) {
+            if let Some(st) = sim.sched_stats() {
                 writeln!(
                     out,
                     "  scheduler: {} windows × {} shards = {} tasks on {} workers, {} steals",
@@ -988,10 +989,10 @@ where
             print_stats_detail(&snap, shard_metrics(), out)?;
         }
         if let Some(w) = jsonl.as_mut() {
-            // A serial run's single shard recorded the serial per-pattern
+            // A one-shard run's shard recorded the serial per-pattern
             // records; sharded runs carry only the merged summary.
             let records = match shard_metrics().next() {
-                Some(m) if plan.threads == 1 && plan.batch.is_none() => m.records(),
+                Some(m) if sim.num_shards() == 1 => m.records(),
                 _ => &[],
             };
             records
@@ -1009,12 +1010,7 @@ where
             .shard_probes()
             .filter_map(|(p, map)| Some((p.recorder()?.events().copied().collect(), map.to_vec())))
             .collect(),
-        // Worker tracks only for batched runs: the plain sharded document
-        // keeps its one-track-per-shard shape.
-        sched: plan
-            .batch
-            .as_ref()
-            .and_then(|_| sched_track_of(sim.sched_stats(), sched_offset)),
+        sched: sched_track_of(sim.sched_stats(), sched_offset),
     });
     Ok(Outcome {
         report,

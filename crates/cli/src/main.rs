@@ -18,16 +18,16 @@
 //! `pattern fault` line per detected fault, sorted by pattern then fault
 //! index — which is the artifact to diff across thread counts.
 //!
-//! `--batch-windows W` adds the second parallelism axis: the pattern
-//! sequence splits into windows of `W` patterns (`0` = one whole-run
-//! window), a 64-lane pattern-parallel good machine produces each
-//! window's settled traces, and (shard × window) tasks run under the
-//! work-stealing scheduler — a shard's windows stay in order because the
-//! shard engine carries the sequential DFF state across the boundary.
-//! `--steal` lets idle workers steal runnable shards (and overshards the
-//! fault universe 2× so there is spare work to take). Detections remain
-//! bit-identical to the serial simulator for every window size, thread
-//! count, and steal schedule.
+//! Every run with more than one shard splits the pattern sequence into
+//! windows and runs (shard × window) tasks under the work-stealing
+//! scheduler, every shard reading one shared good machine; a shard's
+//! windows stay in order because the shard engine carries the sequential
+//! DFF state across the boundary. `--batch-windows W` sets the window
+//! (default 128 patterns, `0` = one whole-run window). `--steal` lets
+//! idle workers steal runnable shards (and overshards the fault universe
+//! 2× so there is spare work to take). Detections remain bit-identical
+//! to the serial simulator for every window size, thread count, and
+//! steal schedule.
 //!
 //! `fsim check` runs the `cfs-check` static analyses and prints the
 //! diagnostics (stable rule codes, severities, `.bench` line spans; JSON
@@ -67,8 +67,8 @@
 //! `DIR/ckpt-NNNNNN.bin`; `--resume-from FILE` restores one such
 //! snapshot and replays only the remaining patterns, producing the same
 //! report as the uninterrupted run. Checkpointing captures one serial
-//! engine, so it needs `--threads 1`, a single `--variant`, and no
-//! `--batch-windows`/`--trace-out`.
+//! engine, so it needs one shard (`--threads 1` without `--steal`), a
+//! single `--variant`, and no `--trace-out`.
 //!
 //! `fsim impact` runs the static change-impact analysis between two
 //! netlists: the structural diff (added/removed/retyped/rewired gates,
@@ -112,7 +112,9 @@ use cfs_cli::{
     simulate_transition, Baseline, DiagnosticError, JsonlFile, ModelHooks, Outcome, Probes, Run,
     RunPlan, STUCK, TRANSITION,
 };
-use cfs_core::{BatchOptions, Checkpoint, ConcurrentSim, CsimOptions, CsimVariant, ShardPlan};
+use cfs_core::{
+    BatchOptions, Checkpoint, ConcurrentSim, CsimOptions, CsimVariant, ShardPlan, DEFAULT_WINDOW,
+};
 use cfs_faults::{
     collapse_stuck_at, dominance_collapse, enumerate_stuck_at, enumerate_transition, FaultFate,
     PruneReason,
@@ -338,7 +340,7 @@ const FLAGS: &[(&str, Kind, &str, &str)] = &[
     ("--threads", CountTo(MAX_THREADS), RUN, "fault-shard the concurrent simulator across N workers"),
     ("--shard-plan", OneOf("shard plan", SHARD_PLANS), RUN, "fault partition (default round-robin)"),
     ("--batch-windows", Number(" (0 = one whole-run window)"), RUN,
-     "schedule (shard x N-pattern window) tasks on the workers (0 = one whole-run window)"),
+     "patterns per (shard x window) task (default 128; 0 = one whole-run window)"),
     ("--steal", Switch, RUN, "let idle workers steal runnable shards (overshards 2x)"),
     ("--checkpoint-every", Count, RUN, "snapshot engine state every N patterns (serial runs)"),
     ("--checkpoint-out", Path("DIR"), RUN, "where --checkpoint-every writes ckpt-NNNNNN.bin"),
@@ -484,6 +486,11 @@ impl<'a> Flags<'a> {
         self.simulator() != "csim"
     }
 
+    /// The fault-shard count the run plan builds ([`RunPlan::shards`]).
+    fn shards(&self) -> usize {
+        run_plan(self).shards()
+    }
+
     /// The run writes or restores checkpoints.
     fn checkpointing(&self) -> bool {
         self.on("--checkpoint-every") || self.on("--resume-from")
@@ -562,7 +569,6 @@ const FLAG_RULES: &[Rule] = &[
     (REPLAY, |f| f.on("--patterns") && (f.on("--random") || f.on("--seed")),
      "--patterns FILE cannot combine with --random/--seed, which generate the patterns"),
     (RUN, |f| f.on("--trace-capacity") && !f.on("--trace-out"), "--trace-capacity needs --trace-out"),
-    (RUN, |f| f.on("--steal") && !f.on("--batch-windows"), "--steal needs --batch-windows"),
     (RUN, |f| f.on("--checkpoint-every") != f.on("--checkpoint-out"),
      "--checkpoint-every and --checkpoint-out go together (cadence and directory)"),
     ("sim", |f| f.baseline() && f.on("--prune"), "--prune needs the concurrent simulator, not {sim}"),
@@ -571,15 +577,17 @@ const FLAG_RULES: &[Rule] = &[
     ("sim", |f| f.baseline() && f.on("--trace-out"), "--trace-out needs the concurrent simulator, not {sim}"),
     ("sim", |f| f.baseline() && f.num_or("--threads", 1) > 1, "--threads needs the concurrent simulator, not {sim}"),
     ("sim", |f| f.baseline() && f.on("--batch-windows"), "--batch-windows needs the concurrent simulator, not {sim}"),
+    ("sim", |f| f.baseline() && f.on("--steal"), "--steal needs the concurrent simulator, not {sim}"),
     ("sim", |f| f.baseline() && f.on("--paranoid"), "--paranoid needs the concurrent simulator, not {sim}"),
     ("sim", |f| f.baseline() && f.on("--trace-every"), "--trace-every needs the concurrent simulator, not {sim}"),
     ("sim", |f| f.baseline() && f.on("--shard-plan"), "--shard-plan needs the concurrent simulator, not {sim}"),
     ("sim", |f| f.baseline() && f.on("--variant"), "--variant needs the concurrent simulator, not {sim}"),
-    (RUN, |f| f.on("--shard-plan") && !f.baseline() && f.num_or("--threads", 1) == 1 && !f.on("--steal"),
-     "--shard-plan needs more than one shard: --threads 2 or more, or --batch-windows W --steal"),
-    (RUN, |f| f.checkpointing() && f.num_or("--threads", 1) > 1,
-     "checkpointing captures one serial engine; it needs --threads 1"),
-    (RUN, |f| f.checkpointing() && f.on("--batch-windows"), "checkpointing cannot combine with --batch-windows"),
+    (RUN, |f| f.on("--shard-plan") && !f.baseline() && f.shards() == 1,
+     "--shard-plan needs more than one shard: --threads 2 or more, or --steal"),
+    (RUN, |f| f.on("--batch-windows") && !f.baseline() && f.shards() == 1,
+     "--batch-windows needs more than one shard: --threads 2 or more, or --steal"),
+    (RUN, |f| f.checkpointing() && f.shards() > 1,
+     "checkpointing captures one serial engine; it needs --threads 1 without --steal"),
     (RUN, |f| f.checkpointing() && f.on("--trace-out"), "checkpointing cannot combine with --trace-out"),
     ("sim", |f| f.all_variants() && f.on("--detections"), "--detections needs a single --variant"),
     ("sim", |f| f.all_variants() && f.on("--baseline-out"), "--baseline-out needs a single --variant"),
@@ -615,7 +623,7 @@ fn print_usage() {
     out.push_str(
         "\n<circuit>: a .bench file, or @name for a built-in (@s27, @s298g, …)\n\
          flags take either `--flag value` or `--flag=value`; combinations that\n\
-         cannot work (such as --steal without --batch-windows) are refused\n\n",
+         cannot work (such as --learn without --prune) are refused\n\n",
     );
     for (name, _, _, help) in FLAGS {
         out.push_str(&format!("  {name:<18} {help}\n"));
@@ -647,11 +655,11 @@ fn run_plan<'a>(f: &Flags<'a>) -> RunPlan<'a> {
         plan: f.text("--shard-plan").map_or(ShardPlan::RoundRobin, |p| {
             ShardPlan::parse(p).expect("FLAGS lists only shard plans")
         }),
-        batch: f.num("--batch-windows").map(|w| BatchOptions {
-            window: w as usize,
+        batch: BatchOptions {
+            window: f.num_or("--batch-windows", DEFAULT_WINDOW),
             steal: f.on("--steal"),
             ..BatchOptions::default()
-        }),
+        },
         stats: f.on("--stats"),
         stats_json: f.text("--stats-json"),
         trace_every: f.num("--trace-every").map(|n| n as usize),
@@ -1692,7 +1700,6 @@ mod tests {
         "--baseline-out b.json",
         "--patterns p.txt --random 4",
         "--trace-capacity 64",
-        "--steal",
         "--checkpoint-every 4",
         "--simulator proofs --prune",
         "--simulator proofs --incremental --baseline-report b.json",
@@ -1700,13 +1707,14 @@ mod tests {
         "--simulator proofs --trace-out t.json",
         "--simulator proofs --threads 2",
         "--simulator proofs --batch-windows 8",
+        "--simulator proofs --steal",
         "--simulator proofs --paranoid",
         "--simulator proofs --trace-every 4",
         "--simulator proofs --shard-plan contiguous",
         "--simulator proofs --variant m",
         "--shard-plan contiguous",
+        "--batch-windows 8",
         "--threads 2 --resume-from c.bin",
-        "--batch-windows 8 --resume-from c.bin",
         "--trace-out t.json --resume-from c.bin",
         "--variant all --detections d.txt",
         "--variant all --uncollapsed --baseline-out b.json",

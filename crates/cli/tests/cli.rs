@@ -525,7 +525,8 @@ fn version_1_checkpoint_is_refused_with_k001() {
 }
 
 /// One stdout layout for every mode: the report, then the scheduler line
-/// (batched runs), then the `--stats` detail, then the summary table.
+/// (every multi-shard run), then the `--stats` detail, then the summary
+/// table.
 #[test]
 fn stats_sections_print_in_one_order_in_every_mode() {
     for cmd in ["sim", "transition"] {
@@ -550,7 +551,7 @@ fn stats_sections_print_in_one_order_in_every_mode() {
                 report < detail && detail < histograms && histograms < summary,
                 "{cmd} {extra:?}: sections out of order:\n{out}"
             );
-            if extra.contains(&"--batch-windows") {
+            if extra.contains(&"--threads") {
                 let sched = at("  scheduler: ");
                 assert!(report < sched && sched < detail, "{cmd} {extra:?}:\n{out}");
             }
@@ -774,7 +775,10 @@ fn trace_out_writes_valid_chrome_trace_without_perturbing_detections() {
 
     let text = std::fs::read_to_string(&trace).unwrap();
     let stats = cfs_trace::validate_chrome_trace(&text).expect("valid Chrome Trace JSON");
-    assert_eq!(stats.metadata, 5, "process name + 4 shard tracks");
+    assert_eq!(
+        stats.metadata, 9,
+        "process name + 4 shard tracks + 4 worker tracks"
+    );
     assert!(stats.pattern_spans >= 64 * 4, "{stats:?}");
     assert!(stats.divergences > 0, "{stats:?}");
     assert!(stats.convergences > 0, "{stats:?}");
@@ -1301,7 +1305,7 @@ fn silently_ignored_combinations_are_refused() {
     let pats = dir.join("s27.pat");
     std::fs::write(&pats, "0101\n1010\n").unwrap();
     let pats = pats.to_str().unwrap();
-    let cases: [(&[&str], &str); 8] = [
+    let cases: [(&[&str], &str); 10] = [
         (
             &["sim", "@s27", "--patterns", pats, "--random", "50"],
             "--patterns FILE cannot combine with --random/--seed",
@@ -1348,6 +1352,14 @@ fn silently_ignored_combinations_are_refused() {
             ],
             "--shard-plan needs more than one shard",
         ),
+        (
+            &["sim", "@s27", "--threads", "1", "--batch-windows", "8"],
+            "--batch-windows needs more than one shard",
+        ),
+        (
+            &["sim", "@s27", "--simulator", "serial", "--steal"],
+            "--steal needs the concurrent simulator, not \"serial\"",
+        ),
     ];
     for (args, needle) in cases {
         let (code, out, err) = fsim_code(args);
@@ -1375,7 +1387,7 @@ fn feature_flag_pairs_match_serial_or_are_refused() {
     std::fs::create_dir_all(&dir).unwrap();
     let p = |name: &str| dir.join(name).to_str().unwrap().to_owned();
     let (ckpts, trace, baseline) = (p("ckpts"), p("run.trace.json"), p("base.json"));
-    let features: [(&str, Vec<&str>); 12] = [
+    let features: [(&str, Vec<&str>); 13] = [
         ("prune", vec!["--prune"]),
         ("learn", vec!["--prune", "--learn"]),
         ("uncollapsed", vec!["--uncollapsed"]),
@@ -1386,6 +1398,7 @@ fn feature_flag_pairs_match_serial_or_are_refused() {
             "steal",
             vec!["--threads", "2", "--batch-windows", "8", "--steal"],
         ),
+        ("threads-steal", vec!["--threads", "2", "--steal"]),
         (
             "checkpoint",
             vec!["--checkpoint-every", "16", "--checkpoint-out", &ckpts],
@@ -1401,6 +1414,7 @@ fn feature_flag_pairs_match_serial_or_are_refused() {
                 "threads+checkpoint",
                 "batched+checkpoint",
                 "steal+checkpoint",
+                "threads-steal+checkpoint",
                 "checkpoint+trace-out",
             ];
         }
@@ -1416,6 +1430,8 @@ fn feature_flag_pairs_match_serial_or_are_refused() {
             "batched+baseline-out",
             "steal+checkpoint",
             "steal+baseline-out",
+            "threads-steal+checkpoint",
+            "threads-steal+baseline-out",
             "checkpoint+trace-out",
             "checkpoint+baseline-out",
             "trace-out+baseline-out",

@@ -30,9 +30,11 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-/// Default pattern-window size: matches the good-trace block length the
-/// one-axis sharded path has always used, so the default scheduler run
-/// produces identical trace-production order and counters.
+/// Default pattern-window size: the window of every scheduled run that
+/// names none (`fsim --threads N` without `--batch-windows`). Results and
+/// counters do not depend on it; it sets the task grain and, with
+/// the scheduler's fixed lookahead, how many good traces the coordinator
+/// holds at once.
 pub const DEFAULT_WINDOW: usize = 128;
 
 /// Windows of traces the coordinator may produce beyond the slowest

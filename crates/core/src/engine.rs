@@ -167,34 +167,10 @@ impl<P: Probe> Engine<P> {
             probe,
             net,
         };
-        // Permanent local elements. A stuck source output (primary input or
-        // flip-flop Q) holds its stuck value from the start, so it diverges
-        // from the unknown good value on the visible list; every other fault
-        // starts invisible (value X == good X) at its site.
+        // Every fault's permanent local element, against the all-X good
+        // machine.
         for ni in 0..n as NodeId {
-            let source = !matches!(eng.net.nodes[ni as usize].kind, NodeKind::Eval);
-            let start = |fid: u32| match eng.net.descriptors[fid as usize].effect {
-                LocalEffect::OutputStuck(v) if source => v,
-                _ => Logic::X,
-            };
-            for want_visible in [true, false] {
-                let mut b = ListBuilder::new();
-                for &fid in eng.net.locals_of(ni) {
-                    let v = start(fid);
-                    if (v != Logic::X || !eng.split) == want_visible {
-                        b.push(&mut eng.arena, fid, v);
-                    }
-                }
-                if b.is_empty() {
-                    continue;
-                }
-                let head = b.finish(&mut eng.arena);
-                if want_visible {
-                    eng.vis_head[ni as usize] = head;
-                } else {
-                    eng.inv_head[ni as usize] = head;
-                }
-            }
+            eng.reset_locals(ni);
         }
         // First step evaluates everything (initial values are all X; local
         // stuck values may already diverge).
@@ -238,46 +214,9 @@ impl<P: Probe> Engine<P> {
                 self.good[q as usize] = v;
                 self.schedule_fanouts(q);
             }
-            // Drop non-local state-diff elements; rebuild local elements
-            // against the new good value.
-            let old_vis = std::mem::replace(&mut self.vis_head[q as usize], NIL);
-            let old_inv = std::mem::replace(&mut self.inv_head[q as usize], NIL);
-            self.arena.free_list(old_vis);
-            self.arena.free_list(old_inv);
-            let good = self.good[q as usize];
-            // Two passes — the visible run must be sealed before the
-            // invisible run opens (one contiguous run at a time).
-            for pass in 0..2 {
-                let want_visible = pass == 0;
-                let mut b = ListBuilder::new();
-                for &fid in self.net.locals_of(q) {
-                    let d = &self.net.descriptors[fid as usize];
-                    if (self.drop_detected && d.is_detected()) || self.hot.holds(fid) {
-                        continue;
-                    }
-                    let v = match d.effect {
-                        // A stuck Q persists through reset.
-                        LocalEffect::OutputStuck(v) => v,
-                        // A stuck D pin re-latches its value only at the next
-                        // clock; the forced reset overrides it for now. Same
-                        // for transition faults at the D pin.
-                        LocalEffect::PinStuck { .. } | LocalEffect::TransitionPin { .. } => good,
-                        LocalEffect::FaultyLut(_) => {
-                            unreachable!("flip-flops host no functional faults")
-                        }
-                    };
-                    let visible = v != good || !self.split;
-                    if visible == want_visible {
-                        b.push(&mut self.arena, fid, v);
-                    }
-                }
-                let head = b.finish(&mut self.arena);
-                if want_visible {
-                    self.vis_head[q as usize] = head;
-                } else {
-                    self.inv_head[q as usize] = head;
-                }
-            }
+            // A forced reset overrides every machine's state: drop the
+            // state-diff elements and rebuild the local ones.
+            self.reset_locals(q);
         }
     }
 
@@ -289,28 +228,35 @@ impl<P: Probe> Engine<P> {
             let n = self.net.pi_nodes[k];
             let changed = self.good[n as usize] != v;
             self.good[n as usize] = v;
-            self.refresh_source_locals(n);
+            if self.verify {
+                self.touched[n as usize] = true;
+            }
+            self.reset_locals(n);
             if changed {
                 self.schedule_fanouts(n);
             }
         }
     }
 
-    /// Rebuilds a source node's fault list from its local faults (all
-    /// output-stuck): visible iff the stuck value differs from the good
-    /// value. Detected faults are purged.
-    fn refresh_source_locals(&mut self, n: NodeId) {
-        if self.verify {
-            self.touched[n as usize] = true;
-        }
+    /// Rebuilds node `n`'s lists from its permanent local elements alone,
+    /// dropping every other element. A stuck output at a source node
+    /// (primary input or flip-flop Q) holds its stuck value; every other
+    /// local fault sits at the node's good value (a stuck D pin re-latches
+    /// only at the next clock). Elements that differ from the good value
+    /// are visible. Dropped detected faults and promoted faults get none.
+    /// Callers that rebuild during a run mark the node for the purge-law
+    /// check; construction does not, since a restored checkpoint's lazily
+    /// purged lists would fail that check.
+    fn reset_locals(&mut self, n: NodeId) {
         let old_vis = std::mem::replace(&mut self.vis_head[n as usize], NIL);
         let old_inv = std::mem::replace(&mut self.inv_head[n as usize], NIL);
         self.arena.free_list(old_vis);
         self.arena.free_list(old_inv);
+        let source = !matches!(self.net.nodes[n as usize].kind, NodeKind::Eval);
         let good = self.good[n as usize];
-        // Two passes: one contiguous run at a time (see `set_dff_state`).
-        for pass in 0..2 {
-            let want_visible = pass == 0;
+        // Two passes — the visible run must be sealed before the
+        // invisible run opens (one contiguous run at a time).
+        for want_visible in [true, false] {
             let mut b = ListBuilder::new();
             for &fid in self.net.locals_of(n) {
                 let d = &self.net.descriptors[fid as usize];
@@ -318,11 +264,10 @@ impl<P: Probe> Engine<P> {
                     continue;
                 }
                 let v = match d.effect {
-                    LocalEffect::OutputStuck(v) => v,
-                    _ => unreachable!("primary inputs host only output-stuck faults"),
+                    LocalEffect::OutputStuck(v) if source => v,
+                    _ => good,
                 };
-                let visible = v != good || !self.split;
-                if visible == want_visible {
+                if (v != good || !self.split) == want_visible {
                     b.push(&mut self.arena, fid, v);
                 }
             }
@@ -774,7 +719,7 @@ impl<P: Probe> Engine<P> {
             let old_inv = std::mem::replace(&mut self.inv_head[q as usize], NIL);
             self.arena.free_list(old_vis);
             self.arena.free_list(old_inv);
-            // Two passes: one contiguous run at a time (see `set_dff_state`).
+            // Two passes: one contiguous run at a time (see `reset_locals`).
             let mut vis = ListBuilder::new();
             for &(fid, val, visible) in elements {
                 if visible || !self.split {

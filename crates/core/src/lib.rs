@@ -20,7 +20,7 @@
 //! models share the engine and differ only in their clock cycle — and
 //! everything above one machine is written once over that trait:
 //! [`ShardedSim`] splits the fault list across shards that share one good
-//! machine, runs them serially, sharded, or under the pattern-window ×
+//! machine, runs one shard serially and more under the pattern-window ×
 //! fault-shard work-stealing scheduler, and merges the results
 //! deterministically. [`ParallelSim`] and [`ParallelTransitionSim`] are its
 //! stuck-at and transition instantiations.
@@ -53,7 +53,6 @@ mod list;
 mod machine;
 mod network;
 mod parallel;
-mod pargood;
 mod sched;
 mod stuck;
 mod transition;

@@ -24,15 +24,16 @@
 //! * sequential DFF/arena state hands off at window boundaries by
 //!   construction: each shard's engine carries its own state, and the
 //!   scheduler runs a shard's windows strictly in order,
-//! * [`ShardedSim::run_batched`] additionally swaps the scalar good
-//!   machine for the 64-lane pattern-parallel [`crate::pargood`] good
-//!   machine (PPSFP's DFFs-as-pseudo-inputs trick),
 //! * results merge deterministically — statuses by global fault index,
 //!   detections sorted by `(pattern, fault id)` — so the output is
 //!   bit-identical for any (window size, thread count, steal schedule),
 //!   including `P = 1`, which skips the good-trace machinery entirely
 //!   (the good engine is only built when a run schedules) and runs the
 //!   serial machine's own path.
+//!
+//! Every scheduled run reads the same good machine, one scalar
+//! [`Engine::good_cycle`] per pattern, so the merged counters depend on
+//! the shard partition but never on the window size or the schedule.
 //!
 //! Determinism needs no locks because fault detection is a per-fault fact:
 //! whether (and at which pattern) fault `f` is detected depends only on
@@ -56,7 +57,6 @@ use crate::batch::{run_windows, seeded_schedule, window_bounds, BatchOptions, Sc
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::engine::Engine;
 use crate::machine::FaultMachine;
-use crate::pargood::PackedGood;
 use crate::stuck::ConcurrentSim;
 use crate::transition::TransitionSim;
 
@@ -258,9 +258,9 @@ struct Shard<M> {
 /// shard's own engine, so sharding changes nothing about either model's
 /// semantics.
 ///
-/// With one thread and one shard, the shard holds every fault and runs
-/// the exact serial code path: no good machine is built, no trace is
-/// produced, no worker thread starts.
+/// With one shard, the shard holds every fault and runs the exact serial
+/// code path: no good machine is built, no trace is produced, no worker
+/// thread starts.
 ///
 /// # Examples
 ///
@@ -522,9 +522,10 @@ impl<M: FaultMachine> ShardedSim<M> {
         self.plan
     }
 
-    /// One thread over one shard: runs take the serial path.
+    /// One shard: runs take the serial path, whatever the thread count
+    /// and batch options.
     fn is_serial(&self) -> bool {
-        self.threads == 1 && self.shards.len() == 1
+        self.shards.len() == 1
     }
 
     fn name_str(&self) -> String {
@@ -699,33 +700,31 @@ fn good_engine<M: FaultMachine>(machine: &M) -> Engine {
     )
 }
 
-/// The 64-lane pattern-parallel good machine, starting from `good`'s
-/// committed flip-flop state.
-fn packed_good(good: &Engine) -> PackedGood {
-    let state = good
-        .net
-        .dff_nodes
-        .iter()
-        .map(|&q| good.good[q as usize])
-        .collect();
-    PackedGood::new(&good.net, state)
-}
-
-/// Folds the pattern-parallel good work into the engine's counters and
-/// commits the post-run state, so consecutive runs stay sequentially
-/// consistent with the scalar good machine.
-fn commit_packed(good: &mut Engine, pg: &PackedGood) {
-    good.good_evals += pg.scalar_evals + pg.packed_evals;
-    good.set_dff_state(&pg.state);
+/// The settled good trace of every pattern in `patterns`, in order: the
+/// window trace every shard of a scheduled run reads.
+fn good_traces(good: &mut Engine, patterns: &[Vec<Logic>]) -> Vec<Vec<Logic>> {
+    patterns.iter().map(|p| good.good_cycle(p)).collect()
 }
 
 impl<M: FaultMachine + Send> ShardedSim<M> {
-    /// Simulates a pattern sequence and assembles the merged report.
+    /// Simulates a pattern sequence under the default [`BatchOptions`]
+    /// and assembles the merged report.
     pub fn run(&mut self, patterns: &[Vec<Logic>]) -> FaultSimReport {
-        self.run_with(patterns, |_, _| {})
+        self.run_batched(patterns, &BatchOptions::default())
     }
 
-    /// Like [`ShardedSim::run`], but calls `after(self, done)` on the
+    /// Runs under explicit [`BatchOptions`]: `(shard × window)` tasks on
+    /// the work-stealing scheduler, the two-dimensional (pattern-window ×
+    /// fault-shard) mode. Both passes of a transition cycle consume the
+    /// same settled good trace. A one-shard simulator takes the serial
+    /// path whatever `batch` says. Detections are bit-identical to the
+    /// serial simulator for any window size, thread count, and steal
+    /// schedule.
+    pub fn run_batched(&mut self, patterns: &[Vec<Logic>], batch: &BatchOptions) -> FaultSimReport {
+        self.run_batched_with(patterns, batch, |_, _| {})
+    }
+
+    /// [`ShardedSim::run_batched`] that calls `after(self, done)` on the
     /// coordinating thread as patterns settle on every shard (`done` =
     /// patterns completed so far): after every pattern on the serial path,
     /// after every window on scheduled runs. The callback sees quiescent
@@ -734,44 +733,70 @@ impl<M: FaultMachine + Send> ShardedSim<M> {
     /// runs the callbacks replay after the workers finish; because probes
     /// record per-pattern, the merged view at each boundary is identical
     /// to a barriered run's.
-    pub fn run_with(
-        &mut self,
-        patterns: &[Vec<Logic>],
-        mut after: impl FnMut(&Self, usize),
-    ) -> FaultSimReport {
-        if self.is_serial() {
-            let start = Instant::now();
-            for (i, p) in patterns.iter().enumerate() {
-                self.shards[0].machine.step_with(p, None);
-                after(self, i + 1);
-            }
-            self.report(patterns.len(), start.elapsed())
-        } else {
-            // Scalar good traces in pattern order keep the good engine's
-            // counters bit-identical to the historical barriered path.
-            self.run_scheduled(patterns, &BatchOptions::default(), false, &mut after)
-        }
-    }
-
-    /// Runs under explicit [`BatchOptions`] with the 64-lane
-    /// pattern-parallel good machine producing window traces — the
-    /// two-dimensional (pattern-batch × fault-shard) mode. Both passes of
-    /// a transition cycle consume the same settled good trace. Detections
-    /// are bit-identical to [`ShardedSim::run`] and to the serial
-    /// simulator for any window size, thread count, and steal schedule.
-    pub fn run_batched(&mut self, patterns: &[Vec<Logic>], batch: &BatchOptions) -> FaultSimReport {
-        self.run_batched_with(patterns, batch, |_, _| {})
-    }
-
-    /// [`ShardedSim::run_batched`] with the per-window callback of
-    /// [`ShardedSim::run_with`].
+    ///
+    /// The good machine produces window traces on the caller's thread
+    /// while `threads` workers drain shard deques, stepping each pattern
+    /// of the task's window against its trace. Shards are handed to
+    /// workers through uncontended `Mutex` slots: the scheduler runs a
+    /// shard's windows strictly in order, so no two workers ever hold the
+    /// same shard (each lock is a formality the type system demands,
+    /// never a wait).
+    ///
+    /// Determinism: per-shard work is identical to a serial walk of that
+    /// shard over the full pattern sequence (same engine, same pattern
+    /// order, same good traces), so merged results cannot depend on worker
+    /// count or steal schedule.
     pub fn run_batched_with(
         &mut self,
         patterns: &[Vec<Logic>],
         batch: &BatchOptions,
         mut after: impl FnMut(&Self, usize),
     ) -> FaultSimReport {
-        self.run_scheduled(patterns, batch, true, &mut after)
+        let start = Instant::now();
+        if self.is_serial() {
+            for (i, p) in patterns.iter().enumerate() {
+                self.shards[0].machine.step_with(p, None);
+                after(self, i + 1);
+            }
+            return self.report(patterns.len(), start.elapsed());
+        }
+        let bounds = window_bounds(patterns.len(), batch.window);
+        let stats = {
+            let Self {
+                shards,
+                good,
+                threads,
+                ..
+            } = self;
+            let good = good.get_or_insert_with(|| good_engine(&shards[0].machine));
+            let sizes: Vec<usize> = bounds.iter().map(|&(lo, hi)| hi - lo).collect();
+            let slots: Vec<Mutex<&mut Shard<M>>> = shards.iter_mut().map(Mutex::new).collect();
+            run_windows(
+                *threads,
+                slots.len(),
+                &sizes,
+                batch.steal,
+                batch.steal_seed,
+                |w| {
+                    let (lo, hi) = bounds[w];
+                    good_traces(good, &patterns[lo..hi])
+                },
+                |s, w, trace: &Vec<Vec<Logic>>| {
+                    let mut shard = slots[s].lock().expect("uncontended shard slot");
+                    let (lo, hi) = bounds[w];
+                    for (p, t) in patterns[lo..hi].iter().zip(trace.iter()) {
+                        shard.machine.step_with(p, Some(t));
+                    }
+                },
+            )
+        };
+        self.sched = Some(stats);
+        let mut done = 0usize;
+        for &(lo, hi) in &bounds {
+            done += hi - lo;
+            after(self, done);
+        }
+        self.report(patterns.len(), start.elapsed())
     }
 
     /// Single-threaded replay of the deterministic steal interleaving
@@ -791,7 +816,6 @@ impl<M: FaultMachine + Send> ShardedSim<M> {
         {
             let Self { shards, good, .. } = self;
             let good = good.get_or_insert_with(|| good_engine(&shards[0].machine));
-            let mut pg = packed_good(good);
             let order = seeded_schedule(shards.len(), bounds.len(), schedule_seed);
             let mut traces: Vec<Option<Vec<Vec<Logic>>>> = Vec::new();
             traces.resize_with(bounds.len(), || None);
@@ -800,7 +824,7 @@ impl<M: FaultMachine + Send> ShardedSim<M> {
             for (s, w) in order {
                 while produced <= w {
                     let (lo, hi) = bounds[produced];
-                    traces[produced] = Some(pg.window_traces(&good.net, &patterns[lo..hi]));
+                    traces[produced] = Some(good_traces(good, &patterns[lo..hi]));
                     produced += 1;
                 }
                 let (lo, hi) = bounds[w];
@@ -813,94 +837,8 @@ impl<M: FaultMachine + Send> ShardedSim<M> {
                     traces[w] = None; // same retirement rule as the scheduler
                 }
             }
-            commit_packed(good, &pg);
         }
         self.sched = None;
-        self.report(patterns.len(), start.elapsed())
-    }
-
-    /// Runs every `(shard × window)` task on the work-stealing scheduler.
-    ///
-    /// The good machine produces traces on the caller's thread — scalar
-    /// [`Engine::good_cycle`] per pattern by default, or the 64-lane
-    /// [`PackedGood`] machine when `packed` — while `threads` workers
-    /// drain shard deques, stepping each pattern of the task's window
-    /// against its trace. Shards are handed to workers through
-    /// uncontended `Mutex` slots: the scheduler runs a shard's windows
-    /// strictly in order, so no two workers ever hold the same shard (each
-    /// lock is a formality the type system demands, never a wait).
-    ///
-    /// Determinism: per-shard work is identical to a serial walk of that
-    /// shard over the full pattern sequence (same engine, same pattern
-    /// order, same good traces), so merged results cannot depend on worker
-    /// count or steal schedule.
-    fn run_scheduled(
-        &mut self,
-        patterns: &[Vec<Logic>],
-        batch: &BatchOptions,
-        packed: bool,
-        after: &mut dyn FnMut(&Self, usize),
-    ) -> FaultSimReport {
-        let start = Instant::now();
-        let bounds = window_bounds(patterns.len(), batch.window);
-        let stats = {
-            let Self {
-                shards,
-                good,
-                threads,
-                ..
-            } = self;
-            let good = good.get_or_insert_with(|| good_engine(&shards[0].machine));
-            let sizes: Vec<usize> = bounds.iter().map(|&(lo, hi)| hi - lo).collect();
-            let slots: Vec<Mutex<&mut Shard<M>>> = shards.iter_mut().map(Mutex::new).collect();
-            let run = |s: usize, w: usize, trace: &Vec<Vec<Logic>>| {
-                let mut shard = slots[s].lock().expect("uncontended shard slot");
-                let (lo, hi) = bounds[w];
-                for (p, t) in patterns[lo..hi].iter().zip(trace.iter()) {
-                    shard.machine.step_with(p, Some(t));
-                }
-            };
-            if packed {
-                let mut pg = packed_good(good);
-                let net = &good.net;
-                let stats = run_windows(
-                    *threads,
-                    slots.len(),
-                    &sizes,
-                    batch.steal,
-                    batch.steal_seed,
-                    |w| {
-                        let (lo, hi) = bounds[w];
-                        pg.window_traces(net, &patterns[lo..hi])
-                    },
-                    run,
-                );
-                commit_packed(good, &pg);
-                stats
-            } else {
-                run_windows(
-                    *threads,
-                    slots.len(),
-                    &sizes,
-                    batch.steal,
-                    batch.steal_seed,
-                    |w| {
-                        let (lo, hi) = bounds[w];
-                        patterns[lo..hi]
-                            .iter()
-                            .map(|p| good.good_cycle(p))
-                            .collect()
-                    },
-                    run,
-                )
-            }
-        };
-        self.sched = Some(stats);
-        let mut done = 0usize;
-        for &(lo, hi) in &bounds {
-            done += hi - lo;
-            after(self, done);
-        }
         self.report(patterns.len(), start.elapsed())
     }
 }

@@ -103,23 +103,6 @@ impl PackedLogic {
         }
     }
 
-    /// Packs up to [`LANES`] scalar values into consecutive lanes,
-    /// starting at lane 0; remaining lanes are `X`. This is the bridge
-    /// from per-pattern scalar data (pattern bits, per-pattern DFF
-    /// states) into one machine word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the iterator yields more than [`LANES`] values.
-    pub fn from_lanes<I: IntoIterator<Item = Logic>>(lanes: I) -> Self {
-        let mut w = Self::ALL_X;
-        for (i, v) in lanes.into_iter().enumerate() {
-            assert!(i < LANES, "more than {LANES} lane values");
-            w.set(i, v);
-        }
-        w
-    }
-
     /// Lane-wise Kleene AND.
     #[inline]
     pub const fn and(self, rhs: Self) -> Self {
@@ -329,19 +312,6 @@ mod tests {
         assert_eq!(s.lane(1), Zero);
         assert_eq!(s.lane(2), One);
         assert_eq!(s.lane(3), Zero);
-    }
-
-    #[test]
-    fn from_lanes_round_trips_and_pads_with_x() {
-        let vals = [Zero, One, X, One, Zero];
-        let w = PackedLogic::from_lanes(vals);
-        for (i, v) in vals.iter().enumerate() {
-            assert_eq!(w.lane(i), *v, "lane {i}");
-        }
-        for i in vals.len()..LANES {
-            assert_eq!(w.lane(i), X, "lane {i} padded");
-        }
-        assert_eq!(PackedLogic::from_lanes([]), PackedLogic::ALL_X);
     }
 
     #[test]

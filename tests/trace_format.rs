@@ -340,13 +340,16 @@ fn batched_trace_schema_adds_worker_tracks_and_stays_bit_identical() {
 /// same number of times no matter how many workers execute it, how the
 /// pattern sequence is windowed, or what the steal schedule did. This is
 /// the machine-checkable face of the `--stats` phase table under merges.
+/// The work counters follow for the same reason: every scheduled run
+/// reads one scalar good machine, one cycle per pattern, so `events`,
+/// `fault_evals` and `good_evals` cannot move with the schedule either —
+/// and a one-shard run is the serial machine, batch options or not.
 #[test]
 fn phase_call_counts_are_schedule_invariant() {
     let c = circuit();
     let faults = collapse_stuck_at(&c).representatives;
     let pats = patterns(&c, 48, 13);
-    let shards = 4;
-    let snapshot_of = |threads: usize, batch: Option<BatchOptions>| -> MetricsSnapshot {
+    let snapshot_of = |threads: usize, shards: usize, batch: Option<BatchOptions>| {
         let mut sim = ParallelSim::with_probes_sharded(
             &c,
             &faults,
@@ -363,45 +366,47 @@ fn phase_call_counts_are_schedule_invariant() {
         };
         sim.snapshot()
     };
-    let reference = snapshot_of(1, None);
-    let runs = [
-        snapshot_of(2, None),
-        snapshot_of(4, None),
-        snapshot_of(
-            1,
-            Some(BatchOptions {
-                window: 5,
-                steal: true,
-                ..BatchOptions::default()
-            }),
-        ),
-        snapshot_of(
-            4,
-            Some(BatchOptions {
-                window: 7,
-                steal: true,
-                ..BatchOptions::default()
-            }),
-        ),
-        snapshot_of(
-            4,
-            Some(BatchOptions {
-                window: 0,
-                steal: false,
-                ..BatchOptions::default()
-            }),
-        ),
-    ];
-    for (k, snap) in runs.iter().enumerate() {
+    let same = |label: &str, snap: &MetricsSnapshot, reference: &MetricsSnapshot| {
         for phase in Phase::ALL {
             assert_eq!(
                 snap.phases.count(phase),
                 reference.phases.count(phase),
-                "run {k}: phase {} call count drifted under the scheduler",
+                "{label}: phase {} call count drifted under the scheduler",
                 phase.name()
             );
         }
+        assert_eq!(snap.events, reference.events, "{label}: events");
+        assert_eq!(
+            snap.fault_evals, reference.fault_evals,
+            "{label}: fault_evals"
+        );
+        assert_eq!(snap.good_evals, reference.good_evals, "{label}: good_evals");
+    };
+    let batch = |window: usize, steal: bool| {
+        Some(BatchOptions {
+            window,
+            steal,
+            ..BatchOptions::default()
+        })
+    };
+    let reference = snapshot_of(1, 4, None);
+    let runs = [
+        ("2 threads", snapshot_of(2, 4, None)),
+        ("4 threads", snapshot_of(4, 4, None)),
+        ("1 thread, window 5", snapshot_of(1, 4, batch(5, true))),
+        ("4 threads, window 7", snapshot_of(4, 4, batch(7, true))),
+        ("4 threads, one window", snapshot_of(4, 4, batch(0, false))),
+    ];
+    for (label, snap) in &runs {
+        same(label, snap, &reference);
     }
+    let mut serial = ConcurrentSim::instrumented(&c, &faults, CsimVariant::Mv.options());
+    serial.run(&pats);
+    same(
+        "one shard, window 8",
+        &snapshot_of(1, 1, batch(8, true)),
+        &serial.snapshot(),
+    );
 }
 
 /// The after-window callback is the CLI's milestone hook: cumulative done
