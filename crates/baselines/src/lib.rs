@@ -31,13 +31,11 @@
 #![forbid(unsafe_code)]
 
 mod deductive;
-mod dictionary;
 mod proofs;
 mod serial;
 mod transition_ref;
 
 pub use deductive::{zero_state, DeductiveError, DeductiveSim};
-pub use dictionary::{Failure, FaultDictionary, PassFailDictionary};
 pub use proofs::ProofsSim;
 pub use serial::{FaultySim, SerialSim};
 pub use transition_ref::SerialTransitionSim;

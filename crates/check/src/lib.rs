@@ -13,6 +13,7 @@
 //!
 //! * [`check_bench_source`] — everything, over raw `.bench` text. Lenient:
 //!   collects every finding rather than stopping at the first.
+//!   [`check_and_parse_bench`] also hands back the circuit it parsed.
 //! * [`check_circuit`] — everything, over an already-built [`Circuit`]
 //!   (built-in benchmarks, generated circuits).
 //! * [`check_collapse`] / [`check_macro_cells`] / [`check_shard_partition`]
@@ -80,7 +81,7 @@ pub use model_check::{
     check_collapse, check_macro_cells, check_macros, check_models, check_shard_partition,
     MacroCellView,
 };
-pub use netlist_check::check_bench_source;
+pub use netlist_check::{check_and_parse_bench, check_bench_source};
 
 use cfs_netlist::{write_bench, Circuit};
 

@@ -110,10 +110,11 @@ pub fn check_collapse(
 }
 
 /// `M001`: verifies macro cells against the fanout-free-region contract —
-/// every combinational gate in exactly one cell, roots inside their own
-/// cells, support within the cap, support drawn only from primary inputs,
-/// flip-flops, and other cells' roots, and no internal gate observable
-/// outside its cell.
+/// every combinational gate in exactly one cell, except a gate with more
+/// distinct inputs than the cap, which may be in none (a direct gate);
+/// roots inside their own cells, support within the cap, support drawn
+/// only from primary inputs, flip-flops, other cells' roots and direct
+/// gates, and no internal gate observable outside its cell.
 pub fn check_macro_cells(
     circuit: &Circuit,
     cells: &[MacroCellView],
@@ -147,7 +148,7 @@ pub fn check_macro_cells(
             continue;
         }
         let id = GateId::from_index(i);
-        if !cell_of.contains_key(&id) {
+        if !cell_of.contains_key(&id) && distinct_fanin(gate.fanin()) <= cap {
             report.add(
                 RuleCode::IllegalMacroRegion,
                 span_of(prov, id),
@@ -166,8 +167,7 @@ pub fn check_macro_cells(
                 ),
             );
         }
-        let root_arity = circuit.gate(cell.root).fanin().len();
-        if cell.support.len() > cap.max(root_arity) {
+        if cell.support.len() > cap {
             report.add(
                 RuleCode::IllegalMacroRegion,
                 span_of(prov, cell.root),
@@ -175,13 +175,15 @@ pub fn check_macro_cells(
                     "cell rooted at {:?} has {} support nodes (cap {})",
                     circuit.gate(cell.root).name(),
                     cell.support.len(),
-                    cap.max(root_arity)
+                    cap
                 ),
             );
         }
         for &s in &cell.support {
-            let legal_source = matches!(circuit.gate(s).kind(), GateKind::Input | GateKind::Dff)
-                || roots.contains_key(&s);
+            let legal_source = match circuit.gate(s).kind() {
+                GateKind::Input | GateKind::Dff => true,
+                GateKind::Comb(_) => roots.contains_key(&s) || !cell_of.contains_key(&s),
+            };
             if !legal_source || cell.members.contains(&s) {
                 report.add(
                     RuleCode::IllegalMacroRegion,
@@ -225,6 +227,15 @@ pub fn check_macro_cells(
             }
         }
     }
+}
+
+/// The number of distinct nets among a gate's inputs.
+fn distinct_fanin(fanin: &[GateId]) -> usize {
+    fanin
+        .iter()
+        .enumerate()
+        .filter(|&(k, g)| !fanin[..k].contains(g))
+        .count()
 }
 
 /// Adapter: checks a real [`MacroCircuit`] by reducing its cells to

@@ -10,7 +10,7 @@
 use std::collections::{HashMap, HashSet};
 
 use cfs_logic::GateFn;
-use cfs_netlist::parse_bench_with_provenance;
+use cfs_netlist::{parse_bench_with_provenance, Circuit};
 
 use crate::analyze::cross_check_observability;
 use crate::diag::{Report, RuleCode, Severity, Span};
@@ -54,40 +54,60 @@ struct Scan {
 /// assert_eq!(report.with_code(cfs_check::RuleCode::UndrivenNet).count(), 1);
 /// ```
 pub fn check_bench_source(name: &str, source: &str) -> Report {
+    check_and_parse_bench(name, source).0
+}
+
+/// [`check_bench_source`], also returning the circuit the fault-model
+/// pass parsed, so a caller that goes on to simulate reads and parses the
+/// file once. The circuit is the one [`cfs_netlist::parse_bench`] builds;
+/// it is `None` only when the report has errors (the structural pass
+/// failed, so nothing was parsed, or the parser refused the text).
+///
+/// # Examples
+///
+/// ```
+/// let source = "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n";
+/// let (report, circuit) = cfs_check::check_and_parse_bench("inv", source);
+/// assert!(!report.has_errors());
+/// assert_eq!(circuit.unwrap().num_nodes(), 2);
+/// ```
+pub fn check_and_parse_bench(name: &str, source: &str) -> (Report, Option<Circuit>) {
     let mut report = Report::new(name);
     let scan = scan_source(source, &mut report);
     let flagged = analyze_structure(&scan, &mut report);
-    if !report.has_errors() {
-        match parse_bench_with_provenance(name, source) {
-            Ok((circuit, prov)) => {
-                check_models(&circuit, Some(&prov), &mut report);
-                // F003: the textual N004 pass and the circuit-level
-                // observability analysis must agree fault for fault.
-                cross_check_observability(
-                    &circuit,
-                    Some(&prov),
-                    &flagged.unreachable,
-                    &flagged.dangling,
-                    &mut report,
-                );
-            }
-            Err(e) => {
-                // Safety net: the structural pass must be at least as
-                // strict as the parser. Reaching this branch is a checker
-                // bug, not a user error — still surface it as one.
-                let span = e.line().map(|line| Span {
-                    line,
-                    col: e.column().unwrap_or(1),
-                });
-                report.add(
-                    RuleCode::SyntaxError,
-                    span,
-                    format!("netlist rejected by the parser despite a clean structural pass: {e}"),
-                );
-            }
+    if report.has_errors() {
+        return (report, None);
+    }
+    match parse_bench_with_provenance(name, source) {
+        Ok((circuit, prov)) => {
+            check_models(&circuit, Some(&prov), &mut report);
+            // F003: the textual N004 pass and the circuit-level
+            // observability analysis must agree fault for fault.
+            cross_check_observability(
+                &circuit,
+                Some(&prov),
+                &flagged.unreachable,
+                &flagged.dangling,
+                &mut report,
+            );
+            (report, Some(circuit))
+        }
+        Err(e) => {
+            // Safety net: the structural pass must be at least as
+            // strict as the parser. Reaching this branch is a checker
+            // bug, not a user error — still surface it as one.
+            let span = e.line().map(|line| Span {
+                line,
+                col: e.column().unwrap_or(1),
+            });
+            report.add(
+                RuleCode::SyntaxError,
+                span,
+                format!("netlist rejected by the parser despite a clean structural pass: {e}"),
+            );
+            (report, None)
         }
     }
-    report
 }
 
 /// Column of the first non-whitespace character (1-based).

@@ -704,21 +704,30 @@ fn circuit_name_of(spec: &str) -> &str {
     })
 }
 
-/// Runs the full `cfs-check` analysis over a circuit spec. Files are
-/// analyzed as raw source so spans point at the actual file lines;
-/// built-ins go through their canonical serialization.
-fn check_spec(spec: &str) -> Result<cfs_check::Report, Box<dyn std::error::Error>> {
+/// Runs the full `cfs-check` analysis over a circuit spec and returns the
+/// report with the circuit it checked (`None` only alongside errors).
+/// Files are read and parsed once, as raw source, so spans point at the
+/// actual file lines; built-ins are generated once and checked through
+/// their canonical serialization.
+fn check_spec(
+    spec: &str,
+) -> Result<(cfs_check::Report, Option<Circuit>), Box<dyn std::error::Error>> {
     if spec.starts_with('@') {
-        return Ok(cfs_check::check_circuit(&load_circuit(spec)?));
+        let circuit = load_circuit(spec)?;
+        return Ok((cfs_check::check_circuit(&circuit), Some(circuit)));
     }
     let text = fs::read_to_string(spec).map_err(|e| err(format!("cannot read {spec}: {e}")))?;
-    Ok(cfs_check::check_bench_source(circuit_name_of(spec), &text))
+    Ok(cfs_check::check_and_parse_bench(
+        circuit_name_of(spec),
+        &text,
+    ))
 }
 
 /// Loads a circuit for simulation, running the `cfs-check` preflight
 /// first (unless `--no-check`): on error-severity findings the
 /// diagnostics go to stderr and the run refuses to start. Returns the
-/// circuit and the preflight's wall time for the phase table.
+/// circuit the preflight checked and the preflight's wall time for the
+/// phase table.
 fn load_circuit_checked(
     spec: &str,
     no_check: bool,
@@ -727,20 +736,22 @@ fn load_circuit_checked(
         return Ok((load_circuit(spec)?, Duration::ZERO));
     }
     let started = Instant::now();
-    let report = check_spec(spec)?;
+    let (report, circuit) = check_spec(spec)?;
     let elapsed = started.elapsed();
-    if report.has_errors() {
-        eprint!("{}", report.render_text());
-        return Err(err(format!(
-            "{spec}: refusing to simulate a netlist with check errors (use --no-check to bypass)"
-        )));
+    match circuit {
+        Some(circuit) if !report.has_errors() => Ok((circuit, elapsed)),
+        _ => {
+            eprint!("{}", report.render_text());
+            Err(err(format!(
+                "{spec}: refusing to simulate a netlist with check errors (use --no-check to bypass)"
+            )))
+        }
     }
-    Ok((load_circuit(spec)?, elapsed))
 }
 
 fn cmd_check(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
     let spec = f.arg(0, "circuit")?;
-    let report = check_spec(spec)?;
+    let (report, _) = check_spec(spec)?;
     if f.text("--format") == Some("json") {
         println!("{}", report.render_json());
     } else {
@@ -1279,12 +1290,19 @@ fn cmd_stats(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
         collapsed.ratio()
     );
     println!("transition faults: {}", enumerate_transition(&c).len());
-    let macros = extract_macros(&c, cfs_netlist::DEFAULT_MACRO_MAX_INPUTS);
+    let cap = cfs_netlist::DEFAULT_MACRO_MAX_INPUTS;
+    let macros = extract_macros(&c, cap);
+    let direct = macros.direct_gates().len();
     println!(
-        "macro cells: {} ({:.2} gates/cell, {} KiB of LUTs)",
+        "macro cells: {} ({:.2} gates/cell, {} KiB of LUTs){}",
         macros.num_cells(),
-        c.num_comb_gates() as f64 / macros.num_cells() as f64,
-        macros.lut_memory_bytes() / 1024
+        (c.num_comb_gates() - direct) as f64 / macros.num_cells().max(1) as f64,
+        macros.lut_memory_bytes() / 1024,
+        if direct == 0 {
+            String::new()
+        } else {
+            format!(", {direct} gate(s) wider than {cap} inputs evaluated directly")
+        }
     );
     Ok(())
 }

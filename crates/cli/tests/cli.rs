@@ -586,6 +586,62 @@ fn sim_threads_stats_renders_merged_table() {
     assert!(out.contains("fault-list length per node"), "{out}");
 }
 
+/// A netlist whose gates are wider than the macro input cap (the 11-input
+/// one is wider than any cell LUT) runs under every command: none exits
+/// 101.
+#[test]
+fn no_command_panics_on_wide_gates() {
+    let wide = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/bench/wide.bench"
+    );
+    let pat = std::env::temp_dir().join("fsim-cli-test-wide.pat");
+    let pat = pat.to_str().unwrap();
+    let mut runs: Vec<Vec<&str>> = vec![
+        vec!["check", wide],
+        vec!["stats", wide],
+        vec!["analyze", wide],
+        vec!["sim", wide, "--random", "64", "--prune", "--learn"],
+        vec!["transition", wide, "--random", "64"],
+        vec!["explain", wide, "3", "--random", "64"],
+        vec!["heatmap", wide, "--random", "64"],
+        vec!["atpg", wide, "--out", pat],
+    ];
+    for variant in ["base", "v", "m", "mv"] {
+        runs.push(vec!["sim", wide, "--random", "64", "--variant", variant]);
+    }
+    for args in runs {
+        let (code, _, err) = fsim_code(&args);
+        assert_eq!(code, Some(0), "{args:?}: {err}");
+    }
+}
+
+/// `--threads 1 --steal` runs two shards on one worker: its report line
+/// and `--stats-json` summary name it as a sharded run, not as the serial
+/// run whose counters it does not have.
+#[test]
+fn one_worker_steal_run_is_named_as_sharded() {
+    let dir = std::env::temp_dir().join("fsim-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let names = |extra: &[&str], file: &str| -> (String, String) {
+        let json = dir.join(file);
+        let mut args = vec!["sim", "@s27", "--random", "16"];
+        args.extend_from_slice(extra);
+        args.extend_from_slice(&["--stats-json", json.to_str().unwrap()]);
+        let (ok, out, err) = fsim(&args);
+        assert!(ok, "{err}");
+        let report = out.split(" on ").next().unwrap().to_owned();
+        let text = std::fs::read_to_string(&json).unwrap();
+        let summary = JsonValue::parse(text.lines().last().unwrap()).unwrap();
+        let simulator = summary.get("simulator").and_then(JsonValue::as_str);
+        (report, simulator.unwrap().to_owned())
+    };
+    let serial = names(&[], "name-serial.jsonl");
+    let stolen = names(&["--threads", "1", "--steal"], "name-steal.jsonl");
+    assert_eq!(serial, ("csim-MV".to_owned(), "csim-MV".to_owned()));
+    assert_eq!(stolen, ("csim-MV-p1".to_owned(), "csim-MV-p1".to_owned()));
+}
+
 #[test]
 fn threads_flag_rejects_bad_values() {
     let (ok, _, err) = fsim(&["sim", "@s27", "--threads", "0"]);

@@ -579,32 +579,48 @@ mod tests {
     use cfs_netlist::parse_bench;
     use Logic::*;
 
-    #[test]
-    fn full_universe_matches_zero_delay_on_s27() {
-        // The interference regression: with the whole fault universe and
-        // skewed per-gate delays, detection must match zero-delay csim.
-        use cfs_goodsim::DelayModel;
-        let c = cfs_netlist::data::s27();
-        let faults = cfs_faults::enumerate_stuck_at(&c);
-        let patterns: Vec<Vec<Logic>> = [
+    /// The eight-pattern s27 stimulus the clocked tests share.
+    fn s27_patterns() -> Vec<Vec<Logic>> {
+        [
             "0000", "1111", "0101", "1010", "0011", "1100", "0110", "1001",
         ]
         .iter()
         .map(|p| cfs_logic::parse_pattern(p).unwrap())
-        .collect();
-        let delays = DelayModel::from_fn(&c, |id| 1 + (id.index() as u32 % 3));
-        let mut dsim = DelayCsim::new(&c, delays, &faults);
-        let dreport = dsim.run_clocked(&patterns, 1000);
-        let mut zsim = crate::ConcurrentSim::new(&c, &faults, crate::CsimVariant::Base.options());
-        let zreport = zsim.run(&patterns);
+        .collect()
+    }
+
+    /// Runs the whole stuck-at universe clocked at `period` and asserts
+    /// that it detects the same faults as zero-delay csim.
+    fn assert_detects_like_csim<'c>(
+        c: &'c Circuit,
+        delays: DelayModel,
+        patterns: &[Vec<Logic>],
+        period: u64,
+        variant: crate::CsimVariant,
+    ) -> DelayCsim<'c> {
+        let faults = cfs_faults::enumerate_stuck_at(c);
+        let mut dsim = DelayCsim::new(c, delays, &faults);
+        let dreport = dsim.run_clocked(patterns, period);
+        let mut zsim = crate::ConcurrentSim::new(c, &faults, variant.options());
+        let zreport = zsim.run(patterns);
         for (i, (a, b)) in dreport.statuses.iter().zip(&zreport.statuses).enumerate() {
             assert_eq!(
                 a.is_detected(),
                 b.is_detected(),
                 "fault {i}: {}",
-                faults[i].describe(&c)
+                faults[i].describe(c)
             );
         }
+        dsim
+    }
+
+    #[test]
+    fn full_universe_matches_zero_delay_on_s27() {
+        // The interference regression: with the whole fault universe and
+        // skewed per-gate delays, detection must match zero-delay csim.
+        let c = cfs_netlist::data::s27();
+        let delays = DelayModel::from_fn(&c, |id| 1 + (id.index() as u32 % 3));
+        assert_detects_like_csim(&c, delays, &s27_patterns(), 1000, crate::CsimVariant::Base);
     }
 
     #[test]
@@ -626,36 +642,65 @@ mod tests {
 
     #[test]
     fn faulty_machine_glitches_differently() {
-        // y = AND(a, n), n = NOT(a) with a slow inverter: a rising edge on
-        // `a` makes the good y glitch 0→1→0. With n stuck-at-0 the faulty y
-        // stays 0 — the fault *removes* the glitch, visible only in delay
-        // simulation.
+        // y = AND(a, n), n = NOT(a) with a slow inverter (delay 4, AND
+        // delay 1): a rising edge on `a` at t0 makes the good y pulse high
+        // from t0+1, while the AND still sees n = 1, until n falls at t0+4
+        // and the AND follows at t0+5. With n stuck-at-0 the faulty y
+        // stays 0 throughout: the fault *removes* the glitch, visible only
+        // in delay simulation.
         let c = parse_bench("g", "INPUT(a)\nOUTPUT(y)\nn = NOT(a)\ny = AND(a, n)\n").unwrap();
         let n = c.find("n").unwrap();
         let y = c.find("y").unwrap();
         let delays = DelayModel::from_fn(&c, |id| if c.gate(id).name() == "n" { 4 } else { 1 });
         let mut sim = DelayCsim::new(&c, delays, &[StuckAt::output(n, false)]);
         sim.set_inputs(&[Zero]);
-        sim.run_until_quiet(100).unwrap();
+        let t0 = sim.run_until_quiet(100).unwrap();
         sim.set_inputs(&[One]);
-        // Mid-glitch: at t just after the AND sees a=1 with n still 1, the
-        // good machine pulses high while the faulty machine holds 0.
-        let mut saw_difference = false;
-        for _ in 0..20 {
-            let before = sim.now();
-            if sim.run_until_quiet(before + 1).is_some() && sim.queue.is_empty() {
-                break;
-            }
-            sim.now += 1;
-            if sim.value(y) == One && sim.faulty_value(y, 0) == Zero {
-                saw_difference = true;
-            }
+        for t in t0..=t0 + 10 {
+            let at = t - t0;
+            assert_eq!(sim.run_until_quiet(t).is_some(), at >= 5, "t0+{at}");
+            let good = if (1..=4).contains(&at) { One } else { Zero };
+            assert_eq!(sim.value(y), good, "good y at t0+{at}");
+            assert_eq!(sim.faulty_value(y, 0), Zero, "faulty y at t0+{at}");
         }
-        let _ = saw_difference; // glitch visibility depends on commit order
-                                // After settling both agree again (y = 0): the fault converged.
-        sim.run_until_quiet(1000).unwrap();
-        assert_eq!(sim.value(y), Zero);
-        assert_eq!(sim.faulty_value(y, 0), Zero);
+    }
+
+    #[test]
+    fn static_hazard_produces_a_glitch() {
+        // y = OR(a, NOT(a)) is constant 1 in zero-delay logic. With a slow
+        // inverter (delay 5, OR delay 1) a falling edge on `a` at t1 pulls
+        // y to 0 from t1+1 until the inverter rises at t1+5 and the OR
+        // follows at t1+6. No faults: DelayCsim as a good machine.
+        let c = parse_bench("hz", "INPUT(a)\nOUTPUT(y)\nn = NOT(a)\ny = OR(a, n)\n").unwrap();
+        let y = c.find("y").unwrap();
+        let delays = DelayModel::from_fn(&c, |id| if c.gate(id).name() == "n" { 5 } else { 1 });
+        let mut sim = DelayCsim::new(&c, delays, &[]);
+        sim.set_inputs(&[One]);
+        let t1 = sim.run_until_quiet(100).unwrap();
+        assert_eq!(sim.value(y), One);
+        sim.set_inputs(&[Zero]);
+        for t in t1..=t1 + 10 {
+            let at = t - t1;
+            assert_eq!(sim.run_until_quiet(t).is_some(), at >= 6, "t1+{at}");
+            let expected = if (1..=5).contains(&at) { Zero } else { One };
+            assert_eq!(sim.value(y), expected, "y at t1+{at}");
+        }
+    }
+
+    #[test]
+    fn zero_delay_gates_are_legal() {
+        // A delay of 0 matures in the time step that posted the event: a
+        // zero-delay chain settles at t = 0.
+        let c = parse_bench("z", "INPUT(a)\nOUTPUT(y)\nn = NOT(a)\ny = NOT(n)\n").unwrap();
+        let mut sim = DelayCsim::new(&c, DelayModel::from_fn(&c, |_| 0), &[]);
+        sim.set_inputs(&[One]);
+        assert_eq!(sim.run_until_quiet(10), Some(0));
+        assert_eq!(sim.value(c.find("n").unwrap()), Zero);
+        assert_eq!(sim.value(c.find("y").unwrap()), One);
+        // Delays alternating 0/1, flip-flops included, under a clock.
+        let c = cfs_netlist::data::s27();
+        let delays = DelayModel::from_fn(&c, |id| id.index() as u32 % 2);
+        assert_detects_like_csim(&c, delays, &s27_patterns(), 1000, crate::CsimVariant::Base);
     }
 
     #[test]
@@ -664,26 +709,8 @@ mod tests {
         // concurrent simulator detects exactly what the zero-delay csim
         // detects.
         let c = cfs_netlist::data::s27();
-        let faults = cfs_faults::enumerate_stuck_at(&c);
-        let patterns: Vec<Vec<Logic>> = [
-            "0000", "1111", "0101", "1010", "0011", "1100", "0110", "1001",
-        ]
-        .iter()
-        .map(|p| cfs_logic::parse_pattern(p).unwrap())
-        .collect();
         let delays = DelayModel::from_fn(&c, |id| 1 + (id.index() as u32 % 3));
-        let mut dsim = DelayCsim::new(&c, delays, &faults);
-        let dreport = dsim.run_clocked(&patterns, 1000);
-        let mut zsim = crate::ConcurrentSim::new(&c, &faults, crate::CsimVariant::V.options());
-        let zreport = zsim.run(&patterns);
-        for (i, (a, b)) in dreport.statuses.iter().zip(&zreport.statuses).enumerate() {
-            assert_eq!(
-                a.is_detected(),
-                b.is_detected(),
-                "fault {i}: {}",
-                faults[i].describe(&c)
-            );
-        }
+        assert_detects_like_csim(&c, delays, &s27_patterns(), 1000, crate::CsimVariant::V);
     }
 
     #[test]
@@ -692,28 +719,25 @@ mod tests {
         // again, so every later strobe/clock walk is skipped — with
         // detections identical to the zero-delay reference.
         let c = cfs_netlist::data::s27();
-        let faults = cfs_faults::enumerate_stuck_at(&c);
         let patterns: Vec<Vec<Logic>> =
             std::iter::repeat_n(cfs_logic::parse_pattern("1010").unwrap(), 10).collect();
-        let delays = DelayModel::unit(&c);
-        let mut dsim = DelayCsim::new(&c, delays, &faults);
-        let dreport = dsim.run_clocked(&patterns, 1000);
+        let dsim = assert_detects_like_csim(
+            &c,
+            DelayModel::unit(&c),
+            &patterns,
+            1000,
+            crate::CsimVariant::Base,
+        );
         assert!(
             dsim.quiesce_skips > 0,
             "held stimulus must engage the change gate"
         );
-        let mut zsim = crate::ConcurrentSim::new(&c, &faults, crate::CsimVariant::Base.options());
-        let zreport = zsim.run(&patterns);
-        for (i, (a, b)) in dreport.statuses.iter().zip(&zreport.statuses).enumerate() {
-            assert_eq!(a.is_detected(), b.is_detected(), "fault {i}");
-        }
     }
 
     #[test]
     fn run_clocked_on_generated_circuit() {
         let spec = cfs_netlist::CircuitSpec::new("dly", 4, 3, 5, 40, 77);
         let c = cfs_netlist::generate::generate(&spec);
-        let faults = cfs_faults::enumerate_stuck_at(&c);
         let patterns: Vec<Vec<Logic>> = (0..20)
             .map(|i| {
                 (0..c.num_inputs())
@@ -722,13 +746,8 @@ mod tests {
             })
             .collect();
         let delays = DelayModel::from_fn(&c, |id| 1 + (id.index() as u32 % 5));
-        let mut dsim = DelayCsim::new(&c, delays, &faults);
-        let dreport = dsim.run_clocked(&patterns, 10_000);
-        let mut zsim = crate::ConcurrentSim::new(&c, &faults, crate::CsimVariant::Base.options());
-        let zreport = zsim.run(&patterns);
-        for (i, (a, b)) in dreport.statuses.iter().zip(&zreport.statuses).enumerate() {
-            assert_eq!(a.is_detected(), b.is_detected(), "fault {i}");
-        }
+        let dsim =
+            assert_detects_like_csim(&c, delays, &patterns, 10_000, crate::CsimVariant::Base);
         assert!(dsim.peak_elements() > 0);
     }
 }

@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use cfs_faults::{Edge, FaultSite, StuckAt, TransitionFault};
-use cfs_logic::{GateFn, Logic, Lut3, TruthTable, MAX_LUT_INPUTS};
+use cfs_logic::{GateFn, Logic, Lut3};
 use cfs_netlist::{
     extract_macros, CellPlan, Circuit, GateId, GateKind, MacroFaultSite, PlanFault, PlanStep,
 };
@@ -432,42 +432,69 @@ pub(crate) fn build_macro_network(
             locals: 0..0,
         });
     }
-    // Cells in topological order; the LUT pool starts with the good LUTs.
-    // The pool is content-deduplicated: identical functions (frequent for
-    // the per-fault functional-fault LUTs, e.g. constants) share storage,
-    // which is what keeps the paper's "look up table overhead not too
-    // high" so macro extraction pays off in memory on large circuits.
+    // Cells and direct gates in evaluation order; the LUT pool starts with
+    // the good LUTs. The pool is content-deduplicated: identical functions
+    // (frequent for the per-fault functional-fault LUTs, e.g. constants)
+    // share storage, which is what keeps the paper's "look up table
+    // overhead not too high" so macro extraction pays off in memory on
+    // large circuits. A direct gate is compiled as in the gate network: a
+    // one-step plan over its own fanin, and no LUT.
     let mut lut_pool: Vec<Lut3> = Vec::new();
     let mut lut_interner: HashMap<Lut3, u32> = HashMap::new();
     let mut cell_node: Vec<NodeId> = vec![0; macros.num_cells()];
-    // Plans in node order: the sources' empty plans, then one per cell.
+    // Plans in node order: the sources' empty plans, then one per cell or
+    // direct gate.
     let mut plans = Plans::default();
     for _ in 0..nodes.len() {
         plans.push(&[], []);
     }
-    for ci in macros.topo_order() {
-        let cell = &macros.cells()[ci];
+    for &root in macros.eval_order() {
         let id = nodes.len() as NodeId;
-        cell_node[ci] = id;
-        node_of_gate[cell.root().index()] = Some(id);
-        let lut_idx = intern_lut(&mut lut_pool, &mut lut_interner, cell.lut().clone());
-        plans.push(cell.plan().steps, cell.plan().operands.iter().copied());
+        node_of_gate[root.index()] = Some(id);
+        let eval = if let Some(ci) = macros.cell_index_of(root) {
+            let cell = &macros.cells()[ci];
+            cell_node[ci] = id;
+            plans.push(cell.plan().steps, cell.plan().operands.iter().copied());
+            NodeEval::Lut(intern_lut(
+                &mut lut_pool,
+                &mut lut_interner,
+                cell.lut().clone(),
+            ))
+        } else {
+            let gate = circuit.gate(root);
+            let GateKind::Comb(f) = gate.kind() else {
+                unreachable!("direct gates are combinational")
+            };
+            let arity = gate.fanin().len() as u16;
+            plans.push(
+                &[PlanStep {
+                    gate: root,
+                    f,
+                    arity,
+                }],
+                0..arity,
+            );
+            NodeEval::Direct(f)
+        };
         nodes.push(Node {
             kind: NodeKind::Eval,
-            eval: NodeEval::Lut(lut_idx),
-            level: 0, // patched below (needs all cell nodes placed)
+            eval,
+            level: 0, // patched below (needs all evaluation nodes placed)
             locals: 0..0,
         });
     }
     // Resolve sources, fanouts, levels; adjacency collects in temporaries
-    // and flattens to CSR once every edge is known.
+    // and flattens to CSR once every edge is known. A cell reads its
+    // support, a direct gate its fanin in pin order.
     let mut src_tmp: Vec<Vec<NodeId>> = vec![Vec::new(); nodes.len()];
     let mut fan_tmp: Vec<Vec<NodeId>> = vec![Vec::new(); nodes.len()];
-    for ci in macros.topo_order() {
-        let cell = &macros.cells()[ci];
-        let me = cell_node[ci];
-        let sources: Vec<NodeId> = cell
-            .support()
+    for &root in macros.eval_order() {
+        let me = node_of_gate[root.index()].expect("evaluation node placed");
+        let inputs = match macros.cell_of(root) {
+            Some(cell) => cell.support(),
+            None => circuit.gate(root).fanin(),
+        };
+        let sources: Vec<NodeId> = inputs
             .iter()
             .map(|&s| node_of_gate[s.index()].expect("support node exists"))
             .collect();
@@ -527,7 +554,13 @@ pub(crate) fn build_macro_network(
                         effect: plain_effect(f),
                     },
                     GateKind::Comb(_) => {
-                        let ci = macros.cell_index_of(g).expect("every gate has a cell");
+                        let Some(ci) = macros.cell_index_of(g) else {
+                            // A direct gate keeps plain pin and output faults.
+                            return ResolvedFault::Plain {
+                                site: node_of_gate[g.index()].expect("direct gate node"),
+                                effect: plain_effect(f),
+                            };
+                        };
                         let cell = &macros.cells()[ci];
                         let msite = match f.site {
                             FaultSite::Output { gate } => MacroFaultSite::Output {
@@ -663,17 +696,6 @@ fn attach_resolved(net: &mut Network, specs: &[ResolvedFault]) {
         net.nodes[ni].locals = start..net.locals.len() as u32;
     }
     net.lut_bytes = net.lut_pool.iter().map(Lut3::memory_bytes).sum();
-}
-
-/// Builds a LUT for a plain gate function (used when gate-mode nodes opt
-/// into table evaluation).
-#[allow(dead_code)]
-pub(crate) fn gate_lut(f: GateFn, arity: usize) -> Option<Lut3> {
-    if arity <= MAX_LUT_INPUTS {
-        Some(Lut3::from_table(&TruthTable::from_gate_fn(f, arity)))
-    } else {
-        None
-    }
 }
 
 #[cfg(test)]

@@ -528,9 +528,11 @@ impl<M: FaultMachine> ShardedSim<M> {
         self.shards.len() == 1
     }
 
+    /// The machine's name, with `-p{threads}` on every multi-shard run
+    /// (so `--threads 1 --steal`, two shards on one worker, is `-p1`).
     fn name_str(&self) -> String {
         let base = self.shards[0].machine.name();
-        if self.threads == 1 {
+        if self.is_serial() {
             base.to_owned()
         } else {
             format!("{base}-p{}", self.threads)

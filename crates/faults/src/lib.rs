@@ -23,14 +23,12 @@
 
 mod impact;
 mod prune;
-mod sampling;
 mod status;
 mod stuck_at;
 mod transition;
 
 pub use impact::{ImpactFate, ImpactStats, ImpactUniverse};
 pub use prune::{FaultFate, PruneReason, PruneStats, PrunedUniverse};
-pub use sampling::{all_binary, estimate_coverage, sample_faults, CoverageEstimate};
 pub use status::{FaultSimReport, FaultStatus};
 pub use stuck_at::{
     collapse_stuck_at, collapse_stuck_at_exact, dominance_collapse, enumerate_stuck_at,

@@ -1,30 +1,30 @@
-//! Fault-free ("good machine") simulators for synchronous sequential
-//! circuits.
+//! The fault-free ("good machine") reference simulator and the per-gate
+//! delay model.
 //!
-//! Part of the workspace reproducing *Lee & Reddy, DAC 1992*. Two
-//! simulators share the netlist substrate:
+//! Part of the workspace reproducing *Lee & Reddy, DAC 1992*:
 //!
-//! * [`ZeroDelaySim`] — the paper's zero-delay levelized event-driven model
-//!   (one step = one clock cycle), plus the oracle-grade [`FullSim`];
-//! * [`DelaySim`] — arbitrary-delay two-phase event-driven simulation with a
-//!   timing wheel, the general mode concurrent simulation is prized for.
+//! * [`FullSim`] — re-evaluates every gate in level order every clock
+//!   cycle, with no event-driven shortcuts; the serial oracle's good
+//!   machine and ATPG's time-frame unrolling are tested against it;
+//! * [`DelayModel`] — per-gate propagation delays, the input of
+//!   `cfs_core::DelayCsim`, the paper's arbitrary-delay concurrent mode.
 //!
-//! The 64-lane pattern-parallel good machine of the sharded fault
-//! simulator lives next to its engine in `cfs-core`.
+//! Every fault simulator runs its own good machine.
 //!
 //! # Examples
 //!
 //! ```
-//! use cfs_goodsim::ZeroDelaySim;
+//! use cfs_goodsim::FullSim;
 //! use cfs_logic::parse_pattern;
 //! use cfs_netlist::data::s27;
 //!
 //! let circuit = s27();
-//! let mut sim = ZeroDelaySim::new(&circuit);
+//! let mut sim = FullSim::new(&circuit);
+//! let mut outputs = Vec::new();
 //! for p in ["0000", "1111", "0011"] {
-//!     sim.step(&parse_pattern(p)?);
+//!     outputs = sim.step(&parse_pattern(p)?);
 //! }
-//! assert_eq!(sim.state().len(), 3);
+//! assert_eq!(outputs.len(), 1);
 //! # Ok::<(), cfs_logic::ParseLogicError>(())
 //! ```
 
@@ -32,9 +32,7 @@
 #![forbid(unsafe_code)]
 
 mod delay;
-mod vcd;
 mod zero_delay;
 
-pub use delay::{DelayModel, DelaySim};
-pub use vcd::VcdRecorder;
-pub use zero_delay::{is_source, FullSim, Pattern, ZeroDelaySim};
+pub use delay::DelayModel;
+pub use zero_delay::FullSim;

@@ -1,224 +1,18 @@
-//! Zero-delay levelized event-driven simulation of the fault-free machine.
+//! Zero-delay simulation of the fault-free machine.
 //!
 //! §2.1 of the paper: for synchronous circuits "only the second phase is
 //! necessary since the evaluated value can be assigned directly on the
 //! output as long as the gate evaluation is done orderly according to its
-//! level… the timing queue is no longer necessary and only gate identifiers
-//! are 'scheduled' into the event queue."
+//! level".
 
 use cfs_logic::Logic;
-use cfs_netlist::{Circuit, GateId, GateKind};
-
-/// One clock cycle's primary-input assignment.
-pub type Pattern = Vec<Logic>;
-
-/// Zero-delay good-machine simulator.
-///
-/// One [`ZeroDelaySim::step`] is one clock cycle: primary inputs are
-/// applied, combinational logic settles (event-driven, by level), primary
-/// outputs are sampled, and flip-flops latch their D values for the next
-/// cycle. Flip-flop state starts at `X` and persists across steps.
-///
-/// # Examples
-///
-/// ```
-/// use cfs_goodsim::ZeroDelaySim;
-/// use cfs_logic::{parse_pattern, Logic};
-/// use cfs_netlist::data::s27;
-///
-/// let circuit = s27();
-/// let mut sim = ZeroDelaySim::new(&circuit);
-/// let outputs = sim.step(&parse_pattern("0101")?);
-/// assert_eq!(outputs.len(), 1);
-/// # Ok::<(), cfs_logic::ParseLogicError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct ZeroDelaySim<'c> {
-    circuit: &'c Circuit,
-    values: Vec<Logic>,
-    /// Event queue: per-level buckets of scheduled gate ids.
-    buckets: Vec<Vec<GateId>>,
-    queued: Vec<bool>,
-    /// Gate activations processed (the paper's "events").
-    pub events: u64,
-    /// Gate evaluations performed.
-    pub evaluations: u64,
-    scratch: Vec<Logic>,
-}
-
-impl<'c> ZeroDelaySim<'c> {
-    /// Creates a simulator with all values (including flip-flops) at `X`.
-    pub fn new(circuit: &'c Circuit) -> Self {
-        ZeroDelaySim {
-            circuit,
-            values: vec![Logic::X; circuit.num_nodes()],
-            buckets: vec![Vec::new(); circuit.max_level() as usize + 1],
-            queued: vec![false; circuit.num_nodes()],
-            events: 0,
-            evaluations: 0,
-            scratch: Vec::new(),
-        }
-    }
-
-    /// The circuit being simulated.
-    pub fn circuit(&self) -> &'c Circuit {
-        self.circuit
-    }
-
-    /// The current settled value of every node.
-    pub fn values(&self) -> &[Logic] {
-        &self.values
-    }
-
-    /// Current value of one node.
-    pub fn value(&self, id: GateId) -> Logic {
-        self.values[id.index()]
-    }
-
-    /// Current flip-flop state, in `circuit.dffs()` order.
-    pub fn state(&self) -> Vec<Logic> {
-        self.circuit
-            .dffs()
-            .iter()
-            .map(|&q| self.values[q.index()])
-            .collect()
-    }
-
-    /// Forces the flip-flop state (e.g., to a reset state) and schedules the
-    /// affected logic. Takes effect on the next [`ZeroDelaySim::step`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state.len()` differs from the flip-flop count.
-    pub fn set_state(&mut self, state: &[Logic]) {
-        assert_eq!(state.len(), self.circuit.num_dffs(), "state width mismatch");
-        for (&q, &v) in self.circuit.dffs().iter().zip(state) {
-            if self.values[q.index()] != v {
-                self.values[q.index()] = v;
-                self.schedule_fanouts(q);
-            }
-        }
-    }
-
-    /// Resets all values (including flip-flops) to `X`.
-    pub fn reset(&mut self) {
-        self.values.fill(Logic::X);
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.queued.fill(false);
-    }
-
-    fn schedule(&mut self, id: GateId) {
-        if !self.queued[id.index()] {
-            self.queued[id.index()] = true;
-            let level = self.circuit.level(id) as usize;
-            self.buckets[level].push(id);
-        }
-    }
-
-    fn schedule_fanouts(&mut self, id: GateId) {
-        let fanouts: Vec<GateId> = self
-            .circuit
-            .gate(id)
-            .fanout()
-            .iter()
-            .copied()
-            .filter(|&f| self.circuit.gate(f).kind().is_comb())
-            .collect();
-        for f in fanouts {
-            self.schedule(f);
-        }
-    }
-
-    fn eval_gate(&mut self, id: GateId) -> Logic {
-        let gate = self.circuit.gate(id);
-        let f = gate.kind().gate_fn().expect("only gates are scheduled");
-        self.scratch.clear();
-        for &src in gate.fanin() {
-            self.scratch.push(self.values[src.index()]);
-        }
-        self.evaluations += 1;
-        f.eval(&self.scratch)
-    }
-
-    /// Settles the combinational logic from whatever is currently scheduled.
-    fn propagate(&mut self) {
-        for level in 0..self.buckets.len() {
-            let mut i = 0;
-            while i < self.buckets[level].len() {
-                let id = self.buckets[level][i];
-                i += 1;
-                self.queued[id.index()] = false;
-                self.events += 1;
-                let new = self.eval_gate(id);
-                if new != self.values[id.index()] {
-                    self.values[id.index()] = new;
-                    self.schedule_fanouts(id);
-                }
-            }
-            self.buckets[level].clear();
-        }
-    }
-
-    /// Simulates one clock cycle and returns the sampled primary outputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` differs from the primary-input count.
-    pub fn step(&mut self, inputs: &[Logic]) -> Vec<Logic> {
-        assert_eq!(
-            inputs.len(),
-            self.circuit.num_inputs(),
-            "input width mismatch"
-        );
-        for (&pi, &v) in self.circuit.inputs().iter().zip(inputs) {
-            if self.values[pi.index()] != v {
-                self.values[pi.index()] = v;
-                self.schedule_fanouts(pi);
-            }
-        }
-        self.propagate();
-        let outputs = self.sample_outputs();
-        self.latch();
-        outputs
-    }
-
-    /// The current primary-output values (valid after settling).
-    pub fn sample_outputs(&self) -> Vec<Logic> {
-        self.circuit
-            .outputs()
-            .iter()
-            .map(|&po| self.values[po.index()])
-            .collect()
-    }
-
-    /// Latches every flip-flop's D value into Q, scheduling affected logic
-    /// for the next cycle. All flip-flops update simultaneously.
-    fn latch(&mut self) {
-        let updates: Vec<(GateId, Logic)> = self
-            .circuit
-            .dffs()
-            .iter()
-            .map(|&q| (q, self.values[self.circuit.gate(q).fanin()[0].index()]))
-            .collect();
-        for (q, v) in updates {
-            if self.values[q.index()] != v {
-                self.values[q.index()] = v;
-                self.schedule_fanouts(q);
-            }
-        }
-    }
-
-    /// Simulates a sequence of patterns, returning the output of each cycle.
-    pub fn run(&mut self, patterns: &[Pattern]) -> Vec<Vec<Logic>> {
-        patterns.iter().map(|p| self.step(p)).collect()
-    }
-}
+use cfs_netlist::{Circuit, GateId};
 
 /// Oracle-grade full simulation: re-evaluates every gate every cycle in
-/// level order, with no event-driven shortcuts. Used to validate the
-/// event-driven path; also convenient for tiny circuits.
+/// level order, with no event-driven shortcuts. One [`FullSim::step`] is
+/// one clock cycle: primary inputs are applied, every gate is evaluated,
+/// primary outputs are sampled, and flip-flops latch their D values.
+/// Flip-flop state starts at `X`.
 #[derive(Debug, Clone)]
 pub struct FullSim<'c> {
     circuit: &'c Circuit,
@@ -234,24 +28,7 @@ impl<'c> FullSim<'c> {
         }
     }
 
-    /// Node values after the last step.
-    pub fn values(&self) -> &[Logic] {
-        &self.values
-    }
-
-    /// Forces the flip-flop state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state.len()` differs from the flip-flop count.
-    pub fn set_state(&mut self, state: &[Logic]) {
-        assert_eq!(state.len(), self.circuit.num_dffs());
-        for (&q, &v) in self.circuit.dffs().iter().zip(state) {
-            self.values[q.index()] = v;
-        }
-    }
-
-    /// Simulates one clock cycle.
+    /// Simulates one clock cycle and returns the sampled primary outputs.
     ///
     /// # Panics
     ///
@@ -287,119 +64,5 @@ impl<'c> FullSim<'c> {
             self.values[q.index()] = v;
         }
         outputs
-    }
-
-    /// Simulates a sequence of patterns.
-    pub fn run(&mut self, patterns: &[Pattern]) -> Vec<Vec<Logic>> {
-        patterns.iter().map(|p| self.step(p)).collect()
-    }
-}
-
-/// Returns `true` if `id` is a node whose value is defined by the
-/// environment rather than by evaluation (PI or flip-flop).
-pub fn is_source(circuit: &Circuit, id: GateId) -> bool {
-    matches!(circuit.gate(id).kind(), GateKind::Input | GateKind::Dff)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cfs_logic::parse_pattern;
-    use cfs_netlist::data::s27;
-    use cfs_netlist::generate::{benchmark, CircuitSpec};
-
-    #[test]
-    fn s27_known_behaviour() {
-        // With all-X state, the first pattern often yields X; after an
-        // initializing sequence outputs become binary.
-        let c = s27();
-        let mut sim = ZeroDelaySim::new(&c);
-        let seq = ["0000", "1111", "0000", "1010", "0101"];
-        let mut last = Vec::new();
-        for p in seq {
-            last = sim.step(&parse_pattern(p).unwrap());
-        }
-        assert!(last[0].is_binary(), "s27 initializes quickly: {last:?}");
-    }
-
-    #[test]
-    fn event_driven_matches_full_sim() {
-        let c = benchmark("s298g").unwrap();
-        let mut ev = ZeroDelaySim::new(&c);
-        let mut full = FullSim::new(&c);
-        let mut seed = 0x9e3779b97f4a7c15u64;
-        for cycle in 0..200 {
-            let mut pat = Vec::new();
-            for _ in 0..c.num_inputs() {
-                seed = seed
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                pat.push(Logic::from_bool(seed >> 33 & 1 != 0));
-            }
-            let a = ev.step(&pat);
-            let b = full.step(&pat);
-            assert_eq!(a, b, "cycle {cycle}");
-            assert_eq!(ev.values(), full.values(), "cycle {cycle} internals");
-        }
-        assert!(ev.evaluations > 0);
-    }
-
-    #[test]
-    fn event_driven_does_less_work() {
-        let c = benchmark("s386g").unwrap();
-        let mut ev = ZeroDelaySim::new(&c);
-        // Constant inputs after the first cycle: almost no events.
-        let pat = vec![Logic::Zero; c.num_inputs()];
-        ev.step(&pat);
-        let after_first = ev.evaluations;
-        for _ in 0..10 {
-            ev.step(&pat);
-        }
-        assert!(
-            ev.evaluations < after_first * 3,
-            "quiescent input must not re-evaluate the whole circuit: {} vs {}",
-            ev.evaluations,
-            after_first
-        );
-    }
-
-    #[test]
-    fn set_state_initializes() {
-        let c = s27();
-        let mut sim = ZeroDelaySim::new(&c);
-        sim.set_state(&[Logic::Zero, Logic::Zero, Logic::Zero]);
-        let out = sim.step(&parse_pattern("0000").unwrap());
-        assert!(out[0].is_binary());
-        assert_eq!(sim.state().len(), 3);
-    }
-
-    #[test]
-    fn reset_returns_to_all_x() {
-        let c = s27();
-        let mut sim = ZeroDelaySim::new(&c);
-        sim.step(&parse_pattern("0110").unwrap());
-        sim.reset();
-        assert!(sim.values().iter().all(|&v| v == Logic::X));
-    }
-
-    #[test]
-    fn x_state_never_turns_spuriously_binary() {
-        // With every input X, everything must stay X in both simulators.
-        let spec = CircuitSpec::new("t", 4, 3, 4, 50, 11);
-        let c = cfs_netlist::generate::generate(&spec);
-        let mut sim = ZeroDelaySim::new(&c);
-        let out = sim.step(&[Logic::X; 4]);
-        // Outputs may be binary only via constant-like redundancy (e.g.
-        // XOR(a,a)); check against FullSim instead of asserting all-X.
-        let mut full = FullSim::new(&c);
-        let out2 = full.step(&[Logic::X; 4]);
-        assert_eq!(out, out2);
-    }
-
-    #[test]
-    #[should_panic(expected = "input width mismatch")]
-    fn wrong_width_panics() {
-        let c = s27();
-        ZeroDelaySim::new(&c).step(&[Logic::Zero]);
     }
 }

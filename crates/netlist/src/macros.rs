@@ -351,14 +351,18 @@ impl fmt::Display for MacroCell {
 }
 
 /// The macro-level view of a circuit: every combinational gate belongs to
-/// exactly one [`MacroCell`].
+/// exactly one [`MacroCell`], except the gates too wide for a cell
+/// ([`MacroCircuit::direct_gates`]), which belong to none.
 #[derive(Debug, Clone)]
 pub struct MacroCircuit {
     cells: Vec<MacroCell>,
-    /// Gate index → cell index (combinational gates only).
+    /// Gate index → cell index (combinational gates in a cell only).
     cell_of: Vec<Option<u32>>,
-    /// Cells in a valid evaluation order (ascending root level).
-    topo: Vec<u32>,
+    /// Gates too wide for a cell, ascending.
+    direct: Vec<GateId>,
+    /// Every cell root and direct gate, in a valid evaluation order
+    /// (ascending level).
+    order: Vec<GateId>,
 }
 
 impl MacroCircuit {
@@ -367,19 +371,31 @@ impl MacroCircuit {
         &self.cells
     }
 
-    /// The cell containing a combinational gate.
+    /// The cell containing a combinational gate (`None` for a direct gate).
     pub fn cell_of(&self, gate: GateId) -> Option<&MacroCell> {
         self.cell_of[gate.index()].map(|i| &self.cells[i as usize])
     }
 
-    /// Index of the cell containing a combinational gate.
+    /// Index of the cell containing a combinational gate (`None` for a
+    /// direct gate).
     pub fn cell_index_of(&self, gate: GateId) -> Option<usize> {
         self.cell_of[gate.index()].map(|i| i as usize)
     }
 
-    /// Cell indices in a valid evaluation order.
-    pub fn topo_order(&self) -> impl Iterator<Item = usize> + '_ {
-        self.topo.iter().map(|&i| i as usize)
+    /// The gates too wide for a cell, ascending: each reads more distinct
+    /// nets than the cap, and absorbing its fanin would not bring it
+    /// within the cap. No cell holds them: a simulator evaluates each as
+    /// the gate it is, and its stuck-at faults stay plain pin and output
+    /// faults, since a table over that many inputs would cost more than
+    /// the gate it replaces.
+    pub fn direct_gates(&self) -> &[GateId] {
+        &self.direct
+    }
+
+    /// Every cell root and direct gate, in a valid evaluation order: the
+    /// gates whose outputs the macro view computes.
+    pub fn eval_order(&self) -> &[GateId] {
+        &self.order
     }
 
     /// Number of cells.
@@ -401,14 +417,14 @@ const MAX_CELL_GATES: usize = 64;
 ///
 /// `max_inputs` caps each cell's support (1..=[`cfs_logic::MAX_LUT_INPUTS`]);
 /// a region that would exceed the cap is split, with the overflowing fanin
-/// subtree promoted to its own cell. A single gate whose own arity exceeds
-/// the cap still forms a (one-gate) cell, so the guaranteed bound is
-/// `support ≤ max(max_inputs, arity of the root gate)`.
+/// subtree promoted to its own cell. A gate with more distinct inputs than
+/// the cap that cannot absorb enough of its fanin to get within it forms no
+/// cell (see [`MacroCircuit::direct_gates`]), so every cell's support is
+/// at most `max_inputs`.
 ///
 /// # Panics
 ///
-/// Panics if `max_inputs` is out of range, or if any gate's arity exceeds
-/// [`cfs_logic::MAX_LUT_INPUTS`] (the cell LUT could not be built).
+/// Panics if `max_inputs` is out of range.
 ///
 /// # Examples
 ///
@@ -419,6 +435,8 @@ const MAX_CELL_GATES: usize = 64;
 ///     g1 = AND(a, b)\ng2 = NOT(g1)\ny = OR(g2, c)\n")?;
 /// let m = extract_macros(&c, 7);
 /// assert_eq!(m.num_cells(), 1); // three gates collapse into one cell
+/// let m = extract_macros(&c, 1);
+/// assert_eq!(m.direct_gates().len(), 2); // AND and OR are wider than 1
 /// # Ok::<(), cfs_netlist::ParseBenchError>(())
 /// ```
 pub fn extract_macros(circuit: &Circuit, max_inputs: usize) -> MacroCircuit {
@@ -439,6 +457,7 @@ pub fn extract_macros(circuit: &Circuit, max_inputs: usize) -> MacroCircuit {
 
     let mut cell_of: Vec<Option<u32>> = vec![None; n];
     let mut cells: Vec<MacroCell> = Vec::new();
+    let mut direct: Vec<GateId> = Vec::new();
 
     // Reverse topological order: consumers are processed before producers,
     // so an unassigned gate is necessarily a region root.
@@ -476,6 +495,14 @@ pub fn extract_macros(circuit: &Circuit, max_inputs: usize) -> MacroCircuit {
         // (ascending circuit level does exactly that).
         members.sort_by_key(|&g| (circuit.level(g), g));
         let support = region_support(circuit, &members, None);
+        if support.len() > max_inputs {
+            // Only a lone root can overflow: every absorption keeps the
+            // support within the cap. Such a gate is no cell.
+            debug_assert_eq!(members, [root]);
+            cell_of[root.index()] = None;
+            direct.push(root);
+            continue;
+        }
         let (steps, operands) = build_plan(circuit, &members, &support);
         debug_assert_eq!(steps.last().map(|s| s.gate), Some(root));
         cells.push(MacroCell {
@@ -488,18 +515,18 @@ pub fn extract_macros(circuit: &Circuit, max_inputs: usize) -> MacroCircuit {
         });
     }
 
-    // Evaluation order: ascending root level (supports are transitive
-    // fanins, hence at strictly lower levels).
-    let mut topo: Vec<u32> = (0..cells.len() as u32).collect();
-    topo.sort_by_key(|&i| {
-        let c = &cells[i as usize];
-        (circuit.level(c.root), c.root)
-    });
+    // Evaluation order: ascending level (supports are transitive fanins,
+    // hence at strictly lower levels).
+    direct.sort_unstable();
+    let mut order: Vec<GateId> = cells.iter().map(|c| c.root).collect();
+    order.extend_from_slice(&direct);
+    order.sort_by_key(|&g| (circuit.level(g), g));
 
     MacroCircuit {
         cells,
         cell_of,
-        topo,
+        direct,
+        order,
     }
 }
 
@@ -830,23 +857,51 @@ mod tests {
     }
 
     #[test]
-    fn topo_order_respects_dependencies() {
+    fn eval_order_respects_dependencies() {
+        // At cap 1 every two-input gate of s27 is direct; at 7 none is.
         let c = s27();
-        let m = extract_macros(&c, 7);
-        let mut pos = vec![usize::MAX; c.num_nodes()];
-        for (ord, idx) in m.topo_order().enumerate() {
-            pos[m.cells()[idx].root().index()] = ord;
-        }
-        for idx in 0..m.num_cells() {
-            let cell = &m.cells()[idx];
-            for &s in cell.support() {
-                if c.gate(s).kind().is_comb() {
-                    assert!(
-                        pos[s.index()] < pos[cell.root().index()],
-                        "support cell must evaluate first"
-                    );
+        for cap in [1, 7] {
+            let m = extract_macros(&c, cap);
+            let mut pos = vec![usize::MAX; c.num_nodes()];
+            for (ord, &g) in m.eval_order().iter().enumerate() {
+                pos[g.index()] = ord;
+            }
+            assert_eq!(m.eval_order().len(), m.num_cells() + m.direct_gates().len());
+            for &g in m.eval_order() {
+                let inputs = match m.cell_of(g) {
+                    Some(cell) => cell.support(),
+                    None => c.gate(g).fanin(),
+                };
+                for &s in inputs {
+                    if c.gate(s).kind().is_comb() {
+                        assert!(pos[s.index()] < pos[g.index()], "cap {cap}: inputs first");
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn only_a_gate_too_wide_for_any_cell_is_direct() {
+        // y reads six nets, one more than the cap, and can absorb nothing:
+        // it is direct. z reads six too, but absorbing its single-consumer
+        // inverter of `a`, which z also reads, leaves five: a legal
+        // two-gate cell.
+        let c = parse_bench(
+            "w",
+            "INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nINPUT(e)\nINPUT(f)\n\
+             OUTPUT(y)\nOUTPUT(z)\ny = AND(a, b, c, d, e, f)\nn = NOT(a)\n\
+             z = OR(n, a, b, c, d, e)\n",
+        )
+        .unwrap();
+        let m = extract_macros(&c, 5);
+        let y = c.find("y").unwrap();
+        let z = c.find("z").unwrap();
+        assert_eq!(m.direct_gates(), [y]);
+        assert!(m.cell_of(y).is_none());
+        let cell = m.cell_of(z).unwrap();
+        assert_eq!(cell.members().len(), 2);
+        assert_eq!(cell.support().len(), 5);
+        assert!(m.cells().iter().all(|cell| cell.support().len() <= 5));
     }
 }

@@ -1,13 +1,16 @@
 //! Arbitrary-delay simulation: the mode concurrent simulation is prized
-//! for in industry (§1 of the paper). Shows a static hazard producing a
-//! glitch that zero-delay simulation cannot see, and clocked operation of
-//! a sequential circuit under per-gate delays.
+//! for in industry (§1 of the paper). The paper's concurrent machine in
+//! its arbitrary-delay form (`DelayCsim`), given an empty fault list, is a
+//! good-machine simulator: it shows a static hazard producing a glitch
+//! that zero-delay simulation cannot see, and clocked operation of a
+//! sequential circuit under per-gate delays next to zero-delay csim.
 //!
 //! ```text
 //! cargo run --example delay_simulation
 //! ```
 
-use cfs::goodsim::{DelayModel, DelaySim, ZeroDelaySim};
+use cfs::core_sim::{ConcurrentSim, CsimVariant, DelayCsim};
+use cfs::goodsim::DelayModel;
 use cfs::logic::{parse_pattern, Logic};
 use cfs::netlist::{data::s27, parse_bench};
 
@@ -23,17 +26,21 @@ fn hazard_demo() {
     let c = parse_bench("hz", "INPUT(a)\nOUTPUT(y)\nn = NOT(a)\ny = OR(a, n)\n")
         .expect("hazard netlist");
     let delays = DelayModel::from_fn(&c, |id| if c.gate(id).name() == "n" { 5 } else { 1 });
-    let mut sim = DelaySim::new(&c, delays);
+    let mut sim = DelayCsim::new(&c, delays, &[]);
     let y = c.find("y").expect("signal y");
 
-    sim.set_input(0, Logic::One);
-    sim.run_until_quiet(100).expect("settles");
-    let before = sim.transitions(y);
-    sim.set_input(0, Logic::Zero);
-    sim.run_until_quiet(100).expect("settles");
+    sim.set_inputs(&[Logic::One]);
+    let t1 = sim.run_until_quiet(100).expect("settles");
+    sim.set_inputs(&[Logic::Zero]);
+    let end = t1 + 8;
+    let wave: String = (t1..=end)
+        .map(|t| {
+            sim.run_until_quiet(t);
+            sim.value(y).to_string()
+        })
+        .collect();
     println!(
-        "  falling edge on a: y made {} transitions (glitch!), final value {}",
-        sim.transitions(y) - before,
+        "  falling edge on a at t={t1}: y over t={t1}..={end} is {wave} (glitch!), final value {}",
         sim.value(y)
     );
 }
@@ -42,8 +49,8 @@ fn hazard_demo() {
 fn clocked_demo() {
     println!("— clocked s27: arbitrary-delay vs. zero-delay —");
     let c = s27();
-    let mut dsim = DelaySim::new(&c, DelayModel::unit(&c));
-    let mut zsim = ZeroDelaySim::new(&c);
+    let mut dsim = DelayCsim::new(&c, DelayModel::unit(&c), &[]);
+    let mut zsim = ConcurrentSim::new(&c, &[], CsimVariant::Base.options());
     let sequence = ["0000", "1111", "0101", "0011"];
     for (t, pat) in sequence.iter().enumerate() {
         let p = parse_pattern(pat).expect("pattern");
@@ -55,11 +62,14 @@ fn clocked_demo() {
         dsim.clock();
         dsim.run_until_quiet(1_000).expect("clock-to-q settles");
         // Zero-delay: one step per cycle.
-        let zout = zsim.step(&p)[0];
+        let zout = zsim.step(&p).outputs[0];
         println!(
             "  cycle {t}: inputs {pat} → delay-sim PO {dout} (settled t={settled_at}), zero-delay PO {zout}"
         );
         assert_eq!(dout, zout, "steady-state values agree");
     }
-    println!("  events processed by the delay simulator: {}", dsim.events);
+    println!(
+        "  list events processed by the delay simulator: {}",
+        dsim.events
+    );
 }

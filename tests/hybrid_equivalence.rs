@@ -16,7 +16,7 @@ use cfs_core::{
 use cfs_faults::{collapse_stuck_at, enumerate_stuck_at, FaultStatus, StuckAt};
 use cfs_logic::Logic;
 use cfs_netlist::generate::{benchmark, generate, CircuitSpec};
-use cfs_netlist::Circuit;
+use cfs_netlist::{parse_bench, Circuit};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -153,6 +153,14 @@ fn hybrid_matches_pure_concurrent_on_generated_circuits() {
 fn hybrid_matches_pure_concurrent_on_a_benchmark() {
     let c = benchmark("s298g").unwrap();
     check(&c, &random_patterns(&c, PATTERNS, 11));
+}
+
+/// Gates wider than the macro input cap are direct nodes whose plain
+/// faults promote like any other (`examples/bench/wide.bench`).
+#[test]
+fn hybrid_matches_pure_concurrent_on_wide_gates() {
+    let c = parse_bench("wide", include_str!("../examples/bench/wide.bench")).unwrap();
+    check(&c, &random_patterns(&c, PATTERNS, 7));
 }
 
 /// From a reset state, and with a second reset forced at pattern 40,

@@ -15,7 +15,7 @@ use cfs_faults::{collapse_stuck_at, FaultStatus, StuckAt};
 use cfs_goodsim::DelayModel;
 use cfs_logic::Logic;
 use cfs_netlist::generate::benchmark;
-use cfs_netlist::Circuit;
+use cfs_netlist::{parse_bench, Circuit};
 
 /// The Table 3 circuits below s5378g, in table order.
 const SMALL_TABLE3: &[&str] = &[
@@ -104,6 +104,15 @@ fn small_table3_circuits_match_serial_pattern_for_pattern() {
         let c = benchmark(name).unwrap();
         check_both_starts(&c, &random_patterns(&c, 12, 5));
     }
+}
+
+/// `examples/bench/wide.bench`: an 11-input and a 7-input gate, wider
+/// than the default macro input cap, are evaluated directly with plain
+/// faults in every csim variant.
+#[test]
+fn wide_gates_match_serial_pattern_for_pattern() {
+    let c = parse_bench("wide", include_str!("../examples/bench/wide.bench")).unwrap();
+    check_both_starts(&c, &random_patterns(&c, 200, 5));
 }
 
 /// `fsim sim @s298g --random 384 --seed 16`: a flip-flop output stuck at

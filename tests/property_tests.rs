@@ -191,16 +191,23 @@ proptest! {
         cap in 2usize..8,
     ) {
         let macros = extract_macros(&circuit, cap);
-        // Every gate covered exactly once; support under the cap except for
-        // single gates whose own arity exceeds it.
+        // Every gate covered exactly once, by a cell with support under the
+        // cap or as a direct gate with more distinct inputs than the cap.
         let mut covered = vec![false; circuit.num_nodes()];
         for cell in macros.cells() {
-            let root_arity = circuit.gate(cell.root()).fanin().len();
-            prop_assert!(cell.support().len() <= cap.max(root_arity));
+            prop_assert!(cell.support().len() <= cap);
             for &g in cell.members() {
                 prop_assert!(!covered[g.index()], "gate covered twice");
                 covered[g.index()] = true;
             }
+        }
+        for &g in macros.direct_gates() {
+            let mut fanin = circuit.gate(g).fanin().to_vec();
+            fanin.sort_unstable();
+            fanin.dedup();
+            prop_assert!(fanin.len() > cap, "a direct gate fits a cell");
+            prop_assert!(!covered[g.index()], "gate covered twice");
+            covered[g.index()] = true;
         }
         for &g in circuit.topo_order() {
             prop_assert!(covered[g.index()]);

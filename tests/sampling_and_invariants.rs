@@ -1,8 +1,7 @@
-//! Fault-sampling statistics against ground truth, and engine structural
-//! invariants under stress.
+//! Engine structural invariants under stress.
 
 use cfs_core::{ConcurrentSim, CsimOptions, CsimVariant};
-use cfs_faults::{enumerate_stuck_at, estimate_coverage, sample_faults};
+use cfs_faults::enumerate_stuck_at;
 use cfs_logic::Logic;
 use cfs_netlist::generate::{benchmark, generate, CircuitSpec};
 use rand::rngs::StdRng;
@@ -17,31 +16,6 @@ fn random_patterns(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<Logic>> 
                 .collect()
         })
         .collect()
-}
-
-#[test]
-fn sampled_coverage_brackets_true_coverage() {
-    let c = benchmark("s1196g").unwrap();
-    let all = enumerate_stuck_at(&c);
-    let patterns = random_patterns(c.num_inputs(), 150, 0xFACE);
-
-    // Ground truth over the whole universe.
-    let mut full = ConcurrentSim::new(&c, &all, CsimVariant::Mv.options());
-    let truth = full.run(&patterns).coverage_percent();
-
-    // Estimates from independent samples: most must bracket the truth
-    // (the interval is ~95%, so demand at least 8 of 10).
-    let mut hits = 0;
-    for seed in 0..10 {
-        let (sample, _) = sample_faults(&all, 250, seed);
-        let mut sim = ConcurrentSim::new(&c, &sample, CsimVariant::Mv.options());
-        let report = sim.run(&patterns);
-        let est = estimate_coverage(&report.statuses, all.len());
-        if est.contains(truth) {
-            hits += 1;
-        }
-    }
-    assert!(hits >= 8, "confidence interval too narrow: {hits}/10");
 }
 
 #[test]
