@@ -17,8 +17,8 @@ use std::io;
 use cfs_baselines::ProofsSim;
 use cfs_cli::{simulate_stuck, Probes, RunPlan, STUCK};
 use cfs_core::{
-    ConcurrentSim, CsimOptions, CsimVariant, MetricsSnapshot, ParallelSim, ShardPlan,
-    TransitionOptions, TransitionSim,
+    ConcurrentSim, CsimOptions, CsimVariant, MetricsSnapshot, ParallelSim, TransitionOptions,
+    TransitionSim,
 };
 use cfs_faults::{enumerate_transition, FaultSimReport};
 use cfs_logic::Logic;
@@ -422,13 +422,7 @@ pub fn table_parallel(name: &str, config: &WorkloadConfig) -> Vec<TableParallelR
     let mut rows: Vec<TableParallelRow> = Vec::new();
     let mut serial_statuses = None;
     for threads in PARALLEL_THREADS {
-        let mut sim = ParallelSim::new(
-            &c,
-            &faults,
-            CsimVariant::Mv.options(),
-            threads,
-            ShardPlan::RoundRobin,
-        );
+        let mut sim = ParallelSim::new(&c, &faults, CsimVariant::Mv.options(), threads);
         let report = sim.run(&tests);
         match &serial_statuses {
             None => serial_statuses = Some(report.statuses.clone()),

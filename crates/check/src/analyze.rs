@@ -666,74 +666,6 @@ pub fn prune_transition(
     }
 }
 
-/// SCOAP detection-difficulty weight per stuck-at fault, for balance-aware
-/// shard planning: excitation cost of the opposing value plus observation
-/// cost from the site.
-pub fn stuck_weights(
-    circuit: &Circuit,
-    analysis: &CircuitAnalysis,
-    faults: &[StuckAt],
-) -> Vec<u32> {
-    faults
-        .iter()
-        .map(|f| {
-            let net = site_net(circuit, f.site);
-            let excite = if f.stuck_at_one {
-                analysis.cc0[net.index()]
-            } else {
-                analysis.cc1[net.index()]
-            };
-            excite
-                .saturating_add(site_observation_cost(circuit, analysis, f.site))
-                .min(SCOAP_INF)
-        })
-        .collect()
-}
-
-/// SCOAP weight per transition fault: both edge endpoints must be set up,
-/// then the pin observed.
-pub fn transition_weights(
-    circuit: &Circuit,
-    analysis: &CircuitAnalysis,
-    faults: &[TransitionFault],
-) -> Vec<u32> {
-    faults
-        .iter()
-        .map(|f| {
-            let site = FaultSite::Pin {
-                gate: f.gate,
-                pin: f.pin,
-            };
-            let driver = circuit.gate(f.gate).fanin()[f.pin as usize];
-            analysis.cc0[driver.index()]
-                .saturating_add(analysis.cc1[driver.index()])
-                .saturating_add(site_observation_cost(circuit, analysis, site))
-                .min(SCOAP_INF)
-        })
-        .collect()
-}
-
-fn site_observation_cost(circuit: &Circuit, analysis: &CircuitAnalysis, site: FaultSite) -> u32 {
-    match site {
-        FaultSite::Output { gate } => analysis.co[gate.index()],
-        FaultSite::Pin { gate, pin } => {
-            let g = circuit.gate(gate);
-            match g.kind() {
-                GateKind::Comb(f) => {
-                    analysis.co[gate.index()].saturating_add(pin_sensitization_cost(
-                        f,
-                        g.fanin(),
-                        pin as usize,
-                        &analysis.cc0,
-                        &analysis.cc1,
-                    ))
-                }
-                _ => analysis.co[gate.index()].saturating_add(1),
-            }
-        }
-    }
-}
-
 pub(crate) fn span_of(prov: Option<&BenchProvenance>, gate: GateId) -> Option<Span> {
     prov.and_then(|p| p.line_of(gate))
         .map(|line| Span { line, col: 1 })
@@ -1025,15 +957,6 @@ mod tests {
         assert_eq!(a.cc0[m.index()], 2, "AND: min input CC0 + 1");
         assert_eq!(a.co[y.index()], 0, "PO tap");
         assert!(a.co[aa.index()] > a.co[m.index()]);
-        let weights = stuck_weights(
-            &c,
-            &a,
-            &[StuckAt::output(m, false), StuckAt::output(y, true)],
-        );
-        assert!(
-            weights[0] > weights[1],
-            "deep faults weigh more: {weights:?}"
-        );
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::fmt;
 /// configuration and tests key on.
 ///
 /// Codes are grouped by layer: `S` (source text), `N` (netlist structure),
-/// `F` (fault model), `M` (macro extraction), `P` (shard planning),
+/// `F` (fault model), `M` (macro extraction), `P` (shard partition),
 /// `I` (change impact).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RuleCode {
@@ -40,9 +40,9 @@ pub enum RuleCode {
     /// region (internal fanout, foreign support, over-cap support) or
     /// gates left outside every cell.
     IllegalMacroRegion,
-    /// `P001` — a shard plan that is not an exact cover of the fault list
-    /// or violates the balance bound.
-    NonExactCoverShardPlan,
+    /// `P001` — a shard partition that is not an exact cover of the fault
+    /// list or violates the balance bound.
+    NonExactCoverShardPartition,
     /// `N007` — a net proven constant by three-valued constant propagation
     /// run to a sequential fixpoint (info: legal, but its logic is dead).
     ConstantNet,
@@ -103,7 +103,7 @@ impl RuleCode {
         RuleCode::ConflictUntestableFault,
         RuleCode::ImplicationDominance,
         RuleCode::IllegalMacroRegion,
-        RuleCode::NonExactCoverShardPlan,
+        RuleCode::NonExactCoverShardPartition,
         RuleCode::ConeDisconnectedEdit,
         RuleCode::BaselineInvalidated,
         RuleCode::FateTransferMismatch,
@@ -129,7 +129,7 @@ impl RuleCode {
             RuleCode::ConflictUntestableFault => "F004",
             RuleCode::ImplicationDominance => "F005",
             RuleCode::IllegalMacroRegion => "M001",
-            RuleCode::NonExactCoverShardPlan => "P001",
+            RuleCode::NonExactCoverShardPartition => "P001",
             RuleCode::ConeDisconnectedEdit => "I001",
             RuleCode::BaselineInvalidated => "I002",
             RuleCode::FateTransferMismatch => "I003",
@@ -156,7 +156,7 @@ impl RuleCode {
             RuleCode::ConflictUntestableFault => "conflict-untestable-fault",
             RuleCode::ImplicationDominance => "implication-dominance",
             RuleCode::IllegalMacroRegion => "illegal-macro-region",
-            RuleCode::NonExactCoverShardPlan => "non-exact-cover-shard-plan",
+            RuleCode::NonExactCoverShardPartition => "non-exact-cover-shard-plan",
             RuleCode::ConeDisconnectedEdit => "cone-disconnected-edit",
             RuleCode::BaselineInvalidated => "baseline-invalidated",
             RuleCode::FateTransferMismatch => "fate-transfer-mismatch",
@@ -208,8 +208,8 @@ impl RuleCode {
                 "implication-implied fault dominance (analyze-only, never prunes)"
             }
             RuleCode::IllegalMacroRegion => "macro cell that is not a legal fanout-free region",
-            RuleCode::NonExactCoverShardPlan => {
-                "shard plan that is not an exact balanced cover of the fault list"
+            RuleCode::NonExactCoverShardPartition => {
+                "shard partition that is not an exact balanced cover of the fault list"
             }
             RuleCode::ConeDisconnectedEdit => {
                 "netlist edit whose affected cone reaches no primary output"
@@ -447,7 +447,7 @@ mod tests {
         assert_eq!(codes.len(), RuleCode::ALL.len());
         assert_eq!(RuleCode::CombinationalCycle.code(), "N001");
         assert_eq!(RuleCode::UncollapsibleFault.code(), "F001");
-        assert_eq!(RuleCode::NonExactCoverShardPlan.code(), "P001");
+        assert_eq!(RuleCode::NonExactCoverShardPartition.code(), "P001");
         assert_eq!(RuleCode::ConeDisconnectedEdit.code(), "I001");
         assert_eq!(RuleCode::BaselineInvalidated.code(), "I002");
         assert_eq!(RuleCode::FateTransferMismatch.code(), "I003");

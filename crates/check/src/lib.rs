@@ -4,10 +4,11 @@
 //! fault lists with a terminal sentinel, visible/invisible splitting, macro
 //! LUT faults, shard-parallel fault partitions — rests on structural
 //! preconditions: acyclic combinational logic, fully driven nets, legal
-//! fanout-free regions, sound fault collapse, exact-cover shard plans. This
-//! crate checks all of them *before* the event loop runs, and reports
-//! violations as [`Diagnostic`]s with stable [`RuleCode`]s, severities, and
-//! `.bench` source spans instead of mid-simulation panics.
+//! fanout-free regions, sound fault collapse, exact-cover shard
+//! partitions. This crate checks all of them *before* the event loop
+//! runs, and reports violations as [`Diagnostic`]s with stable
+//! [`RuleCode`]s, severities, and `.bench` source spans instead of
+//! mid-simulation panics.
 //!
 //! Entry points:
 //!
@@ -65,7 +66,7 @@ mod netlist_check;
 
 pub use analyze::{
     analysis_findings, analyze_circuit, analyze_circuit_with, observable_nodes, prune_stuck_at,
-    prune_transition, stuck_weights, transition_weights, AnalysisOptions, CircuitAnalysis,
+    prune_transition, AnalysisOptions, CircuitAnalysis,
 };
 pub use diag::{Diagnostic, Report, RuleCode, Severity, Span};
 pub use learn::{
@@ -144,6 +145,24 @@ mod tests {
         // A flip-flop with two D inputs is the sequential variant.
         let r = check_bench_source("t", "INPUT(a)\nOUTPUT(q)\nq = DFF(a, a)\n");
         assert_eq!(count(&r, RuleCode::BadArity), 1, "{:?}", codes(&r));
+        // Fault sites number pins with one byte: 256 inputs is the limit.
+        for (width, errors) in [(256, 0), (257, 1), (300, 1)] {
+            let names: Vec<String> = (0..width).map(|i| format!("a{i}")).collect();
+            let inputs: Vec<String> = names.iter().map(|n| format!("INPUT({n})\n")).collect();
+            let src = format!(
+                "{}OUTPUT(y)\ny = XOR({})\n",
+                inputs.concat(),
+                names.join(", ")
+            );
+            let r = check_bench_source("t", &src);
+            assert_eq!(
+                count(&r, RuleCode::BadArity),
+                errors,
+                "{width}: {:?}",
+                codes(&r)
+            );
+            assert_eq!(r.has_errors(), errors > 0, "{width}: {:?}", codes(&r));
+        }
     }
 
     #[test]
@@ -363,7 +382,7 @@ mod tests {
         let mut r = Report::new("t");
         check_shard_partition("rr", &[vec![0, 2], vec![1, 3]], 5, &mut r);
         assert_eq!(
-            count(&r, RuleCode::NonExactCoverShardPlan),
+            count(&r, RuleCode::NonExactCoverShardPartition),
             1,
             "{:?}",
             codes(&r)
@@ -372,7 +391,7 @@ mod tests {
         let mut r = Report::new("t");
         check_shard_partition("rr", &[vec![0, 1, 2], vec![2, 3, 4]], 5, &mut r);
         assert_eq!(
-            count(&r, RuleCode::NonExactCoverShardPlan),
+            count(&r, RuleCode::NonExactCoverShardPartition),
             1,
             "{:?}",
             codes(&r)
@@ -381,7 +400,7 @@ mod tests {
         let mut r = Report::new("t");
         check_shard_partition("chunk", &[vec![0, 1, 2, 3], vec![4]], 5, &mut r);
         assert_eq!(
-            count(&r, RuleCode::NonExactCoverShardPlan),
+            count(&r, RuleCode::NonExactCoverShardPartition),
             1,
             "{:?}",
             codes(&r)
@@ -390,7 +409,7 @@ mod tests {
         let mut r = Report::new("t");
         check_shard_partition("rr", &[vec![0, 1, 9]], 3, &mut r);
         assert!(
-            count(&r, RuleCode::NonExactCoverShardPlan) >= 1,
+            count(&r, RuleCode::NonExactCoverShardPartition) >= 1,
             "{:?}",
             codes(&r)
         );

@@ -1,5 +1,5 @@
 //! Fault-model analyses: collapse soundness (`F001`), macro-region
-//! legality (`M001`), and shard-plan exact cover (`P001`).
+//! legality (`M001`), and the shard partition's exact cover (`P001`).
 //!
 //! Each analysis has a low-level entry point that takes plain view data so
 //! tests can feed it deliberately corrupted structures, plus an adapter
@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use cfs_core::{stuck_levels, ShardPlan};
+use cfs_core::round_robin_shards;
 use cfs_faults::{collapse_stuck_at, CollapsedFaults};
 use cfs_netlist::{
     extract_macros, BenchProvenance, Circuit, GateId, GateKind, MacroCircuit,
@@ -17,7 +17,7 @@ use cfs_netlist::{
 
 use crate::diag::{Report, RuleCode, Span};
 
-/// Thread counts the shard-plan verification sweeps (the CLI's common
+/// Shard counts the partition verification sweeps (the CLI's common
 /// range plus a prime to exercise uneven splits).
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
@@ -290,7 +290,7 @@ pub fn check_shard_partition(
     }
     lost += seen.iter().filter(|&&s| !s).count();
     let add = |report: &mut Report, msg: String| {
-        report.add(RuleCode::NonExactCoverShardPlan, None, msg);
+        report.add(RuleCode::NonExactCoverShardPartition, None, msg);
     };
     if let Some(i) = out_of_range {
         add(
@@ -327,19 +327,17 @@ pub fn check_shard_partition(
 
 /// Runs every fault-model analysis on a structurally sound circuit: the
 /// collapse of its stuck-at universe (`F001`), its macro extraction at the
-/// default cap (`M001`), and each shard plan over the collapsed
-/// representatives for the standard thread counts (`P001`).
+/// default cap (`M001`), and the round-robin partition of the collapsed
+/// representatives at the standard shard counts (`P001`).
 pub fn check_models(circuit: &Circuit, prov: Option<&BenchProvenance>, report: &mut Report) {
     let col = collapse_stuck_at(circuit);
     check_collapse(circuit, &col, prov, report);
     let macros = extract_macros(circuit, DEFAULT_MACRO_MAX_INPUTS);
     check_macros(circuit, &macros, DEFAULT_MACRO_MAX_INPUTS, prov, report);
-    let levels = stuck_levels(circuit, &col.representatives);
-    for plan in ShardPlan::ALL {
-        for shards in SHARD_COUNTS {
-            let parts = plan.partition(&levels, shards);
-            check_shard_partition(plan.name(), &parts, col.representatives.len(), report);
-        }
+    let faults = col.representatives.len();
+    for shards in SHARD_COUNTS {
+        let parts = round_robin_shards(faults, shards);
+        check_shard_partition("round-robin", &parts, faults, report);
     }
 }
 
@@ -350,31 +348,23 @@ mod tests {
     use cfs_logic::Logic;
 
     fn p001_count(r: &Report) -> usize {
-        r.with_code(RuleCode::NonExactCoverShardPlan).count()
+        r.with_code(RuleCode::NonExactCoverShardPartition).count()
     }
 
     /// The `--steal` scheduler overshards 2x (shards = 2 * threads) so
     /// idle workers have spare tasks to migrate. Those oversharded
-    /// partitions must pass P001 for every plan: an exact cover, balanced
-    /// to within one fault.
+    /// partitions must pass P001: an exact cover, balanced to within one
+    /// fault.
     #[test]
     fn p001_accepts_oversharded_steal_partitions() {
         let c = cfs_netlist::generate::benchmark("s298g").expect("bundled benchmark");
-        let col = collapse_stuck_at(&c);
-        let levels = stuck_levels(&c, &col.representatives);
+        let faults = collapse_stuck_at(&c).representatives.len();
         for threads in [1usize, 2, 4] {
             let shards = threads * 2;
-            for plan in ShardPlan::ALL {
-                let parts = plan.partition(&levels, shards);
-                let mut r = Report::new("t");
-                check_shard_partition(plan.name(), &parts, col.representatives.len(), &mut r);
-                assert!(
-                    r.diagnostics.is_empty(),
-                    "{} x{shards}: {}",
-                    plan.name(),
-                    r.render_text()
-                );
-            }
+            let parts = round_robin_shards(faults, shards);
+            let mut r = Report::new("t");
+            check_shard_partition("round-robin", &parts, faults, &mut r);
+            assert!(r.diagnostics.is_empty(), "x{shards}: {}", r.render_text());
         }
     }
 
@@ -395,14 +385,12 @@ mod tests {
             })
             .collect();
         for window in [0usize, 16] {
-            let mut sim = ParallelSim::with_probes_sharded(
+            let mut sim = ParallelSim::with_shards(
                 &c,
                 &col.representatives,
                 CsimVariant::Mv.options(),
                 4,
                 8,
-                ShardPlan::RoundRobin,
-                None,
                 |_| NullProbe,
             );
             let batch = BatchOptions {

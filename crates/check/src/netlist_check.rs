@@ -10,7 +10,7 @@
 use std::collections::{HashMap, HashSet};
 
 use cfs_logic::GateFn;
-use cfs_netlist::{parse_bench_with_provenance, Circuit};
+use cfs_netlist::{parse_bench_with_provenance, Circuit, MAX_FANIN};
 
 use crate::analyze::cross_check_observability;
 use crate::diag::{Report, RuleCode, Severity, Span};
@@ -196,6 +196,15 @@ fn scan_source(source: &str, report: &mut Report) -> Scan {
                                 RuleCode::BadArity,
                                 span(token_col(raw, fn_name)),
                                 format!("gate {lhs:?} has no inputs"),
+                            );
+                        } else if args.len() > MAX_FANIN {
+                            report.add(
+                                RuleCode::BadArity,
+                                span(token_col(raw, fn_name)),
+                                format!(
+                                    "gate {lhs:?} has {} inputs; at most {MAX_FANIN} are supported",
+                                    args.len()
+                                ),
                             );
                         }
                         RawKind::Gate(Some(f))

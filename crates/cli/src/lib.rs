@@ -5,13 +5,12 @@
 //! The caller parses its flags into a [`RunPlan`] and loads the circuit,
 //! the patterns, a `--baseline-report` ([`Baseline::parse`]) and a
 //! `--resume-from` checkpoint. [`prepare_universe`] then picks the
-//! simulated faults (`--prune`, `--learn`, `--incremental`, and the
-//! weight-aware plan's balance keys). [`simulate_stuck`],
-//! [`simulate_transition`] and [`simulate_baseline`] build one machine
-//! with the probe the run needs ([`Probes`]), resume and checkpoint it,
-//! and run it: serially with one shard, on the work-stealing scheduler
-//! with more. [`finish_run`] prints the summary table and writes the
-//! output files. Every line goes to a caller-supplied [`io::Write`]:
+//! simulated faults (`--prune`, `--learn`, `--incremental`).
+//! [`simulate_stuck`], [`simulate_transition`] and [`simulate_baseline`]
+//! build one machine with the probe the run needs ([`Probes`]), resume
+//! and checkpoint it, and run it: serially with one shard, on the
+//! work-stealing scheduler with more. [`finish_run`] prints the summary
+//! table and writes the output files. Every line goes to a caller-supplied [`io::Write`]:
 //! `fsim` passes stdout, `repro-tables` passes [`io::sink`].
 
 #![warn(missing_docs)]
@@ -26,12 +25,11 @@ use cfs_baselines::{DeductiveSim, ProofsSim, SerialSim};
 use cfs_check::{
     analyze_circuit, classify_stuck_at, classify_transition, cross_check_fates, diff_netlists,
     impact_analysis, impact_findings, prune_stuck_at, prune_stuck_at_learned, prune_transition,
-    prune_transition_learned, stuck_weights, transition_weights, CircuitAnalysis, ImpactAnalysis,
-    ImplicationGraph, LearnOptions,
+    prune_transition_learned, CircuitAnalysis, ImpactAnalysis, ImplicationGraph, LearnOptions,
 };
 use cfs_core::{
     detections_of, BatchOptions, Checkpoint, ConcurrentSim, CsimOptions, FaultMachine, NullProbe,
-    Probe, SchedStats, ShardPlan, ShardedSim, TransitionOptions, TransitionSim,
+    Probe, SchedStats, ShardedSim, TransitionOptions, TransitionSim,
 };
 use cfs_faults::{
     FaultSimReport, FaultStatus, ImpactStats, ImpactUniverse, PruneStats, PrunedUniverse, StuckAt,
@@ -96,8 +94,6 @@ pub struct RunPlan<'a> {
     pub learn: Option<LearnOptions>,
     /// `--threads`: worker threads.
     pub threads: usize,
-    /// `--shard-plan`: the fault partition.
-    pub plan: ShardPlan,
     /// A multi-shard run's schedule: `--batch-windows` sets the window
     /// ([`cfs_core::DEFAULT_WINDOW`] when absent) and `--steal` turns
     /// stealing on. One-shard runs ignore it.
@@ -131,7 +127,6 @@ impl Default for RunPlan<'_> {
             prune: false,
             learn: None,
             threads: 1,
-            plan: ShardPlan::RoundRobin,
             batch: BatchOptions {
                 steal: false,
                 ..BatchOptions::default()
@@ -159,8 +154,9 @@ impl RunPlan<'_> {
             || self.trace_out.is_some()
     }
 
-    /// Fault-shard count: `--steal` overshards 2× so idle workers have
-    /// spare runnable shards to take; otherwise one shard per worker.
+    /// Requested fault-shard count: `--steal` overshards 2× so idle
+    /// workers have spare runnable shards to take; otherwise one shard per
+    /// worker. The machine deals no more shards than there are faults.
     pub fn shards(&self) -> usize {
         if self.batch.steal {
             self.threads * 2
@@ -184,7 +180,7 @@ fn write_checkpoint_file(
 
 /// Writes the deterministic detection list: one `pattern fault` line per
 /// detected fault, sorted by pattern then fault index. Byte-identical for
-/// every thread count and shard plan.
+/// every thread count, window and steal schedule.
 fn write_detections(
     path: &str,
     statuses: &[FaultStatus],
@@ -871,14 +867,12 @@ where
 {
     let (c, patterns, universe, plan) = (run.circuit, run.patterns, run.universe, run.plan);
     let epoch = Instant::now();
-    let mut sim = ShardedSim::<M>::with_probes_sharded(
+    let mut sim = ShardedSim::<M>::with_shards(
         c,
         &universe.faults,
         options,
         plan.threads,
         plan.shards(),
-        plan.plan,
-        universe.keys.as_deref(),
         |_| M::Probe::attach(epoch, plan.trace_cfg),
     );
     if plan.paranoid {
@@ -1169,14 +1163,11 @@ pub fn finish_run<F>(
 }
 
 /// The simulated universe of a `sim`/`transition` run: the faults handed
-/// to the machine, how its report expands back to the full universe, and
-/// the weight-aware plan's balance keys.
+/// to the machine, and how its report expands back to the full universe.
 pub struct Universe<F> {
     /// The faults the machine simulates.
     pub faults: Vec<F>,
     expansion: Expansion<F>,
-    /// The weight-aware plan's per-fault balance keys.
-    pub keys: Option<Vec<u32>>,
 }
 
 /// One fault model's hooks into [`prepare_universe`].
@@ -1188,7 +1179,6 @@ pub struct ModelHooks<F> {
     prune: fn(&Circuit, &CircuitAnalysis) -> PrunedUniverse<F>,
     prune_learned: fn(&Circuit, &CircuitAnalysis, &ImplicationGraph) -> PrunedUniverse<F>,
     classify: fn(&Circuit, &Circuit, &ImpactAnalysis) -> ImpactUniverse<F>,
-    weights: fn(&Circuit, &CircuitAnalysis, &[F]) -> Vec<u32>,
 }
 
 /// The stuck-at model (`fsim sim`).
@@ -1198,7 +1188,6 @@ pub const STUCK: ModelHooks<StuckAt> = ModelHooks {
     prune: prune_stuck_at,
     prune_learned: |c, a, g| prune_stuck_at_learned(c, a, g).universe,
     classify: classify_stuck_at,
-    weights: stuck_weights,
 };
 
 /// The transition model (`fsim transition`).
@@ -1208,12 +1197,11 @@ pub const TRANSITION: ModelHooks<TransitionFault> = ModelHooks {
     prune: prune_transition,
     prune_learned: prune_transition_learned,
     classify: classify_transition,
-    weights: transition_weights,
 };
 
 /// The shared `sim`/`transition` preparation over the model's `full`
-/// default universe: `--prune` (with `--learn`), `--incremental` (given
-/// the loaded `baseline`), and the weight-aware plan's keys.
+/// default universe: `--prune` (with `--learn`) or `--incremental` (given
+/// the loaded `baseline`).
 pub fn prepare_universe<F: Copy>(
     c: &Circuit,
     plan: &RunPlan<'_>,
@@ -1223,39 +1211,25 @@ pub fn prepare_universe<F: Copy>(
     out: &mut dyn Write,
     full: impl FnOnce(&Circuit) -> Vec<F>,
 ) -> Result<Universe<F>, Box<dyn std::error::Error>> {
-    let weighted = plan.plan == ShardPlan::WeightAware && plan.shards() > 1;
-    // The weight-aware plan and --prune share one static analysis pass.
-    let analysis = (plan.prune || weighted).then(|| analyze_circuit(c));
-    let expansion = match (&analysis, baseline) {
-        (Some(a), _) if plan.prune => {
-            let u = match plan.learn {
-                Some(options) => {
-                    (hooks.prune_learned)(c, a, &ImplicationGraph::build(c, a, options))
-                }
-                None => (hooks.prune)(c, a),
-            };
-            print_prune_banner(hooks.label, &u.stats, out)?;
-            Expansion::Pruned(u)
-        }
-        (_, Some(baseline)) => {
-            let (u, statuses) = prepare_incremental(c, baseline, patterns, hooks.classify, out)?;
-            print_impact_banner(hooks.label, &u.stats, out)?;
-            Expansion::Incremental(u, statuses)
-        }
-        _ => Expansion::Verbatim,
+    let expansion = if plan.prune {
+        let a = analyze_circuit(c);
+        let u = match plan.learn {
+            Some(options) => (hooks.prune_learned)(c, &a, &ImplicationGraph::build(c, &a, options)),
+            None => (hooks.prune)(c, &a),
+        };
+        print_prune_banner(hooks.label, &u.stats, out)?;
+        Expansion::Pruned(u)
+    } else if let Some(baseline) = baseline {
+        let (u, statuses) = prepare_incremental(c, baseline, patterns, hooks.classify, out)?;
+        print_impact_banner(hooks.label, &u.stats, out)?;
+        Expansion::Incremental(u, statuses)
+    } else {
+        Expansion::Verbatim
     };
     let faults = match &expansion {
         Expansion::Verbatim => full(c),
         Expansion::Pruned(u) => u.sim.clone(),
         Expansion::Incremental(u, _) => u.affected.clone(),
     };
-    let keys = match &analysis {
-        Some(a) if weighted => Some((hooks.weights)(c, a, &faults)),
-        _ => None,
-    };
-    Ok(Universe {
-        faults,
-        expansion,
-        keys,
-    })
+    Ok(Universe { faults, expansion })
 }

@@ -11,9 +11,8 @@
 //! `--flag value` and `--flag=value`; unknown flags are an error.
 //!
 //! `--threads N` fault-shards the concurrent simulators across `N` worker
-//! threads (`--shard-plan round-robin|contiguous|level-aware|weight-aware`
-//! picks the partition; `weight-aware` balances shards by SCOAP-derived
-//! fault weights); results are bit-identical for every thread count.
+//! threads, dealing the faults round-robin (never into more shards than
+//! there are faults); results are bit-identical for every thread count.
 //! `--detections FILE` writes the deterministic detection list — one
 //! `pattern fault` line per detected fault, sorted by pattern then fault
 //! index — which is the artifact to diff across thread counts.
@@ -93,7 +92,7 @@
 //! serial gate-level traced run. Unknown or statically-pruned fault ids
 //! exit with status 2 and a `cfs-check`-style diagnostic. `fsim heatmap`
 //! ranks nodes by fault-list activity (divergences + convergences +
-//! drops), the measured counterpart of the static SCOAP weights.
+//! drops).
 
 use std::fs;
 use std::io;
@@ -112,9 +111,7 @@ use cfs_cli::{
     simulate_transition, Baseline, DiagnosticError, JsonlFile, ModelHooks, Outcome, Probes, Run,
     RunPlan, STUCK, TRANSITION,
 };
-use cfs_core::{
-    BatchOptions, Checkpoint, ConcurrentSim, CsimOptions, CsimVariant, ShardPlan, DEFAULT_WINDOW,
-};
+use cfs_core::{BatchOptions, Checkpoint, ConcurrentSim, CsimOptions, CsimVariant, DEFAULT_WINDOW};
 use cfs_faults::{
     collapse_stuck_at, dominance_collapse, enumerate_stuck_at, enumerate_transition, FaultFate,
     PruneReason,
@@ -277,7 +274,6 @@ fn listed(cmds: &str, cmd: &str) -> bool {
 const RUN: &str = "sim transition";
 const REPLAY: &str = "sim transition explain heatmap";
 const LEARN: &str = "sim transition analyze";
-const SHARD_PLANS: &[&str] = &["round-robin", "contiguous", "level-aware", "weight-aware"];
 
 /// Upper bound on `--threads`: every worker drives at least one shard,
 /// and every shard is a full engine, so the count must stay far below
@@ -338,7 +334,6 @@ const FLAGS: &[(&str, Kind, &str, &str)] = &[
     ("--baseline-report", Path("FILE"), RUN, "the --baseline-out file --incremental transfers fates from"),
     ("--baseline-out", Path("FILE"), RUN, "record full-universe fates for later --incremental runs"),
     ("--threads", CountTo(MAX_THREADS), RUN, "fault-shard the concurrent simulator across N workers"),
-    ("--shard-plan", OneOf("shard plan", SHARD_PLANS), RUN, "fault partition (default round-robin)"),
     ("--batch-windows", Number(" (0 = one whole-run window)"), RUN,
      "patterns per (shard x window) task (default 128; 0 = one whole-run window)"),
     ("--steal", Switch, RUN, "let idle workers steal runnable shards (overshards 2x)"),
@@ -580,10 +575,7 @@ const FLAG_RULES: &[Rule] = &[
     ("sim", |f| f.baseline() && f.on("--steal"), "--steal needs the concurrent simulator, not {sim}"),
     ("sim", |f| f.baseline() && f.on("--paranoid"), "--paranoid needs the concurrent simulator, not {sim}"),
     ("sim", |f| f.baseline() && f.on("--trace-every"), "--trace-every needs the concurrent simulator, not {sim}"),
-    ("sim", |f| f.baseline() && f.on("--shard-plan"), "--shard-plan needs the concurrent simulator, not {sim}"),
     ("sim", |f| f.baseline() && f.on("--variant"), "--variant needs the concurrent simulator, not {sim}"),
-    (RUN, |f| f.on("--shard-plan") && !f.baseline() && f.shards() == 1,
-     "--shard-plan needs more than one shard: --threads 2 or more, or --steal"),
     (RUN, |f| f.on("--batch-windows") && !f.baseline() && f.shards() == 1,
      "--batch-windows needs more than one shard: --threads 2 or more, or --steal"),
     (RUN, |f| f.checkpointing() && f.shards() > 1,
@@ -652,9 +644,6 @@ fn run_plan<'a>(f: &Flags<'a>) -> RunPlan<'a> {
         prune: f.on("--prune"),
         learn: f.learn(),
         threads: f.num_or("--threads", 1),
-        plan: f.text("--shard-plan").map_or(ShardPlan::RoundRobin, |p| {
-            ShardPlan::parse(p).expect("FLAGS lists only shard plans")
-        }),
         batch: BatchOptions {
             window: f.num_or("--batch-windows", DEFAULT_WINDOW),
             steal: f.on("--steal"),
@@ -1557,8 +1546,7 @@ fn cmd_explain(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 /// `fsim heatmap <circuit>`: rank nodes by recorded fault-list activity
-/// from a serial gate-level traced run — the measured counterpart of the
-/// static SCOAP observability weights `--shard-plan weight-aware` uses.
+/// from a serial gate-level traced run.
 fn cmd_heatmap(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
     let spec = f.arg(0, "circuit")?;
     let top = f.num_or("--top", 20);
@@ -1728,9 +1716,7 @@ mod tests {
         "--simulator proofs --steal",
         "--simulator proofs --paranoid",
         "--simulator proofs --trace-every 4",
-        "--simulator proofs --shard-plan contiguous",
         "--simulator proofs --variant m",
-        "--shard-plan contiguous",
         "--batch-windows 8",
         "--threads 2 --resume-from c.bin",
         "--trace-out t.json --resume-from c.bin",
@@ -1763,22 +1749,6 @@ mod tests {
     }
 
     #[test]
-    fn one_thread_stealing_runs_get_weight_keys() {
-        let args = argv("@s27 --threads 1 --batch-windows 8 --steal --shard-plan weight-aware");
-        let flags = parse("sim", &args);
-        assert_eq!(flags.refusals().count(), 0);
-        let plan = run_plan(&flags);
-        assert_eq!(plan.shards(), 2);
-        let c = cfs_netlist::data::s27();
-        let universe = prepare_universe(&c, &plan, &[], &STUCK, None, &mut io::sink(), |c| {
-            collapse_stuck_at(c).representatives
-        })
-        .expect("no universe flags to fail");
-        let keys = universe.keys.expect("weight-aware keys for two shards");
-        assert_eq!(keys.len(), universe.faults.len());
-    }
-
-    #[test]
     fn tables_name_real_commands_and_parseable_choices() {
         let commands = FLAGS
             .iter()
@@ -1791,9 +1761,6 @@ mod tests {
         }
         for (i, f) in FLAGS.iter().enumerate() {
             assert!(FLAGS[..i].iter().all(|g| g.0 != f.0), "{} twice", f.0);
-        }
-        for plan in SHARD_PLANS {
-            assert!(ShardPlan::parse(plan).is_some(), "{plan}");
         }
         let Some((_, OneOf(_, edits), ..)) = FLAGS.iter().find(|f| f.0 == "--edit") else {
             panic!("--edit lists its edits");
@@ -1850,7 +1817,6 @@ mod tests {
                 "@s298g --max-frames 0",
                 "--max-frames must be at least 1",
             ),
-            ("sim", "@s27 --shard-plan rr", "unknown shard plan \"rr\""),
             (
                 "heatmap",
                 "@s27 --format xml",

@@ -353,8 +353,8 @@ fn stats_json_emits_pattern_records_and_matching_summary() {
     );
 }
 
-/// The ISSUE acceptance scenario: `--threads 4` produces a byte-identical
-/// detection dump to `--threads 1`, for every shard plan.
+/// `--threads 4` produces a byte-identical detection dump to
+/// `--threads 1`.
 #[test]
 fn sim_threads_detections_are_byte_identical() {
     let dir = std::env::temp_dir().join("fsim-cli-test");
@@ -373,27 +373,132 @@ fn sim_threads_detections_are_byte_identical() {
     assert!(ok, "{err}");
     let reference = std::fs::read_to_string(&serial).unwrap();
     assert!(!reference.trim().is_empty(), "some faults detected");
-    for plan in ["round-robin", "contiguous", "level-aware"] {
-        let par = dir.join(format!("det-{plan}.txt"));
-        let (ok, out, err) = fsim(&[
-            "sim",
-            "@s298g",
-            "--random",
-            "64",
-            "--threads",
-            "4",
-            "--shard-plan",
-            plan,
-            "--detections",
-            par.to_str().unwrap(),
-        ]);
+    let par = dir.join("det-par.txt");
+    let (ok, out, err) = fsim(&[
+        "sim",
+        "@s298g",
+        "--random",
+        "64",
+        "--threads",
+        "4",
+        "--detections",
+        par.to_str().unwrap(),
+    ]);
+    assert!(ok, "{err}");
+    assert!(out.contains("csim-MV-p4"), "{out}");
+    assert_eq!(std::fs::read_to_string(&par).unwrap(), reference);
+}
+
+/// More requested shards than faults: s27's 26 collapsed faults are
+/// dealt one to a shard, one worker each, and the run keeps the name of
+/// the requested thread count and the serial detections.
+#[test]
+fn more_shards_than_faults_deal_one_fault_per_shard() {
+    let dir = std::env::temp_dir().join("fsim-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let detections = |extra: &[&str], file: &str| -> (String, String) {
+        let det = dir.join(file);
+        let mut args = vec!["sim", "@s27", "--random", "64", "--stats"];
+        args.extend_from_slice(extra);
+        args.extend_from_slice(&["--detections", det.to_str().unwrap()]);
+        let (ok, out, err) = fsim(&args);
         assert!(ok, "{err}");
-        assert!(out.contains("csim-MV-p4"), "{out}");
-        assert_eq!(
-            std::fs::read_to_string(&par).unwrap(),
-            reference,
-            "plan {plan} diverged from serial"
+        (out, std::fs::read_to_string(&det).unwrap())
+    };
+    let (_, serial) = detections(&[], "det-s27-serial.txt");
+    for threads in ["32", "256"] {
+        let file = format!("det-s27-t{threads}.txt");
+        let (out, det) = detections(&["--threads", threads, "--steal"], &file);
+        assert_eq!(det, serial, "--threads {threads} --steal");
+        assert!(out.contains(&format!("csim-MV-p{threads}")), "{out}");
+        assert!(out.contains("× 26 shards"), "{out}");
+        assert!(out.contains("on 26 workers"), "{out}");
+    }
+}
+
+/// `--shard-plan` is retired: round-robin is the only partition, and the
+/// flag is as unknown as any other.
+#[test]
+fn retired_shard_plan_flag_is_unknown() {
+    let det = std::env::temp_dir().join("fsim-cli-test-shard-plan.txt");
+    let _ = std::fs::remove_file(&det);
+    let (code, out, err) = fsim_code(&[
+        "sim",
+        "@s27",
+        "--threads",
+        "2",
+        "--shard-plan",
+        "round-robin",
+        "--detections",
+        det.to_str().unwrap(),
+    ]);
+    assert_eq!(code, Some(1), "{err}");
+    assert_eq!(err, "fsim: sim: unknown flag --shard-plan (try --help)\n");
+    assert!(out.is_empty(), "{out}");
+    assert!(!det.exists(), "the refused run wrote its detections");
+    let (_, _, help) = fsim(&["--help"]);
+    assert!(!help.contains("--shard-plan"), "{help}");
+}
+
+/// Fault sites number a gate's pins with one byte, so a gate reads at
+/// most 256 nets. A wider gate is refused by the checker (S003) and by the
+/// circuit builder (exit 1 under `--no-check` and in commands without a
+/// preflight); the 256-input gate runs, and names its last pin 255.
+#[test]
+fn gates_wider_than_256_inputs_are_refused() {
+    let dir = std::env::temp_dir().join("fsim-cli-wide");
+    std::fs::create_dir_all(&dir).unwrap();
+    let bench = |width: usize| -> String {
+        let names: Vec<String> = (0..width).map(|i| format!("a{i}")).collect();
+        let inputs: Vec<String> = names.iter().map(|n| format!("INPUT({n})\n")).collect();
+        let src = format!(
+            "{}OUTPUT(y)\ny = XOR({})\n",
+            inputs.concat(),
+            names.join(", ")
         );
+        let path = dir.join(format!("w{width}.bench"));
+        std::fs::write(&path, src).unwrap();
+        path.to_str().unwrap().to_owned()
+    };
+    let w256 = bench(256);
+    let (code, _, err) = fsim_code(&["check", &w256]);
+    assert_eq!(code, Some(0), "{err}");
+    let (ok, out, err) = fsim(&["sim", &w256, "--random", "16"]);
+    assert!(ok, "{err}");
+    assert!(out.contains("csim-MV"), "{out}");
+    // 256 inputs and y: 514 output faults, then y's pins two faults each.
+    let (ok, out, err) = fsim(&["explain", &w256, "1025", "--uncollapsed", "--random", "4"]);
+    assert!(ok, "{err}");
+    assert!(out.contains("input 255 of y stuck at 1"), "{out}");
+    for width in [257, 300] {
+        let path = bench(width);
+        let (code, out, err) = fsim_code(&["check", &path]);
+        assert_ne!(code, Some(0), "{width}: {out}{err}");
+        assert!(out.contains("S003"), "{width}: {out}");
+        let runs: [&[&str]; 5] = [
+            &["sim", &path, "--random", "4", "--no-check"],
+            &["stats", &path],
+            &[
+                "explain",
+                &path,
+                "1201",
+                "--uncollapsed",
+                "--random",
+                "4",
+                "--no-check",
+            ],
+            &["atpg", &path],
+            &["transition", &path, "--random", "4", "--no-check"],
+        ];
+        for args in runs {
+            let (code, out, err) = fsim_code(args);
+            assert_eq!(code, Some(1), "{args:?}: {out}{err}");
+            assert!(err.contains("invalid circuit"), "{args:?}: {err}");
+            assert!(
+                err.contains(&format!("XOR cannot take {width} inputs")),
+                "{args:?}: {err}"
+            );
+        }
     }
 }
 
@@ -650,9 +755,6 @@ fn threads_flag_rejects_bad_values() {
     let (ok, _, err) = fsim(&["sim", "@s27", "--random", "4", "--threads", "50000"]);
     assert!(!ok);
     assert!(err.contains("--threads must be at most 256"), "{err}");
-    let (ok, _, err) = fsim(&["sim", "@s27", "--shard-plan", "mystery"]);
-    assert!(!ok);
-    assert!(err.contains("unknown shard plan"), "{err}");
     let (ok, _, err) = fsim(&["sim", "@s27", "--threads", "2", "--simulator", "proofs"]);
     assert!(!ok);
     assert!(
@@ -1319,7 +1421,6 @@ fn help_lists_every_run_flag() {
             "[--learn]",
             "[--learn-frames N]",
             "[--patterns FILE]",
-            "[--shard-plan round-robin|contiguous|level-aware|weight-aware]",
             "[--paranoid]",
         ] {
             assert!(block.contains(flag), "{cmd} usage lacks {flag}:\n{block}");
@@ -1361,7 +1462,7 @@ fn silently_ignored_combinations_are_refused() {
     let pats = dir.join("s27.pat");
     std::fs::write(&pats, "0101\n1010\n").unwrap();
     let pats = pats.to_str().unwrap();
-    let cases: [(&[&str], &str); 10] = [
+    let cases: [(&[&str], &str); 8] = [
         (
             &["sim", "@s27", "--patterns", pats, "--random", "50"],
             "--patterns FILE cannot combine with --random/--seed",
@@ -1383,30 +1484,8 @@ fn silently_ignored_combinations_are_refused() {
             "--trace-every needs the concurrent simulator, not \"proofs\"",
         ),
         (
-            &[
-                "sim",
-                "@s27",
-                "--simulator",
-                "serial",
-                "--shard-plan",
-                "contiguous",
-            ],
-            "--shard-plan needs the concurrent simulator, not \"serial\"",
-        ),
-        (
             &["sim", "@s27", "--simulator", "proofs", "--variant", "m"],
             "--variant needs the concurrent simulator, not \"proofs\"",
-        ),
-        (
-            &[
-                "transition",
-                "@s27",
-                "--threads",
-                "1",
-                "--shard-plan",
-                "level-aware",
-            ],
-            "--shard-plan needs more than one shard",
         ),
         (
             &["sim", "@s27", "--threads", "1", "--batch-windows", "8"],

@@ -126,7 +126,7 @@ pub struct StealEvent {
 /// feeds back into simulation results.
 #[derive(Debug, Clone, Default)]
 pub struct SchedStats {
-    /// Worker threads.
+    /// Worker threads started: at most one per shard.
     pub workers: usize,
     /// Pattern windows.
     pub windows: usize,
@@ -181,8 +181,8 @@ fn xorshift(state: &mut u64) -> u64 {
     x
 }
 
-/// Runs every (shard × window) task over `threads` workers plus the
-/// calling thread as trace coordinator.
+/// Runs every (shard × window) task over `threads` workers (at most one
+/// per shard) plus the calling thread as trace coordinator.
 ///
 /// * `produce(w)` is called exactly once per window, in window order, on
 ///   the calling thread — the sequential good machine.
@@ -215,6 +215,8 @@ where
 {
     assert!(threads > 0, "at least one worker");
     assert!(num_shards > 0, "at least one shard");
+    // A worker beyond the shard count would never hold a task.
+    let threads = threads.min(num_shards);
     let windows = window_sizes.len();
     if windows == 0 {
         return SchedStats {

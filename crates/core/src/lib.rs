@@ -66,8 +66,8 @@ pub use hot::DEFAULT_HOT_LANES;
 pub use list::{Arena, FaultElement, ListBuilder, ListIter, NIL, TERMINAL_FAULT};
 pub use machine::FaultMachine;
 pub use parallel::{
-    detections_of, stuck_levels, transition_levels, GlobalDetection, ParallelSim,
-    ParallelTransitionSim, ShardPlan, ShardedSim,
+    detections_of, round_robin_shards, GlobalDetection, ParallelSim, ParallelTransitionSim,
+    ShardPlan, ShardedSim,
 };
 pub use stuck::{ConcurrentSim, CsimOptions, CsimVariant, StepResult};
 pub use transition::{TransitionOptions, TransitionSim};

@@ -19,7 +19,6 @@ use cfs_telemetry::Probe;
 
 use crate::checkpoint::{Checkpoint, CheckpointError, Model};
 use crate::engine::Engine;
-use crate::parallel::{stuck_levels, transition_levels};
 use crate::stuck::{ConcurrentSim, CsimOptions};
 use crate::transition::{TransitionOptions, TransitionSim};
 
@@ -88,10 +87,6 @@ pub trait FaultMachine: sealed::Sealed<<Self as FaultMachine>::Probe> + Sized {
         options: Self::Options,
         probe: Self::Probe,
     ) -> Self;
-
-    /// The site logic level of every fault: the default balance keys of
-    /// [`crate::ShardPlan::partition`].
-    fn site_levels(circuit: &Circuit, faults: &[Self::Fault]) -> Vec<u32>;
 
     /// Simulates one clock cycle. With `good`, the settled fault-free node
     /// values of this cycle come from a shared good machine (computed once
@@ -209,10 +204,6 @@ impl<P: Probe> FaultMachine for ConcurrentSim<P> {
         ConcurrentSim::with_probe(circuit, faults, options, probe)
     }
 
-    fn site_levels(circuit: &Circuit, faults: &[StuckAt]) -> Vec<u32> {
-        stuck_levels(circuit, faults)
-    }
-
     fn step_with(&mut self, inputs: &[Logic], good: Option<&[Logic]>) {
         self.engine.step_stuck_with(inputs, good);
     }
@@ -247,10 +238,6 @@ impl<P: Probe> FaultMachine for TransitionSim<P> {
         probe: P,
     ) -> Self {
         TransitionSim::with_probe(circuit, faults, options, probe)
-    }
-
-    fn site_levels(circuit: &Circuit, faults: &[TransitionFault]) -> Vec<u32> {
-        transition_levels(circuit, faults)
     }
 
     fn step_with(&mut self, inputs: &[Logic], good: Option<&[Logic]>) {

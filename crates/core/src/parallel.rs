@@ -8,8 +8,9 @@
 //! — [`ParallelSim`] (stuck-at) and [`ParallelTransitionSim`] (the §3
 //! transition model) are its two instantiations:
 //!
-//! * the fault list is partitioned by a pluggable [`ShardPlan`] into `P`
-//!   exact-cover shards, one machine per shard,
+//! * the fault list is dealt round-robin ([`round_robin_shards`]) into
+//!   `P` exact-cover shards, one machine per shard, and never into more
+//!   shards than faults,
 //! * the **good machine is evaluated once per pattern** by a fault-free
 //!   engine and its settled node values are shared read-only with every
 //!   shard ([`FaultMachine::step_with`]), eliminating the per-shard
@@ -33,7 +34,7 @@
 //!
 //! Every scheduled run reads the same good machine, one scalar
 //! [`Engine::good_cycle`] per pattern, so the merged counters depend on
-//! the shard partition but never on the window size or the schedule.
+//! the shard count but never on the window size or the schedule.
 //!
 //! Determinism needs no locks because fault detection is a per-fault fact:
 //! whether (and at which pattern) fault `f` is detected depends only on
@@ -48,7 +49,7 @@ use std::fmt;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use cfs_faults::{FaultSimReport, FaultStatus, StuckAt, TransitionFault};
+use cfs_faults::{FaultSimReport, FaultStatus};
 use cfs_logic::Logic;
 use cfs_netlist::Circuit;
 use cfs_telemetry::{MetricsSnapshot, NullProbe, Probe, SimMetrics};
@@ -60,145 +61,33 @@ use crate::machine::FaultMachine;
 use crate::stuck::ConcurrentSim;
 use crate::transition::TransitionSim;
 
-/// How the fault list is split across shards.
-///
-/// Every plan is an *exact cover*: each fault index appears in exactly one
-/// shard. Plans only affect load balance, never results.
+/// How the fault list is split across shards. Round-robin is the one
+/// partition ([`round_robin_shards`]); the type remains only because
+/// [`ShardedSim::with_probes_sharded`] still names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ShardPlan {
-    /// Fault `i` goes to shard `i mod P`. Site-adjacent faults (which the
-    /// enumeration orders together) spread across shards, which balances
-    /// well in practice.
+    /// Fault `i` goes to shard `i mod P`.
     #[default]
     RoundRobin,
-    /// `P` nearly-equal contiguous slices of the fault list. Keeps each
-    /// shard's faults clustered on few sites (smaller per-shard lists),
-    /// at the risk of imbalance when detectability clusters.
-    Contiguous,
-    /// Faults sorted by their site's logic level, then dealt round-robin,
-    /// so each shard receives the same mix of shallow and deep faults.
-    LevelAware,
-    /// Faults sorted by a per-fault weight (descending), then snake-dealt
-    /// (`0..P`, `P-1..0`, …) so heavy faults spread evenly *and* each
-    /// shard's total weight stays close. With plain levels as keys this
-    /// degenerates to a level-spread plan; its intended keys are the SCOAP
-    /// detection-difficulty weights from `cfs-check` (see
-    /// [`ShardedSim::with_probes`]), which track how long a fault stays
-    /// undetected — and therefore how much list work it causes.
-    WeightAware,
 }
 
-impl ShardPlan {
-    /// All plans, for sweeps and tests.
-    pub const ALL: [ShardPlan; 4] = [
-        ShardPlan::RoundRobin,
-        ShardPlan::Contiguous,
-        ShardPlan::LevelAware,
-        ShardPlan::WeightAware,
-    ];
-
-    /// Stable CLI/display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ShardPlan::RoundRobin => "round-robin",
-            ShardPlan::Contiguous => "contiguous",
-            ShardPlan::LevelAware => "level-aware",
-            ShardPlan::WeightAware => "weight-aware",
-        }
-    }
-
-    /// Parses a plan's [`ShardPlan::name`].
-    pub fn parse(s: &str) -> Option<ShardPlan> {
-        ShardPlan::ALL.into_iter().find(|p| p.name() == s)
-    }
-
-    /// Partitions fault indices `0..levels.len()` into `shards` lists,
-    /// each sorted ascending. `levels[i]` is a balance key for fault `i`
-    /// — the site's logic level by default, or an externally supplied
-    /// weight — consulted only by [`ShardPlan::LevelAware`] and
-    /// [`ShardPlan::WeightAware`].
-    ///
-    /// The result is an exact cover: every index in exactly one shard.
-    /// Empty shards are possible when there are fewer faults than shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn partition(self, levels: &[u32], shards: usize) -> Vec<Vec<usize>> {
-        assert!(shards > 0, "at least one shard");
-        let n = levels.len();
-        let mut out = vec![Vec::with_capacity(n / shards + 1); shards];
-        match self {
-            ShardPlan::RoundRobin => {
-                for i in 0..n {
-                    out[i % shards].push(i);
-                }
-            }
-            ShardPlan::Contiguous => {
-                // Balanced slices: the first n % shards slices get one extra.
-                for (k, shard) in out.iter_mut().enumerate() {
-                    let lo = k * n / shards;
-                    let hi = (k + 1) * n / shards;
-                    shard.extend(lo..hi);
-                }
-            }
-            ShardPlan::LevelAware => {
-                let mut order: Vec<usize> = (0..n).collect();
-                order.sort_by_key(|&i| (levels[i], i));
-                for (k, &i) in order.iter().enumerate() {
-                    out[k % shards].push(i);
-                }
-                for shard in &mut out {
-                    shard.sort_unstable();
-                }
-            }
-            ShardPlan::WeightAware => {
-                // Snake deal by descending weight: the heaviest P faults
-                // land on distinct shards, the next P come back in reverse
-                // order, and so on. Each round gives every shard exactly
-                // one fault before any shard gets a second, so shard sizes
-                // stay within one of each other (the exact-cover balance
-                // bound) while total weights stay close — the classic
-                // LPT-style trick without LPT's size skew.
-                let mut order: Vec<usize> = (0..n).collect();
-                order.sort_by_key(|&i| (std::cmp::Reverse(levels[i]), i));
-                for (k, &i) in order.iter().enumerate() {
-                    let round = k / shards;
-                    let pos = k % shards;
-                    let shard = if round.is_multiple_of(2) {
-                        pos
-                    } else {
-                        shards - 1 - pos
-                    };
-                    out[shard].push(i);
-                }
-                for shard in &mut out {
-                    shard.sort_unstable();
-                }
-            }
-        }
-        out
-    }
-}
-
-impl fmt::Display for ShardPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Site logic levels of a stuck-at fault list (input to
-/// [`ShardPlan::partition`]).
-pub fn stuck_levels(circuit: &Circuit, faults: &[StuckAt]) -> Vec<u32> {
-    faults
-        .iter()
-        .map(|f| circuit.level(f.site.gate()))
+/// Deals fault indices `0..faults` round-robin over `min(shards, faults)`
+/// shards, at least one: fault `i` goes to shard `i mod P`. Site-adjacent
+/// faults (which the enumeration orders together) spread across shards.
+///
+/// The result is an exact cover: every index in exactly one shard, each
+/// shard sorted ascending, sizes within one of each other, and no shard
+/// empty unless the universe is.
+///
+/// # Panics
+///
+/// Panics if `shards == 0`.
+pub fn round_robin_shards(faults: usize, shards: usize) -> Vec<Vec<usize>> {
+    assert!(shards > 0, "at least one shard");
+    let shards = shards.min(faults).max(1);
+    (0..shards)
+        .map(|k| (k..faults).step_by(shards).collect())
         .collect()
-}
-
-/// Site logic levels of a transition fault list.
-pub fn transition_levels(circuit: &Circuit, faults: &[TransitionFault]) -> Vec<u32> {
-    faults.iter().map(|f| circuit.level(f.gate)).collect()
 }
 
 /// A detection in global fault-index terms: `(fault index, pattern)`.
@@ -260,22 +149,20 @@ struct Shard<M> {
 ///
 /// With one shard, the shard holds every fault and runs the exact serial
 /// code path: no good machine is built, no trace is produced, no worker
-/// thread starts.
+/// thread starts. A universe of one fault (or none) always has one shard.
 ///
 /// # Examples
 ///
 /// ```
-/// use cfs_core::{CsimVariant, ParallelSim, ShardPlan};
+/// use cfs_core::{CsimVariant, ParallelSim};
 /// use cfs_faults::collapse_stuck_at;
 /// use cfs_logic::parse_pattern;
 /// use cfs_netlist::data::s27;
 ///
 /// let circuit = s27();
 /// let faults = collapse_stuck_at(&circuit).representatives;
-/// let mut par = ParallelSim::new(
-///     &circuit, &faults, CsimVariant::Mv.options(), 4, ShardPlan::RoundRobin);
-/// let mut serial = ParallelSim::new(
-///     &circuit, &faults, CsimVariant::Mv.options(), 1, ShardPlan::RoundRobin);
+/// let mut par = ParallelSim::new(&circuit, &faults, CsimVariant::Mv.options(), 4);
+/// let mut serial = ParallelSim::new(&circuit, &faults, CsimVariant::Mv.options(), 1);
 /// let patterns: Vec<_> = ["0000", "1111", "0101", "1010"]
 ///     .iter()
 ///     .map(|p| parse_pattern(p))
@@ -290,11 +177,10 @@ pub struct ShardedSim<M> {
     /// Fault-free engine advancing the shared good machine. Built on the
     /// first scheduled run, so serial runs never pay for it.
     good: Option<Engine>,
-    plan: ShardPlan,
     circuit_name: String,
     num_faults: usize,
-    /// Worker threads driving the scheduler (may differ from shard count
-    /// when oversharded for stealing headroom).
+    /// Requested worker threads: the run's name. The scheduler starts at
+    /// most one worker per shard.
     threads: usize,
     /// Scheduler statistics of the most recent scheduled run.
     sched: Option<SchedStats>,
@@ -314,14 +200,13 @@ impl<M: FaultMachine> fmt::Debug for ShardedSim<M> {
             .field("faults", &self.num_faults)
             .field("threads", &self.threads)
             .field("shards", &self.shards.len())
-            .field("plan", &self.plan)
             .finish()
     }
 }
 
 impl<M: FaultMachine<Probe = NullProbe>> ShardedSim<M> {
-    /// Shards `faults` into `threads` machines per `plan`. Each shard
-    /// carries no probe and pays no instrumentation cost.
+    /// Shards `faults` into `threads` machines. Each shard carries no
+    /// probe and pays no instrumentation cost.
     ///
     /// # Panics
     ///
@@ -331,9 +216,8 @@ impl<M: FaultMachine<Probe = NullProbe>> ShardedSim<M> {
         faults: &[M::Fault],
         options: M::Options,
         threads: usize,
-        plan: ShardPlan,
     ) -> Self {
-        Self::with_probes(circuit, faults, options, threads, plan, None, |_| NullProbe)
+        Self::with_probes(circuit, faults, options, threads, |_| NullProbe)
     }
 }
 
@@ -345,11 +229,8 @@ impl<M: FaultMachine<Probe = SimMetrics>> ShardedSim<M> {
         faults: &[M::Fault],
         options: M::Options,
         threads: usize,
-        plan: ShardPlan,
     ) -> Self {
-        Self::with_probes(circuit, faults, options, threads, plan, None, |_| {
-            SimMetrics::new()
-        })
+        Self::with_probes(circuit, faults, options, threads, |_| SimMetrics::new())
     }
 
     /// Telemetry merged across all shards (see [`ShardedSim::snapshot_by`]).
@@ -374,40 +255,52 @@ impl<P: Probe> ShardedSim<ConcurrentSim<P>> {
 }
 
 impl<M: FaultMachine> ShardedSim<M> {
-    /// The fully general constructor: shards `faults` into `threads`
-    /// machines per `plan` (partitioning on `keys` when given — e.g. the
-    /// SCOAP detection-difficulty weights from `cfs-check` — and on site
-    /// logic levels otherwise), attaching `probe(shard_index)` to each
-    /// shard: the hook for per-shard trace recorders and other custom
-    /// probes.
+    /// Shards `faults` into `threads` machines, attaching
+    /// `probe(shard_index)` to each shard: the hook for per-shard trace
+    /// recorders and other custom probes.
     ///
     /// # Panics
     ///
-    /// Panics if `threads == 0` or a key slice has the wrong length.
+    /// Panics if `threads == 0`.
     pub fn with_probes(
         circuit: &Circuit,
         faults: &[M::Fault],
         options: M::Options,
         threads: usize,
-        plan: ShardPlan,
-        keys: Option<&[u32]>,
         probe: impl FnMut(usize) -> M::Probe,
     ) -> Self {
-        Self::with_probes_sharded(
-            circuit, faults, options, threads, threads, plan, keys, probe,
-        )
+        Self::with_shards(circuit, faults, options, threads, threads, probe)
     }
 
     /// [`ShardedSim::with_probes`] with the two parallelism axes
-    /// decoupled: `shards` fault partitions driven by `threads` workers.
-    /// Oversharding (`shards > threads`) gives the work-stealing
-    /// scheduler spare tasks to migrate, so a long-pole shard no longer
-    /// pins wall time to one worker's pace.
+    /// decoupled: `faults` dealt round-robin into `shards` partitions
+    /// ([`round_robin_shards`]: never more shards than faults) driven by
+    /// `threads` workers. Oversharding (`shards > threads`) gives the
+    /// work-stealing scheduler spare tasks to migrate, so a long-pole
+    /// shard no longer pins wall time to one worker's pace.
     ///
     /// # Panics
     ///
-    /// Panics if `threads == 0`, `shards == 0`, or a key slice has the
-    /// wrong length.
+    /// Panics if `threads == 0` or `shards == 0`.
+    pub fn with_shards(
+        circuit: &Circuit,
+        faults: &[M::Fault],
+        options: M::Options,
+        threads: usize,
+        shards: usize,
+        probe: impl FnMut(usize) -> M::Probe,
+    ) -> Self {
+        let parts = round_robin_shards(faults.len(), shards);
+        Self::from_parts(circuit, faults, options, threads, parts, probe)
+    }
+
+    /// [`ShardedSim::with_shards`] under the signature that also named a
+    /// partition: `plan` has one value and `keys` must be `None`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keys` is given, or where [`ShardedSim::with_shards`]
+    /// does.
     #[allow(clippy::too_many_arguments)]
     pub fn with_probes_sharded(
         circuit: &Circuit,
@@ -419,23 +312,18 @@ impl<M: FaultMachine> ShardedSim<M> {
         keys: Option<&[u32]>,
         probe: impl FnMut(usize) -> M::Probe,
     ) -> Self {
-        assert!(shards > 0, "at least one shard");
-        if let Some(keys) = keys {
-            assert_eq!(keys.len(), faults.len(), "one balance key per fault");
-        }
-        let parts = match keys {
-            // Every plan deals a single shard the whole universe.
-            _ if shards == 1 => vec![(0..faults.len()).collect()],
-            Some(keys) => plan.partition(keys, shards),
-            None => plan.partition(&M::site_levels(circuit, faults), shards),
-        };
-        Self::from_parts(circuit, faults, options, threads, plan, parts, probe)
+        let ShardPlan::RoundRobin = plan;
+        assert!(
+            keys.is_none(),
+            "the round-robin partition takes no balance keys"
+        );
+        Self::with_shards(circuit, faults, options, threads, shards, probe)
     }
 
     /// Builds the simulator from an explicit fault partition — the hook
-    /// for adversarial load shapes (one giant shard plus empties) that no
-    /// [`ShardPlan`] would produce. `parts[k]` lists shard `k`'s global
-    /// fault indices; [`ShardedSim::plan`] reports the default plan.
+    /// for adversarial load shapes (one giant shard plus empties) that the
+    /// round-robin deal never produces. `parts[k]` lists shard `k`'s
+    /// global fault indices.
     ///
     /// # Panics
     ///
@@ -451,15 +339,7 @@ impl<M: FaultMachine> ShardedSim<M> {
         probe: impl FnMut(usize) -> M::Probe,
     ) -> Self {
         assert!(!parts.is_empty(), "at least one shard");
-        Self::from_parts(
-            circuit,
-            faults,
-            options,
-            threads,
-            ShardPlan::default(),
-            parts,
-            probe,
-        )
+        Self::from_parts(circuit, faults, options, threads, parts, probe)
     }
 
     fn from_parts(
@@ -467,7 +347,6 @@ impl<M: FaultMachine> ShardedSim<M> {
         faults: &[M::Fault],
         options: M::Options,
         threads: usize,
-        plan: ShardPlan,
         parts: Vec<Vec<usize>>,
         mut probe: impl FnMut(usize) -> M::Probe,
     ) -> Self {
@@ -492,7 +371,6 @@ impl<M: FaultMachine> ShardedSim<M> {
         ShardedSim {
             shards,
             good: None,
-            plan,
             circuit_name: circuit.name().to_owned(),
             num_faults: faults.len(),
             threads,
@@ -500,13 +378,13 @@ impl<M: FaultMachine> ShardedSim<M> {
         }
     }
 
-    /// Worker thread count.
+    /// Requested worker thread count.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// Fault-shard count (equals [`ShardedSim::threads`] unless
-    /// constructed oversharded).
+    /// Fault-shard count: the requested count, capped at the number of
+    /// faults.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
     }
@@ -515,11 +393,6 @@ impl<M: FaultMachine> ShardedSim<M> {
     /// steal events, totals. `None` before any run and after serial runs.
     pub fn sched_stats(&self) -> Option<&SchedStats> {
         self.sched.as_ref()
-    }
-
-    /// The sharding plan in use.
-    pub fn plan(&self) -> ShardPlan {
-        self.plan
     }
 
     /// One shard: runs take the serial path, whatever the thread count
@@ -864,86 +737,20 @@ mod tests {
     }
 
     #[test]
-    fn every_plan_is_an_exact_cover() {
-        let levels: Vec<u32> = (0..37).map(|i| (i * 7) % 11).collect();
-        for plan in ShardPlan::ALL {
+    fn round_robin_is_an_exact_cover_without_empty_shards() {
+        for faults in [0, 1, 2, 5, 37] {
             for shards in [1, 2, 3, 5, 37, 50] {
-                let parts = plan.partition(&levels, shards);
-                assert_eq!(parts.len(), shards);
-                let mut seen = vec![false; levels.len()];
-                for part in &parts {
-                    assert!(part.windows(2).all(|w| w[0] < w[1]), "{plan}: sorted");
-                    for &i in part {
-                        assert!(!seen[i], "{plan}: fault {i} duplicated");
-                        seen[i] = true;
-                    }
+                let parts = round_robin_shards(faults, shards);
+                assert_eq!(parts.len(), shards.min(faults).max(1));
+                assert!(faults == 0 || parts.iter().all(|p| !p.is_empty()));
+                let mut all: Vec<usize> = parts.concat();
+                all.sort_unstable();
+                assert_eq!(all, (0..faults).collect::<Vec<_>>(), "{faults} / {shards}");
+                for (k, part) in parts.iter().enumerate() {
+                    assert!(part.iter().all(|&i| i % parts.len() == k));
                 }
-                assert!(seen.iter().all(|&s| s), "{plan}: fault lost");
             }
         }
-    }
-
-    #[test]
-    fn weight_aware_balances_sizes_and_weights() {
-        // Heavily skewed weights: a few expensive faults, many cheap ones.
-        let weights: Vec<u32> = (0..23).map(|i| if i < 3 { 1000 } else { i }).collect();
-        for shards in [2, 3, 4, 7] {
-            let parts = ShardPlan::WeightAware.partition(&weights, shards);
-            let sizes: Vec<usize> = parts.iter().map(Vec::len).collect();
-            let (smin, smax) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-            assert!(smax - smin <= 1, "sizes {sizes:?} not within one");
-            let totals: Vec<u32> = parts
-                .iter()
-                .map(|p| p.iter().map(|&i| weights[i]).sum())
-                .collect();
-            // The heavy faults must spread as evenly as arithmetic allows,
-            // never pile onto one shard.
-            let heavy: Vec<usize> = parts
-                .iter()
-                .map(|p| p.iter().filter(|&&i| weights[i] == 1000).count())
-                .collect();
-            let (hmin, hmax) = (heavy.iter().min().unwrap(), heavy.iter().max().unwrap());
-            assert!(
-                hmax - hmin <= 1,
-                "shards={shards} heavies {heavy:?} totals {totals:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn keyed_partition_matches_serial_results() {
-        let c = s27();
-        let faults = enumerate_stuck_at(&c);
-        let mut serial = ConcurrentSim::new(&c, &faults, CsimVariant::Mv.options());
-        let reference = serial.run(&patterns());
-        // Arbitrary keys: results must not depend on the partition.
-        let keys: Vec<u32> = (0..faults.len() as u32).map(|i| (i * 37) % 13).collect();
-        for plan in [ShardPlan::WeightAware, ShardPlan::LevelAware] {
-            let mut par = ParallelSim::with_probes(
-                &c,
-                &faults,
-                CsimVariant::Mv.options(),
-                3,
-                plan,
-                Some(&keys),
-                |_| NullProbe,
-            );
-            assert_eq!(par.run(&patterns()).statuses, reference.statuses, "{plan}");
-        }
-        let tfaults = enumerate_transition(&c);
-        let mut tserial = TransitionSim::new(&c, &tfaults, TransitionOptions::default());
-        let treference = tserial.run(&patterns());
-        let tkeys: Vec<u32> = (0..tfaults.len() as u32).map(|i| (i * 31) % 7).collect();
-        let mut tpar = ParallelTransitionSim::with_probes(
-            &c,
-            &tfaults,
-            TransitionOptions::default(),
-            3,
-            ShardPlan::WeightAware,
-            Some(&tkeys),
-            |_| NullProbe,
-        );
-        assert_eq!(tpar.run(&patterns()).statuses, treference.statuses);
     }
 
     #[test]
@@ -953,18 +760,21 @@ mod tests {
         let mut serial = ConcurrentSim::new(&c, &faults, CsimVariant::Mv.options());
         let reference = serial.run(&patterns());
         for threads in [1, 2, 3, 5] {
-            for plan in ShardPlan::ALL {
-                let mut par =
-                    ParallelSim::new(&c, &faults, CsimVariant::Mv.options(), threads, plan);
-                let report = par.run(&patterns());
-                assert_eq!(
-                    report.statuses, reference.statuses,
-                    "threads={threads} plan={plan}"
-                );
-                // P = 1 skips the good-trace machinery entirely.
-                assert_eq!(par.good.is_some(), threads > 1, "threads={threads}");
-            }
+            let mut par = ParallelSim::new(&c, &faults, CsimVariant::Mv.options(), threads);
+            let report = par.run(&patterns());
+            assert_eq!(report.statuses, reference.statuses, "threads={threads}");
+            // P = 1 skips the good-trace machinery entirely.
+            assert_eq!(par.good.is_some(), threads > 1, "threads={threads}");
         }
+        // More shards than faults: one shard per fault, named for the
+        // requested threads.
+        let mut par =
+            ParallelSim::with_shards(&c, &faults[..3], CsimVariant::Mv.options(), 8, 16, |_| {
+                NullProbe
+            });
+        assert_eq!(par.num_shards(), 3);
+        assert!(par.run(&patterns()).simulator.ends_with("-p8"));
+        assert_eq!(par.sched_stats().map(|s| s.workers), Some(3));
     }
 
     #[test]
@@ -974,13 +784,8 @@ mod tests {
         let mut serial = TransitionSim::new(&c, &faults, TransitionOptions::default());
         let reference = serial.run(&patterns());
         for threads in [1, 2, 4] {
-            let mut par = ParallelTransitionSim::new(
-                &c,
-                &faults,
-                TransitionOptions::default(),
-                threads,
-                ShardPlan::RoundRobin,
-            );
+            let mut par =
+                ParallelTransitionSim::new(&c, &faults, TransitionOptions::default(), threads);
             let report = par.run(&patterns());
             assert_eq!(report.statuses, reference.statuses, "threads={threads}");
         }
@@ -1006,13 +811,7 @@ mod tests {
     fn merged_snapshot_counts_all_shards() {
         let c = s27();
         let faults = enumerate_stuck_at(&c);
-        let mut par = ParallelSim::instrumented(
-            &c,
-            &faults,
-            CsimVariant::Mv.options(),
-            3,
-            ShardPlan::LevelAware,
-        );
+        let mut par = ParallelSim::instrumented(&c, &faults, CsimVariant::Mv.options(), 3);
         let report = par.run(&patterns());
         let snap = par.snapshot();
         assert_eq!(snap.patterns as usize, patterns().len());

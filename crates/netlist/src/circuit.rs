@@ -281,6 +281,10 @@ pub struct CircuitStats {
     pub max_level: u32,
 }
 
+/// The most inputs a gate may have: fault sites number a gate's pins
+/// with one byte.
+pub const MAX_FANIN: usize = 256;
+
 /// Error produced while building or validating a circuit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CircuitError {
@@ -395,7 +399,7 @@ impl CircuitBuilder {
     ///
     /// Returns [`CircuitError::BadArity`] when the fanin count is invalid
     /// for the function (unary functions take exactly one input, others at
-    /// least one).
+    /// least one and at most [`MAX_FANIN`]).
     pub fn gate(
         &mut self,
         name: impl Into<String>,
@@ -406,7 +410,7 @@ impl CircuitBuilder {
         let ok = if f.is_unary() {
             fanin.len() == 1
         } else {
-            !fanin.is_empty()
+            (1..=MAX_FANIN).contains(&fanin.len())
         };
         if !ok {
             return Err(CircuitError::BadArity {
@@ -651,6 +655,11 @@ mod tests {
         let err = b.gate("n", GateFn::Not, vec![a, x]).unwrap_err();
         assert!(matches!(err, CircuitError::BadArity { .. }));
         assert!(err.to_string().contains("NOT"));
+        assert!(b.gate("w", GateFn::Xor, vec![a; MAX_FANIN]).is_ok());
+        let err = b
+            .gate("v", GateFn::Xor, vec![a; MAX_FANIN + 1])
+            .unwrap_err();
+        assert_eq!(err.to_string(), "gate \"v\": XOR cannot take 257 inputs");
     }
 
     #[test]

@@ -31,7 +31,9 @@ mod macros;
 pub use bench::{
     parse_bench, parse_bench_with_provenance, write_bench, BenchProvenance, ParseBenchError,
 };
-pub use circuit::{Circuit, CircuitBuilder, CircuitError, CircuitStats, Gate, GateId, GateKind};
+pub use circuit::{
+    Circuit, CircuitBuilder, CircuitError, CircuitStats, Gate, GateId, GateKind, MAX_FANIN,
+};
 pub use edit::{
     apply_edit, apply_edit_with_base, edit_candidates, retype_swap, AppliedEdit, BenchEdit,
     EditError,

@@ -14,7 +14,7 @@
 use cfs_check::{analyze_circuit, prune_stuck_at, prune_transition};
 use cfs_core::{
     detections_of, BatchOptions, ConcurrentSim, CsimVariant, NullProbe, ParallelSim,
-    ParallelTransitionSim, ShardPlan, TransitionOptions, TransitionSim,
+    ParallelTransitionSim, TransitionOptions, TransitionSim,
 };
 use cfs_faults::{
     collapse_stuck_at, enumerate_stuck_at, enumerate_transition, FaultStatus, PrunedUniverse,
@@ -62,14 +62,12 @@ fn check_stuck_batched(circuit: &Circuit, patterns: &[Vec<Logic>]) {
                     // Vary the victim scan order per cell.
                     steal_seed: 0x1992 ^ (window as u64) << 8 ^ threads as u64,
                 };
-                let mut par = ParallelSim::with_probes_sharded(
+                let mut par = ParallelSim::with_shards(
                     circuit,
                     &faults,
                     variant.options(),
                     threads,
                     shards_for(threads),
-                    ShardPlan::RoundRobin,
-                    None,
                     |_| NullProbe,
                 );
                 let report = par.run_batched(patterns, &batch);
@@ -103,14 +101,12 @@ fn check_transition_batched(circuit: &Circuit, patterns: &[Vec<Logic>]) {
                 steal: true,
                 steal_seed: 0xDAC ^ (window as u64) << 8 ^ threads as u64,
             };
-            let mut par = ParallelTransitionSim::with_probes_sharded(
+            let mut par = ParallelTransitionSim::with_shards(
                 circuit,
                 &faults,
                 TransitionOptions::default(),
                 threads,
                 shards_for(threads),
-                ShardPlan::RoundRobin,
-                None,
                 |_| NullProbe,
             );
             let report = par.run_batched(patterns, &batch);
@@ -206,14 +202,12 @@ fn pruned_batched_stuck_matches_full_serial() {
                     steal: true,
                     ..BatchOptions::default()
                 };
-                let mut par = ParallelSim::with_probes_sharded(
+                let mut par = ParallelSim::with_shards(
                     &c,
                     &pruned.sim,
                     variant.options(),
                     threads,
                     shards_for(threads),
-                    ShardPlan::RoundRobin,
-                    None,
                     |_| NullProbe,
                 );
                 let report = par.run_batched(&patterns, &batch);
@@ -245,14 +239,12 @@ fn pruned_batched_transition_matches_full_serial() {
                 steal: true,
                 ..BatchOptions::default()
             };
-            let mut par = ParallelTransitionSim::with_probes_sharded(
+            let mut par = ParallelTransitionSim::with_shards(
                 &c,
                 &pruned.sim,
                 TransitionOptions::default(),
                 threads,
                 shards_for(threads),
-                ShardPlan::RoundRobin,
-                None,
                 |_| NullProbe,
             );
             let report = par.run_batched(&patterns, &batch);
@@ -283,18 +275,7 @@ fn seeded_schedule_replay_is_interleaving_independent() {
         steal: true,
         ..BatchOptions::default()
     };
-    let build = || {
-        ParallelSim::with_probes_sharded(
-            &c,
-            &faults,
-            options.clone(),
-            4,
-            5,
-            ShardPlan::RoundRobin,
-            None,
-            |_| NullProbe,
-        )
-    };
+    let build = || ParallelSim::with_shards(&c, &faults, options.clone(), 4, 5, |_| NullProbe);
     for schedule_seed in [1, 0xBEEF, 0x5EED_1992, u64::MAX] {
         let mut par = build();
         let report = par.run_seeded(&patterns, &batch, schedule_seed);
@@ -325,14 +306,12 @@ fn steal_seed_does_not_change_detections() {
     let patterns = random_patterns(&c, 40, 0x51E);
     let mut reports = Vec::new();
     for steal_seed in [1, 2, 0xFEED_FACE] {
-        let mut par = ParallelTransitionSim::with_probes_sharded(
+        let mut par = ParallelTransitionSim::with_shards(
             &c,
             &faults,
             TransitionOptions::default(),
             4,
             7,
-            ShardPlan::RoundRobin,
-            None,
             |_| NullProbe,
         );
         let batch = BatchOptions {
@@ -346,8 +325,8 @@ fn steal_seed_does_not_change_detections() {
     assert_eq!(reports[0], reports[2]);
 }
 
-/// Regression fixture: an adversarial partition no [`ShardPlan`] would
-/// produce — one giant shard holding nearly everything, plus empties and
+/// Regression fixture: an adversarial partition the round-robin deal never
+/// produces — one giant shard holding nearly everything, plus empties and
 /// singletons — under one-pattern windows and stealing. The giant shard
 /// is the permanent long pole, so idle workers steal constantly; the run
 /// must terminate and stay serial-identical.

@@ -7,7 +7,7 @@
 
 use cfs_baselines::SerialSim;
 use cfs_core::{
-    ConcurrentSim, CsimVariant, ParallelSim, ParallelTransitionSim, ShardPlan, TransitionOptions,
+    ConcurrentSim, CsimVariant, ParallelSim, ParallelTransitionSim, TransitionOptions,
     TransitionSim,
 };
 use cfs_faults::{collapse_stuck_at, enumerate_transition};
@@ -50,8 +50,7 @@ fn checked_then_simulated(circuit: &Circuit, patterns: usize, seed: u64) {
             "{}: {variant} disagrees with the serial reference",
             circuit.name()
         );
-        let mut sharded =
-            ParallelSim::new(circuit, &stuck, variant.options(), 4, ShardPlan::RoundRobin);
+        let mut sharded = ParallelSim::new(circuit, &stuck, variant.options(), 4);
         let sharded_report = sharded.run(&patterns);
         assert_eq!(
             sharded_report.statuses,
@@ -63,13 +62,8 @@ fn checked_then_simulated(circuit: &Circuit, patterns: usize, seed: u64) {
     let transition = enumerate_transition(circuit);
     let mut serial_t = TransitionSim::new(circuit, &transition, TransitionOptions::default());
     let serial_report = serial_t.run(&patterns);
-    let mut par_t = ParallelTransitionSim::new(
-        circuit,
-        &transition,
-        TransitionOptions::default(),
-        4,
-        ShardPlan::RoundRobin,
-    );
+    let mut par_t =
+        ParallelTransitionSim::new(circuit, &transition, TransitionOptions::default(), 4);
     let par_report = par_t.run(&patterns);
     assert_eq!(par_report.statuses, serial_report.statuses);
 }

@@ -2,9 +2,7 @@
 //! transition test harnesses.
 
 use cfs_baselines::SerialTransitionSim;
-use cfs_core::{
-    BatchOptions, NullProbe, ParallelTransitionSim, ShardPlan, TransitionOptions, TransitionSim,
-};
+use cfs_core::{BatchOptions, NullProbe, ParallelTransitionSim, TransitionOptions, TransitionSim};
 use cfs_faults::{enumerate_transition, FaultStatus};
 use cfs_logic::Logic;
 use cfs_netlist::Circuit;
@@ -54,16 +52,8 @@ pub fn cross_validate(circuit: &Circuit, patterns: &[Vec<Logic>]) -> Vec<FaultSt
         };
         let serial = TransitionSim::new(circuit, &faults, options.clone()).run(patterns);
         check(&format!("split={split}"), &serial.statuses);
-        let mut sharded = ParallelTransitionSim::with_probes_sharded(
-            circuit,
-            &faults,
-            options,
-            2,
-            4,
-            ShardPlan::RoundRobin,
-            None,
-            |_| NullProbe,
-        );
+        let mut sharded =
+            ParallelTransitionSim::with_shards(circuit, &faults, options, 2, 4, |_| NullProbe);
         let batched = sharded.run_batched(patterns, &batch);
         check(&format!("batched split={split}"), &batched.statuses);
     }

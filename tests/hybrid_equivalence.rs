@@ -11,7 +11,7 @@
 
 use cfs_core::{
     BatchOptions, Checkpoint, ConcurrentSim, CsimOptions, CsimVariant, NullProbe, ParallelSim,
-    ShardPlan, DEFAULT_HOT_LANES,
+    DEFAULT_HOT_LANES,
 };
 use cfs_faults::{collapse_stuck_at, enumerate_stuck_at, FaultStatus, StuckAt};
 use cfs_logic::Logic;
@@ -91,14 +91,12 @@ fn check(c: &Circuit, patterns: &[Vec<Logic>]) {
             }
 
             let sharded = |threads: usize| {
-                let mut par = ParallelSim::with_probes_sharded(
+                let mut par = ParallelSim::with_shards(
                     c,
                     &faults,
                     options(variant, cap),
                     threads,
                     threads * 2 - 1,
-                    ShardPlan::RoundRobin,
-                    None,
                     |_| NullProbe,
                 );
                 par.set_hot_threshold(threshold);

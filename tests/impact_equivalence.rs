@@ -13,7 +13,7 @@
 
 use cfs_check::{classify_stuck_at, classify_transition, diff_netlists, impact_analysis};
 use cfs_core::{
-    detections_of, ConcurrentSim, CsimVariant, ParallelSim, ParallelTransitionSim, ShardPlan,
+    detections_of, ConcurrentSim, CsimVariant, ParallelSim, ParallelTransitionSim,
     TransitionOptions, TransitionSim,
 };
 use cfs_faults::{enumerate_stuck_at, enumerate_transition, FaultStatus};
@@ -91,15 +91,9 @@ fn check_stuck(base: &Circuit, edited: &Circuit, patterns: &[Vec<Logic>], contex
                     .run(patterns)
                     .statuses
             } else {
-                ParallelSim::new(
-                    edited,
-                    &universe.affected,
-                    variant.options(),
-                    threads,
-                    ShardPlan::RoundRobin,
-                )
-                .run(patterns)
-                .statuses
+                ParallelSim::new(edited, &universe.affected, variant.options(), threads)
+                    .run(patterns)
+                    .statuses
             };
             let expanded = universe.expand_statuses(&resim, &baseline);
             assert_detection_equivalence(
@@ -136,7 +130,6 @@ fn check_transition(base: &Circuit, edited: &Circuit, patterns: &[Vec<Logic>], c
                 &universe.affected,
                 TransitionOptions::default(),
                 threads,
-                ShardPlan::RoundRobin,
             )
             .run(patterns)
             .statuses

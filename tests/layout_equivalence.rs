@@ -15,7 +15,7 @@ use proptest::prelude::*;
 
 use cfs_baselines::{SerialSim, SerialTransitionSim};
 use cfs_core::{
-    ConcurrentSim, CsimVariant, ParallelSim, ParallelTransitionSim, ShardPlan, TransitionOptions,
+    ConcurrentSim, CsimVariant, ParallelSim, ParallelTransitionSim, TransitionOptions,
     TransitionSim,
 };
 use cfs_faults::{collapse_stuck_at, enumerate_transition};
@@ -64,13 +64,7 @@ proptest! {
             let got: Vec<bool> = serial_statuses.iter().map(|s| s.is_detected()).collect();
             prop_assert_eq!(&got, &expected, "{} vs oracle on {}", variant, circuit.name());
             for threads in THREAD_COUNTS {
-                let mut par = ParallelSim::new(
-                    &circuit,
-                    &faults,
-                    variant.options(),
-                    threads,
-                    ShardPlan::RoundRobin,
-                );
+                let mut par = ParallelSim::new(&circuit, &faults, variant.options(), threads);
                 let report = par.run(&patterns);
                 prop_assert_eq!(
                     &report.statuses,
@@ -97,13 +91,8 @@ proptest! {
         let got: Vec<bool> = serial_statuses.iter().map(|s| s.is_detected()).collect();
         prop_assert_eq!(&got, &expected, "transition vs oracle on {}", circuit.name());
         for threads in THREAD_COUNTS {
-            let mut par = ParallelTransitionSim::new(
-                &circuit,
-                &faults,
-                TransitionOptions::default(),
-                threads,
-                ShardPlan::RoundRobin,
-            );
+            let options = TransitionOptions::default();
+            let mut par = ParallelTransitionSim::new(&circuit, &faults, options, threads);
             let report = par.run(&patterns);
             prop_assert_eq!(
                 &report.statuses,

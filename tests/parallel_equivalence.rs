@@ -1,17 +1,19 @@
 //! Differential equivalence: the fault-sharded parallel simulators must be
 //! byte-identical to the serial engines — same per-fault statuses (exact,
 //! including detection pattern indices and untestability) and the same
-//! sorted detection list — for every thread count, shard plan, csim
-//! variant, and both fault models, on randomly generated netlists.
+//! sorted detection list — for every thread count, more shards than
+//! faults, a one-fault universe, every csim variant, and both fault
+//! models, on randomly generated netlists.
 //!
-//! Also property-tests the [`ShardPlan`] partition invariant (every fault
-//! in exactly one shard) and pins the deterministic merge order.
+//! Also property-tests the round-robin partition invariant (every fault
+//! in exactly one shard, no shard empty) and pins the deterministic merge
+//! order.
 
 use proptest::prelude::*;
 
 use cfs_core::{
-    detections_of, ConcurrentSim, CsimVariant, ParallelSim, ParallelTransitionSim, ShardPlan,
-    TransitionOptions, TransitionSim,
+    detections_of, round_robin_shards, ConcurrentSim, CsimVariant, NullProbe, ParallelSim,
+    ParallelTransitionSim, TransitionOptions, TransitionSim,
 };
 use cfs_faults::{collapse_stuck_at, enumerate_transition, FaultStatus};
 use cfs_logic::Logic;
@@ -21,6 +23,16 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 7];
+
+/// The `(threads, shards)` runs each check compares against serial: one
+/// shard per worker at every thread count, then more shards than the
+/// universe has faults, which deals one fault per shard.
+fn shardings(faults: usize) -> impl Iterator<Item = (usize, usize)> {
+    THREAD_COUNTS
+        .into_iter()
+        .map(|t| (t, t))
+        .chain([(4, faults + 3)])
+}
 
 fn random_patterns(circuit: &Circuit, count: usize, seed: u64) -> Vec<Vec<Logic>> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -35,25 +47,33 @@ fn random_patterns(circuit: &Circuit, count: usize, seed: u64) -> Vec<Vec<Logic>
 
 /// Serial vs. sharded stuck-at runs on one circuit: statuses and the
 /// derived detection list must match exactly.
-fn check_stuck_equivalence(circuit: &Circuit, patterns: &[Vec<Logic>], plan: ShardPlan) {
+fn check_stuck_equivalence(circuit: &Circuit, patterns: &[Vec<Logic>]) {
     let faults = collapse_stuck_at(circuit).representatives;
     for variant in CsimVariant::ALL {
         let mut serial = ConcurrentSim::new(circuit, &faults, variant.options());
         let reference = serial.run(patterns);
         let ref_detections = detections_of(&reference.statuses);
-        for threads in THREAD_COUNTS {
-            let mut par = ParallelSim::new(circuit, &faults, variant.options(), threads, plan);
+        for (threads, shards) in shardings(faults.len()) {
+            let mut par = ParallelSim::with_shards(
+                circuit,
+                &faults,
+                variant.options(),
+                threads,
+                shards,
+                |_| NullProbe,
+            );
+            assert_eq!(par.num_shards(), shards.min(faults.len()));
             let report = par.run(patterns);
             assert_eq!(
                 report.statuses,
                 reference.statuses,
-                "{}: {variant} threads={threads} plan={plan}",
+                "{}: {variant} threads={threads} shards={shards}",
                 circuit.name()
             );
             assert_eq!(
                 par.detections(),
                 ref_detections,
-                "{}: {variant} threads={threads} plan={plan}",
+                "{}: {variant} threads={threads} shards={shards}",
                 circuit.name()
             );
         }
@@ -61,23 +81,25 @@ fn check_stuck_equivalence(circuit: &Circuit, patterns: &[Vec<Logic>], plan: Sha
 }
 
 /// Serial vs. sharded transition runs on one circuit.
-fn check_transition_equivalence(circuit: &Circuit, patterns: &[Vec<Logic>], plan: ShardPlan) {
+fn check_transition_equivalence(circuit: &Circuit, patterns: &[Vec<Logic>]) {
     let faults = enumerate_transition(circuit);
     let mut serial = TransitionSim::new(circuit, &faults, TransitionOptions::default());
     let reference = serial.run(patterns);
-    for threads in THREAD_COUNTS {
-        let mut par = ParallelTransitionSim::new(
+    for (threads, shards) in shardings(faults.len()) {
+        let mut par = ParallelTransitionSim::with_shards(
             circuit,
             &faults,
             TransitionOptions::default(),
             threads,
-            plan,
+            shards,
+            |_| NullProbe,
         );
+        assert_eq!(par.num_shards(), shards.min(faults.len()));
         let report = par.run(patterns);
         assert_eq!(
             report.statuses,
             reference.statuses,
-            "{}: transition threads={threads} plan={plan}",
+            "{}: transition threads={threads} shards={shards}",
             circuit.name()
         );
     }
@@ -89,8 +111,7 @@ fn stuck_at_parallel_matches_serial_on_random_netlists() {
         let spec = CircuitSpec::new(format!("pe{seed}"), 5, 4, 6, 70, 9000 + seed);
         let c = generate(&spec);
         let patterns = random_patterns(&c, 40, seed ^ 0xC0FFEE);
-        let plan = ShardPlan::ALL[seed as usize % ShardPlan::ALL.len()];
-        check_stuck_equivalence(&c, &patterns, plan);
+        check_stuck_equivalence(&c, &patterns);
     }
 }
 
@@ -100,17 +121,52 @@ fn transition_parallel_matches_serial_on_random_netlists() {
         let spec = CircuitSpec::new(format!("pet{seed}"), 4, 3, 5, 60, 7000 + seed);
         let c = generate(&spec);
         let patterns = random_patterns(&c, 40, seed ^ 0xDEC0DE);
-        let plan = ShardPlan::ALL[seed as usize % ShardPlan::ALL.len()];
-        check_transition_equivalence(&c, &patterns, plan);
+        check_transition_equivalence(&c, &patterns);
     }
 }
 
 #[test]
-fn all_plans_agree_on_a_benchmark_circuit() {
+fn sharded_runs_agree_on_a_benchmark_circuit() {
     let c = cfs_netlist::generate::benchmark("s526g").expect("known benchmark");
     let patterns = random_patterns(&c, 60, 0x5EED);
-    for plan in ShardPlan::ALL {
-        check_stuck_equivalence(&c, &patterns, plan);
+    check_stuck_equivalence(&c, &patterns);
+}
+
+/// A universe of one fault has one shard whatever the thread and shard
+/// counts ask for, so it runs the serial machine's path: serial statuses,
+/// the serial name, and no scheduler.
+#[test]
+fn one_fault_universe_takes_the_serial_path() {
+    let c = cfs_netlist::generate::benchmark("s298g").expect("known benchmark");
+    let patterns = random_patterns(&c, 40, 0x0FA1);
+    let stuck = collapse_stuck_at(&c).representatives;
+    let transition = enumerate_transition(&c);
+    for i in [0, stuck.len() / 2, stuck.len() - 1] {
+        let fault = &stuck[i..=i];
+        let reference = ConcurrentSim::new(&c, fault, CsimVariant::Mv.options()).run(&patterns);
+        let mut par =
+            ParallelSim::with_shards(&c, fault, CsimVariant::Mv.options(), 4, 8, |_| NullProbe);
+        assert_eq!(par.num_shards(), 1);
+        let report = par.run(&patterns);
+        assert_eq!(report.statuses, reference.statuses, "stuck fault {i}");
+        assert_eq!(report.simulator, reference.simulator);
+        assert!(par.sched_stats().is_none());
+    }
+    for i in [0, transition.len() / 2, transition.len() - 1] {
+        let fault = &transition[i..=i];
+        let reference = TransitionSim::new(&c, fault, TransitionOptions::default()).run(&patterns);
+        let mut par = ParallelTransitionSim::with_shards(
+            &c,
+            fault,
+            TransitionOptions::default(),
+            2,
+            4,
+            |_| NullProbe,
+        );
+        assert_eq!(par.num_shards(), 1);
+        let report = par.run(&patterns);
+        assert_eq!(report.statuses, reference.statuses, "transition fault {i}");
+        assert_eq!(report.simulator, reference.simulator);
     }
 }
 
@@ -147,70 +203,56 @@ fn parallel_runs_are_reproducible() {
     let c = cfs_netlist::generate::benchmark("s641g").expect("known benchmark");
     let faults = collapse_stuck_at(&c).representatives;
     let patterns = random_patterns(&c, 50, 0xAB1E);
-    let run = |plan| {
-        let mut sim = ParallelSim::new(&c, &faults, CsimVariant::Mv.options(), 4, plan);
+    let run = || {
+        let mut sim = ParallelSim::new(&c, &faults, CsimVariant::Mv.options(), 4);
         sim.run(&patterns).statuses
     };
-    for plan in ShardPlan::ALL {
-        assert_eq!(run(plan), run(plan), "{plan}");
-    }
-    // Different plans also agree with each other.
-    assert_eq!(run(ShardPlan::RoundRobin), run(ShardPlan::Contiguous));
-    assert_eq!(run(ShardPlan::RoundRobin), run(ShardPlan::LevelAware));
-}
-
-fn arb_plan() -> impl Strategy<Value = ShardPlan> {
-    prop_oneof![
-        Just(ShardPlan::RoundRobin),
-        Just(ShardPlan::Contiguous),
-        Just(ShardPlan::LevelAware),
-    ]
+    assert_eq!(run(), run());
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Every shard plan is an exact cover of the fault list: no fault is
-    /// lost, none is duplicated, and shard-local order stays ascending so
-    /// local fault ids map monotonically to global indices.
+    /// The round-robin deal is an exact cover of the fault list: no fault
+    /// is lost, none is duplicated, no shard is empty unless the universe
+    /// is, and shard-local order stays ascending so local fault ids map
+    /// monotonically to global indices.
     #[test]
     fn shard_partition_is_an_exact_cover(
-        plan in arb_plan(),
-        levels in prop::collection::vec(0u32..64, 0..200),
+        faults in 0usize..200,
         shards in 1usize..12,
     ) {
-        let parts = plan.partition(&levels, shards);
-        prop_assert_eq!(parts.len(), shards);
-        let mut seen = vec![false; levels.len()];
+        let parts = round_robin_shards(faults, shards);
+        prop_assert_eq!(parts.len(), shards.min(faults).max(1));
+        let mut seen = vec![false; faults];
         for part in &parts {
+            prop_assert!(faults == 0 || !part.is_empty(), "empty shard");
             prop_assert!(
                 part.windows(2).all(|w| w[0] < w[1]),
                 "shard indices must be strictly ascending"
             );
             for &i in part {
-                prop_assert!(i < levels.len(), "index out of range");
+                prop_assert!(i < faults, "index out of range");
                 prop_assert!(!seen[i], "fault {} appears in two shards", i);
                 seen[i] = true;
             }
         }
         for (i, s) in seen.iter().enumerate() {
-            prop_assert!(*s, "fault {} lost by {}", i, plan);
+            prop_assert!(*s, "fault {} lost", i);
         }
     }
 
     /// Shard sizes stay balanced: the largest and smallest shard differ by
-    /// at most one fault for round-robin, contiguous, and level-aware
-    /// dealing.
+    /// at most one fault.
     #[test]
     fn shard_partition_is_balanced(
-        plan in arb_plan(),
-        levels in prop::collection::vec(0u32..64, 1..200),
+        faults in 1usize..200,
         shards in 1usize..12,
     ) {
-        let parts = plan.partition(&levels, shards);
+        let parts = round_robin_shards(faults, shards);
         let min = parts.iter().map(Vec::len).min().unwrap();
         let max = parts.iter().map(Vec::len).max().unwrap();
-        prop_assert!(max - min <= 1, "{}: sizes {} .. {}", plan, min, max);
+        prop_assert!(max - min <= 1, "sizes {} .. {}", min, max);
     }
 
     /// `detections_of` output is sorted by (pattern, fault) and contains

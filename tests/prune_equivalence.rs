@@ -14,7 +14,7 @@ use cfs_check::{
     prune_transition_learned, ImplicationGraph, LearnOptions,
 };
 use cfs_core::{
-    detections_of, ConcurrentSim, CsimVariant, ParallelSim, ParallelTransitionSim, ShardPlan,
+    detections_of, ConcurrentSim, CsimVariant, ParallelSim, ParallelTransitionSim,
     TransitionOptions, TransitionSim,
 };
 use cfs_faults::{enumerate_stuck_at, enumerate_transition, FaultStatus, PrunedUniverse};
@@ -81,14 +81,7 @@ fn check_stuck(circuit: &Circuit, patterns: &[Vec<Logic>]) {
             let report = if threads == 1 {
                 ConcurrentSim::new(circuit, &pruned.sim, variant.options()).run(patterns)
             } else {
-                ParallelSim::new(
-                    circuit,
-                    &pruned.sim,
-                    variant.options(),
-                    threads,
-                    ShardPlan::RoundRobin,
-                )
-                .run(patterns)
+                ParallelSim::new(circuit, &pruned.sim, variant.options(), threads).run(patterns)
             };
             let expanded = pruned.expand_statuses(&report.statuses);
             assert_detection_equivalence(
@@ -111,14 +104,8 @@ fn check_transition(circuit: &Circuit, patterns: &[Vec<Logic>]) {
         let report = if threads == 1 {
             TransitionSim::new(circuit, &pruned.sim, TransitionOptions::default()).run(patterns)
         } else {
-            ParallelTransitionSim::new(
-                circuit,
-                &pruned.sim,
-                TransitionOptions::default(),
-                threads,
-                ShardPlan::RoundRobin,
-            )
-            .run(patterns)
+            ParallelTransitionSim::new(circuit, &pruned.sim, TransitionOptions::default(), threads)
+                .run(patterns)
         };
         let expanded = pruned.expand_statuses(&report.statuses);
         assert_detection_equivalence(
@@ -159,7 +146,6 @@ fn check_learned(circuit: &Circuit, patterns: &[Vec<Logic>]) {
                 &learned.universe.sim,
                 CsimVariant::Mv.options(),
                 threads,
-                ShardPlan::RoundRobin,
             )
             .run(patterns)
         };
@@ -179,14 +165,8 @@ fn check_learned(circuit: &Circuit, patterns: &[Vec<Logic>]) {
         let report = if threads == 1 {
             TransitionSim::new(circuit, &tl.sim, TransitionOptions::default()).run(patterns)
         } else {
-            ParallelTransitionSim::new(
-                circuit,
-                &tl.sim,
-                TransitionOptions::default(),
-                threads,
-                ShardPlan::RoundRobin,
-            )
-            .run(patterns)
+            ParallelTransitionSim::new(circuit, &tl.sim, TransitionOptions::default(), threads)
+                .run(patterns)
         };
         let expanded = tl.expand_statuses(&report.statuses);
         assert_detection_equivalence(

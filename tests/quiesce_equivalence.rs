@@ -16,7 +16,7 @@
 mod common;
 
 use cfs_baselines::SerialTransitionSim;
-use cfs_core::{BatchOptions, NullProbe, ParallelTransitionSim, ShardPlan, TransitionOptions};
+use cfs_core::{BatchOptions, NullProbe, ParallelTransitionSim, TransitionOptions};
 use cfs_faults::{enumerate_transition, FaultStatus};
 use cfs_logic::Logic;
 use cfs_netlist::generate::{benchmark, generate, CircuitSpec};
@@ -61,14 +61,12 @@ fn gated_matches_under_sharding_and_batching() {
                 window,
                 ..BatchOptions::default()
             };
-            let mut par = ParallelTransitionSim::with_probes_sharded(
+            let mut par = ParallelTransitionSim::with_shards(
                 &c,
                 &faults,
                 TransitionOptions::default(),
                 threads,
                 threads,
-                ShardPlan::RoundRobin,
-                None,
                 |_| NullProbe,
             );
             let report = par.run_batched(&patterns, &batch);

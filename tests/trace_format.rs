@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use cfs_core::{
     detections_of, BatchOptions, ConcurrentSim, CsimVariant, ParallelSim, ParallelTransitionSim,
-    ShardPlan, TransitionOptions, TransitionSim,
+    TransitionOptions, TransitionSim,
 };
 use cfs_faults::{collapse_stuck_at, enumerate_transition};
 use cfs_logic::Logic;
@@ -51,8 +51,6 @@ fn traced_stuck_run(threads: usize) -> (String, Vec<cfs_faults::FaultStatus>) {
         &faults,
         CsimVariant::Mv.options(),
         threads,
-        ShardPlan::RoundRobin,
-        None,
         |_| -> TraceProbe {
             PairProbe(
                 SimMetrics::new(),
@@ -204,8 +202,6 @@ fn transition_detections_identical_tracing_on_and_off() {
             &faults,
             TransitionOptions::default(),
             threads,
-            ShardPlan::RoundRobin,
-            None,
             |_| -> TraceProbe {
                 PairProbe(
                     SimMetrics::new(),
@@ -232,14 +228,12 @@ fn traced_batched_run(
     let faults = collapse_stuck_at(&c).representatives;
     let pats = patterns(&c, 64, 7);
     let epoch = Instant::now();
-    let mut sim = ParallelSim::with_probes_sharded(
+    let mut sim = ParallelSim::with_shards(
         &c,
         &faults,
         CsimVariant::Mv.options(),
         threads,
         shards,
-        ShardPlan::RoundRobin,
-        None,
         |_| -> TraceProbe {
             PairProbe(
                 SimMetrics::new(),
@@ -350,14 +344,12 @@ fn phase_call_counts_are_schedule_invariant() {
     let faults = collapse_stuck_at(&c).representatives;
     let pats = patterns(&c, 48, 13);
     let snapshot_of = |threads: usize, shards: usize, batch: Option<BatchOptions>| {
-        let mut sim = ParallelSim::with_probes_sharded(
+        let mut sim = ParallelSim::with_shards(
             &c,
             &faults,
             CsimVariant::Mv.options(),
             threads,
             shards,
-            ShardPlan::RoundRobin,
-            None,
             |_| SimMetrics::new(),
         );
         match batch {
@@ -428,16 +420,10 @@ fn window_milestones_walk_the_partition_and_merge_to_serial_records() {
         .map(|r| r.counters.detected)
         .collect();
     for window in [1, 6, 0] {
-        let mut sim = ParallelSim::with_probes_sharded(
-            &c,
-            &faults,
-            CsimVariant::Mv.options(),
-            3,
-            5,
-            ShardPlan::RoundRobin,
-            None,
-            |_| SimMetrics::new(),
-        );
+        let mut sim =
+            ParallelSim::with_shards(&c, &faults, CsimVariant::Mv.options(), 3, 5, |_| {
+                SimMetrics::new()
+            });
         let mut milestones = Vec::new();
         sim.run_batched_with(
             &pats,
