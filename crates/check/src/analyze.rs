@@ -1,8 +1,8 @@
-//! Static fault-universe analysis: three-valued constant propagation,
-//! observability, and SCOAP-style testability scores, combined into a
-//! provably sound pruning of the simulated fault set.
+//! Static fault-universe analysis: three-valued constant propagation and
+//! observability, combined into a provably sound pruning of the simulated
+//! fault set.
 //!
-//! Three cooperating whole-netlist dataflow analyses run before the first
+//! Two cooperating whole-netlist dataflow analyses run before the first
 //! pattern:
 //!
 //! 1. **Value reachability** (`N007`/`N008`): for every net, the subset of
@@ -22,10 +22,6 @@
 //!    never be observed. This is exactly the structural `N004` rule lifted
 //!    to the fault universe; [`cross_check_observability`] keeps the two
 //!    passes honest against each other (`F003`).
-//! 3. **SCOAP scores**: classical controllability/observability estimates
-//!    (Goldstein's CC0/CC1/CO with the sequential `+1` per flip-flop
-//!    crossing), exported as per-fault weights for balance-aware shard
-//!    planning.
 //!
 //! The pruning contract: [`prune_stuck_at`] collapses with the *exact*
 //! equivalence rules (classical minus the flip-flop D ≡ Q merge), so every
@@ -52,9 +48,6 @@ pub(crate) const B1: u8 = 2;
 pub(crate) const BX: u8 = 4;
 /// The full value set.
 const BALL: u8 = B0 | B1 | BX;
-
-/// Saturation bound for SCOAP scores (leaves headroom for additions).
-const SCOAP_INF: u32 = u32::MAX / 4;
 
 /// Caps for the reconvergence-exact cone refinement of value reachability.
 const CONE_BOUNDARY_CAP: usize = 8;
@@ -91,7 +84,7 @@ impl Default for AnalysisOptions {
     }
 }
 
-/// The combined result of the three static analyses over one circuit.
+/// The combined result of the two static analyses over one circuit.
 #[derive(Debug, Clone)]
 pub struct CircuitAnalysis {
     /// Per-node subset of `{0, 1, X}` the good machine can drive onto the
@@ -101,12 +94,6 @@ pub struct CircuitAnalysis {
     /// Per-node: is any primary output reachable from the node through
     /// gates and flip-flops?
     pub observable: Vec<bool>,
-    /// SCOAP 0-controllability per node (saturating; heuristic only).
-    pub cc0: Vec<u32>,
-    /// SCOAP 1-controllability per node.
-    pub cc1: Vec<u32>,
-    /// SCOAP observability of each node's output stem.
-    pub co: Vec<u32>,
 }
 
 impl CircuitAnalysis {
@@ -118,12 +105,6 @@ impl CircuitAnalysis {
     /// Whether any primary output is structurally reachable from the node.
     pub fn is_observable(&self, id: GateId) -> bool {
         self.observable[id.index()]
-    }
-
-    /// The node's SCOAP-style `(CC0, CC1, CO)` scores.
-    pub fn scoap(&self, id: GateId) -> (u32, u32, u32) {
-        let i = id.index();
-        (self.cc0[i], self.cc1[i], self.co[i])
     }
 
     /// The constant the node is proven stuck at, if its value set is a
@@ -138,23 +119,16 @@ impl CircuitAnalysis {
     }
 }
 
-/// Runs all three analyses with default options.
+/// Runs both analyses with default options.
 pub fn analyze_circuit(circuit: &Circuit) -> CircuitAnalysis {
     analyze_circuit_with(circuit, AnalysisOptions::default())
 }
 
-/// Runs all three analyses.
+/// Runs both analyses.
 pub fn analyze_circuit_with(circuit: &Circuit, options: AnalysisOptions) -> CircuitAnalysis {
     let reach = value_reachability(circuit, options);
     let observable = observable_nodes(circuit);
-    let (cc0, cc1, co) = scoap_scores(circuit);
-    CircuitAnalysis {
-        reach,
-        observable,
-        cc0,
-        cc1,
-        co,
-    }
+    CircuitAnalysis { reach, observable }
 }
 
 /// Evaluates a gate function over per-input value sets, assuming the inputs
@@ -375,154 +349,6 @@ pub fn observable_nodes(circuit: &Circuit) -> Vec<bool> {
         stack.extend(circuit.gate(id).fanin().iter().copied());
     }
     observable
-}
-
-/// Classical SCOAP controllability and observability, with the sequential
-/// `+1` per flip-flop crossing, iterated to (or near) a fixpoint. Scores
-/// are heuristics for shard balancing, never soundness-bearing.
-fn scoap_scores(circuit: &Circuit) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
-    let n = circuit.num_nodes();
-    let mut cc0 = vec![SCOAP_INF; n];
-    let mut cc1 = vec![SCOAP_INF; n];
-    for &pi in circuit.inputs() {
-        cc0[pi.index()] = 1;
-        cc1[pi.index()] = 1;
-    }
-    let max_iters = 4 + 2 * circuit.num_dffs();
-    for _ in 0..max_iters {
-        let mut changed = false;
-        for &g in circuit.topo_order() {
-            let gate = circuit.gate(g);
-            let GateKind::Comb(f) = gate.kind() else {
-                unreachable!()
-            };
-            let (n0, n1) = gate_controllability(f, gate.fanin(), &cc0, &cc1);
-            if n0 < cc0[g.index()] || n1 < cc1[g.index()] {
-                cc0[g.index()] = cc0[g.index()].min(n0);
-                cc1[g.index()] = cc1[g.index()].min(n1);
-                changed = true;
-            }
-        }
-        for &q in circuit.dffs() {
-            let d = circuit.gate(q).fanin()[0];
-            let n0 = cc0[d.index()].saturating_add(1).min(SCOAP_INF);
-            let n1 = cc1[d.index()].saturating_add(1).min(SCOAP_INF);
-            if n0 < cc0[q.index()] || n1 < cc1[q.index()] {
-                cc0[q.index()] = cc0[q.index()].min(n0);
-                cc1[q.index()] = cc1[q.index()].min(n1);
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    let mut co = vec![SCOAP_INF; n];
-    for &tap in circuit.outputs() {
-        co[tap.index()] = 0;
-    }
-    for _ in 0..max_iters {
-        let mut changed = false;
-        for &g in circuit.topo_order().iter().rev() {
-            let here = co[g.index()];
-            if here >= SCOAP_INF {
-                continue;
-            }
-            let gate = circuit.gate(g);
-            let GateKind::Comb(f) = gate.kind() else {
-                unreachable!()
-            };
-            for pin in 0..gate.fanin().len() {
-                let cost =
-                    here.saturating_add(pin_sensitization_cost(f, gate.fanin(), pin, &cc0, &cc1));
-                let src = gate.fanin()[pin].index();
-                if cost < co[src] {
-                    co[src] = cost;
-                    changed = true;
-                }
-            }
-        }
-        for &q in circuit.dffs() {
-            let d = circuit.gate(q).fanin()[0].index();
-            let cost = co[q.index()].saturating_add(1).min(SCOAP_INF);
-            if cost < co[d] {
-                co[d] = cost;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    (cc0, cc1, co)
-}
-
-fn gate_controllability(f: GateFn, fanin: &[GateId], cc0: &[u32], cc1: &[u32]) -> (u32, u32) {
-    let min0 = || fanin.iter().map(|s| cc0[s.index()]).min().unwrap_or(0);
-    let min1 = || fanin.iter().map(|s| cc1[s.index()]).min().unwrap_or(0);
-    let sum0 = || {
-        fanin
-            .iter()
-            .fold(0u32, |a, s| a.saturating_add(cc0[s.index()]))
-    };
-    let sum1 = || {
-        fanin
-            .iter()
-            .fold(0u32, |a, s| a.saturating_add(cc1[s.index()]))
-    };
-    let (c0, c1) = match f {
-        GateFn::Buf => (cc0[fanin[0].index()], cc1[fanin[0].index()]),
-        GateFn::Not => (cc1[fanin[0].index()], cc0[fanin[0].index()]),
-        GateFn::And => (min0(), sum1()),
-        GateFn::Nand => (sum1(), min0()),
-        GateFn::Or => (sum0(), min1()),
-        GateFn::Nor => (min1(), sum0()),
-        GateFn::Xor | GateFn::Xnor => {
-            // Parity dynamic programme over (even, odd) assignment costs.
-            let (mut even, mut odd) = (0u32, SCOAP_INF);
-            for s in fanin {
-                let (z, o) = (cc0[s.index()], cc1[s.index()]);
-                let new_even = even.saturating_add(z).min(odd.saturating_add(o));
-                let new_odd = odd.saturating_add(z).min(even.saturating_add(o));
-                even = new_even;
-                odd = new_odd;
-            }
-            if f == GateFn::Xor {
-                (even, odd)
-            } else {
-                (odd, even)
-            }
-        }
-    };
-    (
-        c0.saturating_add(1).min(SCOAP_INF),
-        c1.saturating_add(1).min(SCOAP_INF),
-    )
-}
-
-/// Cost of sensitizing `pin` through its gate (side inputs at
-/// non-controlling values), including the classical `+1` depth term.
-fn pin_sensitization_cost(
-    f: GateFn,
-    fanin: &[GateId],
-    pin: usize,
-    cc0: &[u32],
-    cc1: &[u32],
-) -> u32 {
-    let mut cost = 1u32;
-    for (j, s) in fanin.iter().enumerate() {
-        if j == pin {
-            continue;
-        }
-        let side = match f {
-            GateFn::And | GateFn::Nand => cc1[s.index()],
-            GateFn::Or | GateFn::Nor => cc0[s.index()],
-            GateFn::Xor | GateFn::Xnor => cc0[s.index()].min(cc1[s.index()]),
-            GateFn::Buf | GateFn::Not => 0,
-        };
-        cost = cost.saturating_add(side);
-    }
-    cost.min(SCOAP_INF)
 }
 
 /// The net whose good value a fault site sees: the node's own output for a
@@ -754,50 +580,29 @@ pub(crate) fn untestable_code(reason: PruneReason) -> RuleCode {
 /// `F003`: verifies that the textual `N004` pass and the circuit-level
 /// observability analysis agree — every `N004`-flagged definition must be
 /// unobservable, and every unobservable non-input node must have been
-/// flagged `N004` (or `N003`, which subsumes it for dangling nodes). A
-/// finding here is a checker bug, never a user error.
+/// flagged `N004` (or `N003`, which subsumes it for dangling nodes).
+/// `flag_of` gives the rule that flagged each gate's definition. A finding
+/// here is a checker bug, never a user error.
 pub(crate) fn cross_check_observability(
     circuit: &Circuit,
     prov: Option<&BenchProvenance>,
-    unreachable_names: &[String],
-    dangling_names: &[String],
+    flag_of: impl Fn(GateId) -> Option<RuleCode>,
     report: &mut Report,
 ) {
     let observable = observable_nodes(circuit);
-    for name in unreachable_names {
-        let Some(id) = circuit.find(name) else {
-            report.add(
-                RuleCode::ObservabilityMismatch,
-                None,
-                format!("N004 flagged {name:?}, which the parsed circuit does not contain"),
-            );
-            continue;
-        };
-        if observable[id.index()] {
-            report.add(
-                RuleCode::ObservabilityMismatch,
-                span_of(prov, id),
-                format!(
-                    "N004 flagged {name:?} as unreachable, but the observability analysis can reach a primary output from it"
-                ),
-            );
-        }
-    }
     for (i, gate) in circuit.gates().iter().enumerate() {
-        if observable[i] || gate.kind() == GateKind::Input {
-            continue;
-        }
+        let id = GateId::from_index(i);
         let name = gate.name();
-        if !unreachable_names.iter().any(|n| n == name) && !dangling_names.iter().any(|n| n == name)
-        {
-            report.add(
-                RuleCode::ObservabilityMismatch,
-                span_of(prov, GateId::from_index(i)),
-                format!(
-                    "the observability analysis proves {name:?} unobservable, but N004/N003 did not flag it"
-                ),
-            );
-        }
+        let message = match (observable[i], flag_of(id)) {
+            (true, Some(RuleCode::UnreachableGate)) => format!(
+                "N004 flagged {name:?} as unreachable, but the observability analysis can reach a primary output from it"
+            ),
+            (false, None) if gate.kind() != GateKind::Input => format!(
+                "the observability analysis proves {name:?} unobservable, but N004/N003 did not flag it"
+            ),
+            _ => continue,
+        };
+        report.add(RuleCode::ObservabilityMismatch, span_of(prov, id), message);
     }
 }
 
@@ -945,32 +750,6 @@ mod tests {
     }
 
     #[test]
-    fn scoap_scores_are_sane_on_a_chain() {
-        let (c, a) = analyze("INPUT(a)\nINPUT(b)\nOUTPUT(y)\nm = AND(a, b)\ny = OR(m, b)\n");
-        let (aa, m, y) = (
-            c.find("a").unwrap(),
-            c.find("m").unwrap(),
-            c.find("y").unwrap(),
-        );
-        assert_eq!(a.cc0[aa.index()], 1);
-        assert_eq!(a.cc1[m.index()], 3, "AND: sum of input CC1s + 1");
-        assert_eq!(a.cc0[m.index()], 2, "AND: min input CC0 + 1");
-        assert_eq!(a.co[y.index()], 0, "PO tap");
-        assert!(a.co[aa.index()] > a.co[m.index()]);
-    }
-
-    #[test]
-    fn sequential_scoap_crosses_flops() {
-        let (c, a) = analyze("INPUT(a)\nOUTPUT(q2)\nq1 = DFF(a)\nq2 = DFF(q1)\n");
-        let (q1, q2) = (c.find("q1").unwrap(), c.find("q2").unwrap());
-        assert_eq!(a.cc1[q1.index()], 2);
-        assert_eq!(a.cc1[q2.index()], 3);
-        assert_eq!(a.co[q2.index()], 0);
-        assert_eq!(a.co[q1.index()], 1);
-        assert_eq!(a.co[c.find("a").unwrap().index()], 2);
-    }
-
-    #[test]
     fn findings_cover_constant_dead_and_pruned() {
         let src = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nna = NOT(a)\nt = OR(a, na)\ny = AND(t, b)\n";
         let (c, a) = analyze(src);
@@ -992,7 +771,7 @@ mod tests {
     fn cross_check_accepts_consistent_passes() {
         let (c, _) = analyze("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n");
         let mut report = Report::new("t");
-        cross_check_observability(&c, None, &[], &[], &mut report);
+        cross_check_observability(&c, None, |_| None, &mut report);
         assert_eq!(report.diagnostics.len(), 0);
     }
 
@@ -1001,7 +780,9 @@ mod tests {
         let (c, _) = analyze("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n");
         let mut report = Report::new("t");
         // Claim the observable PO gate was flagged N004: must trip F003.
-        cross_check_observability(&c, None, &["y".to_owned()], &[], &mut report);
+        let y = c.find("y").unwrap();
+        let flag_of = |id| (id == y).then_some(RuleCode::UnreachableGate);
+        cross_check_observability(&c, None, flag_of, &mut report);
         assert_eq!(report.with_code(RuleCode::ObservabilityMismatch).count(), 1);
         assert!(report.has_errors());
     }

@@ -21,7 +21,7 @@
 //!   — the individual fault-model rules, taking plain data so tests can
 //!   feed corrupted structures.
 //! * [`analyze_circuit`] + [`prune_stuck_at`] / [`prune_transition`] — the
-//!   fault-universe analyses (constant propagation, observability, SCOAP),
+//!   fault-universe analyses (constant propagation and observability),
 //!   which prove faults undetectable *before* the first pattern and hand
 //!   the simulators a provably equivalent reduced fault set.
 //! * [`diff_netlists`] + [`impact_analysis`] + [`classify_stuck_at`] /
@@ -207,6 +207,11 @@ mod tests {
         assert_eq!(count(&r, RuleCode::UndrivenNet), 1, "{:?}", codes(&r));
         let d = r.with_code(RuleCode::UndrivenNet).next().unwrap();
         assert_eq!(d.span, Some(Span { line: 3, col: 12 }));
+        // The name is located where it is written, not where it first
+        // occurs on the line.
+        let r = check_bench_source("t", "INPUT(a)\nOUTPUT(gh)\ngh = AND(a, g)\n");
+        let d = r.with_code(RuleCode::UndrivenNet).next().unwrap();
+        assert_eq!(d.span, Some(Span { line: 3, col: 13 }));
         // Multiple references to the same ghost: still one finding.
         let r = check_bench_source(
             "t",
@@ -232,6 +237,9 @@ mod tests {
         let d = r.with_code(RuleCode::DanglingFanout).next().unwrap();
         assert_eq!(d.severity, Severity::Info);
         assert_eq!(r.count(Severity::Warning), 0);
+        let r = check_bench_source("t", "INPUT(a)\nINPUT(T)\nOUTPUT(y)\ny = NOT(a)\n");
+        let d = r.with_code(RuleCode::DanglingFanout).next().unwrap();
+        assert_eq!(d.span, Some(Span { line: 2, col: 7 }));
     }
 
     #[test]

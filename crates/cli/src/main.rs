@@ -36,8 +36,8 @@
 //! on the engine's per-pattern invariant verifier even in release builds.
 //!
 //! `fsim analyze` runs the fault-universe analyses — ternary constant
-//! propagation, structural observability, fault dominance, SCOAP scores —
-//! and reports how far they shrink the stuck-at and transition universes.
+//! propagation, structural observability, fault dominance — and reports
+//! how far they shrink the stuck-at and transition universes.
 //! `--prune` on `sim`/`transition` applies those proofs: only surviving
 //! exact-class representatives are simulated, and the detection report is
 //! expanded back to the full uncollapsed universe (pruned faults report

@@ -886,12 +886,6 @@ impl<P: Probe> Engine<P> {
         }
     }
 
-    /// The fault ids visible at a node with their values (diagnostics).
-    #[allow(dead_code)]
-    pub fn visible_list(&self, n: NodeId) -> Vec<(u32, Logic)> {
-        self.arena.to_vec(self.vis_head[n as usize])
-    }
-
     /// Checks the structural invariants of every fault list: ascending
     /// unique fault ids, termination at the sentinel, live-element
     /// accounting, and the permanent presence of each undropped local

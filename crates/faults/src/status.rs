@@ -83,17 +83,6 @@ impl FaultSimReport {
     pub fn memory_megabytes(&self) -> f64 {
         self.memory_bytes as f64 / 1.0e6
     }
-
-    /// Indices of faults still undetected (used for ATPG targeting and
-    /// test compaction).
-    pub fn undetected_indices(&self) -> Vec<usize> {
-        self.statuses
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| matches!(s, FaultStatus::Undetected))
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 impl fmt::Display for FaultSimReport {
@@ -142,12 +131,6 @@ mod tests {
         assert_eq!(r.total_faults(), 4);
         assert!((r.coverage_percent() - 50.0).abs() < 1e-9);
         assert!((r.memory_megabytes() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn undetected_indices_skip_untestable() {
-        let r = report();
-        assert_eq!(r.undetected_indices(), vec![1]);
     }
 
     #[test]

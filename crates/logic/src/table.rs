@@ -122,12 +122,6 @@ impl TruthTable {
         Logic::from_bool(out.expect("table has at least one row"))
     }
 
-    /// Returns a copy of the table with the output complemented.
-    pub fn complemented(&self) -> Self {
-        let n = self.inputs;
-        TruthTable::from_fn(n, |bits| !self.eval_bits(bits))
-    }
-
     /// Returns `true` if the two tables compute the same function.
     pub fn equivalent(&self, other: &TruthTable) -> bool {
         self.inputs == other.inputs
@@ -408,13 +402,6 @@ mod tests {
         for (i, a) in assignments.iter().enumerate() {
             assert_eq!(index3(a), i);
         }
-    }
-
-    #[test]
-    fn complement_inverts_binary_rows() {
-        let t = TruthTable::from_gate_fn(GateFn::And, 2);
-        let c = t.complemented();
-        assert!(c.equivalent(&TruthTable::from_gate_fn(GateFn::Nand, 2)));
     }
 
     #[test]

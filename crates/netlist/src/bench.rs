@@ -14,6 +14,13 @@
 //! Signals may be referenced before they are defined; definition order is
 //! irrelevant.
 //!
+//! [`BenchRead`] is the one reader. It tokenizes each line once, interns
+//! each net name once, records each token's column as it reads it, and
+//! computes every error-severity problem of the text in one structural
+//! pass over the interned nets. [`parse_bench`] returns the first problem
+//! or builds the circuit from the read in linear time; `cfs-check` reports
+//! every problem from the same read, under its rule code.
+//!
 //! Every [`ParseBenchError`] variant carries the 1-based line and column of
 //! the offending token, and [`parse_bench_with_provenance`] additionally
 //! returns a [`BenchProvenance`] side table mapping every gate back to its
@@ -24,7 +31,7 @@ use std::fmt;
 
 use cfs_logic::GateFn;
 
-use crate::{Circuit, CircuitBuilder, CircuitError, GateId, GateKind};
+use crate::{Circuit, CircuitBuilder, CircuitError, GateId, GateKind, MAX_FANIN};
 
 /// Error produced while parsing a `.bench` file.
 ///
@@ -156,30 +163,14 @@ impl BenchProvenance {
     }
 }
 
-#[derive(Debug)]
-enum Def {
-    Input,
-    Dff(String),
-    Gate(GateFn, Vec<String>),
-}
-
-/// 1-based column of `token` within the 1-based `line` of `source` (1 when
-/// the token cannot be located, e.g. the line is synthetic).
-fn col_of(source: &str, line: usize, token: &str) -> usize {
-    source
-        .lines()
-        .nth(line.wrapping_sub(1))
-        .and_then(|raw| raw.find(token))
-        .map_or(1, |i| i + 1)
-}
-
 /// Parses a circuit from `.bench` text.
 ///
 /// # Errors
 ///
-/// Returns [`ParseBenchError`] on malformed lines, unknown gate types,
-/// dangling signal references, redefinitions, or structural problems
-/// (combinational cycles, missing I/O). Every error names the offending
+/// Returns the first error-severity problem of the text (see
+/// [`BenchRead::problems`]): a malformed line, an unknown gate type, an
+/// illegal input count, a redefinition, missing I/O, a dangling signal
+/// reference or a combinational cycle. Every error names the offending
 /// source line and column.
 ///
 /// # Examples
@@ -213,204 +204,559 @@ pub fn parse_bench_with_provenance(
     name: &str,
     source: &str,
 ) -> Result<(Circuit, BenchProvenance), ParseBenchError> {
-    let mut defs: Vec<(String, Def, usize)> = Vec::new();
-    let mut inputs: Vec<String> = Vec::new();
-    let mut outputs: Vec<(String, usize)> = Vec::new();
-    let mut seen: HashMap<String, usize> = HashMap::new();
-
-    for (lineno, raw) in source.lines().enumerate() {
-        let line = lineno + 1;
-        let text = raw.split('#').next().unwrap_or("").trim();
-        if text.is_empty() {
-            continue;
-        }
-        let syntax = || ParseBenchError::Syntax {
-            line,
-            col: raw.find(|c: char| !c.is_whitespace()).map_or(1, |i| i + 1),
-            text: raw.trim().to_owned(),
-        };
-        if let Some(rest) = strip_directive(text, "INPUT") {
-            inputs.push(rest.to_owned());
-            if seen.insert(rest.to_owned(), line).is_some() {
-                return Err(ParseBenchError::Redefined {
-                    line,
-                    col: col_of(source, line, rest),
-                    name: rest.to_owned(),
-                });
-            }
-            defs.push((rest.to_owned(), Def::Input, line));
-        } else if let Some(rest) = strip_directive(text, "OUTPUT") {
-            outputs.push((rest.to_owned(), line));
-        } else if let Some(eq) = text.find('=') {
-            let lhs = text[..eq].trim().to_owned();
-            let rhs = text[eq + 1..].trim();
-            let open = rhs.find('(').ok_or_else(syntax)?;
-            if !rhs.ends_with(')') {
-                return Err(syntax());
-            }
-            let fn_name = rhs[..open].trim();
-            let args: Vec<String> = rhs[open + 1..rhs.len() - 1]
-                .split(',')
-                .map(|s| s.trim().to_owned())
-                .filter(|s| !s.is_empty())
-                .collect();
-            if args.is_empty() {
-                return Err(syntax());
-            }
-            let def = if fn_name.eq_ignore_ascii_case("DFF") {
-                if args.len() != 1 {
-                    return Err(syntax());
-                }
-                Def::Dff(args[0].clone())
-            } else {
-                let f: GateFn = fn_name.parse().map_err(|_| ParseBenchError::UnknownGate {
-                    line,
-                    col: col_of(source, line, fn_name),
-                    name: fn_name.to_owned(),
-                })?;
-                Def::Gate(f, args)
-            };
-            if seen.insert(lhs.clone(), line).is_some() {
-                return Err(ParseBenchError::Redefined {
-                    line,
-                    col: col_of(source, line, &lhs),
-                    name: lhs,
-                });
-            }
-            defs.push((lhs, def, line));
-        } else {
-            return Err(syntax());
-        }
-    }
-
-    build(name, source, defs, outputs)
+    BenchRead::new(source).build(name)
 }
 
-fn build(
-    name: &str,
-    source: &str,
-    defs: Vec<(String, Def, usize)>,
-    outputs: Vec<(String, usize)>,
-) -> Result<(Circuit, BenchProvenance), ParseBenchError> {
-    let mut b = CircuitBuilder::new(name);
-    let mut ids: HashMap<String, GateId> = HashMap::new();
-    let def_line: HashMap<&str, usize> = defs.iter().map(|(s, _, l)| (s.as_str(), *l)).collect();
-    // Maps a structural error to the defining line of the gate it names.
-    let circuit_err = |e: CircuitError| -> ParseBenchError {
-        let gate_name = match &e {
-            CircuitError::DuplicateName(n)
-            | CircuitError::UnboundDff(n)
-            | CircuitError::NotADff(n)
-            | CircuitError::CombinationalCycle(n)
-            | CircuitError::Undefined(n) => Some(n.clone()),
-            CircuitError::BadArity { gate, .. } => Some(gate.clone()),
-            CircuitError::NoInputs | CircuitError::NoOutputs => None,
+/// The rule an error-severity [`BenchProblem`] breaks. `fsim check`
+/// reports each under its code, given here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BenchRule {
+    /// `S001`: a line that is neither a directive nor `name = FN(args)`.
+    Syntax,
+    /// `S002`: an unknown gate function.
+    UnknownGate,
+    /// `S003`: a gate or flip-flop with an illegal input count.
+    BadArity,
+    /// `N001`: a combinational cycle.
+    Cycle,
+    /// `N002`: a referenced net that nothing drives.
+    Undriven,
+    /// `N005`: a net defined twice.
+    Redefined,
+    /// `N006`: no primary inputs, or no primary outputs.
+    MissingIo,
+}
+
+/// One error-severity problem of a [`BenchRead`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BenchProblem {
+    /// The rule it breaks.
+    pub rule: BenchRule,
+    /// The 1-based `(line, column)` `fsim check` points at; `None` for a
+    /// whole-netlist problem.
+    pub span: Option<(usize, usize)>,
+    /// `fsim check`'s message.
+    pub message: String,
+    /// What [`parse_bench`] returns when this is the first problem.
+    pub error: ParseBenchError,
+}
+
+/// What a `.bench` definition defines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DefKind {
+    /// `INPUT(name)`.
+    Input,
+    /// `name = DFF(d)`.
+    Dff,
+    /// `name = FN(args)`; `None` when `FN` names no gate function.
+    Gate(Option<GateFn>),
+}
+
+/// One occurrence of a net name in the source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NetRef {
+    /// The net: an index into the read's name table.
+    pub net: usize,
+    /// 1-based line.
+    pub line: usize,
+    /// 1-based column of the name's first byte.
+    pub col: usize,
+}
+
+/// One definition: an `INPUT` directive or a `name = FN(args)` line.
+#[derive(Debug, Clone)]
+pub struct BenchDef {
+    /// The net it defines, where its name is written.
+    pub name: NetRef,
+    /// What it defines.
+    pub kind: DefKind,
+    /// Its inputs in pin order, where each is written.
+    pub fanin: Vec<NetRef>,
+}
+
+/// One lenient read of `.bench` text: the only `.bench` reader.
+///
+/// It tokenizes each line once, interns each net name once, and keeps going
+/// past malformed lines, so [`BenchRead::problems`] lists every
+/// error-severity problem of the text, in the order `fsim check` reports
+/// them. [`BenchRead::build`] turns a read without problems into a
+/// [`Circuit`]; [`parse_bench`] is `BenchRead::new(source).build(name)`.
+///
+/// # Examples
+///
+/// ```
+/// let read = cfs_netlist::BenchRead::new("INPUT(a)\nOUTPUT(y)\ny = AND(a, ghost)\n");
+/// let problem = &read.problems()[0];
+/// assert_eq!(problem.rule, cfs_netlist::BenchRule::Undriven);
+/// assert_eq!(problem.span, Some((3, 12)));
+/// assert!(read.build("t").is_err());
+/// ```
+#[derive(Debug)]
+pub struct BenchRead<'a> {
+    /// Net names, in order of first mention.
+    names: Vec<&'a str>,
+    /// The net of each name.
+    nets: HashMap<&'a str, usize>,
+    /// Every definition in source order, second definitions included.
+    defs: Vec<BenchDef>,
+    /// `OUTPUT` taps in source order.
+    outputs: Vec<NetRef>,
+    /// Per net, the index of its first definition.
+    driver: Vec<Option<usize>>,
+    /// The first definitions of combinational gates, drivers before
+    /// readers (valid when there is no cycle).
+    topo: Vec<usize>,
+    /// Every error-severity problem, in `fsim check` order.
+    problems: Vec<BenchProblem>,
+}
+
+impl<'a> BenchRead<'a> {
+    /// Reads `source`.
+    pub fn new(source: &'a str) -> Self {
+        let mut read = BenchRead {
+            names: Vec::new(),
+            nets: HashMap::new(),
+            defs: Vec::new(),
+            outputs: Vec::new(),
+            driver: Vec::new(),
+            topo: Vec::new(),
+            problems: Vec::new(),
         };
-        let line = gate_name
-            .as_deref()
-            .and_then(|n| def_line.get(n).copied())
-            .unwrap_or(0);
-        let col = gate_name.as_deref().map_or(1, |n| col_of(source, line, n));
-        ParseBenchError::Circuit {
-            line,
-            col,
-            error: e,
+        for (i, raw) in source.lines().enumerate() {
+            read.read_line(i + 1, raw);
         }
-    };
-    // Pass 1: create every source node so forward references resolve
-    // (combinational gates are created in pass 2, when their fanins exist).
-    for (signal, def, _) in &defs {
-        let id = match def {
-            Def::Input => b.input(signal.clone()),
-            Def::Dff(_) => b.dff(signal.clone()),
-            Def::Gate(..) => continue,
-        };
-        ids.insert(signal.clone(), id);
+        read.check_structure();
+        read
     }
-    // Pass 2: combinational gates in definition order, resolving names. A
-    // gate may reference a later gate, so iterate until fixpoint over the
-    // remaining definitions (definition order is usually topological-ish;
-    // the loop handles the rest).
-    let mut remaining: Vec<(String, GateFn, Vec<String>, usize)> = defs
-        .iter()
-        .filter_map(|(s, d, l)| match d {
-            Def::Gate(f, args) => Some((s.clone(), *f, args.clone(), *l)),
-            _ => None,
+
+    /// The name of `net`.
+    pub fn name(&self, net: usize) -> &'a str {
+        self.names[net]
+    }
+
+    /// The net called `name`, if the text mentions it.
+    pub fn net(&self, name: &str) -> Option<usize> {
+        self.nets.get(name).copied()
+    }
+
+    /// How many distinct nets the text mentions.
+    pub fn num_nets(&self) -> usize {
+        self.names.len()
+    }
+
+    /// Every definition, in source order.
+    pub fn defs(&self) -> &[BenchDef] {
+        &self.defs
+    }
+
+    /// The `OUTPUT` taps, in source order.
+    pub fn outputs(&self) -> &[NetRef] {
+        &self.outputs
+    }
+
+    /// The index in [`BenchRead::defs`] of the first definition of `net`,
+    /// or `None` when nothing drives it.
+    pub fn driver(&self, net: usize) -> Option<usize> {
+        self.driver[net]
+    }
+
+    /// Every error-severity problem: the line problems (`S001`–`S003`) in
+    /// line order, then `N005`, `N006`, `N002` and `N001`.
+    pub fn problems(&self) -> &[BenchProblem] {
+        &self.problems
+    }
+
+    fn mention(&mut self, name: &'a str, line: usize, col: usize) -> NetRef {
+        let fresh = self.names.len();
+        let net = *self.nets.entry(name).or_insert(fresh);
+        if net == fresh {
+            self.names.push(name);
+        }
+        NetRef { net, line, col }
+    }
+
+    fn problem(
+        &mut self,
+        rule: BenchRule,
+        span: Option<(usize, usize)>,
+        message: String,
+        error: ParseBenchError,
+    ) {
+        self.problems.push(BenchProblem {
+            rule,
+            span,
+            message,
+            error,
+        });
+    }
+
+    fn read_line(&mut self, line: usize, raw: &'a str) {
+        let text = raw.split('#').next().unwrap_or("").trim();
+        if text.is_empty() {
+            return;
+        }
+        // Every token is a slice of `raw`, so its column is its offset.
+        let col = |token: &str| token.as_ptr() as usize - raw.as_ptr() as usize + 1;
+        let syntax = || ParseBenchError::Syntax {
+            line,
+            col: col(text),
+            text: raw.trim().to_owned(),
+        };
+        if let Some(name) = strip_directive(text, "INPUT") {
+            let name = self.mention(name, line, col(name));
+            self.defs.push(BenchDef {
+                name,
+                kind: DefKind::Input,
+                fanin: Vec::new(),
+            });
+            return;
+        }
+        if let Some(name) = strip_directive(text, "OUTPUT") {
+            let tap = self.mention(name, line, col(name));
+            self.outputs.push(tap);
+            return;
+        }
+        let Some((lhs, rhs)) = text.split_once('=') else {
+            let message = format!("cannot parse {text:?}");
+            return self.problem(
+                BenchRule::Syntax,
+                Some((line, col(text))),
+                message,
+                syntax(),
+            );
+        };
+        let lhs = lhs.trim();
+        let call = rhs.trim().strip_suffix(')').and_then(|r| r.split_once('('));
+        let Some((func, args)) = call.filter(|_| !lhs.is_empty()) else {
+            let message = format!("cannot parse {text:?}: expected name = FN(args)");
+            return self.problem(
+                BenchRule::Syntax,
+                Some((line, col(text))),
+                message,
+                syntax(),
+            );
+        };
+        let name = self.mention(lhs, line, col(lhs));
+        let fanin: Vec<NetRef> = args
+            .split(',')
+            .map(str::trim)
+            .filter(|a| !a.is_empty())
+            .map(|a| self.mention(a, line, col(a)))
+            .collect();
+        let func = func.trim();
+        let arity = fanin.len();
+        let kind = if func.eq_ignore_ascii_case("DFF") {
+            if arity != 1 {
+                let message =
+                    format!("flip-flop {lhs:?} must have exactly one D input, has {arity}");
+                self.problem(
+                    BenchRule::BadArity,
+                    Some((line, col(func))),
+                    message,
+                    syntax(),
+                );
+            }
+            DefKind::Dff
+        } else if let Ok(f) = func.parse::<GateFn>() {
+            let message = if f.is_unary() && arity != 1 {
+                let func = func.to_uppercase();
+                Some(format!(
+                    "{func} gate {lhs:?} must have exactly one input, has {arity}"
+                ))
+            } else if arity == 0 {
+                Some(format!("gate {lhs:?} has no inputs"))
+            } else if arity > MAX_FANIN {
+                Some(format!(
+                    "gate {lhs:?} has {arity} inputs; at most {MAX_FANIN} are supported"
+                ))
+            } else {
+                None
+            };
+            if let Some(message) = message {
+                // An empty argument list is malformed text; a count the
+                // function cannot take is the builder's `BadArity`.
+                let error = if arity == 0 {
+                    syntax()
+                } else {
+                    ParseBenchError::Circuit {
+                        line,
+                        col: col(lhs),
+                        error: CircuitError::BadArity {
+                            gate: lhs.to_owned(),
+                            function: f,
+                            arity,
+                        },
+                    }
+                };
+                self.problem(BenchRule::BadArity, Some((line, col(func))), message, error);
+            }
+            DefKind::Gate(Some(f))
+        } else {
+            let error = ParseBenchError::UnknownGate {
+                line,
+                col: col(func),
+                name: func.to_owned(),
+            };
+            let message = format!("unknown gate type {func:?}");
+            self.problem(
+                BenchRule::UnknownGate,
+                Some((line, col(func))),
+                message,
+                error,
+            );
+            DefKind::Gate(None)
+        };
+        self.defs.push(BenchDef { name, kind, fanin });
+    }
+
+    /// The whole-netlist problems, over interned nets: second drivers,
+    /// missing I/O, undriven references and combinational cycles.
+    fn check_structure(&mut self) {
+        let mut driver = vec![None; self.names.len()];
+        for (i, d) in self.defs.iter().enumerate() {
+            let NetRef { net, line, col } = d.name;
+            let Some(first) = driver[net] else {
+                driver[net] = Some(i);
+                continue;
+            };
+            let name = self.names[net];
+            self.problems.push(BenchProblem {
+                rule: BenchRule::Redefined,
+                span: Some((line, col)),
+                message: format!(
+                    "net {name:?} is already driven by the definition at line {}",
+                    self.defs[first].name.line
+                ),
+                error: ParseBenchError::Redefined {
+                    line,
+                    col,
+                    name: name.to_owned(),
+                },
+            });
+        }
+        self.driver = driver;
+
+        if !self.defs.iter().any(|d| d.kind == DefKind::Input) {
+            let error = ParseBenchError::Circuit {
+                line: 0,
+                col: 1,
+                error: CircuitError::NoInputs,
+            };
+            let message = "netlist has no primary inputs".to_owned();
+            self.problem(BenchRule::MissingIo, None, message, error);
+        }
+        if self.outputs.is_empty() {
+            let error = ParseBenchError::Circuit {
+                line: 0,
+                col: 1,
+                error: CircuitError::NoOutputs,
+            };
+            let message = "netlist has no primary outputs".to_owned();
+            self.problem(BenchRule::MissingIo, None, message, error);
+        }
+
+        // One finding per undriven net, at its first reference: gate and
+        // flip-flop inputs in definition order, then the output taps.
+        let mut reported = vec![false; self.names.len()];
+        let references = self.defs.iter().flat_map(|d| &d.fanin).chain(&self.outputs);
+        for &NetRef { net, line, col } in references {
+            if self.driver[net].is_some() || std::mem::replace(&mut reported[net], true) {
+                continue;
+            }
+            let name = self.names[net];
+            self.problems.push(BenchProblem {
+                rule: BenchRule::Undriven,
+                span: Some((line, col)),
+                message: format!("net {name:?} is referenced but never driven"),
+                error: ParseBenchError::Undefined {
+                    line,
+                    col,
+                    name: name.to_owned(),
+                },
+            });
+        }
+
+        let (topo, cycles) = combinational_components(&self.defs, &self.driver);
+        for cycle in cycles {
+            let Some(&first) = cycle.iter().min_by_key(|&&i| self.defs[i].name.line) else {
+                continue;
+            };
+            let mut names: Vec<&str> = cycle
+                .iter()
+                .map(|&i| self.names[self.defs[i].name.net])
+                .collect();
+            names.sort_unstable();
+            let shown = if names.len() > 8 {
+                format!("{} ... ({} gates)", names[..8].join(" -> "), names.len())
+            } else {
+                names.join(" -> ")
+            };
+            let NetRef { net, line, col } = self.defs[first].name;
+            let error = ParseBenchError::Circuit {
+                line,
+                col,
+                error: CircuitError::CombinationalCycle(self.names[net].to_owned()),
+            };
+            let message = format!("combinational cycle with no flip-flop: {shown}");
+            self.problem(BenchRule::Cycle, Some((line, 1)), message, error);
+        }
+        self.topo = topo;
+    }
+
+    /// Builds the circuit, or returns the first problem.
+    ///
+    /// Sources (inputs and flip-flops) take the first ids, in definition
+    /// order. Combinational gates follow, sorted by (sweep, definition
+    /// index): a gate's sweep is the largest `sweep(f)` over its fanins `f`,
+    /// plus 1 where `f` is defined after the gate, and at least 1. This is
+    /// the order in which repeated sweeps over the definitions would first
+    /// find each gate's fanins built, so `GateId`s, and with them fault
+    /// numbering, do not depend on how the reader resolves names.
+    ///
+    /// # Errors
+    ///
+    /// The first of [`BenchRead::problems`].
+    pub fn build(&self, name: &str) -> Result<(Circuit, BenchProvenance), ParseBenchError> {
+        if let Some(problem) = self.problems.first() {
+            return Err(problem.error.clone());
+        }
+        let mut sweep = vec![0usize; self.defs.len()];
+        for &i in &self.topo {
+            sweep[i] = self.defs[i]
+                .fanin
+                .iter()
+                .filter_map(|r| self.driver[r.net])
+                .map(|j| sweep[j] + usize::from(j > i))
+                .fold(1, usize::max);
+        }
+        let mut gates = self.topo.clone();
+        gates.sort_unstable_by_key(|&i| (sweep[i], i));
+        let sources =
+            (0..self.defs.len()).filter(|&i| !matches!(self.defs[i].kind, DefKind::Gate(_)));
+
+        let at = |r: NetRef| {
+            move |error: CircuitError| ParseBenchError::Circuit {
+                line: r.line,
+                col: r.col,
+                error,
+            }
+        };
+        let mut b = CircuitBuilder::new(name);
+        let mut ids = vec![GateId(0); self.names.len()];
+        let mut lines = Vec::with_capacity(self.defs.len());
+        for i in sources.chain(gates) {
+            let d = &self.defs[i];
+            let signal = self.names[d.name.net];
+            ids[d.name.net] = match d.kind {
+                DefKind::Input => b.input(signal),
+                DefKind::Dff => b.dff(signal),
+                DefKind::Gate(f) => {
+                    let f = f.expect("an unknown gate function is a problem");
+                    let fanin = d.fanin.iter().map(|r| ids[r.net]).collect();
+                    b.gate(signal, f, fanin).map_err(at(d.name))?
+                }
+            };
+            lines.push(d.name.line);
+        }
+        for d in &self.defs {
+            if let (DefKind::Dff, [pin]) = (d.kind, d.fanin.as_slice()) {
+                b.set_dff_input(ids[d.name.net], ids[pin.net])
+                    .map_err(at(d.name))?;
+            }
+        }
+        for tap in &self.outputs {
+            b.output(ids[tap.net]);
+        }
+        let circuit = b.finish().map_err(|error| ParseBenchError::Circuit {
+            line: 0,
+            col: 1,
+            error,
+        })?;
+        Ok((circuit, BenchProvenance { lines }))
+    }
+}
+
+/// The combinational graph over first definitions of gates (inputs and
+/// flip-flops break every path), by Kosaraju: its nodes in topological
+/// order (drivers first, valid when acyclic) and its cycles (components of
+/// more than one gate, or a gate that reads itself).
+fn combinational_components(
+    defs: &[BenchDef],
+    driver: &[Option<usize>],
+) -> (Vec<usize>, Vec<Vec<usize>>) {
+    let comb: Vec<usize> = (0..defs.len())
+        .filter(|&i| {
+            matches!(defs[i].kind, DefKind::Gate(_)) && driver[defs[i].name.net] == Some(i)
         })
         .collect();
-    while !remaining.is_empty() {
-        let mut progress = false;
-        let mut arity_error: Option<CircuitError> = None;
-        remaining.retain(|(signal, f, args, _)| {
-            if arity_error.is_some() {
-                return true;
-            }
-            let resolved: Option<Vec<GateId>> = args.iter().map(|a| ids.get(a).copied()).collect();
-            match resolved {
-                Some(fanin) => match b.gate(signal.clone(), *f, fanin) {
-                    Ok(id) => {
-                        ids.insert(signal.clone(), id);
-                        progress = true;
-                        false
-                    }
-                    Err(e) => {
-                        arity_error = Some(e);
-                        true
-                    }
-                },
-                None => true,
-            }
-        });
-        if let Some(e) = arity_error {
-            return Err(circuit_err(e));
+    let mut node = vec![usize::MAX; defs.len()];
+    for (k, &i) in comb.iter().enumerate() {
+        node[i] = k;
+    }
+    // The combinational fanin of node k, as node indices.
+    let fanin = |k: usize| {
+        defs[comb[k]]
+            .fanin
+            .iter()
+            .filter_map(|r| driver[r.net])
+            .map(|j| node[j])
+            .filter(|&kj| kj != usize::MAX)
+    };
+    let n = comb.len();
+    let mut fanout: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for k in 0..n {
+        for kj in fanin(k) {
+            fanout[kj].push(k);
         }
-        if !progress {
-            // No progress: either a dangling name or mutual references
-            // among combinational gates (a cycle).
-            for (_, _, args, line) in &remaining {
-                for a in args {
-                    if !ids.contains_key(a) && !remaining.iter().any(|(s, ..)| s == a) {
-                        return Err(ParseBenchError::Undefined {
-                            line: *line,
-                            col: col_of(source, *line, a),
-                            name: a.clone(),
-                        });
-                    }
+    }
+    // Pass 1: finish order on the driver -> reader graph.
+    let mut visited = vec![false; n];
+    let mut order: Vec<usize> = Vec::with_capacity(n);
+    for start in 0..n {
+        if visited[start] {
+            continue;
+        }
+        // (node, next-edge cursor) stack for iterative post-order.
+        let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
+        visited[start] = true;
+        while let Some(&mut (v, ref mut cursor)) = stack.last_mut() {
+            if *cursor < fanout[v].len() {
+                let w = fanout[v][*cursor];
+                *cursor += 1;
+                if !visited[w] {
+                    visited[w] = true;
+                    stack.push((w, 0));
+                }
+            } else {
+                order.push(v);
+                stack.pop();
+            }
+        }
+    }
+    // Pass 2: components on the reverse graph in reverse finish order.
+    let mut assigned = vec![false; n];
+    let mut cycles: Vec<Vec<usize>> = Vec::new();
+    for &start in order.iter().rev() {
+        if std::mem::replace(&mut assigned[start], true) {
+            continue;
+        }
+        let mut members = Vec::new();
+        let mut stack = vec![start];
+        while let Some(v) = stack.pop() {
+            members.push(comb[v]);
+            for w in fanin(v) {
+                if !std::mem::replace(&mut assigned[w], true) {
+                    stack.push(w);
                 }
             }
-            return Err(circuit_err(CircuitError::CombinationalCycle(
-                remaining[0].0.clone(),
-            )));
+        }
+        let self_loop = || fanin(start).any(|kj| kj == start);
+        if members.len() > 1 || self_loop() {
+            cycles.push(members);
         }
     }
-    // Bind DFF inputs.
-    for (signal, def, line) in &defs {
-        if let Def::Dff(d) = def {
-            let q = ids[signal];
-            let d_id = *ids.get(d).ok_or_else(|| ParseBenchError::Undefined {
-                line: *line,
-                col: col_of(source, *line, d),
-                name: d.clone(),
-            })?;
-            b.set_dff_input(q, d_id).map_err(&circuit_err)?;
-        }
-    }
-    for (out, line) in &outputs {
-        let id = *ids.get(out).ok_or_else(|| ParseBenchError::Undefined {
-            line: *line,
-            col: col_of(source, *line, out),
-            name: out.clone(),
-        })?;
-        b.output(id);
-    }
-    let circuit = b.finish().map_err(circuit_err)?;
-    let mut lines = vec![0usize; circuit.num_nodes()];
-    for (i, gate) in circuit.gates().iter().enumerate() {
-        if let Some(&l) = def_line.get(gate.name()) {
-            lines[i] = l;
-        }
-    }
-    Ok((circuit, BenchProvenance { lines }))
+    let topo = order.iter().rev().map(|&k| comb[k]).collect();
+    (topo, cycles)
 }
 
 fn strip_directive<'a>(text: &'a str, keyword: &str) -> Option<&'a str> {
@@ -556,6 +902,39 @@ mod tests {
         );
         assert_eq!(err.line(), Some(3));
         assert_eq!(err.column(), Some(12));
+    }
+
+    #[test]
+    fn names_are_located_where_they_are_written() {
+        // `g` also starts the line, and `T` also ends `INPUT`.
+        let src = "INPUT(a)\nOUTPUT(gh)\ngh = AND(a, g)\n";
+        let err = parse_bench("d", src).unwrap_err();
+        assert_eq!(err.to_string(), "line 3:13: undefined signal \"g\"");
+        let read = BenchRead::new("INPUT(a)\nINPUT(T)\nOUTPUT(y)\ny = NOT(a)\n");
+        let t = &read.defs()[1].name;
+        assert_eq!((read.name(t.net), t.line, t.col), ("T", 2, 7));
+        let err = parse_bench("r", "INPUT(T)\nINPUT(T)\nOUTPUT(T)\n").unwrap_err();
+        assert_eq!(err.to_string(), "line 2:7: signal \"T\" redefined");
+    }
+
+    #[test]
+    fn the_first_problem_in_check_order_is_returned() {
+        // A redefinition on line 4 and a syntax error on line 5: line
+        // problems come first.
+        let src = "INPUT(a)\nOUTPUT(y)\ny = BUF(a)\ny = NOT(a)\nwhat\n";
+        let err = parse_bench("m", src).unwrap_err();
+        assert!(
+            matches!(err, ParseBenchError::Syntax { line: 5, .. }),
+            "{err:?}"
+        );
+        // The cycle error names the cycle's gate on the first line, not
+        // the gate downstream of it defined earlier.
+        let src = "INPUT(a)\nOUTPUT(o)\no = NOT(c1)\nc1 = BUF(c2)\nc2 = BUF(c1)\n";
+        let err = parse_bench("c", src).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 4:1: invalid circuit: combinational cycle through gate \"c1\""
+        );
     }
 
     #[test]

@@ -29,7 +29,8 @@ pub mod generate;
 mod macros;
 
 pub use bench::{
-    parse_bench, parse_bench_with_provenance, write_bench, BenchProvenance, ParseBenchError,
+    parse_bench, parse_bench_with_provenance, write_bench, BenchDef, BenchProblem, BenchProvenance,
+    BenchRead, BenchRule, DefKind, NetRef, ParseBenchError,
 };
 pub use circuit::{
     Circuit, CircuitBuilder, CircuitError, CircuitStats, Gate, GateId, GateKind, MAX_FANIN,

@@ -1,8 +1,7 @@
 //! Per-node activity aggregation (the data behind `fsim heatmap`).
 //!
-//! Divergence/convergence/drop totals per node identify the *hot cones* —
-//! the regions whose fault lists churn — that static SCOAP weights only
-//! estimate. Totals come from the recorders' exact per-node counters, so
+//! Divergence/convergence/drop totals per node identify the *hot cones*:
+//! the regions whose fault lists churn. Totals come from the recorders' exact per-node counters, so
 //! they are unaffected by ring overflow.
 
 use crate::recorder::{NodeActivity, TraceRecorder};

@@ -110,11 +110,6 @@ impl TraceRecorder {
         }
     }
 
-    /// A recorder with default configuration and its own epoch.
-    pub fn with_defaults() -> Self {
-        Self::new(Instant::now(), TraceConfig::default())
-    }
-
     fn now(&self) -> Micros {
         // u64 microseconds cover ~584k years; the cast cannot truncate a
         // real run.
@@ -152,11 +147,6 @@ impl TraceRecorder {
     /// may have been discarded — see [`TraceRecorder::dropped_events`]).
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.ring.iter()
-    }
-
-    /// Drains the ring into a vector, oldest first.
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.ring.into_iter().collect()
     }
 
     /// Total events ever recorded, including any later discarded.

@@ -2,13 +2,15 @@
 //! netlists: a clean generated circuit produces zero findings, and a
 //! single seeded defect — a combinational cycle, an undriven net, or a
 //! duplicate definition — is flagged exactly once under its own rule
-//! code, never smeared across codes or reported per-reference.
+//! code, never smeared across codes or reported per-reference. The
+//! parser reads the text with the same reader, so it fails on the same
+//! defect, at the line the check reports.
 
 use proptest::prelude::*;
 
-use cfs_check::{check_bench_source, RuleCode, Severity};
+use cfs_check::{check_bench_source, Report, RuleCode, Severity};
 use cfs_netlist::generate::{generate, CircuitSpec};
-use cfs_netlist::write_bench;
+use cfs_netlist::{parse_bench, write_bench, CircuitError, ParseBenchError};
 
 /// A small well-formed synchronous circuit, as `.bench` text.
 fn clean_source(seed: u64, inputs: usize, dffs: usize, gates: usize) -> String {
@@ -22,6 +24,11 @@ fn errors_with(report: &cfs_check::Report, code: RuleCode) -> usize {
 
 fn total_errors(report: &cfs_check::Report) -> usize {
     report.count(Severity::Error)
+}
+
+/// The line of the report's one finding under `code`.
+fn line_of(report: &Report, code: RuleCode) -> Option<usize> {
+    report.with_code(code).next()?.span.map(|s| s.line)
 }
 
 proptest! {
@@ -45,6 +52,7 @@ proptest! {
             "unexpected errors:\n{}",
             report.render_text()
         );
+        prop_assert!(parse_bench("clean", &src).is_ok());
     }
 
     /// Appending a two-gate combinational loop yields exactly one `N001`
@@ -62,6 +70,15 @@ proptest! {
             "{}", report.render_text()
         );
         prop_assert_eq!(total_errors(&report), 1, "{}", report.render_text());
+        let err = parse_bench("cycle", &src).unwrap_err();
+        prop_assert!(
+            matches!(
+                &err,
+                ParseBenchError::Circuit { error: CircuitError::CombinationalCycle(_), .. }
+            ),
+            "{err:?}"
+        );
+        prop_assert_eq!(err.line(), line_of(&report, RuleCode::CombinationalCycle));
     }
 
     /// Referencing a never-defined net yields exactly one `N002`, even
@@ -79,6 +96,12 @@ proptest! {
             "{}", report.render_text()
         );
         prop_assert_eq!(total_errors(&report), 1, "{}", report.render_text());
+        let err = parse_bench("undriven", &src).unwrap_err();
+        prop_assert!(
+            matches!(&err, ParseBenchError::Undefined { name, .. } if name == "ghostnet"),
+            "{err:?}"
+        );
+        prop_assert_eq!(err.line(), line_of(&report, RuleCode::UndrivenNet));
     }
 
     /// Duplicating one definition line yields exactly one `N005`.
@@ -104,5 +127,8 @@ proptest! {
             "{}", report.render_text()
         );
         prop_assert_eq!(total_errors(&report), 1, "{}", report.render_text());
+        let err = parse_bench("dup", &src).unwrap_err();
+        prop_assert!(matches!(&err, ParseBenchError::Redefined { .. }), "{err:?}");
+        prop_assert_eq!(err.line(), line_of(&report, RuleCode::MultiplyDrivenNet));
     }
 }
