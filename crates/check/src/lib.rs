@@ -12,14 +12,18 @@
 //!
 //! Entry points:
 //!
-//! * [`check_bench_source`] — everything, over raw `.bench` text. Lenient:
-//!   collects every finding rather than stopping at the first.
-//!   [`check_and_parse_bench`] also hands back the circuit it parsed.
+//! * [`check_and_parse_bench`] — the rules over one lenient read of raw
+//!   `.bench` text (`S001`–`S003`, `N001`–`N006`, `F003`), with the circuit
+//!   built from it: every `fsim` command that reads a file runs these.
+//! * [`check_bench_source`] — everything over raw `.bench` text: those
+//!   rules, then [`check_models`] on the built circuit (`fsim check`).
 //! * [`check_circuit`] — everything, over an already-built [`Circuit`]
 //!   (built-in benchmarks, generated circuits).
-//! * [`check_collapse`] / [`check_macro_cells`] / [`check_shard_partition`]
-//!   — the individual fault-model rules, taking plain data so tests can
-//!   feed corrupted structures.
+//! * [`check_models`] — the fault-model rules (`F001`, `M001`, `P001`) on
+//!   a built circuit; `fsim` runs them where the engine's list-law verifier
+//!   runs (debug builds, `--paranoid`). [`check_collapse`] /
+//!   [`check_macro_cells`] / [`check_shard_partition`] take plain data so
+//!   tests can feed corrupted structures.
 //! * [`analyze_circuit`] + [`prune_stuck_at`] / [`prune_transition`] — the
 //!   fault-universe analyses (constant propagation and observability),
 //!   which prove faults undetectable *before* the first pattern and hand
@@ -179,6 +183,15 @@ mod tests {
         );
         let d = r.with_code(RuleCode::CombinationalCycle).next().unwrap();
         assert!(d.message.contains('w') && d.message.contains('y') && d.message.contains('z'));
+        // Cycles are listed by their earliest line: lines 4–5 before 6–7.
+        let r = check_bench_source(
+            "t",
+            "INPUT(a)\nOUTPUT(y)\ny = AND(a, m, p)\nm = AND(a, n)\nn = NOT(m)\n\
+             p = AND(a, q)\nq = NOT(p)\n",
+        );
+        let spans: Vec<_> = r.diagnostics.iter().map(|d| (d.code, d.span)).collect();
+        let n001 = |line| (RuleCode::CombinationalCycle, Some(Span { line, col: 1 }));
+        assert_eq!(spans, [n001(4), n001(6)]);
         // A flip-flop in the loop legalizes it.
         let r = check_bench_source("t", "INPUT(a)\nOUTPUT(y)\ny = AND(a, q)\nq = DFF(y)\n");
         assert_eq!(

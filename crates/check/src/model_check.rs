@@ -3,8 +3,9 @@
 //!
 //! Each analysis has a low-level entry point that takes plain view data so
 //! tests can feed it deliberately corrupted structures, plus an adapter
-//! over the real model type. [`check_models`] is the everything driver the
-//! netlist checker and the CLI preflight use.
+//! over the real model type. [`check_models`] runs all three: in `fsim
+//! check` ([`check_bench_source`](crate::check_bench_source)), and as
+//! `fsim`'s self-check in debug builds and under `--paranoid`.
 
 use std::collections::HashMap;
 

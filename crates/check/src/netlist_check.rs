@@ -5,18 +5,18 @@
 //! `S003`, `N001`, `N002`, `N005`, `N006`), so one run reports every seeded
 //! defect. This module reports those problems under their rule codes, adds
 //! the `N003`/`N004` warnings over the same read and, when nothing is an
-//! error, builds the circuit from that read and runs the fault-model
-//! analyses of [`crate::model_check`] and the `F003` cross-check on it.
+//! error, builds the circuit from that read and runs the `F003` cross-check
+//! on it; [`check_bench_source`] then adds the model rules.
 
-use cfs_netlist::{BenchRead, BenchRule, Circuit, DefKind};
+use cfs_netlist::{BenchProvenance, BenchRead, BenchRule, Circuit, DefKind};
 
 use crate::analyze::cross_check_observability;
 use crate::diag::{Report, RuleCode, Severity, Span};
 use crate::model_check::check_models;
 
 /// Runs every analysis over `.bench` source text and returns the report:
-/// the `S`/`N` structural rules on the read text, then (when the structure
-/// is sound) the `F`/`M`/`P` fault-model rules on the built circuit.
+/// the rules of [`check_and_parse_bench`], then (when the circuit builds)
+/// the `F001`/`M001`/`P001` fault-model rules on it.
 ///
 /// # Examples
 ///
@@ -27,23 +27,30 @@ use crate::model_check::check_models;
 /// assert_eq!(report.with_code(cfs_check::RuleCode::UndrivenNet).count(), 1);
 /// ```
 pub fn check_bench_source(name: &str, source: &str) -> Report {
-    check_and_parse_bench(name, source).0
+    let (mut report, built) = check_and_parse_bench(name, source);
+    if let Some((circuit, prov)) = built {
+        check_models(&circuit, Some(&prov), &mut report);
+    }
+    report
 }
 
-/// [`check_bench_source`], also returning the circuit the fault-model
-/// pass checked, so a caller that goes on to simulate reads the file once.
-/// The circuit is the one [`cfs_netlist::parse_bench`] builds from the
-/// same text; it is `None` only when the report has errors.
+/// The rules over one read of `.bench` text (`S001`–`S003`, `N001`–`N006`,
+/// `F003`) and the circuit [`cfs_netlist::parse_bench`] builds from the
+/// same text, with its line provenance; `None` only when the report has
+/// errors. A caller that goes on to simulate reads the file once.
 ///
 /// # Examples
 ///
 /// ```
 /// let source = "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n";
-/// let (report, circuit) = cfs_check::check_and_parse_bench("inv", source);
+/// let (report, built) = cfs_check::check_and_parse_bench("inv", source);
 /// assert!(!report.has_errors());
-/// assert_eq!(circuit.unwrap().num_nodes(), 2);
+/// assert_eq!(built.unwrap().0.num_nodes(), 2);
 /// ```
-pub fn check_and_parse_bench(name: &str, source: &str) -> (Report, Option<Circuit>) {
+pub fn check_and_parse_bench(
+    name: &str,
+    source: &str,
+) -> (Report, Option<(Circuit, BenchProvenance)>) {
     let mut report = Report::new(name);
     let read = BenchRead::new(source);
     for problem in read.problems() {
@@ -56,7 +63,6 @@ pub fn check_and_parse_bench(name: &str, source: &str) -> (Report, Option<Circui
     }
     match read.build(name) {
         Ok((circuit, prov)) => {
-            check_models(&circuit, Some(&prov), &mut report);
             // F003: the textual N003/N004 pass and the circuit-level
             // observability analysis must agree gate for gate.
             let flag_of = |gate| {
@@ -64,7 +70,7 @@ pub fn check_and_parse_bench(name: &str, source: &str) -> (Report, Option<Circui
                     .and_then(|net| flags[net])
             };
             cross_check_observability(&circuit, Some(&prov), flag_of, &mut report);
-            (report, Some(circuit))
+            (report, Some((circuit, prov)))
         }
         Err(e) => {
             // `build` fails only on a problem reported above; a failure

@@ -787,8 +787,8 @@ pub struct Run<'a, F> {
     pub universe: &'a Universe<F>,
     /// What the flags asked for.
     pub plan: &'a RunPlan<'a>,
-    /// Wall time the `cfs-check` preflight took, folded into the phase
-    /// table of every snapshot the run emits.
+    /// Wall time `fsim`'s checked front end took to load the circuit,
+    /// folded into the phase table of every snapshot the run emits.
     pub check_time: Duration,
     /// `--resume-from`: the checkpoint file's name and its contents.
     pub resume: Option<(&'a str, &'a Checkpoint)>,

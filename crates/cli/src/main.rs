@@ -28,12 +28,13 @@
 //! to the serial simulator for every window size, thread count, and
 //! steal schedule.
 //!
-//! `fsim check` runs the `cfs-check` static analyses and prints the
-//! diagnostics (stable rule codes, severities, `.bench` line spans; JSON
-//! under `--format json`), exiting nonzero on any error-severity finding.
-//! `sim` and `transition` run the same analyses as a preflight and refuse
-//! error-ridden netlists unless `--no-check` is given. `--paranoid` turns
-//! on the engine's per-pattern invariant verifier even in release builds.
+//! `fsim check` runs every `cfs-check` rule and prints the diagnostics
+//! (stable rule codes, severities, `.bench` line spans; JSON under
+//! `--format json`), exiting nonzero on any error-severity finding. Every
+//! other command reads a file through the rules over the read and refuses
+//! one with errors (exit 1). The fault-model self-checks run with the
+//! engine's per-pattern invariant verifier: in debug builds, and in
+//! release under `--paranoid`.
 //!
 //! `fsim analyze` runs the fault-universe analyses — ternary constant
 //! propagation, structural observability, fault dominance — and reports
@@ -97,7 +98,7 @@
 use std::fs;
 use std::io;
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use cfs_atpg::{generate_tests, random_patterns, AtpgOptions};
 use cfs_check::{
@@ -114,12 +115,12 @@ use cfs_cli::{
 use cfs_core::{BatchOptions, Checkpoint, ConcurrentSim, CsimOptions, CsimVariant, DEFAULT_WINDOW};
 use cfs_faults::{
     collapse_stuck_at, dominance_collapse, enumerate_stuck_at, enumerate_transition, FaultFate,
-    PruneReason,
+    PruneReason, StuckAt,
 };
 use cfs_logic::{format_pattern, parse_pattern, Logic};
 use cfs_netlist::{
-    apply_edit, edit_candidates, extract_macros, parse_bench, parse_bench_with_provenance,
-    write_bench, BenchEdit, BenchProvenance, Circuit, GateId,
+    apply_edit, edit_candidates, extract_macros, write_bench, BenchEdit, BenchProvenance, Circuit,
+    GateId,
 };
 use cfs_telemetry::write_json_string;
 use cfs_trace::{FaultTimeline, Heatmap, TraceConfig, TraceEvent, TraceRecorder};
@@ -347,7 +348,6 @@ const FLAGS: &[(&str, Kind, &str, &str)] = &[
     ("--trace-out", Path("FILE"), RUN, "write a Chrome Trace / Perfetto JSON event trace"),
     ("--trace-capacity", Count, RUN, "per-shard trace ring capacity in events (default 1M)"),
     ("--trace-window", Window, "sim transition explain", "trace quiescence window (default 32; 0 = off)"),
-    ("--no-check", Switch, REPLAY, "skip the cfs-check preflight (runs refuse netlists with errors)"),
     ("--paranoid", Switch, RUN, "verify engine invariants after every pattern, even in release"),
     ("--format", OneOf("format", &["text", "json"]), "check analyze rules implications impact heatmap",
      "output format (default text)"),
@@ -671,86 +671,79 @@ fn load_checkpoint_file(path: &str) -> Result<Checkpoint, Box<dyn std::error::Er
         .map_err(|e| diag(format!("error: K001 [checkpoint-invalid] {path}: {e}")))
 }
 
-fn load_circuit(spec: &str) -> Result<Circuit, Box<dyn std::error::Error>> {
-    if let Some(name) = spec.strip_prefix('@') {
-        if name == "s27" {
-            return Ok(cfs_netlist::data::s27());
+/// A built-in circuit: `s27`, or a generated benchmark such as `s298g`.
+fn builtin(name: &str) -> Result<Circuit, Box<dyn std::error::Error>> {
+    if name == "s27" {
+        return Ok(cfs_netlist::data::s27());
+    }
+    cfs_netlist::generate::benchmark(name)
+        .ok_or_else(|| err(format!("unknown built-in circuit {name:?}")))
+}
+
+fn read_text(path: &str) -> Result<String, Box<dyn std::error::Error>> {
+    fs::read_to_string(path).map_err(|e| err(format!("cannot read {path}: {e}")))
+}
+
+/// Display name of a circuit file: its stem.
+fn circuit_name_of(path: &str) -> &str {
+    std::path::Path::new(path)
+        .file_stem()
+        .and_then(|s| s.to_str())
+        .unwrap_or("circuit")
+}
+
+/// The circuit front end of every command but `check`: generates a
+/// built-in, or reads a file once through the rules over the read
+/// ([`cfs_check::check_and_parse_bench`]), keeping its line provenance.
+/// In debug builds and under `--paranoid` the fault-model rules run too.
+/// Any error prints the report to stderr and refuses the circuit.
+fn load_circuit(
+    spec: &str,
+    paranoid: bool,
+) -> Result<(Circuit, Option<BenchProvenance>), Box<dyn std::error::Error>> {
+    let (mut report, built) = match spec.strip_prefix('@') {
+        Some(name) => (cfs_check::Report::new(name), Some((builtin(name)?, None))),
+        None => {
+            let text = read_text(spec)?;
+            let (report, built) = cfs_check::check_and_parse_bench(circuit_name_of(spec), &text);
+            (report, built.map(|(circuit, prov)| (circuit, Some(prov))))
         }
-        return cfs_netlist::generate::benchmark(name)
-            .ok_or_else(|| err(format!("unknown built-in circuit {name:?}")));
+    };
+    if let Some((circuit, prov)) = &built {
+        if cfg!(debug_assertions) || paranoid {
+            cfs_check::check_models(circuit, prov.as_ref(), &mut report);
+        }
     }
-    let text = fs::read_to_string(spec).map_err(|e| err(format!("cannot read {spec}: {e}")))?;
-    Ok(parse_bench(circuit_name_of(spec), &text)?)
-}
-
-/// Display name of a circuit spec: the file stem, or the built-in name.
-fn circuit_name_of(spec: &str) -> &str {
-    spec.strip_prefix('@').unwrap_or_else(|| {
-        std::path::Path::new(spec)
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("circuit")
-    })
-}
-
-/// Runs the full `cfs-check` analysis over a circuit spec and returns the
-/// report with the circuit it checked (`None` only alongside errors).
-/// Files are read and parsed once, as raw source, so spans point at the
-/// actual file lines; built-ins are generated once and checked through
-/// their canonical serialization.
-fn check_spec(
-    spec: &str,
-) -> Result<(cfs_check::Report, Option<Circuit>), Box<dyn std::error::Error>> {
-    if spec.starts_with('@') {
-        let circuit = load_circuit(spec)?;
-        return Ok((cfs_check::check_circuit(&circuit), Some(circuit)));
-    }
-    let text = fs::read_to_string(spec).map_err(|e| err(format!("cannot read {spec}: {e}")))?;
-    Ok(cfs_check::check_and_parse_bench(
-        circuit_name_of(spec),
-        &text,
-    ))
-}
-
-/// Loads a circuit for simulation, running the `cfs-check` preflight
-/// first (unless `--no-check`): on error-severity findings the
-/// diagnostics go to stderr and the run refuses to start. Returns the
-/// circuit the preflight checked and the preflight's wall time for the
-/// phase table.
-fn load_circuit_checked(
-    spec: &str,
-    no_check: bool,
-) -> Result<(Circuit, Duration), Box<dyn std::error::Error>> {
-    if no_check {
-        return Ok((load_circuit(spec)?, Duration::ZERO));
-    }
-    let started = Instant::now();
-    let (report, circuit) = check_spec(spec)?;
-    let elapsed = started.elapsed();
-    match circuit {
-        Some(circuit) if !report.has_errors() => Ok((circuit, elapsed)),
+    match built {
+        Some(loaded) if !report.has_errors() => Ok(loaded),
         _ => {
             eprint!("{}", report.render_text());
-            Err(err(format!(
-                "{spec}: refusing to simulate a netlist with check errors (use --no-check to bypass)"
-            )))
+            Err(check_errors(spec, &report))
         }
     }
 }
 
+/// `{spec}: N error(s)`, the last line of a circuit with check errors.
+fn check_errors(spec: &str, report: &cfs_check::Report) -> Box<dyn std::error::Error> {
+    let errors = report.count(Severity::Error);
+    err(format!("{spec}: {errors} error(s)"))
+}
+
+/// `fsim check`: every rule, over the file as written or over a
+/// built-in's canonical serialization.
 fn cmd_check(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
     let spec = f.arg(0, "circuit")?;
-    let (report, _) = check_spec(spec)?;
+    let report = match spec.strip_prefix('@') {
+        Some(name) => cfs_check::check_circuit(&builtin(name)?),
+        None => cfs_check::check_bench_source(circuit_name_of(spec), &read_text(spec)?),
+    };
     if f.text("--format") == Some("json") {
         println!("{}", report.render_json());
     } else {
         print!("{}", report.render_text());
     }
     if report.has_errors() {
-        return Err(err(format!(
-            "{spec}: {} error(s)",
-            report.count(cfs_check::Severity::Error)
-        )));
+        return Err(check_errors(spec, &report));
     }
     Ok(())
 }
@@ -759,7 +752,7 @@ fn cmd_check(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
 /// shrink the stuck-at and transition universes, plus the per-net findings.
 fn cmd_analyze(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
     // Files are analyzed with provenance so findings carry .bench spans.
-    let (c, prov) = load_circuit_with_provenance(f.arg(0, "circuit")?)?;
+    let (c, prov) = load_circuit(f.arg(0, "circuit")?, false)?;
     let analysis = analyze_circuit(&c);
     let mut stuck = prune_stuck_at(&c, &analysis);
     let mut transition = prune_transition(&c, &analysis);
@@ -989,7 +982,7 @@ fn cmd_implications(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
     let spec = f.arg(0, "circuit")?;
     let net_name = f.arg(1, "net name (fsim implications <circuit> <net>)")?;
     let frames = f.num_or("--learn-frames", cfs_check::DEFAULT_LEARN_FRAMES);
-    let c = load_circuit(spec)?;
+    let (c, _) = load_circuit(spec, false)?;
     let Some(net) = c.find(net_name) else {
         return Err(diag(format!(
             "error: E003 [unknown-net] {} has no net {net_name:?}",
@@ -1060,19 +1053,6 @@ fn cmd_implications(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Loads a circuit spec together with its source provenance when the spec
-/// is a file; built-ins have no source lines to point at.
-fn load_circuit_with_provenance(
-    spec: &str,
-) -> Result<(Circuit, Option<BenchProvenance>), Box<dyn std::error::Error>> {
-    if spec.starts_with('@') {
-        return Ok((load_circuit(spec)?, None));
-    }
-    let text = fs::read_to_string(spec).map_err(|e| err(format!("cannot read {spec}: {e}")))?;
-    let (c, p) = parse_bench_with_provenance(circuit_name_of(spec), &text)?;
-    Ok((c, Some(p)))
-}
-
 /// One human-readable line per structural edit.
 fn render_edit(e: &cfs_check::NetlistEdit) -> String {
     let detail = match &e.kind {
@@ -1097,8 +1077,8 @@ fn render_edit(e: &cfs_check::NetlistEdit) -> String {
 fn cmd_impact(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
     let base_spec = f.arg(0, "circuits (fsim impact <base> <edited>)")?;
     let edited_spec = f.arg(1, "edited circuit (fsim impact <base> <edited>)")?;
-    let (base, base_prov) = load_circuit_with_provenance(base_spec)?;
-    let (edited, edited_prov) = load_circuit_with_provenance(edited_spec)?;
+    let (base, base_prov) = load_circuit(base_spec, false)?;
+    let (edited, edited_prov) = load_circuit(edited_spec, false)?;
     let diff = diff_netlists(&base, &edited, base_prov.as_ref(), edited_prov.as_ref());
     let analysis = impact_analysis(&base, &edited, diff);
     let stuck = classify_stuck_at(&base, &edited, &analysis);
@@ -1211,7 +1191,7 @@ fn cmd_mutate(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
         .ok_or_else(|| err("mutate: missing --edit (retype, rewire, dead-logic)"))?;
     let edit = BenchEdit::parse(edit).expect("FLAGS lists only edits");
     let choice = f.num_or("--choice", 0);
-    let c = load_circuit(spec)?;
+    let (c, _) = load_circuit(spec, false)?;
     let candidates = edit_candidates(&c, edit);
     let applied = apply_edit(&c, edit, choice)?;
     if let Some(path) = f.text("--out") {
@@ -1240,7 +1220,7 @@ fn load_patterns(
         Stimulus::Random { count, seed } => return Ok(random_patterns(circuit, count, seed)),
         Stimulus::File(file) => file,
     };
-    let text = fs::read_to_string(file).map_err(|e| err(format!("cannot read {file}: {e}")))?;
+    let text = read_text(file)?;
     let mut patterns = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
@@ -1268,7 +1248,7 @@ fn load_patterns(
 
 fn cmd_stats(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
     let spec = f.arg(0, "circuit")?;
-    let c = load_circuit(spec)?;
+    let (c, _) = load_circuit(spec, false)?;
     println!("{c}");
     let all = enumerate_stuck_at(&c);
     let collapsed = collapse_stuck_at(&c);
@@ -1296,9 +1276,9 @@ fn cmd_stats(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// The shared `sim`/`transition` front end: loads the circuit (after the
-/// preflight), its patterns, a `--baseline-report` and a `--resume-from`
-/// checkpoint, prepares the model's universe over its `full` default,
+/// The shared `sim`/`transition` front end: loads the circuit (timed as
+/// the `check` phase), its patterns, a `--baseline-report` and a
+/// `--resume-from` checkpoint, prepares the model's universe over its `full` default,
 /// has `drive` run the machines, and finishes the run.
 fn run_model<F: Copy>(
     f: &Flags<'_>,
@@ -1312,14 +1292,12 @@ fn run_model<F: Copy>(
 ) -> Result<(), Box<dyn std::error::Error>> {
     let spec = f.arg(0, "circuit")?;
     let plan = run_plan(f);
-    let (c, check_time) = load_circuit_checked(spec, f.on("--no-check"))?;
+    let started = Instant::now();
+    let (c, _) = load_circuit(spec, plan.paranoid)?;
+    let check_time = started.elapsed();
     let patterns = load_patterns(&c, f.stimulus())?;
     let baseline = match f.text("--baseline-report") {
-        Some(path) => {
-            let text =
-                fs::read_to_string(path).map_err(|e| err(format!("cannot read {path}: {e}")))?;
-            Some(Baseline::parse(path, &text, hooks.baseline)?)
-        }
+        Some(path) => Some(Baseline::parse(path, &read_text(path)?, hooks.baseline)?),
         None => None,
     };
     let out = &mut io::stdout();
@@ -1343,15 +1321,18 @@ fn run_model<F: Copy>(
     finish_run(&run, hooks, &outcomes, jsonl, out)
 }
 
+/// The stuck-at faults `sim`, `explain` and `heatmap` simulate: one per
+/// equivalence class, or every fault under `--uncollapsed`.
+fn stuck_universe(f: &Flags<'_>, c: &Circuit) -> Vec<StuckAt> {
+    if f.on("--uncollapsed") {
+        enumerate_stuck_at(c)
+    } else {
+        collapse_stuck_at(c).representatives
+    }
+}
+
 fn cmd_sim(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
-    let uncollapsed = f.on("--uncollapsed");
-    let full = |c: &Circuit| {
-        if uncollapsed {
-            enumerate_stuck_at(c)
-        } else {
-            collapse_stuck_at(c).representatives
-        }
-    };
+    let full = |c: &Circuit| stuck_universe(f, c);
     run_model(f, &STUCK, full, |run, jsonl, out| {
         if f.baseline() {
             return Ok(vec![simulate_baseline(run, f.simulator(), jsonl, out)?]);
@@ -1380,6 +1361,27 @@ fn node_name(c: &Circuit, node: u32) -> &str {
     c.gate(GateId::from_index(node as usize)).name()
 }
 
+/// Steps `patterns` over `faults` through `csim-V` (gate-level, serial)
+/// under a trace recorder. The lane cap is 0, so every fault stays on the
+/// lists: its life story and its activity are list events.
+fn replay(
+    c: &Circuit,
+    faults: &[StuckAt],
+    patterns: &[Vec<Logic>],
+    cfg: TraceConfig,
+) -> ConcurrentSim<TraceRecorder> {
+    let options = CsimOptions {
+        hot_lanes: 0,
+        ..CsimVariant::V.options()
+    };
+    let mut sim =
+        ConcurrentSim::with_probe(c, faults, options, TraceRecorder::new(Instant::now(), cfg));
+    for p in patterns {
+        sim.step(p);
+    }
+    sim
+}
+
 /// `fsim explain <circuit> <fault-id>`: replay the fault universe through
 /// a serial gate-level traced run and print the one fault's recorded
 /// lifecycle. Unknown and statically-untestable ids exit with status 2
@@ -1392,15 +1394,10 @@ fn cmd_explain(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
             "explain: fault id must be a number, got {id_arg:?}"
         ))
     })?;
-    let (c, _check_time) = load_circuit_checked(spec, f.on("--no-check"))?;
-    let uncollapsed = f.on("--uncollapsed");
-    let universe = if uncollapsed {
-        enumerate_stuck_at(&c)
-    } else {
-        collapse_stuck_at(&c).representatives
-    };
+    let (c, _) = load_circuit(spec, false)?;
+    let universe = stuck_universe(f, &c);
     if id >= universe.len() {
-        let kind = if uncollapsed {
+        let kind = if f.on("--uncollapsed") {
             "uncollapsed"
         } else {
             "collapsed"
@@ -1444,19 +1441,7 @@ fn cmd_explain(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
         cfg.quiescence_window = w as u32;
     }
     let patterns = load_patterns(&c, f.stimulus())?;
-    // Lane cap 0: every fault stays on the lists, where its life story is.
-    let mut sim = ConcurrentSim::with_probe(
-        &c,
-        &universe,
-        CsimOptions {
-            hot_lanes: 0,
-            ..CsimVariant::V.options()
-        },
-        TraceRecorder::new(Instant::now(), cfg),
-    );
-    for p in &patterns {
-        sim.step(p);
-    }
+    let sim = replay(&c, &universe, &patterns, cfg);
     let rec = sim.probe();
     if rec.dropped_events() > 0 {
         eprintln!(
@@ -1550,12 +1535,8 @@ fn cmd_explain(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
 fn cmd_heatmap(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
     let spec = f.arg(0, "circuit")?;
     let top = f.num_or("--top", 20);
-    let (c, _check_time) = load_circuit_checked(spec, f.on("--no-check"))?;
-    let faults = if f.on("--uncollapsed") {
-        enumerate_stuck_at(&c)
-    } else {
-        collapse_stuck_at(&c).representatives
-    };
+    let (c, _) = load_circuit(spec, false)?;
+    let faults = stuck_universe(f, &c);
     let patterns = load_patterns(&c, f.stimulus())?;
     // The per-node totals come from the recorder's exact counters, which
     // ring overflow cannot touch, so the ring itself can be minimal.
@@ -1563,19 +1544,7 @@ fn cmd_heatmap(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
         capacity: 1,
         quiescence_window: 0,
     };
-    // Lane cap 0: the heat is list activity, so no fault leaves the lists.
-    let mut sim = ConcurrentSim::with_probe(
-        &c,
-        &faults,
-        CsimOptions {
-            hot_lanes: 0,
-            ..CsimVariant::V.options()
-        },
-        TraceRecorder::new(Instant::now(), cfg),
-    );
-    for p in &patterns {
-        sim.step(p);
-    }
+    let sim = replay(&c, &faults, &patterns, cfg);
     let mut heat = Heatmap::new();
     heat.add_recorder(sim.probe());
     let ranked = heat.ranked();
@@ -1644,7 +1613,7 @@ fn cmd_heatmap(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
 
 fn cmd_atpg(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
     let spec = f.arg(0, "circuit")?;
-    let c = load_circuit(spec)?;
+    let (c, _) = load_circuit(spec, false)?;
     let faults = collapse_stuck_at(&c).representatives;
     let options = AtpgOptions {
         max_frames: f.num_or("--max-frames", 8),

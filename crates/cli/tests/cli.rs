@@ -441,9 +441,9 @@ fn retired_shard_plan_flag_is_unknown() {
 }
 
 /// Fault sites number a gate's pins with one byte, so a gate reads at
-/// most 256 nets. A wider gate is refused by the checker (S003) and by the
-/// circuit builder (exit 1 under `--no-check` and in commands without a
-/// preflight); the 256-input gate runs, and names its last pin 255.
+/// most 256 nets. A wider gate is S003 under `fsim check` and refused with
+/// the same S003 (exit 1) by every command that loads it; the 256-input
+/// gate runs, and names its last pin 255.
 #[test]
 fn gates_wider_than_256_inputs_are_refused() {
     let dir = std::env::temp_dir().join("fsim-cli-wide");
@@ -476,26 +476,18 @@ fn gates_wider_than_256_inputs_are_refused() {
         assert_ne!(code, Some(0), "{width}: {out}{err}");
         assert!(out.contains("S003"), "{width}: {out}");
         let runs: [&[&str]; 5] = [
-            &["sim", &path, "--random", "4", "--no-check"],
+            &["sim", &path, "--random", "4"],
             &["stats", &path],
-            &[
-                "explain",
-                &path,
-                "1201",
-                "--uncollapsed",
-                "--random",
-                "4",
-                "--no-check",
-            ],
+            &["explain", &path, "1201", "--uncollapsed", "--random", "4"],
             &["atpg", &path],
-            &["transition", &path, "--random", "4", "--no-check"],
+            &["transition", &path, "--random", "4"],
         ];
         for args in runs {
             let (code, out, err) = fsim_code(args);
             assert_eq!(code, Some(1), "{args:?}: {out}{err}");
-            assert!(err.contains("invalid circuit"), "{args:?}: {err}");
+            assert!(err.contains("S003 [bad-arity]"), "{args:?}: {err}");
             assert!(
-                err.contains(&format!("XOR cannot take {width} inputs")),
+                err.contains(&format!("has {width} inputs; at most 256 are supported")),
                 "{args:?}: {err}"
             );
         }
@@ -832,27 +824,60 @@ fn check_bad_netlist_fails_with_rule_codes() {
     assert_eq!(diags, 3, "two errors plus the N004 warning: {out}");
 }
 
+/// Every command that reads a circuit reads it through the checked front
+/// end: a broken netlist is refused (exit 1) with `fsim check`'s
+/// diagnostics on stderr, before any output file is written.
 #[test]
-fn sim_refuses_bad_netlist_unless_no_check() {
-    let dir = std::env::temp_dir().join("fsim-cli-test");
+fn every_command_refuses_a_broken_netlist() {
+    let dir = std::env::temp_dir().join("fsim-cli-refusal");
     std::fs::create_dir_all(&dir).unwrap();
-    let bench = dir.join("bad-sim.bench");
+    let bench = dir.join("broken.bench");
     std::fs::write(&bench, "INPUT(a)\nOUTPUT(y)\ny = AND(a, ghost)\n").unwrap();
-    let (ok, _, err) = fsim(&["sim", bench.to_str().unwrap(), "--random", "4"]);
-    assert!(!ok);
-    assert!(err.contains("refusing to simulate"), "{err}");
-    assert!(err.contains("N002"), "{err}");
-    assert!(err.contains("--no-check"), "{err}");
-    // With --no-check the parser's own error surfaces instead.
-    let (ok, _, err) = fsim(&[
-        "sim",
-        bench.to_str().unwrap(),
-        "--random",
-        "4",
-        "--no-check",
-    ]);
-    assert!(!ok);
-    assert!(err.contains("ghost"), "{err}");
+    let bad = bench.to_str().unwrap();
+    let out = dir.join("out.txt");
+    let out = out.to_str().unwrap();
+    let runs: [&[&str]; 11] = [
+        &["sim", bad, "--random", "4", "--detections", out],
+        &["transition", bad, "--random", "4", "--detections", out],
+        &["explain", bad, "0", "--random", "4"],
+        &["heatmap", bad, "--random", "4"],
+        &["stats", bad],
+        &["analyze", bad],
+        &["implications", bad, "a"],
+        &["impact", bad, "@s27"],
+        &["impact", "@s27", bad],
+        &["atpg", bad, "--out", out],
+        &["mutate", bad, "--edit", "retype", "--out", out],
+    ];
+    for args in runs {
+        let _ = std::fs::remove_file(out);
+        let (code, stdout, err) = fsim_code(args);
+        assert_eq!(code, Some(1), "{args:?}: {stdout}{err}");
+        assert!(
+            err.contains("N002 [undriven-net] line 3:12"),
+            "{args:?}: {err}"
+        );
+        assert!(
+            err.ends_with(&format!("fsim: {bad}: 1 error(s)\n")),
+            "{args:?}: {err}"
+        );
+        assert!(!std::path::Path::new(out).exists(), "{args:?} wrote {out}");
+    }
+    // The preflight switch is gone: an unknown flag, refused before the
+    // netlist loads.
+    for cmd in ["sim", "transition", "explain", "heatmap"] {
+        let args: &[&str] = if cmd == "explain" {
+            &["explain", "@s27", "0", "--no-check"]
+        } else {
+            &[cmd, "@s27", "--no-check"]
+        };
+        let (code, stdout, err) = fsim_code(args);
+        assert_eq!(code, Some(1), "{cmd}: {stdout}{err}");
+        assert_eq!(
+            err,
+            format!("fsim: {cmd}: unknown flag --no-check (try --help)\n")
+        );
+    }
 }
 
 #[test]

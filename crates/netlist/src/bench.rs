@@ -361,7 +361,8 @@ impl<'a> BenchRead<'a> {
     }
 
     /// Every error-severity problem: the line problems (`S001`–`S003`) in
-    /// line order, then `N005`, `N006`, `N002` and `N001`.
+    /// line order, then `N005`, `N006`, `N002` and `N001` (cycles by the
+    /// line of their earliest definition).
     pub fn problems(&self) -> &[BenchProblem] {
         &self.problems
     }
@@ -576,9 +577,12 @@ impl<'a> BenchRead<'a> {
             });
         }
 
-        let (topo, cycles) = combinational_components(&self.defs, &self.driver);
+        // Definitions are in line order: a cycle's lowest index is its
+        // earliest line, and cycles are listed by it.
+        let (topo, mut cycles) = combinational_components(&self.defs, &self.driver);
+        cycles.sort_unstable_by_key(|cycle| cycle.iter().min().copied());
         for cycle in cycles {
-            let Some(&first) = cycle.iter().min_by_key(|&&i| self.defs[i].name.line) else {
+            let Some(&first) = cycle.iter().min() else {
                 continue;
             };
             let mut names: Vec<&str> = cycle
@@ -935,6 +939,10 @@ mod tests {
             err.to_string(),
             "line 4:1: invalid circuit: combinational cycle through gate \"c1\""
         );
+        // Cycles are listed by their earliest line: lines 4–5 before 6–7.
+        let src = "INPUT(a)\nOUTPUT(y)\ny = AND(a, m, p)\nm = AND(a, n)\nn = NOT(m)\n\
+                   p = AND(a, q)\nq = NOT(p)\n";
+        assert_eq!(parse_bench("c", src).unwrap_err().line(), Some(4));
     }
 
     #[test]

@@ -22,7 +22,8 @@ pub enum Phase {
     TransitionFirst,
     /// Second (launch/capture) pass of a transition-fault step.
     TransitionSecond,
-    /// Pre-simulation static analysis (`cfs-check` preflight).
+    /// Loading the circuit through `fsim`'s checked front end (the model
+    /// self-checks included, in debug builds and under `--paranoid`).
     Check,
     /// Capturing or serializing a pattern-boundary checkpoint.
     Checkpoint,

@@ -119,11 +119,11 @@ fn reverse_ordered_chain_builds_the_forward_circuit_in_linear_time() {
     let forward = write_bench(&parse_bench("chain", &inverter_chain(LEN, false)).unwrap());
     let reverse = inverter_chain(LEN, true);
     let started = Instant::now();
-    let (report, circuit) = check_and_parse_bench("chain", &reverse);
+    let (report, built) = check_and_parse_bench("chain", &reverse);
     let elapsed = started.elapsed();
     assert!(!report.has_errors(), "{}", report.render_text());
     assert_eq!(
-        write_bench(&circuit.expect("a clean netlist builds")),
+        write_bench(&built.expect("a clean netlist builds").0),
         forward
     );
     assert_eq!(
