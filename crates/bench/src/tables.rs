@@ -14,11 +14,10 @@
 use std::fmt::Write as _;
 use std::io;
 
-use cfs_baselines::ProofsSim;
 use cfs_cli::{simulate_stuck, Probes, RunPlan, STUCK};
 use cfs_core::{
-    ConcurrentSim, CsimOptions, CsimVariant, MetricsSnapshot, ParallelSim, TransitionOptions,
-    TransitionSim,
+    ConcurrentSim, CsimOptions, CsimVariant, MetricsSnapshot, ParallelSim, ProofsSim,
+    TransitionOptions, TransitionSim,
 };
 use cfs_faults::{enumerate_transition, FaultSimReport};
 use cfs_logic::Logic;

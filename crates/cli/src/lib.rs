@@ -21,7 +21,7 @@ use std::fs;
 use std::io::{self, Write};
 use std::time::{Duration, Instant};
 
-use cfs_baselines::{DeductiveSim, ProofsSim, SerialSim};
+use cfs_baselines::{DeductiveSim, SerialSim};
 use cfs_check::{
     analyze_circuit, classify_stuck_at, classify_transition, cross_check_fates, diff_netlists,
     impact_analysis, impact_findings, prune_stuck_at, prune_stuck_at_learned, prune_transition,
@@ -29,7 +29,7 @@ use cfs_check::{
 };
 use cfs_core::{
     detections_of, BatchOptions, Checkpoint, ConcurrentSim, CsimOptions, FaultMachine, NullProbe,
-    Probe, SchedStats, ShardedSim, TransitionOptions, TransitionSim,
+    Probe, ProofsSim, SchedStats, ShardedSim, TransitionOptions, TransitionSim,
 };
 use cfs_faults::{
     FaultSimReport, FaultStatus, ImpactStats, ImpactUniverse, PruneStats, PrunedUniverse, StuckAt,

@@ -1635,9 +1635,7 @@ fn cmd_atpg(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_generate(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
-    let name = f.arg(0, "name")?;
-    let c = cfs_netlist::generate::benchmark(name)
-        .ok_or_else(|| err(format!("unknown benchmark {name:?}")))?;
+    let c = builtin(f.arg(0, "name")?)?;
     let text = write_bench(&c);
     match f.text("--out") {
         Some(path) => {

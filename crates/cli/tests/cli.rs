@@ -197,6 +197,21 @@ fn generate_round_trips_through_sim() {
 }
 
 #[test]
+fn generate_writes_the_builtin_s27() {
+    let (code, out, err) = fsim_code(&["generate", "s27"]);
+    assert_eq!(code, Some(0), "{err}");
+    assert!(out.starts_with("# s27"), "{out}");
+    assert!(out.contains("DFF("), "{out}");
+}
+
+#[test]
+fn generate_unknown_name_fails() {
+    let (code, _, err) = fsim_code(&["generate", "sNope"]);
+    assert_eq!(code, Some(1), "{err}");
+    assert!(err.contains("unknown built-in circuit \"sNope\""), "{err}");
+}
+
+#[test]
 fn atpg_writes_patterns() {
     let dir = std::env::temp_dir().join("fsim-cli-test");
     std::fs::create_dir_all(&dir).unwrap();

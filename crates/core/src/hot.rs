@@ -15,14 +15,15 @@
 //!   since one packed step costs about a pass over the words' cone. Each
 //!   fault takes its flip-flop state from the flip-flop lists and leaves
 //!   every list, permanent local element included.
-//! * **Stepping.** Each pattern, between propagation and the latch, every
-//!   word runs PROOFS-style event-driven propagation against the engine's
-//!   settled good values: its flip-flop state differences and fault sites
-//!   seed the events, nodes evaluate through the packed cell kernel
-//!   ([`cfs_netlist::CellPlan::eval_packed`]) with each lane's fault forced
-//!   at its plan step and pin, detections at the primary-output taps go
-//!   into the same fault descriptors, and the word latches its own
-//!   flip-flop lanes.
+//! * **Stepping.** Each pattern, between propagation and the latch, the
+//!   words go through [`step_words`], the packed step PROOFS runs one
+//!   group at a time (see [`crate::ProofsSim`]): event-driven propagation
+//!   against the engine's settled good values, seeded by the words'
+//!   flip-flop state differences and fault sites, nodes evaluated through
+//!   the packed cell kernel ([`cfs_netlist::CellPlan::eval_packed`]) with
+//!   each lane's fault forced at its plan step and pin, detections at the
+//!   primary-output taps, and each word latching its own flip-flop lanes.
+//!   The detections go into the same fault descriptors.
 //!
 //! Both representations follow every faulty machine exactly — a list
 //! element is the machine's value where it differs from the good one, a
@@ -65,34 +66,22 @@ pub(crate) struct HotFaults {
     pub promoted: u64,
     /// Packed word-node evaluations so far.
     pub evals: u64,
-    /// Flip-flop ordinal of each flip-flop node.
-    dff_ordinal: Vec<u32>,
-
-    /// Every word's packed faulty value of every node, node-major
-    /// (`vals[n * words + w]`), valid where `stamp[n]` is the current
-    /// epoch; elsewhere every lane of every word holds the good value.
-    vals: Vec<PackedLogic>,
-    stamp: Vec<u32>,
-    /// The current epoch where some word forces a fault.
-    site: Vec<u32>,
-    epoch: u32,
-    sched: Option<Scheduler>,
-    drain: Vec<NodeId>,
-    values: Vec<PackedLogic>,
-    here: Vec<PlanFault>,
+    /// The packed step's scratch, sized on first use.
+    scratch: Option<PackedScratch>,
+    hits: Vec<(u32, NodeId)>,
     counts: Vec<u32>,
     survivors: Vec<(u32, Logic)>,
 }
 
-/// 64 hot faults simulated together.
+/// 64 faults simulated together: a hot word, or one PROOFS group.
 #[derive(Debug, Clone)]
-struct HotWord {
+pub(crate) struct HotWord {
     /// The fault of each lane (stale once the lane is freed).
-    faults: [u32; LANES],
+    pub faults: [u32; LANES],
     /// Lanes holding a live fault.
-    live: u64,
+    pub live: u64,
     /// Each flip-flop's faulty Q value, per lane.
-    state: Vec<PackedLogic>,
+    pub state: Vec<PackedLogic>,
     /// Faults forced at evaluation nodes, sorted by node.
     sites: Vec<(NodeId, PlanFault)>,
     /// Stuck primary inputs: `(node, lanes, value)`.
@@ -103,7 +92,7 @@ struct HotWord {
 }
 
 impl HotWord {
-    fn new(num_dffs: usize) -> Self {
+    pub fn new(num_dffs: usize) -> Self {
         HotWord {
             faults: [0; LANES],
             live: 0,
@@ -115,7 +104,7 @@ impl HotWord {
     }
 
     /// Rebuilds the injection tables from the live lanes' descriptors.
-    fn rebuild_injections(&mut self, net: &Network, dff_ordinal: &[u32]) {
+    pub fn rebuild_injections(&mut self, net: &Network, dff_ordinal: &[u32]) {
         self.sites.clear();
         self.inputs.clear();
         self.latch.clear();
@@ -147,7 +136,7 @@ impl HotWord {
                         },
                         LocalEffect::FaultyLut(_) => net.plans.lut_site(fid, bit),
                         LocalEffect::TransitionPin { .. } => {
-                            unreachable!("transition faults are never promoted")
+                            unreachable!("transition faults never run in packed words")
                         }
                     };
                     self.sites.push((site, fault));
@@ -166,6 +155,250 @@ impl HotWord {
         }
         self.sites.sort_by_key(|&(n, _)| n);
     }
+
+    /// Sets each lane whose fault sticks a flip-flop's Q output to the
+    /// stuck value: such a fault holds from the start, while a stuck D pin
+    /// acts only at the next latch.
+    pub fn hold_stuck_outputs(&mut self, net: &Network) {
+        for &(k, lanes, value) in &self.latch {
+            let fault = self.faults[lanes.trailing_zeros() as usize];
+            if let LocalEffect::OutputStuck(_) = net.descriptors[fault as usize].effect {
+                let k = k as usize;
+                self.state[k] = self.state[k].select(PackedLogic::splat(value), lanes);
+            }
+        }
+    }
+}
+
+/// The scratch of [`step_words`] over one network, reused by every call.
+#[derive(Debug)]
+pub(crate) struct PackedScratch {
+    /// Flip-flop ordinal of each flip-flop node.
+    pub dff_ordinal: Vec<u32>,
+    /// Every word's packed faulty value of every node, node-major
+    /// (`vals[n * words + w]`), valid where `stamp[n]` is the current
+    /// epoch; elsewhere every lane of every word holds the good value.
+    vals: Vec<PackedLogic>,
+    stamp: Vec<u32>,
+    /// The current epoch where some word forces a fault.
+    site: Vec<u32>,
+    epoch: u32,
+    sched: Scheduler,
+    drain: Vec<NodeId>,
+    values: Vec<PackedLogic>,
+    here: Vec<PlanFault>,
+}
+
+impl PackedScratch {
+    /// Scratch sized for `net`, whose plans must exist
+    /// ([`Network::ensure_plans`]).
+    pub fn new(net: &Network) -> Self {
+        let n = net.num_nodes();
+        let mut dff_ordinal = vec![NO_LANE; n];
+        for (k, &q) in net.dff_nodes.iter().enumerate() {
+            dff_ordinal[q as usize] = k as u32;
+        }
+        PackedScratch {
+            dff_ordinal,
+            vals: Vec::new(),
+            stamp: vec![0; n],
+            site: vec![0; n],
+            epoch: 0,
+            sched: Scheduler::new(&net.levels().collect::<Vec<_>>()),
+            drain: Vec::new(),
+            values: Vec::new(),
+            here: Vec::new(),
+        }
+    }
+
+    /// A fresh epoch: every node reads the good value again.
+    fn next_epoch(&mut self) {
+        if self.epoch == u32::MAX {
+            self.stamp.fill(0);
+            self.site.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+    }
+
+    /// Bytes of the node arrays and the scheduler.
+    pub fn memory_bytes(&self) -> usize {
+        self.vals.capacity() * std::mem::size_of::<PackedLogic>()
+            + (self.stamp.capacity() + self.site.capacity() + self.dff_ordinal.capacity()) * 4
+            + self.sched.memory_bytes()
+    }
+}
+
+/// The packed step: simulates one pattern on `words` against the settled
+/// good values `good` (after propagation, before the latch). Returns the
+/// nodes evaluated; each evaluation covers every word.
+///
+/// * **Seed.** Lanes whose flip-flop state differs from the good state,
+///   stuck primary inputs, and the nodes hosting a lane's fault.
+/// * **Propagate.** Level by level, each node evaluated at most once for
+///   all the words, so the per-node work (fanin and plan look-up,
+///   scheduling) is shared by every word.
+/// * **Detect.** A live lane whose primary-output tap holds the opposite
+///   binary value of the good machine is detected: its `(fault, tap)`
+///   goes into `hits` (cleared first) and the lane leaves `live`.
+/// * **Latch.** Each flip-flop takes its D driver's faulty value, except
+///   on the lanes whose fault forces it.
+pub(crate) fn step_words(
+    net: &Network,
+    good: &[Logic],
+    words: &mut [HotWord],
+    scratch: &mut PackedScratch,
+    hits: &mut Vec<(u32, NodeId)>,
+) -> u64 {
+    hits.clear();
+    scratch.next_epoch();
+    let nw = words.len();
+    if scratch.vals.len() != net.num_nodes() * nw {
+        scratch.vals = vec![PackedLogic::ALL_X; net.num_nodes() * nw];
+    }
+    let PackedScratch {
+        vals,
+        stamp,
+        site,
+        epoch,
+        sched,
+        drain,
+        values,
+        here,
+        ..
+    } = scratch;
+    let epoch = *epoch;
+    // Word `w`'s value at node `n`.
+    let read = |vals: &[PackedLogic], stamp: &[u32], n: NodeId, w: usize| {
+        if stamp[n as usize] == epoch {
+            vals[n as usize * nw + w]
+        } else {
+            PackedLogic::splat(good[n as usize])
+        }
+    };
+    // Opens node `n`'s row: every word at the good value.
+    let open = |vals: &mut [PackedLogic], stamp: &mut [u32], n: NodeId| {
+        if stamp[n as usize] != epoch {
+            stamp[n as usize] = epoch;
+            let g = PackedLogic::splat(good[n as usize]);
+            vals[n as usize * nw..(n as usize + 1) * nw].fill(g);
+        }
+    };
+
+    // Seed: flip-flop state differences, stuck inputs, fault sites.
+    for (w, word) in words.iter().enumerate() {
+        for (&q, &s) in net.dff_nodes.iter().zip(&word.state) {
+            let g = PackedLogic::splat(good[q as usize]);
+            let diff = s.diff_mask(g) & word.live;
+            if diff != 0 {
+                // The first word to seed `q` schedules its fanouts for all.
+                if stamp[q as usize] != epoch {
+                    for &f in net.fanout_of(q) {
+                        sched.schedule(f);
+                    }
+                }
+                open(vals, stamp, q);
+                vals[q as usize * nw + w] = g.select(s, diff);
+            }
+        }
+        for &(node, lanes, value) in &word.inputs {
+            let cur = read(vals, stamp, node, w);
+            let new = cur.select(PackedLogic::splat(value), lanes);
+            if new != cur {
+                open(vals, stamp, node);
+                vals[node as usize * nw + w] = new;
+                for &f in net.fanout_of(node) {
+                    sched.schedule(f);
+                }
+            }
+        }
+        for &(node, _) in &word.sites {
+            site[node as usize] = epoch;
+            sched.schedule(node);
+        }
+    }
+
+    // Propagate level by level; each node is evaluated at most once, for
+    // every word.
+    let mut node_evals = 0u64;
+    for level in 0..sched.num_levels() {
+        if sched.pending(level) == 0 {
+            continue;
+        }
+        sched.drain_level(level, drain);
+        for &n in drain.iter() {
+            let sources = net.sources_of(n);
+            values.clear();
+            for &s in sources {
+                let s = s as usize;
+                if stamp[s] == epoch {
+                    values.extend_from_slice(&vals[s * nw..(s + 1) * nw]);
+                } else {
+                    values.resize(values.len() + nw, PackedLogic::splat(good[s]));
+                }
+            }
+            here.clear();
+            if site[n as usize] == epoch {
+                for (w, word) in words.iter().enumerate() {
+                    let lo = word.sites.partition_point(|&(m, _)| m < n);
+                    here.extend(word.sites[lo..].iter().take_while(|&&(m, _)| m == n).map(
+                        |&(_, f)| PlanFault {
+                            word: w as u16,
+                            ..f
+                        },
+                    ));
+                }
+            }
+            net.plans.of(n, sources.len()).eval_packed(values, nw, here);
+            node_evals += 1;
+            let out = &values[values.len() - nw..];
+            let n = n as usize;
+            let row = &mut vals[n * nw..(n + 1) * nw];
+            let changed = if stamp[n] == epoch {
+                out != row
+            } else {
+                let g = PackedLogic::splat(good[n]);
+                out.iter().any(|&v| v != g)
+            };
+            if changed {
+                row.copy_from_slice(out);
+                stamp[n] = epoch;
+                for &f in net.fanout_of(n as NodeId) {
+                    sched.schedule(f);
+                }
+            }
+        }
+    }
+
+    // Detect at the primary-output taps.
+    for &po in &net.po_taps {
+        if stamp[po as usize] != epoch {
+            continue;
+        }
+        let g = PackedLogic::splat(good[po as usize]);
+        for (w, word) in words.iter_mut().enumerate() {
+            let mut found = g.detect_mask(vals[po as usize * nw + w]) & word.live;
+            word.live &= !found;
+            while found != 0 {
+                let lane = found.trailing_zeros() as usize;
+                found &= found - 1;
+                hits.push((word.faults[lane], po));
+            }
+        }
+    }
+
+    // Latch: each flip-flop takes its D driver's faulty value, except on
+    // the lanes whose fault forces it.
+    for (w, word) in words.iter_mut().enumerate() {
+        for (s, &q) in word.state.iter_mut().zip(&net.dff_nodes) {
+            *s = read(vals, stamp, net.sources_of(q)[0], w);
+        }
+        for &(k, lanes, value) in &word.latch {
+            let k = k as usize;
+            word.state[k] = word.state[k].select(PackedLogic::splat(value), lanes);
+        }
+    }
+    node_evals
 }
 
 impl HotFaults {
@@ -201,222 +434,53 @@ impl HotFaults {
             .is_some_and(|&l| l != NO_LANE)
     }
 
-    /// Sizes the scratch arrays and plans on first use.
+    /// Builds the plans and sizes the scratch on first use.
     fn activate<P: Probe>(&mut self, eng: &mut Engine<P>) {
-        if self.sched.is_some() {
-            return;
+        if self.scratch.is_none() {
+            eng.net.ensure_plans();
+            self.scratch = Some(PackedScratch::new(&eng.net));
         }
-        let n = eng.net.num_nodes();
-        eng.net.ensure_plans();
-        self.sched = Some(Scheduler::new(&eng.net.levels().collect::<Vec<_>>()));
-        self.stamp = vec![0; n];
-        self.site = vec![0; n];
-        self.dff_ordinal = vec![NO_LANE; n];
-        for (k, &q) in eng.net.dff_nodes.iter().enumerate() {
-            self.dff_ordinal[q as usize] = k as u32;
-        }
-    }
-
-    /// A fresh epoch: every node reads the good value again.
-    fn next_epoch(&mut self) {
-        if self.epoch == u32::MAX {
-            self.stamp.fill(0);
-            self.site.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
     }
 
     /// Simulates this pattern on every word (after propagation and
-    /// detection, before the latch), appending new detections to `found`.
-    ///
-    /// The words step together: a node is evaluated once per pattern for
-    /// all of them when any word's inputs diverge there, so the per-node
-    /// work (fanin and plan look-up, scheduling) is shared by every word.
+    /// detection, before the latch) through [`step_words`], appending new
+    /// detections to `found`.
     pub fn step<P: Probe>(&mut self, eng: &mut Engine<P>, found: &mut Vec<Detection>) {
         if self.words.iter().all(|w| w.live == 0) {
             return;
         }
         eng.probe.phase_start(Phase::Packed);
-        self.next_epoch();
-        let epoch = self.epoch;
-        let nw = self.words.len();
-        if self.vals.len() != eng.net.num_nodes() * nw {
-            self.vals = vec![PackedLogic::ALL_X; eng.net.num_nodes() * nw];
+        let scratch = self
+            .scratch
+            .as_mut()
+            .expect("activated before the first lane");
+        let node_evals = step_words(
+            &eng.net,
+            &eng.good,
+            &mut self.words,
+            scratch,
+            &mut self.hits,
+        );
+        let evals = node_evals * self.words.len() as u64;
+        self.evals += evals;
+        let pattern = eng.pattern_index;
+        for &(fid, po) in &self.hits {
+            eng.net.descriptors[fid as usize].detected_at = Some(pattern);
+            found.push((fid, pattern));
+            eng.probe.fault_detected(po, fid);
+            self.lane_of[fid as usize] = NO_LANE;
         }
-        let Engine {
-            net,
-            good,
-            probe,
-            pattern_index,
-            ..
-        } = eng;
-        let HotFaults {
-            words,
-            lane_of,
-            evals,
-            dff_ordinal,
-            vals,
-            stamp,
-            site,
-            sched,
-            drain,
-            values,
-            here,
-            ..
-        } = self;
-        let sched = sched.as_mut().expect("activated before the first lane");
-        // Word `w`'s value at node `n`.
-        let read = |vals: &[PackedLogic], stamp: &[u32], n: NodeId, w: usize| {
-            if stamp[n as usize] == epoch {
-                vals[n as usize * nw + w]
-            } else {
-                PackedLogic::splat(good[n as usize])
-            }
-        };
-        // Opens node `n`'s row: every word at the good value.
-        let open = |vals: &mut [PackedLogic], stamp: &mut [u32], n: NodeId| {
-            if stamp[n as usize] != epoch {
-                stamp[n as usize] = epoch;
-                let g = PackedLogic::splat(good[n as usize]);
-                vals[n as usize * nw..(n as usize + 1) * nw].fill(g);
-            }
-        };
-
-        // Seed: flip-flop state differences, stuck inputs, fault sites.
-        for (k, &q) in net.dff_nodes.iter().enumerate() {
-            let g = PackedLogic::splat(good[q as usize]);
-            let mut seeded = false;
-            for (w, word) in words.iter().enumerate() {
-                let diff = word.state[k].diff_mask(g) & word.live;
-                if diff != 0 {
-                    open(vals, stamp, q);
-                    vals[q as usize * nw + w] = g.select(word.state[k], diff);
-                    seeded = true;
-                }
-            }
-            if seeded {
-                for &f in net.fanout_of(q) {
-                    sched.schedule(f);
-                }
-            }
-        }
-        for (w, word) in words.iter().enumerate() {
-            for &(node, lanes, value) in &word.inputs {
-                let cur = read(vals, stamp, node, w);
-                let new = cur.select(PackedLogic::splat(value), lanes);
-                if new != cur {
-                    open(vals, stamp, node);
-                    vals[node as usize * nw + w] = new;
-                    for &f in net.fanout_of(node) {
-                        sched.schedule(f);
-                    }
-                }
-            }
-            for &(node, _) in &word.sites {
-                site[node as usize] = epoch;
-                sched.schedule(node);
-            }
-        }
-
-        // Propagate level by level; each node is evaluated at most once,
-        // for every word.
-        let mut node_evals = 0u64;
-        for level in 0..sched.num_levels() {
-            if sched.pending(level) == 0 {
-                continue;
-            }
-            sched.drain_level(level, drain);
-            for &n in drain.iter() {
-                let sources = net.sources_of(n);
-                values.clear();
-                for &s in sources {
-                    let s = s as usize;
-                    if stamp[s] == epoch {
-                        values.extend_from_slice(&vals[s * nw..(s + 1) * nw]);
-                    } else {
-                        values.resize(values.len() + nw, PackedLogic::splat(good[s]));
-                    }
-                }
-                here.clear();
-                if site[n as usize] == epoch {
-                    for (w, word) in words.iter().enumerate() {
-                        let lo = word.sites.partition_point(|&(m, _)| m < n);
-                        here.extend(word.sites[lo..].iter().take_while(|&&(m, _)| m == n).map(
-                            |&(_, f)| PlanFault {
-                                word: w as u16,
-                                ..f
-                            },
-                        ));
-                    }
-                }
-                net.plans.of(n, sources.len()).eval_packed(values, nw, here);
-                node_evals += 1;
-                let out = &values[values.len() - nw..];
-                let n = n as usize;
-                let row = &mut vals[n * nw..(n + 1) * nw];
-                let changed = if stamp[n] == epoch {
-                    out != row
-                } else {
-                    let g = PackedLogic::splat(good[n]);
-                    out.iter().any(|&v| v != g)
-                };
-                if changed {
-                    row.copy_from_slice(out);
-                    stamp[n] = epoch;
-                    for &f in net.fanout_of(n as NodeId) {
-                        sched.schedule(f);
-                    }
-                }
-            }
-        }
-        *evals += node_evals * nw as u64;
-
-        // Detect at the primary-output taps.
-        for &po in &net.po_taps {
-            if stamp[po as usize] != epoch {
-                continue;
-            }
-            let g = PackedLogic::splat(good[po as usize]);
-            for (w, word) in words.iter_mut().enumerate() {
-                let mut hits = g.detect_mask(vals[po as usize * nw + w]) & word.live;
-                while hits != 0 {
-                    let lane = hits.trailing_zeros() as usize;
-                    hits &= hits - 1;
-                    let fid = word.faults[lane];
-                    net.descriptors[fid as usize].detected_at = Some(*pattern_index);
-                    found.push((fid, *pattern_index));
-                    probe.fault_detected(po, fid);
-                    word.live &= !(1u64 << lane);
-                    lane_of[fid as usize] = NO_LANE;
-                }
-            }
-        }
-
-        // Latch: each flip-flop takes its D driver's faulty value, except
-        // on the lanes whose fault forces it.
-        for (k, &q) in net.dff_nodes.iter().enumerate() {
-            let d = net.sources_of(q)[0];
-            for (w, word) in words.iter_mut().enumerate() {
-                word.state[k] = read(vals, stamp, d, w);
-            }
-        }
-        for word in words.iter_mut() {
-            for &(k, lanes, value) in &word.latch {
-                let k = k as usize;
-                word.state[k] = word.state[k].select(PackedLogic::splat(value), lanes);
-            }
+        for word in &mut self.words {
             if word.sites.len() + word.inputs.len() + word.latch.len()
                 != word.live.count_ones() as usize
             {
-                word.rebuild_injections(net, dff_ordinal);
+                word.rebuild_injections(&eng.net, &scratch.dff_ordinal);
             }
         }
         if P::ENABLED {
-            let words = words.iter().filter(|w| w.live != 0).count() as u64;
-            probe.packed(0, words, node_evals * nw as u64);
+            eng.probe.packed(0, self.live_words() as u64, evals);
         }
-        probe.phase_end(Phase::Packed);
+        eng.probe.phase_end(Phase::Packed);
     }
 
     /// The promotion sweep, run after the latch of every
@@ -574,9 +638,10 @@ impl HotFaults {
             }
         }
         self.survivors = survivors;
+        let dff_ordinal = &self.scratch.as_ref().expect("activated").dff_ordinal;
         for (w, word) in self.words.iter_mut().enumerate() {
             if touched[w] {
-                word.rebuild_injections(&eng.net, &self.dff_ordinal);
+                word.rebuild_injections(&eng.net, dff_ordinal);
             }
         }
         self.promoted += hot.len() as u64;
@@ -591,13 +656,7 @@ impl HotFaults {
             for (s, &v) in word.state.iter_mut().zip(state) {
                 *s = PackedLogic::splat(v);
             }
-            for &(k, lanes, value) in &word.latch {
-                let fault = word.faults[lanes.trailing_zeros() as usize];
-                if let LocalEffect::OutputStuck(_) = net.descriptors[fault as usize].effect {
-                    let k = k as usize;
-                    word.state[k] = word.state[k].select(PackedLogic::splat(value), lanes);
-                }
-            }
+            word.hold_stuck_outputs(net);
         }
     }
 
@@ -611,6 +670,7 @@ impl HotFaults {
     /// Panics with a description of the first violated law.
     pub fn assert_lane_laws(&self, net: &Network) {
         let mut held = 0usize;
+        let dff_ordinal = self.scratch.as_ref().map_or(&[][..], |s| &s.dff_ordinal);
         for (w, word) in self.words.iter().enumerate() {
             let mut live = word.live;
             while live != 0 {
@@ -630,7 +690,7 @@ impl HotFaults {
                 if let (NodeKind::Dff, LocalEffect::OutputStuck(v)) =
                     (net.nodes[d.site as usize].kind, d.effect)
                 {
-                    let k = self.dff_ordinal[d.site as usize] as usize;
+                    let k = dff_ordinal[d.site as usize] as usize;
                     assert_eq!(
                         word.state[k].lane(lane),
                         v,
@@ -646,9 +706,9 @@ impl HotFaults {
 
     /// Bytes owned by the hot machine, plus the plans it reads once active.
     pub fn memory_bytes(&self, net: &Network) -> usize {
-        if self.sched.is_none() {
+        let Some(scratch) = &self.scratch else {
             return self.lane_of.capacity() * 4;
-        }
+        };
         let per_word = std::mem::size_of::<HotWord>()
             + self.words.first().map_or(0, |w| {
                 w.state.capacity() * std::mem::size_of::<PackedLogic>()
@@ -662,13 +722,10 @@ impl HotFaults {
                     + w.latch.capacity() * std::mem::size_of::<(u32, u64, Logic)>()
             })
             .sum();
-        let node_arrays = self.vals.capacity() * std::mem::size_of::<PackedLogic>()
-            + (self.stamp.capacity() + self.site.capacity() + self.dff_ordinal.capacity()) * 4;
         self.words.len() * per_word
             + injections
-            + node_arrays
+            + scratch.memory_bytes()
             + (self.lane_of.capacity() + self.counts.capacity()) * 4
-            + self.sched.as_ref().map_or(0, Scheduler::memory_bytes)
             + net.plans.memory_bytes()
     }
 
@@ -709,6 +766,7 @@ impl HotFaults {
             return;
         }
         self.activate(eng);
+        let dff_ordinal = &self.scratch.as_ref().expect("activated").dff_ordinal;
         for (w, (faults, state)) in st.words.iter().enumerate() {
             let mut word = HotWord::new(0);
             for (lane, &fid) in faults.iter().enumerate() {
@@ -722,7 +780,7 @@ impl HotFaults {
                 .iter()
                 .map(|&(z, o)| PackedLogic::from_planes(z, o))
                 .collect();
-            word.rebuild_injections(&eng.net, &self.dff_ordinal);
+            word.rebuild_injections(&eng.net, dff_ordinal);
             self.words.push(word);
         }
     }

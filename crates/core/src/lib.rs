@@ -25,6 +25,12 @@
 //! deterministically. [`ParallelSim`] and [`ParallelTransitionSim`] are its
 //! stuck-at and transition instantiations.
 //!
+//! [`ProofsSim`] is the PROOFS-style comparator of Tables 3–5. It runs on
+//! the compiled gate network, reads its good values from a fault-free
+//! engine, and simulates each 64-fault group with the same packed step
+//! (seed, propagate, detect, latch) as the stuck-at engine's hot-fault
+//! words, so the workspace has one packed fault machine.
+//!
 //! # Examples
 //!
 //! ```
@@ -53,6 +59,7 @@ mod list;
 mod machine;
 mod network;
 mod parallel;
+mod proofs;
 mod sched;
 mod stuck;
 mod transition;
@@ -69,6 +76,7 @@ pub use parallel::{
     detections_of, round_robin_shards, GlobalDetection, ParallelSim, ParallelTransitionSim,
     ShardPlan, ShardedSim,
 };
+pub use proofs::ProofsSim;
 pub use stuck::{ConcurrentSim, CsimOptions, CsimVariant, StepResult};
 pub use transition::{TransitionOptions, TransitionSim};
 

@@ -214,11 +214,6 @@ impl Circuit {
         self.levels[id.index()]
     }
 
-    /// The deepest combinational level.
-    pub fn max_level(&self) -> u32 {
-        self.max_level
-    }
-
     /// Combinational gates in ascending level order. Evaluating gates in
     /// this order after fixing PI and flip-flop values settles the circuit
     /// in one pass — the basis of zero-delay simulation.
@@ -584,7 +579,7 @@ mod tests {
         assert_eq!(c.level(g1), 1);
         assert_eq!(c.level(g2), 2);
         assert_eq!(c.topo_order(), &[g1, g2]);
-        assert_eq!(c.max_level(), 2);
+        assert_eq!(c.stats().max_level, 2);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 use std::time::Instant;
 
 use cfs::atpg::random_patterns;
-use cfs::baselines::{DeductiveSim, ProofsSim, SerialSim};
-use cfs::core_sim::{ConcurrentSim, CsimVariant};
+use cfs::baselines::{DeductiveSim, SerialSim};
+use cfs::core_sim::{ConcurrentSim, CsimVariant, ProofsSim};
 use cfs::faults::collapse_stuck_at;
 use cfs::logic::Logic;
 use cfs::netlist::generate::benchmark;

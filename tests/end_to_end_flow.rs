@@ -4,8 +4,8 @@
 //! downstream-user workflow on one circuit.
 
 use cfs_atpg::{generate_tests, AtpgOptions};
-use cfs_baselines::{ProofsSim, SerialSim};
-use cfs_core::{ConcurrentSim, CsimVariant, TransitionOptions, TransitionSim};
+use cfs_baselines::SerialSim;
+use cfs_core::{ConcurrentSim, CsimVariant, ProofsSim, TransitionOptions, TransitionSim};
 use cfs_faults::{collapse_stuck_at, enumerate_transition};
 use cfs_netlist::generate::benchmark;
 

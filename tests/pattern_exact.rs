@@ -9,8 +9,8 @@
 //! command line.
 
 use cfs_atpg::random_patterns;
-use cfs_baselines::{DeductiveSim, ProofsSim, SerialSim};
-use cfs_core::{ConcurrentSim, CsimVariant, DelayCsim};
+use cfs_baselines::{DeductiveSim, SerialSim};
+use cfs_core::{ConcurrentSim, CsimVariant, DelayCsim, ProofsSim};
 use cfs_faults::{collapse_stuck_at, FaultStatus, StuckAt};
 use cfs_goodsim::DelayModel;
 use cfs_logic::Logic;
