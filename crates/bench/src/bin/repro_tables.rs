@@ -7,8 +7,10 @@
 //! repro-tables --quick    # smoke run (small budgets, heavy scaling)
 //! repro-tables --full     # paper-scale circuits (slow)
 //! repro-tables --table 3  # a single table (7 = Table P, 8 = Table A)
-//! repro-tables --no-check # skip the cfs-check preflight
 //! ```
+//!
+//! Every run first checks the circuits its tables simulate with
+//! `cfs-check` and exits 2 if any carries an error.
 //!
 //! The `BENCH.json` performance-trajectory harness (see `cfs_bench::perf`):
 //!
@@ -19,7 +21,7 @@
 //!     --bench-check benchmarks/bench_smoke_baseline.json   # CI drift gate
 //! ```
 //!
-//! Every BENCH cell and every Table A row runs through the `fsim sim` /
+//! Every BENCH cell and every table cell runs through the `fsim sim` /
 //! `fsim transition` run driver (the `cfs-cli` library) and is timed by
 //! the same loop; timing whole `fsim` invocations, and comparing them
 //! across commits, is `fsim-bench`'s job.
@@ -84,9 +86,7 @@ fn preflight(tables: &[&Table], config: &WorkloadConfig) {
         }
     }
     if bad > 0 {
-        eprintln!(
-            "repro-tables: {bad} workload circuit(s) failed cfs-check (use --no-check to bypass)"
-        );
+        eprintln!("repro-tables: {bad} workload circuit(s) failed cfs-check");
         std::process::exit(2);
     }
 }
@@ -129,7 +129,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut config = WorkloadConfig::default();
     let mut only: Option<u32> = None;
-    let mut no_check = false;
     let mut bench_json: Option<String> = None;
     let mut bench_config = PerfConfig::default();
     let mut bench_check: Option<String> = None;
@@ -144,7 +143,6 @@ fn main() {
         match arg.as_str() {
             "--quick" => config = WorkloadConfig::quick(),
             "--full" => config = WorkloadConfig::full_scale(),
-            "--no-check" => no_check = true,
             "--bench-json" => bench_json = Some(take("--bench-json")),
             "--bench-check" => bench_check = Some(take("--bench-check")),
             "--bench-circuits" => {
@@ -188,7 +186,7 @@ fn main() {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: repro-tables [--quick|--full] [--table N] [--no-check]\n       \
+                    "usage: repro-tables [--quick|--full] [--table N]\n       \
                      repro-tables --bench-json PATH [--bench-circuits a,b] [--bench-patterns N]\n                    \
                      [--bench-threads 1,2] [--bench-repeats N] [--bench-check FILE]"
                 );
@@ -215,9 +213,7 @@ fn main() {
         );
         std::process::exit(2);
     }
-    if !no_check {
-        preflight(&tables, &config);
-    }
+    preflight(&tables, &config);
     eprintln!(
         "# workload: large-circuit scale {:.2}, deterministic budget {}, random {}",
         config.large_circuit_scale, config.deterministic_budget, config.random_patterns

@@ -4,9 +4,11 @@
 //! same rows the paper reports, plus the parallel speedup table (P) and the
 //! ablations of §2.2's design choices (A: macro input cap, list splitting,
 //! fault dropping, and the cost of each probe); [`workloads`] defines the
-//! circuits and test sets; [`perf`] is the `BENCH.json` harness, which
-//! like Table A runs the `fsim` driver and whose timing loop also times
-//! Table A. The `repro-tables` binary drives a run:
+//! circuits and test sets; [`perf`] is the `BENCH.json` harness. Every
+//! table cell and every BENCH cell runs through the `fsim` driver and is
+//! timed by [`perf`]'s one loop: a table prints each timed cell's median
+//! and interquartile range over five runs, a BENCH cell records the
+//! fastest. The `repro-tables` binary drives a run:
 //!
 //! ```text
 //! cargo run --release -p cfs-bench --bin repro-tables              # default

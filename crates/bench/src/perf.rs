@@ -16,8 +16,9 @@
 //!
 //! Every cell runs through the `cfs-cli` run driver, the code `fsim sim`
 //! and `fsim transition` run, with its output lines discarded. One
-//! timing loop times every cell here and every row of the ablation table
-//! ([`crate::tables::table_ablations`]).
+//! timing loop ([`Spread`] over every repeat) times every cell here and
+//! every timed cell of the tables ([`crate::tables`]); a cell records
+//! the minimum, a table prints the median and the interquartile range.
 //!
 //! Every stuck-at and transition cell has a `-pruned` twin that runs the
 //! statically pruned universe (`cfs_check::prune_stuck_at` /
@@ -63,15 +64,16 @@
 //! (`--resume-from`), with the full run's counters (the checkpoint
 //! restores them) so the drift gate pins restart determinism too.
 
+use std::fmt;
 use std::io;
 use std::time::Duration;
 
 use cfs_check::LearnOptions;
 use cfs_cli::{
-    prepare_universe, simulate_stuck, simulate_transition, Baseline, ModelHooks, Outcome, Probes,
-    Run, RunPlan, Universe, STUCK, TRANSITION,
+    prepare_universe, simulate_baseline, simulate_stuck, simulate_transition, Baseline, ModelHooks,
+    Outcome, Probes, Run, RunPlan, Universe, STUCK, TRANSITION,
 };
-use cfs_core::{BatchOptions, Checkpoint, ConcurrentSim, CsimVariant};
+use cfs_core::{BatchOptions, Checkpoint, ConcurrentSim, CsimOptions, CsimVariant};
 use cfs_faults::{enumerate_stuck_at, enumerate_transition, FaultStatus, StuckAt, TransitionFault};
 use cfs_logic::Logic;
 use cfs_netlist::{apply_edit, BenchEdit, Circuit};
@@ -215,6 +217,79 @@ fn hold_patterns(circuit: &Circuit, count: usize, seed: u64) -> Vec<Vec<Logic>> 
     out
 }
 
+/// One timed quantity over a cell's repeats, in seconds.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Spread {
+    /// The samples, ascending; never empty.
+    sorted: Vec<f64>,
+}
+
+impl Spread {
+    /// The spread of `samples`, in any order.
+    ///
+    /// # Panics
+    ///
+    /// Panics on no samples.
+    pub fn new(mut samples: Vec<f64>) -> Self {
+        assert!(!samples.is_empty(), "a spread needs at least one sample");
+        samples.sort_by(f64::total_cmp);
+        Spread { sorted: samples }
+    }
+
+    /// The fastest sample.
+    pub fn min(&self) -> f64 {
+        self.sorted[0]
+    }
+
+    /// The median.
+    pub fn median(&self) -> f64 {
+        self.quartile(2)
+    }
+
+    /// The first and third quartiles.
+    pub fn quartiles(&self) -> (f64, f64) {
+        (self.quartile(1), self.quartile(3))
+    }
+
+    /// The interquartile range: third quartile minus first.
+    pub fn iqr(&self) -> f64 {
+        let (q1, q3) = self.quartiles();
+        q3 - q1
+    }
+
+    /// Quartile `i` of 1..=3 by the exclusive method of Python's
+    /// `statistics.quantiles(samples, n=4)`, which is how fsim-bench
+    /// judges spread: quartile 2 is the median.
+    fn quartile(&self, i: usize) -> f64 {
+        let data = &self.sorted;
+        let n = data.len();
+        if n == 1 {
+            return data[0];
+        }
+        let m = n + 1;
+        let j = (i * m / 4).clamp(1, n - 1);
+        let delta = (i * m) as f64 - (j * 4) as f64;
+        (data[j - 1] * (4.0 - delta) + data[j] * delta) / 4.0
+    }
+}
+
+impl fmt::Display for Spread {
+    /// `median±IQR`, in seconds to four decimals; width pads the pair.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(&format!("{:.4}±{:.4}", self.median(), self.iqr()))
+    }
+}
+
+/// What [`Bench::time`] keeps of a cell's repeats.
+pub(crate) struct Timed {
+    /// The last run's outcome.
+    pub(crate) outcome: Outcome,
+    /// Every run's machine build time.
+    pub(crate) build: Spread,
+    /// Every run's simulation (step) time.
+    pub(crate) step: Spread,
+}
+
 /// One circuit's harness workload, run through the `fsim` driver: the
 /// patterns its cells replay and the timed repeats per cell.
 pub(crate) struct Bench<'a> {
@@ -258,31 +333,37 @@ impl Bench<'_> {
         }
     }
 
-    /// The one timing loop, behind every BENCH cell and every Table A
-    /// row: `repeats` runs of the driver through `simulate`. Returns the
-    /// last run's outcome with its build and step (`report.cpu`) times
-    /// replaced by their minimum over the runs.
-    pub(crate) fn fastest(&self, mut simulate: impl FnMut() -> Outcome) -> Outcome {
-        let mut best = simulate();
-        for _ in 1..self.repeats {
-            let mut next = simulate();
-            next.build = next.build.min(best.build);
-            next.report.cpu = next.report.cpu.min(best.report.cpu);
-            best = next;
+    /// The one timing loop, behind every BENCH cell and every timed
+    /// table cell: `repeats` runs (at least one) of the driver through
+    /// `simulate`, keeping every run's build and step (`report.cpu`)
+    /// time and the last run's outcome.
+    pub(crate) fn time(&self, mut simulate: impl FnMut() -> Outcome) -> Timed {
+        let runs = self.repeats.max(1);
+        let (mut build, mut step) = (Vec::with_capacity(runs), Vec::with_capacity(runs));
+        let mut last = None;
+        for _ in 0..runs {
+            let outcome = simulate();
+            build.push(outcome.build.as_secs_f64());
+            step.push(outcome.report.cpu.as_secs_f64());
+            last = Some(outcome);
         }
-        best
+        Timed {
+            outcome: last.expect("at least one run"),
+            build: Spread::new(build),
+            step: Spread::new(step),
+        }
     }
 
-    /// One BENCH cell: [`Bench::fastest`] of the probe-free runs, then
-    /// one more with metrics attached for the phase breakdown. Also
-    /// returns the last timed run's statuses.
+    /// One BENCH cell: [`Bench::time`] of the probe-free runs, recording
+    /// the fastest step, then one more run with metrics attached for the
+    /// phase breakdown. Also returns the last timed run's statuses.
     fn cell<F>(
         &self,
         run: &Run<'_, F>,
         variant: String,
         simulate: impl Fn(&Run<'_, F>, Probes) -> Outcome,
     ) -> (PerfRun, Vec<FaultStatus>) {
-        let timed = self.fastest(|| simulate(run, Probes::Null));
+        let Timed { outcome, step, .. } = self.time(|| simulate(run, Probes::Null));
         let snap = simulate(run, Probes::Metrics)
             .snap
             .expect("the metrics probe records");
@@ -294,13 +375,13 @@ impl Bench<'_> {
             patterns,
             faults: run.universe.faults.len(),
             faults_full: snap.faults_full as usize,
-            wall_seconds: timed.report.cpu.as_secs_f64(),
-            events: timed.report.events,
-            events_per_pattern: timed.report.events as f64 / patterns.max(1) as f64,
-            detected: timed.report.detected(),
-            peak_elements: timed.peak_elements,
-            peak_arena_bytes: timed.peak_elements * cfs_core::Arena::ELEMENT_BYTES,
-            memory_bytes: timed.report.memory_bytes,
+            wall_seconds: step.min(),
+            events: outcome.report.events,
+            events_per_pattern: outcome.report.events as f64 / patterns.max(1) as f64,
+            detected: outcome.report.detected(),
+            peak_elements: outcome.peak_elements,
+            peak_arena_bytes: outcome.peak_elements * cfs_core::Arena::ELEMENT_BYTES,
+            memory_bytes: outcome.report.memory_bytes,
             promoted: snap.promoted,
             packed_words: snap.packed_words,
             packed_evals: snap.packed_evals,
@@ -310,7 +391,7 @@ impl Bench<'_> {
                 .filter(|&(_, s)| s > 0.0)
                 .collect(),
         };
-        (cell, timed.report.statuses)
+        (cell, outcome.report.statuses)
     }
 
     /// An `-incremental` cell (`csim-MV-incremental` /
@@ -349,19 +430,24 @@ impl Bench<'_> {
     }
 }
 
-/// `fsim sim --variant V`'s machine over `run`, with `probes` attached
-/// and every output line discarded.
-fn stuck(run: &Run<'_, StuckAt>, variant: CsimVariant, probes: Probes) -> Outcome {
-    simulate_stuck(run, variant.options(), probes, &mut None, &mut io::sink())
-        .expect("stuck-at cells run")
+/// `fsim sim`'s concurrent machine with `options` over `run`, with
+/// `probes` attached and every output line discarded.
+pub(crate) fn stuck(run: &Run<'_, StuckAt>, options: CsimOptions, probes: Probes) -> Outcome {
+    simulate_stuck(run, options, probes, &mut None, &mut io::sink()).expect("stuck-at cells run")
 }
 
-fn mv(run: &Run<'_, StuckAt>, probes: Probes) -> Outcome {
-    stuck(run, CsimVariant::Mv, probes)
+/// `fsim sim --variant mv`'s machine over `run` (see [`stuck`]).
+pub(crate) fn mv(run: &Run<'_, StuckAt>, probes: Probes) -> Outcome {
+    stuck(run, CsimVariant::Mv.options(), probes)
+}
+
+/// `fsim sim --simulator proofs`'s machine over `run` (see [`stuck`]).
+pub(crate) fn proofs(run: &Run<'_, StuckAt>) -> Outcome {
+    simulate_baseline(run, "proofs", &mut None, &mut io::sink()).expect("PROOFS cells run")
 }
 
 /// `fsim transition`'s machine over `run` (see [`stuck`]).
-fn transition(run: &Run<'_, TransitionFault>, probes: Probes) -> Outcome {
+pub(crate) fn transition(run: &Run<'_, TransitionFault>, probes: Probes) -> Outcome {
     simulate_transition(run, probes, &mut None, &mut io::sink()).expect("transition cells run")
 }
 
@@ -459,7 +545,7 @@ pub fn run_perf(config: &PerfConfig) -> Vec<PerfRun> {
             (plan, universe, suffix)
         });
         for variant in CsimVariant::ALL {
-            let sim = |run: &Run<'_, StuckAt>, probes| stuck(run, variant, probes);
+            let sim = |run: &Run<'_, StuckAt>, probes| stuck(run, variant.options(), probes);
             for &threads in &config.threads {
                 for (plan, universe, suffix) in &stuck_universes[..2] {
                     let plan = RunPlan {
@@ -704,6 +790,25 @@ mod tests {
             repeats: 1,
             seed: 7,
         }
+    }
+
+    #[test]
+    fn spread_quartiles_follow_the_exclusive_method() {
+        // Python: statistics.quantiles([1, 2, 3, 4, 5], n=4) == [1.5, 3.0, 4.5].
+        let s = Spread::new(vec![5.0, 1.0, 4.0, 2.0, 3.0]);
+        assert_eq!(
+            (s.min(), s.median(), s.quartiles(), s.iqr()),
+            (1.0, 3.0, (1.5, 4.5), 3.0)
+        );
+        // statistics.quantiles([1, 2, 3, 4, 5, 10], n=4) == [1.75, 3.5, 6.25].
+        let s = Spread::new(vec![10.0, 1.0, 4.0, 2.0, 3.0, 5.0]);
+        assert_eq!((s.median(), s.quartiles()), (3.5, (1.75, 6.25)));
+        let one = Spread::new(vec![0.25]);
+        assert_eq!((one.median(), one.iqr()), (0.25, 0.0));
+        assert_eq!(
+            format!("{:>15}", Spread::new(vec![0.5, 1.0, 2.0])),
+            "  1.0000±1.5000"
+        );
     }
 
     #[test]

@@ -6,44 +6,119 @@
 //! numbers differ from a 1992 SPARC 2; the claims under test are the
 //! *relative* ones (macro extraction and list splitting help, csim-MV is
 //! competitive with or beats PROOFS on the larger circuits, stuck-at test
-//! sets are poor transition tests). Tables 2–6 and P keep the single
-//! simulation run of each measurement (`report.cpu`); Table A's rows run
-//! through the `fsim sim` driver and the BENCH harness's timing loop
+//! sets are poor transition tests). Every cell runs through the `fsim sim`
+//! / `fsim transition` run driver, as a BENCH cell does, and every timed
+//! column prints the median and the interquartile range of
+//! [`TABLE_REPEATS`] runs of the harness's one timing loop
 //! ([`crate::perf`]).
 
 use std::fmt::Write as _;
 use std::io;
 
-use cfs_cli::{simulate_stuck, Probes, RunPlan, STUCK};
-use cfs_core::{
-    ConcurrentSim, CsimOptions, CsimVariant, MetricsSnapshot, ParallelSim, ProofsSim,
-    TransitionOptions, TransitionSim,
+use cfs_cli::{
+    prepare_universe, ModelHooks, Outcome, Probes, Run, RunPlan, Universe, STUCK, TRANSITION,
 };
-use cfs_faults::{enumerate_transition, FaultSimReport};
+use cfs_core::{BatchOptions, CsimOptions, CsimVariant, MetricsSnapshot};
+use cfs_faults::{enumerate_transition, StuckAt};
 use cfs_logic::Logic;
 use cfs_netlist::Circuit;
 
-use crate::perf::Bench;
+use crate::perf::{mv, proofs, stuck, transition, Bench, Spread, Timed};
 use crate::workloads::{atpg_tests, circuit, deterministic_tests, fault_universe, WorkloadConfig};
 
-/// One simulator measurement: CPU seconds and modeled memory in MB.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Timed runs behind every timed table cell.
+pub const TABLE_REPEATS: usize = 5;
+
+/// One timed table cell: the step seconds of [`TABLE_REPEATS`] runs, and
+/// the modeled memory and detections of the last.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Measurement {
-    /// Wall-clock simulation seconds.
-    pub cpu_s: f64,
+    /// Simulation (step) seconds of every run.
+    pub step: Spread,
     /// Paper-comparable memory model, megabytes.
     pub mem_mb: f64,
     /// Faults detected.
     pub detected: usize,
 }
 
-impl Measurement {
-    fn from_report(r: &FaultSimReport) -> Self {
-        Measurement {
-            cpu_s: r.cpu.as_secs_f64(),
-            mem_mb: r.memory_megabytes(),
-            detected: r.detected(),
+fn measurement(timed: &Timed) -> Measurement {
+    Measurement {
+        step: timed.step.clone(),
+        mem_mb: timed.outcome.report.memory_megabytes(),
+        detected: timed.outcome.report.detected(),
+    }
+}
+
+/// The unreduced universe of `hooks`' model: what a plain `fsim sim` /
+/// `fsim transition` run simulates.
+fn full_universe<F: Copy>(
+    c: &Circuit,
+    hooks: &ModelHooks<F>,
+    full: fn(&Circuit) -> Vec<F>,
+) -> Universe<F> {
+    prepare_universe(
+        c,
+        &RunPlan::default(),
+        &[],
+        hooks,
+        None,
+        &mut io::sink(),
+        full,
+    )
+    .expect("a plain universe prepares")
+}
+
+/// One circuit's workload, run through the `fsim` driver: the circuit,
+/// its collapsed stuck-at universe and a test set.
+struct Workload {
+    circuit: Circuit,
+    universe: Universe<StuckAt>,
+    tests: Vec<Vec<Logic>>,
+}
+
+impl Workload {
+    /// `name`'s workload under `config`, with the test set `tests` makes
+    /// from the circuit and its collapsed faults.
+    fn new(
+        name: &str,
+        config: &WorkloadConfig,
+        tests: impl FnOnce(&Circuit, &[StuckAt]) -> Vec<Vec<Logic>>,
+    ) -> Self {
+        let circuit = circuit(name, config);
+        let universe = full_universe(&circuit, &STUCK, fault_universe);
+        let tests = tests(&circuit, &universe.faults);
+        Workload {
+            circuit,
+            universe,
+            tests,
         }
+    }
+
+    /// `name`'s workload on its deterministic test set.
+    fn deterministic(name: &str, config: &WorkloadConfig) -> Self {
+        Workload::new(name, config, |c, f| deterministic_tests(c, f, config))
+    }
+
+    fn bench(&self) -> Bench<'_> {
+        Bench {
+            circuit: &self.circuit,
+            patterns: &self.tests,
+            repeats: TABLE_REPEATS,
+        }
+    }
+
+    /// Times `simulate` (a driver entry: [`stuck`], [`mv`] or [`proofs`])
+    /// over this workload under `plan`.
+    fn time(&self, plan: &RunPlan<'_>, simulate: impl Fn(&Run<'_, StuckAt>) -> Outcome) -> Timed {
+        let bench = self.bench();
+        let run = bench.run(&self.universe, plan);
+        bench.time(|| simulate(&run))
+    }
+
+    /// One untimed run of serial csim-MV with `probes`.
+    fn mv_once(&self, probes: Probes) -> Outcome {
+        let plan = RunPlan::default();
+        mv(&self.bench().run(&self.universe, &plan), probes)
     }
 }
 
@@ -67,11 +142,8 @@ pub fn table2(names: &[&str], config: &WorkloadConfig) -> Vec<Table2Row> {
     names
         .iter()
         .map(|&name| {
-            let c = circuit(name, config);
-            let faults = fault_universe(&c);
-            let tests = deterministic_tests(&c, &faults, config);
-            let mut sim = ConcurrentSim::new(&c, &faults, CsimVariant::Mv.options());
-            let report = sim.run(&tests);
+            let w = Workload::deterministic(name, config);
+            let c = &w.circuit;
             Table2Row {
                 name: name.to_owned(),
                 stats: (
@@ -80,9 +152,9 @@ pub fn table2(names: &[&str], config: &WorkloadConfig) -> Vec<Table2Row> {
                     c.num_dffs(),
                     c.num_comb_gates(),
                 ),
-                faults: faults.len(),
-                patterns: tests.len(),
-                coverage: report.coverage_percent(),
+                faults: w.universe.faults.len(),
+                patterns: w.tests.len(),
+                coverage: w.mv_once(Probes::Null).report.coverage_percent(),
             }
         })
         .collect()
@@ -110,6 +182,11 @@ pub fn format_table2(rows: &[Table2Row]) -> String {
     out
 }
 
+/// The title suffix of every table with timed columns.
+fn timed_title() -> String {
+    format!("seconds: median±IQR of {TABLE_REPEATS} runs")
+}
+
 /// Table 3: deterministic patterns (I) — CPU and memory of the four csim
 /// variants and PROOFS on the same test sets.
 #[derive(Debug, Clone)]
@@ -134,24 +211,19 @@ pub fn table3(names: &[&str], config: &WorkloadConfig) -> Vec<Table3Row> {
     names
         .iter()
         .map(|&name| {
-            let c = circuit(name, config);
-            let faults = fault_universe(&c);
-            let tests = deterministic_tests(&c, &faults, config);
-            let csim = CsimVariant::ALL.map(|variant| {
-                let mut sim = ConcurrentSim::new(&c, &faults, variant.options());
-                Measurement::from_report(&sim.run(&tests))
-            });
-            let mut psim = ProofsSim::new(&c, &faults);
-            let proofs = Measurement::from_report(&psim.run(&tests));
-            let mut instrumented =
-                ConcurrentSim::instrumented(&c, &faults, CsimVariant::Mv.options());
-            instrumented.run(&tests);
+            let w = Workload::deterministic(name, config);
+            let plan = RunPlan::default();
             Table3Row {
                 name: name.to_owned(),
-                csim,
-                proofs,
-                patterns: tests.len(),
-                telemetry: instrumented.snapshot(),
+                csim: CsimVariant::ALL.map(|variant| {
+                    measurement(&w.time(&plan, |run| stuck(run, variant.options(), Probes::Null)))
+                }),
+                proofs: measurement(&w.time(&plan, proofs)),
+                patterns: w.tests.len(),
+                telemetry: w
+                    .mv_once(Probes::Metrics)
+                    .snap
+                    .expect("the metrics probe records"),
             }
         })
         .collect()
@@ -161,10 +233,14 @@ pub fn table3(names: &[&str], config: &WorkloadConfig) -> Vec<Table3Row> {
 /// columns (events per pattern and mean fault-list length of csim-MV).
 pub fn format_table3(rows: &[Table3Row]) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "Table 3. Deterministic Patterns (I)");
     let _ = writeln!(
         out,
-        "{:<10} {:>6} | {:>8} | {:>8} | {:>8} | {:>8} {:>7} {:>7} {:>7} | {:>8} {:>7}",
+        "Table 3. Deterministic Patterns (I); {}",
+        timed_title()
+    );
+    let _ = writeln!(
+        out,
+        "{:<10} {:>6} | {:>13} | {:>13} | {:>13} | {:>13} {:>7} {:>7} {:>7} | {:>13} {:>7}",
         "ckt",
         "#ptns",
         "csim",
@@ -179,23 +255,23 @@ pub fn format_table3(rows: &[Table3Row]) -> String {
     );
     let _ = writeln!(
         out,
-        "{:<10} {:>6} | {:>8} | {:>8} | {:>8} | {:>8} {:>7} {:>7} {:>7} | {:>8} {:>7}",
+        "{:<10} {:>6} | {:>13} | {:>13} | {:>13} | {:>13} {:>7} {:>7} {:>7} | {:>13} {:>7}",
         "", "", "cpu s", "cpu s", "cpu s", "cpu s", "MB", "", "", "cpu s", "MB"
     );
     for r in rows {
         let _ = writeln!(
             out,
-            "{:<10} {:>6} | {:>8.3} | {:>8.3} | {:>8.3} | {:>8.3} {:>7.2} {:>7.1} {:>7.2} | {:>8.3} {:>7.2}",
+            "{:<10} {:>6} | {:>13} | {:>13} | {:>13} | {:>13} {:>7.2} {:>7.1} {:>7.2} | {:>13} {:>7.2}",
             r.name,
             r.patterns,
-            r.csim[0].cpu_s,
-            r.csim[1].cpu_s,
-            r.csim[2].cpu_s,
-            r.csim[3].cpu_s,
+            r.csim[0].step,
+            r.csim[1].step,
+            r.csim[2].step,
+            r.csim[3].step,
             r.csim[3].mem_mb,
             r.telemetry.events_per_pattern,
             r.telemetry.avg_list_len,
-            r.proofs.cpu_s,
+            r.proofs.step,
             r.proofs.mem_mb
         );
     }
@@ -223,19 +299,15 @@ pub fn table4(names: &[&str], config: &WorkloadConfig) -> Vec<Table4Row> {
     names
         .iter()
         .map(|&name| {
-            let c = circuit(name, config);
-            let faults = fault_universe(&c);
-            let tests = atpg_tests(&c, &faults, config);
-            let mut mv = ConcurrentSim::new(&c, &faults, CsimVariant::Mv.options());
-            let mv_report = mv.run(&tests);
-            let mut psim = ProofsSim::new(&c, &faults);
-            let proofs = Measurement::from_report(&psim.run(&tests));
+            let w = Workload::new(name, config, |c, f| atpg_tests(c, f, config));
+            let plan = RunPlan::default();
+            let csim_mv = w.time(&plan, |run| mv(run, Probes::Null));
             Table4Row {
                 name: name.to_owned(),
-                patterns: tests.len(),
-                coverage: mv_report.coverage_percent(),
-                csim_mv: Measurement::from_report(&mv_report),
-                proofs,
+                patterns: w.tests.len(),
+                coverage: csim_mv.outcome.report.coverage_percent(),
+                csim_mv: measurement(&csim_mv),
+                proofs: measurement(&w.time(&plan, proofs)),
             }
         })
         .collect()
@@ -244,22 +316,26 @@ pub fn table4(names: &[&str], config: &WorkloadConfig) -> Vec<Table4Row> {
 /// Formats Table 4 in the paper's layout.
 pub fn format_table4(rows: &[Table4Row]) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "Table 4. Deterministic Patterns (II) — ATPG test sets");
     let _ = writeln!(
         out,
-        "{:<10} {:>6} {:>7} | {:>8} {:>7} | {:>8} {:>7}",
+        "Table 4. Deterministic Patterns (II) — ATPG test sets; {}",
+        timed_title()
+    );
+    let _ = writeln!(
+        out,
+        "{:<10} {:>6} {:>7} | {:>13} {:>7} | {:>13} {:>7}",
         "ckt", "#ptns", "cvg%", "csim-MV", "MEM", "PROOFS", "MEM"
     );
     for r in rows {
         let _ = writeln!(
             out,
-            "{:<10} {:>6} {:>7.2} | {:>8.3} {:>7.2} | {:>8.3} {:>7.2}",
+            "{:<10} {:>6} {:>7.2} | {:>13} {:>7.2} | {:>13} {:>7.2}",
             r.name,
             r.patterns,
             r.coverage,
-            r.csim_mv.cpu_s,
+            r.csim_mv.step,
             r.csim_mv.mem_mb,
-            r.proofs.cpu_s,
+            r.proofs.step,
             r.proofs.mem_mb
         );
     }
@@ -281,8 +357,6 @@ pub struct Table5Row {
 
 /// Regenerates Table 5: increasing random-pattern budgets on `s35932g`.
 pub fn table5(config: &WorkloadConfig) -> Vec<Table5Row> {
-    let c = circuit("s35932g", config);
-    let faults = fault_universe(&c);
     let budgets = [
         config.random_patterns / 4,
         config.random_patterns / 2,
@@ -291,16 +365,16 @@ pub fn table5(config: &WorkloadConfig) -> Vec<Table5Row> {
     budgets
         .iter()
         .map(|&n| {
-            let tests = cfs_atpg::random_patterns(&c, n, config.seed ^ n as u64);
-            let mut mv = ConcurrentSim::new(&c, &faults, CsimVariant::Mv.options());
-            let mv_report = mv.run(&tests);
-            let mut psim = ProofsSim::new(&c, &faults);
-            let proofs = Measurement::from_report(&psim.run(&tests));
+            let w = Workload::new("s35932g", config, |c, _| {
+                cfs_atpg::random_patterns(c, n, config.seed ^ n as u64)
+            });
+            let plan = RunPlan::default();
+            let csim_mv = w.time(&plan, |run| mv(run, Probes::Null));
             Table5Row {
                 patterns: n,
-                coverage: mv_report.coverage_percent(),
-                csim_mv: Measurement::from_report(&mv_report),
-                proofs,
+                coverage: csim_mv.outcome.report.coverage_percent(),
+                csim_mv: measurement(&csim_mv),
+                proofs: measurement(&w.time(&plan, proofs)),
             }
         })
         .collect()
@@ -309,21 +383,25 @@ pub fn table5(config: &WorkloadConfig) -> Vec<Table5Row> {
 /// Formats Table 5 in the paper's layout.
 pub fn format_table5(rows: &[Table5Row]) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "Table 5. Random Pattern Simulation (s35932g)");
     let _ = writeln!(
         out,
-        "{:>6} {:>8} | {:>8} {:>7} | {:>8} {:>7}",
+        "Table 5. Random Pattern Simulation (s35932g); {}",
+        timed_title()
+    );
+    let _ = writeln!(
+        out,
+        "{:>6} {:>8} | {:>13} {:>7} | {:>13} {:>7}",
         "#ptns", "fltcvg%", "csim-MV", "MEM", "PROOFS", "MEM"
     );
     for r in rows {
         let _ = writeln!(
             out,
-            "{:>6} {:>8.2} | {:>8.3} {:>7.2} | {:>8.3} {:>7.2}",
+            "{:>6} {:>8.2} | {:>13} {:>7.2} | {:>13} {:>7.2}",
             r.patterns,
             r.coverage,
-            r.csim_mv.cpu_s,
+            r.csim_mv.step,
             r.csim_mv.mem_mb,
-            r.proofs.cpu_s,
+            r.proofs.step,
             r.proofs.mem_mb
         );
     }
@@ -337,10 +415,8 @@ pub struct Table6Row {
     pub name: String,
     /// Transition fault count.
     pub faults: usize,
-    /// Memory, MB.
-    pub mem_mb: f64,
-    /// CPU seconds.
-    pub cpu_s: f64,
+    /// csim-T measurement.
+    pub csim_t: Measurement,
     /// Transition fault coverage, percent.
     pub coverage: f64,
     /// Stuck-at coverage of the same test set (for the paper's point that
@@ -353,21 +429,18 @@ pub fn table6(names: &[&str], config: &WorkloadConfig) -> Vec<Table6Row> {
     names
         .iter()
         .map(|&name| {
-            let c = circuit(name, config);
-            let sa_faults = fault_universe(&c);
-            let tests = deterministic_tests(&c, &sa_faults, config);
-            let mut sa = ConcurrentSim::new(&c, &sa_faults, CsimVariant::Mv.options());
-            let sa_report = sa.run(&tests);
-            let tfaults = enumerate_transition(&c);
-            let mut tsim = TransitionSim::new(&c, &tfaults, TransitionOptions::default());
-            let report = tsim.run(&tests);
+            let w = Workload::deterministic(name, config);
+            let universe = full_universe(&w.circuit, &TRANSITION, enumerate_transition);
+            let bench = w.bench();
+            let plan = RunPlan::default();
+            let run = bench.run(&universe, &plan);
+            let timed = bench.time(|| transition(&run, Probes::Null));
             Table6Row {
                 name: name.to_owned(),
-                faults: tfaults.len(),
-                mem_mb: report.memory_megabytes(),
-                cpu_s: report.cpu.as_secs_f64(),
-                coverage: report.coverage_percent(),
-                stuck_at_coverage: sa_report.coverage_percent(),
+                faults: universe.faults.len(),
+                csim_t: measurement(&timed),
+                coverage: timed.outcome.report.coverage_percent(),
+                stuck_at_coverage: w.mv_once(Probes::Null).report.coverage_percent(),
             }
         })
         .collect()
@@ -378,62 +451,93 @@ pub fn format_table6(rows: &[Table6Row]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "Table 6. Transition Fault Simulation (stuck-at test sets)"
+        "Table 6. Transition Fault Simulation (stuck-at test sets); {}",
+        timed_title()
     );
     let _ = writeln!(
         out,
-        "{:<10} {:>7} {:>7} {:>8} {:>9} {:>9}",
+        "{:<10} {:>7} {:>7} {:>13} {:>9} {:>9}",
         "ckt", "#flts", "MEM", "CPU s", "flt cvg%", "(sa cvg%)"
     );
     for r in rows {
         let _ = writeln!(
             out,
-            "{:<10} {:>7} {:>7.2} {:>8.3} {:>9.2} {:>9.2}",
-            r.name, r.faults, r.mem_mb, r.cpu_s, r.coverage, r.stuck_at_coverage
+            "{:<10} {:>7} {:>7.2} {:>13} {:>9.2} {:>9.2}",
+            r.name, r.faults, r.csim_t.mem_mb, r.csim_t.step, r.coverage, r.stuck_at_coverage
         );
     }
     out
 }
 
-/// Thread counts of the parallel speedup table.
+/// Thread counts of the parallel speedup table's `fsim sim --threads N`
+/// rows.
 pub const PARALLEL_THREADS: [usize; 4] = [1, 2, 4, 8];
 
+/// Threads of the parallel speedup table's stealing row, `fsim sim
+/// --threads 2 --steal`.
+const STEAL_THREADS: usize = 2;
+
 /// Parallel speedup table (no 1992 counterpart): fault-sharded csim-MV on
-/// the largest circuit at increasing thread counts.
+/// the largest circuit, one row per `fsim sim` plan.
 #[derive(Debug, Clone)]
 pub struct TableParallelRow {
-    /// Worker thread count.
+    /// Worker thread count (`--threads`).
     pub threads: usize,
-    /// csim-MV measurement at this thread count.
+    /// Whether idle workers steal shards (`--steal`).
+    pub steal: bool,
+    /// Fault shards the run deals.
+    pub shards: usize,
+    /// csim-MV measurement under this plan.
     pub csim_mv: Measurement,
-    /// Wall-clock speedup over the 1-thread row of the same table.
+    /// Median step seconds of the first (1-thread) row over this row's.
     pub speedup: f64,
 }
 
 /// Regenerates the parallel speedup table: random patterns on `name`
-/// (scaled per `config`), csim-MV sharded round-robin across
-/// [`PARALLEL_THREADS`]. Every row must detect the same faults — the
-/// determinism guarantee — which [`table_parallel`] asserts.
+/// (scaled per `config`), csim-MV under `fsim sim --threads N` for each
+/// of [`PARALLEL_THREADS`], then under `--threads 2 --steal`. Every row
+/// must reach the same fault statuses — the determinism guarantee — which
+/// [`table_parallel`] asserts.
 pub fn table_parallel(name: &str, config: &WorkloadConfig) -> Vec<TableParallelRow> {
-    let c = circuit(name, config);
-    let faults = fault_universe(&c);
-    let tests = cfs_atpg::random_patterns(&c, config.random_patterns, config.seed);
+    let w = Workload::new(name, config, |c, _| {
+        cfs_atpg::random_patterns(c, config.random_patterns, config.seed)
+    });
+    let stealing = RunPlan {
+        threads: STEAL_THREADS,
+        batch: BatchOptions {
+            steal: true,
+            ..BatchOptions::default()
+        },
+        ..RunPlan::default()
+    };
+    let plans = PARALLEL_THREADS
+        .iter()
+        .map(|&threads| RunPlan {
+            threads,
+            ..RunPlan::default()
+        })
+        .chain([stealing]);
     let mut rows: Vec<TableParallelRow> = Vec::new();
     let mut serial_statuses = None;
-    for threads in PARALLEL_THREADS {
-        let mut sim = ParallelSim::new(&c, &faults, CsimVariant::Mv.options(), threads);
-        let report = sim.run(&tests);
+    for plan in plans {
+        let timed = w.time(&plan, |run| mv(run, Probes::Null));
+        let statuses = &timed.outcome.report.statuses;
         match &serial_statuses {
-            None => serial_statuses = Some(report.statuses.clone()),
+            None => serial_statuses = Some(statuses.clone()),
             Some(reference) => assert_eq!(
-                reference, &report.statuses,
-                "{threads}-thread run diverged from serial"
+                reference, statuses,
+                "{} thread(s), steal {}: diverged from the 1-thread run",
+                plan.threads, plan.batch.steal
             ),
         }
-        let m = Measurement::from_report(&report);
-        let speedup = rows.first().map_or(1.0, |r| r.csim_mv.cpu_s / m.cpu_s);
+        let m = measurement(&timed);
+        let speedup = rows
+            .first()
+            .map_or(1.0, |r| r.csim_mv.step.median() / m.step.median());
         rows.push(TableParallelRow {
-            threads,
+            threads: plan.threads,
+            steal: plan.batch.steal,
+            shards: plan.shards().min(w.universe.faults.len()),
             csim_mv: m,
             speedup,
         });
@@ -444,18 +548,31 @@ pub fn table_parallel(name: &str, config: &WorkloadConfig) -> Vec<TableParallelR
 /// Formats the parallel speedup table.
 pub fn format_table_parallel(name: &str, rows: &[TableParallelRow]) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "Table P. Fault-Sharded Parallel Simulation ({name})");
     let _ = writeln!(
         out,
-        "{:>8} | {:>8} {:>7} {:>8}",
-        "threads", "csim-MV", "MEM", "speedup"
+        "Table P. Fault-Sharded Parallel Simulation ({name}); {}",
+        timed_title()
     );
-    let _ = writeln!(out, "{:>8} | {:>8} {:>7} {:>8}", "", "cpu s", "MB", "x");
+    let _ = writeln!(
+        out,
+        "{:>8} {:>6} {:>6} | {:>13} {:>7} {:>8}",
+        "threads", "steal", "shards", "csim-MV", "MEM", "speedup"
+    );
+    let _ = writeln!(
+        out,
+        "{:>8} {:>6} {:>6} | {:>13} {:>7} {:>8}",
+        "", "", "", "cpu s", "MB", "x"
+    );
     for r in rows {
         let _ = writeln!(
             out,
-            "{:>8} | {:>8.3} {:>7.2} {:>8.2}",
-            r.threads, r.csim_mv.cpu_s, r.csim_mv.mem_mb, r.speedup
+            "{:>8} {:>6} {:>6} | {:>13} {:>7.2} {:>8.2}",
+            r.threads,
+            if r.steal { "yes" } else { "no" },
+            r.shards,
+            r.csim_mv.step,
+            r.csim_mv.mem_mb,
+            r.speedup
         );
     }
     out
@@ -466,10 +583,6 @@ pub const TABLE_A_CAPS: &[usize] = &[2, 4, 7, 10];
 
 /// The hot-fault lane caps Table A sweeps (0: purely concurrent).
 pub const TABLE_A_LANES: &[usize] = &[0, 256, 1024, 4096];
-
-/// Timed runs behind each Table A row; its build and step columns are
-/// the minimum over them.
-const TABLE_A_REPEATS: usize = 5;
 
 /// Table A: one timed setting of a §2.2 design choice (macro input cap,
 /// list splitting, fault dropping), one probe attached to csim-MV, or one
@@ -484,64 +597,43 @@ pub struct AblationRow {
     /// Circuit name.
     pub circuit: String,
     /// Construction seconds: network compilation and macro LUTs.
-    pub build_s: f64,
+    pub build: Spread,
     /// Simulation seconds.
-    pub step_s: f64,
+    pub step: Spread,
     /// Paper-comparable memory model, megabytes.
     pub mem_mb: f64,
     /// Node activations.
     pub events: u64,
     /// Faults detected.
     pub detected: usize,
-    /// `step_s` over the step seconds of the group's first row.
+    /// Median step seconds over the median step seconds of the group's
+    /// first row.
     pub step_ratio: f64,
 }
 
-/// One circuit's Table A workload: the circuit, its collapsed faults and
-/// its deterministic test set.
-struct Workload {
-    circuit: Circuit,
-    tests: Vec<Vec<Logic>>,
-}
-
 impl Workload {
-    fn new(name: &str, config: &WorkloadConfig) -> Self {
-        let circuit = circuit(name, config);
-        let tests = deterministic_tests(&circuit, &fault_universe(&circuit), config);
-        Workload { circuit, tests }
-    }
-
-    /// Times the serial `fsim sim` driver with `options` and `probes`
-    /// (see [`Bench::fastest`]); the ratio is filled in by
-    /// [`table_ablations`].
-    fn row(
+    /// Times the serial `fsim sim` driver with `options` and `probes`;
+    /// the ratio is filled in by [`table_ablations`].
+    fn ablation(
         &self,
         group: &'static str,
         setting: impl ToString,
         options: &CsimOptions,
         probes: Probes,
     ) -> AblationRow {
-        let bench = Bench {
-            circuit: &self.circuit,
-            patterns: &self.tests,
-            repeats: TABLE_A_REPEATS,
-        };
-        let plan = RunPlan::default();
-        let universe = bench.universe(&plan, &STUCK, None, fault_universe);
-        let run = bench.run(&universe, &plan);
-        let timed = bench.fastest(|| {
-            simulate_stuck(&run, options.clone(), probes, &mut None, &mut io::sink())
-                .expect("Table A rows run")
+        let timed = self.time(&RunPlan::default(), |run| {
+            stuck(run, options.clone(), probes)
         });
+        let report = &timed.outcome.report;
         AblationRow {
             group,
             setting: setting.to_string(),
             circuit: self.circuit.name().to_owned(),
-            build_s: timed.build.as_secs_f64(),
-            step_s: timed.report.cpu.as_secs_f64(),
-            mem_mb: timed.report.memory_bytes as f64 / 1.0e6,
-            events: timed.report.events,
-            detected: timed.report.detected(),
+            mem_mb: report.memory_megabytes(),
+            events: report.events,
+            detected: report.detected(),
+            build: timed.build,
+            step: timed.step,
             step_ratio: 1.0,
         }
     }
@@ -560,8 +652,8 @@ pub fn table_ablations(
     caps: &[usize],
     config: &WorkloadConfig,
 ) -> Vec<AblationRow> {
-    let main = Workload::new(circuits[0], config);
-    let dropping = Workload::new(circuits[1], config);
+    let main = Workload::deterministic(circuits[0], config);
+    let dropping = Workload::deterministic(circuits[1], config);
     let mv = CsimOptions {
         hot_lanes: 0,
         ..CsimVariant::Mv.options()
@@ -572,7 +664,7 @@ pub fn table_ablations(
             macro_max_inputs: cap,
             ..mv.clone()
         };
-        rows.push(main.row("macro-cap", cap, &options, Probes::Null));
+        rows.push(main.ablation("macro-cap", cap, &options, Probes::Null));
     }
     for (setting, split) in [("off", false), ("on", true)] {
         let options = CsimOptions {
@@ -580,36 +672,36 @@ pub fn table_ablations(
             hot_lanes: 0,
             ..CsimVariant::Base.options()
         };
-        rows.push(main.row("split", setting, &options, Probes::Null));
+        rows.push(main.ablation("split", setting, &options, Probes::Null));
     }
     for (setting, drop) in [("on", true), ("off", false)] {
         let options = CsimOptions {
             drop_detected: drop,
             ..mv.clone()
         };
-        rows.push(dropping.row("drop", setting, &options, Probes::Null));
+        rows.push(dropping.ablation("drop", setting, &options, Probes::Null));
     }
     for (setting, probes) in [
         ("null", Probes::Null),
         ("metrics", Probes::Metrics),
         ("trace", Probes::Trace),
     ] {
-        rows.push(main.row("probe", setting, &mv, probes));
+        rows.push(main.ablation("probe", setting, &mv, probes));
     }
     for &lanes in TABLE_A_LANES {
         let options = CsimOptions {
             hot_lanes: lanes,
             ..mv.clone()
         };
-        rows.push(main.row("lanes", lanes, &options, Probes::Null));
+        rows.push(main.ablation("lanes", lanes, &options, Probes::Null));
     }
     // Each group's rows are contiguous, led by its reference setting.
     let mut first = ("", 0.0);
     for r in &mut rows {
         if r.group != first.0 {
-            first = (r.group, r.step_s);
+            first = (r.group, r.step.median());
         }
-        r.step_ratio = r.step_s / first.1;
+        r.step_ratio = r.step.median() / first.1;
     }
     rows
 }
@@ -619,22 +711,23 @@ pub fn format_table_ablations(rows: &[AblationRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "Table A. Ablations (build, step: min of {TABLE_A_REPEATS} runs; step/1st: step over the group's first row)"
+        "Table A. Ablations; {} (step/1st: median step over the group's first row's)",
+        timed_title()
     );
     let _ = writeln!(
         out,
-        "{:<10} {:>7} {:<8} {:>8} {:>8} {:>7} {:>10} {:>8} {:>8}",
+        "{:<10} {:>7} {:<8} {:>13} {:>13} {:>7} {:>10} {:>8} {:>8}",
         "group", "setting", "ckt", "build s", "step s", "MB", "events", "detected", "step/1st"
     );
     for r in rows {
         let _ = writeln!(
             out,
-            "{:<10} {:>7} {:<8} {:>8.4} {:>8.4} {:>7.2} {:>10} {:>8} {:>8.2}",
+            "{:<10} {:>7} {:<8} {:>13} {:>13} {:>7.2} {:>10} {:>8} {:>8.2}",
             r.group,
             r.setting,
             r.circuit,
-            r.build_s,
-            r.step_s,
+            r.build,
+            r.step,
             r.mem_mb,
             r.events,
             r.detected,
@@ -644,18 +737,26 @@ pub fn format_table_ablations(rows: &[AblationRow]) -> String {
     out
 }
 
-/// One-line summary of who wins, for smoke tests and the README.
+/// One-line summary of who wins Table 3. csim-MV beats PROOFS on a
+/// circuit when its upper step quartile is below PROOFS's lower one, and
+/// loses in the reverse case; where the quartiles overlap, the runs do
+/// not tell them apart and the circuit is unresolved.
 pub fn headline(rows3: &[Table3Row]) -> String {
-    let mut faster = 0usize;
+    let (mut wins, mut losses) = (0usize, 0usize);
     for r in rows3 {
-        if r.csim[3].cpu_s <= r.proofs.cpu_s {
-            faster += 1;
+        let (mv_q1, mv_q3) = r.csim[3].step.quartiles();
+        let (proofs_q1, proofs_q3) = r.proofs.step.quartiles();
+        if mv_q3 < proofs_q1 {
+            wins += 1;
+        } else if proofs_q3 < mv_q1 {
+            losses += 1;
         }
     }
     format!(
-        "csim-MV beats or ties PROOFS on {}/{} circuits",
-        faster,
-        rows3.len()
+        "csim-MV vs PROOFS on {} circuits: faster on {wins}, slower on {losses}, \
+         unresolved on {} (step quartiles overlap)",
+        rows3.len(),
+        rows3.len() - wins - losses
     )
 }
 
@@ -697,13 +798,27 @@ mod tests {
         let mut cfg = WorkloadConfig::quick();
         cfg.random_patterns = 64;
         let rows = table_parallel("s1423g", &cfg);
-        assert_eq!(rows.len(), PARALLEL_THREADS.len());
+        assert_eq!(rows.len(), PARALLEL_THREADS.len() + 1);
         // table_parallel itself asserts status equality; check the derived
         // columns here.
         let d = rows[0].csim_mv.detected;
         assert!(rows.iter().all(|r| r.csim_mv.detected == d));
         assert!((rows[0].speedup - 1.0).abs() < 1e-12);
         assert!(rows.iter().all(|r| r.speedup > 0.0));
+        let plans: Vec<_> = rows
+            .iter()
+            .map(|r| (r.threads, r.steal, r.shards))
+            .collect();
+        assert_eq!(
+            plans,
+            [
+                (1, false, 1),
+                (2, false, 2),
+                (4, false, 4),
+                (8, false, 8),
+                (2, true, 4)
+            ]
+        );
         let s = format_table_parallel("s1423g", &rows);
         assert!(s.contains("speedup"), "{s}");
         assert!(s.contains("s1423g"), "{s}");
@@ -737,5 +852,41 @@ mod tests {
         let rows = table5(&cfg);
         assert_eq!(rows.len(), 3);
         assert!(rows[0].coverage <= rows[2].coverage + 1e-9);
+    }
+
+    /// A Table 3 row whose csim-MV and PROOFS cells ran in `mv` and
+    /// `proofs` seconds.
+    fn timed_row(mv: &[f64], proofs: &[f64]) -> Table3Row {
+        let cell = |step: &[f64]| Measurement {
+            step: Spread::new(step.to_vec()),
+            mem_mb: 0.0,
+            detected: 0,
+        };
+        Table3Row {
+            name: "t".to_owned(),
+            csim: [cell(mv), cell(mv), cell(mv), cell(mv)],
+            proofs: cell(proofs),
+            patterns: 0,
+            telemetry: MetricsSnapshot::default(),
+        }
+    }
+
+    #[test]
+    fn headline_counts_only_separated_quartiles() {
+        let fast = [1.0, 1.1, 1.2, 1.3, 1.4];
+        let slow = [2.0, 2.1, 2.2, 2.3, 2.4];
+        // Medians 1.2 against 1.3, but the quartiles overlap.
+        let close = [1.1, 1.2, 1.3, 1.4, 1.5];
+        let rows = [
+            timed_row(&fast, &slow),
+            timed_row(&slow, &fast),
+            timed_row(&fast, &close),
+        ];
+        assert_eq!(
+            headline(&rows),
+            "csim-MV vs PROOFS on 3 circuits: faster on 1, slower on 1, \
+             unresolved on 1 (step quartiles overlap)"
+        );
+        assert!(headline(&rows[2..]).contains("faster on 0, slower on 0, unresolved on 1"));
     }
 }

@@ -127,10 +127,7 @@ impl Default for RunPlan<'_> {
             prune: false,
             learn: None,
             threads: 1,
-            batch: BatchOptions {
-                steal: false,
-                ..BatchOptions::default()
-            },
+            batch: BatchOptions::default(),
             stats: false,
             stats_json: None,
             trace_every: None,

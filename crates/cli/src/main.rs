@@ -961,10 +961,15 @@ fn cmd_rules(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "{{\"code\":\"{code}\",\"slug\":\"{slug}\",\"severity\":\"{}\",\"description\":\"{desc}\"}}",
-                sev.name()
-            ));
+            out.push_str("{\"code\":");
+            write_json_string(&mut out, code);
+            out.push_str(",\"slug\":");
+            write_json_string(&mut out, slug);
+            out.push_str(",\"severity\":");
+            write_json_string(&mut out, sev.name());
+            out.push_str(",\"description\":");
+            write_json_string(&mut out, desc);
+            out.push('}');
         }
         out.push(']');
         println!("{out}");
@@ -993,11 +998,13 @@ fn cmd_implications(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
     let graph = ImplicationGraph::build(&c, &analysis, LearnOptions { frames });
     let horizon = 2 * (frames - 1);
     if f.text("--format") == Some("json") {
-        let mut out = format!(
-            "{{\"circuit\":\"{}\",\"net\":\"{net_name}\",\"frames\":{frames},\
-             \"valid_from_cycle\":{horizon},\"implications\":[",
-            c.name()
-        );
+        let mut out = String::from("{\"circuit\":");
+        write_json_string(&mut out, c.name());
+        out.push_str(",\"net\":");
+        write_json_string(&mut out, net_name);
+        out.push_str(&format!(
+            ",\"frames\":{frames},\"valid_from_cycle\":{horizon},\"implications\":["
+        ));
         let mut first = true;
         for value in [false, true] {
             for imp in graph.implications_of(net, value) {
@@ -1006,9 +1013,12 @@ fn cmd_implications(f: &Flags<'_>) -> Result<(), Box<dyn std::error::Error>> {
                 }
                 first = false;
                 out.push_str(&format!(
-                    "{{\"source_value\":{},\"target\":\"{}\",\"value\":{},\"delta\":{},\"learned\":{}}}",
-                    u8::from(value),
-                    c.gate(imp.target).name(),
+                    "{{\"source_value\":{},\"target\":",
+                    u8::from(value)
+                ));
+                write_json_string(&mut out, c.gate(imp.target).name());
+                out.push_str(&format!(
+                    ",\"value\":{},\"delta\":{},\"learned\":{}}}",
                     u8::from(imp.value),
                     imp.delta,
                     imp.learned

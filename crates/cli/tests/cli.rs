@@ -1193,6 +1193,37 @@ fn implications_dumps_cross_frame_facts_in_text_and_json() {
     }
 }
 
+/// `.bench` names may hold `"` and `\`: the JSON writers escape the
+/// circuit (file stem), the queried net and every target name.
+#[test]
+fn implications_and_rules_json_escape_quoted_names() {
+    let dir = std::env::temp_dir().join("fsim-cli-quoted");
+    std::fs::create_dir_all(&dir).unwrap();
+    let bench = dir.join("q\"x.bench");
+    std::fs::write(
+        &bench,
+        "INPUT(a\"b)\nINPUT(c\\d)\nOUTPUT(y)\ny = AND(a\"b, c\\d)\n",
+    )
+    .unwrap();
+    let path = bench.to_str().unwrap();
+    for (net, target) in [("y", "a\"b"), ("a\"b", "y"), ("y", "c\\d")] {
+        let (ok, json, err) = fsim(&["implications", path, net, "--format", "json"]);
+        assert!(ok, "{err}");
+        let v = JsonValue::parse(json.trim()).expect("valid implications JSON");
+        assert_eq!(v.get("circuit").and_then(JsonValue::as_str), Some("q\"x"));
+        assert_eq!(v.get("net").and_then(JsonValue::as_str), Some(net));
+        let imps = v.get("implications").and_then(JsonValue::as_arr).unwrap();
+        assert!(
+            imps.iter()
+                .any(|i| i.get("target").and_then(JsonValue::as_str) == Some(target)),
+            "{net} implies {target}: {json}"
+        );
+    }
+    let (ok, json, err) = fsim(&["rules", "--format", "json"]);
+    assert!(ok, "{err}");
+    JsonValue::parse(json.trim()).expect("valid rules JSON");
+}
+
 #[test]
 fn implications_unknown_net_exits_2_with_e003() {
     let (code, _, err) = fsim_code(&["implications", "@s27", "nope"]);

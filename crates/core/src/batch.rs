@@ -48,8 +48,9 @@ pub struct BatchOptions {
     /// Patterns per window; `0` means one window spanning the whole run.
     pub window: usize,
     /// Allow idle workers to steal runnable shards from other workers'
-    /// deques. Disabling pins every shard to its home worker (static
-    /// dispatch); results are identical either way.
+    /// deques (`fsim --steal`). Off by default: every shard stays with
+    /// its home worker (static dispatch). Results are identical either
+    /// way.
     pub steal: bool,
     /// Seed for the steal victim scan order — lets a run's stealing
     /// pattern be varied deterministically in tests.
@@ -60,7 +61,7 @@ impl Default for BatchOptions {
     fn default() -> Self {
         BatchOptions {
             window: DEFAULT_WINDOW,
-            steal: true,
+            steal: false,
             steal_seed: 0x5EED_1992,
         }
     }

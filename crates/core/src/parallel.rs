@@ -583,7 +583,8 @@ fn good_traces(good: &mut Engine, patterns: &[Vec<Logic>]) -> Vec<Vec<Logic>> {
 
 impl<M: FaultMachine + Send> ShardedSim<M> {
     /// Simulates a pattern sequence under the default [`BatchOptions`]
-    /// and assembles the merged report.
+    /// (no stealing: `fsim sim --threads N`'s schedule) and assembles the
+    /// merged report.
     pub fn run(&mut self, patterns: &[Vec<Logic>]) -> FaultSimReport {
         self.run_batched(patterns, &BatchOptions::default())
     }

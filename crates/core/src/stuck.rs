@@ -199,11 +199,6 @@ impl<P: Probe> ConcurrentSim<P> {
         &self.engine.probe
     }
 
-    /// Mutable access to the attached probe.
-    pub fn probe_mut(&mut self) -> &mut P {
-        &mut self.engine.probe
-    }
-
     /// The simulator's display name (`csim`, `csim-V`, `csim-M`, `csim-MV`).
     pub fn name(&self) -> &'static str {
         match (self.options.split_invisible, self.options.use_macros) {

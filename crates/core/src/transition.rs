@@ -185,11 +185,6 @@ impl<P: Probe> TransitionSim<P> {
         &self.engine.probe
     }
 
-    /// Mutable access to the attached probe.
-    pub fn probe_mut(&mut self) -> &mut P {
-        &mut self.engine.probe
-    }
-
     /// Simulates a pattern sequence and assembles the report.
     pub fn run(&mut self, patterns: &[Vec<Logic>]) -> FaultSimReport {
         let start = Instant::now();

@@ -124,6 +124,29 @@ fn rewire_target(circuit: &Circuit, gate: GateId) -> Option<GateId> {
     circuit.inputs().iter().copied().find(|&pi| pi != current)
 }
 
+/// `gate`'s line in the [`write_bench`] text, with function `f` and pins
+/// `fanin`.
+fn gate_line(circuit: &Circuit, gate: GateId, f: GateFn, fanin: &[GateId]) -> String {
+    let args: Vec<&str> = fanin.iter().map(|&src| circuit.gate(src).name()).collect();
+    format!(
+        "{} = {}({})",
+        circuit.gate(gate).name(),
+        f.name().to_uppercase(),
+        args.join(", ")
+    )
+}
+
+/// `text` with every line equal to `old` replaced by `new`: the whole
+/// line, so a gate whose name ends in another's is never touched.
+fn replace_line(text: &str, old: &str, new: &str) -> String {
+    let mut out = String::with_capacity(text.len() + new.len());
+    for line in text.lines() {
+        out.push_str(if line == old { new } else { line });
+        out.push('\n');
+    }
+    out
+}
+
 /// Applies `edit` to `circuit`, choosing among candidate sites with
 /// `choice` (taken modulo the candidate count).
 ///
@@ -154,14 +177,17 @@ pub fn apply_edit(
                 return Err(EditError::NoCandidate(edit));
             }
             let (id, f) = comb[choice % comb.len()];
-            let name = circuit.gate(id).name();
-            let old = format!("{name} = {}(", f.name().to_uppercase());
+            let fanin = circuit.gate(id).fanin();
             let new_fn = retype_swap(f);
-            let new = format!("{name} = {}(", new_fn.name().to_uppercase());
             (
-                base_text.replacen(&old, &new, 1),
+                replace_line(
+                    &base_text,
+                    &gate_line(circuit, id, f, fanin),
+                    &gate_line(circuit, id, new_fn, fanin),
+                ),
                 format!(
-                    "retyped {name}: {} -> {}",
+                    "retyped {}: {} -> {}",
+                    circuit.gate(id).name(),
                     f.name().to_uppercase(),
                     new_fn.name().to_uppercase()
                 ),
@@ -176,21 +202,15 @@ pub fn apply_edit(
             let gate = circuit.gate(id);
             let f = gate.kind().gate_fn().expect("rewire candidates are comb");
             let pi = rewire_target(circuit, id).expect("candidates have a target");
-            let args = |fanin: &[GateId]| -> String {
-                fanin
-                    .iter()
-                    .map(|&src| circuit.gate(src).name())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            };
             let mut new_fanin = gate.fanin().to_vec();
             let old_driver = circuit.gate(new_fanin[0]).name().to_owned();
             new_fanin[0] = pi;
-            let fn_name = f.name().to_uppercase();
-            let old = format!("{} = {fn_name}({})", gate.name(), args(gate.fanin()));
-            let new = format!("{} = {fn_name}({})", gate.name(), args(&new_fanin));
             (
-                base_text.replacen(&old, &new, 1),
+                replace_line(
+                    &base_text,
+                    &gate_line(circuit, id, f, gate.fanin()),
+                    &gate_line(circuit, id, f, &new_fanin),
+                ),
                 format!(
                     "rewired pin 0 of {}: {} -> {}",
                     gate.name(),
@@ -317,6 +337,52 @@ mod tests {
             c.num_outputs(),
             "dead logic must not touch the outputs"
         );
+    }
+
+    /// `xg`'s line holds `g = AND(a, b)` as a substring: only `g`'s own
+    /// line may change.
+    #[test]
+    fn edits_touch_only_the_chosen_gate_line() {
+        let c = crate::parse_bench(
+            "suffix",
+            "INPUT(a)\nINPUT(b)\nOUTPUT(xg)\nOUTPUT(g)\n\
+             xg = AND(a, b)\ng = AND(a, b)\n",
+        )
+        .unwrap();
+        let g = c.find("g").unwrap();
+        let gate_fn = |c: &Circuit, name: &str| c.gate(c.find(name).unwrap()).kind().gate_fn();
+        let pins = |c: &Circuit, name: &str| -> Vec<String> {
+            let id = c.find(name).unwrap();
+            c.gate(id)
+                .fanin()
+                .iter()
+                .map(|&src| c.gate(src).name().to_owned())
+                .collect()
+        };
+        let choice = (0..c.num_nodes())
+            .find(|&i| {
+                apply_edit(&c, BenchEdit::Retype, i)
+                    .unwrap()
+                    .description
+                    .starts_with("retyped g:")
+            })
+            .unwrap();
+        let retyped = apply_edit(&c, BenchEdit::Retype, choice).unwrap().circuit;
+        assert_eq!(gate_fn(&retyped, "g"), Some(GateFn::Nand));
+        assert_eq!(gate_fn(&retyped, "xg"), Some(GateFn::And));
+
+        let choice = rewire_candidates(&c)
+            .iter()
+            .position(|&id| id == g)
+            .unwrap();
+        let applied = apply_edit(&c, BenchEdit::Rewire, choice).unwrap();
+        assert!(
+            applied.description.contains(" of g:"),
+            "{}",
+            applied.description
+        );
+        assert_eq!(pins(&applied.circuit, "g"), ["b", "b"]);
+        assert_eq!(pins(&applied.circuit, "xg"), ["a", "b"]);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 use proptest::prelude::*;
 
 use cfs_core::{
-    detections_of, round_robin_shards, ConcurrentSim, CsimVariant, NullProbe, ParallelSim,
-    ParallelTransitionSim, TransitionOptions, TransitionSim,
+    detections_of, round_robin_shards, BatchOptions, ConcurrentSim, CsimVariant, NullProbe,
+    ParallelSim, ParallelTransitionSim, TransitionOptions, TransitionSim,
 };
 use cfs_faults::{collapse_stuck_at, enumerate_transition, FaultStatus};
 use cfs_logic::Logic;
@@ -32,6 +32,15 @@ fn shardings(faults: usize) -> impl Iterator<Item = (usize, usize)> {
         .into_iter()
         .map(|t| (t, t))
         .chain([(4, faults + 3)])
+}
+
+/// `fsim --steal`'s schedule: idle workers steal shards, so the order
+/// shards run in varies from run to run.
+fn stealing() -> BatchOptions {
+    BatchOptions {
+        steal: true,
+        ..BatchOptions::default()
+    }
 }
 
 fn random_patterns(circuit: &Circuit, count: usize, seed: u64) -> Vec<Vec<Logic>> {
@@ -63,7 +72,7 @@ fn check_stuck_equivalence(circuit: &Circuit, patterns: &[Vec<Logic>]) {
                 |_| NullProbe,
             );
             assert_eq!(par.num_shards(), shards.min(faults.len()));
-            let report = par.run(patterns);
+            let report = par.run_batched(patterns, &stealing());
             assert_eq!(
                 report.statuses,
                 reference.statuses,
@@ -95,7 +104,7 @@ fn check_transition_equivalence(circuit: &Circuit, patterns: &[Vec<Logic>]) {
             |_| NullProbe,
         );
         assert_eq!(par.num_shards(), shards.min(faults.len()));
-        let report = par.run(patterns);
+        let report = par.run_batched(patterns, &stealing());
         assert_eq!(
             report.statuses,
             reference.statuses,
@@ -205,7 +214,7 @@ fn parallel_runs_are_reproducible() {
     let patterns = random_patterns(&c, 50, 0xAB1E);
     let run = || {
         let mut sim = ParallelSim::new(&c, &faults, CsimVariant::Mv.options(), 4);
-        sim.run(&patterns).statuses
+        sim.run_batched(&patterns, &stealing()).statuses
     };
     assert_eq!(run(), run());
 }

@@ -59,6 +59,7 @@ fn gated_matches_under_sharding_and_batching() {
         for window in [0usize, 16] {
             let batch = BatchOptions {
                 window,
+                steal: true,
                 ..BatchOptions::default()
             };
             let mut par = ParallelTransitionSim::with_shards(
