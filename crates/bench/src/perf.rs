@@ -16,8 +16,9 @@
 //!
 //! Every cell runs through the `cfs-cli` run driver, the code `fsim sim`
 //! and `fsim transition` run, with its output lines discarded. One
-//! timing loop ([`Spread`] over every repeat) times every cell here and
-//! every timed cell of the tables ([`crate::tables`]); a cell records
+//! timing loop (`time`, a [`Spread`] over every repeat) times every
+//! cell here and every timed cell of the tables ([`crate::tables`]),
+//! running the cells a table row compares round-robin; a cell records
 //! the minimum, a table prints the median and the interquartile range.
 //!
 //! Every stuck-at and transition cell has a `-pruned` twin that runs the
@@ -36,13 +37,15 @@
 //! the learned-universe sizes — a regression in pruning power shows up
 //! as workload drift in `--bench-check`.
 //!
-//! Every *parallel* cell (`threads > 1`) additionally has a `-batched`
-//! twin that runs the two-dimensional (pattern-window × fault-shard)
-//! work-stealing schedule — window 32, stealing on, 2× oversharded, the
-//! CLI's `--batch-windows 32 --steal` — so the drift gate also pins the
-//! scheduler's determinism: its `events` and `detected` counters must
-//! match the baseline exactly even though the steal schedule varies run
-//! to run.
+//! Each circuit's `csim-T-batched` cell runs the transition universe at
+//! the largest thread count under the two-dimensional (pattern-window ×
+//! fault-shard) work-stealing schedule — window 32, stealing on, one
+//! shard per worker, the CLI's `--batch-windows 32 --steal` — so the
+//! drift gate also pins the scheduler's determinism: its `events` and
+//! `detected` counters must match the baseline exactly even though the
+//! steal schedule varies run to run. Stuck-at has no such cell: a
+//! scheduled run's counters depend only on its shard count, which the
+//! plain parallel cells already pin.
 //!
 //! Each circuit also carries a `csim-MV-incremental` and a
 //! `csim-T-incremental` cell: a scripted dead-logic edit is applied, the
@@ -188,7 +191,7 @@ pub fn perf_circuit(name: &str) -> Circuit {
 const HOLD_ACTIVE: usize = 4;
 const HOLD_QUIET: usize = 12;
 
-/// Window size for the `-batched` twin cells (the CLI's
+/// Window size of the `csim-T-batched` cell (the CLI's
 /// `--batch-windows 32 --steal`).
 const BATCH_WINDOW: usize = 32;
 
@@ -280,7 +283,7 @@ impl fmt::Display for Spread {
     }
 }
 
-/// What [`Bench::time`] keeps of a cell's repeats.
+/// What [`time`] keeps of a cell's repeats.
 pub(crate) struct Timed {
     /// The last run's outcome.
     pub(crate) outcome: Outcome,
@@ -298,7 +301,7 @@ pub(crate) struct Bench<'a> {
     pub(crate) repeats: usize,
 }
 
-impl Bench<'_> {
+impl<'a> Bench<'a> {
     /// The driver's universe for `plan` (`baseline` makes it
     /// incremental), with the banners it prints discarded.
     pub(crate) fn universe<F: Copy>(
@@ -322,7 +325,10 @@ impl Bench<'_> {
     }
 
     /// A driver run over `universe`, with no preflight and no resume.
-    pub(crate) fn run<'r, F>(&'r self, universe: &'r Universe<F>, plan: &'r RunPlan) -> Run<'r, F> {
+    pub(crate) fn run<'r, F>(&self, universe: &'r Universe<F>, plan: &'r RunPlan) -> Run<'r, F>
+    where
+        'a: 'r,
+    {
         Run {
             circuit: self.circuit,
             patterns: self.patterns,
@@ -333,28 +339,7 @@ impl Bench<'_> {
         }
     }
 
-    /// The one timing loop, behind every BENCH cell and every timed
-    /// table cell: `repeats` runs (at least one) of the driver through
-    /// `simulate`, keeping every run's build and step (`report.cpu`)
-    /// time and the last run's outcome.
-    pub(crate) fn time(&self, mut simulate: impl FnMut() -> Outcome) -> Timed {
-        let runs = self.repeats.max(1);
-        let (mut build, mut step) = (Vec::with_capacity(runs), Vec::with_capacity(runs));
-        let mut last = None;
-        for _ in 0..runs {
-            let outcome = simulate();
-            build.push(outcome.build.as_secs_f64());
-            step.push(outcome.report.cpu.as_secs_f64());
-            last = Some(outcome);
-        }
-        Timed {
-            outcome: last.expect("at least one run"),
-            build: Spread::new(build),
-            step: Spread::new(step),
-        }
-    }
-
-    /// One BENCH cell: [`Bench::time`] of the probe-free runs, recording
+    /// One BENCH cell: [`time`] of the probe-free runs, recording
     /// the fastest step, then one more run with metrics attached for the
     /// phase breakdown. Also returns the last timed run's statuses.
     fn cell<F>(
@@ -363,7 +348,9 @@ impl Bench<'_> {
         variant: String,
         simulate: impl Fn(&Run<'_, F>, Probes) -> Outcome,
     ) -> (PerfRun, Vec<FaultStatus>) {
-        let Timed { outcome, step, .. } = self.time(|| simulate(run, Probes::Null));
+        let Timed { outcome, step, .. } = time(self.repeats, 1, |_| simulate(run, Probes::Null))
+            .pop()
+            .expect("one cell");
         let snap = simulate(run, Probes::Metrics)
             .snap
             .expect("the metrics probe records");
@@ -430,6 +417,42 @@ impl Bench<'_> {
     }
 }
 
+/// The one timing loop, behind every BENCH cell and every timed table
+/// cell: `repeats` rounds (at least one) over the `cells` cells of a row,
+/// where `run(k)` is one driver run of cell `k`. Round `r` runs every cell
+/// once, starting at cell `r mod cells` ([`round_robin`]), so a burst of
+/// host load spreads over the cells a row compares. Keeps every run's
+/// build and step (`report.cpu`) time and each cell's last outcome.
+pub(crate) fn time(
+    repeats: usize,
+    cells: usize,
+    mut run: impl FnMut(usize) -> Outcome,
+) -> Vec<Timed> {
+    let mut samples: Vec<(Vec<f64>, Vec<f64>, Option<Outcome>)> =
+        (0..cells).map(|_| (Vec::new(), Vec::new(), None)).collect();
+    for k in round_robin(cells, repeats.max(1)) {
+        let outcome = run(k);
+        let (build, step, last) = &mut samples[k];
+        build.push(outcome.build.as_secs_f64());
+        step.push(outcome.report.cpu.as_secs_f64());
+        *last = Some(outcome);
+    }
+    samples
+        .into_iter()
+        .map(|(build, step, last)| Timed {
+            outcome: last.expect("at least one run"),
+            build: Spread::new(build),
+            step: Spread::new(step),
+        })
+        .collect()
+}
+
+/// The cell order of [`time`]: `rounds` rounds over `cells` cells, round
+/// `r` starting at cell `r mod cells`.
+fn round_robin(cells: usize, rounds: usize) -> impl Iterator<Item = usize> {
+    (0..rounds).flat_map(move |r| (0..cells).map(move |k| (r + k) % cells))
+}
+
 /// `fsim sim`'s concurrent machine with `options` over `run`, with
 /// `probes` attached and every output line discarded.
 pub(crate) fn stuck(run: &Run<'_, StuckAt>, options: CsimOptions, probes: Probes) -> Outcome {
@@ -494,25 +517,13 @@ fn run_hold_cells(circuit: &Circuit, count: usize, seed: u64, repeats: usize) ->
     vec![hold, resume]
 }
 
-/// `--threads N --batch-windows 32 --steal`: the `-batched` cells' plan.
-fn batched(threads: usize) -> RunPlan<'static> {
-    RunPlan {
-        threads,
-        batch: BatchOptions {
-            window: BATCH_WINDOW,
-            steal: true,
-            ..BatchOptions::default()
-        },
-        ..RunPlan::default()
-    }
-}
-
 /// Runs the whole harness: every circuit × the four stuck-at variants ×
-/// every thread count (each with its `-pruned` twin, and a `-batched`
-/// twin for parallel cells), plus one serial `csim-T` row, its `-pruned`
-/// twin, one batched transition cell, the serial `csim-MV-learned` /
-/// `csim-T-learned` cells, the two `-incremental` cells, and the
-/// burst-hold pair (`csim-MV-hold` / `-resume`) per circuit. Each cell runs the plan its `fsim` command line builds.
+/// every thread count (each with its `-pruned` twin), plus one serial
+/// `csim-T` row, its `-pruned` twin, one batched transition cell, the
+/// serial `csim-MV-learned` / `csim-T-learned` cells, the two
+/// `-incremental` cells, and the burst-hold pair (`csim-MV-hold` /
+/// `-resume`) per circuit. Each cell runs the plan its `fsim` command
+/// line builds.
 pub fn run_perf(config: &PerfConfig) -> Vec<PerfRun> {
     let mut runs = Vec::new();
     for name in &config.circuits {
@@ -555,15 +566,6 @@ pub fn run_perf(config: &PerfConfig) -> Vec<PerfRun> {
                     let cell = format!("{}{suffix}", variant.name());
                     runs.push(bench.cell(&bench.run(universe, &plan), cell, sim).0);
                 }
-                if threads > 1 {
-                    let plan = batched(threads);
-                    let cell = format!("{}-batched", variant.name());
-                    runs.push(
-                        bench
-                            .cell(&bench.run(&stuck_universes[0].1, &plan), cell, sim)
-                            .0,
-                    );
-                }
             }
         }
         let (plan, universe, _) = &stuck_universes[2];
@@ -577,7 +579,14 @@ pub fn run_perf(config: &PerfConfig) -> Vec<PerfRun> {
             runs.push(bench.cell(&bench.run(universe, plan), cell, transition).0);
         }
         if let Some(&threads) = config.threads.iter().filter(|&&t| t > 1).max() {
-            let plan = batched(threads);
+            let plan = RunPlan {
+                threads,
+                batch: BatchOptions {
+                    window: BATCH_WINDOW,
+                    steal: true,
+                },
+                ..RunPlan::default()
+            };
             let run = bench.run(&transition_universes[0].1, &plan);
             runs.push(bench.cell(&run, "csim-T-batched".into(), transition).0);
         }
@@ -812,6 +821,27 @@ mod tests {
     }
 
     #[test]
+    fn timing_loop_runs_a_rows_cells_round_robin() {
+        let circuit = perf_circuit("s27");
+        let patterns = cfs_atpg::random_patterns(&circuit, 4, 7);
+        let bench = Bench {
+            circuit: &circuit,
+            patterns: &patterns,
+            repeats: 3,
+        };
+        let plan = RunPlan::default();
+        let universe = bench.universe(&plan, &STUCK, None, fault_universe);
+        let run = bench.run(&universe, &plan);
+        let mut order = Vec::new();
+        let timed = time(bench.repeats, 3, |k| {
+            order.push(k);
+            mv(&run, Probes::Null)
+        });
+        assert_eq!(order, [0, 1, 2, 1, 2, 0, 2, 0, 1]);
+        assert!(timed.iter().all(|t| t.step.sorted.len() == 3));
+    }
+
+    #[test]
     fn harness_round_trips_through_json() {
         let config = tiny_config();
         let runs = run_perf(&config);
@@ -951,49 +981,26 @@ mod tests {
     }
 
     #[test]
-    fn batched_twins_ride_parallel_cells_and_match_plain_detections() {
+    fn batched_transition_cell_matches_serial_detections() {
         let config = PerfConfig {
             threads: vec![1, 2],
             ..tiny_config()
         };
         let runs = run_perf(&config);
-        let batched: Vec<_> = runs
-            .iter()
-            .filter(|r| r.variant.ends_with("-batched"))
-            .collect();
-        // One per stuck-at variant at t2, plus one transition cell.
-        assert_eq!(
-            batched.len(),
-            5,
-            "{:?}",
-            batched.iter().map(|r| r.key()).collect::<Vec<_>>()
-        );
-        for twin in &batched {
-            assert_eq!(
-                twin.threads,
-                2,
-                "{}: batched cells are parallel",
-                twin.key()
-            );
-            let plain_variant = twin.variant.trim_end_matches("-batched");
-            // csim-T has no parallel plain cell; its reference is serial.
-            let plain_threads = if plain_variant == "csim-T" { 1 } else { 2 };
-            let plain = runs
-                .iter()
-                .find(|r| r.variant == plain_variant && r.threads == plain_threads)
-                .unwrap_or_else(|| panic!("{}: no plain twin", twin.key()));
-            assert_eq!(
-                twin.detected,
-                plain.detected,
-                "{}: the 2-D schedule changed detections",
-                twin.key()
-            );
-        }
-        // Keys stay unique with the new twins in the document.
         let mut keys: Vec<String> = runs.iter().map(PerfRun::key).collect();
+        let batched: Vec<&String> = keys.iter().filter(|k| k.contains("-batched")).collect();
+        assert_eq!(batched, ["s27/csim-T-batched/t2"]);
+        let detected = |key: &str| runs.iter().find(|r| r.key() == key).unwrap().detected;
+        assert_eq!(
+            detected("s27/csim-T-batched/t2"),
+            detected("s27/csim-T/t1"),
+            "the 2-D schedule changed detections"
+        );
+        // `check_against` finds each baseline cell by key, so a duplicate
+        // key would let the drift gate skip a cell.
         keys.sort();
         keys.dedup();
-        assert_eq!(keys.len(), runs.len(), "duplicate run keys");
+        assert_eq!(keys.len(), runs.len(), "cell keys are unique");
     }
 
     #[test]

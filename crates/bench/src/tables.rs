@@ -18,12 +18,12 @@ use std::io;
 use cfs_cli::{
     prepare_universe, ModelHooks, Outcome, Probes, Run, RunPlan, Universe, STUCK, TRANSITION,
 };
-use cfs_core::{BatchOptions, CsimOptions, CsimVariant, MetricsSnapshot};
+use cfs_core::{CsimOptions, CsimVariant, MetricsSnapshot};
 use cfs_faults::{enumerate_transition, StuckAt};
 use cfs_logic::Logic;
 use cfs_netlist::Circuit;
 
-use crate::perf::{mv, proofs, stuck, transition, Bench, Spread, Timed};
+use crate::perf::{mv, proofs, stuck, time, transition, Bench, Spread, Timed};
 use crate::workloads::{atpg_tests, circuit, deterministic_tests, fault_universe, WorkloadConfig};
 
 /// Timed runs behind every timed table cell.
@@ -107,18 +107,14 @@ impl Workload {
         }
     }
 
-    /// Times `simulate` (a driver entry: [`stuck`], [`mv`] or [`proofs`])
-    /// over this workload under `plan`.
-    fn time(&self, plan: &RunPlan<'_>, simulate: impl Fn(&Run<'_, StuckAt>) -> Outcome) -> Timed {
-        let bench = self.bench();
-        let run = bench.run(&self.universe, plan);
-        bench.time(|| simulate(&run))
+    /// A driver run of `plan` over this workload.
+    fn run<'a>(&'a self, plan: &'a RunPlan<'a>) -> Run<'a, StuckAt> {
+        self.bench().run(&self.universe, plan)
     }
 
     /// One untimed run of serial csim-MV with `probes`.
     fn mv_once(&self, probes: Probes) -> Outcome {
-        let plan = RunPlan::default();
-        mv(&self.bench().run(&self.universe, &plan), probes)
+        mv(&self.run(&RunPlan::default()), probes)
     }
 }
 
@@ -206,19 +202,29 @@ pub struct Table3Row {
     pub telemetry: MetricsSnapshot,
 }
 
-/// Regenerates Table 3 over the given circuits.
+/// Regenerates Table 3 over the given circuits. A row's five cells (the
+/// four variants, then PROOFS) are timed round-robin.
 pub fn table3(names: &[&str], config: &WorkloadConfig) -> Vec<Table3Row> {
     names
         .iter()
         .map(|&name| {
             let w = Workload::deterministic(name, config);
             let plan = RunPlan::default();
+            let run = w.run(&plan);
+            let cells = CsimVariant::ALL.len() + 1;
+            let mut timed: Vec<Measurement> =
+                time(TABLE_REPEATS, cells, |k| match CsimVariant::ALL.get(k) {
+                    Some(variant) => stuck(&run, variant.options(), Probes::Null),
+                    None => proofs(&run),
+                })
+                .iter()
+                .map(measurement)
+                .collect();
+            let proofs = timed.pop().expect("the PROOFS cell");
             Table3Row {
                 name: name.to_owned(),
-                csim: CsimVariant::ALL.map(|variant| {
-                    measurement(&w.time(&plan, |run| stuck(run, variant.options(), Probes::Null)))
-                }),
-                proofs: measurement(&w.time(&plan, proofs)),
+                csim: timed.try_into().expect("one cell per variant"),
+                proofs,
                 patterns: w.tests.len(),
                 telemetry: w
                     .mv_once(Probes::Metrics)
@@ -278,6 +284,17 @@ pub fn format_table3(rows: &[Table3Row]) -> String {
     out
 }
 
+/// Serial csim-MV and PROOFS over `run`, timed round-robin: a Table 4 or
+/// Table 5 row.
+fn mv_and_proofs(run: &Run<'_, StuckAt>) -> (Timed, Timed) {
+    let mut timed = time(TABLE_REPEATS, 2, |k| match k {
+        0 => mv(run, Probes::Null),
+        _ => proofs(run),
+    });
+    let proofs = timed.pop().expect("the PROOFS cell");
+    (timed.pop().expect("the csim-MV cell"), proofs)
+}
+
 /// Table 4: deterministic patterns (II) — higher-coverage ATPG tests,
 /// csim-MV vs. PROOFS.
 #[derive(Debug, Clone)]
@@ -300,14 +317,13 @@ pub fn table4(names: &[&str], config: &WorkloadConfig) -> Vec<Table4Row> {
         .iter()
         .map(|&name| {
             let w = Workload::new(name, config, |c, f| atpg_tests(c, f, config));
-            let plan = RunPlan::default();
-            let csim_mv = w.time(&plan, |run| mv(run, Probes::Null));
+            let (csim_mv, proofs) = mv_and_proofs(&w.run(&RunPlan::default()));
             Table4Row {
                 name: name.to_owned(),
                 patterns: w.tests.len(),
                 coverage: csim_mv.outcome.report.coverage_percent(),
                 csim_mv: measurement(&csim_mv),
-                proofs: measurement(&w.time(&plan, proofs)),
+                proofs: measurement(&proofs),
             }
         })
         .collect()
@@ -368,13 +384,12 @@ pub fn table5(config: &WorkloadConfig) -> Vec<Table5Row> {
             let w = Workload::new("s35932g", config, |c, _| {
                 cfs_atpg::random_patterns(c, n, config.seed ^ n as u64)
             });
-            let plan = RunPlan::default();
-            let csim_mv = w.time(&plan, |run| mv(run, Probes::Null));
+            let (csim_mv, proofs) = mv_and_proofs(&w.run(&RunPlan::default()));
             Table5Row {
                 patterns: n,
                 coverage: csim_mv.outcome.report.coverage_percent(),
                 csim_mv: measurement(&csim_mv),
-                proofs: measurement(&w.time(&plan, proofs)),
+                proofs: measurement(&proofs),
             }
         })
         .collect()
@@ -431,10 +446,11 @@ pub fn table6(names: &[&str], config: &WorkloadConfig) -> Vec<Table6Row> {
         .map(|&name| {
             let w = Workload::deterministic(name, config);
             let universe = full_universe(&w.circuit, &TRANSITION, enumerate_transition);
-            let bench = w.bench();
             let plan = RunPlan::default();
-            let run = bench.run(&universe, &plan);
-            let timed = bench.time(|| transition(&run, Probes::Null));
+            let run = w.bench().run(&universe, &plan);
+            let timed = time(TABLE_REPEATS, 1, |_| transition(&run, Probes::Null))
+                .pop()
+                .expect("one cell");
             Table6Row {
                 name: name.to_owned(),
                 faults: universe.faults.len(),
@@ -473,20 +489,12 @@ pub fn format_table6(rows: &[Table6Row]) -> String {
 /// rows.
 pub const PARALLEL_THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// Threads of the parallel speedup table's stealing row, `fsim sim
-/// --threads 2 --steal`.
-const STEAL_THREADS: usize = 2;
-
 /// Parallel speedup table (no 1992 counterpart): fault-sharded csim-MV on
-/// the largest circuit, one row per `fsim sim` plan.
+/// the largest circuit, one row per `fsim sim --threads N` plan.
 #[derive(Debug, Clone)]
 pub struct TableParallelRow {
-    /// Worker thread count (`--threads`).
+    /// Worker thread count (`--threads`), one fault shard each.
     pub threads: usize,
-    /// Whether idle workers steal shards (`--steal`).
-    pub steal: bool,
-    /// Fault shards the run deals.
-    pub shards: usize,
     /// csim-MV measurement under this plan.
     pub csim_mv: Measurement,
     /// Median step seconds of the first (1-thread) row over this row's.
@@ -495,54 +503,37 @@ pub struct TableParallelRow {
 
 /// Regenerates the parallel speedup table: random patterns on `name`
 /// (scaled per `config`), csim-MV under `fsim sim --threads N` for each
-/// of [`PARALLEL_THREADS`], then under `--threads 2 --steal`. Every row
-/// must reach the same fault statuses — the determinism guarantee — which
+/// of [`PARALLEL_THREADS`], the rows timed round-robin. Every row must
+/// reach the same fault statuses — the determinism guarantee — which
 /// [`table_parallel`] asserts.
 pub fn table_parallel(name: &str, config: &WorkloadConfig) -> Vec<TableParallelRow> {
     let w = Workload::new(name, config, |c, _| {
         cfs_atpg::random_patterns(c, config.random_patterns, config.seed)
     });
-    let stealing = RunPlan {
-        threads: STEAL_THREADS,
-        batch: BatchOptions {
-            steal: true,
-            ..BatchOptions::default()
-        },
+    let plans = PARALLEL_THREADS.map(|threads| RunPlan {
+        threads,
         ..RunPlan::default()
-    };
-    let plans = PARALLEL_THREADS
+    });
+    let timed = time(TABLE_REPEATS, plans.len(), |k| {
+        mv(&w.run(&plans[k]), Probes::Null)
+    });
+    let serial = &timed[0];
+    plans
         .iter()
-        .map(|&threads| RunPlan {
-            threads,
-            ..RunPlan::default()
+        .zip(&timed)
+        .map(|(plan, t)| {
+            assert_eq!(
+                serial.outcome.report.statuses, t.outcome.report.statuses,
+                "{} thread(s): diverged from the 1-thread run",
+                plan.threads
+            );
+            TableParallelRow {
+                threads: plan.threads,
+                csim_mv: measurement(t),
+                speedup: serial.step.median() / t.step.median(),
+            }
         })
-        .chain([stealing]);
-    let mut rows: Vec<TableParallelRow> = Vec::new();
-    let mut serial_statuses = None;
-    for plan in plans {
-        let timed = w.time(&plan, |run| mv(run, Probes::Null));
-        let statuses = &timed.outcome.report.statuses;
-        match &serial_statuses {
-            None => serial_statuses = Some(statuses.clone()),
-            Some(reference) => assert_eq!(
-                reference, statuses,
-                "{} thread(s), steal {}: diverged from the 1-thread run",
-                plan.threads, plan.batch.steal
-            ),
-        }
-        let m = measurement(&timed);
-        let speedup = rows
-            .first()
-            .map_or(1.0, |r| r.csim_mv.step.median() / m.step.median());
-        rows.push(TableParallelRow {
-            threads: plan.threads,
-            steal: plan.batch.steal,
-            shards: plan.shards().min(w.universe.faults.len()),
-            csim_mv: m,
-            speedup,
-        });
-    }
-    rows
+        .collect()
 }
 
 /// Formats the parallel speedup table.
@@ -555,24 +546,15 @@ pub fn format_table_parallel(name: &str, rows: &[TableParallelRow]) -> String {
     );
     let _ = writeln!(
         out,
-        "{:>8} {:>6} {:>6} | {:>13} {:>7} {:>8}",
-        "threads", "steal", "shards", "csim-MV", "MEM", "speedup"
+        "{:>8} | {:>13} {:>7} {:>8}",
+        "threads", "csim-MV", "MEM", "speedup"
     );
-    let _ = writeln!(
-        out,
-        "{:>8} {:>6} {:>6} | {:>13} {:>7} {:>8}",
-        "", "", "", "cpu s", "MB", "x"
-    );
+    let _ = writeln!(out, "{:>8} | {:>13} {:>7} {:>8}", "", "cpu s", "MB", "x");
     for r in rows {
         let _ = writeln!(
             out,
-            "{:>8} {:>6} {:>6} | {:>13} {:>7.2} {:>8.2}",
-            r.threads,
-            if r.steal { "yes" } else { "no" },
-            r.shards,
-            r.csim_mv.step,
-            r.csim_mv.mem_mb,
-            r.speedup
+            "{:>8} | {:>13} {:>7.2} {:>8.2}",
+            r.threads, r.csim_mv.step, r.csim_mv.mem_mb, r.speedup
         );
     }
     out
@@ -611,34 +593,6 @@ pub struct AblationRow {
     pub step_ratio: f64,
 }
 
-impl Workload {
-    /// Times the serial `fsim sim` driver with `options` and `probes`;
-    /// the ratio is filled in by [`table_ablations`].
-    fn ablation(
-        &self,
-        group: &'static str,
-        setting: impl ToString,
-        options: &CsimOptions,
-        probes: Probes,
-    ) -> AblationRow {
-        let timed = self.time(&RunPlan::default(), |run| {
-            stuck(run, options.clone(), probes)
-        });
-        let report = &timed.outcome.report;
-        AblationRow {
-            group,
-            setting: setting.to_string(),
-            circuit: self.circuit.name().to_owned(),
-            mem_mb: report.memory_megabytes(),
-            events: report.events,
-            detected: report.detected(),
-            build: timed.build,
-            step: timed.step,
-            step_ratio: 1.0,
-        }
-    }
-}
-
 /// Regenerates Table A on each circuit's deterministic test set: csim-MV
 /// at each macro input cap in `caps`, csim with list splitting off and on,
 /// and csim-MV under the three probes `fsim` attaches (none, the metrics
@@ -646,7 +600,8 @@ impl Workload {
 /// `circuits[0]`; csim-MV with fault dropping on and off on
 /// `circuits[1]`. These groups run purely concurrent (lane cap 0), so
 /// each isolates its own choice. The `lanes` group runs csim-MV at each
-/// hot-fault lane cap of [`TABLE_A_LANES`] on `circuits[0]`.
+/// hot-fault lane cap of [`TABLE_A_LANES`] on `circuits[0]`. Every row is
+/// a serial `fsim sim` run, and the rows are timed round-robin.
 pub fn table_ablations(
     circuits: [&str; 2],
     caps: &[usize],
@@ -658,13 +613,14 @@ pub fn table_ablations(
         hot_lanes: 0,
         ..CsimVariant::Mv.options()
     };
-    let mut rows = Vec::new();
+    // Every row's group, setting, workload, options and probe, in order.
+    let mut cells: Vec<(&str, String, &Workload, CsimOptions, Probes)> = Vec::new();
     for &cap in caps {
         let options = CsimOptions {
             macro_max_inputs: cap,
             ..mv.clone()
         };
-        rows.push(main.ablation("macro-cap", cap, &options, Probes::Null));
+        cells.push(("macro-cap", cap.to_string(), &main, options, Probes::Null));
     }
     for (setting, split) in [("off", false), ("on", true)] {
         let options = CsimOptions {
@@ -672,38 +628,57 @@ pub fn table_ablations(
             hot_lanes: 0,
             ..CsimVariant::Base.options()
         };
-        rows.push(main.ablation("split", setting, &options, Probes::Null));
+        cells.push(("split", setting.into(), &main, options, Probes::Null));
     }
     for (setting, drop) in [("on", true), ("off", false)] {
         let options = CsimOptions {
             drop_detected: drop,
             ..mv.clone()
         };
-        rows.push(dropping.ablation("drop", setting, &options, Probes::Null));
+        cells.push(("drop", setting.into(), &dropping, options, Probes::Null));
     }
     for (setting, probes) in [
         ("null", Probes::Null),
         ("metrics", Probes::Metrics),
         ("trace", Probes::Trace),
     ] {
-        rows.push(main.ablation("probe", setting, &mv, probes));
+        cells.push(("probe", setting.into(), &main, mv.clone(), probes));
     }
     for &lanes in TABLE_A_LANES {
         let options = CsimOptions {
             hot_lanes: lanes,
             ..mv.clone()
         };
-        rows.push(main.ablation("lanes", lanes, &options, Probes::Null));
+        cells.push(("lanes", lanes.to_string(), &main, options, Probes::Null));
     }
+    let plan = RunPlan::default();
+    let timed = time(TABLE_REPEATS, cells.len(), |k| {
+        let (_, _, w, options, probes) = &cells[k];
+        stuck(&w.run(&plan), options.clone(), *probes)
+    });
     // Each group's rows are contiguous, led by its reference setting.
     let mut first = ("", 0.0);
-    for r in &mut rows {
-        if r.group != first.0 {
-            first = (r.group, r.step.median());
-        }
-        r.step_ratio = r.step.median() / first.1;
-    }
-    rows
+    cells
+        .into_iter()
+        .zip(timed)
+        .map(|((group, setting, w, ..), timed)| {
+            if group != first.0 {
+                first = (group, timed.step.median());
+            }
+            let report = &timed.outcome.report;
+            AblationRow {
+                group,
+                setting,
+                circuit: w.circuit.name().to_owned(),
+                mem_mb: report.memory_megabytes(),
+                events: report.events,
+                detected: report.detected(),
+                step_ratio: timed.step.median() / first.1,
+                build: timed.build,
+                step: timed.step,
+            }
+        })
+        .collect()
 }
 
 /// Formats Table A.
@@ -798,27 +773,14 @@ mod tests {
         let mut cfg = WorkloadConfig::quick();
         cfg.random_patterns = 64;
         let rows = table_parallel("s1423g", &cfg);
-        assert_eq!(rows.len(), PARALLEL_THREADS.len() + 1);
         // table_parallel itself asserts status equality; check the derived
         // columns here.
+        let threads: Vec<_> = rows.iter().map(|r| r.threads).collect();
+        assert_eq!(threads, PARALLEL_THREADS);
         let d = rows[0].csim_mv.detected;
         assert!(rows.iter().all(|r| r.csim_mv.detected == d));
         assert!((rows[0].speedup - 1.0).abs() < 1e-12);
         assert!(rows.iter().all(|r| r.speedup > 0.0));
-        let plans: Vec<_> = rows
-            .iter()
-            .map(|r| (r.threads, r.steal, r.shards))
-            .collect();
-        assert_eq!(
-            plans,
-            [
-                (1, false, 1),
-                (2, false, 2),
-                (4, false, 4),
-                (8, false, 8),
-                (2, true, 4)
-            ]
-        );
         let s = format_table_parallel("s1423g", &rows);
         assert!(s.contains("speedup"), "{s}");
         assert!(s.contains("s1423g"), "{s}");

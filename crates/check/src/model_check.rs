@@ -352,10 +352,10 @@ mod tests {
         r.with_code(RuleCode::NonExactCoverShardPartition).count()
     }
 
-    /// The `--steal` scheduler overshards 2x (shards = 2 * threads) so
-    /// idle workers have spare tasks to migrate. Those oversharded
-    /// partitions must pass P001: an exact cover, balanced to within one
-    /// fault.
+    /// A partition with more shards than workers (shards = 2 * threads,
+    /// as `ShardedSim::with_shards` builds it) gives idle workers spare
+    /// tasks to migrate. Those oversharded partitions must pass P001: an
+    /// exact cover, balanced to within one fault.
     #[test]
     fn p001_accepts_oversharded_steal_partitions() {
         let c = cfs_netlist::generate::benchmark("s298g").expect("bundled benchmark");
@@ -397,7 +397,6 @@ mod tests {
             let batch = BatchOptions {
                 window,
                 steal: true,
-                ..BatchOptions::default()
             };
             sim.run_batched(&patterns, &batch);
             let parts: Vec<Vec<usize>> = sim.shard_probes().map(|(_, map)| map.to_vec()).collect();

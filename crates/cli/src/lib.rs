@@ -92,7 +92,7 @@ pub struct RunPlan<'a> {
     pub prune: bool,
     /// `--learn`'s options; `None` when learning is off.
     pub learn: Option<LearnOptions>,
-    /// `--threads`: worker threads.
+    /// `--threads`: worker threads, one fault shard each.
     pub threads: usize,
     /// A multi-shard run's schedule: `--batch-windows` sets the window
     /// ([`cfs_core::DEFAULT_WINDOW`] when absent) and `--steal` turns
@@ -149,17 +149,6 @@ impl RunPlan<'_> {
             || self.stats_json.is_some()
             || self.trace_every.is_some()
             || self.trace_out.is_some()
-    }
-
-    /// Requested fault-shard count: `--steal` overshards 2× so idle
-    /// workers have spare runnable shards to take; otherwise one shard per
-    /// worker. The machine deals no more shards than there are faults.
-    pub fn shards(&self) -> usize {
-        if self.batch.steal {
-            self.threads * 2
-        } else {
-            self.threads
-        }
     }
 }
 
@@ -864,14 +853,9 @@ where
 {
     let (c, patterns, universe, plan) = (run.circuit, run.patterns, run.universe, run.plan);
     let epoch = Instant::now();
-    let mut sim = ShardedSim::<M>::with_shards(
-        c,
-        &universe.faults,
-        options,
-        plan.threads,
-        plan.shards(),
-        |_| M::Probe::attach(epoch, plan.trace_cfg),
-    );
+    let mut sim = ShardedSim::<M>::with_probes(c, &universe.faults, options, plan.threads, |_| {
+        M::Probe::attach(epoch, plan.trace_cfg)
+    });
     if plan.paranoid {
         sim.set_paranoid(true);
     }
@@ -945,7 +929,7 @@ where
     let recorders = || sim.shard_probes().filter_map(|(p, _)| p.recorder());
     let snap = if shard_metrics().next().is_some() {
         let mut snap = sim.snapshot_by(|p| p.metrics().expect("every shard records"));
-        // Phase spans nest, so the wall clock is the honest total.
+        // The run's time is its wall clock, not the phase sum.
         snap.cpu_seconds = report.cpu.as_secs_f64();
         snap.phases.add(Phase::Check, run.check_time);
         if plan.checkpoint_every.is_some() || run.resume.is_some() {

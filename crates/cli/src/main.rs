@@ -22,11 +22,11 @@
 //! scheduler, every shard reading one shared good machine; a shard's
 //! windows stay in order because the shard engine carries the sequential
 //! DFF state across the boundary. `--batch-windows W` sets the window
-//! (default 128 patterns, `0` = one whole-run window). `--steal` lets
-//! idle workers steal runnable shards (and overshards the fault universe
-//! 2× so there is spare work to take). Detections remain bit-identical
-//! to the serial simulator for every window size, thread count, and
-//! steal schedule.
+//! (default 128 patterns, `0` = one whole-run window). `--steal` lets an
+//! idle worker run another worker's runnable shard; the run still deals
+//! one shard per worker. Both need `--threads 2` or more. Detections
+//! remain bit-identical to the serial simulator for every window size,
+//! thread count, and steal schedule.
 //!
 //! `fsim check` runs every `cfs-check` rule and prints the diagnostics
 //! (stable rule codes, severities, `.bench` line spans; JSON under
@@ -67,8 +67,8 @@
 //! `DIR/ckpt-NNNNNN.bin`; `--resume-from FILE` restores one such
 //! snapshot and replays only the remaining patterns, producing the same
 //! report as the uninterrupted run. Checkpointing captures one serial
-//! engine, so it needs one shard (`--threads 1` without `--steal`), a
-//! single `--variant`, and no `--trace-out`.
+//! engine, so it needs one shard (`--threads 1`), a single `--variant`,
+//! and no `--trace-out`.
 //!
 //! `fsim impact` runs the static change-impact analysis between two
 //! netlists: the structural diff (added/removed/retyped/rewired gates,
@@ -337,7 +337,7 @@ const FLAGS: &[(&str, Kind, &str, &str)] = &[
     ("--threads", CountTo(MAX_THREADS), RUN, "fault-shard the concurrent simulator across N workers"),
     ("--batch-windows", Number(" (0 = one whole-run window)"), RUN,
      "patterns per (shard x window) task (default 128; 0 = one whole-run window)"),
-    ("--steal", Switch, RUN, "let idle workers steal runnable shards (overshards 2x)"),
+    ("--steal", Switch, RUN, "let an idle worker run another worker's runnable shard"),
     ("--checkpoint-every", Count, RUN, "snapshot engine state every N patterns (serial runs)"),
     ("--checkpoint-out", Path("DIR"), RUN, "where --checkpoint-every writes ckpt-NNNNNN.bin"),
     ("--resume-from", Path("FILE"), RUN, "restore a checkpoint file and replay only the rest"),
@@ -481,11 +481,6 @@ impl<'a> Flags<'a> {
         self.simulator() != "csim"
     }
 
-    /// The fault-shard count the run plan builds ([`RunPlan::shards`]).
-    fn shards(&self) -> usize {
-        run_plan(self).shards()
-    }
-
     /// The run writes or restores checkpoints.
     fn checkpointing(&self) -> bool {
         self.on("--checkpoint-every") || self.on("--resume-from")
@@ -576,10 +571,10 @@ const FLAG_RULES: &[Rule] = &[
     ("sim", |f| f.baseline() && f.on("--paranoid"), "--paranoid needs the concurrent simulator, not {sim}"),
     ("sim", |f| f.baseline() && f.on("--trace-every"), "--trace-every needs the concurrent simulator, not {sim}"),
     ("sim", |f| f.baseline() && f.on("--variant"), "--variant needs the concurrent simulator, not {sim}"),
-    (RUN, |f| f.on("--batch-windows") && !f.baseline() && f.shards() == 1,
-     "--batch-windows needs more than one shard: --threads 2 or more, or --steal"),
-    (RUN, |f| f.checkpointing() && f.shards() > 1,
-     "checkpointing captures one serial engine; it needs --threads 1 without --steal"),
+    (RUN, |f| (f.on("--batch-windows") || f.on("--steal")) && !f.baseline() && f.num_or("--threads", 1) == 1,
+     "--batch-windows and --steal schedule shards across workers; they need --threads 2 or more"),
+    (RUN, |f| f.checkpointing() && f.num_or("--threads", 1) > 1,
+     "checkpointing captures one serial engine; it needs --threads 1"),
     (RUN, |f| f.checkpointing() && f.on("--trace-out"), "checkpointing cannot combine with --trace-out"),
     ("sim", |f| f.all_variants() && f.on("--detections"), "--detections needs a single --variant"),
     ("sim", |f| f.all_variants() && f.on("--baseline-out"), "--baseline-out needs a single --variant"),
@@ -647,7 +642,6 @@ fn run_plan<'a>(f: &Flags<'a>) -> RunPlan<'a> {
         batch: BatchOptions {
             window: f.num_or("--batch-windows", DEFAULT_WINDOW),
             steal: f.on("--steal"),
-            ..BatchOptions::default()
         },
         stats: f.on("--stats"),
         stats_json: f.text("--stats-json"),
@@ -1694,7 +1688,7 @@ mod tests {
         "--simulator proofs --paranoid",
         "--simulator proofs --trace-every 4",
         "--simulator proofs --variant m",
-        "--batch-windows 8",
+        "--threads 1 --steal",
         "--threads 2 --resume-from c.bin",
         "--trace-out t.json --resume-from c.bin",
         "--variant all --detections d.txt",

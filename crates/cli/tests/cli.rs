@@ -728,30 +728,28 @@ fn no_command_panics_on_wide_gates() {
     }
 }
 
-/// `--threads 1 --steal` runs two shards on one worker: its report line
-/// and `--stats-json` summary name it as a sharded run, not as the serial
-/// run whose counters it does not have.
+/// `--steal` deals one shard per worker, like every sharded run: the
+/// scheduler line counts `--threads` shards, and the detections are the
+/// serial run's.
 #[test]
-fn one_worker_steal_run_is_named_as_sharded() {
+fn steal_runs_deal_one_shard_per_worker() {
     let dir = std::env::temp_dir().join("fsim-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
-    let names = |extra: &[&str], file: &str| -> (String, String) {
-        let json = dir.join(file);
-        let mut args = vec!["sim", "@s27", "--random", "16"];
-        args.extend_from_slice(extra);
-        args.extend_from_slice(&["--stats-json", json.to_str().unwrap()]);
-        let (ok, out, err) = fsim(&args);
-        assert!(ok, "{err}");
-        let report = out.split(" on ").next().unwrap().to_owned();
-        let text = std::fs::read_to_string(&json).unwrap();
-        let summary = JsonValue::parse(text.lines().last().unwrap()).unwrap();
-        let simulator = summary.get("simulator").and_then(JsonValue::as_str);
-        (report, simulator.unwrap().to_owned())
-    };
-    let serial = names(&[], "name-serial.jsonl");
-    let stolen = names(&["--threads", "1", "--steal"], "name-steal.jsonl");
-    assert_eq!(serial, ("csim-MV".to_owned(), "csim-MV".to_owned()));
-    assert_eq!(stolen, ("csim-MV-p1".to_owned(), "csim-MV-p1".to_owned()));
+    for cmd in ["sim", "transition"] {
+        let run = |extra: &[&str], file: &str| -> (String, String) {
+            let det = dir.join(format!("det-{cmd}-{file}.txt"));
+            let mut args = vec![cmd, "@s298g", "--random", "64", "--stats"];
+            args.extend_from_slice(extra);
+            args.extend_from_slice(&["--detections", det.to_str().unwrap()]);
+            let (ok, out, err) = fsim(&args);
+            assert!(ok, "{cmd} {extra:?}: {err}");
+            (out, std::fs::read_to_string(&det).unwrap())
+        };
+        let (_, serial) = run(&[], "steal-serial");
+        let (out, stolen) = run(&["--threads", "2", "--steal"], "steal");
+        assert_eq!(stolen, serial, "{cmd}: --threads 2 --steal");
+        assert!(out.contains("× 2 shards"), "{cmd}: {out}");
+    }
 }
 
 #[test]
@@ -1533,7 +1531,7 @@ fn silently_ignored_combinations_are_refused() {
     let pats = dir.join("s27.pat");
     std::fs::write(&pats, "0101\n1010\n").unwrap();
     let pats = pats.to_str().unwrap();
-    let cases: [(&[&str], &str); 8] = [
+    let cases: [(&[&str], &str); 9] = [
         (
             &["sim", "@s27", "--patterns", pats, "--random", "50"],
             "--patterns FILE cannot combine with --random/--seed",
@@ -1560,7 +1558,11 @@ fn silently_ignored_combinations_are_refused() {
         ),
         (
             &["sim", "@s27", "--threads", "1", "--batch-windows", "8"],
-            "--batch-windows needs more than one shard",
+            "--batch-windows and --steal schedule shards across workers",
+        ),
+        (
+            &["transition", "@s27", "--threads", "1", "--steal"],
+            "--batch-windows and --steal schedule shards across workers",
         ),
         (
             &["sim", "@s27", "--simulator", "serial", "--steal"],

@@ -42,6 +42,9 @@ pub const DEFAULT_WINDOW: usize = 128;
 /// small, so trace memory stays bounded at `LOOKAHEAD` windows.
 const LOOKAHEAD: usize = 4;
 
+/// Seed of every worker's steal victim scan, mixed with the worker index.
+const STEAL_SEED: u64 = 0x5EED_1992;
+
 /// Pattern-batch configuration for the two-dimensional scheduler.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchOptions {
@@ -52,9 +55,6 @@ pub struct BatchOptions {
     /// its home worker (static dispatch). Results are identical either
     /// way.
     pub steal: bool,
-    /// Seed for the steal victim scan order — lets a run's stealing
-    /// pattern be varied deterministically in tests.
-    pub steal_seed: u64,
 }
 
 impl Default for BatchOptions {
@@ -62,7 +62,6 @@ impl Default for BatchOptions {
         BatchOptions {
             window: DEFAULT_WINDOW,
             steal: false,
-            steal_seed: 0x5EED_1992,
         }
     }
 }
@@ -205,7 +204,6 @@ pub(crate) fn run_windows<T, FP, FR>(
     num_shards: usize,
     window_sizes: &[usize],
     steal: bool,
-    steal_seed: u64,
     mut produce: FP,
     run: FR,
 ) -> SchedStats
@@ -249,7 +247,7 @@ where
             let cv = &cv;
             let run = &run;
             let epoch = &epoch;
-            let mut rng = (steal_seed ^ (me as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1;
+            let mut rng = (STEAL_SEED ^ (me as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1;
             scope.spawn(move || loop {
                 // Acquire a runnable shard: own deque, then (if stealing
                 // is on) a victim scan starting at a seeded offset.
@@ -413,7 +411,7 @@ mod tests {
 
     /// Runs the scheduler with a recording runner and checks the
     /// exactly-once / in-order contract.
-    fn check_contract(threads: usize, shards: usize, windows: usize, steal: bool, seed: u64) {
+    fn check_contract(threads: usize, shards: usize, windows: usize, steal: bool) {
         let sizes = vec![1usize; windows];
         let log = Mutex::new(Vec::new());
         let produced = Mutex::new(Vec::new());
@@ -422,7 +420,6 @@ mod tests {
             shards,
             &sizes,
             steal,
-            seed,
             |w| {
                 produced.lock().unwrap().push(w);
                 w
@@ -473,7 +470,7 @@ mod tests {
             (4, 4, 0),
         ] {
             for steal in [false, true] {
-                check_contract(threads, shards, windows, steal, 7);
+                check_contract(threads, shards, windows, steal);
             }
         }
     }
@@ -489,7 +486,6 @@ mod tests {
             9,
             &sizes,
             true,
-            0xDEAD,
             |w| w,
             |s, w, _t| {
                 if s == 0 {
@@ -540,9 +536,8 @@ mod tests {
             shards in 1usize..7,
             windows in 0usize..6,
             steal in any::<bool>(),
-            seed in any::<u64>(),
         ) {
-            check_contract(threads, shards, windows, steal, seed);
+            check_contract(threads, shards, windows, steal);
         }
     }
 }

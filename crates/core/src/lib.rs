@@ -328,6 +328,12 @@ mod tests {
         assert!(snap.phases.get(Phase::TransitionFirst) > std::time::Duration::ZERO);
         assert!(snap.phases.get(Phase::TransitionSecond) > std::time::Duration::ZERO);
         assert!(snap.phases.get(Phase::Propagate) > std::time::Duration::ZERO);
+        // The passes enclose the four stages, which lead `Phase::ALL`: the
+        // total counts each stage once and stays within the run's wall time.
+        let leaves: std::time::Duration = Phase::ALL[..4].iter().map(|&p| snap.phases.get(p)).sum();
+        assert_eq!(snap.phases.total(), leaves);
+        assert!(snap.phases.total() <= report.cpu);
+        assert_eq!(snap.cpu_seconds, leaves.as_secs_f64());
     }
 
     #[test]

@@ -275,9 +275,9 @@ impl<M: FaultMachine> ShardedSim<M> {
     /// [`ShardedSim::with_probes`] with the two parallelism axes
     /// decoupled: `faults` dealt round-robin into `shards` partitions
     /// ([`round_robin_shards`]: never more shards than faults) driven by
-    /// `threads` workers. Oversharding (`shards > threads`) gives the
-    /// work-stealing scheduler spare tasks to migrate, so a long-pole
-    /// shard no longer pins wall time to one worker's pace.
+    /// `threads` workers. `fsim` deals one shard per worker; more shards
+    /// give the work-stealing scheduler spare tasks to migrate, each at
+    /// the cost of its own compiled network.
     ///
     /// # Panics
     ///
@@ -402,7 +402,7 @@ impl<M: FaultMachine> ShardedSim<M> {
     }
 
     /// The machine's name, with `-p{threads}` on every multi-shard run
-    /// (so `--threads 1 --steal`, two shards on one worker, is `-p1`).
+    /// (two shards on one worker are `-p1`).
     fn name_str(&self) -> String {
         let base = self.shards[0].machine.name();
         if self.is_serial() {
@@ -652,7 +652,6 @@ impl<M: FaultMachine + Send> ShardedSim<M> {
                 slots.len(),
                 &sizes,
                 batch.steal,
-                batch.steal_seed,
                 |w| {
                     let (lo, hi) = bounds[w];
                     good_traces(good, &patterns[lo..hi])

@@ -246,7 +246,9 @@ pub fn render_summary_table(rows: &[MetricsSnapshot]) -> String {
     out
 }
 
-/// Renders per-phase wall times with percentage of the phase total.
+/// Renders per-phase wall times with percentage of the phase total. The
+/// transition passes enclose the stages, so their rows print no
+/// percentage and the total leaves them out ([`PhaseTimes::total`]).
 pub fn render_phase_table(times: &PhaseTimes) -> String {
     let total = times.total().as_secs_f64();
     let mut out = String::new();
@@ -254,17 +256,14 @@ pub fn render_phase_table(times: &PhaseTimes) -> String {
     out.push_str("--------------------------------\n");
     for (phase, d) in times.nonzero() {
         let secs = d.as_secs_f64();
-        let pct = if total > 0.0 {
-            100.0 * secs / total
+        let pct = if phase.encloses_stages() {
+            "-".to_owned()
+        } else if total > 0.0 {
+            format!("{:.1}%", 100.0 * secs / total)
         } else {
-            0.0
+            "0.0%".to_owned()
         };
-        out.push_str(&format!(
-            "{:<18} {:>7.3} {:>5.1}%\n",
-            phase.name(),
-            secs,
-            pct
-        ));
+        out.push_str(&format!("{:<18} {:>7.3} {:>6}\n", phase.name(), secs, pct));
     }
     out.push_str(&format!("{:<18} {:>7.3} 100.0%\n", "total", total));
     out
@@ -474,10 +473,14 @@ mod tests {
         let mut times = PhaseTimes::new();
         times.add(Phase::Propagate, Duration::from_millis(300));
         times.add(Phase::LatchCommit, Duration::from_millis(100));
+        times.add(Phase::TransitionFirst, Duration::from_millis(450));
         let table = render_phase_table(&times);
         assert!(table.contains("propagate"));
         assert!(table.contains("latch_commit"));
         assert!(table.contains("75.0%"));
+        // A pass encloses the stages: no share of its own, not in the total.
+        assert!(table.contains("transition_first     0.450      -\n"));
+        assert!(table.contains("total                0.400 100.0%"));
 
         let mut h = Log2Histogram::new();
         for v in [0, 1, 2, 3, 3, 3, 9] {

@@ -7,7 +7,8 @@ use std::time::Duration;
 /// `Propagate`, `Detect`, `LatchCollect`, and `LatchCommit` are the four
 /// stages of a stuck-at clock cycle; `TransitionFirst` and
 /// `TransitionSecond` wrap the two passes of transition-fault simulation
-/// (initialization pattern, then launch/capture pattern).
+/// (initialization pattern, then launch/capture pattern), so their time
+/// also counts under the stages they enclose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Event-driven propagation through the levelized network.
@@ -78,6 +79,12 @@ impl Phase {
             Phase::Packed => "packed",
         }
     }
+
+    /// Whether this is a transition pass, whose time the stages it
+    /// encloses already count.
+    pub fn encloses_stages(self) -> bool {
+        matches!(self, Phase::TransitionFirst | Phase::TransitionSecond)
+    }
 }
 
 /// Accumulated wall time and invocation counts per [`Phase`].
@@ -116,9 +123,15 @@ impl PhaseTimes {
         self.counts[phase.index()]
     }
 
-    /// Sum over all phases.
+    /// Sum over every phase but the two transition passes, whose time
+    /// the phases they enclose already count. A pass's own time outside
+    /// those stages (pattern setup between them) is left out.
     pub fn total(&self) -> Duration {
-        self.totals.iter().sum()
+        Phase::ALL
+            .iter()
+            .filter(|p| !p.encloses_stages())
+            .map(|&p| self.get(p))
+            .sum()
     }
 
     /// Folds another table into this one (times and counts).

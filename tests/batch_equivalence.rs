@@ -59,8 +59,6 @@ fn check_stuck_batched(circuit: &Circuit, patterns: &[Vec<Logic>]) {
                 let batch = BatchOptions {
                     window,
                     steal: true,
-                    // Vary the victim scan order per cell.
-                    steal_seed: 0x1992 ^ (window as u64) << 8 ^ threads as u64,
                 };
                 let mut par = ParallelSim::with_shards(
                     circuit,
@@ -99,7 +97,6 @@ fn check_transition_batched(circuit: &Circuit, patterns: &[Vec<Logic>]) {
             let batch = BatchOptions {
                 window,
                 steal: true,
-                steal_seed: 0xDAC ^ (window as u64) << 8 ^ threads as u64,
             };
             let mut par = ParallelTransitionSim::with_shards(
                 circuit,
@@ -200,7 +197,6 @@ fn pruned_batched_stuck_matches_full_serial() {
                 let batch = BatchOptions {
                     window,
                     steal: true,
-                    ..BatchOptions::default()
                 };
                 let mut par = ParallelSim::with_shards(
                     &c,
@@ -237,7 +233,6 @@ fn pruned_batched_transition_matches_full_serial() {
             let batch = BatchOptions {
                 window,
                 steal: true,
-                ..BatchOptions::default()
             };
             let mut par = ParallelTransitionSim::with_shards(
                 &c,
@@ -273,7 +268,6 @@ fn seeded_schedule_replay_is_interleaving_independent() {
     let batch = BatchOptions {
         window: 6,
         steal: true,
-        ..BatchOptions::default()
     };
     let build = || ParallelSim::with_shards(&c, &faults, options.clone(), 4, 5, |_| NullProbe);
     for schedule_seed in [1, 0xBEEF, 0x5EED_1992, u64::MAX] {
@@ -295,34 +289,6 @@ fn seeded_schedule_replay_is_interleaving_independent() {
         );
         assert_eq!(report.statuses, reference.statuses, "live steal={steal}");
     }
-}
-
-/// Different steal seeds shuffle the victim scan order; detections must
-/// not care.
-#[test]
-fn steal_seed_does_not_change_detections() {
-    let c = cfs_netlist::generate::benchmark("s298g").expect("known benchmark");
-    let faults = enumerate_transition(&c);
-    let patterns = random_patterns(&c, 40, 0x51E);
-    let mut reports = Vec::new();
-    for steal_seed in [1, 2, 0xFEED_FACE] {
-        let mut par = ParallelTransitionSim::with_shards(
-            &c,
-            &faults,
-            TransitionOptions::default(),
-            4,
-            7,
-            |_| NullProbe,
-        );
-        let batch = BatchOptions {
-            window: 5,
-            steal: true,
-            steal_seed,
-        };
-        reports.push(par.run_batched(&patterns, &batch).statuses);
-    }
-    assert_eq!(reports[0], reports[1]);
-    assert_eq!(reports[0], reports[2]);
 }
 
 /// Regression fixture: an adversarial partition the round-robin deal never
@@ -350,25 +316,16 @@ fn adversarial_giant_shard_partition_is_serial_identical() {
         vec![n - 1],
         Vec::new(),
     ];
-    for steal_seed in [3, 0x0DD] {
-        let mut par =
-            ParallelSim::with_partition(&c, &faults, options.clone(), 4, parts.clone(), |_| {
-                NullProbe
-            });
-        let batch = BatchOptions {
-            window: 1,
-            steal: true,
-            steal_seed,
-        };
-        let report = par.run_batched(&patterns, &batch);
-        assert_eq!(
-            report.statuses, reference.statuses,
-            "adversarial partition steal_seed={steal_seed}"
-        );
-        assert_eq!(
-            par.detections(),
-            detections_of(&reference.statuses),
-            "adversarial partition steal_seed={steal_seed}"
-        );
-    }
+    let mut par = ParallelSim::with_partition(&c, &faults, options, 4, parts, |_| NullProbe);
+    let batch = BatchOptions {
+        window: 1,
+        steal: true,
+    };
+    let report = par.run_batched(&patterns, &batch);
+    assert_eq!(report.statuses, reference.statuses, "adversarial partition");
+    assert_eq!(
+        par.detections(),
+        detections_of(&reference.statuses),
+        "adversarial partition"
+    );
 }

@@ -43,7 +43,6 @@ pub fn cross_validate(circuit: &Circuit, patterns: &[Vec<Logic>]) -> Vec<FaultSt
     let batch = BatchOptions {
         window: 5,
         steal: true,
-        ..BatchOptions::default()
     };
     for split in [false, true] {
         let options = TransitionOptions {

@@ -110,7 +110,6 @@ fn check(c: &Circuit, patterns: &[Vec<Logic>]) {
             let batch = BatchOptions {
                 window: 7,
                 steal: true,
-                ..BatchOptions::default()
             };
             let mut batched = sharded(2);
             let report = batched.run_batched(patterns, &batch);

@@ -60,7 +60,6 @@ fn gated_matches_under_sharding_and_batching() {
             let batch = BatchOptions {
                 window,
                 steal: true,
-                ..BatchOptions::default()
             };
             let mut par = ParallelTransitionSim::with_shards(
                 &c,

@@ -244,7 +244,6 @@ fn traced_batched_run(
     let batch = BatchOptions {
         window,
         steal: true,
-        ..BatchOptions::default()
     };
     let report = sim.run_batched(&pats, &batch);
     let st = sim.sched_stats().expect("batched run records stats");
@@ -374,13 +373,7 @@ fn phase_call_counts_are_schedule_invariant() {
         );
         assert_eq!(snap.good_evals, reference.good_evals, "{label}: good_evals");
     };
-    let batch = |window: usize, steal: bool| {
-        Some(BatchOptions {
-            window,
-            steal,
-            ..BatchOptions::default()
-        })
-    };
+    let batch = |window: usize, steal: bool| Some(BatchOptions { window, steal });
     let reference = snapshot_of(1, 4, None);
     let runs = [
         ("2 threads", snapshot_of(2, 4, None)),
@@ -430,7 +423,6 @@ fn window_milestones_walk_the_partition_and_merge_to_serial_records() {
             &BatchOptions {
                 window,
                 steal: true,
-                ..BatchOptions::default()
             },
             |_, done| milestones.push(done),
         );
